@@ -68,6 +68,25 @@ impl BlockChunk {
     };
 }
 
+/// Run-length tally over one request's blocks: counts consecutive equal
+/// keys so the caller records each run once instead of once per block.
+struct Tally<K>(Option<(K, usize)>);
+
+impl<K: PartialEq> Tally<K> {
+    /// Counts `key`; when it differs from the running key, returns the
+    /// finished run `(key, count)` and starts a new one.
+    #[inline]
+    fn push(&mut self, key: K) -> Option<(K, usize)> {
+        match &mut self.0 {
+            Some((k, n)) if *k == key => {
+                *n += 1;
+                None
+            }
+            _ => self.0.replace((key, 1)),
+        }
+    }
+}
+
 /// Streaming analyzer for one volume.
 ///
 /// Feed time-sorted requests via [`observe`](VolumeAnalyzer::observe)
@@ -152,14 +171,10 @@ pub struct VolumeAnalyzer {
     read_cold: u64,
     write_cold: u64,
 
-    /// Scratch buffers reused across batched calls (write-mask words,
-    /// inter-arrival deltas, and the per-span block bookkeeping feeding
-    /// [`ReuseStack::touch_batch`]).
+    /// Scratch buffers reused across batched calls (write-mask words
+    /// and inter-arrival deltas).
     scratch_mask: Vec<u64>,
     scratch_deltas: Vec<u64>,
-    span_prevs: Vec<usize>,
-    span_slots: Vec<(u32, u8, u32)>,
-    span_dists: Vec<u64>,
 
     /// Set once another partition has been folded in: reuse-stack
     /// positions of merged-in blocks are partition-local, so further
@@ -228,9 +243,6 @@ impl VolumeAnalyzer {
             write_cold: 0,
             scratch_mask: Vec::new(),
             scratch_deltas: Vec::new(),
-            span_prevs: Vec::new(),
-            span_slots: Vec::new(),
-            span_dists: Vec::new(),
             merged: false,
         })
     }
@@ -482,33 +494,38 @@ impl VolumeAnalyzer {
 
     /// Block-granular state: adjacency, updates, WSS, reuse.
     ///
-    /// The request's span is processed in two passes. Pass 1 resolves
-    /// every touched block's chunk slot and previous stack position
-    /// (claiming slots for cold blocks); the span's blocks are distinct
-    /// consecutive ids, so no entry depends on an earlier entry's
-    /// update and [`ReuseStack::touch_batch`] can then resolve all warm
-    /// ranks in one amortized sweep. Pass 2 applies the per-block
-    /// metric updates in span order — metric state is disjoint from the
-    /// stack, so the result is bit-identical to the sequential
-    /// interleaving.
+    /// One pass over the span stores every block's new [`BlockState`]
+    /// (a sequential walk through at most a few chunks) and tallies
+    /// what the metrics need **per run, not per block**. A multi-block
+    /// request's blocks were almost always last touched together, so
+    /// they share a previous op and timestamp and sit on consecutive
+    /// reuse-stack positions: the stack retires each such run with one
+    /// [`ReuseStack::touch_run`] (one rank, one distance for the whole
+    /// run) and each histogram takes one `record_n` per distinct key.
+    /// Counters and histograms are sums, so recording a run at its end
+    /// is bit-identical to recording its blocks one by one; the stack
+    /// runs are applied in span order, exactly as sequential touches
+    /// would be. A single-block request is a run of one.
     #[inline]
     fn touch_blocks(&mut self, op: OpKind, offset: u64, len: u32, ts: Timestamp) {
         let bs = self.config.block_size;
-        let end_offset = offset + u64::from(len);
-        let mut prevs = mem::take(&mut self.span_prevs);
-        let mut slots = mem::take(&mut self.span_slots);
-        prevs.clear();
-        slots.clear();
+        // Every touch appends one stack position, so block `i` of the
+        // span lands on `base + i` whatever runs the span splits into.
+        let base = self.reuse_stack.positions();
+        // Previous positions are consecutive exactly while `prev - i`
+        // stays constant; `None` keys a run of cold blocks.
+        let mut stack_run: Tally<Option<usize>> = Tally(None);
+        let mut adjacency: Tally<(OpKind, Timestamp)> = Tally(None);
+        let mut updates: Tally<Timestamp> = Tally(None);
+        let span = bs.span(offset, len);
+        let blocks = span.len();
         // Spans cover consecutive blocks, so the chunk lookup amortizes
         // over up to 16 touches; `cur` caches the active chunk index.
         let mut cur_chunk = u64::MAX;
         let mut cur = 0usize;
-        for block in bs.span(offset, len) {
+        for (i, block) in span.enumerate() {
             let b = block.get();
-            let block_start = bs.offset_of(block);
-            let block_end = block_start + u64::from(bs.bytes());
-            let overlap = end_offset.min(block_end) - offset.max(block_start);
-
+            let overlap = u64::from(bs.overlap(block, offset, len));
             if b / CHUNK_BLOCKS != cur_chunk {
                 cur_chunk = b / CHUNK_BLOCKS;
                 let next = self.chunks.len() as u32;
@@ -520,46 +537,59 @@ impl VolumeAnalyzer {
             }
             let chunk = &mut self.chunks[cur];
             let slot = (b % CHUNK_BLOCKS) as usize;
-            if chunk.occupied & (1 << slot) != 0 {
-                prevs.push(chunk.states[slot].reuse_pos as usize);
-            } else {
-                chunk.occupied |= 1 << slot;
-                self.distinct_blocks += 1;
-                match op {
-                    OpKind::Read => self.read_cold += 1,
-                    OpKind::Write => self.write_cold += 1,
-                }
-                prevs.push(ReuseStack::COLD);
-            }
-            slots.push((cur as u32, slot as u8, overlap as u32));
-        }
-
-        if prevs.len() == 1 {
-            // Single-block request: the sequential touch keeps its O(1)
-            // consecutive-run fast path.
-            let prev = prevs[0];
-            let (warm, new_pos) = if prev != ReuseStack::COLD {
-                let (distance, pos) = self.reuse_stack.touch(prev);
-                (Some(distance), pos as u32)
-            } else {
-                (None, self.reuse_stack.touch_cold() as u32)
-            };
-            self.apply_block_touch(op, ts, slots[0], warm, new_pos);
-        } else if !prevs.is_empty() {
-            let mut dists = mem::take(&mut self.span_dists);
-            let first_new = self.reuse_stack.touch_batch(&prevs, &mut dists);
-            for (i, &target) in slots.iter().enumerate() {
-                let warm = if prevs[i] != ReuseStack::COLD {
-                    Some(dists[i])
-                } else {
-                    None
+            let warm = chunk.occupied & (1 << slot) != 0;
+            chunk.occupied |= 1 << slot;
+            let state = &mut chunk.states[slot];
+            let old = *state;
+            if !warm {
+                *state = BlockState {
+                    last_write_ts: ts,
+                    ..BlockState::EMPTY
                 };
-                self.apply_block_touch(op, ts, target, warm, (first_new + i) as u32);
             }
-            self.span_dists = dists;
+            match op {
+                OpKind::Read => state.read_bytes += overlap,
+                OpKind::Write => {
+                    state.write_bytes += overlap;
+                    state.write_count += 1;
+                    state.last_write_ts = ts;
+                }
+            }
+            state.last_op = op;
+            state.last_ts = ts;
+            // The block's stack position rides in its state, so the
+            // chunk lookup is the only hash op per touched chunk.
+            state.reuse_pos = (base + i) as u32;
+
+            let stack_key = warm.then(|| (old.reuse_pos as usize).wrapping_sub(i));
+            if let Some((key, n)) = stack_run.push(stack_key) {
+                self.retire_stack_run(op, key, i, n);
+            }
+            if warm {
+                if let Some((last, n)) = adjacency.push((old.last_op, old.last_ts)) {
+                    self.record_adjacency(op, ts, last, n);
+                }
+                if op == OpKind::Write {
+                    self.updated_bytes += overlap;
+                    if old.write_count > 0 {
+                        if let Some((last_write, n)) = updates.push(old.last_write_ts) {
+                            self.update_interval_hist
+                                .record_n((ts - last_write).as_micros(), n as u64);
+                        }
+                    }
+                }
+            }
         }
-        self.span_prevs = prevs;
-        self.span_slots = slots;
+        if let Some((key, n)) = stack_run.0 {
+            self.retire_stack_run(op, key, blocks, n);
+        }
+        if let Some((last, n)) = adjacency.0 {
+            self.record_adjacency(op, ts, last, n);
+        }
+        if let Some((last_write, n)) = updates.0 {
+            self.update_interval_hist
+                .record_n((ts - last_write).as_micros(), n as u64);
+        }
 
         // Dead stack positions cost one bit each; compact once most are
         // dead so memory stays O(distinct blocks). Distances are
@@ -579,76 +609,45 @@ impl VolumeAnalyzer {
         }
     }
 
-    /// Applies one block touch's metric updates: reuse-distance and
-    /// adjacency histograms, per-block byte/update accounting and the
-    /// state refresh. `target` is the pass-1 record (chunk index, slot,
-    /// overlap bytes); `warm` carries the reuse distance for a
-    /// re-touched block, `None` for a first touch (whose cold counters
-    /// were already bumped while claiming the slot).
+    /// Applies a finished stack run of `n` blocks ending before span
+    /// index `end`: `key` is `None` for first touches (WSS and cold
+    /// counts), else the run's constant `prev - index`, and the run's
+    /// one reuse distance — over the unified stream, split per op —
+    /// counts `n` times.
     #[inline]
-    fn apply_block_touch(
-        &mut self,
-        op: OpKind,
-        ts: Timestamp,
-        target: (u32, u8, u32),
-        warm: Option<u64>,
-        new_pos: u32,
-    ) {
-        let (ci, slot, overlap) = target;
-        let overlap = u64::from(overlap);
-        let state = &mut self.chunks[ci as usize].states[slot as usize];
-        if let Some(distance) = warm {
-            // Reuse distance over the unified stream, split per op; the
-            // block's stack position rides in its state so the chunk
-            // lookup is the only hash op per touched chunk.
-            state.reuse_pos = new_pos;
-            let hist = match op {
-                OpKind::Read => &mut self.read_distance_hist,
-                OpKind::Write => &mut self.write_distance_hist,
-            };
-            let d = distance as usize;
-            if d >= hist.len() {
-                hist.resize(d + 1, 0);
-            }
-            hist[d] += 1;
-
-            let elapsed = (ts - state.last_ts).as_micros();
-            match (state.last_op, op) {
-                (OpKind::Write, OpKind::Read) => self.raw_hist.record(elapsed),
-                (OpKind::Write, OpKind::Write) => self.waw_hist.record(elapsed),
-                (OpKind::Read, OpKind::Read) => self.rar_hist.record(elapsed),
-                (OpKind::Read, OpKind::Write) => self.war_hist.record(elapsed),
-            }
+    fn retire_stack_run(&mut self, op: OpKind, key: Option<usize>, end: usize, n: usize) {
+        let Some(key) = key else {
+            self.reuse_stack.touch_cold_run(n);
+            self.distinct_blocks += n as u64;
             match op {
-                OpKind::Read => state.read_bytes += overlap,
-                OpKind::Write => {
-                    if state.write_count > 0 {
-                        self.update_interval_hist
-                            .record((ts - state.last_write_ts).as_micros());
-                    }
-                    self.updated_bytes += overlap;
-                    state.write_bytes += overlap;
-                    state.write_count += 1;
-                    state.last_write_ts = ts;
-                }
+                OpKind::Read => self.read_cold += n as u64,
+                OpKind::Write => self.write_cold += n as u64,
             }
-            state.last_op = op;
-            state.last_ts = ts;
-        } else {
-            let (read_bytes, write_bytes, write_count) = match op {
-                OpKind::Read => (overlap, 0, 0),
-                OpKind::Write => (0, overlap, 1),
-            };
-            *state = BlockState {
-                read_bytes,
-                write_bytes,
-                last_ts: ts,
-                last_write_ts: ts,
-                write_count,
-                reuse_pos: new_pos,
-                last_op: op,
-            };
+            return;
+        };
+        let (distance, _) = self.reuse_stack.touch_run(key.wrapping_add(end - n), n);
+        let hist = match op {
+            OpKind::Read => &mut self.read_distance_hist,
+            OpKind::Write => &mut self.write_distance_hist,
+        };
+        let d = distance as usize;
+        if d >= hist.len() {
+            hist.resize(d + 1, 0);
         }
+        hist[d] += n as u64;
+    }
+
+    /// Records `n` re-touches at `ts` of blocks last touched by
+    /// `last.0` at `last.1` in the matching RAW/WAW/RAR/WAR histogram.
+    #[inline]
+    fn record_adjacency(&mut self, op: OpKind, ts: Timestamp, last: (OpKind, Timestamp), n: usize) {
+        let hist = match (last.0, op) {
+            (OpKind::Write, OpKind::Read) => &mut self.raw_hist,
+            (OpKind::Write, OpKind::Write) => &mut self.waw_hist,
+            (OpKind::Read, OpKind::Read) => &mut self.rar_hist,
+            (OpKind::Read, OpKind::Write) => &mut self.war_hist,
+        };
+        hist.record_n((ts - last.1).as_micros(), n as u64);
     }
 
     /// Folds another partition's analyzer state into `self` — the

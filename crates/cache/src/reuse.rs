@@ -25,7 +25,9 @@
 //! * workloads retouch *runs* of blocks that were last touched together
 //!   (a request rewriting the same span), and clearing position `p`
 //!   leaves `rank(p + 1)` unchanged — so consecutive-position touches
-//!   skip the rank walk entirely and reuse the previous rank.
+//!   skip the rank walk entirely and reuse the previous rank, and
+//!   [`ReuseStack::touch_run`] retires a whole such run with one rank,
+//!   one masked clear and one masked append per 64-position word.
 //!
 //! [`ReuseDistances`] adds the block → last-position map and the
 //! distance histogram on top; callers that already keep per-block state
@@ -84,21 +86,12 @@ pub struct ReuseStack {
     live: usize,
     /// Next position to assign.
     next_pos: usize,
-    /// Position cleared by the most recent [`touch`](Self::touch)
-    /// (`usize::MAX` = none); keyed against `prev - 1` for the
-    /// consecutive-run fast path.
+    /// Position cleared last by the most recent [`touch`](Self::touch)
+    /// or [`touch_run`](Self::touch_run) (`usize::MAX` = none); keyed
+    /// against `prev - 1` for the consecutive-run fast path.
     last_cleared: usize,
     /// The rank that was computed for `last_cleared`.
     last_rank: u64,
-    /// Reused allocations for [`touch_batch`](Self::touch_batch):
-    /// `(prev, batch index)` sorted by prev.
-    scratch_sorted: Vec<(usize, u32)>,
-    /// `rank_pre` per sorted warm entry.
-    scratch_ranks: Vec<u64>,
-    /// Batch index → sorted index for warm entries.
-    scratch_sorted_of: Vec<u32>,
-    /// Fenwick tree counting clears below each sorted rank.
-    scratch_fenwick: Vec<u32>,
 }
 
 impl Default for ReuseStack {
@@ -113,10 +106,6 @@ impl Default for ReuseStack {
             next_pos: 0,
             last_cleared: usize::MAX,
             last_rank: 0,
-            scratch_sorted: Vec::new(),
-            scratch_ranks: Vec::new(),
-            scratch_sorted_of: Vec::new(),
-            scratch_fenwick: Vec::new(),
         }
     }
 }
@@ -260,9 +249,9 @@ impl ReuseStack {
     /// [`rebuild_compacted`](Self::rebuild_compacted). `pos` must be
     /// live. Call for every stored position *before* rebuilding.
     ///
-    /// For bulk relabeling prefer [`compaction_table`]
-    /// (Self::compaction_table), which amortizes the per-position rank
-    /// walk into one linear sweep.
+    /// For bulk relabeling prefer
+    /// [`compaction_table`](Self::compaction_table), which amortizes the
+    /// per-position rank walk into one linear sweep.
     pub fn compacted_pos(&self, pos: usize) -> usize {
         (self.rank_inclusive(pos) - 1) as usize
     }
@@ -326,171 +315,99 @@ impl ReuseStack {
         self.last_rank = 0;
     }
 
-    /// Sentinel for a first-touch entry in a [`touch_batch`]
-    /// (Self::touch_batch) slice.
-    pub const COLD: usize = usize::MAX;
-
-    /// Processes a batch of touches in one pass, bit-identical to the
-    /// equivalent sequence of [`touch`](Self::touch) /
-    /// [`touch_cold`](Self::touch_cold) calls.
-    ///
-    /// `prevs[i]` is the previous position of touch `i` (in access
-    /// order), or [`COLD`](Self::COLD) for a first touch. Warm entries
-    /// must be live and **distinct** — a batch must not retouch a block
-    /// it already touched, so callers batch at most one request span
-    /// (whose blocks are distinct by construction).
-    ///
-    /// Returns the position assigned to the first touch; touch `i`
-    /// receives position `return + i`, exactly as the sequential calls
-    /// would. `distances[i]` is the reuse distance of touch `i`, with
-    /// `u64::MAX` marking cold (infinite-distance) touches.
-    ///
-    /// Instead of one full rank walk per warm touch, the warm previous
-    /// positions are sorted and ranked in a single ascending sweep of
-    /// the counter hierarchy (each level's prefix is accumulated once),
-    /// then each touch's rank is adjusted for the clears that sequential
-    /// processing would have applied before it:
-    ///
-    /// ```text
-    /// distance_i = live_0 + colds_before_i − (rank_pre(p_i) − clears_below_i)
-    /// ```
-    ///
-    /// where `rank_pre` is the rank in the untouched bitset and
-    /// `clears_below_i` counts earlier batch touches whose previous
-    /// position sits below `p_i` (appends land strictly above every
-    /// ranked position, so they never perturb a rank).
-    pub fn touch_batch(&mut self, prevs: &[usize], distances: &mut Vec<u64>) -> usize {
-        distances.clear();
-        let first_new = self.next_pos;
-        if prevs.is_empty() {
-            return first_new;
-        }
-
-        // Collect warm touches as (prev, batch index), sorted by prev
-        // for the single-sweep rank pass.
-        let mut sorted = std::mem::take(&mut self.scratch_sorted);
-        sorted.clear();
-        for (i, &p) in prevs.iter().enumerate() {
-            if p != Self::COLD {
-                debug_assert!(p < self.next_pos, "warm prev out of range");
-                debug_assert!(
-                    self.words[p / 64] & (1 << (p % 64)) != 0,
-                    "warm prev must be live"
-                );
-                sorted.push((p, i as u32));
-            }
-        }
-        sorted.sort_unstable();
-        let k = sorted.len();
-
-        // One ascending descent over the hierarchy: rank_pre of every
-        // sorted prev, reusing the running prefix between queries.
-        let mut ranks = std::mem::take(&mut self.scratch_ranks);
-        ranks.clear();
-        self.rank_sorted_sweep(&sorted, &mut ranks);
-
-        // sorted_of[i] = index of batch touch i in `sorted` (warm only).
-        let mut sorted_of = std::mem::take(&mut self.scratch_sorted_of);
-        sorted_of.clear();
-        sorted_of.resize(prevs.len(), u32::MAX);
-        for (r, &(_, i)) in sorted.iter().enumerate() {
-            sorted_of[i as usize] = r as u32;
-        }
-
-        // Fenwick tree over sorted ranks counts, for each warm touch in
-        // access order, how many earlier warm touches cleared a position
-        // below it.
-        let mut fen = std::mem::take(&mut self.scratch_fenwick);
-        fen.clear();
-        fen.resize(k + 1, 0);
-
-        let live0 = self.live as u64;
-        let mut colds = 0u64;
-        let mut last_warm: Option<(usize, u64)> = None;
-        for (i, &p) in prevs.iter().enumerate() {
-            if p == Self::COLD {
-                colds += 1;
-                distances.push(u64::MAX);
-            } else {
-                let r = sorted_of[i] as usize;
-                let clears_below = {
-                    let mut s = 0u64;
-                    let mut j = r;
-                    while j > 0 {
-                        s += u64::from(fen[j]);
-                        j &= j - 1;
-                    }
-                    s
-                };
-                let rank_now = ranks[r] - clears_below;
-                distances.push(live0 + colds - rank_now);
-                last_warm = Some((p, rank_now));
-                let mut j = r + 1;
-                while j <= k {
-                    fen[j] += 1;
-                    j += j & j.wrapping_neg();
-                }
-            }
-        }
-
-        // Apply all clears, then all appends. Sequential processing
-        // interleaves them, but clears touch only pre-existing words and
-        // appends only ever set the next fresh position, so the final
-        // bitset, counters and position assignment are identical.
-        for &(p, _) in &sorted {
-            self.clear(p);
-        }
-        for _ in 0..prevs.len() {
-            self.push_live();
-        }
-
-        // Seed the consecutive-run fast path exactly as the last
-        // sequential warm touch would have (appends after it do not
-        // change rank(last_cleared)).
-        if let Some((p, rank)) = last_warm {
-            self.last_cleared = p;
-            self.last_rank = rank;
-        }
-
-        self.scratch_sorted = sorted;
-        self.scratch_ranks = ranks;
-        self.scratch_sorted_of = sorted_of;
-        self.scratch_fenwick = fen;
-        first_new
+    /// Records `len` first touches at once and returns the position of
+    /// the first; touch `j` receives position `return + j`, exactly as
+    /// `len` calls of [`touch_cold`](Self::touch_cold) would.
+    #[inline]
+    pub fn touch_cold_run(&mut self, len: usize) -> usize {
+        self.push_live_range(len)
     }
 
-    /// Ranks every `(pos, _)` in ascending `pos` order with one
-    /// monotone cursor sweep over the counter hierarchy. Equivalent to
-    /// calling [`rank_inclusive`](Self::rank_inclusive) per position,
-    /// but each hierarchy prefix is accumulated once for the whole
-    /// batch instead of once per query.
-    fn rank_sorted_sweep(&self, sorted: &[(usize, u32)], out: &mut Vec<u64>) {
-        let mut w_cur = 0usize;
-        let mut sum = 0u64;
-        for &(pos, _) in sorted {
-            let target = pos / 64;
-            while w_cur < target {
-                if w_cur & 4095 == 0 && w_cur + 4096 <= target {
-                    sum += u64::from(self.l4[w_cur >> 12]);
-                    w_cur += 4096;
-                } else if w_cur & 511 == 0 && w_cur + 512 <= target {
-                    sum += u64::from(self.l3[w_cur >> 9]);
-                    w_cur += 512;
-                } else if w_cur & 63 == 0 && w_cur + 64 <= target {
-                    sum += u64::from(self.l2[w_cur >> 6]);
-                    w_cur += 64;
-                } else if w_cur & 7 == 0 && w_cur + 8 <= target {
-                    sum += u64::from(self.l1[w_cur >> 3]);
-                    w_cur += 8;
-                } else {
-                    sum += u64::from(self.words[w_cur].count_ones());
-                    w_cur += 1;
-                }
-            }
-            let mask = u64::MAX >> (63 - pos % 64);
-            out.push(sum + u64::from((self.words[target] & mask).count_ones()));
-        }
+    /// Records repeat touches of `len` blocks whose previous positions
+    /// are the consecutive live positions `prev..prev + len` — blocks
+    /// last touched together, in the same order. Bit-identical to
+    /// calling [`touch`](Self::touch) on `prev`, `prev + 1`, … in turn:
+    /// returns the reuse distance, which is **the same for every block
+    /// of the run**, and the position assigned to the first (touch `j`
+    /// receives `return.1 + j`).
+    ///
+    /// Why one rank serves the whole run: when touch `j` is reached,
+    /// the `j` positions `prev..prev + j` below it have just been
+    /// cleared, and exactly those `j` positions were the live bits
+    /// between `prev` and `prev + j` — the two cancel, so
+    /// `rank(prev + j)` then equals `rank(prev)` at the start (appends
+    /// land above every ranked position, and `live` is restored by each
+    /// touch's own append). The run costs one rank walk (none when it
+    /// continues the previous call's run), one masked clear and one
+    /// masked append per 64-position word, with each counter level
+    /// adjusted by the popcount. `len` must be at least 1.
+    #[inline]
+    pub fn touch_run(&mut self, prev: usize, len: usize) -> (u64, usize) {
+        debug_assert!(len >= 1, "a warm run holds at least one block");
+        let rank = if prev != 0 && prev - 1 == self.last_cleared {
+            self.last_rank
+        } else {
+            self.rank_inclusive(prev)
+        };
+        let distance = self.live as u64 - rank;
+        self.clear_range(prev, len);
+        self.last_cleared = prev + len - 1;
+        self.last_rank = rank;
+        (distance, self.push_live_range(len))
     }
+
+    /// Clears the live positions `pos..pos + len`, one masked word at a
+    /// time.
+    #[inline]
+    fn clear_range(&mut self, pos: usize, len: usize) {
+        let end = pos + len;
+        let mut p = pos;
+        while p < end {
+            let (w, n, mask) = word_span(p, end);
+            debug_assert_eq!(self.words[w] & mask, mask, "run positions must be live");
+            self.words[w] &= !mask;
+            self.l1[w >> 3] -= n;
+            self.l2[w >> 6] -= n;
+            self.l3[w >> 9] -= n;
+            self.l4[w >> 12] -= n;
+            p += n as usize;
+        }
+        self.live -= len;
+    }
+
+    /// Appends `len` live positions, one masked word at a time, and
+    /// returns the first.
+    #[inline]
+    fn push_live_range(&mut self, len: usize) -> usize {
+        let first = self.next_pos;
+        let end = first + len;
+        let mut p = first;
+        while p < end {
+            let (w, n, mask) = word_span(p, end);
+            if w == self.words.len() {
+                self.words.push(0);
+                self.grow_counters();
+            }
+            self.words[w] |= mask;
+            self.l1[w >> 3] += n;
+            self.l2[w >> 6] += n;
+            self.l3[w >> 9] += n;
+            self.l4[w >> 12] += n;
+            p += n as usize;
+        }
+        self.next_pos = end;
+        self.live += len;
+        first
+    }
+}
+
+/// The part of `p..end` that falls into `p`'s 64-position word: the
+/// word index, the number of positions and their bit mask.
+#[inline]
+fn word_span(p: usize, end: usize) -> (usize, u32, u64) {
+    let lo = p % 64;
+    let n = (64 - lo).min(end - p);
+    (p / 64, n as u32, (u64::MAX >> (64 - n)) << lo)
 }
 
 /// Exact reuse-distance histogram of a block-access stream.
@@ -842,111 +759,137 @@ mod tests {
         assert_eq!(d, 99);
     }
 
-    #[test]
-    fn touch_batch_empty_and_all_cold() {
-        let mut s = ReuseStack::new();
-        let mut d = Vec::new();
-        assert_eq!(s.touch_batch(&[], &mut d), 0);
-        assert!(d.is_empty());
-        let first = s.touch_batch(&[ReuseStack::COLD; 3], &mut d);
-        assert_eq!(first, 0);
-        assert_eq!(d, vec![u64::MAX; 3]);
-        assert_eq!(s.live(), 3);
-        assert_eq!(s.positions(), 3);
+    /// Drives one span of `prevs` (`None` = cold) through the run API,
+    /// splitting it into maximal cold runs and warm runs of consecutive
+    /// previous positions; returns per-touch `(distance, new position)`.
+    fn touch_span_by_runs(s: &mut ReuseStack, prevs: &[Option<usize>]) -> Vec<(u64, usize)> {
+        let mut out = Vec::new();
+        let mut i = 0;
+        while i < prevs.len() {
+            let mut k = 1;
+            let (distance, first) = match prevs[i] {
+                None => {
+                    while prevs.get(i + k) == Some(&None) {
+                        k += 1;
+                    }
+                    (u64::MAX, s.touch_cold_run(k))
+                }
+                Some(p) => {
+                    while prevs.get(i + k) == Some(&Some(p + k)) {
+                        k += 1;
+                    }
+                    s.touch_run(p, k)
+                }
+            };
+            out.extend((0..k).map(|j| (distance, first + j)));
+            i += k;
+        }
+        out
     }
 
     #[test]
-    fn touch_batch_matches_sequential_touches() {
-        // Drive a batched stack and a sequential stack through the same
-        // deterministic access stream (batches of distinct blocks, the
-        // span-shaped access pattern the analyzer produces) and demand
-        // bit-identical distances, positions, and internal state —
-        // including across compactions.
+    fn touch_cold_run_assigns_consecutive_positions() {
+        let mut s = ReuseStack::new();
+        assert_eq!(s.touch_cold_run(3), 0);
+        // Crosses the first word and the first 8-word counter group.
+        assert_eq!(s.touch_cold_run(600), 3);
+        assert_eq!(s.live(), 603);
+        assert_eq!(s.positions(), 603);
         let mut seq = ReuseStack::new();
-        let mut bat = ReuseStack::new();
+        for _ in 0..603 {
+            seq.touch_cold();
+        }
+        assert_eq!(s.words, seq.words);
+        assert_eq!(
+            (&s.l1, &s.l2, &s.l3, &s.l4),
+            (&seq.l1, &seq.l2, &seq.l3, &seq.l4)
+        );
+    }
+
+    #[test]
+    fn touch_run_matches_sequential_touches() {
+        // Drive a run-touched stack and a sequential stack through the
+        // same deterministic stream of spans (the access pattern the
+        // analyzer produces) and demand bit-identical distances,
+        // positions and internal state — including across compactions.
+        let mut seq = ReuseStack::new();
+        let mut run = ReuseStack::new();
         let mut seq_pos: std::collections::HashMap<u64, usize> = Default::default();
-        let mut bat_pos: std::collections::HashMap<u64, usize> = Default::default();
+        let mut run_pos: std::collections::HashMap<u64, usize> = Default::default();
         let mut rng = 0x9e37u64;
-        let mut dists = Vec::new();
         for _ in 0..2_000 {
             rng = rng
                 .wrapping_mul(6364136223846793005)
                 .wrapping_add(1442695040888963407);
-            let start = (rng >> 33) % 200;
-            let span = 1 + (rng >> 20) % 8;
+            let start = (rng >> 33) % 400;
+            let span = 1 + (rng >> 20) % 150;
             let blocks: Vec<u64> = (start..start + span).collect();
 
-            // Sequential reference.
-            let mut want: Vec<u64> = Vec::new();
+            let mut want = Vec::new();
             for &blk in &blocks {
-                match seq_pos.get(&blk).copied() {
-                    Some(prev) => {
-                        let (d, np) = seq.touch(prev);
-                        want.push(d);
-                        seq_pos.insert(blk, np);
-                    }
-                    None => {
-                        want.push(u64::MAX);
-                        seq_pos.insert(blk, seq.touch_cold());
-                    }
-                }
+                let touched = match seq_pos.get(&blk).copied() {
+                    Some(prev) => seq.touch(prev),
+                    None => (u64::MAX, seq.touch_cold()),
+                };
+                seq_pos.insert(blk, touched.1);
+                want.push(touched);
             }
 
-            // Batched.
-            let prevs: Vec<usize> = blocks
-                .iter()
-                .map(|blk| bat_pos.get(blk).copied().unwrap_or(ReuseStack::COLD))
-                .collect();
-            let first = bat.touch_batch(&prevs, &mut dists);
-            for (i, &blk) in blocks.iter().enumerate() {
-                bat_pos.insert(blk, first + i);
+            let prevs: Vec<Option<usize>> =
+                blocks.iter().map(|blk| run_pos.get(blk).copied()).collect();
+            let got = touch_span_by_runs(&mut run, &prevs);
+            for (&blk, &(_, pos)) in blocks.iter().zip(&got) {
+                run_pos.insert(blk, pos);
             }
 
-            assert_eq!(dists, want);
-            assert_eq!(bat.live(), seq.live());
-            assert_eq!(bat.positions(), seq.positions());
-            assert_eq!(bat.words, seq.words);
-            assert_eq!(bat.last_cleared, seq.last_cleared);
-            assert_eq!(bat.last_rank, seq.last_rank);
+            assert_eq!(got, want);
+            assert_eq!(run.live(), seq.live());
+            assert_eq!(run.positions(), seq.positions());
+            assert_eq!(run.words, seq.words);
+            assert_eq!(
+                (&run.l1, &run.l2, &run.l3, &run.l4),
+                (&seq.l1, &seq.l2, &seq.l3, &seq.l4)
+            );
+            assert_eq!(run.last_cleared, seq.last_cleared);
+            assert_eq!(run.last_rank, seq.last_rank);
 
-            assert_eq!(bat.should_compact(), seq.should_compact());
-            if bat.should_compact() {
+            assert_eq!(run.should_compact(), seq.should_compact());
+            if run.should_compact() {
                 let st = seq.compaction_table();
                 for p in seq_pos.values_mut() {
                     *p = st[*p] as usize;
                 }
                 seq.rebuild_compacted();
-                let bt = bat.compaction_table();
-                for p in bat_pos.values_mut() {
-                    *p = bt[*p] as usize;
+                let rt = run.compaction_table();
+                for p in run_pos.values_mut() {
+                    *p = rt[*p] as usize;
                 }
-                bat.rebuild_compacted();
+                run.rebuild_compacted();
             }
         }
     }
 
     #[test]
-    fn touch_batch_interleaves_with_single_touches() {
-        // The run fast path seeded by touch_batch must hand over to
-        // plain touch() without perturbing distances.
+    fn touch_run_interleaves_with_single_touches() {
+        // The fast-path seed left by touch_run must hand over to plain
+        // touch() (and to the next run) without perturbing distances.
         let mut a = ReuseStack::new();
         let mut b = ReuseStack::new();
-        let pa: Vec<usize> = (0..10).map(|_| a.touch_cold()).collect();
+        let pa = a.touch_cold_run(10);
         let pb: Vec<usize> = (0..10).map(|_| b.touch_cold()).collect();
-        let mut d = Vec::new();
-        let first = a.touch_batch(&[pa[3], pa[4], pa[5]], &mut d);
+        let (d, first) = a.touch_run(pa + 3, 3);
         let (d3, _) = b.touch(pb[3]);
         let (d4, _) = b.touch(pb[4]);
         let (d5, n5) = b.touch(pb[5]);
-        assert_eq!(d, vec![d3, d4, d5]);
-        // Consecutive follow-up touch takes the fast path in both.
-        let (da, _) = a.touch(pa[6]);
-        let (db, _) = b.touch(pb[6]);
-        assert_eq!(da, db);
-        // And the relocated block reuses correctly.
-        let (da, _) = a.touch(first + 2);
-        let (db, _) = b.touch(n5);
-        assert_eq!(da, db);
+        assert_eq!([d, d, d], [d3, d4, d5]);
+        assert_eq!(first + 2, n5);
+        // A run continuing where the last one stopped skips the rank
+        // walk in both.
+        assert_eq!(a.touch_run(pa + 6, 2).0, b.touch(pb[6]).0);
+        b.touch(pb[7]);
+        assert_eq!(a.touch(pa + 8), b.touch(pb[8]));
+        // And the relocated blocks reuse correctly.
+        assert_eq!(a.touch(first + 2), b.touch(n5));
     }
 
     #[test]

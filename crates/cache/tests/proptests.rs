@@ -37,16 +37,136 @@ fn arb_requests() -> impl Strategy<Value = Vec<IoRequest>> {
     })
 }
 
-/// Arbitrary span-shaped access batches for `touch_batch`: each batch
-/// covers `span` consecutive blocks starting at `start` (distinct
-/// within the batch, arbitrarily warm or cold across batches).
-fn arb_spans() -> impl Strategy<Value = Vec<(u64, u64)>> {
-    proptest::strategy::FnStrategy(|rng: &mut proptest::test_runner::TestRng| {
-        let len = 1 + rng.below(80) as usize;
-        (0..len)
-            .map(|_| (rng.below(120), 1 + rng.below(9)))
-            .collect()
+/// Arbitrary request-shaped access sequences for the `ReuseStack` run
+/// API: each entry is a span of distinct blocks plus one block to touch
+/// singly afterwards.
+///
+/// A cold preamble first fills the stack to just below a 64-position
+/// word edge or an 8/64/512/4096-word counter-group edge, so the spans
+/// after it clear and append across that edge. Later spans are fresh
+/// ranges (arbitrarily warm or cold) or revisit an earlier span
+/// exactly, partially, reversed, or with never-seen blocks spliced in
+/// as cold holes; lengths up to 200 cross word edges on their own. The
+/// follow-up of a partial revisit is the block just past the slice —
+/// the touch that takes the consecutive-position fast path.
+fn arb_spans() -> impl Strategy<Value = Vec<(Vec<u64>, u64)>> {
+    use proptest::test_runner::TestRng;
+    fn pick<'a>(rng: &mut TestRng, history: &'a [Vec<u64>]) -> &'a Vec<u64> {
+        &history[rng.below(history.len() as u64) as usize]
+    }
+    proptest::strategy::FnStrategy(|rng: &mut TestRng| {
+        let edge = [0u64, 64, 512, 4096, 32_768, 262_144][rng.below(6) as usize];
+        let preamble = edge.saturating_sub(rng.below(40));
+        let mut spans: Vec<(Vec<u64>, u64)> = Vec::new();
+        if preamble > 0 {
+            spans.push(((0..preamble).collect(), preamble - 1));
+        }
+        let mut history: Vec<Vec<u64>> = Vec::new();
+        let mut never_seen = 1u64 << 40;
+        for _ in 0..1 + rng.below(80) {
+            let kind = if history.is_empty() { 0 } else { rng.below(5) };
+            let mut follow_up = None;
+            let span: Vec<u64> = match kind {
+                0 => {
+                    let start = preamble.saturating_sub(150) + rng.below(300);
+                    (start..start + 1 + rng.below(200)).collect()
+                }
+                1 => pick(rng, &history).clone(),
+                2 => {
+                    let whole = pick(rng, &history);
+                    let a = rng.below(whole.len() as u64) as usize;
+                    let b = a + 1 + rng.below((whole.len() - a) as u64) as usize;
+                    follow_up = whole.get(b).copied();
+                    whole[a..b].to_vec()
+                }
+                3 => pick(rng, &history).iter().rev().copied().collect(),
+                _ => {
+                    let mut holed = Vec::new();
+                    for &block in pick(rng, &history) {
+                        if rng.below(4) == 0 {
+                            holed.push(never_seen);
+                            never_seen += 1;
+                        }
+                        holed.push(block);
+                    }
+                    holed
+                }
+            };
+            history.push(span.clone());
+            let follow_up = follow_up.unwrap_or_else(|| {
+                let from = pick(rng, &history);
+                from[rng.below(from.len() as u64) as usize]
+            });
+            spans.push((span, follow_up));
+        }
+        spans
     })
+}
+
+/// A `ReuseStack` with the caller's half of the contract: the block →
+/// latest-position map.
+#[derive(Default)]
+struct TrackedStack {
+    stack: cbs_cache::ReuseStack,
+    pos: std::collections::HashMap<u64, usize>,
+}
+
+impl TrackedStack {
+    /// Touches `blocks` one by one; returns `(distance, new position)`
+    /// per block, `u64::MAX` marking a first touch.
+    fn touch_each(&mut self, blocks: &[u64]) -> Vec<(u64, usize)> {
+        blocks
+            .iter()
+            .map(|&block| {
+                let touched = match self.pos.get(&block) {
+                    Some(&prev) => self.stack.touch(prev),
+                    None => (u64::MAX, self.stack.touch_cold()),
+                };
+                self.pos.insert(block, touched.1);
+                touched
+            })
+            .collect()
+    }
+
+    /// Touches `blocks` as maximal runs — of cold blocks, or of warm
+    /// blocks with consecutive previous positions — the way the volume
+    /// analyzer drives the stack.
+    fn touch_by_runs(&mut self, blocks: &[u64]) -> Vec<(u64, usize)> {
+        let prevs: Vec<Option<usize>> = blocks.iter().map(|b| self.pos.get(b).copied()).collect();
+        let mut out = Vec::new();
+        let mut i = 0;
+        while i < prevs.len() {
+            let mut k = 1;
+            let (distance, first) = match prevs[i] {
+                None => {
+                    while prevs.get(i + k) == Some(&None) {
+                        k += 1;
+                    }
+                    (u64::MAX, self.stack.touch_cold_run(k))
+                }
+                Some(p) => {
+                    while prevs.get(i + k) == Some(&Some(p + k)) {
+                        k += 1;
+                    }
+                    self.stack.touch_run(p, k)
+                }
+            };
+            out.extend((0..k).map(|j| (distance, first + j)));
+            i += k;
+        }
+        for (&block, &(_, pos)) in blocks.iter().zip(&out) {
+            self.pos.insert(block, pos);
+        }
+        out
+    }
+
+    fn compact(&mut self) {
+        let table = self.stack.compaction_table();
+        for p in self.pos.values_mut() {
+            *p = table[*p] as usize;
+        }
+        self.stack.rebuild_compacted();
+    }
 }
 
 /// Replays `stream` through `cache`, asserting the universal policy
@@ -160,52 +280,26 @@ proptest! {
         prop_assert_eq!(rd.accesses(), stream.len() as u64);
     }
 
-    /// `ReuseStack::touch_batch` is bit-identical to the equivalent
-    /// sequence of `touch`/`touch_cold` calls on arbitrary span-shaped
-    /// batches (distinct blocks within a batch, arbitrary warm/cold mix
-    /// across batches), including across compactions.
+    /// `ReuseStack::touch_run`/`touch_cold_run` are bit-identical to
+    /// the equivalent sequence of `touch`/`touch_cold` calls: same
+    /// distances, same assigned positions, same `live()`/`positions()`,
+    /// and the same answer to the next single `touch` (so the
+    /// `last_cleared`/`last_rank` fast-path seed matches sequential
+    /// state) — across compactions, one of them forced mid-sequence.
     #[test]
-    fn reuse_touch_batch_equals_sequential(batches in arb_spans()) {
-        let mut seq = cbs_cache::ReuseStack::new();
-        let mut bat = cbs_cache::ReuseStack::new();
-        let mut seq_pos = std::collections::HashMap::new();
-        let mut bat_pos = std::collections::HashMap::new();
-        let mut dists = Vec::new();
-        for &(start, span) in &batches {
-            let blocks: Vec<u64> = (start..start + span).collect();
-            let mut want: Vec<u64> = Vec::new();
-            for &blk in &blocks {
-                match seq_pos.get(&blk).copied() {
-                    Some(prev) => {
-                        let (d, np) = seq.touch(prev);
-                        want.push(d);
-                        seq_pos.insert(blk, np);
-                    }
-                    None => {
-                        want.push(u64::MAX);
-                        seq_pos.insert(blk, seq.touch_cold());
-                    }
-                }
-            }
-            let prevs: Vec<usize> = blocks
-                .iter()
-                .map(|blk| bat_pos.get(blk).copied().unwrap_or(cbs_cache::ReuseStack::COLD))
-                .collect();
-            let first = bat.touch_batch(&prevs, &mut dists);
-            for (i, &blk) in blocks.iter().enumerate() {
-                bat_pos.insert(blk, first + i);
-            }
-            prop_assert_eq!(&dists, &want);
-            prop_assert_eq!(bat.live(), seq.live());
-            prop_assert_eq!(bat.positions(), seq.positions());
-            prop_assert_eq!(bat.should_compact(), seq.should_compact());
-            if bat.should_compact() {
-                let st = seq.compaction_table();
-                for p in seq_pos.values_mut() { *p = st[*p] as usize; }
-                seq.rebuild_compacted();
-                let bt = bat.compaction_table();
-                for p in bat_pos.values_mut() { *p = bt[*p] as usize; }
-                bat.rebuild_compacted();
+    fn reuse_touch_run_equals_sequential(spans in arb_spans()) {
+        let mut seq = TrackedStack::default();
+        let mut run = TrackedStack::default();
+        for (i, (span, follow_up)) in spans.iter().enumerate() {
+            prop_assert_eq!(run.touch_by_runs(span), seq.touch_each(span));
+            prop_assert_eq!(run.stack.live(), seq.stack.live());
+            prop_assert_eq!(run.stack.positions(), seq.stack.positions());
+            let follow_up = std::slice::from_ref(follow_up);
+            prop_assert_eq!(run.touch_each(follow_up), seq.touch_each(follow_up));
+            prop_assert_eq!(run.stack.should_compact(), seq.stack.should_compact());
+            if run.stack.should_compact() || i == spans.len() / 2 {
+                seq.compact();
+                run.compact();
             }
         }
     }

@@ -243,7 +243,11 @@ impl PartitionedWorkbench {
         let max_block = view
             .requests()
             .iter()
-            .map(|r| (r.offset() + u64::from(r.len()).saturating_sub(1)) / block_bytes)
+            .map(|r| {
+                r.offset()
+                    .saturating_add(u64::from(r.len()).saturating_sub(1))
+                    / block_bytes
+            })
             .max()
             .unwrap_or(0);
         let parts = self.workers;

@@ -15,16 +15,17 @@
 //! ┌────────────────────────┐  bounded  ┌──────────────────────────┐
 //! │ observe(req)           │  channels │ FxHashMap<VolumeId,      │
 //! │  route: volume → shard │ ────────► │         VolumeAnalyzer>  │
-//! │  SoA buffer per shard, │ (Request- │ observe_batch() over     │
-//! │  flush at batch_size   │  Batches) │ per-volume runs          │
+//! │  SoA buffer per shard, │ (Request- │ regroup batch by volume, │
+//! │  flush at batch_size   │  Batches) │ one observe_batch() each │
 //! └────────────────────────┘           └──────────────────────────┘
 //! ```
 //!
 //! Shard channels carry [`RequestBatch`]es (struct-of-arrays), so a
 //! batch handoff moves five dense columns instead of an array of
 //! request structs, and workers can feed analyzers through the
-//! [`VolumeAnalyzer::observe_batch`] fast path one per-volume run at a
-//! time.
+//! [`VolumeAnalyzer::observe_batch`] fast path: each worker stably
+//! regroups a received batch by volume, so every analyzer gets its
+//! whole share of the batch in one call.
 //!
 //! # Ordering contract
 //!
@@ -549,9 +550,9 @@ impl StreamingSession {
     }
 }
 
-/// Shard worker loop: lazily create one analyzer per volume and feed
-/// it through [`VolumeAnalyzer::observe_batch`], one consecutive
-/// same-volume run at a time (one hash lookup per run); emit the
+/// Shard worker loop: regroup each received batch by volume, lazily
+/// create one analyzer per volume and feed it its whole share of the
+/// batch in one [`VolumeAnalyzer::observe_batch`] call; emit the
 /// finished metrics when the channel closes.
 fn shard_worker(
     rx: Receiver<Batch>,
@@ -559,6 +560,7 @@ fn shard_worker(
     metrics: Option<WorkerMetrics>,
 ) -> Vec<VolumeMetrics> {
     let mut analyzers: FxHashMap<VolumeId, VolumeAnalyzer> = FxHashMap::default();
+    let mut regroup = Regroup::default();
     for (epoch, batch) in rx {
         let clock = metrics.as_ref().map(|m| {
             m.inflight.dec();
@@ -566,25 +568,22 @@ fn shard_worker(
             m.requests.add(batch.len() as u64);
             Stopwatch::start()
         });
-        let volumes = batch.volumes();
         let mut start = 0usize;
-        for i in 1..=volumes.len() {
-            if i != volumes.len() && volumes[i] == volumes[start] {
-                continue;
-            }
-            let volume = volumes[start];
+        let (grouped, groups) = regroup.by_volume(&batch);
+        for &(volume, count) in groups {
+            let range = start..start + count as usize;
+            start = range.end;
             match analyzers.get_mut(&volume) {
-                Some(analyzer) => analyzer.observe_batch(&batch, start..i),
+                Some(analyzer) => analyzer.observe_batch(grouped, range),
                 // `with_config` validated the config, so the
                 // constructor cannot be rejected here.
                 None => {
                     if let Ok(mut analyzer) = VolumeAnalyzer::new(volume, epoch, config.clone()) {
-                        analyzer.observe_batch(&batch, start..i);
+                        analyzer.observe_batch(grouped, range);
                         analyzers.insert(volume, analyzer);
                     }
                 }
             }
-            start = i;
         }
         if let (Some(m), Some(clock)) = (&metrics, clock) {
             m.analyze_nanos.add(clock.elapsed_nanos());
@@ -594,6 +593,87 @@ fn shard_worker(
         .into_values()
         .map(VolumeAnalyzer::finish)
         .collect()
+}
+
+/// Reused scratch for the worker's volume-major regroup.
+///
+/// A time-ordered stream interleaves its volumes, so a routed batch
+/// holds same-volume runs of only a request or two; fed run by run, the
+/// analyzers' batch kernels never see a batch and every call re-warms
+/// another volume's histograms. A stable counting sort over the volume
+/// column gives each volume one contiguous range instead. Per-volume
+/// order — all any analyzer depends on — is unchanged.
+#[derive(Debug, Default)]
+struct Regroup {
+    /// The batch's records, volume-major.
+    grouped: RequestBatch,
+    /// `(volume, record count)` per group, in first-appearance order.
+    groups: Vec<(VolumeId, u32)>,
+    /// Volume → index into `groups`, for the current batch.
+    group_of: FxHashMap<VolumeId, u32>,
+    /// Group index of each record.
+    keys: Vec<u32>,
+    /// Next output position per group.
+    cursors: Vec<u32>,
+    /// Output position → input index.
+    order: Vec<u32>,
+}
+
+impl Regroup {
+    /// Returns `batch` stably sorted by volume, and its groups: each
+    /// owns the next `count` records of the sorted batch.
+    fn by_volume(&mut self, batch: &RequestBatch) -> (&RequestBatch, &[(VolumeId, u32)]) {
+        let volumes = batch.volumes();
+        self.groups.clear();
+        self.group_of.clear();
+        self.keys.clear();
+        // Consecutive records often share a volume: skip their lookups.
+        let mut last: Option<(VolumeId, u32)> = None;
+        for &volume in volumes {
+            let group = match last {
+                Some((v, g)) if v == volume => g,
+                _ => {
+                    let next = self.groups.len() as u32;
+                    let g = *self.group_of.entry(volume).or_insert(next);
+                    if g == next {
+                        self.groups.push((volume, 0));
+                    }
+                    last = Some((volume, g));
+                    g
+                }
+            };
+            self.groups[group as usize].1 += 1;
+            self.keys.push(group);
+        }
+
+        self.cursors.clear();
+        let mut next = 0u32;
+        for &(_, count) in &self.groups {
+            self.cursors.push(next);
+            next += count;
+        }
+        // Every slot is overwritten below; no need to clear first.
+        self.order.resize(volumes.len(), 0);
+        for (i, &group) in self.keys.iter().enumerate() {
+            let cursor = &mut self.cursors[group as usize];
+            self.order[*cursor as usize] = i as u32;
+            *cursor += 1;
+        }
+
+        let (ops, offsets, lens, timestamps) = (
+            batch.ops(),
+            batch.offsets(),
+            batch.lens(),
+            batch.timestamps(),
+        );
+        self.grouped.clear();
+        for &i in &self.order {
+            let i = i as usize;
+            self.grouped
+                .push_fields(volumes[i], ops[i], offsets[i], lens[i], timestamps[i]);
+        }
+        (&self.grouped, &self.groups)
+    }
 }
 
 #[cfg(test)]

@@ -189,18 +189,10 @@ impl RequestBatch {
     /// of re-walking `span_of` per configuration.
     pub fn expand_blocks_into(&self, block_size: BlockSize, out: &mut BlockAccessColumn) {
         out.clear();
-        let shift = block_size.shift();
         for i in 0..self.len() {
-            let len = self.lens[i];
-            if len == 0 {
-                continue;
-            }
             let op = self.ops[i];
-            let offset = self.offsets[i];
-            let first = offset >> shift;
-            let last = (offset + u64::from(len) - 1) >> shift;
-            for b in first..=last {
-                out.blocks.push(BlockId::new(b));
+            for block in block_size.span(self.offsets[i], self.lens[i]) {
+                out.blocks.push(block);
                 out.ops.push(op);
             }
         }
@@ -598,9 +590,18 @@ mod tests {
             0,
             Timestamp::ZERO,
         ));
+        // Reaches past u64::MAX: clamped to the last block, not wrapped.
+        reqs.push(IoRequest::new(
+            VolumeId::new(9),
+            OpKind::Write,
+            u64::MAX - 10,
+            4096,
+            Timestamp::ZERO,
+        ));
         let batch = RequestBatch::from(reqs.as_slice());
         let mut col = BlockAccessColumn::new();
         batch.expand_blocks_into(bs, &mut col);
+        assert_eq!(col.blocks().last(), Some(&bs.block_of(u64::MAX)));
         let expected: Vec<(BlockId, OpKind)> = reqs
             .iter()
             .flat_map(|r| bs.span_of(r).map(move |b| (b, r.op())))

@@ -72,16 +72,47 @@ impl BlockSize {
     /// Enumerates the blocks touched by the byte range
     /// `[offset, offset + len)`.
     ///
-    /// A zero-length range touches no blocks.
+    /// A zero-length range touches no blocks. A range reaching past
+    /// `u64::MAX` (possible for any parsed trace line) is clamped at
+    /// the end of the address space instead of wrapping to an empty
+    /// span.
     #[inline]
     pub const fn span(self, offset: u64, len: u32) -> BlockSpan {
         let first = offset >> self.shift();
         let end = if len == 0 {
             first // empty: next == end
         } else {
-            ((offset + len as u64 - 1) >> self.shift()) + 1
+            // Saturates only for 1-byte blocks, whose id `u64::MAX`
+            // has no exclusive end.
+            (offset.saturating_add(len as u64 - 1) >> self.shift()).saturating_add(1)
         };
         BlockSpan { next: first, end }
+    }
+
+    /// Bytes of `block` that lie in `[offset, offset + len)`, the range
+    /// clamped at the end of the address space like
+    /// [`span`](Self::span); 0 when they are disjoint.
+    #[inline]
+    pub const fn overlap(self, block: BlockId, offset: u64, len: u32) -> u32 {
+        // Inclusive ends keep the arithmetic exact in the last block of
+        // the address space, whose exclusive end is 2^64.
+        if len == 0 {
+            return 0;
+        }
+        let last = offset.saturating_add(len as u64 - 1);
+        let block_start = self.offset_of(block);
+        let block_last = block_start | (self.0 as u64 - 1);
+        let lo = if offset > block_start {
+            offset
+        } else {
+            block_start
+        };
+        let hi = if last < block_last { last } else { block_last };
+        if lo > hi {
+            0
+        } else {
+            (hi - lo) as u32 + 1
+        }
     }
 
     /// Enumerates the blocks touched by a request.
@@ -269,6 +300,60 @@ mod tests {
         assert_eq!(span.first(), None);
         assert_eq!(span.next(), None);
         assert_eq!(BS.count(4096, 0), 0);
+    }
+
+    #[test]
+    fn spans_clamp_at_the_end_of_the_address_space() {
+        // offset + len > u64::MAX used to wrap: `first` huge, `end`
+        // tiny, an "empty" span whose size_hint underflowed.
+        let last_block = BlockId::new(u64::MAX >> BS.shift());
+        for (off, len) in [
+            (u64::MAX - 10, 4096u32),
+            (u64::MAX, 1),
+            (u64::MAX, u32::MAX),
+            (u64::MAX - 4095, 4096),
+        ] {
+            let span = BS.span(off, len);
+            assert_eq!(span.size_hint(), (1, Some(1)), "off={off} len={len}");
+            assert_eq!(BS.count(off, len), 1);
+            assert_eq!(span.collect::<Vec<_>>(), vec![last_block]);
+        }
+        // Two blocks, the second cut short by the clamp.
+        let span = BS.span(u64::MAX - 4100, 8192);
+        assert_eq!(span.len(), 2);
+        assert_eq!(BS.count(u64::MAX - 4100, 8192), 2);
+        assert_eq!(span.last(), Some(last_block));
+        // Zero length stays empty wherever it sits.
+        for off in [u64::MAX, u64::MAX - 1, u64::MAX - 4096] {
+            let span = BS.span(off, 0);
+            assert!(span.is_empty());
+            assert_eq!(span.size_hint(), (0, Some(0)));
+            assert_eq!(BS.count(off, 0), 0);
+        }
+        // 1-byte blocks: id u64::MAX has no exclusive end, so the span
+        // stops before it rather than overflowing.
+        let bytes = BlockSize::new(1).unwrap();
+        assert_eq!(bytes.count(u64::MAX - 3, 100), 3);
+        assert_eq!(bytes.span(u64::MAX, 5).size_hint(), (0, Some(0)));
+    }
+
+    #[test]
+    fn overlap_is_exact_up_to_the_last_byte() {
+        assert_eq!(BS.overlap(BlockId::new(0), 4000, 300), 96);
+        assert_eq!(BS.overlap(BlockId::new(1), 4000, 300), 204);
+        assert_eq!(BS.overlap(BlockId::new(2), 4000, 300), 0);
+        assert_eq!(BS.overlap(BlockId::new(0), 4000, 0), 0);
+        // Clamped request: 11 bytes remain below 2^64.
+        let top = BS.block_of(u64::MAX);
+        assert_eq!(BS.overlap(top, u64::MAX - 10, 4096), 11);
+        // A whole block at the very top, and the largest block size.
+        assert_eq!(BS.overlap(top, u64::MAX - 4095, u32::MAX), 4096);
+        let big = BlockSize::new(1 << 31).unwrap();
+        let start = big.offset_of(big.block_of(u64::MAX));
+        assert_eq!(
+            big.overlap(big.block_of(u64::MAX), start, u32::MAX),
+            1 << 31
+        );
     }
 
     #[test]

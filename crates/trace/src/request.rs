@@ -91,10 +91,11 @@ impl IoRequest {
         self.ts
     }
 
-    /// The first byte offset past the end of the request.
+    /// The first byte offset past the end of the request, clamped to
+    /// `u64::MAX` for a request that reaches past the address space.
     #[inline]
     pub const fn end_offset(&self) -> u64 {
-        self.offset + self.len as u64
+        self.offset.saturating_add(self.len as u64)
     }
 
     /// Returns `true` if this request is a read.
@@ -182,6 +183,22 @@ mod tests {
         let r = IoRequest::new(VolumeId::new(0), OpKind::Write, 0, 0, Timestamp::ZERO);
         assert!(r.is_empty());
         assert_eq!(r.end_offset(), 0);
+    }
+
+    #[test]
+    fn end_offset_clamps_past_the_address_space() {
+        let at = |offset, len| {
+            IoRequest::new(
+                VolumeId::new(0),
+                OpKind::Write,
+                offset,
+                len,
+                Timestamp::ZERO,
+            )
+        };
+        assert_eq!(at(u64::MAX - 10, 4096).end_offset(), u64::MAX);
+        assert_eq!(at(u64::MAX - 4096, 4096).end_offset(), u64::MAX);
+        assert_eq!(at(u64::MAX, 0).end_offset(), u64::MAX);
     }
 
     #[test]

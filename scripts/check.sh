@@ -1,5 +1,6 @@
 #!/usr/bin/env bash
-# Full local gate: build, tests, lints, formatting.
+# Full local gate: build, tests, lints, formatting, smoke gates and the
+# gating benchmark's harness.
 # Usage: scripts/check.sh
 #
 # Opt-in dynamic-verification lanes (CHECK_SANITIZERS=1):
@@ -142,6 +143,18 @@ if ! diff -u "${tmpdir}/local.txt" "${tmpdir}/distributed.txt"; then
     echo "agent-smoke: distributed verdict report differs from single-process" >&2
     exit 1
 fi
+
+echo "==> gating benchmark harness (its own tests + benchmark/run.sh --quick)"
+# benchmark/ is a package of its own with path dependencies on
+# crates/*: a change to a crate's public API compiles here or the PR
+# driver's gate is broken. --quick runs every workload once at smoke
+# sizes, verify stage and digests included (< 10 s after the build);
+# --out keeps it from overwriting a real run in benchmark/out.
+cargo test -q --offline --manifest-path benchmark/Cargo.toml
+benchmark/run.sh --quick --out "${tmpdir}/bench-quick" > /dev/null 2> "${tmpdir}/bench-quick.log" || {
+    cat "${tmpdir}/bench-quick.log" >&2
+    exit 1
+}
 
 if [ "${CHECK_SANITIZERS:-0}" = "1" ]; then
     echo "==> sanitizer lanes (CHECK_SANITIZERS=1)"

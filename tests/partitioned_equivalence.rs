@@ -182,14 +182,16 @@ fn scaling_curve_is_identical_on_synthetic_corpus() {
     }
 }
 
-/// A worker panic mid-corpus must resurface on the caller — never a
-/// partial `Analysis`. The trigger is a debug-build arithmetic
-/// overflow inside the analyzer's block walk (an offset near
-/// `u64::MAX`), the same trigger the streaming poison test uses.
-#[cfg(debug_assertions)]
+/// A worker panic must resurface on the caller — never a partial
+/// `Analysis`. The trigger is a randomness window too large to
+/// allocate, which panics with a capacity overflow where each worker
+/// builds its first `VolumeAnalyzer`. (The trigger used to be an
+/// `offset + len` overflow in the analyzer's block walk; such requests
+/// are now clamped at the end of the address space, and no request of
+/// a time-sorted `Trace` panics the analyzer.)
 #[test]
 fn worker_panic_poisons_the_partitioned_run() {
-    let mut reqs: Vec<IoRequest> = (0..200u64)
+    let reqs: Vec<IoRequest> = (0..200u64)
         .map(|i| {
             IoRequest::new(
                 VolumeId::new((i % 4) as u32),
@@ -200,20 +202,18 @@ fn worker_panic_poisons_the_partitioned_run() {
             )
         })
         .collect();
-    // Poison pill on volume 2: end_offset = offset + len overflows u64.
-    reqs.push(IoRequest::new(
-        VolumeId::new(2),
-        OpKind::Write,
-        u64::MAX - 100,
-        4096,
-        Timestamp::from_secs(500),
-    ));
-    cbs_trace::iter::sort_by_time(&mut reqs);
     let trace = Trace::from_requests(reqs);
+    let config = AnalysisConfig {
+        randomness_window: usize::MAX,
+        ..AnalysisConfig::default()
+    };
     for workers in [0usize, 1, 3] {
         let trace = trace.clone();
+        let config = config.clone();
         let result = std::panic::catch_unwind(move || {
             PartitionedWorkbench::new()
+                .with_config(config)
+                .expect("the window only has to be non-zero")
                 .with_workers(workers)
                 .analyze(trace)
         });
