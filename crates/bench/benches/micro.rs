@@ -4,7 +4,7 @@
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
 
-use cbs_cache::{Arc, CachePolicy, Clock, Fifo, Lfu, Lru, ReuseDistances};
+use cbs_cache::{policy_by_name, CachePolicy, ReuseDistances, POLICY_NAMES};
 use cbs_stats::LogHistogram;
 use cbs_synth::presets::{self, CorpusConfig};
 use cbs_trace::codec::alicloud;
@@ -63,46 +63,16 @@ fn bench_cache_policies(c: &mut Criterion) {
     let mut group = c.benchmark_group("cache_policies");
     configure(&mut group);
     group.throughput(criterion::Throughput::Elements(pattern.len() as u64));
-    group.bench_function("lru_100k_accesses", |b| {
-        b.iter(|| {
-            let mut cache = Lru::new(128);
-            for &blk in &pattern {
-                black_box(cache.access(blk));
-            }
+    for &name in POLICY_NAMES {
+        group.bench_function(format!("{name}_100k_accesses"), |b| {
+            b.iter(|| {
+                let mut cache = policy_by_name(name, 128).expect("known policy");
+                for &blk in &pattern {
+                    black_box(cache.access(blk));
+                }
+            });
         });
-    });
-    group.bench_function("fifo_100k_accesses", |b| {
-        b.iter(|| {
-            let mut cache = Fifo::new(128);
-            for &blk in &pattern {
-                black_box(cache.access(blk));
-            }
-        });
-    });
-    group.bench_function("clock_100k_accesses", |b| {
-        b.iter(|| {
-            let mut cache = Clock::new(128);
-            for &blk in &pattern {
-                black_box(cache.access(blk));
-            }
-        });
-    });
-    group.bench_function("lfu_100k_accesses", |b| {
-        b.iter(|| {
-            let mut cache = Lfu::new(128);
-            for &blk in &pattern {
-                black_box(cache.access(blk));
-            }
-        });
-    });
-    group.bench_function("arc_100k_accesses", |b| {
-        b.iter(|| {
-            let mut cache = Arc::new(128);
-            for &blk in &pattern {
-                black_box(cache.access(blk));
-            }
-        });
-    });
+    }
     group.bench_function("reuse_distance_100k_accesses", |b| {
         b.iter(|| {
             let mut rd = ReuseDistances::new();

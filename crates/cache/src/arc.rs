@@ -2,7 +2,7 @@
 
 use cbs_trace::BlockId;
 
-use crate::list::LinkedSet;
+use crate::list::ListSlab;
 use crate::policy::{AccessResult, CachePolicy};
 
 /// ARC (Megiddo & Modha, FAST'03): a scan-resistant policy that adapts
@@ -30,14 +30,17 @@ use crate::policy::{AccessResult, CachePolicy};
 /// ```
 #[derive(Debug, Clone)]
 pub struct Arc {
-    t1: LinkedSet,
-    t2: LinkedSet,
-    b1: LinkedSet,
-    b2: LinkedSet,
+    /// The whole directory: T1, T2 and their ghosts, LRU at each head.
+    lists: ListSlab<4>,
     /// Adaptation target for |T1|, in `0..=capacity`.
     p: usize,
     capacity: usize,
 }
+
+const T1: usize = 0;
+const T2: usize = 1;
+const B1: usize = 2;
+const B2: usize = 3;
 
 impl Arc {
     /// Creates an ARC cache holding at most `capacity` blocks.
@@ -48,10 +51,7 @@ impl Arc {
     pub fn new(capacity: usize) -> Self {
         assert!(capacity > 0, "cache capacity must be non-zero");
         Arc {
-            t1: LinkedSet::new(),
-            t2: LinkedSet::new(),
-            b1: LinkedSet::new(),
-            b2: LinkedSet::new(),
+            lists: ListSlab::new(),
             p: 0,
             capacity,
         }
@@ -64,24 +64,20 @@ impl Arc {
 
     /// Sizes of `(T1, T2, B1, B2)` — exposed for tests and diagnostics.
     pub fn list_sizes(&self) -> (usize, usize, usize, usize) {
-        (self.t1.len(), self.t2.len(), self.b1.len(), self.b2.len())
+        let len = |list| self.lists.len(list);
+        (len(T1), len(T2), len(B1), len(B2))
     }
 
     /// The REPLACE subroutine: evicts one resident block from T1 or T2
     /// into the corresponding ghost list and returns it. `None` only if
     /// both lists are empty, which REPLACE's callers never allow.
     fn replace(&mut self, in_b2: bool) -> Option<BlockId> {
-        let from_t1 =
-            !self.t1.is_empty() && (self.t1.len() > self.p || (in_b2 && self.t1.len() == self.p));
-        if from_t1 {
-            let victim = self.t1.pop_lru()?;
-            self.b1.push_mru(victim);
-            Some(victim)
+        let t1 = self.lists.len(T1);
+        if t1 > 0 && (t1 > self.p || (in_b2 && t1 == self.p)) {
+            self.lists.move_head_to_tail(T1, B1)
         } else {
-            debug_assert!(!self.t2.is_empty(), "REPLACE called on an empty cache");
-            let victim = self.t2.pop_lru()?;
-            self.b2.push_mru(victim);
-            Some(victim)
+            debug_assert!(!self.lists.is_empty(T2), "REPLACE called on an empty cache");
+            self.lists.move_head_to_tail(T2, B2)
         }
     }
 }
@@ -92,68 +88,64 @@ impl CachePolicy for Arc {
     }
 
     fn len(&self) -> usize {
-        self.t1.len() + self.t2.len()
+        self.lists.len(T1) + self.lists.len(T2)
     }
 
     fn contains(&self, block: BlockId) -> bool {
-        self.t1.contains(block) || self.t2.contains(block)
+        matches!(self.lists.find(block), Some((_, T1 | T2)))
     }
 
     fn access(&mut self, block: BlockId) -> AccessResult {
-        // Case I: hit in T1 or T2 → promote to T2 MRU.
-        if self.t1.remove(block) || self.t2.contains(block) {
-            self.t2.push_mru(block);
-            return AccessResult::HIT;
-        }
-
-        // Case II: ghost hit in B1 → grow p, replace, admit into T2.
-        if self.b1.contains(block) {
-            let delta = (self.b2.len() / self.b1.len().max(1)).max(1);
-            self.p = (self.p + delta).min(self.capacity);
-            let evicted = self.replace(false);
-            self.b1.remove(block);
-            self.t2.push_mru(block);
-            return AccessResult {
-                hit: false,
-                evicted,
-            };
-        }
-
-        // Case III: ghost hit in B2 → shrink p, replace, admit into T2.
-        if self.b2.contains(block) {
-            let delta = (self.b1.len() / self.b2.len().max(1)).max(1);
-            self.p = self.p.saturating_sub(delta);
-            let evicted = self.replace(true);
-            self.b2.remove(block);
-            self.t2.push_mru(block);
-            return AccessResult {
-                hit: false,
-                evicted,
-            };
-        }
-
-        // Case IV: full miss.
-        let l1 = self.t1.len() + self.b1.len();
-        let evicted = if l1 == self.capacity {
-            if self.t1.len() < self.capacity {
-                self.b1.pop_lru();
-                self.replace(false)
-            } else {
-                // B1 empty and T1 full: discard T1's LRU outright.
-                self.t1.pop_lru()
+        let evicted = match self.lists.find(block) {
+            // Case I: hit in T1 or T2 → promote to T2 MRU.
+            Some((slot, T1 | T2)) => {
+                self.lists.move_to_tail(slot, T2);
+                return AccessResult::HIT;
             }
-        } else {
-            let total = l1 + self.t2.len() + self.b2.len();
-            if total >= self.capacity {
-                if total == 2 * self.capacity {
-                    self.b2.pop_lru();
+            // Cases II and III: ghost hit → adapt p, replace, admit
+            // into T2. REPLACE only appends to B1/B2, so the ghost's
+            // slot is still valid after it.
+            Some((slot, ghost)) => {
+                let (b1, b2) = (self.lists.len(B1), self.lists.len(B2));
+                let in_b2 = ghost == B2;
+                if in_b2 {
+                    self.p = self.p.saturating_sub((b1 / b2.max(1)).max(1));
+                } else {
+                    self.p = (self.p + (b2 / b1.max(1)).max(1)).min(self.capacity);
                 }
-                self.replace(false)
-            } else {
-                None
+                let evicted = self.replace(in_b2);
+                self.lists.move_to_tail(slot, T2);
+                return AccessResult {
+                    hit: false,
+                    evicted,
+                };
+            }
+            // Case IV: full miss.
+            None => {
+                let t1 = self.lists.len(T1);
+                let l1 = t1 + self.lists.len(B1);
+                if l1 == self.capacity {
+                    if t1 < self.capacity {
+                        self.lists.pop_head(B1);
+                        self.replace(false)
+                    } else {
+                        // B1 empty and T1 full: discard T1's LRU outright.
+                        self.lists.pop_head(T1)
+                    }
+                } else {
+                    let total = self.lists.total_len();
+                    if total >= self.capacity {
+                        if total == 2 * self.capacity {
+                            self.lists.pop_head(B2);
+                        }
+                        self.replace(false)
+                    } else {
+                        None
+                    }
+                }
             }
         };
-        self.t1.push_mru(block);
+        self.lists.insert_tail(T1, block);
         AccessResult {
             hit: false,
             evicted,

@@ -1,7 +1,6 @@
 //! Second-chance (CLOCK) replacement: [`Clock`].
 
-use std::collections::HashMap;
-
+use cbs_trace::hash::FxHashMap;
 use cbs_trace::BlockId;
 
 use crate::policy::{AccessResult, CachePolicy};
@@ -18,7 +17,7 @@ pub struct Clock {
     /// capacity and then stays fixed.
     frames: Vec<Frame>,
     /// Block → frame index.
-    index: HashMap<BlockId, usize>,
+    index: FxHashMap<BlockId, usize>,
     hand: usize,
     capacity: usize,
 }
@@ -39,7 +38,7 @@ impl Clock {
         assert!(capacity > 0, "cache capacity must be non-zero");
         Clock {
             frames: Vec::with_capacity(capacity),
-            index: HashMap::with_capacity(capacity),
+            index: FxHashMap::with_capacity_and_hasher(capacity, Default::default()),
             hand: 0,
             capacity,
         }

@@ -1,7 +1,8 @@
 //! First-in-first-out replacement: [`Fifo`].
 
-use std::collections::{HashSet, VecDeque};
+use std::collections::VecDeque;
 
+use cbs_trace::hash::FxHashSet;
 use cbs_trace::BlockId;
 
 use crate::policy::{AccessResult, CachePolicy};
@@ -15,7 +16,7 @@ use crate::policy::{AccessResult, CachePolicy};
 #[derive(Debug, Clone)]
 pub struct Fifo {
     queue: VecDeque<BlockId>,
-    resident: HashSet<BlockId>,
+    resident: FxHashSet<BlockId>,
     capacity: usize,
 }
 
@@ -29,7 +30,7 @@ impl Fifo {
         assert!(capacity > 0, "cache capacity must be non-zero");
         Fifo {
             queue: VecDeque::with_capacity(capacity),
-            resident: HashSet::with_capacity(capacity),
+            resident: FxHashSet::with_capacity_and_hasher(capacity, Default::default()),
             capacity,
         }
     }

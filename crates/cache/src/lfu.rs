@@ -1,27 +1,43 @@
 //! Least-frequently-used replacement: [`Lfu`].
 
-use std::collections::{BTreeSet, HashMap};
-
 use cbs_trace::BlockId;
 
+use crate::list::{Ends, Slab, NIL};
 use crate::policy::{AccessResult, CachePolicy};
 
 /// LFU replacement with LRU tie-breaking (evicts the least-frequently
-/// used block; among equal frequencies, the least recently inserted).
+/// used block; among equal frequencies, the least recently touched).
 ///
-/// O(log n) per access via an ordered set keyed by
-/// `(frequency, sequence, block)`. Included as an ablation baseline:
-/// workloads whose traffic aggregates in a small set of hot blocks
-/// (the paper's Finding 9) favour frequency over recency.
-#[derive(Debug, Clone, Default)]
+/// O(1) per access: resident blocks hang off *frequency buckets*, a
+/// doubly-linked list of buckets in ascending frequency, each holding
+/// the blocks with exactly that count in the order they reached it. A
+/// hit moves the block to the tail of the next bucket (made on demand,
+/// dropped when emptied); the victim is the head of the lowest bucket.
+/// That head is the oldest touch among the least-frequent blocks,
+/// because a block joins a bucket's tail at the access that gives it
+/// that count, so every bucket is in touch order. Included as an
+/// ablation baseline: workloads whose traffic aggregates in a small
+/// set of hot blocks (the paper's Finding 9) favour frequency over
+/// recency.
+#[derive(Debug, Clone)]
 pub struct Lfu {
-    /// `(freq, seq)` per resident block; `seq` is the admission/touch
-    /// sequence used to break frequency ties (older evicts first).
-    meta: HashMap<BlockId, (u64, u64)>,
-    /// Eviction order: ascending `(freq, seq, block)`.
-    order: BTreeSet<(u64, u64, BlockId)>,
+    /// Resident blocks; a node's list id is its bucket's slot.
+    blocks: Slab,
+    /// Bucket store; free slots are chained through `next`.
+    buckets: Vec<Bucket>,
+    free_bucket: u32,
+    /// The lowest-frequency bucket, `NIL` when the cache is empty.
+    lowest: u32,
     capacity: usize,
-    next_seq: u64,
+}
+
+#[derive(Debug, Clone, Copy)]
+struct Bucket {
+    freq: u64,
+    blocks: Ends,
+    /// Neighbouring buckets, lower and higher frequency.
+    prev: u32,
+    next: u32,
 }
 
 impl Lfu {
@@ -33,14 +49,62 @@ impl Lfu {
     pub fn new(capacity: usize) -> Self {
         assert!(capacity > 0, "cache capacity must be non-zero");
         Lfu {
+            blocks: Slab::new(),
+            buckets: Vec::new(),
+            free_bucket: NIL,
+            lowest: NIL,
             capacity,
-            ..Default::default()
         }
     }
 
     /// The reference count recorded for a resident block.
     pub fn frequency(&self, block: BlockId) -> Option<u64> {
-        self.meta.get(&block).map(|&(f, _)| f)
+        let slot = self.blocks.find(block)?;
+        Some(self.buckets[self.blocks.list(slot) as usize].freq)
+    }
+
+    /// Links a new empty bucket for `freq` between the neighbouring
+    /// buckets `prev` and `next` (either may be `NIL`).
+    fn insert_bucket(&mut self, freq: u64, prev: u32, next: u32) -> u32 {
+        let bucket = Bucket {
+            freq,
+            blocks: Ends::EMPTY,
+            prev,
+            next,
+        };
+        let slot = if self.free_bucket == NIL {
+            // Buckets are never empty, so there are no more of them
+            // than blocks, whose slab checks the u32 range.
+            self.buckets.push(bucket);
+            (self.buckets.len() - 1) as u32
+        } else {
+            let slot = self.free_bucket;
+            self.free_bucket = self.buckets[slot as usize].next;
+            self.buckets[slot as usize] = bucket;
+            slot
+        };
+        match prev {
+            NIL => self.lowest = slot,
+            _ => self.buckets[prev as usize].next = slot,
+        }
+        if next != NIL {
+            self.buckets[next as usize].prev = slot;
+        }
+        slot
+    }
+
+    /// Unlinks the emptied bucket `slot` and frees it.
+    fn remove_bucket(&mut self, slot: u32) {
+        let Bucket { prev, next, .. } = self.buckets[slot as usize];
+        match prev {
+            NIL => self.lowest = next,
+            _ => self.buckets[prev as usize].next = next,
+        }
+        if next != NIL {
+            self.buckets[next as usize].prev = prev;
+        }
+        self.buckets[slot as usize].next = self.free_bucket;
+        self.free_bucket = slot;
     }
 }
 
@@ -50,33 +114,60 @@ impl CachePolicy for Lfu {
     }
 
     fn len(&self) -> usize {
-        self.meta.len()
+        self.blocks.len()
     }
 
     fn contains(&self, block: BlockId) -> bool {
-        self.meta.contains_key(&block)
+        self.blocks.find(block).is_some()
     }
 
     fn access(&mut self, block: BlockId) -> AccessResult {
-        self.next_seq += 1;
-        let seq = self.next_seq;
-        if let Some(&(freq, old_seq)) = self.meta.get(&block) {
-            self.order.remove(&(freq, old_seq, block));
-            self.order.insert((freq + 1, seq, block));
-            self.meta.insert(block, (freq + 1, seq));
+        if let Some(slot) = self.blocks.find(block) {
+            let from = self.blocks.list(slot);
+            let Bucket {
+                freq, blocks, next, ..
+            } = self.buckets[from as usize];
+            let alone = blocks.len == 1;
+            let to = if next != NIL && self.buckets[next as usize].freq == freq + 1 {
+                next
+            } else if alone {
+                // No bucket for freq + 1 and nobody to leave behind: the
+                // bucket itself moves up.
+                self.buckets[from as usize].freq = freq + 1;
+                return AccessResult::HIT;
+            } else {
+                self.insert_bucket(freq + 1, from, next)
+            };
+            self.blocks
+                .unlink(&mut self.buckets[from as usize].blocks, slot);
+            self.blocks
+                .link_tail(&mut self.buckets[to as usize].blocks, slot, to);
+            if alone {
+                self.remove_bucket(from);
+            }
             return AccessResult::HIT;
         }
-        let evicted = if self.meta.len() == self.capacity {
-            // A full cache has a non-empty order set.
-            self.order.pop_first().map(|(_, _, victim)| {
-                self.meta.remove(&victim);
-                victim
-            })
+        let evicted = if self.blocks.len() == self.capacity {
+            // A full cache has a lowest bucket, and buckets are never
+            // empty.
+            let lowest = self.lowest;
+            let bucket = &mut self.buckets[lowest as usize].blocks;
+            let victim = self.blocks.evict(bucket, bucket.head);
+            if bucket.len == 0 {
+                self.remove_bucket(lowest);
+            }
+            Some(victim)
         } else {
             None
         };
-        self.meta.insert(block, (1, seq));
-        self.order.insert((1, seq, block));
+        let lowest = self.lowest;
+        let ones = if lowest != NIL && self.buckets[lowest as usize].freq == 1 {
+            lowest
+        } else {
+            self.insert_bucket(1, NIL, lowest)
+        };
+        self.blocks
+            .admit(block, &mut self.buckets[ones as usize].blocks, ones);
         AccessResult {
             hit: false,
             evicted,
@@ -134,6 +225,61 @@ mod tests {
         assert!(lfu.access(b(9)).hit);
         assert_eq!(lfu.frequency(b(9)), Some(2));
         assert_eq!(lfu.frequency(b(404)), None);
+    }
+
+    /// The bucket chain as `(frequency, blocks oldest → newest)`.
+    fn chain(lfu: &Lfu) -> Vec<(u64, Vec<u64>)> {
+        let mut out = Vec::new();
+        let mut bucket = lfu.lowest;
+        while bucket != NIL {
+            let Bucket {
+                freq, blocks, next, ..
+            } = lfu.buckets[bucket as usize];
+            let mut members = Vec::new();
+            let mut slot = blocks.head;
+            while slot != NIL {
+                assert_eq!(lfu.blocks.list(slot), bucket);
+                members.push(lfu.blocks.block(slot).get());
+                slot = lfu.blocks.next(slot);
+            }
+            assert_eq!(members.len(), blocks.len as usize);
+            out.push((freq, members));
+            bucket = next;
+        }
+        out
+    }
+
+    #[test]
+    fn buckets_appear_and_vanish_at_head_middle_and_tail() {
+        let mut lfu = Lfu::new(3);
+        for i in 1..=3 {
+            lfu.access(b(i));
+        }
+        assert_eq!(chain(&lfu), [(1, vec![1, 2, 3])]);
+        lfu.access(b(2)); // new bucket at the tail
+        assert_eq!(chain(&lfu), [(1, vec![1, 3]), (2, vec![2])]);
+        lfu.access(b(2)); // alone, nothing at 3: the bucket moves up
+        assert_eq!(chain(&lfu), [(1, vec![1, 3]), (3, vec![2])]);
+        lfu.access(b(1)); // new bucket in the middle, across the gap
+        assert_eq!(chain(&lfu), [(1, vec![3]), (2, vec![1]), (3, vec![2])]);
+        lfu.access(b(1)); // joins 3's tail; the middle bucket vanishes
+        assert_eq!(chain(&lfu), [(1, vec![3]), (3, vec![2, 1])]);
+        // evicting the only freq-1 block drops the head bucket, and the
+        // admission puts a new one back in front of the gap
+        assert_eq!(lfu.access(b(4)).evicted, Some(b(3)));
+        assert_eq!(chain(&lfu), [(1, vec![4]), (3, vec![2, 1])]);
+        lfu.access(b(4)); // head bucket moves up into the gap
+        assert_eq!(chain(&lfu), [(2, vec![4]), (3, vec![2, 1])]);
+        lfu.access(b(4)); // … and merges into the tail bucket
+        assert_eq!(chain(&lfu), [(3, vec![2, 1, 4])]);
+        lfu.access(b(2)); // leaves from the head of a shared bucket
+        assert_eq!(chain(&lfu), [(3, vec![1, 4]), (4, vec![2])]);
+        // no freq-1 bucket: admission creates one at the head, and the
+        // victim is the oldest touch of the lowest frequency
+        assert_eq!(lfu.access(b(5)).evicted, Some(b(1)));
+        assert_eq!(chain(&lfu), [(1, vec![5]), (3, vec![4]), (4, vec![2])]);
+        assert_eq!(lfu.frequency(b(4)), Some(3));
+        assert!(lfu.buckets.len() <= 3, "emptied buckets are recycled");
     }
 
     #[test]

@@ -2,7 +2,7 @@
 
 use cbs_trace::BlockId;
 
-use crate::list::LinkedSet;
+use crate::list::ListSlab;
 use crate::policy::{AccessResult, CachePolicy};
 
 /// The classic LRU policy — the one the paper's Finding 15 simulates.
@@ -27,7 +27,8 @@ use crate::policy::{AccessResult, CachePolicy};
 /// ```
 #[derive(Debug, Clone)]
 pub struct Lru {
-    set: LinkedSet,
+    /// The one recency list, LRU at the head.
+    set: ListSlab<1>,
     capacity: usize,
 }
 
@@ -40,24 +41,24 @@ impl Lru {
     pub fn new(capacity: usize) -> Self {
         assert!(capacity > 0, "cache capacity must be non-zero");
         Lru {
-            set: LinkedSet::with_capacity(capacity + 1),
+            set: ListSlab::with_capacity(capacity),
             capacity,
         }
     }
 
     /// The current LRU (next victim), if any.
     pub fn peek_lru(&self) -> Option<BlockId> {
-        self.set.lru()
+        self.set.head(0)
     }
 
     /// The current MRU (most recently touched), if any.
     pub fn peek_mru(&self) -> Option<BlockId> {
-        self.set.mru()
+        self.set.tail(0)
     }
 
     /// Iterates resident blocks from LRU to MRU (O(n), for inspection).
     pub fn iter(&self) -> impl Iterator<Item = BlockId> + '_ {
-        self.set.iter()
+        self.set.iter(0)
     }
 }
 
@@ -67,27 +68,27 @@ impl CachePolicy for Lru {
     }
 
     fn len(&self) -> usize {
-        self.set.len()
+        self.set.total_len()
     }
 
     fn contains(&self, block: BlockId) -> bool {
-        self.set.contains(block)
+        self.set.find(block).is_some()
     }
 
     fn access(&mut self, block: BlockId) -> AccessResult {
-        let hit = self.set.contains(block);
-        self.set.push_mru(block);
-        if hit {
+        if let Some((slot, _)) = self.set.find(block) {
+            self.set.move_to_tail(slot, 0);
             return AccessResult::HIT;
         }
-        if self.set.len() > self.capacity {
-            // An over-full set always has an LRU to pop.
-            match self.set.pop_lru() {
-                Some(victim) => AccessResult::miss_evicting(victim),
-                None => AccessResult::MISS,
-            }
+        let evicted = if self.set.total_len() == self.capacity {
+            self.set.pop_head(0)
         } else {
-            AccessResult::MISS
+            None
+        };
+        self.set.insert_tail(0, block);
+        AccessResult {
+            hit: false,
+            evicted,
         }
     }
 

@@ -624,6 +624,23 @@ impl ShardsSampler {
         }
     }
 
+    /// Offers `total` accesses whose spatial filter the caller already
+    /// ran at [`threshold_for`](Self::threshold_for) this sampler's
+    /// rate: `sampled` yields the blocks that passed, in access order.
+    /// Equivalent to [`access`](Self::access) on each of the `total`
+    /// blocks, without hashing any of them again.
+    pub(crate) fn access_prefiltered(
+        &mut self,
+        sampled: impl IntoIterator<Item = BlockId>,
+        total: u64,
+    ) {
+        self.total_accesses += total;
+        for block in sampled {
+            debug_assert!(shards_hash(block) <= self.threshold, "unfiltered block");
+            self.inner.access(block);
+        }
+    }
+
     /// Total accesses offered (sampled or not).
     pub fn total_accesses(&self) -> u64 {
         self.total_accesses

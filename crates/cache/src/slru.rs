@@ -2,7 +2,7 @@
 
 use cbs_trace::BlockId;
 
-use crate::list::LinkedSet;
+use crate::list::ListSlab;
 use crate::policy::{AccessResult, CachePolicy};
 
 /// Segmented LRU (Karedla et al.): the cache is split into a
@@ -31,11 +31,14 @@ use crate::policy::{AccessResult, CachePolicy};
 /// ```
 #[derive(Debug, Clone)]
 pub struct Slru {
-    probation: LinkedSet,
-    protected: LinkedSet,
+    /// Both segments, LRU at each head.
+    segments: ListSlab<2>,
     capacity: usize,
     protected_capacity: usize,
 }
+
+const PROBATION: usize = 0;
+const PROTECTED: usize = 1;
 
 impl Slru {
     /// Default protected share of the capacity (the classic 80/20 is
@@ -54,8 +57,7 @@ impl Slru {
         let protected_capacity =
             (capacity * Self::PROTECTED_SHARE_NUM / Self::PROTECTED_SHARE_DEN).max(1);
         Slru {
-            probation: LinkedSet::new(),
-            protected: LinkedSet::new(),
+            segments: ListSlab::new(),
             capacity,
             protected_capacity: protected_capacity.min(capacity.saturating_sub(1).max(1)),
         }
@@ -73,8 +75,7 @@ impl Slru {
             "protected capacity must be in 1..capacity"
         );
         Slru {
-            probation: LinkedSet::new(),
-            protected: LinkedSet::new(),
+            segments: ListSlab::new(),
             capacity,
             protected_capacity,
         }
@@ -82,7 +83,7 @@ impl Slru {
 
     /// Sizes of `(probationary, protected)` segments.
     pub fn segment_sizes(&self) -> (usize, usize) {
-        (self.probation.len(), self.protected.len())
+        (self.segments.len(PROBATION), self.segments.len(PROTECTED))
     }
 }
 
@@ -92,40 +93,34 @@ impl CachePolicy for Slru {
     }
 
     fn len(&self) -> usize {
-        self.probation.len() + self.protected.len()
+        self.segments.total_len()
     }
 
     fn contains(&self, block: BlockId) -> bool {
-        self.probation.contains(block) || self.protected.contains(block)
+        self.segments.find(block).is_some()
     }
 
     fn access(&mut self, block: BlockId) -> AccessResult {
-        if self.protected.contains(block) {
-            self.protected.push_mru(block);
-            return AccessResult::HIT;
-        }
-        if self.probation.remove(block) {
-            // promote; overflow of the protected segment demotes its LRU
-            self.protected.push_mru(block);
-            if self.protected.len() > self.protected_capacity {
-                // An over-full protected segment always has an LRU.
-                if let Some(demoted) = self.protected.pop_lru() {
-                    self.probation.push_mru(demoted);
-                }
+        if let Some((slot, segment)) = self.segments.find(block) {
+            self.segments.move_to_tail(slot, PROTECTED);
+            // promotion; overflow of the protected segment demotes its
+            // LRU to the probationary MRU
+            if segment == PROBATION && self.segments.len(PROTECTED) > self.protected_capacity {
+                self.segments.move_head_to_tail(PROTECTED, PROBATION);
             }
             return AccessResult::HIT;
         }
         // miss: admit to probation, evicting the probationary LRU when
         // the cache is full
         let evicted = if self.len() == self.capacity {
-            self.probation
-                .pop_lru()
+            self.segments
+                .pop_head(PROBATION)
                 // pathological: everything is protected — evict there
-                .or_else(|| self.protected.pop_lru())
+                .or_else(|| self.segments.pop_head(PROTECTED))
         } else {
             None
         };
-        self.probation.push_mru(block);
+        self.segments.insert_tail(PROBATION, block);
         AccessResult {
             hit: false,
             evicted,

@@ -335,11 +335,8 @@ impl SweepGrid {
 
     /// Spawns the workers (if any) and returns the running sweep.
     pub fn start(self) -> CacheSweep {
-        // The sampled-MRC lane re-filters internally (it also needs the
-        // unsampled access count for the SHARDS-adj correction), but it
-        // still flips `need_sampled` on so the engine-level
-        // `sampled_accesses` counter — and the `sweep.sampled_ppm`
-        // gauge — reflect the spatial filter whenever any lane uses it.
+        // The sampled-MRC lane and every sampled policy lane consume
+        // the engine's one spatial filter pass over each column.
         let need_sampled = self.sampled_mrc || self.boxed.iter().any(|spec| spec.sampled);
         let mut lanes: Vec<TimedLane> = Vec::with_capacity(self.lane_count());
         let mut index = 0usize;
@@ -708,8 +705,10 @@ impl Lane for BoxedLane {
     }
 }
 
-/// The approximate-MRC lane: a [`ShardsSampler`] over the full column
-/// (it applies the same spatial filter internally).
+/// The approximate-MRC lane: a [`ShardsSampler`] fed the column's
+/// pre-filtered blocks (the engine's filter and the sampler's share
+/// [`ShardsSampler::threshold_for`] the sweep's rate) plus the column's
+/// length, which the SHARDS-adj correction needs.
 #[derive(Debug)]
 struct SampledMrcLane {
     sampler: ShardsSampler,
@@ -717,10 +716,12 @@ struct SampledMrcLane {
 
 impl Lane for SampledMrcLane {
     fn process(&mut self, job: &SweepColumn) -> u64 {
-        for &block in job.column.blocks() {
-            self.sampler.access(block);
-        }
-        job.column.len() as u64
+        let blocks = job.column.blocks();
+        self.sampler.access_prefiltered(
+            job.sampled.iter().map(|&i| blocks[i as usize]),
+            blocks.len() as u64,
+        );
+        blocks.len() as u64
     }
 
     fn finish(self: Box<Self>) -> LaneOutput {
@@ -1368,6 +1369,33 @@ mod tests {
         );
         assert!((e - s).abs() < 0.05, "exact {e} vs sampled {s}");
         assert!(report.sampled_mrc().is_some());
+    }
+
+    #[test]
+    fn sampled_mrc_lane_equals_per_block_sampler() {
+        // The lane consumes the engine's pre-filtered indices; the
+        // curve must be the one a sampler hashing every block builds.
+        let reqs = stream(20_000, 5_000);
+        let report = SweepGrid::new()
+            .with_workers(0)
+            .with_batch_size(257)
+            .with_sample_rate(0.1)
+            .expect("valid rate")
+            .with_sampled_mrc()
+            .sweep(reqs.iter().copied());
+        let mut sampler = ShardsSampler::new(0.1);
+        let mut column = BlockAccessColumn::new();
+        RequestBatch::from(reqs.as_slice()).expand_blocks_into(BlockSize::DEFAULT, &mut column);
+        for &block in column.blocks() {
+            sampler.access(block);
+        }
+        assert_eq!(sampler.total_accesses(), report.accesses());
+        assert_eq!(sampler.sampled_accesses(), report.sampled_accesses());
+        assert!(
+            sampler.sampled_accesses() > 0,
+            "the filter must pass some blocks"
+        );
+        assert_eq!(report.sampled_mrc(), Some(&sampler.to_mrc_adjusted()));
     }
 
     #[test]

@@ -2,7 +2,7 @@
 
 use cbs_trace::BlockId;
 
-use crate::list::LinkedSet;
+use crate::list::ListSlab;
 use crate::policy::{AccessResult, CachePolicy};
 
 /// The 2Q policy (Johnson & Shasha, VLDB'94), "full version".
@@ -17,13 +17,16 @@ use crate::policy::{AccessResult, CachePolicy};
 /// recommended settings).
 #[derive(Debug, Clone)]
 pub struct TwoQ {
-    a1in: LinkedSet,
-    a1out: LinkedSet,
-    am: LinkedSet,
+    /// All three queues, oldest at each head.
+    queues: ListSlab<3>,
     capacity: usize,
     kin: usize,
     kout: usize,
 }
+
+const A1IN: usize = 0;
+const A1OUT: usize = 1;
+const AM: usize = 2;
 
 impl TwoQ {
     /// Creates a 2Q cache holding at most `capacity` blocks.
@@ -34,9 +37,7 @@ impl TwoQ {
     pub fn new(capacity: usize) -> Self {
         assert!(capacity > 0, "cache capacity must be non-zero");
         TwoQ {
-            a1in: LinkedSet::new(),
-            a1out: LinkedSet::new(),
-            am: LinkedSet::new(),
+            queues: ListSlab::new(),
             capacity,
             kin: (capacity / 4).max(1),
             kout: (capacity / 2).max(1),
@@ -45,7 +46,11 @@ impl TwoQ {
 
     /// Sizes of `(A1in, A1out ghosts, Am)`.
     pub fn queue_sizes(&self) -> (usize, usize, usize) {
-        (self.a1in.len(), self.a1out.len(), self.am.len())
+        (
+            self.queues.len(A1IN),
+            self.queues.len(A1OUT),
+            self.queues.len(AM),
+        )
     }
 
     /// Makes room for one admission, returning the victim if the cache
@@ -54,17 +59,19 @@ impl TwoQ {
         if self.len() < self.capacity {
             return None;
         }
-        if self.a1in.len() > self.kin || self.am.is_empty() {
-            // A full cache is non-empty, so one of the pops succeeds.
-            let victim = self.a1in.pop_lru().or_else(|| self.am.pop_lru())?;
-            // A1in victims get a ghost entry
-            self.a1out.push_mru(victim);
-            if self.a1out.len() > self.kout {
-                self.a1out.pop_lru();
+        if self.queues.len(A1IN) > self.kin || self.queues.is_empty(AM) {
+            // A full cache is non-empty, so one of the moves succeeds;
+            // the victim gets a ghost entry.
+            let victim = self
+                .queues
+                .move_head_to_tail(A1IN, A1OUT)
+                .or_else(|| self.queues.move_head_to_tail(AM, A1OUT))?;
+            if self.queues.len(A1OUT) > self.kout {
+                self.queues.pop_head(A1OUT);
             }
             Some(victim)
         } else {
-            self.am.pop_lru()
+            self.queues.pop_head(AM)
         }
     }
 }
@@ -75,38 +82,50 @@ impl CachePolicy for TwoQ {
     }
 
     fn len(&self) -> usize {
-        self.a1in.len() + self.am.len()
+        self.queues.len(A1IN) + self.queues.len(AM)
     }
 
     fn contains(&self, block: BlockId) -> bool {
-        self.a1in.contains(block) || self.am.contains(block)
+        matches!(self.queues.find(block), Some((_, A1IN | AM)))
     }
 
     fn access(&mut self, block: BlockId) -> AccessResult {
-        if self.am.contains(block) {
-            self.am.push_mru(block);
-            return AccessResult::HIT;
-        }
-        if self.a1in.contains(block) {
+        match self.queues.find(block) {
+            Some((slot, AM)) => {
+                self.queues.move_to_tail(slot, AM);
+                AccessResult::HIT
+            }
             // 2Q leaves A1in order untouched on hit (FIFO semantics)
-            return AccessResult::HIT;
-        }
-        if self.a1out.contains(block) {
-            // proven warm: promote into Am
-            let evicted = self.reclaim();
-            self.a1out.remove(block);
-            self.am.push_mru(block);
-            return AccessResult {
-                hit: false,
-                evicted,
-            };
-        }
-        // cold miss → A1in
-        let evicted = self.reclaim();
-        self.a1in.push_mru(block);
-        AccessResult {
-            hit: false,
-            evicted,
+            Some((_, A1IN)) => AccessResult::HIT,
+            Some(_) => {
+                // proven warm: promote into Am. `reclaim` must see the
+                // ghost still on A1out (its length decides the trim),
+                // and when the ghost is A1out's oldest and A1out is
+                // full — routine below four blocks, where Kout = 1 —
+                // the trim drops this very ghost and its slot goes to
+                // the free list. So the slot found above is not used:
+                // look the block up again.
+                let evicted = self.reclaim();
+                match self.queues.find(block) {
+                    Some((slot, _)) => self.queues.move_to_tail(slot, AM),
+                    None => {
+                        self.queues.insert_tail(AM, block);
+                    }
+                }
+                AccessResult {
+                    hit: false,
+                    evicted,
+                }
+            }
+            None => {
+                // cold miss → A1in
+                let evicted = self.reclaim();
+                self.queues.insert_tail(A1IN, block);
+                AccessResult {
+                    hit: false,
+                    evicted,
+                }
+            }
         }
     }
 
@@ -148,6 +167,28 @@ mod tests {
         let (_, _, am) = cache.queue_sizes();
         assert_eq!(am, 1, "ghost hit promoted into Am");
         assert!(cache.contains(b(1)));
+    }
+
+    #[test]
+    fn ghost_promotion_survives_its_own_trim() {
+        // capacity 2 → Kin = 1, Kout = 1: A1out holds one ghost, so a
+        // ghost hit whose reclaim pushes a new ghost trims the very
+        // block being promoted.
+        let mut cache = TwoQ::new(2);
+        cache.access(b(1));
+        cache.access(b(2));
+        assert_eq!(cache.access(b(3)).evicted, Some(b(1))); // ghost: 1
+        let out = cache.access(b(1)); // reclaim ghosts 2, trimming 1
+        assert_eq!((out.hit, out.evicted), (false, Some(b(2))));
+        assert_eq!(cache.queue_sizes(), (1, 1, 1), "A1in 3, ghost 2, Am 1");
+        assert!(cache.contains(b(1)) && cache.contains(b(3)));
+        assert!(cache.access(b(1)).hit);
+        // the trimmed ghost's slot was recycled, not left dangling:
+        // the next ghost hit (A1in at Kin, so Am gives) still lines up
+        let out = cache.access(b(2));
+        assert_eq!((out.hit, out.evicted), (false, Some(b(1))));
+        assert_eq!(cache.queue_sizes(), (1, 0, 1), "A1in 3, Am 2");
+        assert!(cache.contains(b(2)) && cache.contains(b(3)));
     }
 
     #[test]

@@ -8,6 +8,8 @@ use cbs_cache::{
 };
 use cbs_trace::{BlockId, BlockSize, IoRequest, OpKind, Timestamp, VolumeId};
 
+mod oracle;
+
 fn arb_stream() -> impl Strategy<Value = Vec<u64>> {
     proptest::collection::vec(0u64..48, 1..400)
 }
@@ -205,6 +207,26 @@ proptest! {
         replay(Arc::new(cap), &stream);
         replay(Slru::new(cap), &stream);
         replay(TwoQ::new(cap), &stream);
+    }
+
+    /// Every policy kernel returns the same `AccessResult` — hit and
+    /// victim — as its naive `Vec`-based reference at every access.
+    /// The sweep/`CacheSim` equivalence tests share the kernels on both
+    /// sides; this is the check that does not.
+    #[test]
+    fn policy_kernels_match_naive_oracle(stream in arb_stream(), cap in 1usize..32) {
+        for &name in POLICY_NAMES {
+            let mut kernel = policy_by_name(name, cap).expect("known policy");
+            let mut naive = oracle::naive_by_name(name, cap).expect("oracle covers every policy");
+            for (i, &x) in stream.iter().enumerate() {
+                let block = BlockId::new(x);
+                prop_assert_eq!(
+                    kernel.access(block), naive.access(block),
+                    "{}@{} diverges at access {} (block {})", name, cap, i, x
+                );
+                prop_assert_eq!(kernel.len(), naive.len(), "{}@{} len at access {}", name, cap, i);
+            }
+        }
     }
 
     /// LRU hit counts predicted by reuse distances match simulation

@@ -66,7 +66,7 @@ INGEST_SMOKE_MIN_RPS="${INGEST_SMOKE_MIN_RPS:-100000}" \
 INGEST_SMOKE_MAX_BACKPRESSURE="${INGEST_SMOKE_MAX_BACKPRESSURE:-0.9}" \
     ./target/release/ingest_perf smoke
 
-echo "==> cache_perf smoke (sweep == naive CacheSim bit-for-bit, sweep not slower, sampled MRC bounded)"
+echo "==> cache_perf smoke (sweep == naive CacheSim bit-for-bit, sweep within 1.5x of naive, sampled MRC bounded)"
 ./target/release/cache_perf --smoke
 
 echo "==> replay_perf smoke (compressed null replay keeps pace + re-analysis identical + remap conservation + multi-lane parity)"
