@@ -558,7 +558,11 @@ impl VolumeAnalyzer {
             state.last_op = op;
             state.last_ts = ts;
             // The block's stack position rides in its state, so the
-            // chunk lookup is the only hash op per touched chunk.
+            // chunk lookup is the only hash op per touched chunk. The
+            // cast cannot lose a position that is ever read: the run
+            // holding this block is retired before the span ends, and
+            // the stack panics there once positions pass
+            // `ReuseStack::MAX_POSITIONS`.
             state.reuse_pos = (base + i) as u32;
 
             let stack_key = warm.then(|| (old.reuse_pos as usize).wrapping_sub(i));

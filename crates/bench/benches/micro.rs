@@ -4,11 +4,11 @@
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
 
-use cbs_cache::{policy_by_name, CachePolicy, ReuseDistances, POLICY_NAMES};
+use cbs_cache::{policy_by_name, CachePolicy, ReuseDistances, SweepGrid, POLICY_NAMES};
 use cbs_stats::LogHistogram;
 use cbs_synth::presets::{self, CorpusConfig};
 use cbs_trace::codec::alicloud;
-use cbs_trace::{BlockId, MergeByTime};
+use cbs_trace::{BlockId, IoRequest, MergeByTime, RequestBatch};
 
 /// Bounds every group's runtime for the single-core CI box: small
 /// sample counts and short measurement windows — these benches exist to
@@ -79,6 +79,33 @@ fn bench_cache_policies(c: &mut Criterion) {
             for &blk in &pattern {
                 black_box(rd.access(blk));
             }
+        });
+    });
+    group.finish();
+
+    // The sweep's collapsed LRU stack lane alone, single-threaded: LRU
+    // capacities only, no workers, so the time is span reduction plus
+    // the lane and nothing waits on a channel.
+    let config = CorpusConfig::new(128, 4, 4242).with_intensity_scale(0.05);
+    let requests: Vec<IoRequest> = presets::alicloud_like(&config)
+        .stream()
+        .take(200_000)
+        .collect();
+    let batches: Vec<RequestBatch> = requests.chunks(65_536).map(RequestBatch::from).collect();
+    let mut group = c.benchmark_group("cache_sweep");
+    configure(&mut group);
+    group.throughput(criterion::Throughput::Elements(requests.len() as u64));
+    group.bench_function("lru_stack_sweep", |b| {
+        b.iter(|| {
+            let mut grid = SweepGrid::new().with_workers(0);
+            for capacity in [4_096, 16_384, 65_536, 262_144, 1_048_576] {
+                grid = grid.lru_capacity(capacity).expect("non-zero capacity");
+            }
+            let mut sweep = grid.start();
+            for batch in &batches {
+                sweep.observe_batch(batch);
+            }
+            black_box(sweep.finish())
         });
     });
     group.finish();

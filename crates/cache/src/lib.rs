@@ -20,7 +20,7 @@
 //! * [`sweep`] — the single-pass policy × capacity sweep engine: one
 //!   trace traversal drives a whole grid of lanes (collapsed exact-LRU
 //!   stack lane, boxed policy lanes, SHARDS-sampled lanes) over a
-//!   shared block column.
+//!   shared column of block spans.
 //!
 //! # Example
 //!
@@ -63,7 +63,7 @@ pub use lru::Lru;
 pub use mrc::MissRatioCurve;
 pub use opt::{simulate_opt, OptResult};
 pub use policy::{policy_by_name, AccessResult, CachePolicy, POLICY_NAMES};
-pub use reuse::{ReuseDistances, ReuseStack, ShardsSampler};
+pub use reuse::{BlockStack, ReuseDistances, ReuseStack, ShardsSampler};
 pub use sim::{CacheSim, CacheStats};
 pub use slru::Slru;
 pub use sweep::{CacheSweep, LaneReport, SweepError, SweepGrid, SweepReport, SweepReportParts};

@@ -1,4 +1,4 @@
-//! Reuse (stack) distance computation: [`ReuseStack`],
+//! Reuse (stack) distance computation: [`ReuseStack`], [`BlockStack`],
 //! [`ReuseDistances`] and [`ShardsSampler`].
 //!
 //! The *reuse distance* of an access is the number of **distinct** blocks
@@ -20,8 +20,9 @@
 //!   two-prefix-sum query into one rank;
 //! * unlike a Fenwick tree, the counter hierarchy makes clearing a bit a
 //!   handful of direct decrements (no log-depth update walk), and a rank
-//!   is at most seven additions per level plus one masked `count_ones` —
-//!   touching only two cache lines that aren't already hot;
+//!   is one masked sum over a fixed group of 8 counters per level plus
+//!   eight masked `count_ones` — every level is padded to whole groups,
+//!   so nothing in it branches on the position;
 //! * workloads retouch *runs* of blocks that were last touched together
 //!   (a request rewriting the same span), and clearing position `p`
 //!   leaves `rank(p + 1)` unchanged — so consecutive-position touches
@@ -29,12 +30,15 @@
 //!   [`ReuseStack::touch_run`] retires a whole such run with one rank,
 //!   one masked clear and one masked append per 64-position word.
 //!
-//! [`ReuseDistances`] adds the block → last-position map and the
-//! distance histogram on top; callers that already keep per-block state
-//! (the volume analyzer) fold the position into their own map and drive
-//! [`ReuseStack`] directly, paying one hash lookup per touch instead of
-//! two. [`ShardsSampler`] implements fixed-rate SHARDS spatial sampling
-//! for approximate curves at a small fraction of the cost.
+//! [`BlockStack`] adds the block → last-position map (16-block chunks,
+//! one hash lookup per chunk), finds those runs in spans of consecutive
+//! block ids, and owns compaction; it is the only such map in the
+//! crate. [`ReuseDistances`] is a distance histogram over it, one block
+//! at a time; the sweep engine's LRU lane feeds it whole request spans.
+//! Callers that already keep per-block state (the volume analyzer) fold
+//! the position into their own store and drive [`ReuseStack`] directly.
+//! [`ShardsSampler`] implements fixed-rate SHARDS spatial sampling for
+//! approximate curves at a small fraction of the cost.
 
 use cbs_trace::hash::FxHashMap;
 use cbs_trace::BlockId;
@@ -73,6 +77,8 @@ use cbs_trace::BlockId;
 #[derive(Debug, Clone)]
 pub struct ReuseStack {
     /// Bit `p % 64` of word `p / 64` is set iff position `p` is live.
+    /// `words`, `l1`, `l2` and `l3` are always whole groups of 8 (zero
+    /// padded), so a rank reads fixed-size groups.
     words: Vec<u64>,
     /// Set-bit count per group of 8 words (512 positions).
     l1: Vec<u32>,
@@ -110,7 +116,20 @@ impl Default for ReuseStack {
     }
 }
 
+/// Panic message of the one bound on minted positions.
+const POSITION_LIMIT: &str = "reuse stack is limited to 2^32 - 2 positions between compactions \
+     (2 TiB of distinct 4 KiB blocks live at once)";
+
 impl ReuseStack {
+    /// The most positions a stack assigns between compactions, checked
+    /// where they are minted. Callers may therefore keep positions in a
+    /// `u32` — [`compaction_table`](Self::compaction_table) does — with
+    /// `u32::MAX` free as a "no position" mark and one past any
+    /// assigned position still below that mark. Compaction keeps
+    /// `positions() < 8 × live()`, so the bound is reached only past
+    /// 2²⁹ live blocks.
+    pub const MAX_POSITIONS: usize = u32::MAX as usize - 1;
+
     /// Creates an empty stack.
     pub fn new() -> Self {
         Self::default()
@@ -162,31 +181,35 @@ impl ReuseStack {
 
     /// Number of live positions `<= pos`. `pos` must have been assigned.
     ///
-    /// At most seven additions per hierarchy level (the top level is a
-    /// linear scan over 32 Ki-position supergroups), plus whole-word and
-    /// masked popcounts inside `pos`'s own 8-word group.
+    /// Branch-free below the top level: every level is kept padded to
+    /// whole groups of 8, so each level sums its full group under a
+    /// `j < k` mask and the eight words of `pos`'s own group are
+    /// popcounted under per-word masks — fixed trip counts the compiler
+    /// unrolls and vectorises (baseline SSE2, no `popcnt` needed), where
+    /// loops of 0–7 data-dependent iterations mispredicted on every
+    /// level. Only the top level, one counter per 256 Ki positions, is
+    /// still a linear scan.
     #[inline]
     fn rank_inclusive(&self, pos: usize) -> u64 {
         let w = pos / 64;
-        let (g1, g2, g3) = (w >> 3, w >> 6, w >> 9);
         let mut sum = 0u64;
-        for i in 0..(w >> 12) {
-            sum += u64::from(self.l4[i]);
+        for &count in &self.l4[..w >> 12] {
+            sum += u64::from(count);
         }
-        for i in ((w >> 12) << 3)..g3 {
-            sum += u64::from(self.l3[i]);
+        sum += u64::from(masked_sum(&self.l3, w >> 12, (w >> 9) & 7));
+        sum += u64::from(masked_sum(&self.l2, w >> 9, (w >> 6) & 7));
+        sum += u64::from(masked_sum(&self.l1, w >> 6, (w >> 3) & 7));
+        // Words below `w` count whole, `w` itself up to `pos`'s bit,
+        // words above not at all.
+        let group = &self.words[w & !7..][..8];
+        let (k, last) = (w & 7, u64::MAX >> (63 - pos % 64));
+        let mut ones = 0u32;
+        for (j, &bits) in group.iter().enumerate() {
+            let below = u64::from(j < k).wrapping_neg();
+            let at = u64::from(j == k).wrapping_neg();
+            ones += (bits & (below | (at & last))).count_ones();
         }
-        for i in (g3 << 3)..g2 {
-            sum += u64::from(self.l2[i]);
-        }
-        for i in (g2 << 3)..g1 {
-            sum += u64::from(self.l1[i]);
-        }
-        for i in (g1 << 3)..w {
-            sum += u64::from(self.words[i].count_ones());
-        }
-        let mask = u64::MAX >> (63 - pos % 64);
-        sum + u64::from((self.words[w] & mask).count_ones())
+        sum + u64::from(ones)
     }
 
     /// Clears live position `pos`: one bit plus four direct decrements.
@@ -204,11 +227,11 @@ impl ReuseStack {
     #[inline]
     fn push_live(&mut self) -> usize {
         let pos = self.next_pos;
+        assert!(pos < Self::MAX_POSITIONS, "{}", POSITION_LIMIT);
         self.next_pos += 1;
         let w = pos / 64;
         if w == self.words.len() {
-            self.words.push(0);
-            self.grow_counters();
+            self.grow();
         }
         self.words[w] |= 1u64 << (pos % 64);
         self.l1[w >> 3] += 1;
@@ -219,21 +242,23 @@ impl ReuseStack {
         pos
     }
 
-    /// Extends the counter levels to cover `words.len()` words.
-    fn grow_counters(&mut self) {
-        let n = self.words.len();
-        if self.l1.len() * 8 < n {
-            self.l1.push(0);
-        }
-        if self.l2.len() * 64 < n {
-            self.l2.push(0);
-        }
-        if self.l3.len() * 512 < n {
-            self.l3.push(0);
-        }
-        if self.l4.len() * 4096 < n {
-            self.l4.push(0);
-        }
+    /// Appends one zeroed group of 8 words and extends the counter
+    /// levels to cover it, each level in whole groups of 8 (the shape
+    /// [`rank_inclusive`](Self::rank_inclusive) reads).
+    #[cold]
+    fn grow(&mut self) {
+        let n = self.words.len() + 8;
+        self.words.resize(n, 0);
+        self.resize_counters(n);
+    }
+
+    /// Sizes the counter levels for `n_words` words (a multiple of 8),
+    /// zero-filling what is new.
+    fn resize_counters(&mut self, n_words: usize) {
+        self.l1.resize((n_words / 8).next_multiple_of(8), 0);
+        self.l2.resize(n_words.div_ceil(64).next_multiple_of(8), 0);
+        self.l3.resize(n_words.div_ceil(512).next_multiple_of(8), 0);
+        self.l4.resize(n_words.div_ceil(4096), 0);
     }
 
     /// True when at least ⅞ of the assigned positions are dead (and the
@@ -259,7 +284,9 @@ impl ReuseStack {
     /// Builds the full old-position → new-position relabel table for
     /// the next [`rebuild_compacted`](Self::rebuild_compacted) in one
     /// linear sweep: `table[pos]` is the compacted position for every
-    /// live `pos`; dead positions hold `u32::MAX`.
+    /// live `pos`; dead positions hold `u32::MAX`, which
+    /// [`MAX_POSITIONS`](Self::MAX_POSITIONS) keeps from ever being a
+    /// position.
     pub fn compaction_table(&self) -> Vec<u32> {
         let mut table = vec![u32::MAX; self.next_pos];
         let mut new_pos = 0u32;
@@ -292,15 +319,13 @@ impl ReuseStack {
                 *last = u64::MAX >> (64 - live % 64);
             }
         }
+        // Back to whole groups of 8: zero words above the live ones.
+        self.words.resize(n_words.next_multiple_of(8), 0);
         // O(n) rebuild of the counter hierarchy from word popcounts.
-        self.l1.clear();
-        self.l1.resize(n_words.div_ceil(8), 0);
-        self.l2.clear();
-        self.l2.resize(n_words.div_ceil(64), 0);
-        self.l3.clear();
-        self.l3.resize(n_words.div_ceil(512), 0);
-        self.l4.clear();
-        self.l4.resize(n_words.div_ceil(4096), 0);
+        for level in [&mut self.l1, &mut self.l2, &mut self.l3, &mut self.l4] {
+            level.clear();
+        }
+        self.resize_counters(self.words.len());
         for (w, bits) in self.words.iter().enumerate() {
             let ones = bits.count_ones();
             self.l1[w >> 3] += ones;
@@ -381,12 +406,12 @@ impl ReuseStack {
     fn push_live_range(&mut self, len: usize) -> usize {
         let first = self.next_pos;
         let end = first + len;
+        assert!(end <= Self::MAX_POSITIONS, "{}", POSITION_LIMIT);
         let mut p = first;
         while p < end {
             let (w, n, mask) = word_span(p, end);
             if w == self.words.len() {
-                self.words.push(0);
-                self.grow_counters();
+                self.grow();
             }
             self.words[w] |= mask;
             self.l1[w >> 3] += n;
@@ -401,6 +426,18 @@ impl ReuseStack {
     }
 }
 
+/// The sum of the first `k < 8` counters of `level`'s group `group`,
+/// computed over the whole (always present) group of 8 under a `j < k`
+/// mask. No group of any level sums past 2¹⁸.
+#[inline]
+fn masked_sum(level: &[u32], group: usize, k: usize) -> u32 {
+    let mut sum = 0u32;
+    for (j, &count) in level[group * 8..][..8].iter().enumerate() {
+        sum += count & u32::from(j < k).wrapping_neg();
+    }
+    sum
+}
+
 /// The part of `p..end` that falls into `p`'s 64-position word: the
 /// word index, the number of positions and their bit mask.
 #[inline]
@@ -408,6 +445,279 @@ fn word_span(p: usize, end: usize) -> (usize, u32, u64) {
     let lo = p % 64;
     let n = (64 - lo).min(end - p);
     (p / 64, n as u32, (u64::MAX >> (64 - n)) << lo)
+}
+
+/// Number of consecutive blocks whose positions share one chunk.
+const CHUNK_BLOCKS: u64 = 16;
+
+/// "No previous position": the key of a cold run. Never an assigned
+/// position, nor one past one ([`ReuseStack::MAX_POSITIONS`]).
+const COLD: u32 = u32::MAX;
+
+/// Latest stack positions of 16 consecutive block ids.
+#[derive(Debug, Clone)]
+struct PosChunk {
+    /// Bit `i` set iff block `i` of the chunk has been touched.
+    occupied: u16,
+    pos: [u32; CHUNK_BLOCKS as usize],
+}
+
+/// Consecutive block ids touched back to back whose stack touches are
+/// deferred so that one [`ReuseStack::touch_run`] (or
+/// [`touch_cold_run`](ReuseStack::touch_cold_run)) retires them all.
+#[derive(Debug, Clone, Copy, Default)]
+struct PendingRun {
+    /// Blocks in the run; 0 = nothing pending.
+    len: usize,
+    /// The only block id that can extend the run.
+    next_block: u64,
+    /// The previous position that block must have: one past the run's
+    /// last previous position, or [`COLD`] for a run of first touches.
+    next_prev: u32,
+}
+
+/// A [`ReuseStack`] together with the block → latest-position map it
+/// needs: the one owner of "where was this block last" in the crate.
+///
+/// Accesses arrive as *spans* of consecutive block ids
+/// ([`touch_span`](Self::touch_span); a single block is a span of one).
+/// Positions live in 16-block chunks behind one hash lookup per chunk,
+/// and the stack is touched **per run**, not per block: consecutive
+/// block ids whose previous positions are consecutive too — blocks last
+/// touched together, the common rewrite — are retired by one
+/// [`ReuseStack::touch_run`] and reported to the caller once, as
+/// `(distance, blocks)`. A run stays pending across spans until a block
+/// breaks it or [`flush`](Self::flush) is called.
+///
+/// The run rule, and why it is safe: a block joins the pending run only
+/// if its **id** is the run's last id + 1 and its previous position is
+/// the run's last previous position + 1 (or both are cold). Consecutive
+/// ids make the run's blocks distinct, so every previous position in
+/// the run was assigned before the run started and is still live —
+/// exactly `touch_run`'s precondition. The position test alone is not
+/// enough: in `A B A B A B` the third `A`'s previous position is the
+/// one the pending run `A B` is about to be given, and a run that
+/// swallowed it would clear a position not yet pushed.
+///
+/// Dead positions are compacted away in [`flush`](Self::flush), once
+/// no run is pending: a pending run's key is in pre-compaction
+/// numbering. Distances are invariant under compaction.
+///
+/// # Example
+///
+/// ```
+/// use cbs_cache::BlockStack;
+/// use cbs_trace::BlockId;
+///
+/// let mut stack = BlockStack::new();
+/// let mut seen = Vec::new();
+/// // blocks 8..12 twice: four cold touches, then four at distance 3
+/// for _ in 0..2 {
+///     stack.touch_span(BlockId::new(8), 4, |distance, blocks| seen.push((distance, blocks)));
+/// }
+/// stack.flush(|distance, blocks| seen.push((distance, blocks)));
+/// assert_eq!(seen, [(None, 4), (Some(3), 4)]);
+/// ```
+#[derive(Debug, Clone, Default)]
+pub struct BlockStack {
+    stack: ReuseStack,
+    /// Chunk id (block id / 16) → index into `chunks`.
+    chunk_index: FxHashMap<u64, u32>,
+    chunks: Vec<PosChunk>,
+    run: PendingRun,
+}
+
+impl BlockStack {
+    /// Creates an empty stack.
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// Distinct blocks tracked, those of a pending run included.
+    pub fn live(&self) -> usize {
+        self.stack.live()
+            + if self.run.next_prev == COLD {
+                self.run.len
+            } else {
+                0
+            }
+    }
+
+    /// Stack positions assigned since the last compaction, those a
+    /// pending run is about to be given included.
+    pub fn positions(&self) -> usize {
+        self.stack.positions() + self.run.len
+    }
+
+    /// Touches the `blocks` consecutive block ids starting at `first`,
+    /// in ascending order. `sink(distance, n)` is called for each run
+    /// this retires: `n` blocks sharing one reuse `distance` (`None` =
+    /// first touches). The span's own last run stays pending — it is
+    /// reported by a later `touch_span` or by [`flush`](Self::flush) —
+    /// so every touch is reported exactly once, in access order.
+    ///
+    /// `first + blocks` must not overflow (a [`cbs_trace::BlockSpan`]
+    /// never does).
+    #[inline]
+    pub fn touch_span(
+        &mut self,
+        first: BlockId,
+        blocks: u64,
+        mut sink: impl FnMut(Option<u64>, usize),
+    ) {
+        let mut block = first.get();
+        let end = block + blocks;
+        while block < end {
+            // The part of the span inside `block`'s chunk: slots
+            // `slot..slot + m`, one hash lookup.
+            let slot = (block % CHUNK_BLOCKS) as usize;
+            let m = (CHUNK_BLOCKS - slot as u64).min(end - block) as usize;
+            let index = self.chunk_of(block / CHUNK_BLOCKS);
+            let warm = u32::from(self.chunks[index].occupied) >> slot & ((1 << m) - 1);
+            // Split it into maximal cold runs (off the mask alone) and
+            // warm runs of consecutive previous positions (one compare
+            // loop); an all-cold or all-warm-in-order segment is one.
+            let mut j = 0;
+            while j < m {
+                let rest = warm >> j;
+                let (prev, k) = if rest & 1 == 0 {
+                    (COLD, (rest.trailing_zeros() as usize).min(m - j))
+                } else {
+                    let pos = &self.chunks[index].pos[slot + j..][..rest.trailing_ones() as usize];
+                    let mut k = 1;
+                    while k < pos.len() && pos[k] == pos[0].wrapping_add(k as u32) {
+                        k += 1;
+                    }
+                    (pos[0], k)
+                };
+                let new_pos = self.extend_run(block + j as u64, k, prev, &mut sink);
+                for (i, pos) in self.chunks[index].pos[slot + j..][..k]
+                    .iter_mut()
+                    .enumerate()
+                {
+                    // Truncation past `MAX_POSITIONS` is never read: the
+                    // run's retirement, which precedes every use of a
+                    // position it was given, panics on the bound.
+                    *pos = (new_pos + i) as u32;
+                }
+                j += k;
+            }
+            self.chunks[index].occupied |= (((1u32 << m) - 1) << slot) as u16;
+            block += m as u64;
+        }
+    }
+
+    /// Index into `chunks` of chunk `id`, created empty if new.
+    #[inline]
+    fn chunk_of(&mut self, id: u64) -> usize {
+        let next = self.chunks.len() as u32;
+        let index = *self.chunk_index.entry(id).or_insert(next);
+        if index == next {
+            self.chunks.push(PosChunk {
+                occupied: 0,
+                pos: [0; CHUNK_BLOCKS as usize],
+            });
+        }
+        index as usize
+    }
+
+    /// Adds `k` blocks from `block` on, with consecutive previous
+    /// positions from `prev` on (all cold if [`COLD`]), to the pending
+    /// run if they continue it — else retires that run and starts a new
+    /// one. Returns the position the first of them will be given.
+    #[inline]
+    fn extend_run(
+        &mut self,
+        block: u64,
+        k: usize,
+        prev: u32,
+        sink: &mut impl FnMut(Option<u64>, usize),
+    ) -> usize {
+        let run = &self.run;
+        if run.len == 0 || block != run.next_block || prev != run.next_prev {
+            self.retire_run(sink);
+            self.run = PendingRun {
+                len: 0,
+                next_block: block,
+                next_prev: prev,
+            };
+        }
+        // Nothing is pushed while a run is pending, so its block `i`
+        // lands on `positions() + i` — read afresh for every run, hence
+        // in the numbering of any compaction since the last one.
+        let run = &mut self.run;
+        let new_pos = self.stack.positions() + run.len;
+        run.len += k;
+        run.next_block += k as u64;
+        if prev != COLD {
+            run.next_prev += k as u32;
+        }
+        new_pos
+    }
+
+    /// Applies the pending run, if any, to the stack and reports it.
+    #[inline]
+    fn retire_run(&mut self, sink: &mut impl FnMut(Option<u64>, usize)) {
+        let PendingRun { len, next_prev, .. } = self.run;
+        if len == 0 {
+            return;
+        }
+        self.run.len = 0;
+        let distance = if next_prev == COLD {
+            self.stack.touch_cold_run(len);
+            None
+        } else {
+            Some(self.stack.touch_run(next_prev as usize - len, len).0)
+        };
+        sink(distance, len);
+    }
+
+    /// Retires the pending run, if any (reporting it to `sink`), then
+    /// compacts the stack if most of its positions are dead
+    /// ([`ReuseStack::should_compact`]). Returns `true` if it compacted.
+    ///
+    /// Callers flush wherever they need every touch reported — and
+    /// often enough to bound dead positions, which cost one bit each
+    /// until the next flush.
+    pub fn flush(&mut self, mut sink: impl FnMut(Option<u64>, usize)) -> bool {
+        self.retire_run(&mut sink);
+        let due = self.stack.should_compact();
+        if due {
+            self.compact();
+        }
+        due
+    }
+
+    /// Renumbers the live positions to `0..live()`, dropping the dead
+    /// ones, whatever their share.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a run is pending: its key is in the old numbering.
+    pub fn compact(&mut self) {
+        assert!(self.run.len == 0, "compaction with a run pending");
+        let table = self.stack.compaction_table();
+        for chunk in &mut self.chunks {
+            let mut occupied = chunk.occupied;
+            while occupied != 0 {
+                let slot = occupied.trailing_zeros() as usize;
+                occupied &= occupied - 1;
+                chunk.pos[slot] = table[chunk.pos[slot] as usize];
+            }
+        }
+        self.stack.rebuild_compacted();
+    }
+}
+
+/// Counts `n` accesses at finite reuse `distance` in `histogram`
+/// (`histogram[d]` = accesses at distance `d`), growing it to fit.
+#[inline]
+pub(crate) fn count_distance(histogram: &mut Vec<u64>, distance: u64, n: u64) {
+    let d = distance as usize;
+    if d >= histogram.len() {
+        histogram.resize(d + 1, 0);
+    }
+    histogram[d] += n;
 }
 
 /// Exact reuse-distance histogram of a block-access stream.
@@ -429,9 +739,7 @@ fn word_span(p: usize, end: usize) -> (usize, u32, u64) {
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct ReuseDistances {
-    stack: ReuseStack,
-    /// block → position of its most recent access.
-    last_pos: FxHashMap<BlockId, usize>,
+    blocks: BlockStack,
     /// histogram\[d\] = number of accesses with finite reuse distance d.
     histogram: Vec<u64>,
     cold_misses: u64,
@@ -446,14 +754,6 @@ struct ReuseMetrics {
     compactions: cbs_obs::Counter,
     live_entries: cbs_obs::Gauge,
     dead_entries: cbs_obs::Gauge,
-}
-
-impl ReuseMetrics {
-    fn publish(&self, stack: &ReuseStack) {
-        self.live_entries.set(stack.live() as u64);
-        self.dead_entries
-            .set(stack.positions().saturating_sub(stack.live()) as u64);
-    }
 }
 
 impl ReuseDistances {
@@ -482,38 +782,20 @@ impl ReuseDistances {
     /// (`None` = cold / infinite).
     pub fn access(&mut self, block: BlockId) -> Option<u64> {
         self.accesses += 1;
-        let distance = match self.last_pos.entry(block) {
-            std::collections::hash_map::Entry::Occupied(mut entry) => {
-                let (distance, pos) = self.stack.touch(*entry.get());
-                *entry.get_mut() = pos;
-                Some(distance)
-            }
-            std::collections::hash_map::Entry::Vacant(entry) => {
-                entry.insert(self.stack.touch_cold());
-                self.cold_misses += 1;
-                None
-            }
-        };
-        if let Some(d) = distance {
-            let d = d as usize;
-            if d >= self.histogram.len() {
-                self.histogram.resize(d + 1, 0);
-            }
-            self.histogram[d] += 1;
+        // A span of one, flushed at once: the distance is known on
+        // return, and compaction keeps memory at O(distinct blocks).
+        let mut distance = None;
+        self.blocks.touch_span(block, 1, |d, _| distance = d);
+        let compacted = self.blocks.flush(|d, _| distance = d);
+        match distance {
+            Some(d) => count_distance(&mut self.histogram, d, 1),
+            None => self.cold_misses += 1,
         }
-        // Only `last_pos.len()` positions are live; compacting when
-        // most are dead keeps memory at O(distinct blocks) instead of
-        // O(accesses), at amortized O(1) extra cost per access.
-        if self.stack.should_compact() {
-            let table = self.stack.compaction_table();
-            for pos in self.last_pos.values_mut() {
-                *pos = table[*pos] as usize;
-            }
-            self.stack.rebuild_compacted();
-            if let Some(m) = &self.metrics {
-                m.compactions.inc();
-                m.publish(&self.stack);
-            }
+        if let (true, Some(m)) = (compacted, &self.metrics) {
+            m.compactions.inc();
+            m.live_entries.set(self.blocks.live() as u64);
+            m.dead_entries
+                .set((self.blocks.positions() - self.blocks.live()) as u64);
         }
         distance
     }
@@ -910,6 +1192,279 @@ mod tests {
     }
 
     #[test]
+    #[should_panic(expected = "2^32 - 2 positions")]
+    fn single_touch_past_the_position_limit_panics() {
+        let mut s = ReuseStack {
+            next_pos: ReuseStack::MAX_POSITIONS,
+            ..ReuseStack::default()
+        };
+        s.touch_cold();
+    }
+
+    #[test]
+    #[should_panic(expected = "2^32 - 2 positions")]
+    fn run_reaching_past_the_position_limit_panics() {
+        // Two positions are left; the third would alias the u32 "no
+        // position" mark in every caller's table.
+        let mut s = ReuseStack {
+            next_pos: ReuseStack::MAX_POSITIONS - 2,
+            ..ReuseStack::default()
+        };
+        s.touch_cold_run(3);
+    }
+
+    /// Live positions `<= pos`, counted bit by bit.
+    fn naive_rank(s: &ReuseStack, pos: usize) -> u64 {
+        (0..=pos)
+            .filter(|p| s.words[p / 64] >> (p % 64) & 1 == 1)
+            .count() as u64
+    }
+
+    /// The `n`-th live position at or after `from`, cyclically.
+    fn live_from(s: &ReuseStack, from: usize) -> usize {
+        (0..s.next_pos)
+            .map(|i| (from + i) % s.next_pos)
+            .find(|p| s.words[p / 64] >> (p % 64) & 1 == 1)
+            .expect("the stack holds a live position")
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(48))]
+
+        /// After arbitrary cold runs, touches, run touches and
+        /// compactions, every level is whole groups of 8 and
+        /// `rank_inclusive` equals a bit-by-bit count at **every**
+        /// assigned position — the last, partly assigned group included.
+        #[test]
+        fn rank_equals_naive_popcount(
+            ops in proptest::collection::vec(0u64..u64::MAX, 1..40),
+        ) {
+            let mut s = ReuseStack::new();
+            s.touch_cold_run(1);
+            for op in ops {
+                // One draw, three fields: what to do, where, how long.
+                let (kind, at, len) = (op % 8, (op >> 8) as usize % 100_000, 1 + (op >> 40) as usize % 89);
+                match kind {
+                    0 | 1 => {
+                        // Up to ~600 positions at once: crosses words
+                        // and the first counter groups.
+                        s.touch_cold_run(len * (1 + at % 7));
+                    }
+                    2 | 3 => {
+                        let prev = live_from(&s, at % s.next_pos);
+                        s.touch(prev);
+                    }
+                    4..=6 => {
+                        let prev = live_from(&s, at % s.next_pos);
+                        let mut n = 1;
+                        while n < len
+                            && prev + n < s.next_pos
+                            && s.words[(prev + n) / 64] >> ((prev + n) % 64) & 1 == 1
+                        {
+                            n += 1;
+                        }
+                        s.touch_run(prev, n);
+                    }
+                    _ => s.rebuild_compacted(),
+                }
+                proptest::prop_assert_eq!(s.words.len() % 8, 0);
+                proptest::prop_assert_eq!(s.l1.len() % 8, 0);
+                proptest::prop_assert_eq!(s.l2.len() % 8, 0);
+                proptest::prop_assert_eq!(s.l3.len() % 8, 0);
+                proptest::prop_assert!(s.words.len() * 64 >= s.next_pos);
+                let mut running = 0u64;
+                for pos in 0..s.next_pos {
+                    running += s.words[pos / 64] >> (pos % 64) & 1;
+                    proptest::prop_assert_eq!(s.rank_inclusive(pos), running, "rank({})", pos);
+                }
+                proptest::prop_assert_eq!(running, s.live() as u64);
+            }
+        }
+    }
+
+    #[test]
+    fn rank_reads_every_level_of_a_large_stack() {
+        // 600 K positions reach the third l4 counter; punch holes so
+        // the levels differ, then spot-check ranks around every group
+        // edge against the bit-by-bit count.
+        let mut s = ReuseStack::new();
+        s.touch_cold_run(600_000);
+        for pos in (0..600_000).step_by(7) {
+            s.clear(pos);
+        }
+        for edge in [64usize, 512, 4096, 32_768, 262_144, 524_288, 599_999] {
+            for pos in edge.saturating_sub(2)..(edge + 2).min(600_000) {
+                assert_eq!(s.rank_inclusive(pos), naive_rank(&s, pos), "rank({pos})");
+            }
+        }
+    }
+
+    /// The reuse distance of every block access of `spans` (first
+    /// block, block count), in order, on a naive LRU stack — a `Vec`,
+    /// most recent last — that shares nothing with `BlockStack`.
+    fn naive_span_distances(spans: &[(u64, u64)]) -> Vec<Option<u64>> {
+        let mut stack: Vec<u64> = Vec::new();
+        let mut out = Vec::new();
+        for &(first, n) in spans {
+            for block in first..first + n {
+                let depth = stack.iter().rev().position(|&s| s == block);
+                if let Some(depth) = depth {
+                    stack.remove(stack.len() - 1 - depth);
+                }
+                stack.push(block);
+                out.push(depth.map(|d| d as u64));
+            }
+        }
+        out
+    }
+
+    /// Feeds `spans` to `stack` as one column (one flush at the end)
+    /// and returns the reported runs expanded to one distance a block.
+    fn span_distances(stack: &mut BlockStack, spans: &[(u64, u64)]) -> Vec<Option<u64>> {
+        let mut out = Vec::new();
+        let mut sink = |d: Option<u64>, n: usize| out.extend(std::iter::repeat(d).take(n));
+        for &(first, n) in spans {
+            stack.touch_span(b(first), n, &mut sink);
+        }
+        stack.flush(&mut sink);
+        out
+    }
+
+    /// Runs `columns` through one `BlockStack` and checks every
+    /// distance against the naive stack; returns the stack.
+    fn check_columns(columns: &[&[(u64, u64)]]) -> BlockStack {
+        let all: Vec<(u64, u64)> = columns.iter().flat_map(|c| c.iter().copied()).collect();
+        let want = naive_span_distances(&all);
+        let mut stack = BlockStack::new();
+        let got: Vec<Option<u64>> = columns
+            .iter()
+            .flat_map(|column| span_distances(&mut stack, column))
+            .collect();
+        assert_eq!(got, want);
+        let distinct = want.iter().filter(|d| d.is_none()).count();
+        assert_eq!(stack.live(), distinct);
+        stack
+    }
+
+    #[test]
+    fn run_never_swallows_a_position_it_is_about_to_assign() {
+        // A B A B A B in one column: the third A's previous position is
+        // the one the pending run "A B" is about to be given, so the
+        // position test alone would extend that run over it. All six
+        // distances are 1 either way; the stale bits such a run leaves
+        // behind show in the ranks of what follows (C D, then B, then A).
+        let tail = [(50, 2), (11, 1), (10, 1)];
+        let mut column = vec![(10, 2), (10, 2), (10, 2)];
+        column.extend(tail);
+        check_columns(&[&column]);
+        // The same with the pair split across two requests each time.
+        let mut column = vec![(10, 1), (11, 1), (10, 1), (11, 1), (10, 1), (11, 1)];
+        column.extend(tail);
+        check_columns(&[&column]);
+    }
+
+    #[test]
+    fn one_span_splits_into_the_runs_its_history_dictates() {
+        // Overlaps the tails of two earlier requests and ends on a
+        // never-seen block: three runs (3..6, 6..11, cold 11).
+        check_columns(&[&[(0, 6), (100, 3), (6, 5), (3, 9)]]);
+        // A cold hole (block 4) inside an otherwise warm span.
+        check_columns(&[&[(0, 4), (5, 4), (0, 9)]]);
+        // The same span twice in a row, then shifted by one.
+        check_columns(&[&[(0, 5), (0, 5), (1, 5)]]);
+        // Warm blocks revisited in an order that is not their last one.
+        check_columns(&[&[(7, 1), (5, 1), (6, 1), (4, 1), (4, 4), (4, 4)]]);
+    }
+
+    #[test]
+    fn runs_cross_chunk_and_word_edges() {
+        // 60 cold blocks first, so blocks 10..22 (crossing the chunk
+        // edge at 16) land on positions 60..72 (crossing the word edge
+        // at 64); their retouch is one warm run over both edges.
+        let spans = [(1000, 60), (10, 12), (500, 3), (10, 12), (10, 12)];
+        let mut stack = BlockStack::new();
+        let mut runs = Vec::new();
+        for &(first, n) in &spans {
+            stack.touch_span(b(first), n, |d, n| runs.push((d, n)));
+        }
+        stack.flush(|d, n| runs.push((d, n)));
+        assert_eq!(
+            runs,
+            [
+                (None, 60),
+                (None, 12),
+                (None, 3),
+                (Some(14), 12),
+                (Some(11), 12)
+            ]
+        );
+        check_columns(&[&spans]);
+        // Consecutive requests over consecutive blocks are one run too.
+        check_columns(&[&[(0, 40), (40, 40), (0, 40), (40, 40), (20, 40)]]);
+    }
+
+    #[test]
+    fn compaction_waits_for_the_pending_run() {
+        // 70 rounds over 3 + 20 blocks: 1 610 positions, 23 live, so
+        // the flush that ends the first column compacts — with the
+        // column's last run still pending when it is called. The second
+        // column then reads positions in the new numbering.
+        let column: Vec<(u64, u64)> = (0..70).flat_map(|_| [(90, 3), (0, 20)]).collect();
+        let mut flushed = BlockStack::new();
+        span_distances(&mut flushed, &column);
+        assert_eq!(flushed.positions(), 23, "the flush compacted");
+        let stack = check_columns(&[&column[..], &[(5, 30), (0, 10), (90, 3)], &column[..]]);
+        assert!(stack.positions() < 1024 + 8 * stack.live());
+    }
+
+    #[test]
+    #[should_panic(expected = "run pending")]
+    fn forced_compaction_refuses_a_pending_run() {
+        let mut stack = BlockStack::new();
+        stack.touch_span(b(0), 4, |_, _| {});
+        stack.compact();
+    }
+
+    #[test]
+    fn spans_reach_the_end_of_the_address_space() {
+        // 1-byte blocks: the span of (u64::MAX - 3, 100) is clamped to
+        // the three blocks below id u64::MAX.
+        let top = u64::MAX - 3;
+        check_columns(&[&[(top, 3), (7, 2), (top + 1, 2), (top, 3)]]);
+    }
+
+    #[test]
+    fn access_is_the_span_of_one() {
+        // Same stream through `ReuseDistances::access` block by block
+        // and through spans: identical histogram and cold count.
+        let spans: Vec<(u64, u64)> = (0..400u64)
+            .map(|i| ((i * 37 + i * i * 5) % 90, 1 + i % 23))
+            .collect();
+        let mut rd = ReuseDistances::new();
+        for &(first, n) in &spans {
+            rd.run((first..first + n).map(b));
+        }
+        let mut stack = BlockStack::new();
+        let mut hist: Vec<u64> = Vec::new();
+        let mut cold = 0u64;
+        for d in span_distances(&mut stack, &spans) {
+            match d {
+                Some(d) => {
+                    let d = d as usize;
+                    if d >= hist.len() {
+                        hist.resize(d + 1, 0);
+                    }
+                    hist[d] += 1;
+                }
+                None => cold += 1,
+            }
+        }
+        assert_eq!(hist, rd.histogram());
+        assert_eq!(cold, rd.cold_misses());
+        assert_eq!(stack.live(), rd.blocks.live());
+    }
+
+    #[test]
     fn cold_accesses_have_no_distance() {
         let mut rd = ReuseDistances::new();
         assert_eq!(rd.access(b(1)), None);
@@ -985,9 +1540,9 @@ mod tests {
         }
         assert_eq!(rd.accesses(), 40_000);
         assert!(
-            rd.stack.positions() < 8 * 100 + 1024,
+            rd.blocks.positions() < 8 * 100 + 1024,
             "position space grew with accesses: {} positions for 100 blocks",
-            rd.stack.positions()
+            rd.blocks.positions()
         );
     }
 

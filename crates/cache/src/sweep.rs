@@ -10,13 +10,15 @@
 //! producer (caller thread)               lanes
 //! ┌──────────────────────────┐      ┌─────────────────────────────┐
 //! │ RequestBatch             │      │ lru stack lane              │
-//! │  └ expand_blocks_into    │      │  one ReuseStack pass        │
-//! │    (shared SoA column,   │ ───► │  → exact stats at EVERY     │
-//! │     expanded ONCE)       │ Arc< │    lru capacity (Mattson)   │
-//! │  └ SHARDS sample filter  │ Sweep├─────────────────────────────┤
-//! │    (hashed ONCE)         │ Col> │ boxed policy lanes          │
-//! └──────────────────────────┘      │  fifo/clock/lfu/arc/slru/2q │
-//!       │ bounded channels          │  exact or SHARDS-sampled    │
+//! │  └ BlockSize::span per   │      │  one BlockStack pass, a     │
+//! │    request: (first block,│ ───► │  stack touch per RUN        │
+//! │    count, op), no per-   │ Arc< │  → exact stats at EVERY     │
+//! │    block column          │ Sweep│    lru capacity (Mattson)   │
+//! │  └ SHARDS sample filter  │ Col> ├─────────────────────────────┤
+//! │    (hashed ONCE) →       │      │ boxed policy lanes          │
+//! │    sampled (block, op)   │      │  fifo/clock/lfu/arc/slru/2q │
+//! └──────────────────────────┘      │  exact: walk the spans      │
+//!       │ bounded channels          │  sampled: walk the pairs    │
 //!       ▼ (when workers > 0)        ├─────────────────────────────┤
 //!   worker threads, each            │ sampled MRC lane            │
 //!   processing a lane subset        │  (approximate LRU curve)    │
@@ -26,13 +28,17 @@
 //! Three mechanisms carry the speedup (measured in `BENCH_cache.json`):
 //!
 //! * the trace is generated/decoded **once**, not once per pair;
-//! * each batch is expanded to a block/op column **once** and shared by
-//!   every lane (no per-lane [`cbs_trace::BlockSize::span_of`] walk);
+//! * each batch is reduced **once** to one block span per request
+//!   (13 bytes, against ~9 per *block* for an expanded column) and the
+//!   SHARDS filter is hashed once; every lane shares that column, and
+//!   exact lanes enumerate a span's blocks as they go;
 //! * all exact-LRU lanes collapse into a **single**
-//!   [`crate::ReuseStack`] pass — by the Mattson stack property, an
+//!   [`crate::BlockStack`] pass — by the Mattson stack property, an
 //!   access hits an LRU cache of capacity `c` iff its reuse distance is
 //!   `< c`, so one op-split distance histogram answers every capacity
-//!   with stats bit-identical to a per-capacity [`crate::CacheSim`].
+//!   with stats bit-identical to a per-capacity [`crate::CacheSim`];
+//!   the stack is touched once per run of blocks last touched
+//!   together, not once per block.
 //!
 //! Non-stack policies still pay one policy-state update per access per
 //! lane; the SHARDS-sampled mode ([`SweepGrid::sampled_policy`]) cuts
@@ -55,11 +61,10 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 
 use cbs_obs::{Registry, Stopwatch};
-use cbs_trace::hash::FxHashMap;
-use cbs_trace::{BlockAccessColumn, BlockId, BlockSize, IoRequest, OpKind, RequestBatch};
+use cbs_trace::{BlockId, BlockSize, IoRequest, OpKind, RequestBatch};
 
 use crate::policy::{policy_by_name, CachePolicy, POLICY_NAMES};
-use crate::reuse::{shards_hash, ReuseStack, ShardsSampler};
+use crate::reuse::{count_distance, shards_hash, BlockStack, ShardsSampler};
 use crate::sim::CacheStats;
 use crate::MissRatioCurve;
 
@@ -410,8 +415,7 @@ impl SweepGrid {
         CacheSweep {
             block_size: self.block_size,
             rate: self.rate,
-            threshold: ShardsSampler::threshold_for(self.rate),
-            need_sampled,
+            threshold: need_sampled.then(|| ShardsSampler::threshold_for(self.rate)),
             buffer: RequestBatch::with_capacity(self.batch_size),
             batch_size: self.batch_size,
             senders,
@@ -442,13 +446,61 @@ fn mini_capacity(capacity: usize, rate: f64) -> usize {
     (((capacity as f64) * rate).round() as usize).max(1)
 }
 
-/// One shared unit of work: the batch's block/op column (expanded
-/// once) plus the indices passing the SHARDS spatial filter (hashed
-/// once, used by every sampled lane).
-#[derive(Debug)]
+/// One shared unit of work: a batch as block *spans* — one
+/// `(first block, block count, op)` per request that touches any block,
+/// in batch order — plus the accesses passing the SHARDS spatial filter
+/// (hashed once, used by every sampled lane). No per-block column is
+/// built: exact lanes walk the spans, sampled lanes the pairs.
+#[derive(Debug, Default)]
 struct SweepColumn {
-    column: BlockAccessColumn,
-    sampled: Vec<u32>,
+    firsts: Vec<BlockId>,
+    counts: Vec<u32>,
+    ops: Vec<OpKind>,
+    /// Block accesses the spans cover: the sum of `counts`.
+    accesses: u64,
+    sampled: Vec<(BlockId, OpKind)>,
+}
+
+impl SweepColumn {
+    /// Reduces `batch` to its block spans — [`BlockSize::span`] per
+    /// request, so a range reaching past the end of the address space
+    /// arrives clamped — and, given a SHARDS `threshold`, collects the
+    /// accesses whose block hashes at or below it.
+    fn build(batch: &RequestBatch, block_size: BlockSize, threshold: Option<u64>) -> Self {
+        let mut column = SweepColumn {
+            firsts: Vec::with_capacity(batch.len()),
+            counts: Vec::with_capacity(batch.len()),
+            ops: Vec::with_capacity(batch.len()),
+            ..SweepColumn::default()
+        };
+        let requests = batch.offsets().iter().zip(batch.lens());
+        for ((&offset, &len), &op) in requests.zip(batch.ops()) {
+            let span = block_size.span(offset, len);
+            let Some(first) = span.first() else {
+                continue; // zero-length: touches no block
+            };
+            // A `u32` byte length covers at most `u32::MAX` blocks, even
+            // of one byte each: the count always fits.
+            debug_assert!(span.remaining() <= u64::from(len));
+            let blocks = span.remaining() as u32;
+            column.firsts.push(first);
+            column.counts.push(blocks);
+            column.ops.push(op);
+            column.accesses += u64::from(blocks);
+            if let Some(threshold) = threshold {
+                let passing = span.filter(|&block| shards_hash(block) <= threshold);
+                column.sampled.extend(passing.map(|block| (block, op)));
+            }
+        }
+        column
+    }
+
+    /// The spans as `(first block, block count, op)`, in batch order.
+    fn spans(&self) -> impl Iterator<Item = (BlockId, u64, OpKind)> + '_ {
+        let counts = self.counts.iter().map(|&n| u64::from(n));
+        let spans = self.firsts.iter().copied().zip(counts);
+        spans.zip(&self.ops).map(|((first, n), &op)| (first, n, op))
+    }
 }
 
 type Job = Arc<SweepColumn>;
@@ -546,13 +598,14 @@ fn lane_worker(rx: Receiver<Job>, mut lanes: Vec<TimedLane>) -> Vec<FinishedLane
 
 /// The collapsed exact-LRU lane: one Mattson stack pass with op-split
 /// histograms answers every LRU capacity bit-identically to a fresh
-/// [`crate::CacheSim`]`<`[`crate::Lru`]`>` per capacity.
+/// [`crate::CacheSim`]`<`[`crate::Lru`]`>` per capacity. The
+/// [`BlockStack`] owns block positions, runs and compaction; the lane
+/// keeps what it reports, per op kind (`[read, write]`).
 #[derive(Debug)]
 struct StackLane {
     capacities: Vec<usize>,
-    stack: ReuseStack,
-    last_pos: FxHashMap<BlockId, usize>,
-    /// Finite-distance histogram per op kind (`[read, write]`).
+    blocks: BlockStack,
+    /// Finite-distance histogram per op kind.
     hist: [Vec<u64>; 2],
     cold: [u64; 2],
     accesses: [u64; 2],
@@ -569,8 +622,7 @@ impl StackLane {
     fn new(capacities: Vec<usize>) -> Self {
         StackLane {
             capacities,
-            stack: ReuseStack::new(),
-            last_pos: FxHashMap::default(),
+            blocks: BlockStack::new(),
             hist: [Vec::new(), Vec::new()],
             cold: [0, 0],
             accesses: [0, 0],
@@ -580,35 +632,30 @@ impl StackLane {
 
 impl Lane for StackLane {
     fn process(&mut self, job: &SweepColumn) -> u64 {
-        for (block, op) in job.column.iter() {
-            let op = op_index(op);
-            self.accesses[op] += 1;
-            match self.last_pos.entry(block) {
-                std::collections::hash_map::Entry::Occupied(mut entry) => {
-                    let (distance, pos) = self.stack.touch(*entry.get());
-                    *entry.get_mut() = pos;
-                    let d = distance as usize;
-                    if d >= self.hist[op].len() {
-                        self.hist[op].resize(d + 1, 0);
-                    }
-                    self.hist[op][d] += 1;
-                }
-                std::collections::hash_map::Entry::Vacant(entry) => {
-                    entry.insert(self.stack.touch_cold());
-                    self.cold[op] += 1;
-                }
+        let (hist, cold) = (&mut self.hist, &mut self.cold);
+        // A retired stack run: `n` accesses of kind `op` at one reuse
+        // distance (`None` = first touches).
+        let mut record = |op: usize, distance: Option<u64>, n: usize| match distance {
+            Some(distance) => count_distance(&mut hist[op], distance, n as u64),
+            None => cold[op] += n as u64,
+        };
+        // A run reports once, to one op's tallies, so it must not cross
+        // an op change: `op` is the op of whatever is pending.
+        let mut op = 0;
+        for (first, n, span_op) in job.spans() {
+            let span_op = op_index(span_op);
+            self.accesses[span_op] += n;
+            if span_op != op {
+                self.blocks.flush(|d, n| record(op, d, n));
+                op = span_op;
             }
-            // Same compaction policy as `ReuseDistances`: memory stays
-            // O(distinct blocks) at amortized O(1) per access.
-            if self.stack.should_compact() {
-                let table = self.stack.compaction_table();
-                for pos in self.last_pos.values_mut() {
-                    *pos = table[*pos] as usize;
-                }
-                self.stack.rebuild_compacted();
-            }
+            self.blocks.touch_span(first, n, |d, n| record(op, d, n));
         }
-        job.column.len() as u64
+        // Nothing stays pending between columns, and the flush is where
+        // the stack compacts: memory stays O(distinct blocks) plus one
+        // bit per access of a column.
+        self.blocks.flush(|d, n| record(op, d, n));
+        job.accesses
     }
 
     fn finish(self: Box<Self>) -> LaneOutput {
@@ -659,8 +706,9 @@ impl Lane for StackLane {
     }
 }
 
-/// A boxed-policy lane over the shared column — exact (every access)
-/// or SHARDS-sampled (filtered accesses against a miniature cache).
+/// A boxed-policy lane over the shared column — exact (every block of
+/// every span) or SHARDS-sampled (the filtered accesses against a
+/// miniature cache).
 struct BoxedLane {
     policy: Box<dyn CachePolicy + Send>,
     name: String,
@@ -672,20 +720,19 @@ struct BoxedLane {
 impl Lane for BoxedLane {
     fn process(&mut self, job: &SweepColumn) -> u64 {
         if self.sampled {
-            let blocks = job.column.blocks();
-            let ops = job.column.ops();
-            for &i in &job.sampled {
-                let i = i as usize;
-                let out = self.policy.access(blocks[i]);
-                self.stats.record(ops[i], out.hit);
-            }
-            job.sampled.len() as u64
-        } else {
-            for (block, op) in job.column.iter() {
+            for &(block, op) in &job.sampled {
                 let out = self.policy.access(block);
                 self.stats.record(op, out.hit);
             }
-            job.column.len() as u64
+            job.sampled.len() as u64
+        } else {
+            for (first, n, op) in job.spans() {
+                for block in first.get()..first.get() + n {
+                    let out = self.policy.access(BlockId::new(block));
+                    self.stats.record(op, out.hit);
+                }
+            }
+            job.accesses
         }
     }
 
@@ -708,7 +755,7 @@ impl Lane for BoxedLane {
 /// The approximate-MRC lane: a [`ShardsSampler`] fed the column's
 /// pre-filtered blocks (the engine's filter and the sampler's share
 /// [`ShardsSampler::threshold_for`] the sweep's rate) plus the column's
-/// length, which the SHARDS-adj correction needs.
+/// access total, which the SHARDS-adj correction needs.
 #[derive(Debug)]
 struct SampledMrcLane {
     sampler: ShardsSampler,
@@ -716,12 +763,9 @@ struct SampledMrcLane {
 
 impl Lane for SampledMrcLane {
     fn process(&mut self, job: &SweepColumn) -> u64 {
-        let blocks = job.column.blocks();
-        self.sampler.access_prefiltered(
-            job.sampled.iter().map(|&i| blocks[i as usize]),
-            blocks.len() as u64,
-        );
-        blocks.len() as u64
+        self.sampler
+            .access_prefiltered(job.sampled.iter().map(|&(block, _)| block), job.accesses);
+        job.accesses
     }
 
     fn finish(self: Box<Self>) -> LaneOutput {
@@ -765,8 +809,8 @@ impl SweepMetrics {
 pub struct CacheSweep {
     block_size: BlockSize,
     rate: f64,
-    threshold: u64,
-    need_sampled: bool,
+    /// The SHARDS spatial-filter threshold, if any lane is sampled.
+    threshold: Option<u64>,
     buffer: RequestBatch,
     batch_size: usize,
     senders: Vec<SyncSender<Job>>,
@@ -851,38 +895,27 @@ impl CacheSweep {
         self.buffer.clear();
     }
 
-    /// Expands `batch` once, hashes the sample filter once, and hands
-    /// the shared column to every lane.
+    /// Reduces `batch` to block spans once, hashes the sample filter
+    /// once, and hands the shared column to every lane.
     fn dispatch(&mut self, batch: &RequestBatch) {
         if batch.is_empty() {
             return;
         }
         self.requests += batch.len() as u64;
         let clock = Stopwatch::start();
-        let mut column = BlockAccessColumn::with_capacity(batch.len());
-        batch.expand_blocks_into(self.block_size, &mut column);
-        let sampled: Vec<u32> = if self.need_sampled {
-            column
-                .blocks()
-                .iter()
-                .enumerate()
-                .filter(|&(_, &block)| shards_hash(block) <= self.threshold)
-                .map(|(i, _)| i as u32)
-                .collect()
-        } else {
-            Vec::new()
-        };
+        let column = SweepColumn::build(batch, self.block_size, self.threshold);
         let expand_nanos = clock.elapsed_nanos();
+        let sampled = column.sampled.len() as u64;
         self.expand_nanos += expand_nanos;
-        self.accesses += column.len() as u64;
-        self.sampled_accesses += sampled.len() as u64;
+        self.accesses += column.accesses;
+        self.sampled_accesses += sampled;
         if let Some(m) = &self.metrics {
             m.batches.inc();
-            m.accesses.add(column.len() as u64);
-            m.sampled_accesses.add(sampled.len() as u64);
+            m.accesses.add(column.accesses);
+            m.sampled_accesses.add(sampled);
             m.expand_nanos.add(expand_nanos);
         }
-        let job: Job = Arc::new(SweepColumn { column, sampled });
+        let job: Job = Arc::new(column);
         for worker in 0..self.senders.len() {
             // try-send first so only a genuinely full channel pays for
             // a stopwatch (the streaming pipeline's backpressure idiom).
@@ -1223,7 +1256,7 @@ impl SweepReport {
 mod tests {
     use super::*;
     use crate::CacheSim;
-    use cbs_trace::{Timestamp, VolumeId};
+    use cbs_trace::{BlockAccessColumn, Timestamp, VolumeId};
 
     fn stream(n: u64, blocks: u64) -> Vec<IoRequest> {
         (0..n)
@@ -1396,6 +1429,168 @@ mod tests {
             "the filter must pass some blocks"
         );
         assert_eq!(report.sampled_mrc(), Some(&sampler.to_mrc_adjusted()));
+    }
+
+    /// A request over `blocks` whole blocks from block `first` on.
+    fn block_req(op: OpKind, first: u64, blocks: u32) -> IoRequest {
+        let bytes = BlockSize::DEFAULT.bytes();
+        IoRequest::new(
+            VolumeId::new(0),
+            op,
+            first * u64::from(bytes),
+            blocks * bytes,
+            Timestamp::ZERO,
+        )
+    }
+
+    #[test]
+    fn span_column_carries_what_expansion_would() {
+        use OpKind::{Read, Write};
+        let bs = BlockSize::DEFAULT;
+        let top = bs.block_of(u64::MAX);
+        let reqs = [
+            block_req(Write, 3, 5),
+            // Unaligned straddler and a zero-length record.
+            IoRequest::new(VolumeId::new(0), Read, 4000, 300, Timestamp::ZERO),
+            IoRequest::new(VolumeId::new(0), Write, 8192, 0, Timestamp::ZERO),
+            // Reaches past u64::MAX: one clamped span, not a wrapped one.
+            IoRequest::new(
+                VolumeId::new(0),
+                Write,
+                u64::MAX - 10,
+                4096,
+                Timestamp::ZERO,
+            ),
+            block_req(Read, top.get() - 2, 3),
+        ];
+        let batch = RequestBatch::from(reqs.as_slice());
+        // Threshold u64::MAX samples every access.
+        let column = SweepColumn::build(&batch, bs, Some(u64::MAX));
+        let spans: Vec<_> = column.spans().collect();
+        assert_eq!(spans.len(), 4, "the zero-length record touches nothing");
+        assert_eq!(spans[2], (top, 1, Write));
+        let mut expanded = BlockAccessColumn::new();
+        batch.expand_blocks_into(bs, &mut expanded);
+        let walked: Vec<(BlockId, OpKind)> = column
+            .spans()
+            .flat_map(|(first, n, op)| {
+                (first.get()..first.get() + n).map(move |b| (BlockId::new(b), op))
+            })
+            .collect();
+        assert_eq!(walked, expanded.iter().collect::<Vec<_>>());
+        assert_eq!(column.sampled, walked);
+        assert_eq!(column.accesses, expanded.len() as u64);
+        assert!(SweepColumn::build(&batch, bs, None).sampled.is_empty());
+
+        // And through the lanes: the clamped block is hit on its retouch.
+        let report = SweepGrid::new()
+            .with_workers(0)
+            .grid(&["lru", "fifo"], &[1, 2, 4])
+            .expect("valid grid")
+            .sweep(reqs.iter().copied());
+        assert_eq!(report.accesses(), expanded.len() as u64);
+        for name in ["lru", "fifo"] {
+            for c in [1, 2, 4] {
+                let got = report.stats(name, c).expect("lane present");
+                assert_eq!(got, reference(&reqs, name, c), "{name}@{c}");
+            }
+        }
+        assert_eq!(report.stats("lru", 4).expect("lane").read_hits(), 1);
+    }
+
+    #[test]
+    fn stack_lane_runs_match_lru_sim_below_the_live_set() {
+        use OpKind::{Read, Write};
+        // Every case sits in one column (the default batch holds them)
+        // and is checked at every capacity up to past its live set, so
+        // a wrong finite distance cannot hide behind a large cache.
+        let mut compacting = Vec::new();
+        for round in 0..70 {
+            // 23 live blocks, 1 610 positions: the stack compacts at
+            // an op change in the middle of the column.
+            let op = if round % 10 < 5 { Write } else { Read };
+            compacting.push(block_req(Write, 90, 3));
+            compacting.push(block_req(op, 0, 20));
+        }
+        let cases: [(&str, Vec<IoRequest>); 7] = [
+            (
+                "A B A B A B",
+                vec![
+                    block_req(Write, 10, 2),
+                    block_req(Write, 10, 2),
+                    block_req(Write, 10, 2),
+                    block_req(Write, 50, 2),
+                    block_req(Write, 11, 1),
+                    block_req(Write, 10, 1),
+                ],
+            ),
+            (
+                "three runs in one span",
+                vec![
+                    block_req(Write, 0, 6),
+                    block_req(Read, 100, 3),
+                    block_req(Write, 6, 5),
+                    block_req(Write, 3, 9),
+                    block_req(Read, 0, 12),
+                ],
+            ),
+            (
+                "cold hole in a warm span",
+                vec![
+                    block_req(Read, 0, 4),
+                    block_req(Read, 5, 4),
+                    block_req(Write, 0, 9),
+                ],
+            ),
+            (
+                "run over a chunk edge and a word edge",
+                vec![
+                    block_req(Write, 1000, 60),
+                    block_req(Write, 10, 12),
+                    block_req(Read, 500, 3),
+                    block_req(Read, 10, 12),
+                    block_req(Read, 10, 12),
+                ],
+            ),
+            (
+                "same span twice, ops differing",
+                vec![
+                    block_req(Write, 0, 5),
+                    block_req(Read, 0, 5),
+                    block_req(Read, 0, 5),
+                ],
+            ),
+            (
+                "run continued across requests",
+                vec![
+                    block_req(Write, 0, 40),
+                    block_req(Write, 40, 40),
+                    block_req(Write, 0, 40),
+                    block_req(Write, 40, 40),
+                    block_req(Read, 20, 40),
+                ],
+            ),
+            ("compaction mid-column", compacting),
+        ];
+        for (name, reqs) in &cases {
+            let live = reqs
+                .iter()
+                .flat_map(|r| BlockSize::DEFAULT.span_of(r))
+                .collect::<std::collections::HashSet<_>>()
+                .len();
+            let mut grid = SweepGrid::new().with_workers(0);
+            for c in 1..=live + 1 {
+                grid = grid.lru_capacity(c).expect("non-zero");
+            }
+            let report = grid.sweep(reqs.iter().copied());
+            for c in 1..=live + 1 {
+                assert_eq!(
+                    report.stats("lru", c).expect("lane"),
+                    reference(reqs, "lru", c),
+                    "{name}: capacity {c} of {live} live blocks"
+                );
+            }
+        }
     }
 
     #[test]

@@ -3,7 +3,7 @@
 use proptest::prelude::*;
 
 use cbs_cache::{
-    policy_by_name, Arc, CachePolicy, CacheSim, Clock, Fifo, Lfu, Lru, MissRatioCurve,
+    policy_by_name, Arc, BlockStack, CachePolicy, CacheSim, Clock, Fifo, Lfu, Lru, MissRatioCurve,
     ReuseDistances, ShardsSampler, Slru, SweepGrid, TwoQ, POLICY_NAMES,
 };
 use cbs_trace::{BlockId, BlockSize, IoRequest, OpKind, Timestamp, VolumeId};
@@ -324,6 +324,59 @@ proptest! {
                 run.compact();
             }
         }
+    }
+
+    /// `BlockStack::touch_span` — chunk walk, pending run, run
+    /// retirement — reports for every block the distance per-block
+    /// `ReuseDistances::access` returns (so: identical histogram and
+    /// cold count), and tracks the same `live()`; after a forced
+    /// compaction, one of them mid-sequence, `positions()` agrees too.
+    /// Spans that are not consecutive block ids (reversed, holed) enter
+    /// as their maximal consecutive pieces.
+    #[test]
+    fn block_stack_spans_equal_per_block_access(spans in arb_spans()) {
+        let mut by_span = BlockStack::new();
+        let mut by_block = ReuseDistances::new();
+        let mut tracked = TrackedStack::default();
+        let mut got: Vec<Option<u64>> = Vec::new();
+        let mut want: Vec<Option<u64>> = Vec::new();
+        for (i, (span, follow_up)) in spans.iter().enumerate() {
+            let blocks = || span.iter().chain(std::iter::once(follow_up)).copied();
+            let mut rest: Vec<u64> = blocks().collect();
+            while let Some(&first) = rest.first() {
+                let n = (1..rest.len())
+                    .find(|&k| rest[k] != first + k as u64)
+                    .unwrap_or(rest.len());
+                by_span.touch_span(BlockId::new(first), n as u64, |d, n| {
+                    got.extend(std::iter::repeat(d).take(n));
+                });
+                rest.drain(..n);
+            }
+            // Two per-block references: `ReuseDistances` (the span of
+            // one on the same store) and a bare `ReuseStack` under a
+            // plain map, which shares nothing with `BlockStack`.
+            for (block, (distance, _)) in blocks().zip(tracked.touch_each(&blocks().collect::<Vec<_>>())) {
+                let distance = (distance != u64::MAX).then_some(distance);
+                prop_assert_eq!(by_block.access(BlockId::new(block)), distance);
+                want.push(distance);
+            }
+            if i == spans.len() / 2 || i + 1 == spans.len() {
+                by_span.flush(|d, n| got.extend(std::iter::repeat(d).take(n)));
+                prop_assert_eq!(&got, &want);
+                by_span.compact();
+                tracked.compact();
+                prop_assert_eq!(by_span.live(), tracked.stack.live());
+                prop_assert_eq!(by_span.positions(), tracked.stack.positions());
+            }
+            prop_assert_eq!(by_span.live(), tracked.stack.live());
+        }
+        let cold = got.iter().filter(|d| d.is_none()).count() as u64;
+        prop_assert_eq!(cold, by_block.cold_misses());
+        let mut hist = vec![0u64; by_block.histogram().len()];
+        for d in got.iter().flatten() {
+            hist[*d as usize] += 1;
+        }
+        prop_assert_eq!(hist.as_slice(), by_block.histogram());
     }
 
     /// Belady's OPT never loses to any online demand policy.

@@ -184,9 +184,14 @@ impl RequestBatch {
     /// [`BlockSize::span_of`] over the records in batch order, paired
     /// with each record's op (zero-length records touch no blocks), but
     /// computed straight off the offset/len/op columns. Consumers that
-    /// evaluate many cache configurations over one batch (the sweep
-    /// engine, policy benches) expand once and share the column instead
-    /// of re-walking `span_of` per configuration.
+    /// replay one batch against several cache configurations
+    /// (`CacheSim::run_batch`/`run_column`, the naive loop of
+    /// `cache_perf`, the policy benches) expand once and share the
+    /// column instead of re-walking `span_of` per configuration. The
+    /// sweep engine does not build it: it keeps each record as a span
+    /// ([`BlockSpan::first`](crate::BlockSpan::first) and
+    /// [`remaining`](crate::BlockSpan::remaining) of the same
+    /// [`BlockSize::span`]) and lets its lanes walk the spans.
     pub fn expand_blocks_into(&self, block_size: BlockSize, out: &mut BlockAccessColumn) {
         out.clear();
         for i in 0..self.len() {
@@ -390,9 +395,10 @@ impl<'a> RequestBatchRef<'a> {
 ///
 /// Each entry is one `(block, op)` access, in the order
 /// [`BlockSize::span_of`] would have produced while walking the batch.
-/// Cache simulations that evaluate several policies or capacities over
-/// the same batch pay the request → block decomposition once and replay
-/// this column per configuration.
+/// Per-configuration cache simulations over the same batch
+/// (`CacheSim::run_column`) pay the request → block decomposition once
+/// and replay this column per configuration; the single-pass sweep
+/// engine works from spans and never materialises it.
 ///
 /// # Example
 ///

@@ -189,7 +189,12 @@ impl From<BlockId> for u64 {
 
 /// Iterator over the [`BlockId`]s touched by a byte range.
 ///
-/// Produced by [`BlockSize::span`] / [`BlockSize::span_of`].
+/// Produced by [`BlockSize::span`] / [`BlockSize::span_of`]. A consumer
+/// that works per span rather than per block (the cache sweep's span
+/// columns) reads an unconsumed span as [`first`](Self::first) plus
+/// [`remaining`](Self::remaining) — both `const`, both carrying
+/// `span`'s clamp at the end of the address space, so the arithmetic is
+/// derived in one place.
 #[derive(Debug, Clone)]
 pub struct BlockSpan {
     next: u64,
@@ -197,7 +202,8 @@ pub struct BlockSpan {
 }
 
 impl BlockSpan {
-    /// Number of blocks remaining in the span.
+    /// Number of blocks remaining in the span: its length while
+    /// unconsumed. (`len()` is the `ExactSizeIterator` one, in `usize`.)
     #[inline]
     pub const fn remaining(&self) -> u64 {
         self.end - self.next
@@ -335,6 +341,33 @@ mod tests {
         let bytes = BlockSize::new(1).unwrap();
         assert_eq!(bytes.count(u64::MAX - 3, 100), 3);
         assert_eq!(bytes.span(u64::MAX, 5).size_hint(), (0, Some(0)));
+    }
+
+    #[test]
+    fn first_and_remaining_describe_the_clamped_span() {
+        // What a span column stores must be what iteration yields.
+        for (off, len) in [
+            (u64::MAX - 10, 4096u32),
+            (u64::MAX - 4100, 8192),
+            (4000, 300),
+        ] {
+            let span = BS.span(off, len);
+            let first = span.first().expect("non-empty");
+            let blocks: Vec<_> = span.clone().collect();
+            assert_eq!(blocks.len() as u64, span.remaining());
+            let walked: Vec<_> = (first.get()..first.get() + span.remaining())
+                .map(BlockId::new)
+                .collect();
+            assert_eq!(walked, blocks, "off={off} len={len}");
+        }
+        let clamped = BS.span(u64::MAX - 10, 4096);
+        assert_eq!(clamped.first(), Some(BS.block_of(u64::MAX)));
+        assert_eq!(clamped.remaining(), 1);
+        // 1-byte blocks: `first + remaining` stops short of overflow.
+        let bytes = BlockSize::new(1).unwrap();
+        let span = bytes.span(u64::MAX - 3, 100);
+        assert_eq!(span.first().map(BlockId::get), Some(u64::MAX - 3));
+        assert_eq!(span.remaining(), 3);
     }
 
     #[test]
