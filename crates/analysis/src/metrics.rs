@@ -19,14 +19,15 @@ use crate::config::AnalysisConfig;
 /// min/max; active interval/day sets union; peak intensity takes the
 /// max of per-partition peaks (a peak straddling a partition boundary
 /// is undercounted); WSS block counts add (exact only when partitions
-/// cover disjoint block ranges, as the CBT block-range partitioner
-/// guarantees); top-share percentages combine as traffic-weighted
-/// means (exact in real arithmetic, approximately associative in
-/// floating point); miss-ratio curves merge per [`MissRatioCurve`].
+/// cover disjoint block ranges); top-share percentages combine as
+/// traffic-weighted means (exact in real arithmetic, approximately
+/// associative in floating point); miss-ratio curves merge per
+/// [`MissRatioCurve`].
 /// Cross-partition effects the per-partition analyzers never saw
 /// (boundary inter-arrivals, cross-partition reuse) are not
-/// reconstructed — the corpus driver partitions by volume precisely so
-/// this merge is only needed for the documented block-range mode.
+/// reconstructed — the corpus drivers partition by volume precisely so
+/// that no product path needs this merge for two partials of one
+/// volume.
 #[derive(Debug, Clone, PartialEq)]
 pub struct VolumeMetrics {
     /// The volume.

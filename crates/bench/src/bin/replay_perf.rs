@@ -212,7 +212,7 @@ fn phase_replay(thousands: u64, multiplier: f64, backend: &str, remap_spec: &str
 
 /// Runs one multi-lane identity replay over `requests` and returns
 /// (merged report + per-lane breakdown, replayed copy).
-fn run_lane_replay<B: StorageBackend + Send>(
+fn run_lane_replay<B: StorageBackend + Send + 'static>(
     lanes: usize,
     make_backend: impl FnMut(usize) -> B,
     multiplier: f64,

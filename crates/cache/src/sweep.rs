@@ -48,19 +48,20 @@
 //! ~1/rate cost.
 //!
 //! When worker threads are configured ([`SweepGrid::with_workers`]),
-//! lanes are fanned out round-robin over bounded channels; with zero
-//! workers the same lane code runs inline on the caller thread — the
-//! sequential fallback is the same code path.
+//! lanes are dealt round-robin to a [`WorkerSet`] and every column is
+//! broadcast to each worker; with zero workers the same lane code runs
+//! inline on the caller thread — the sequential fallback is the same
+//! code path.
 //!
 //! Like [`crate::CacheSim`], the engine ignores the volume column: all
 //! accesses share one unified cache. Per-volume sweeps feed per-volume
 //! streams (see `Analysis::sweep_volume` in `cbs-core`).
 
-use std::sync::mpsc::{sync_channel, Receiver, SyncSender, TrySendError};
+use std::sync::mpsc::Receiver;
 use std::sync::Arc;
-use std::thread::JoinHandle;
 
 use cbs_obs::{Registry, Stopwatch};
+use cbs_trace::workers::{Gone, WorkerSet};
 use cbs_trace::{BlockId, BlockSize, IoRequest, OpKind, RequestBatch};
 
 use crate::policy::{policy_by_name, CachePolicy, POLICY_NAMES};
@@ -395,21 +396,20 @@ impl SweepGrid {
         // lane runs inline on the caller thread (same code path).
         let workers = self.workers.min(lanes.len());
         let mut local = Vec::new();
-        let mut senders = Vec::with_capacity(workers);
-        let mut handles = Vec::with_capacity(workers);
+        let mut per_worker: Vec<Vec<TimedLane>> = (0..workers).map(|_| Vec::new()).collect();
         if workers == 0 {
             local = lanes;
         } else {
-            let mut per_worker: Vec<Vec<TimedLane>> = (0..workers).map(|_| Vec::new()).collect();
             for (i, lane) in lanes.into_iter().enumerate() {
                 per_worker[i % workers].push(lane);
             }
-            for worker_lanes in per_worker {
-                let (tx, rx) = sync_channel::<Job>(CHANNEL_DEPTH);
-                senders.push(tx);
-                handles.push(std::thread::spawn(move || lane_worker(rx, worker_lanes)));
-            }
         }
+        let pool = WorkerSet::spawn(
+            CHANNEL_DEPTH,
+            per_worker
+                .into_iter()
+                .map(|worker_lanes| move |rx| lane_worker(rx, worker_lanes)),
+        );
 
         let metrics = self.registry.as_ref().map(SweepMetrics::new);
         CacheSweep {
@@ -418,14 +418,12 @@ impl SweepGrid {
             threshold: need_sampled.then(|| ShardsSampler::threshold_for(self.rate)),
             buffer: RequestBatch::with_capacity(self.batch_size),
             batch_size: self.batch_size,
-            senders,
-            handles,
+            pool,
             local,
             requests: 0,
             accesses: 0,
             sampled_accesses: 0,
             expand_nanos: 0,
-            poisoned: false,
             metrics,
             registry: self.registry,
         }
@@ -585,8 +583,7 @@ struct FinishedLane {
     output: LaneOutput,
 }
 
-/// Worker loop: drain the channel, then finalize the lanes. Returning
-/// on channel close mirrors the streaming shard workers.
+/// Worker loop: drain the channel, then finalize the lanes.
 fn lane_worker(rx: Receiver<Job>, mut lanes: Vec<TimedLane>) -> Vec<FinishedLane> {
     for job in rx {
         for lane in &mut lanes {
@@ -813,14 +810,13 @@ pub struct CacheSweep {
     threshold: Option<u64>,
     buffer: RequestBatch,
     batch_size: usize,
-    senders: Vec<SyncSender<Job>>,
-    handles: Vec<JoinHandle<Vec<FinishedLane>>>,
+    /// The lane threads; empty when every lane runs inline in `local`.
+    pool: WorkerSet<Job, Vec<FinishedLane>>,
     local: Vec<TimedLane>,
     requests: u64,
     accesses: u64,
     sampled_accesses: u64,
     expand_nanos: u64,
-    poisoned: bool,
     metrics: Option<SweepMetrics>,
     registry: Option<Registry>,
 }
@@ -834,7 +830,7 @@ impl CacheSweep {
     /// dispatch that discovered it re-raised the worker's panic).
     pub fn observe_request(&mut self, req: &IoRequest) {
         assert!(
-            !self.poisoned,
+            !self.is_poisoned(),
             "cache sweep is poisoned: a lane worker panicked"
         );
         self.buffer.push(req);
@@ -853,7 +849,7 @@ impl CacheSweep {
     /// Panics if the sweep is poisoned.
     pub fn observe_batch(&mut self, batch: &RequestBatch) {
         assert!(
-            !self.poisoned,
+            !self.is_poisoned(),
             "cache sweep is poisoned: a lane worker panicked"
         );
         self.flush_buffer();
@@ -881,7 +877,7 @@ impl CacheSweep {
     /// further feed or finish call panics rather than reporting a
     /// partial sweep.
     pub fn is_poisoned(&self) -> bool {
-        self.poisoned
+        self.pool.is_poisoned()
     }
 
     fn flush_buffer(&mut self) {
@@ -916,45 +912,21 @@ impl CacheSweep {
             m.expand_nanos.add(expand_nanos);
         }
         let job: Job = Arc::new(column);
-        for worker in 0..self.senders.len() {
-            // try-send first so only a genuinely full channel pays for
-            // a stopwatch (the streaming pipeline's backpressure idiom).
-            let sent = match self.senders[worker].try_send(job.clone()) {
-                Ok(()) => true,
-                Err(TrySendError::Disconnected(_)) => false,
-                Err(TrySendError::Full(job)) => {
-                    let clock = Stopwatch::start();
-                    let sent = self.senders[worker].send(job).is_ok();
+        for worker in 0..self.pool.workers() {
+            match self.pool.send(worker, job.clone()) {
+                Ok(blocked_nanos) => {
                     if let Some(m) = &self.metrics {
-                        m.backpressure_nanos.add(clock.elapsed_nanos());
+                        m.backpressure_nanos.add(blocked_nanos);
                     }
-                    sent
                 }
-            };
-            if !sent {
-                self.poison(worker);
+                // Surface the worker's panic on the caller thread now
+                // instead of sweeping the rest of the stream against
+                // dead lanes.
+                Err(Gone) => self.pool.poison(worker),
             }
         }
         for lane in &mut self.local {
             lane.process(&job);
-        }
-    }
-
-    /// A send failed, which can only mean the worker died (it never
-    /// drops its receiver before draining the channel). Surface its
-    /// panic on the caller thread now instead of sweeping the rest of
-    /// the stream against dead lanes.
-    #[cold]
-    fn poison(&mut self, worker: usize) -> ! {
-        self.poisoned = true;
-        // Closing every channel lets the surviving workers drain and
-        // exit; their results are abandoned (all-or-error).
-        self.senders.clear();
-        let handle = self.handles.swap_remove(worker);
-        match handle.join() {
-            Err(payload) => std::panic::resume_unwind(payload),
-            // cbs-lint: allow(no-panic-in-lib) -- a worker exiting cleanly while its channel is open is impossible by construction
-            Ok(_) => panic!("sweep worker {worker} exited before its channel closed"),
         }
     }
 
@@ -968,23 +940,12 @@ impl CacheSweep {
     /// a panic-interrupted stream never yields a partial report.
     pub fn finish(mut self) -> SweepReport {
         assert!(
-            !self.poisoned,
+            !self.is_poisoned(),
             "cache sweep is poisoned: a lane worker panicked; its stats would be partial"
         );
         self.flush_buffer();
-        drop(std::mem::take(&mut self.senders)); // close channels
-        let mut finished: Vec<FinishedLane> = Vec::new();
-        for handle in std::mem::take(&mut self.handles) {
-            match handle.join() {
-                Ok(lanes) => finished.extend(lanes),
-                Err(payload) => std::panic::resume_unwind(payload),
-            }
-        }
-        finished.extend(
-            std::mem::take(&mut self.local)
-                .into_iter()
-                .map(TimedLane::finish),
-        );
+        let mut finished: Vec<FinishedLane> = self.pool.finish().into_iter().flatten().collect();
+        finished.extend(self.local.into_iter().map(TimedLane::finish));
         finished.sort_by_key(|lane| lane.index);
 
         if let Some(registry) = &self.registry {

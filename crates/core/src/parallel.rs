@@ -1,4 +1,12 @@
-//! Parallel per-volume analysis driver.
+//! The by-volume batch driver: [`analyze_trace_parallel`].
+//!
+//! Every volume of a materialized [`Trace`] is analyzed whole by
+//! exactly one worker, so the result is bit-identical at any thread
+//! count, inline included. [`crate::Workbench`] and
+//! [`crate::PartitionedWorkbench`] are both facades over this one
+//! cursor loop.
+
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 use cbs_analysis::{AnalysisConfig, InvalidConfig, VolumeAnalyzer, VolumeMetrics};
 use cbs_trace::{Timestamp, Trace};
@@ -6,12 +14,13 @@ use cbs_trace::{Timestamp, Trace};
 /// Analyzes every volume of `trace` using up to `threads` worker
 /// threads (volumes are independent, so the fan-out is embarrassingly
 /// parallel; results are returned in volume-id order regardless of
-/// scheduling). `threads` is clamped to at least one worker.
+/// scheduling). `threads = 0` runs the same loop inline on the calling
+/// thread — no thread is spawned.
 ///
 /// Workers steal volume indices from a shared atomic cursor and keep
 /// their finished `(index, metrics)` pairs thread-local; results are
 /// scattered into ordered slots only after the workers join, so no lock
-/// is taken per volume.
+/// is taken per volume and no channel is needed.
 ///
 /// # Errors
 ///
@@ -20,7 +29,8 @@ use cbs_trace::{Timestamp, Trace};
 /// # Panics
 ///
 /// Propagates panics from worker threads (e.g. the analyzer's
-/// debug-build ordering assertions).
+/// debug-build ordering assertions): a panic-interrupted run never
+/// yields a partial corpus.
 pub fn analyze_trace_parallel(
     trace: &Trace,
     config: &AnalysisConfig,
@@ -29,49 +39,45 @@ pub fn analyze_trace_parallel(
     config.validate()?;
     let epoch = trace.start().unwrap_or(Timestamp::ZERO);
     let views: Vec<_> = trace.volumes().collect();
-    if views.is_empty() {
-        return Ok(Vec::new());
-    }
-    let threads = threads.clamp(1, views.len());
 
-    let next = std::sync::atomic::AtomicUsize::new(0);
-    let mut per_worker: Vec<Vec<(usize, VolumeMetrics)>> = std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..threads)
-            .map(|_| {
-                scope.spawn(|| {
-                    let mut local = Vec::new();
-                    loop {
-                        // ORDERING: the ticket counter only partitions
-                        // indices — fetch_add is exact under Relaxed,
-                        // and the volume data it indexes was published
-                        // before the threads spawned.
-                        let idx = next.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                        if idx >= views.len() {
-                            break;
-                        }
-                        // The config was validated at entry, so the
-                        // per-volume run cannot be rejected.
-                        if let Ok(metrics) =
-                            VolumeAnalyzer::analyze_volume(views[idx], epoch, config)
-                        {
-                            local.push((idx, metrics));
-                        }
-                    }
-                    local
+    let next = AtomicUsize::new(0);
+    let steal = || {
+        let mut local = Vec::new();
+        loop {
+            // ORDERING: the ticket counter only partitions indices —
+            // fetch_add is exact under Relaxed, and the volume data it
+            // indexes was published before the threads spawned.
+            let idx = next.fetch_add(1, Ordering::Relaxed);
+            if idx >= views.len() {
+                break;
+            }
+            // The config was validated at entry, so the per-volume run
+            // cannot be rejected.
+            if let Ok(metrics) = VolumeAnalyzer::analyze_volume(views[idx], epoch, config) {
+                local.push((idx, metrics));
+            }
+        }
+        local
+    };
+    let per_worker: Vec<Vec<(usize, VolumeMetrics)>> = if threads == 0 {
+        vec![steal()]
+    } else {
+        std::thread::scope(|scope| {
+            let handles: Vec<_> = (0..threads.min(views.len()))
+                .map(|_| scope.spawn(steal))
+                .collect();
+            handles
+                .into_iter()
+                .map(|h| match h.join() {
+                    Ok(local) => local,
+                    Err(payload) => std::panic::resume_unwind(payload),
                 })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| match h.join() {
-                Ok(local) => local,
-                Err(payload) => std::panic::resume_unwind(payload),
-            })
-            .collect()
-    });
+                .collect()
+        })
+    };
 
     let mut slots: Vec<Option<VolumeMetrics>> = (0..views.len()).map(|_| None).collect();
-    for (idx, metrics) in per_worker.drain(..).flatten() {
+    for (idx, metrics) in per_worker.into_iter().flatten() {
         slots[idx] = Some(metrics);
     }
     debug_assert!(

@@ -20,6 +20,10 @@
 //! └────────────────────────┘           └──────────────────────────┘
 //! ```
 //!
+//! The shard threads are a [`WorkerSet`] and volumes are pinned to them
+//! by a [`StickyRouter`] — see [`cbs_trace::workers`] for what happens
+//! when a shard dies and how backpressure is accounted.
+//!
 //! Shard channels carry [`RequestBatch`]es (struct-of-arrays), so a
 //! batch handoff moves five dense columns instead of an array of
 //! request structs, and workers can feed analyzers through the
@@ -51,12 +55,12 @@
 //! [`StreamingWorkbench::with_epoch`] for producers that interleave
 //! volumes without global time order.
 
-use std::sync::mpsc::{sync_channel, Receiver, SyncSender, TrySendError};
-use std::thread::JoinHandle;
+use std::sync::mpsc::Receiver;
 
 use cbs_analysis::{AnalysisConfig, InvalidConfig, VolumeAnalyzer, VolumeMetrics};
 use cbs_obs::{Counter, Gauge, Registry, Stopwatch};
 use cbs_trace::hash::FxHashMap;
+use cbs_trace::workers::{Gone, StickyRouter, WorkerSet};
 use cbs_trace::{IoRequest, RequestBatch, Timestamp, VolumeId};
 
 /// Default number of requests buffered per shard before a batch is
@@ -140,11 +144,9 @@ impl StreamingWorkbench {
         Ok(self)
     }
 
-    /// Sets the number of shard worker threads (min 1). Volumes are
-    /// assigned to shards on first touch, each new volume joining the
-    /// shard with the least routed traffic so far (skew-aware: one hot
-    /// volume no longer drags every volume sharing its residue class
-    /// onto the same worker, as the old `id mod shards` routing did).
+    /// Sets the number of shard worker threads (min 1). Volumes stick
+    /// to shards on first touch, each new volume joining the shard with
+    /// the least routed traffic so far ([`StickyRouter`]).
     #[must_use]
     pub fn with_shards(mut self, shards: usize) -> Self {
         self.shards = shards.max(1);
@@ -218,28 +220,21 @@ impl StreamingWorkbench {
             .registry
             .as_ref()
             .map(|r| SessionMetrics::new(r, self.shards));
-        let mut senders = Vec::with_capacity(self.shards);
-        let mut handles = Vec::with_capacity(self.shards);
-        for shard in 0..self.shards {
-            let (tx, rx) = sync_channel::<Batch>(self.channel_depth);
-            let config = self.config.clone();
-            let worker_metrics = metrics.as_ref().map(|m| m.worker(shard));
-            senders.push(tx);
-            handles.push(std::thread::spawn(move || {
-                shard_worker(rx, config, worker_metrics)
-            }));
-        }
+        let shards = WorkerSet::spawn(
+            self.channel_depth,
+            (0..self.shards).map(|shard| {
+                let config = self.config.clone();
+                let worker_metrics = metrics.as_ref().map(|m| m.worker(shard));
+                move |rx| shard_worker(rx, config, worker_metrics)
+            }),
+        );
         StreamingSession {
-            buffers: senders.iter().map(|_| RequestBatch::new()).collect(),
-            shard_loads: vec![0; senders.len()],
-            senders,
-            handles,
+            shards,
+            router: StickyRouter::new(self.shards),
+            buffers: (0..self.shards).map(|_| RequestBatch::new()).collect(),
             batch_size: self.batch_size,
             epoch: self.epoch,
             observed: 0,
-            poisoned: false,
-            route: FxHashMap::default(),
-            last_route: None,
             metrics,
         }
     }
@@ -325,22 +320,15 @@ struct WorkerMetrics {
 /// but does not leak threads (channels close, workers drain and exit).
 #[derive(Debug)]
 pub struct StreamingSession {
-    senders: Vec<SyncSender<Batch>>,
+    shards: WorkerSet<Batch, Vec<VolumeMetrics>>,
+    /// Sticky, skew-aware volume → shard assignment: each volume's full
+    /// stream reaches exactly one worker in send order, which is what
+    /// keeps the metrics bit-identical at any shard count.
+    router: StickyRouter<VolumeId>,
     buffers: Vec<RequestBatch>,
-    handles: Vec<JoinHandle<Vec<VolumeMetrics>>>,
     batch_size: usize,
     epoch: Option<Timestamp>,
     observed: u64,
-    poisoned: bool,
-    /// Sticky volume → shard assignment built on first touch (see
-    /// [`route_volume`](Self::route_volume)).
-    route: FxHashMap<VolumeId, u32>,
-    /// Requests routed to each shard so far — the load signal driving
-    /// first-touch assignment.
-    shard_loads: Vec<u64>,
-    /// One-entry route cache: consecutive requests overwhelmingly share
-    /// a volume, so most routes skip the hash lookup entirely.
-    last_route: Option<(VolumeId, u32)>,
     metrics: Option<SessionMetrics>,
 }
 
@@ -356,7 +344,7 @@ impl StreamingSession {
     /// already-poisoned session panics immediately.
     pub fn observe(&mut self, req: IoRequest) {
         assert!(
-            !self.poisoned,
+            !self.is_poisoned(),
             "streaming session is poisoned: a shard worker panicked"
         );
         if self.epoch.is_none() {
@@ -364,7 +352,7 @@ impl StreamingSession {
             // batch path's `trace.start()`.
             self.epoch = Some(req.ts());
         }
-        let shard = self.route_volume(req.volume());
+        let shard = self.router.route(req.volume());
         self.observed += 1;
         self.buffers[shard].push(&req);
         if self.buffers[shard].len() >= self.batch_size {
@@ -393,7 +381,7 @@ impl StreamingSession {
     /// into the per-shard buffers without an intermediate owned batch.
     pub fn observe_request_batch_ref(&mut self, batch: cbs_trace::RequestBatchRef<'_>) {
         assert!(
-            !self.poisoned,
+            !self.is_poisoned(),
             "streaming session is poisoned: a shard worker panicked"
         );
         if batch.is_empty() {
@@ -408,7 +396,7 @@ impl StreamingSession {
         let lens = batch.lens();
         let timestamps = batch.timestamps();
         for i in 0..batch.len() {
-            let shard = self.route_volume(volumes[i]);
+            let shard = self.router.route(volumes[i]);
             self.observed += 1;
             self.buffers[shard].push_fields(volumes[i], ops[i], offsets[i], lens[i], timestamps[i]);
             if self.buffers[shard].len() >= self.batch_size {
@@ -422,48 +410,12 @@ impl StreamingSession {
         self.observed
     }
 
-    /// Returns the shard owning `volume`, assigning one on first touch.
-    ///
-    /// Assignment is **skew-aware**: a newly seen volume joins the
-    /// shard with the least traffic routed so far (ties to the lowest
-    /// shard id), so a hot volume fills its shard's load counter and
-    /// pushes later arrivals elsewhere — unlike static `id mod shards`
-    /// routing, which pinned every volume of a residue class to the
-    /// hot volume's worker. The assignment is sticky for the whole
-    /// session, so each volume's full stream still reaches exactly one
-    /// worker in send order: the per-volume in-order guarantee — and
-    /// with it bit-identical metrics — is unchanged.
-    #[inline]
-    fn route_volume(&mut self, volume: VolumeId) -> usize {
-        if let Some((v, s)) = self.last_route {
-            if v == volume {
-                self.shard_loads[s as usize] += 1;
-                return s as usize;
-            }
-        }
-        let shard = match self.route.entry(volume) {
-            std::collections::hash_map::Entry::Occupied(e) => *e.get(),
-            std::collections::hash_map::Entry::Vacant(e) => {
-                let lightest = self
-                    .shard_loads
-                    .iter()
-                    .enumerate()
-                    .min_by_key(|&(_, &load)| load)
-                    .map_or(0, |(s, _)| s);
-                *e.insert(lightest as u32)
-            }
-        };
-        self.last_route = Some((volume, shard));
-        self.shard_loads[shard as usize] += 1;
-        shard as usize
-    }
-
     /// `true` once a shard worker's death has been detected. A poisoned
     /// session re-raised the worker's panic already (observable only if
     /// the caller caught it); every further `observe*`/`finish` call
     /// panics rather than computing on a partial stream.
     pub fn is_poisoned(&self) -> bool {
-        self.poisoned
+        self.shards.is_poisoned()
     }
 
     fn flush(&mut self, shard: usize) {
@@ -474,48 +426,23 @@ impl StreamingSession {
         // non-empty buffer implies the epoch is known.
         let Some(epoch) = self.epoch else { return };
         let batch = std::mem::take(&mut self.buffers[shard]);
-        let sent = match &self.metrics {
-            None => self.senders[shard].send((epoch, batch)).is_ok(),
-            Some(m) => {
-                m.observed.add(batch.len() as u64);
-                m.batches.inc();
-                let depth = m.inflight[shard].inc();
-                m.inflight_hwm[shard].record_max(depth);
-                // Only a full channel pays for a stopwatch: try first,
-                // and time just the blocking retry.
-                match self.senders[shard].try_send((epoch, batch)) {
-                    Ok(()) => true,
-                    Err(TrySendError::Disconnected(_)) => false,
-                    Err(TrySendError::Full(batch)) => {
-                        let clock = Stopwatch::start();
-                        let sent = self.senders[shard].send(batch).is_ok();
-                        m.backpressure_nanos.add(clock.elapsed_nanos());
-                        sent
-                    }
+        if let Some(m) = &self.metrics {
+            m.observed.add(batch.len() as u64);
+            m.batches.inc();
+            let depth = m.inflight[shard].inc();
+            m.inflight_hwm[shard].record_max(depth);
+        }
+        match self.shards.send(shard, (epoch, batch)) {
+            Ok(blocked_nanos) => {
+                if let Some(m) = &self.metrics {
+                    m.backpressure_nanos.add(blocked_nanos);
                 }
             }
-        };
-        if !sent {
-            self.poison(shard);
-        }
-    }
-
-    /// A send failed, which can only mean the shard's receiver is gone:
-    /// the worker died (it never drops the receiver before draining the
-    /// channel). Surface its panic on the producer thread *now* — within
-    /// one batch flush of the death — instead of analyzing the rest of
-    /// the stream against dead shards and only failing at `finish`.
-    #[cold]
-    fn poison(&mut self, shard: usize) -> ! {
-        self.poisoned = true;
-        // Closing every channel lets the surviving workers drain and
-        // exit; their results are abandoned (all-or-error).
-        self.senders.clear();
-        let handle = self.handles.swap_remove(shard);
-        match handle.join() {
-            Err(payload) => std::panic::resume_unwind(payload),
-            // cbs-lint: allow(no-panic-in-lib) -- a worker exiting cleanly while its channel is open is impossible by construction
-            Ok(_) => panic!("shard worker {shard} exited before its channel closed"),
+            // Surface the worker's panic on the producer thread *now* —
+            // within one batch flush of the death — instead of analyzing
+            // the rest of the stream against dead shards and only
+            // failing at `finish`.
+            Err(Gone) => self.shards.poison(shard),
         }
     }
 
@@ -530,21 +457,14 @@ impl StreamingSession {
     /// metrics.
     pub fn finish(mut self) -> Vec<VolumeMetrics> {
         assert!(
-            !self.poisoned,
+            !self.is_poisoned(),
             "streaming session is poisoned: a shard worker panicked; \
              its metrics would be partial"
         );
-        for shard in 0..self.senders.len() {
+        for shard in 0..self.buffers.len() {
             self.flush(shard);
         }
-        drop(std::mem::take(&mut self.senders)); // close channels
-        let mut metrics: Vec<VolumeMetrics> = Vec::new();
-        for handle in self.handles.drain(..) {
-            match handle.join() {
-                Ok(shard_metrics) => metrics.extend(shard_metrics),
-                Err(payload) => std::panic::resume_unwind(payload),
-            }
-        }
+        let mut metrics: Vec<VolumeMetrics> = self.shards.finish().into_iter().flatten().collect();
         metrics.sort_by_key(|m| m.id);
         metrics
     }

@@ -78,19 +78,10 @@ impl Workbench {
         self.analyze_with_threads(default_threads())
     }
 
-    /// Characterizes every volume with an explicit worker count
-    /// (clamped to at least one).
+    /// Characterizes every volume with an explicit worker count (`0`
+    /// runs inline on the calling thread).
     pub fn analyze_with_threads(self, threads: usize) -> Analysis {
-        let metrics = match analyze_trace_parallel(&self.trace, &self.config, threads) {
-            Ok(metrics) => metrics,
-            // cbs-lint: allow(no-panic-in-lib) -- both constructors validate the config, so rejection is unreachable
-            Err(e) => unreachable!("validated config rejected: {e}"),
-        };
-        Analysis {
-            trace: self.trace,
-            config: self.config,
-            metrics,
-        }
+        Analysis::by_volume(self.trace, self.config, threads)
     }
 }
 
@@ -116,6 +107,22 @@ pub struct Analysis {
 }
 
 impl Analysis {
+    /// Runs the by-volume batch driver over `trace` — the one call
+    /// behind [`Workbench`] and [`crate::PartitionedWorkbench`], whose
+    /// constructors validated `config`.
+    pub(crate) fn by_volume(trace: Trace, config: AnalysisConfig, threads: usize) -> Self {
+        let metrics = match analyze_trace_parallel(&trace, &config, threads) {
+            Ok(metrics) => metrics,
+            // cbs-lint: allow(no-panic-in-lib) -- every caller's constructor validated the config, so rejection is unreachable
+            Err(e) => unreachable!("validated config rejected: {e}"),
+        };
+        Analysis {
+            trace,
+            config,
+            metrics,
+        }
+    }
+
     /// Assembles an analysis from already-computed parts — the
     /// constructor the partitioned driver and the agent/controller
     /// fan-out use once partial metrics have been merged. `metrics`
@@ -300,9 +307,8 @@ impl Analysis {
 
 /// Folds a list of per-volume records into a sorted-by-id list:
 /// unseen volumes insert, already-present volumes merge via
-/// [`VolumeMetrics::merge`]. The single merge path shared by the
-/// inline fallback, the threaded partitioner, and [`Analysis::merge`].
-pub(crate) fn merge_metrics_by_id(mine: &mut Vec<VolumeMetrics>, theirs: Vec<VolumeMetrics>) {
+/// [`VolumeMetrics::merge`] — the fold behind [`Analysis::merge`].
+fn merge_metrics_by_id(mine: &mut Vec<VolumeMetrics>, theirs: Vec<VolumeMetrics>) {
     for m in theirs {
         match mine.binary_search_by_key(&m.id, |x| x.id) {
             Ok(i) => mine[i].merge(&m),

@@ -5,8 +5,10 @@
 //! and a slow shard worker buffers the whole trace (the exact failure
 //! the one-pass architecture exists to avoid); `sync_channel(depth)`
 //! provides backpressure. Scoped to `crates/core/src`, the cache-sweep
-//! worker fan-out under `crates/cache/src`, and the parallel decode
-//! paths under `crates/trace/src/codec`.
+//! worker fan-out under `crates/cache/src`, the parallel decode paths
+//! under `crates/trace/src/codec`, and the worker-set primitive those
+//! fan-outs construct their channels through
+//! (`crates/trace/src/workers.rs`).
 
 use crate::diag::Diagnostic;
 use crate::rules::Rule;
@@ -28,7 +30,8 @@ impl Rule for BoundedChannel {
     fn check_file(&self, file: &SourceFile, diags: &mut Vec<Diagnostic>) {
         let in_scope = file.path.contains("crates/core/src")
             || file.path.contains("crates/cache/src")
-            || file.path.contains("crates/trace/src/codec");
+            || file.path.contains("crates/trace/src/codec")
+            || file.path.contains("crates/trace/src/workers.rs");
         if !in_scope || !file.is_library_code() {
             return;
         }
@@ -84,6 +87,15 @@ mod tests {
     fn fires_in_cache_sweep_paths() {
         let d = run(
             "crates/cache/src/sweep.rs",
+            "fn f() { let (tx, rx) = std::sync::mpsc::channel::<u32>(); }",
+        );
+        assert!(!d.is_empty());
+    }
+
+    #[test]
+    fn fires_in_the_worker_set_primitive() {
+        let d = run(
+            "crates/trace/src/workers.rs",
             "fn f() { let (tx, rx) = std::sync::mpsc::channel::<u32>(); }",
         );
         assert!(!d.is_empty());

@@ -25,41 +25,44 @@
 //! allow, so bursts are pre-decoded into the bounded channels during
 //! pacing idle and the lanes drain them at issue cost only.
 //!
+//! The lane threads are a [`WorkerSet`] (bounded channels, try-first
+//! backpressure accounting, a lane's panic re-raised on the caller)
+//! and each lane runs the one issue loop of [`crate::schedule`] — the
+//! loop [`Replayer`](crate::Replayer) runs inline.
+//!
 //! # Routing
 //!
-//! Volumes stick to lanes on first touch, each new (post-remap) volume
-//! joining the lane with the least routed traffic so far — the same
-//! skew-aware assignment [`StreamingWorkbench`] uses for analysis
-//! shards. Stickiness is what keeps a lane's backend self-consistent:
-//! every request of a volume reaches exactly one backend instance, in
-//! send order, so per-volume file/page state and per-volume issue
-//! order are preserved at any lane count.
+//! (Post-remap) volumes stick to lanes through a [`StickyRouter`], as
+//! they stick to analysis shards. Stickiness is what keeps a lane's
+//! backend self-consistent: every request of a volume reaches exactly
+//! one backend instance, in send order, so per-volume file/page state
+//! and per-volume issue order are preserved at any lane count.
 //!
 //! # Merged-report laws
 //!
-//! Each lane records into its own `replay.lane<i>.*` metrics; the
-//! merged [`ReplayReport`] is the fold of those partials through the
-//! MERGEABLE `merge()` laws of `cbs-obs` ([`Counter`] totals add,
-//! [`Histogram`] buckets add). Request, byte, read, and write counts —
-//! and the issue-lag/service-time sample counts — are therefore
-//! **identical to the single-lane run at any lane count**; only the
-//! timing distributions themselves may differ (that is the point). The
+//! Each lane records a run into handles of its own; the merged
+//! [`ReplayReport`] is the fold of those partials through the
+//! MERGEABLE `merge()` laws of `cbs-obs` (counter totals add, histogram
+//! buckets add), and the registry's cumulative `replay.*` and
+//! `replay.lane<i>.*` names receive the same partials once, when the
+//! run ends. Request, byte, read, and write counts — and the
+//! issue-lag/service-time sample counts — are therefore **identical to
+//! the single-lane run at any lane count**; only the timing
+//! distributions themselves may differ (that is the point). The
 //! `lane_laws` proptests pin this down, including panic-poison parity
 //! with the single-lane engine.
-//!
-//! [`StreamingWorkbench`]: ../../cbs_core/struct.StreamingWorkbench.html
 
 use std::io;
-use std::sync::mpsc::{sync_channel, Receiver, SyncSender, TrySendError};
+use std::sync::mpsc::Receiver;
 
-use cbs_obs::{Counter, Histogram, Registry, Stopwatch};
-use cbs_trace::hash::FxHashMap;
-use cbs_trace::{IoRequest, Timestamp, VolumeId};
+use cbs_obs::{Registry, Stopwatch};
+use cbs_trace::workers::{Gone, Refused, StickyRouter, WorkerSet};
+use cbs_trace::{IoRequest, VolumeId};
 
 use crate::backend::StorageBackend;
 use crate::error::ReplayError;
 use crate::remap::{Remap, VolumeRemapper};
-use crate::schedule::{ReplayReport, Timing, SPIN_WINDOW_NANOS};
+use crate::schedule::{run_lane, IssueMetrics, LaneEntry, ReplayReport, Schedule, Timing};
 
 /// Requests buffered per lane before the feeder hands the batch to the
 /// lane's channel. Small enough that a batch is a few KiB, large
@@ -80,10 +83,6 @@ pub const DEFAULT_LANE_CHANNEL_DEPTH: usize = 8;
 /// works on other lanes; 1 ms keeps that well under the lag scales the
 /// lane curve measures.
 pub const FLUSH_HORIZON_NANOS: u64 = 1_000_000;
-
-/// One routed unit of work: the request's absolute target issue time
-/// on the shared run clock, plus the post-remap request itself.
-type LaneEntry = (u64, IoRequest);
 
 /// What one issue lane measured (a per-lane slice of the merged
 /// [`ReplayReport`]; same units).
@@ -140,49 +139,12 @@ impl MultiLaneReport {
     }
 }
 
-/// Per-lane metric handles; cloned into the lane worker thread.
-#[derive(Debug, Clone)]
-struct LaneMetrics {
-    requests: Counter,
-    bytes: Counter,
-    reads: Counter,
-    writes: Counter,
-    slept: Counter,
-    issue_lag: Histogram,
-    backend_nanos: Histogram,
-}
-
-impl LaneMetrics {
-    fn new(registry: &Registry, lane: usize) -> Self {
-        LaneMetrics {
-            requests: registry.counter(&format!("replay.lane{lane}.requests")),
-            bytes: registry.counter(&format!("replay.lane{lane}.bytes")),
-            reads: registry.counter(&format!("replay.lane{lane}.reads")),
-            writes: registry.counter(&format!("replay.lane{lane}.writes")),
-            slept: registry.counter(&format!("replay.lane{lane}.sleep_nanos")),
-            issue_lag: registry.histogram(&format!("replay.lane{lane}.issue_lag_nanos")),
-            backend_nanos: registry.histogram(&format!("replay.lane{lane}.backend_nanos")),
-        }
-    }
-
-    fn lane_report(&self, lane: usize) -> ReplayLaneReport {
-        ReplayLaneReport {
-            lane,
-            requests: self.requests.get(),
-            bytes: self.bytes.get(),
-            reads: self.reads.get(),
-            writes: self.writes.get(),
-            slept_nanos: self.slept.get(),
-            issue_lag: self.issue_lag.snapshot(),
-            backend: self.backend_nanos.snapshot(),
-        }
-    }
-}
-
-/// What a lane worker hands back when its channel closes (or it dies
-/// on an I/O error): the backend it owned plus the terminal result.
+/// What a lane worker hands back when its channel closes (or it stops
+/// at an I/O error): the backend it owned, what it measured, and the
+/// terminal result.
 struct LaneOutcome<B> {
     backend: B,
+    metrics: IssueMetrics,
     result: io::Result<()>,
 }
 
@@ -222,7 +184,7 @@ pub struct LaneSet<B: StorageBackend> {
     registry: Registry,
 }
 
-impl<B: StorageBackend + Send> LaneSet<B> {
+impl<B: StorageBackend + Send + 'static> LaneSet<B> {
     /// Creates a lane set of `lanes` (min 1) issue lanes, calling
     /// `make_backend(lane)` once per lane — each lane owns its backend
     /// instance exclusively for the lifetime of the set.
@@ -269,9 +231,19 @@ impl<B: StorageBackend + Send> LaneSet<B> {
         self
     }
 
-    /// Number of issue lanes.
+    /// Number of issue lanes (`0` once [poisoned](LaneSet::is_poisoned)).
     pub fn lanes(&self) -> usize {
         self.backends.len()
+    }
+
+    /// `true` once a run unwound (a lane worker, the source or the
+    /// observer panicked) and took the backends with it: they move
+    /// into the lane threads for a run and come back only through its
+    /// orderly end. Every later `run*` call panics rather than replay
+    /// onto no lanes. ([`LaneSet::new`] clamps to at least one lane, so
+    /// an empty set can mean nothing else.)
+    pub fn is_poisoned(&self) -> bool {
+        self.backends.is_empty()
     }
 
     /// The metric registry this lane set records into.
@@ -311,7 +283,8 @@ impl<B: StorageBackend + Send> LaneSet<B> {
     /// A panicking lane worker (e.g. a panicking backend) is re-raised
     /// on the calling thread — panic-poison parity with the
     /// single-lane engine, where the backend panic unwinds the caller
-    /// directly.
+    /// directly — and leaves the set [poisoned](LaneSet::is_poisoned);
+    /// running a poisoned set panics.
     pub fn run_observed<I, F>(
         &mut self,
         source: I,
@@ -321,198 +294,121 @@ impl<B: StorageBackend + Send> LaneSet<B> {
         I: IntoIterator<Item = IoRequest>,
         F: FnMut(IoRequest),
     {
+        assert!(
+            !self.is_poisoned(),
+            "lane set is poisoned: an earlier run unwound and its backends were lost"
+        );
         let lanes = self.backends.len();
         self.registry.gauge("replay.lanes").set(lanes as u64);
-        let lane_metrics: Vec<LaneMetrics> = (0..lanes)
-            .map(|i| LaneMetrics::new(&self.registry, i))
-            .collect();
-        let slept_at_start: Vec<u64> = lane_metrics.iter().map(|m| m.slept.get()).collect();
-        let feed_backpressure = self.registry.counter("replay.feed_backpressure_nanos");
-        let backpressure_at_start = feed_backpressure.get();
-
-        let inv_rate = 1.0 / self.timing.rate();
+        let mut schedule = Schedule::new(self.timing);
         let mut remapper = VolumeRemapper::new(self.remap);
-        let backends = std::mem::take(&mut self.backends);
         let clock = Stopwatch::start();
 
-        let mut offered_nanos = 0u64;
-        let outcomes: Vec<std::thread::Result<LaneOutcome<B>>> = std::thread::scope(|scope| {
-            let mut senders: Vec<SyncSender<Vec<LaneEntry>>> = Vec::with_capacity(lanes);
-            let mut handles = Vec::with_capacity(lanes);
-            for (backend, metrics) in backends.into_iter().zip(&lane_metrics) {
-                let (tx, rx) = sync_channel::<Vec<LaneEntry>>(self.channel_depth);
-                senders.push(tx);
-                let metrics = metrics.clone();
-                handles.push(scope.spawn(move || lane_worker(rx, backend, clock, metrics)));
-            }
-
-            let mut feeder = Feeder::new(senders, &feed_backpressure);
-            let mut t0: Option<Timestamp> = None;
-            let mut last_target_nanos = 0u64;
-            for req in source {
-                let start = *t0.get_or_insert_with(|| req.ts());
-                // Same clock arithmetic as the single-lane engine —
-                // saturating scale, monotone clamp — computed centrally
-                // so every lane issues against one global schedule and
-                // offered_nanos is lane-count-independent.
-                let delta = req.ts().saturating_duration_since(start);
-                let scaled = delta.saturating_mul_f64(inv_rate);
-                let target_nanos = scaled
-                    .as_micros()
-                    .saturating_mul(1000)
-                    .max(last_target_nanos);
-                last_target_nanos = target_nanos;
-
-                let out = remapper.map(req);
-                observe(out);
-                if !feeder.push(target_nanos, out) {
-                    // A lane's receiver is gone: the worker died. Stop
-                    // feeding; the join below surfaces its error.
-                    break;
-                }
-            }
-            feeder.finish();
-            offered_nanos = last_target_nanos;
-            handles.into_iter().map(|h| h.join()).collect()
-        });
-        let wall_nanos = clock.elapsed_nanos();
-
-        // Panic-poison parity: a panicking lane re-raises here, like
-        // the single-lane engine's in-thread backend panic.
-        let mut restored = Vec::with_capacity(lanes);
-        let mut failure: Option<ReplayError> = None;
-        for outcome in outcomes {
-            match outcome {
-                Err(payload) => std::panic::resume_unwind(payload),
-                Ok(LaneOutcome { backend, result }) => {
-                    if let (None, Err(source)) = (&failure, result) {
-                        failure = Some(ReplayError::Backend {
-                            backend: backend.name(),
-                            source,
-                        });
-                    }
-                    restored.push(backend);
-                }
+        let mut feeder = Feeder::new(WorkerSet::spawn(
+            self.channel_depth,
+            std::mem::take(&mut self.backends)
+                .into_iter()
+                .map(|backend| move |rx| lane_worker(rx, backend, clock)),
+        ));
+        for req in source {
+            // Targets are computed centrally, so every lane issues
+            // against one global schedule and offered_nanos is
+            // lane-count-independent.
+            let target_nanos = schedule.target(req.ts());
+            let out = remapper.map(req);
+            observe(out);
+            if !feeder.push(target_nanos, out) {
+                // A lane stopped receiving. Stop feeding; the join
+                // below surfaces its error or re-raises its panic.
+                break;
             }
         }
-        self.backends = restored;
+        let (outcomes, feed_backpressure_nanos) = feeder.finish();
+        let wall_nanos = clock.elapsed_nanos();
+
+        // Each lane recorded this run into its own fresh handles: fold
+        // them — once — into the registry's cumulative per-lane and
+        // aggregate names, and build the report from the run's own.
+        let merged = IssueMetrics::default();
+        let mut per_lane = Vec::with_capacity(lanes);
+        let mut failure: Option<ReplayError> = None;
+        for (lane, outcome) in outcomes.into_iter().enumerate() {
+            if let (None, Err(source)) = (&failure, outcome.result) {
+                failure = Some(ReplayError::Backend {
+                    backend: outcome.backend.name(),
+                    source,
+                });
+            }
+            self.backends.push(outcome.backend);
+            IssueMetrics::lane(&self.registry, lane).fold(&outcome.metrics);
+            merged.fold(&outcome.metrics);
+            per_lane.push(lane_report(lane, &outcome.metrics));
+        }
+        IssueMetrics::aggregate(&self.registry).fold(&merged);
+        self.registry
+            .counter("replay.feed_backpressure_nanos")
+            .add(feed_backpressure_nanos);
         if let Some(e) = failure {
             return Err(e);
         }
-
-        // Fold the per-lane partials into the aggregate replay.*
-        // metrics through the MERGEABLE merge() laws — counters add,
-        // histogram buckets add — and snapshot the fold as the merged
-        // report.
-        let agg = AggregateMetrics::new(&self.registry);
-        for m in &lane_metrics {
-            agg.requests.merge(&m.requests);
-            agg.bytes.merge(&m.bytes);
-            agg.reads.merge(&m.reads);
-            agg.writes.merge(&m.writes);
-            agg.slept.merge(&m.slept);
-            agg.issue_lag.merge(&m.issue_lag);
-            agg.backend_nanos.merge(&m.backend_nanos);
-        }
-        let slept_nanos = lane_metrics
-            .iter()
-            .zip(&slept_at_start)
-            .map(|(m, &s)| m.slept.get() - s)
-            .sum();
-        let merged = ReplayReport {
-            requests: agg.requests.get(),
-            bytes: agg.bytes.get(),
-            reads: agg.reads.get(),
-            writes: agg.writes.get(),
-            wall_nanos,
-            offered_nanos,
-            slept_nanos,
-            issue_lag: agg.issue_lag.snapshot(),
-            backend: agg.backend_nanos.snapshot(),
-        };
         Ok(MultiLaneReport {
-            merged,
-            per_lane: lane_metrics
-                .iter()
-                .enumerate()
-                .map(|(i, m)| m.lane_report(i))
-                .collect(),
-            feed_backpressure_nanos: feed_backpressure.get() - backpressure_at_start,
+            merged: merged.report(wall_nanos, schedule.offered_nanos()),
+            per_lane,
+            feed_backpressure_nanos,
         })
     }
 }
 
-/// Aggregate `replay.*` handles — the same names the single-lane
-/// engine records into, so a registry export looks identical whether
-/// one lane or eight issued the requests.
-struct AggregateMetrics {
-    requests: Counter,
-    bytes: Counter,
-    reads: Counter,
-    writes: Counter,
-    slept: Counter,
-    issue_lag: Histogram,
-    backend_nanos: Histogram,
-}
-
-impl AggregateMetrics {
-    fn new(registry: &Registry) -> Self {
-        AggregateMetrics {
-            requests: registry.counter("replay.requests"),
-            bytes: registry.counter("replay.bytes"),
-            reads: registry.counter("replay.reads"),
-            writes: registry.counter("replay.writes"),
-            slept: registry.counter("replay.sleep_nanos"),
-            issue_lag: registry.histogram("replay.issue_lag_nanos"),
-            backend_nanos: registry.histogram("replay.backend_nanos"),
-        }
+fn lane_report(lane: usize, metrics: &IssueMetrics) -> ReplayLaneReport {
+    ReplayLaneReport {
+        lane,
+        requests: metrics.requests.get(),
+        bytes: metrics.bytes.get(),
+        reads: metrics.reads.get(),
+        writes: metrics.writes.get(),
+        slept_nanos: metrics.slept.get(),
+        issue_lag: metrics.issue_lag.snapshot(),
+        backend: metrics.backend_nanos.snapshot(),
     }
 }
 
 /// The feeder's routing and batching state. Lives on the calling
-/// thread inside `run_observed`'s scope.
-struct Feeder<'a> {
-    senders: Vec<SyncSender<Vec<LaneEntry>>>,
+/// thread for the duration of one run.
+struct Feeder<B> {
+    lanes: WorkerSet<Vec<LaneEntry>, LaneOutcome<B>>,
+    /// Sticky (post-remap) volume → lane assignment.
+    router: StickyRouter<VolumeId>,
     buffers: Vec<Vec<LaneEntry>>,
     /// Target time of the oldest buffered entry per lane (meaningful
     /// only while the lane's buffer is non-empty) — the staleness
     /// signal behind [`FLUSH_HORIZON_NANOS`].
     oldest: Vec<u64>,
-    /// Sticky volume → lane assignment built on first touch.
-    route: FxHashMap<VolumeId, u32>,
-    /// Requests routed per lane so far — the least-loaded signal.
-    loads: Vec<u64>,
-    /// One-entry route cache: consecutive requests overwhelmingly
-    /// share a volume, so most routes skip the hash lookup.
-    last_route: Option<(VolumeId, u32)>,
-    backpressure: &'a Counter,
+    backpressure_nanos: u64,
     dead: bool,
 }
 
-impl<'a> Feeder<'a> {
-    fn new(senders: Vec<SyncSender<Vec<LaneEntry>>>, backpressure: &'a Counter) -> Self {
-        let lanes = senders.len();
+impl<B: StorageBackend + Send + 'static> Feeder<B> {
+    fn new(lanes: WorkerSet<Vec<LaneEntry>, LaneOutcome<B>>) -> Self {
+        let count = lanes.workers();
         Feeder {
-            senders,
-            buffers: (0..lanes)
+            lanes,
+            router: StickyRouter::new(count),
+            buffers: (0..count)
                 .map(|_| Vec::with_capacity(LANE_BATCH_REQUESTS))
                 .collect(),
-            oldest: vec![0; lanes],
-            route: FxHashMap::default(),
-            loads: vec![0; lanes],
-            last_route: None,
-            backpressure,
+            oldest: vec![0; count],
+            backpressure_nanos: 0,
             dead: false,
         }
     }
 
     /// Routes one post-remap request to its volume's lane and buffers
-    /// it. Returns `false` once any lane's worker has died.
+    /// it. Returns `false` once any lane has stopped receiving.
     fn push(&mut self, target_nanos: u64, req: IoRequest) -> bool {
         if self.dead {
             return false;
         }
-        let lane = self.route_volume(req.volume());
+        let lane = self.router.route(req.volume());
         if self.buffers[lane].is_empty() {
             self.oldest[lane] = target_nanos;
         }
@@ -535,66 +431,6 @@ impl<'a> Feeder<'a> {
         !self.dead
     }
 
-    /// Returns the lane owning `volume`, assigning the least-loaded
-    /// lane on first touch (ties to the lowest lane id) — the same
-    /// skew-aware sticky routing the streaming shards use.
-    #[inline]
-    fn route_volume(&mut self, volume: VolumeId) -> usize {
-        if let Some((v, l)) = self.last_route {
-            if v == volume {
-                self.loads[l as usize] += 1;
-                return l as usize;
-            }
-        }
-        let lane = match self.route.entry(volume) {
-            std::collections::hash_map::Entry::Occupied(e) => *e.get(),
-            std::collections::hash_map::Entry::Vacant(e) => {
-                let lightest = self
-                    .loads
-                    .iter()
-                    .enumerate()
-                    .min_by_key(|&(_, &load)| load)
-                    .map_or(0, |(l, _)| l);
-                *e.insert(lightest as u32)
-            }
-        };
-        self.last_route = Some((volume, lane));
-        self.loads[lane as usize] += 1;
-        lane as usize
-    }
-
-    /// Sends `lane`'s buffer, blocking when the channel is full. Only
-    /// a full channel pays for a stopwatch: try first, time just the
-    /// blocking retry. Before blocking, every *other* lane's buffer is
-    /// opportunistically flushed so no entry sits in the feeder while
-    /// it is stalled here.
-    fn flush_blocking(&mut self, lane: usize) {
-        if self.buffers[lane].is_empty() || self.dead {
-            return;
-        }
-        let batch = std::mem::replace(
-            &mut self.buffers[lane],
-            Vec::with_capacity(LANE_BATCH_REQUESTS),
-        );
-        match self.senders[lane].try_send(batch) {
-            Ok(()) => {}
-            Err(TrySendError::Disconnected(_)) => self.dead = true,
-            Err(TrySendError::Full(batch)) => {
-                for other in 0..self.buffers.len() {
-                    if other != lane {
-                        self.try_flush(other);
-                    }
-                }
-                let stall = Stopwatch::start();
-                let sent = self.senders[lane].send(batch).is_ok();
-                self.backpressure.add(stall.elapsed_nanos());
-                if !sent {
-                    self.dead = true;
-                }
-            }
-        }
-    }
-
     /// Sends `lane`'s buffer only if its channel has room; a full
     /// channel keeps the batch buffered (the lane's worker is behind
     /// on *earlier* entries anyway, so nothing is lost by waiting).
@@ -606,94 +442,65 @@ impl<'a> Feeder<'a> {
             &mut self.buffers[lane],
             Vec::with_capacity(LANE_BATCH_REQUESTS),
         );
-        match self.senders[lane].try_send(batch) {
+        match self.lanes.try_send(lane, batch) {
             Ok(()) => {}
-            Err(TrySendError::Disconnected(_)) => self.dead = true,
-            Err(TrySendError::Full(batch)) => self.buffers[lane] = batch,
+            // Not `poison`: a lane may stop early on a backend I/O
+            // error, which `finish` reports as an error, not a panic.
+            Err(Refused::Gone) => self.dead = true,
+            Err(Refused::Full(batch)) => self.buffers[lane] = batch,
         }
     }
 
-    /// Flushes every remaining buffer and closes the channels, letting
-    /// the lane workers drain and exit.
-    fn finish(mut self) {
+    /// Sends `lane`'s buffer, blocking when the channel is full. Before
+    /// blocking, every *other* lane's buffer is opportunistically
+    /// flushed so no entry sits in the feeder while it is stalled here.
+    fn flush_blocking(&mut self, lane: usize) {
+        self.try_flush(lane);
+        if self.buffers[lane].is_empty() || self.dead {
+            return;
+        }
+        for other in 0..self.buffers.len() {
+            if other != lane {
+                self.try_flush(other);
+            }
+        }
+        let batch = std::mem::replace(
+            &mut self.buffers[lane],
+            Vec::with_capacity(LANE_BATCH_REQUESTS),
+        );
+        match self.lanes.send(lane, batch) {
+            Ok(blocked_nanos) => self.backpressure_nanos += blocked_nanos,
+            Err(Gone) => self.dead = true,
+        }
+    }
+
+    /// Flushes every remaining buffer, closes the channels and joins
+    /// the lanes (re-raising a lane's panic). Returns the lane outcomes
+    /// in lane order and the nanoseconds spent blocked on full
+    /// channels.
+    fn finish(mut self) -> (Vec<LaneOutcome<B>>, u64) {
         for lane in 0..self.buffers.len() {
             self.flush_blocking(lane);
         }
-        // Dropping self drops the senders, closing every channel.
+        (self.lanes.finish(), self.backpressure_nanos)
     }
 }
 
-/// One issue lane: drain entry batches from the channel, pace each
-/// entry on the shared run clock, issue it to this lane's backend, and
-/// record into the lane's own metrics. Returns the backend plus the
-/// first I/O error (or the final flush's result).
+/// One issue lane: [`run_lane`] over the entry batches drained from the
+/// channel, against this lane's backend, recording into this run's own
+/// handles. Stopping at an I/O error drops the receiver, which the
+/// feeder notices on its next send to this lane.
 fn lane_worker<B: StorageBackend>(
     rx: Receiver<Vec<LaneEntry>>,
     mut backend: B,
     clock: Stopwatch,
-    metrics: LaneMetrics,
 ) -> LaneOutcome<B> {
-    let mut failed: Option<io::Error> = None;
-    'drain: for batch in rx {
-        for (target_nanos, req) in batch {
-            wait_until(&clock, target_nanos, &metrics.slept);
-            let lag = clock.elapsed_nanos().saturating_sub(target_nanos);
-            metrics.issue_lag.record(lag);
-            let service = Stopwatch::start();
-            let io = if req.is_write() {
-                backend.write(req.volume(), req.offset(), req.len())
-            } else {
-                backend.read(req.volume(), req.offset(), req.len())
-            };
-            metrics.backend_nanos.record(service.elapsed_nanos());
-            match io {
-                Ok(()) => {
-                    metrics.requests.inc();
-                    metrics.bytes.add(req.len() as u64);
-                    if req.is_write() {
-                        metrics.writes.inc();
-                    } else {
-                        metrics.reads.inc();
-                    }
-                }
-                Err(e) => {
-                    // Abort the lane at the first failure — the break
-                    // drops the receiver, which the feeder notices on
-                    // its next send to this lane.
-                    failed = Some(e);
-                    break 'drain;
-                }
-            }
-        }
-    }
-    let result = match failed {
-        Some(e) => Err(e),
-        None => backend.flush(),
-    };
-    LaneOutcome { backend, result }
-}
-
-/// The lane-side sleep-then-spin wait: identical to the single-lane
-/// engine's, except the spin window *yields* between spins — lanes
-/// spin concurrently, and on small hosts an unyielding spinner would
-/// starve the lane (or the feeder) whose deadline is actually due.
-fn wait_until(clock: &Stopwatch, target_nanos: u64, slept: &Counter) {
-    loop {
-        let now = clock.elapsed_nanos();
-        if now >= target_nanos {
-            return;
-        }
-        let remaining = target_nanos - now;
-        if remaining > SPIN_WINDOW_NANOS {
-            let nap = Stopwatch::start();
-            std::thread::sleep(std::time::Duration::from_nanos(
-                remaining - SPIN_WINDOW_NANOS,
-            ));
-            slept.add(nap.elapsed_nanos());
-        } else {
-            std::hint::spin_loop();
-            std::thread::yield_now();
-        }
+    let metrics = IssueMetrics::default();
+    let result = run_lane(rx.into_iter().flatten(), &mut backend, &clock, &metrics);
+    LaneOutcome {
+        backend,
+        metrics,
+        result,
     }
 }
 
@@ -702,7 +509,7 @@ mod tests {
     use super::*;
     use crate::backend::{MemBackend, NullBackend};
     use crate::schedule::Replayer;
-    use cbs_trace::OpKind;
+    use cbs_trace::{OpKind, Timestamp};
 
     fn make(n: u64, gap_us: u64) -> Vec<IoRequest> {
         (0..n)
@@ -860,5 +667,96 @@ mod tests {
             ),
             "{err}"
         );
+    }
+    /// Each run records into its own handles and folds them into the
+    /// registry once: a second run on the same engine reports the
+    /// second stream only, while the registry accumulates both.
+    #[test]
+    fn second_run_reports_only_its_own_requests() {
+        let timing = Timing::multiplier(1000.0).unwrap();
+        for lanes in [1usize, 3] {
+            let registry = Registry::new();
+            let mut set = LaneSet::new(lanes, |_| NullBackend::new())
+                .with_timing(timing)
+                .with_registry(&registry);
+            set.run(make(100, 1)).unwrap();
+            let second = set.run(make(10, 1)).unwrap();
+            assert_eq!(second.merged.requests, 10, "lanes={lanes}");
+            assert_eq!(second.merged.bytes, 10 * 4096);
+            assert_eq!(second.merged.reads + second.merged.writes, 10);
+            assert_eq!(second.merged.issue_lag.count, 10);
+            assert_eq!(second.merged.backend.count, 10);
+            let lane_sum =
+                |f: fn(&ReplayLaneReport) -> u64| -> u64 { second.per_lane.iter().map(f).sum() };
+            assert_eq!(lane_sum(|l| l.requests), second.merged.requests);
+            assert_eq!(lane_sum(|l| l.bytes), second.merged.bytes);
+            assert_eq!(lane_sum(|l| l.issue_lag.count), 10);
+            assert_eq!(lane_sum(|l| l.slept_nanos), second.merged.slept_nanos);
+            // The registry holds the total of both runs, at both levels.
+            assert_eq!(registry.counter("replay.requests").get(), 110);
+            assert_eq!(registry.histogram("replay.issue_lag_nanos").count(), 110);
+            let lane_total: u64 = (0..lanes)
+                .map(|l| registry.counter(&format!("replay.lane{l}.requests")).get())
+                .sum();
+            assert_eq!(lane_total, 110);
+        }
+
+        let registry = Registry::new();
+        let mut replayer =
+            Replayer::with_registry(NullBackend::new(), &registry).with_timing(timing);
+        replayer.run(make(100, 1)).unwrap();
+        let second = replayer.run(make(10, 1)).unwrap();
+        assert_eq!(second.requests, 10);
+        assert_eq!(second.bytes, 10 * 4096);
+        assert_eq!(second.issue_lag.count, 10);
+        assert_eq!(second.backend.count, 10);
+        assert_eq!(registry.counter("replay.requests").get(), 110);
+        assert_eq!(registry.histogram("replay.backend_nanos").count(), 110);
+    }
+
+    /// A run that unwinds loses the backends its lanes owned: the set
+    /// says so and refuses to run again, instead of indexing into zero
+    /// lanes.
+    #[test]
+    fn unwound_run_poisons_the_lane_set() {
+        use std::panic::{catch_unwind, AssertUnwindSafe};
+
+        #[derive(Debug)]
+        struct PanickingBackend {
+            remaining: u32,
+        }
+        impl StorageBackend for PanickingBackend {
+            fn name(&self) -> &'static str {
+                "panicking"
+            }
+            fn read(&mut self, v: VolumeId, o: u64, l: u32) -> io::Result<()> {
+                self.write(v, o, l)
+            }
+            fn write(&mut self, _v: VolumeId, _o: u64, _l: u32) -> io::Result<()> {
+                assert!(self.remaining > 0, "synthetic backend panic");
+                self.remaining -= 1;
+                Ok(())
+            }
+            fn flush(&mut self) -> io::Result<()> {
+                Ok(())
+            }
+        }
+
+        for lanes in [1usize, 3] {
+            let mut set = LaneSet::new(lanes, |_| PanickingBackend { remaining: 20 })
+                .with_timing(Timing::multiplier(1000.0).unwrap());
+            assert!(!set.is_poisoned());
+            let first = catch_unwind(AssertUnwindSafe(|| set.run(make(400, 1))));
+            let payload = first.expect_err("the lane's panic is re-raised");
+            assert_eq!(
+                payload.downcast_ref::<&str>(),
+                Some(&"synthetic backend panic")
+            );
+            assert!(set.is_poisoned(), "lanes={lanes}");
+            let again = catch_unwind(AssertUnwindSafe(|| set.run(make(10, 1))));
+            let payload = again.expect_err("a poisoned set must not run");
+            let message = payload.downcast_ref::<&str>().expect("assert message");
+            assert!(message.contains("lane set is poisoned"), "{message}");
+        }
     }
 }

@@ -22,6 +22,16 @@
 //! [`TimeDelta::saturating_mul_f64`](cbs_trace::TimeDelta::saturating_mul_f64) — the
 //! overflow-checked rate-multiplier primitive — and quantized to the
 //! microsecond resolution of the trace clock.
+//!
+//! # One engine
+//!
+//! The target-time arithmetic (`Schedule`), the issue loop
+//! (`run_lane`: pace, record lag, call the backend, count) and the
+//! metric handles (`IssueMetrics`) exist once, here. [`Replayer`] is
+//! that loop run inline on the calling thread; [`crate::LaneSet`] runs
+//! it once per lane thread behind a feeder.
+
+use std::io;
 
 use cbs_obs::{Counter, Histogram, HistogramSnapshot, Registry, Stopwatch};
 use cbs_trace::{IoRequest, Timestamp};
@@ -40,7 +50,7 @@ pub const MAX_MULTIPLIER: f64 = 1000.0;
 /// `thread::sleep` routinely overshoots by tens of microseconds; the
 /// last stretch is burned in a spin loop so issue lag stays bounded by
 /// scheduler jitter, not timer slack.
-pub(crate) const SPIN_WINDOW_NANOS: u64 = 100_000;
+const SPIN_WINDOW_NANOS: u64 = 100_000;
 
 /// Replay pacing: recorded timestamps, optionally scaled.
 ///
@@ -75,6 +85,47 @@ impl Timing {
 impl Default for Timing {
     fn default() -> Self {
         Timing::recorded()
+    }
+}
+
+/// One run's offered schedule: recorded timestamp → target issue time
+/// (nanoseconds on the run clock).
+#[derive(Debug)]
+pub(crate) struct Schedule {
+    inv_rate: f64,
+    t0: Option<Timestamp>,
+    last_target_nanos: u64,
+}
+
+impl Schedule {
+    pub(crate) fn new(timing: Timing) -> Self {
+        Schedule {
+            inv_rate: 1.0 / timing.rate(),
+            t0: None,
+            last_target_nanos: 0,
+        }
+    }
+
+    /// The target of a request recorded at `ts`: its scaled offset from
+    /// the first request. Saturating clamps beat wrapping for a
+    /// pathological source, and the monotone max keeps a disordered
+    /// stream from re-targeting the past.
+    #[inline]
+    pub(crate) fn target(&mut self, ts: Timestamp) -> u64 {
+        let start = *self.t0.get_or_insert(ts);
+        let delta = ts.saturating_duration_since(start);
+        let scaled = delta.saturating_mul_f64(self.inv_rate);
+        let target_nanos = scaled
+            .as_micros()
+            .saturating_mul(1000)
+            .max(self.last_target_nanos);
+        self.last_target_nanos = target_nanos;
+        target_nanos
+    }
+
+    /// The offered load's duration so far: the latest target.
+    pub(crate) fn offered_nanos(&self) -> u64 {
+        self.last_target_nanos
     }
 }
 
@@ -168,48 +219,26 @@ pub struct Replayer<B: StorageBackend> {
     timing: Timing,
     remapper: VolumeRemapper,
     registry: Registry,
-    requests: Counter,
-    bytes: Counter,
-    reads: Counter,
-    writes: Counter,
-    slept: Counter,
-    issue_lag: Histogram,
-    backend_nanos: Histogram,
+    /// The registry's `replay.*` handles.
+    cumulative: IssueMetrics,
 }
 
 impl<B: StorageBackend> Replayer<B> {
     /// Creates a replayer with recorded (×1) pacing, identity
     /// remapping, and a private metric registry.
     pub fn new(backend: B) -> Self {
-        Self::with_registry_impl(backend, Registry::new())
+        Self::with_registry(backend, &Registry::new())
     }
 
     /// Creates a replayer whose metrics land in (a clone of) `registry`
     /// so replay counters export alongside the caller's.
     pub fn with_registry(backend: B, registry: &Registry) -> Self {
-        Self::with_registry_impl(backend, registry.clone())
-    }
-
-    fn with_registry_impl(backend: B, registry: Registry) -> Self {
-        let requests = registry.counter("replay.requests");
-        let bytes = registry.counter("replay.bytes");
-        let reads = registry.counter("replay.reads");
-        let writes = registry.counter("replay.writes");
-        let slept = registry.counter("replay.sleep_nanos");
-        let issue_lag = registry.histogram("replay.issue_lag_nanos");
-        let backend_nanos = registry.histogram("replay.backend_nanos");
         Replayer {
             backend,
             timing: Timing::recorded(),
             remapper: VolumeRemapper::new(Remap::Identity),
-            registry,
-            requests,
-            bytes,
-            reads,
-            writes,
-            slept,
-            issue_lag,
-            backend_nanos,
+            registry: registry.clone(),
+            cumulative: IssueMetrics::aggregate(registry),
         }
     }
 
@@ -291,95 +320,160 @@ impl<B: StorageBackend> Replayer<B> {
         I: IntoIterator<Item = IoRequest>,
         F: FnMut(IoRequest),
     {
-        let inv_rate = 1.0 / self.timing.rate();
+        let run = IssueMetrics::default();
         let clock = Stopwatch::start();
-        let mut t0: Option<Timestamp> = None;
-        let mut last_target_nanos = 0u64;
-        let slept_at_start = self.slept.get();
-
-        for req in source {
-            let start = *t0.get_or_insert_with(|| req.ts());
-            // Scaled offset from trace start, on the new checked
-            // arithmetic: saturating clamp beats wrapping for a
-            // pathological source, and the monotonic max keeps a
-            // disordered stream from re-targeting the past.
-            let delta = req.ts().saturating_duration_since(start);
-            let scaled = delta.saturating_mul_f64(inv_rate);
-            let target_nanos = scaled
-                .as_micros()
-                .saturating_mul(1000)
-                .max(last_target_nanos);
-            last_target_nanos = target_nanos;
-
-            self.wait_until(&clock, target_nanos);
-            let lag = clock.elapsed_nanos().saturating_sub(target_nanos);
-            self.issue_lag.record(lag);
-
-            let out = self.remapper.map(req);
+        let mut schedule = Schedule::new(self.timing);
+        let remapper = &mut self.remapper;
+        let entries = source.into_iter().map(|req| {
+            let target_nanos = schedule.target(req.ts());
+            let out = remapper.map(req);
             observe(out);
-            let service = Stopwatch::start();
-            let io = if out.is_write() {
-                self.backend.write(out.volume(), out.offset(), out.len())
-            } else {
-                self.backend.read(out.volume(), out.offset(), out.len())
-            };
-            self.backend_nanos.record(service.elapsed_nanos());
-            if let Err(source) = io {
-                return Err(ReplayError::Backend {
-                    backend: self.backend.name(),
-                    source,
-                });
-            }
-
-            self.requests.inc();
-            self.bytes.add(out.len() as u64);
-            if out.is_write() {
-                self.writes.inc();
-            } else {
-                self.reads.inc();
-            }
-        }
-
-        if let Err(source) = self.backend.flush() {
-            return Err(ReplayError::Backend {
+            (target_nanos, out)
+        });
+        let result = run_lane(entries, &mut self.backend, &clock, &run);
+        let wall_nanos = clock.elapsed_nanos();
+        self.cumulative.fold(&run);
+        match result {
+            Ok(()) => Ok(run.report(wall_nanos, schedule.offered_nanos())),
+            Err(source) => Err(ReplayError::Backend {
                 backend: self.backend.name(),
                 source,
-            });
+            }),
         }
+    }
+}
 
-        Ok(ReplayReport {
+/// One routed unit of work: the request's absolute target issue time
+/// on the run clock, plus the post-remap request itself.
+pub(crate) type LaneEntry = (u64, IoRequest);
+
+/// The handles every issue path records into. A run records into a
+/// fresh, unregistered set ([`Default`]) and is [`fold`]ed into the
+/// registry's cumulative sets once, when it ends — so a report built
+/// from the run's own set never includes an earlier run.
+///
+/// [`fold`]: IssueMetrics::fold
+#[derive(Debug, Default)]
+pub(crate) struct IssueMetrics {
+    pub(crate) requests: Counter,
+    pub(crate) bytes: Counter,
+    pub(crate) reads: Counter,
+    pub(crate) writes: Counter,
+    pub(crate) slept: Counter,
+    pub(crate) issue_lag: Histogram,
+    pub(crate) backend_nanos: Histogram,
+}
+
+impl IssueMetrics {
+    /// The registry's `replay.*` handles — the same names whether one
+    /// lane or eight issued the requests.
+    pub(crate) fn aggregate(registry: &Registry) -> Self {
+        IssueMetrics {
+            requests: registry.counter("replay.requests"),
+            bytes: registry.counter("replay.bytes"),
+            reads: registry.counter("replay.reads"),
+            writes: registry.counter("replay.writes"),
+            slept: registry.counter("replay.sleep_nanos"),
+            issue_lag: registry.histogram("replay.issue_lag_nanos"),
+            backend_nanos: registry.histogram("replay.backend_nanos"),
+        }
+    }
+
+    /// The registry's `replay.lane<lane>.*` handles.
+    pub(crate) fn lane(registry: &Registry, lane: usize) -> Self {
+        IssueMetrics {
+            requests: registry.counter(&format!("replay.lane{lane}.requests")),
+            bytes: registry.counter(&format!("replay.lane{lane}.bytes")),
+            reads: registry.counter(&format!("replay.lane{lane}.reads")),
+            writes: registry.counter(&format!("replay.lane{lane}.writes")),
+            slept: registry.counter(&format!("replay.lane{lane}.sleep_nanos")),
+            issue_lag: registry.histogram(&format!("replay.lane{lane}.issue_lag_nanos")),
+            backend_nanos: registry.histogram(&format!("replay.lane{lane}.backend_nanos")),
+        }
+    }
+
+    /// Folds `other` in: counters add, histogram buckets add.
+    pub(crate) fn fold(&self, other: &IssueMetrics) {
+        self.requests.merge(&other.requests);
+        self.bytes.merge(&other.bytes);
+        self.reads.merge(&other.reads);
+        self.writes.merge(&other.writes);
+        self.slept.merge(&other.slept);
+        self.issue_lag.merge(&other.issue_lag);
+        self.backend_nanos.merge(&other.backend_nanos);
+    }
+
+    /// Snapshots these handles as a run's report.
+    pub(crate) fn report(&self, wall_nanos: u64, offered_nanos: u64) -> ReplayReport {
+        ReplayReport {
             requests: self.requests.get(),
             bytes: self.bytes.get(),
             reads: self.reads.get(),
             writes: self.writes.get(),
-            wall_nanos: clock.elapsed_nanos(),
-            offered_nanos: last_target_nanos,
-            slept_nanos: self.slept.get() - slept_at_start,
+            wall_nanos,
+            offered_nanos,
+            slept_nanos: self.slept.get(),
             issue_lag: self.issue_lag.snapshot(),
             backend: self.backend_nanos.snapshot(),
-        })
+        }
     }
+}
 
-    /// Sleeps (coarsely) then spins (precisely) until `clock` reaches
-    /// `target_nanos`. Returns immediately when already past due —
-    /// the saturated fast path when the backend can't keep up or the
-    /// multiplier outruns the engine.
-    fn wait_until(&self, clock: &Stopwatch, target_nanos: u64) {
-        loop {
-            let now = clock.elapsed_nanos();
-            if now >= target_nanos {
-                return;
-            }
-            let remaining = target_nanos - now;
-            if remaining > SPIN_WINDOW_NANOS {
-                let nap = Stopwatch::start();
-                std::thread::sleep(std::time::Duration::from_nanos(
-                    remaining - SPIN_WINDOW_NANOS,
-                ));
-                self.slept.add(nap.elapsed_nanos());
-            } else {
-                std::hint::spin_loop();
-            }
+/// The issue loop: pace each entry to its target on the run clock,
+/// record the lag, issue it, count it; flush the backend at the end.
+/// Stops at, and returns, the first I/O error — dropping `entries`,
+/// which is how a lane's feeder learns the lane stopped.
+pub(crate) fn run_lane<B: StorageBackend>(
+    entries: impl IntoIterator<Item = LaneEntry>,
+    backend: &mut B,
+    clock: &Stopwatch,
+    metrics: &IssueMetrics,
+) -> io::Result<()> {
+    for (target_nanos, req) in entries {
+        wait_until(clock, target_nanos, &metrics.slept);
+        let lag = clock.elapsed_nanos().saturating_sub(target_nanos);
+        metrics.issue_lag.record(lag);
+        let service = Stopwatch::start();
+        let io = if req.is_write() {
+            backend.write(req.volume(), req.offset(), req.len())
+        } else {
+            backend.read(req.volume(), req.offset(), req.len())
+        };
+        metrics.backend_nanos.record(service.elapsed_nanos());
+        io?;
+        metrics.requests.inc();
+        metrics.bytes.add(req.len() as u64);
+        if req.is_write() {
+            metrics.writes.inc();
+        } else {
+            metrics.reads.inc();
+        }
+    }
+    backend.flush()
+}
+
+/// Sleeps (coarsely) then spins (precisely) until `clock` reaches
+/// `target_nanos`. Returns immediately when already past due — the
+/// saturated fast path when the backend can't keep up or the
+/// multiplier outruns the engine. The spin *yields*: lanes spin
+/// concurrently, and on small hosts an unyielding spinner would starve
+/// the lane (or the feeder) whose deadline is actually due.
+fn wait_until(clock: &Stopwatch, target_nanos: u64, slept: &Counter) {
+    loop {
+        let now = clock.elapsed_nanos();
+        if now >= target_nanos {
+            return;
+        }
+        let remaining = target_nanos - now;
+        if remaining > SPIN_WINDOW_NANOS {
+            let nap = Stopwatch::start();
+            std::thread::sleep(std::time::Duration::from_nanos(
+                remaining - SPIN_WINDOW_NANOS,
+            ));
+            slept.add(nap.elapsed_nanos());
+        } else {
+            std::hint::spin_loop();
+            std::thread::yield_now();
         }
     }
 }

@@ -41,7 +41,7 @@ use std::sync::Mutex;
 use cbs_obs::{Counter, Gauge, Registry};
 
 use crate::error::{ParseRecordError, TraceError};
-use crate::{IoRequest, RequestBatch};
+use crate::{IoRequest, RequestBatch, VolumeId};
 
 use super::msrc::{MsrcRecord, VolumeRegistry};
 use super::{alicloud, msrc, trim_ascii};
@@ -85,8 +85,8 @@ pub struct ParallelDecoder {
     metrics: Option<DecodeMetrics>,
 }
 
-/// Registry handles updated per consumed chunk (see
-/// [`ParallelDecoder::with_registry`]).
+/// Registry handles the in-order consumer's [`Ledger`] updates per
+/// chunk (see [`ParallelDecoder::with_registry`]).
 #[derive(Debug, Clone)]
 struct DecodeMetrics {
     records: Counter,
@@ -105,19 +105,6 @@ impl DecodeMetrics {
             chunks: registry.counter("decode.chunks"),
             malformed_line: registry.gauge("decode.malformed_line"),
         }
-    }
-
-    /// One in-order chunk reached the sink.
-    fn on_chunk(&self, bytes: u64, records: u64, lines: u64) {
-        self.chunks.inc();
-        self.bytes.add(bytes);
-        self.records.add(records);
-        self.lines.add(lines);
-    }
-
-    /// Decoding stopped at a malformed row (one-based line number).
-    fn on_malformed(&self, line: u64) {
-        self.malformed_line.set(line);
     }
 }
 
@@ -184,39 +171,16 @@ impl ParallelDecoder {
         R: Read + Send,
         F: FnMut(Vec<IoRequest>),
     {
-        let mut stats = DecodeStats::default();
-        let mut lines_before: u64 = 0;
+        let mut ledger = Ledger::new(&self.metrics);
         run_pipeline(
             self.threads,
             ReaderChunks::new(input, self.chunk_size),
-            |chunk, _seq| parse_alicloud_chunk(chunk),
-            |out: AliChunkOut| {
-                stats.chunks += 1;
-                stats.bytes += out.bytes;
-                let records = out.records.len() as u64;
-                stats.records += records;
-                if !out.records.is_empty() {
-                    sink(out.records);
-                }
-                let base = lines_before;
-                lines_before += out.lines;
-                let consumed_lines = out.error.as_ref().map_or(out.lines, |(rel, _)| *rel);
-                stats.lines += consumed_lines;
-                if let Some(m) = &self.metrics {
-                    m.on_chunk(out.bytes, records, consumed_lines);
-                }
-                match out.error {
-                    None => Ok(()),
-                    Some((rel, e)) => {
-                        if let Some(m) = &self.metrics {
-                            m.on_malformed(base + rel);
-                        }
-                        Err(TraceError::parse(base + rel, e))
-                    }
-                }
+            |chunk, _seq| {
+                parse_alicloud_chunk(chunk, |records: &mut Vec<IoRequest>, req| records.push(req))
             },
+            |out| ledger.book(out, &mut sink),
         )?;
-        Ok(stats)
+        Ok(ledger.stats)
     }
 
     /// Convenience wrapper: decodes an in-memory AliCloud CSV buffer
@@ -248,39 +212,16 @@ impl ParallelDecoder {
         R: Read + Send,
         F: FnMut(RequestBatch),
     {
-        let mut stats = DecodeStats::default();
-        let mut lines_before: u64 = 0;
+        let mut ledger = Ledger::new(&self.metrics);
         run_pipeline(
             self.threads,
             ReaderChunks::new(input, self.chunk_size),
-            |chunk, _seq| parse_alicloud_chunk_soa(chunk),
-            |out: AliBatchOut| {
-                stats.chunks += 1;
-                stats.bytes += out.bytes;
-                let records = out.records.len() as u64;
-                stats.records += records;
-                if !out.records.is_empty() {
-                    sink(out.records);
-                }
-                let base = lines_before;
-                lines_before += out.lines;
-                let consumed_lines = out.error.as_ref().map_or(out.lines, |(rel, _)| *rel);
-                stats.lines += consumed_lines;
-                if let Some(m) = &self.metrics {
-                    m.on_chunk(out.bytes, records, consumed_lines);
-                }
-                match out.error {
-                    None => Ok(()),
-                    Some((rel, e)) => {
-                        if let Some(m) = &self.metrics {
-                            m.on_malformed(base + rel);
-                        }
-                        Err(TraceError::parse(base + rel, e))
-                    }
-                }
+            |chunk, _seq| {
+                parse_alicloud_chunk(chunk, |records: &mut RequestBatch, req| records.push(&req))
             },
+            |out| ledger.book(out, &mut sink),
         )?;
-        Ok(stats)
+        Ok(ledger.stats)
     }
 
     /// Decodes MSRC CSV from `input`, delivering batches of parsed
@@ -302,49 +243,24 @@ impl ParallelDecoder {
         R: Read + Send,
         F: FnMut(Vec<MsrcRecord>),
     {
-        let mut stats = DecodeStats::default();
-        let mut lines_before: u64 = 0;
+        let mut ledger = Ledger::new(&self.metrics);
         run_pipeline(
             self.threads,
             ReaderChunks::new(input, self.chunk_size),
-            |chunk, seq| parse_msrc_chunk(chunk, seq == 0),
-            |mut out: MsrcChunkOut| {
-                stats.chunks += 1;
-                stats.bytes += out.bytes;
-                let records = out.records.len() as u64;
-                stats.records += records;
-                // Chunk-local id k maps to the global id of the k-th
-                // first-seen name in this chunk.
-                let global: Vec<_> = out
-                    .names
-                    .iter()
-                    .map(|name| registry.resolve_name(name))
-                    .collect();
+            |chunk, seq| {
+                parse_msrc_chunk(chunk, seq == 0, |records: &mut Vec<MsrcRecord>, rec| {
+                    records.push(rec)
+                })
+            },
+            |mut out| {
+                let global = resolve_names(registry, &out.names);
                 for rec in &mut out.records {
                     rec.remap_volume(global[rec.request().volume().as_usize()]);
                 }
-                if !out.records.is_empty() {
-                    sink(out.records);
-                }
-                let base = lines_before;
-                lines_before += out.lines;
-                let consumed_lines = out.error.as_ref().map_or(out.lines, |(rel, _)| *rel);
-                stats.lines += consumed_lines;
-                if let Some(m) = &self.metrics {
-                    m.on_chunk(out.bytes, records, consumed_lines);
-                }
-                match out.error {
-                    None => Ok(()),
-                    Some((rel, e)) => {
-                        if let Some(m) = &self.metrics {
-                            m.on_malformed(base + rel);
-                        }
-                        Err(TraceError::parse(base + rel, e))
-                    }
-                }
+                ledger.book(out, &mut sink)
             },
         )?;
-        Ok(stats)
+        Ok(ledger.stats)
     }
 
     /// Like [`decode_msrc`](Self::decode_msrc) but delivers columnar
@@ -366,45 +282,22 @@ impl ParallelDecoder {
         R: Read + Send,
         F: FnMut(RequestBatch),
     {
-        let mut stats = DecodeStats::default();
-        let mut lines_before: u64 = 0;
+        let mut ledger = Ledger::new(&self.metrics);
         run_pipeline(
             self.threads,
             ReaderChunks::new(input, self.chunk_size),
-            |chunk, seq| parse_msrc_chunk_soa(chunk, seq == 0),
-            |mut out: MsrcBatchOut| {
-                stats.chunks += 1;
-                stats.bytes += out.bytes;
-                let records = out.records.len() as u64;
-                stats.records += records;
-                let global: Vec<_> = out
-                    .names
-                    .iter()
-                    .map(|name| registry.resolve_name(name))
-                    .collect();
+            |chunk, seq| {
+                parse_msrc_chunk(chunk, seq == 0, |records: &mut RequestBatch, rec| {
+                    records.push(rec.request())
+                })
+            },
+            |mut out| {
+                let global = resolve_names(registry, &out.names);
                 out.records.remap_volumes(|local| global[local.as_usize()]);
-                if !out.records.is_empty() {
-                    sink(out.records);
-                }
-                let base = lines_before;
-                lines_before += out.lines;
-                let consumed_lines = out.error.as_ref().map_or(out.lines, |(rel, _)| *rel);
-                stats.lines += consumed_lines;
-                if let Some(m) = &self.metrics {
-                    m.on_chunk(out.bytes, records, consumed_lines);
-                }
-                match out.error {
-                    None => Ok(()),
-                    Some((rel, e)) => {
-                        if let Some(m) = &self.metrics {
-                            m.on_malformed(base + rel);
-                        }
-                        Err(TraceError::parse(base + rel, e))
-                    }
-                }
+                ledger.book(out, &mut sink)
             },
         )?;
-        Ok(stats)
+        Ok(ledger.stats)
     }
 
     /// Convenience wrapper: decodes an in-memory MSRC CSV buffer into a
@@ -426,81 +319,32 @@ impl ParallelDecoder {
 
 // --- chunk parsing --------------------------------------------------------
 
-struct AliChunkOut {
-    records: Vec<IoRequest>,
-    lines: u64,
-    bytes: u64,
-    error: Option<(u64, ParseRecordError)>,
-}
-
-fn parse_alicloud_chunk(chunk: &[u8]) -> AliChunkOut {
-    let mut out = AliChunkOut {
-        records: Vec::new(),
-        lines: 0,
-        bytes: chunk.len() as u64,
-        error: None,
-    };
-    for line in lines_of(chunk) {
-        out.lines += 1;
-        let line = trim_ascii(line);
-        if line.is_empty() {
-            continue;
-        }
-        match alicloud::parse_record_bytes(line) {
-            Ok(req) => out.records.push(req),
-            Err(e) => {
-                out.error = Some((out.lines, e));
-                break;
-            }
-        }
-    }
-    out
-}
-
-struct AliBatchOut {
-    records: RequestBatch,
-    lines: u64,
-    bytes: u64,
-    error: Option<(u64, ParseRecordError)>,
-}
-
-fn parse_alicloud_chunk_soa(chunk: &[u8]) -> AliBatchOut {
-    let mut out = AliBatchOut {
-        records: RequestBatch::new(),
-        lines: 0,
-        bytes: chunk.len() as u64,
-        error: None,
-    };
-    for line in lines_of(chunk) {
-        out.lines += 1;
-        let line = trim_ascii(line);
-        if line.is_empty() {
-            continue;
-        }
-        match alicloud::parse_record_bytes(line) {
-            Ok(req) => out.records.push(&req),
-            Err(e) => {
-                out.error = Some((out.lines, e));
-                break;
-            }
-        }
-    }
-    out
-}
-
-struct MsrcChunkOut {
-    records: Vec<MsrcRecord>,
-    /// Chunk-local registry names in local-id order.
+/// What a worker made of one chunk; `R` is the record container
+/// (`Vec<IoRequest>`, `Vec<MsrcRecord>` or a [`RequestBatch`]).
+struct ChunkOut<R> {
+    /// The `count` records before the first malformed line. MSRC
+    /// volume ids are **chunk-local**; the in-order consumer remaps
+    /// them to global registry ids.
+    records: R,
+    count: u64,
+    /// MSRC only: chunk-local registry names in local-id order.
     names: Vec<String>,
     lines: u64,
     bytes: u64,
+    /// The first malformed line (one-based within the chunk).
     error: Option<(u64, ParseRecordError)>,
 }
 
-fn parse_msrc_chunk(chunk: &[u8], is_first_chunk: bool) -> MsrcChunkOut {
-    let mut local = VolumeRegistry::new();
-    let mut out = MsrcChunkOut {
-        records: Vec::new(),
+/// The chunk loop both dialects share: count every line, skip blank
+/// ones, hand the rest to `parse_line` (which appends to the container
+/// and says whether the line held a record), stop at the first error.
+fn parse_chunk<R: Default>(
+    chunk: &[u8],
+    mut parse_line: impl FnMut(u64, &[u8], &mut R) -> Result<bool, ParseRecordError>,
+) -> ChunkOut<R> {
+    let mut out = ChunkOut {
+        records: R::default(),
+        count: 0,
         names: Vec::new(),
         lines: 0,
         bytes: chunk.len() as u64,
@@ -512,60 +356,97 @@ fn parse_msrc_chunk(chunk: &[u8], is_first_chunk: bool) -> MsrcChunkOut {
         if line.is_empty() {
             continue;
         }
-        if is_first_chunk && out.lines == 1 && line.starts_with(b"Timestamp,") {
-            continue; // header
-        }
-        match msrc::parse_record_bytes(line, &mut local) {
-            Ok(rec) => out.records.push(rec),
+        match parse_line(out.lines, line, &mut out.records) {
+            Ok(is_record) => out.count += u64::from(is_record),
             Err(e) => {
                 out.error = Some((out.lines, e));
                 break;
             }
         }
     }
-    out.names = local.iter().map(|(_, name)| name.to_owned()).collect();
     out
 }
 
-struct MsrcBatchOut {
-    /// Columnar records whose volume ids are **chunk-local**; the
-    /// in-order consumer remaps them to global registry ids.
-    records: RequestBatch,
-    /// Chunk-local registry names in local-id order.
-    names: Vec<String>,
-    lines: u64,
-    bytes: u64,
-    error: Option<(u64, ParseRecordError)>,
+fn parse_alicloud_chunk<R: Default>(chunk: &[u8], push: impl Fn(&mut R, IoRequest)) -> ChunkOut<R> {
+    parse_chunk(chunk, |_, line, records| {
+        push(records, alicloud::parse_record_bytes(line)?);
+        Ok(true)
+    })
 }
 
-fn parse_msrc_chunk_soa(chunk: &[u8], is_first_chunk: bool) -> MsrcBatchOut {
+fn parse_msrc_chunk<R: Default>(
+    chunk: &[u8],
+    is_first_chunk: bool,
+    push: impl Fn(&mut R, MsrcRecord),
+) -> ChunkOut<R> {
     let mut local = VolumeRegistry::new();
-    let mut out = MsrcBatchOut {
-        records: RequestBatch::new(),
-        names: Vec::new(),
-        lines: 0,
-        bytes: chunk.len() as u64,
-        error: None,
-    };
-    for line in lines_of(chunk) {
-        out.lines += 1;
-        let line = trim_ascii(line);
-        if line.is_empty() {
-            continue;
+    let mut out = parse_chunk(chunk, |line_no, line, records| {
+        if is_first_chunk && line_no == 1 && line.starts_with(b"Timestamp,") {
+            return Ok(false); // header
         }
-        if is_first_chunk && out.lines == 1 && line.starts_with(b"Timestamp,") {
-            continue; // header
+        push(records, msrc::parse_record_bytes(line, &mut local)?);
+        Ok(true)
+    });
+    out.names = local.iter().map(|(_, name)| name.to_owned()).collect();
+    out
+}
+
+/// Chunk-local id k maps to the global id of the k-th first-seen name
+/// in the chunk.
+fn resolve_names(registry: &mut VolumeRegistry, names: &[String]) -> Vec<VolumeId> {
+    names
+        .iter()
+        .map(|name| registry.resolve_name(name))
+        .collect()
+}
+
+/// The in-order consumer's books: run totals, the line number the next
+/// chunk starts after, and the live registry mirror.
+struct Ledger<'a> {
+    stats: DecodeStats,
+    lines_before: u64,
+    metrics: &'a Option<DecodeMetrics>,
+}
+
+impl<'a> Ledger<'a> {
+    fn new(metrics: &'a Option<DecodeMetrics>) -> Self {
+        Ledger {
+            stats: DecodeStats::default(),
+            lines_before: 0,
+            metrics,
         }
-        match msrc::parse_record_bytes(line, &mut local) {
-            Ok(rec) => out.records.push(rec.request()),
-            Err(e) => {
-                out.error = Some((out.lines, e));
-                break;
+    }
+
+    /// Books one in-order chunk: delivers its records (if any) to
+    /// `sink`, then reports its malformed line, if it had one, under
+    /// its one-based line number in the whole input.
+    fn book<R>(&mut self, out: ChunkOut<R>, sink: &mut impl FnMut(R)) -> Result<(), TraceError> {
+        self.stats.chunks += 1;
+        self.stats.bytes += out.bytes;
+        self.stats.records += out.count;
+        if out.count > 0 {
+            sink(out.records);
+        }
+        let base = self.lines_before;
+        self.lines_before += out.lines;
+        let consumed_lines = out.error.as_ref().map_or(out.lines, |(rel, _)| *rel);
+        self.stats.lines += consumed_lines;
+        if let Some(m) = self.metrics {
+            m.chunks.inc();
+            m.bytes.add(out.bytes);
+            m.records.add(out.count);
+            m.lines.add(consumed_lines);
+        }
+        match out.error {
+            None => Ok(()),
+            Some((rel, e)) => {
+                if let Some(m) = self.metrics {
+                    m.malformed_line.set(base + rel);
+                }
+                Err(TraceError::parse(base + rel, e))
             }
         }
     }
-    out.names = local.iter().map(|(_, name)| name.to_owned()).collect();
-    out
 }
 
 /// Iterates the lines of a chunk: pieces between `\n` separators, with

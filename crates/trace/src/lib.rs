@@ -72,6 +72,7 @@ pub mod slice;
 pub mod time;
 pub mod trace;
 pub mod volume;
+pub mod workers;
 
 pub use batch::{BlockAccessColumn, RequestBatch, RequestBatchRef};
 pub use block::{BlockId, BlockSize, BlockSpan};

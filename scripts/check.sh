@@ -49,6 +49,28 @@ if [ "${lint_out}" != "[]" ]; then
     exit 1
 fi
 
+echo "==> one fan-out, one router, one pacer (no second copy under crates/*/src)"
+# The death protocol and sticky routing live in crates/trace/src/workers.rs
+# and the replay pacer in crates/replay/src/schedule.rs; codec/parallel.rs
+# keeps its own, differently shaped, pipeline. Anything else is a copy
+# growing back. Library files only: binaries and cbs-lint's rule fixtures
+# are not product fan-outs.
+lib_sources="$(find crates/*/src -name '*.rs' -not -path '*/bin/*' -not -path 'crates/lint/*' | sort)"
+# shellcheck disable=SC2086
+channel_files="$(grep -lE '\bsync_channel(\(|::<)' ${lib_sources} | tr '\n' ' ' || true)"
+if [ "${channel_files}" != "crates/trace/src/codec/parallel.rs crates/trace/src/workers.rs " ]; then
+    echo "sync_channel may only be called in workers.rs and codec/parallel.rs; found: ${channel_files}" >&2
+    exit 1
+fi
+for name in wait_until route_volume; do
+    # shellcheck disable=SC2086
+    defs="$(cat ${lib_sources} | grep -c "fn ${name}\b" || true)"
+    if [ "${defs}" -gt 1 ]; then
+        echo "fn ${name} is defined ${defs} times under crates/*/src; one engine, one copy" >&2
+        exit 1
+    fi
+done
+
 echo "==> cbs-lint --check-bench BENCH_*.json"
 # Pinned-schema validation of the committed benchmark artifacts: drift
 # (renamed fields, stringly-typed numbers, unknown columns) fails the
