@@ -10,6 +10,12 @@
 //! deterministic per-test seed. There is **no shrinking** — a failing
 //! case panics with the normal assertion message, and because the seed
 //! is derived from the test name, reruns reproduce the same inputs.
+//!
+//! `PROPTEST_SEED=<u64>` in the environment is mixed into every test's
+//! seed, so a run can draw cases no earlier run drew; unset, the seeds
+//! are what they always were. A failing test prints
+//! `proptest: <test> failed at case <i> (PROPTEST_SEED=<s>)` after the
+//! assertion message — rerun with that value to get the same inputs.
 
 #![forbid(unsafe_code)]
 
@@ -43,14 +49,41 @@ pub mod test_runner {
         state: u64,
     }
 
+    /// The run's `PROPTEST_SEED`, if one is set.
+    ///
+    /// # Panics
+    ///
+    /// Panics on a value that is not a `u64`: a typo must not silently
+    /// run the default cases.
+    pub fn env_seed() -> Option<u64> {
+        let raw = std::env::var("PROPTEST_SEED").ok()?;
+        match raw.trim().parse() {
+            Ok(seed) => Some(seed),
+            Err(_) => panic!("PROPTEST_SEED={raw:?} is not a u64"),
+        }
+    }
+
     impl TestRng {
-        /// Creates the RNG for the named test (stable across runs).
+        /// Creates the RNG for the named test: stable across runs, and
+        /// redrawn by `PROPTEST_SEED` when that is set.
         pub fn for_test(name: &str) -> Self {
+            Self::seeded(name, env_seed())
+        }
+
+        /// The RNG for the named test under an explicit run seed
+        /// (`None` = the name alone, the seed every run used before
+        /// `PROPTEST_SEED` existed).
+        pub fn seeded(name: &str, run_seed: Option<u64>) -> Self {
             // FNV-1a over the name gives a stable, well-mixed seed.
             let mut h: u64 = 0xcbf2_9ce4_8422_2325;
             for b in name.bytes() {
                 h ^= u64::from(b);
                 h = h.wrapping_mul(0x0000_0100_0000_01B3);
+            }
+            if let Some(seed) = run_seed {
+                // One SplitMix64 step of the run seed, so neighbouring
+                // seeds (1, 2, 3, …) land far apart.
+                h ^= TestRng { state: seed }.next_u64();
             }
             TestRng { state: h }
         }
@@ -81,6 +114,45 @@ pub mod test_runner {
         /// Uniform `f64` in `[0, 1)`.
         pub fn unit_f64(&mut self) -> f64 {
             (self.next_u64() >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
+        }
+    }
+
+    /// Says which case of which test failed, and under which run seed:
+    /// [`proptest!`](crate::proptest) keeps one alive across a test's
+    /// cases, and it speaks up only when dropped by a panic.
+    #[derive(Debug)]
+    pub struct CaseGuard {
+        test: &'static str,
+        /// The case being run.
+        pub case: u32,
+    }
+
+    impl CaseGuard {
+        /// A guard for the named test, at case 0.
+        pub fn new(test: &'static str) -> Self {
+            CaseGuard { test, case: 0 }
+        }
+
+        /// The line a failure prints.
+        pub fn failure_line(&self, run_seed: Option<u64>) -> String {
+            let seed = match run_seed {
+                Some(seed) => format!("PROPTEST_SEED={seed}"),
+                None => "PROPTEST_SEED unset".to_owned(),
+            };
+            format!(
+                "proptest: {} failed at case {} ({seed})",
+                self.test, self.case
+            )
+        }
+    }
+
+    impl Drop for CaseGuard {
+        fn drop(&mut self) {
+            if std::thread::panicking() {
+                // The seed parsed when the RNG was made, or the panic
+                // would have been that one.
+                eprintln!("{}", self.failure_line(env_seed()));
+            }
         }
     }
 }
@@ -316,11 +388,11 @@ macro_rules! __proptest_fns {
         $(#[$meta])*
         fn $name() {
             let __cfg: $crate::ProptestConfig = $cfg;
-            let mut __rng = $crate::test_runner::TestRng::for_test(concat!(
-                module_path!(), "::", stringify!($name)
-            ));
+            const __NAME: &str = concat!(module_path!(), "::", stringify!($name));
+            let mut __rng = $crate::test_runner::TestRng::for_test(__NAME);
+            let mut __guard = $crate::test_runner::CaseGuard::new(__NAME);
             for __case in 0..__cfg.cases {
-                let _ = __case;
+                __guard.case = __case;
                 $(let $pat = $crate::Strategy::generate(&($strat), &mut __rng);)+
                 $body
             }
@@ -372,5 +444,36 @@ mod tests {
         let mut a = crate::test_runner::TestRng::for_test("x");
         let mut b = crate::test_runner::TestRng::for_test("x");
         assert_eq!(a.next_u64(), b.next_u64());
+    }
+
+    /// Without a run seed the stream is the one the name alone always
+    /// gave (first draw of FNV-1a("x") through SplitMix64, pinned); a
+    /// run seed redraws it, differently per seed, zero included.
+    #[test]
+    fn run_seed_redraws_and_its_absence_changes_nothing() {
+        use crate::test_runner::TestRng;
+        let first = |seed| TestRng::seeded("x", seed).next_u64();
+        assert_eq!(first(None), 0x3382_62d8_f096_398f);
+        let draws = [first(None), first(Some(0)), first(Some(1)), first(Some(2))];
+        for (i, a) in draws.iter().enumerate() {
+            for b in &draws[i + 1..] {
+                assert_ne!(a, b);
+            }
+        }
+        assert_eq!(first(Some(7)), first(Some(7)));
+    }
+
+    #[test]
+    fn failure_line_names_test_case_and_seed() {
+        let mut guard = crate::test_runner::CaseGuard::new("suite::law");
+        guard.case = 41;
+        assert_eq!(
+            guard.failure_line(Some(12345)),
+            "proptest: suite::law failed at case 41 (PROPTEST_SEED=12345)"
+        );
+        assert_eq!(
+            guard.failure_line(None),
+            "proptest: suite::law failed at case 41 (PROPTEST_SEED unset)"
+        );
     }
 }

@@ -27,7 +27,10 @@
 //! `BENCH_replay.json`. `lanes <thousands> <multiplier> <backend>
 //! <count>` replays the same prefix through the multi-lane issue
 //! engine ([`LaneSet`]) with `count` per-volume lanes and additionally
-//! reports feeder backpressure and the per-lane lag breakdown.
+//! reports both ends of the lane channels — the feeder's time blocked
+//! on full ones (`backpressure_nanos`) against the lanes' time idle
+//! between issue runs (`idle_nanos`, summed over lanes): whichever is
+//! large names the side that binds — and the per-lane lag breakdown.
 //!
 //! Budgets (env-overridable): the orchestrated null-backend ×1000 row
 //! and every lane-curve row assert `achieved_offered_ratio >=
@@ -302,6 +305,7 @@ fn phase_lanes(thousands: u64, multiplier: f64, backend: &str, lanes: usize) {
          \"volumes\": {}, \"wall_nanos\": {}, \"offered_nanos\": {}, \
          \"offered_rps\": {:.1}, \"achieved_rps\": {:.1}, \
          \"achieved_offered_ratio\": {:.4}, \"backpressure_nanos\": {}, \
+         \"idle_nanos\": {}, \
          \"issue_lag\": {{\"p50\": {}, \"p90\": {}, \"p99\": {}, \"max\": {}}}, \
          \"per_lane_lag\": [{}], \
          \"seconds\": {:.3}, \"reanalysis_identical\": {}, \"peak_rss_kb\": {}}}",
@@ -317,6 +321,7 @@ fn phase_lanes(thousands: u64, multiplier: f64, backend: &str, lanes: usize) {
         report.achieved_rps(),
         report.achieved_offered_ratio(),
         multi.feed_backpressure_nanos,
+        multi.per_lane.iter().map(|l| l.idle_nanos).sum::<u64>(),
         report.issue_lag.p50,
         report.issue_lag.p90,
         report.issue_lag.p99,

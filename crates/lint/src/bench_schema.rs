@@ -113,6 +113,7 @@ const RESULT_FIELDS: &[(&str, &[Ty])] = &[
     ("expand_nanos", &[Ty::Int]),
     ("grid", &[Ty::Arr]),
     ("grids_bit_identical", &[Ty::Bool]),
+    ("idle_nanos", &[Ty::Int]),
     ("imbalance", &[Ty::Float]),
     ("issue_lag", &[Ty::Obj]),
     ("lanes", &[Ty::Arr, Ty::Int]),
@@ -488,7 +489,7 @@ mod tests {
   "results": [
     {"phase": "lanes", "backend": "direct", "remap": "identity",
      "rate_multiplier": 1000.0, "lanes": 4, "requests": 1000000,
-     "backpressure_nanos": 120, "issue_lag": {"p50": 300, "p99": 900},
+     "backpressure_nanos": 120, "idle_nanos": 4500, "issue_lag": {"p50": 300, "p99": 900},
      "per_lane_lag": [{"lane": 0, "requests": 250000, "p99": 800}],
      "achieved_offered_ratio": 0.99, "reanalysis_identical": true},
     {"phase": "sweep", "lanes": [1, 2, 4]}

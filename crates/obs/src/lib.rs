@@ -12,6 +12,9 @@
 //!   power-of-two octave) with count/sum/min/max and approximate
 //!   quantiles (≤12.5% relative error), safe to hammer from many
 //!   threads;
+//! * [`LocalHistogram`] — the same buckets as plain `u64`s for a loop
+//!   with one writer that publishes when it ends
+//!   ([`Histogram::absorb`]);
 //! * [`SpanTimer`] / [`Stopwatch`] — wall-clock timing that records
 //!   into a histogram of nanoseconds, so *all* timing flows through one
 //!   audited place (the `no-adhoc-timing` lint forbids raw
@@ -55,7 +58,7 @@ pub mod names;
 pub mod registry;
 pub mod timer;
 
-pub use metrics::{Counter, Gauge, Histogram, HistogramSnapshot};
+pub use metrics::{Counter, Gauge, Histogram, HistogramSnapshot, LocalHistogram};
 pub use names::METRIC_NAMES;
 pub use registry::{MetricKind, MetricSample, MetricValue, Registry};
 pub use timer::{RunningSpan, SpanTimer, Stopwatch};

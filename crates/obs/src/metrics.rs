@@ -1,6 +1,8 @@
-//! The recording primitives: [`Counter`], [`Gauge`], [`Histogram`].
+//! The recording primitives: [`Counter`], [`Gauge`], [`Histogram`] —
+//! and [`LocalHistogram`], a histogram's cells without the atomics for
+//! a single writer that publishes when it is done.
 //!
-//! All three are thin `Arc`s over atomics: cloning a handle observes
+//! The first three are thin `Arc`s over atomics: cloning a handle observes
 //! and mutates the same underlying metric, which is how one metric is
 //! shared between a registry, a producer thread, and shard workers.
 //! Every mutation is a relaxed atomic operation — values are exact
@@ -330,6 +332,24 @@ impl Histogram {
             .fetch_max(b.max.load(Ordering::Relaxed), Ordering::Relaxed);
     }
 
+    /// Folds a single writer's [`LocalHistogram`] in: one add per
+    /// non-empty bucket, then count, sum and the extremes. Equal to
+    /// [`record`](Histogram::record)ing the same samples here one by
+    /// one. `local` is read, not drained — absorb each exactly once.
+    pub fn absorb(&self, local: &LocalHistogram) {
+        let inner = &self.inner;
+        for (mine, &theirs) in inner.buckets.iter().zip(&local.buckets) {
+            if theirs != 0 {
+                mine.fetch_add(theirs, Ordering::Relaxed);
+            }
+        }
+        inner.count.fetch_add(local.count, Ordering::Relaxed);
+        inner.sum.fetch_add(local.sum, Ordering::Relaxed);
+        // An empty local holds the identities (MAX, 0): both no-ops.
+        inner.min.fetch_min(local.min, Ordering::Relaxed);
+        inner.max.fetch_max(local.max, Ordering::Relaxed);
+    }
+
     /// A consistent-enough copy of the current state (buckets are read
     /// without a global lock, so a concurrent `record` may be partially
     /// visible; totals are exact once writers quiesce).
@@ -371,9 +391,68 @@ pub struct HistogramSnapshot {
     pub p99: u64,
 }
 
+/// A [`Histogram`]'s cells as plain `u64`s, for **one writer that
+/// publishes at a boundary**: a loop that records per item into state
+/// nobody else reads until it ends (a replay lane's run) pays an
+/// increment where [`Histogram::record`] pays five lock-prefixed
+/// read-modify-writes, then hands the lot over with
+/// [`Histogram::absorb`]. `record` takes `&mut self`, so the type —
+/// not a comment — proves the single writer. Same bucket layout as
+/// [`Histogram`]; snapshots and quantiles come from the histogram it
+/// is absorbed into. Anything read while it is written stays a
+/// [`Histogram`].
+///
+/// ```
+/// let mut local = cbs_obs::LocalHistogram::new();
+/// for v in [1u64, 2, 3, 100] {
+///     local.record(v);
+/// }
+/// let h = cbs_obs::Histogram::new();
+/// h.absorb(&local);
+/// assert_eq!(h.snapshot().sum, 106);
+/// ```
+#[derive(Debug, Clone)]
+pub struct LocalHistogram {
+    buckets: [u64; BUCKETS],
+    count: u64,
+    sum: u64,
+    min: u64,
+    max: u64,
+}
+
+impl Default for LocalHistogram {
+    fn default() -> Self {
+        LocalHistogram {
+            buckets: [0; BUCKETS],
+            count: 0,
+            sum: 0,
+            min: u64::MAX,
+            max: 0,
+        }
+    }
+}
+
+impl LocalHistogram {
+    /// Creates an empty histogram.
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// Records one sample (the sum wraps, like [`Histogram`]'s).
+    #[inline]
+    pub fn record(&mut self, v: u64) {
+        self.buckets[bucket_of(v)] += 1;
+        self.count += 1;
+        self.sum = self.sum.wrapping_add(v);
+        self.min = self.min.min(v);
+        self.max = self.max.max(v);
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn counter_accumulates() {
@@ -544,5 +623,90 @@ mod tests {
         });
         assert_eq!(c.get(), 40_000);
         assert_eq!(h.count(), 40_000);
+    }
+
+    /// Every cell of a histogram, not just what a snapshot shows.
+    fn cells(h: &Histogram) -> (Vec<u64>, HistogramSnapshot) {
+        let buckets = h
+            .inner
+            .buckets
+            .iter()
+            .map(|b| b.load(Ordering::Relaxed))
+            .collect();
+        (buckets, h.snapshot())
+    }
+
+    fn recorded(samples: &[u64]) -> Histogram {
+        let h = Histogram::new();
+        for &v in samples {
+            h.record(v);
+        }
+        h
+    }
+
+    fn local(samples: &[u64]) -> LocalHistogram {
+        let mut l = LocalHistogram::new();
+        for &v in samples {
+            l.record(v);
+        }
+        l
+    }
+
+    /// Arbitrary samples, weighted towards the layout's edges: the
+    /// linear/log-linear seam (15, 16), both extremes, the small values
+    /// and nanosecond scales a replay lane actually records.
+    fn arb_samples() -> impl Strategy<Value = Vec<u64>> {
+        proptest::collection::vec(
+            prop_oneof![
+                Just(0u64),
+                Just(15u64),
+                Just(16u64),
+                Just(u64::MAX),
+                0u64..64,
+                0u64..20_000_000,
+                0u64..=u64::MAX,
+            ],
+            0..200,
+        )
+    }
+
+    #[test]
+    fn absorbing_an_empty_local_changes_nothing() {
+        let h = Histogram::new();
+        h.absorb(&LocalHistogram::new());
+        assert_eq!(h.snapshot(), HistogramSnapshot::default());
+        assert_eq!(h.quantile(0.5), None);
+        // The empty local's identities must not leak into a later
+        // sample's extremes either.
+        h.record(7);
+        h.absorb(&LocalHistogram::new());
+        assert_eq!((h.snapshot().min, h.snapshot().max), (7, 7));
+    }
+
+    proptest! {
+        /// `absorb` of a local == `record` of the same samples, cell
+        /// for cell and snapshot for snapshot.
+        #[test]
+        fn absorb_equals_recording_the_same_samples(samples in arb_samples()) {
+            let absorbed = Histogram::new();
+            absorbed.absorb(&local(&samples));
+            prop_assert_eq!(cells(&absorbed), cells(&recorded(&samples)));
+        }
+
+        /// Absorbing two partials == absorbing their concatenation,
+        /// also into a histogram that already holds samples.
+        #[test]
+        fn absorbing_partials_equals_absorbing_the_whole(
+            before in arb_samples(),
+            a in arb_samples(),
+            b in arb_samples(),
+        ) {
+            let parts = recorded(&before);
+            parts.absorb(&local(&a));
+            parts.absorb(&local(&b));
+            let whole = recorded(&before);
+            whole.absorb(&local(&[a, b].concat()));
+            prop_assert_eq!(cells(&parts), cells(&whole));
+        }
     }
 }

@@ -77,12 +77,16 @@ pub const METRIC_NAMES: &[(&str, &str)] = &[
     ("decode.records", "records decoded from text traces"),
     (
         "replay.backend_nanos",
-        "per-request backend service time, nanoseconds",
+        "per-request service time, issue instant to completion reading, nanoseconds",
     ),
     ("replay.bytes", "payload bytes issued by the replayer"),
     (
         "replay.feed_backpressure_nanos",
         "feeder nanoseconds blocked on full lane channels",
+    ),
+    (
+        "replay.idle_nanos",
+        "lane nanoseconds blocked on empty channels, waiting for the feeder",
     ),
     (
         "replay.issue_lag_nanos",
@@ -93,6 +97,10 @@ pub const METRIC_NAMES: &[(&str, &str)] = &[
         "per-lane backend service time, nanoseconds",
     ),
     ("replay.lane*.bytes", "per-lane payload bytes issued"),
+    (
+        "replay.lane*.idle_nanos",
+        "per-lane nanoseconds blocked on an empty channel",
+    ),
     (
         "replay.lane*.issue_lag_nanos",
         "per-lane issue lag (actual minus target issue time)",

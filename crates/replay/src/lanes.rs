@@ -27,8 +27,18 @@
 //!
 //! The lane threads are a [`WorkerSet`] (bounded channels, try-first
 //! backpressure accounting, a lane's panic re-raised on the caller)
-//! and each lane runs the one issue loop of [`crate::schedule`] — the
-//! loop [`Replayer`](crate::Replayer) runs inline.
+//! and each lane runs the one issue loop of [`crate::schedule`] once
+//! per batch it receives — the loop [`Replayer`](crate::Replayer) runs
+//! inline with runs of one.
+//!
+//! # Which side binds
+//!
+//! A run reports both ends of the channel: the feeder's time blocked on
+//! a full one ([`MultiLaneReport::feed_backpressure_nanos`]) and each
+//! lane's time between issue runs ([`ReplayLaneReport::idle_nanos`]).
+//! A lane's life is idle + waiting for targets + issue→completion, back
+//! to back, so the three add up to its wall; a large idle share says
+//! the feeder binds, a large blocked share that the lanes do.
 //!
 //! # Routing
 //!
@@ -40,12 +50,14 @@
 //!
 //! # Merged-report laws
 //!
-//! Each lane records a run into handles of its own; the merged
-//! [`ReplayReport`] is the fold of those partials through the
-//! MERGEABLE `merge()` laws of `cbs-obs` (counter totals add, histogram
-//! buckets add), and the registry's cumulative `replay.*` and
-//! `replay.lane<i>.*` names receive the same partials once, when the
-//! run ends. Request, byte, read, and write counts — and the
+//! Each lane tallies a run in plain counters it owns (one batch at a
+//! time through the issue loop: no atomic and one clock read per
+//! request); the merged [`ReplayReport`] is the fold of those tallies
+//! into `cbs-obs` handles (counter totals add, histogram buckets add:
+//! `Histogram::absorb` equals recording the samples one by one), and
+//! the registry's cumulative `replay.*` and `replay.lane<i>.*` names
+//! receive the same tallies once, when the run ends — on its error
+//! path too. Request, byte, read, and write counts — and the
 //! issue-lag/service-time sample counts — are therefore **identical to
 //! the single-lane run at any lane count**; only the timing
 //! distributions themselves may differ (that is the point). The
@@ -62,7 +74,9 @@ use cbs_trace::{IoRequest, VolumeId};
 use crate::backend::StorageBackend;
 use crate::error::ReplayError;
 use crate::remap::{Remap, VolumeRemapper};
-use crate::schedule::{run_lane, IssueMetrics, LaneEntry, ReplayReport, Schedule, Timing};
+use crate::schedule::{
+    issue_run, IssueMetrics, IssueTally, LaneEntry, ReplayReport, Schedule, Timing,
+};
 
 /// Requests buffered per lane before the feeder hands the batch to the
 /// lane's channel. Small enough that a batch is a few KiB, large
@@ -100,6 +114,13 @@ pub struct ReplayLaneReport {
     pub writes: u64,
     /// Nanoseconds this lane slept ahead of deadlines.
     pub slept_nanos: u64,
+    /// Nanoseconds this lane spent between issue runs: from the run's
+    /// start to its first batch, from each batch's last completion to
+    /// the next batch in hand, and until its channel closed — waiting
+    /// for the feeder, plus the hand-off itself. The mirror of
+    /// [`MultiLaneReport::feed_backpressure_nanos`]: whichever of the
+    /// two is large names the side that binds.
+    pub idle_nanos: u64,
     /// This lane's issue-lag distribution.
     pub issue_lag: cbs_obs::HistogramSnapshot,
     /// This lane's backend service-time distribution.
@@ -144,7 +165,8 @@ impl MultiLaneReport {
 /// terminal result.
 struct LaneOutcome<B> {
     backend: B,
-    metrics: IssueMetrics,
+    tally: IssueTally,
+    idle_nanos: u64,
     result: io::Result<()>,
 }
 
@@ -326,11 +348,13 @@ impl<B: StorageBackend + Send + 'static> LaneSet<B> {
         let (outcomes, feed_backpressure_nanos) = feeder.finish();
         let wall_nanos = clock.elapsed_nanos();
 
-        // Each lane recorded this run into its own fresh handles: fold
-        // them — once — into the registry's cumulative per-lane and
-        // aggregate names, and build the report from the run's own.
+        // Each lane tallied this run on its own: fold the tallies —
+        // once — into the registry's cumulative per-lane and aggregate
+        // names, and into fresh handles the report is snapshotted from.
+        let aggregate = IssueMetrics::aggregate(&self.registry);
         let merged = IssueMetrics::default();
         let mut per_lane = Vec::with_capacity(lanes);
+        let mut idle_nanos = 0u64;
         let mut failure: Option<ReplayError> = None;
         for (lane, outcome) in outcomes.into_iter().enumerate() {
             if let (None, Err(source)) = (&failure, outcome.result) {
@@ -340,11 +364,16 @@ impl<B: StorageBackend + Send + 'static> LaneSet<B> {
                 });
             }
             self.backends.push(outcome.backend);
-            IssueMetrics::lane(&self.registry, lane).fold(&outcome.metrics);
-            merged.fold(&outcome.metrics);
-            per_lane.push(lane_report(lane, &outcome.metrics));
+            IssueMetrics::lane(&self.registry, lane).fold(&outcome.tally);
+            self.registry
+                .counter(&format!("replay.lane{lane}.idle_nanos"))
+                .add(outcome.idle_nanos);
+            aggregate.fold(&outcome.tally);
+            merged.fold(&outcome.tally);
+            idle_nanos += outcome.idle_nanos;
+            per_lane.push(lane_report(lane, &outcome.tally, outcome.idle_nanos));
         }
-        IssueMetrics::aggregate(&self.registry).fold(&merged);
+        self.registry.counter("replay.idle_nanos").add(idle_nanos);
         self.registry
             .counter("replay.feed_backpressure_nanos")
             .add(feed_backpressure_nanos);
@@ -359,16 +388,21 @@ impl<B: StorageBackend + Send + 'static> LaneSet<B> {
     }
 }
 
-fn lane_report(lane: usize, metrics: &IssueMetrics) -> ReplayLaneReport {
+fn lane_report(lane: usize, tally: &IssueTally, idle_nanos: u64) -> ReplayLaneReport {
+    // Quantiles come from `Histogram` alone: snapshot this lane's
+    // tally through fresh handles of its own.
+    let own = IssueMetrics::default();
+    own.fold(tally);
     ReplayLaneReport {
         lane,
-        requests: metrics.requests.get(),
-        bytes: metrics.bytes.get(),
-        reads: metrics.reads.get(),
-        writes: metrics.writes.get(),
-        slept_nanos: metrics.slept.get(),
-        issue_lag: metrics.issue_lag.snapshot(),
-        backend: metrics.backend_nanos.snapshot(),
+        requests: tally.requests,
+        bytes: tally.bytes,
+        reads: tally.reads,
+        writes: tally.writes,
+        slept_nanos: tally.slept,
+        idle_nanos,
+        issue_lag: own.issue_lag.snapshot(),
+        backend: own.backend_nanos.snapshot(),
     }
 }
 
@@ -383,6 +417,11 @@ struct Feeder<B> {
     /// only while the lane's buffer is non-empty) — the staleness
     /// signal behind [`FLUSH_HORIZON_NANOS`].
     oldest: Vec<u64>,
+    /// No buffered entry goes stale before the stream head reaches
+    /// this target: a lower bound on the least `oldest` of a non-empty
+    /// buffer, plus the horizon. Lets `push` skip the sweep over every
+    /// lane on all but the requests that cross it.
+    sweep_at: u64,
     backpressure_nanos: u64,
     dead: bool,
 }
@@ -397,6 +436,7 @@ impl<B: StorageBackend + Send + 'static> Feeder<B> {
                 .map(|_| Vec::with_capacity(LANE_BATCH_REQUESTS))
                 .collect(),
             oldest: vec![0; count],
+            sweep_at: u64::MAX,
             backpressure_nanos: 0,
             dead: false,
         }
@@ -411,6 +451,9 @@ impl<B: StorageBackend + Send + 'static> Feeder<B> {
         let lane = self.router.route(req.volume());
         if self.buffers[lane].is_empty() {
             self.oldest[lane] = target_nanos;
+            self.sweep_at = self
+                .sweep_at
+                .min(target_nanos.saturating_add(FLUSH_HORIZON_NANOS));
         }
         self.buffers[lane].push((target_nanos, req));
         if self.buffers[lane].len() >= LANE_BATCH_REQUESTS {
@@ -420,12 +463,24 @@ impl<B: StorageBackend + Send + 'static> Feeder<B> {
         // the stream head — any other lane whose oldest buffered entry
         // trails it by more than the horizon is flushed now (without
         // blocking) instead of going stale in a feeder buffer while
-        // this lane's traffic dominates the stream.
-        for l in 0..self.buffers.len() {
-            if !self.buffers[l].is_empty()
-                && self.oldest[l].saturating_add(FLUSH_HORIZON_NANOS) <= target_nanos
-            {
-                self.try_flush(l);
+        // this lane's traffic dominates the stream. A flush never
+        // raises `sweep_at`, so it may run early — never late — and
+        // each sweep sets it exactly.
+        if target_nanos >= self.sweep_at {
+            self.sweep_at = u64::MAX;
+            for l in 0..self.buffers.len() {
+                if self.buffers[l].is_empty() {
+                    continue;
+                }
+                let stale_at = self.oldest[l].saturating_add(FLUSH_HORIZON_NANOS);
+                if stale_at <= target_nanos {
+                    self.try_flush(l);
+                }
+                // Still buffered (not yet stale, or its channel is
+                // full): it decides when to look again.
+                if !self.buffers[l].is_empty() {
+                    self.sweep_at = self.sweep_at.min(stale_at);
+                }
             }
         }
         !self.dead
@@ -486,20 +541,38 @@ impl<B: StorageBackend + Send + 'static> Feeder<B> {
     }
 }
 
-/// One issue lane: [`run_lane`] over the entry batches drained from the
-/// channel, against this lane's backend, recording into this run's own
-/// handles. Stopping at an I/O error drops the receiver, which the
-/// feeder notices on its next send to this lane.
+/// One issue lane: [`issue_run`] once per batch received, against this
+/// lane's backend, tallying into this run's own [`IssueTally`]; the
+/// backend is flushed when the channel closes. Stopping at an I/O error
+/// drops the receiver, which the feeder notices on its next send to
+/// this lane — the tally comes back either way.
+///
+/// The reading each receive is followed by also closes the books on
+/// the time since the last run's final completion (or, for the first
+/// batch, since the run clock started): that gap is the lane's idle
+/// time, and costs no clock read of its own.
 fn lane_worker<B: StorageBackend>(
     rx: Receiver<Vec<LaneEntry>>,
     mut backend: B,
     clock: Stopwatch,
 ) -> LaneOutcome<B> {
-    let metrics = IssueMetrics::default();
-    let result = run_lane(rx.into_iter().flatten(), &mut backend, &clock, &metrics);
+    let mut tally = IssueTally::default();
+    let mut idle_nanos = 0u64;
+    let mut issue_all = || {
+        let mut last = 0u64;
+        for batch in &rx {
+            let now = clock.elapsed_nanos();
+            idle_nanos += now.saturating_sub(last);
+            last = issue_run(&batch, now, &mut backend, &clock, &mut tally)?;
+        }
+        idle_nanos += clock.elapsed_nanos().saturating_sub(last);
+        backend.flush()
+    };
+    let result = issue_all();
     LaneOutcome {
         backend,
-        metrics,
+        tally,
+        idle_nanos,
         result,
     }
 }
@@ -712,6 +785,51 @@ mod tests {
         assert_eq!(second.backend.count, 10);
         assert_eq!(registry.counter("replay.requests").get(), 110);
         assert_eq!(registry.histogram("replay.backend_nanos").count(), 110);
+    }
+
+    /// With carried readings a lane's life is idle (between runs) +
+    /// waiting (ahead of a target) + issue→completion, back to back: on
+    /// a saturated run nothing waits, so idle and service time alone
+    /// must tile the lane's wall — which is what lets a run say, from
+    /// its own report, which side binds.
+    #[test]
+    fn idle_and_service_time_cover_a_saturated_lanes_wall() {
+        // 1 ns apart at x1000: every request is past due when it
+        // reaches its lane.
+        let reqs = make(400_000, 1);
+        for lanes in [1usize, 3] {
+            let registry = Registry::new();
+            let mut set = LaneSet::new(lanes, |_| NullBackend::new())
+                .with_timing(Timing::multiplier(1000.0).unwrap())
+                .with_registry(&registry);
+            let report = set.run(reqs.iter().copied()).unwrap();
+            let wall = report.merged.wall_nanos;
+            assert_eq!(report.merged.slept_nanos, 0, "saturated: nothing waits");
+            for lane in &report.per_lane {
+                let covered = lane.idle_nanos + lane.backend.sum;
+                assert!(
+                    covered <= wall,
+                    "lanes={lanes} lane {}: spans overlap, {covered} ns of a {wall} ns run",
+                    lane.lane
+                );
+                assert!(
+                    covered as f64 >= 0.9 * wall as f64,
+                    "lanes={lanes} lane {}: idle {} + service {} ns leave more than a tenth \
+                     of the {wall} ns run unexplained",
+                    lane.lane,
+                    lane.idle_nanos,
+                    lane.backend.sum
+                );
+                assert_eq!(
+                    registry
+                        .counter(&format!("replay.lane{}.idle_nanos", lane.lane))
+                        .get(),
+                    lane.idle_nanos
+                );
+            }
+            let idle: u64 = report.per_lane.iter().map(|l| l.idle_nanos).sum();
+            assert_eq!(registry.counter("replay.idle_nanos").get(), idle);
+        }
     }
 
     /// A run that unwinds loses the backends its lanes owned: the set

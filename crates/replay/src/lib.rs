@@ -30,14 +30,15 @@
 //! shards the issue side: a feeder thread decodes/remaps in stream
 //! order and fans batches out to N per-volume scheduler lanes
 //! (sticky least-loaded routing, bounded channels, panic-poison
-//! parity), and the per-lane metrics fold through lawful `merge()`
-//! into a [`MultiLaneReport`] whose merged view is identical to the
-//! single-lane run at any lane count.
+//! parity), and the per-lane tallies fold (counters add, histogram
+//! buckets add) into a [`MultiLaneReport`] whose merged view is
+//! identical to the single-lane run at any lane count.
 //!
-//! Everything observable lands in `cbs-obs` metrics under registered
-//! `replay.*` names, and [`ReplayReport`] summarizes the run
-//! (achieved-vs-offered throughput, lag and service-time
-//! distributions).
+//! An issued request costs the engine one clock read and no atomic: a
+//! run is tallied in plain counters its issue loop owns and lands in
+//! `cbs-obs` metrics under registered `replay.*` names once, when it
+//! ends; [`ReplayReport`] summarizes it (achieved-vs-offered
+//! throughput, lag and service-time distributions).
 //!
 //! # Example
 //!

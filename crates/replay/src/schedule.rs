@@ -26,14 +26,26 @@
 //! # One engine
 //!
 //! The target-time arithmetic (`Schedule`), the issue loop
-//! (`run_lane`: pace, record lag, call the backend, count) and the
-//! metric handles (`IssueMetrics`) exist once, here. [`Replayer`] is
-//! that loop run inline on the calling thread; [`crate::LaneSet`] runs
-//! it once per lane thread behind a feeder.
+//! (`issue_run`: pace, record lag, call the backend, count), the
+//! run-local tallies it counts into (`IssueTally`) and the metric
+//! handles they are folded into when a run ends (`IssueMetrics`) exist
+//! once, here. [`crate::LaneSet`] calls the loop once per batch a lane
+//! receives from its feeder; [`Replayer`], which generates the next
+//! request between two issues, calls it inline with runs of one.
+//!
+//! # What a request costs the engine
+//!
+//! One clock read and no atomic: the reading taken when backend call
+//! *i* returns is both *i*'s completion and, carried across the loop's
+//! own bookkeeping, the instant *i + 1* is issued at (see `issue_run`
+//! for when a reading may be carried, and when it must be re-taken).
+//! A lag sample is issue instant − target; a service sample is issue
+//! instant → completion reading, so it spans the call plus the loop's
+//! few nanoseconds of bookkeeping.
 
 use std::io;
 
-use cbs_obs::{Counter, Histogram, HistogramSnapshot, Registry, Stopwatch};
+use cbs_obs::{Counter, Histogram, HistogramSnapshot, LocalHistogram, Registry, Stopwatch};
 use cbs_trace::{IoRequest, Timestamp};
 
 use crate::backend::StorageBackend;
@@ -320,21 +332,32 @@ impl<B: StorageBackend> Replayer<B> {
         I: IntoIterator<Item = IoRequest>,
         F: FnMut(IoRequest),
     {
-        let run = IssueMetrics::default();
+        let mut tally = IssueTally::default();
         let clock = Stopwatch::start();
         let mut schedule = Schedule::new(self.timing);
-        let remapper = &mut self.remapper;
-        let entries = source.into_iter().map(|req| {
-            let target_nanos = schedule.target(req.ts());
-            let out = remapper.map(req);
-            observe(out);
-            (target_nanos, out)
-        });
-        let result = run_lane(entries, &mut self.backend, &clock, &run);
+        let backend = &mut self.backend;
+        let issue_all = || {
+            for req in source {
+                let target_nanos = schedule.target(req.ts());
+                let out = self.remapper.map(req);
+                observe(out);
+                // The source, the remapper and the hook ran since the
+                // last completion reading: a run of one, from a fresh
+                // one.
+                let now = clock.elapsed_nanos();
+                issue_run(&[(target_nanos, out)], now, backend, &clock, &mut tally)?;
+            }
+            backend.flush()
+        };
+        let result = issue_all();
         let wall_nanos = clock.elapsed_nanos();
-        self.cumulative.fold(&run);
+        self.cumulative.fold(&tally);
         match result {
-            Ok(()) => Ok(run.report(wall_nanos, schedule.offered_nanos())),
+            Ok(()) => {
+                let run = IssueMetrics::default();
+                run.fold(&tally);
+                Ok(run.report(wall_nanos, schedule.offered_nanos()))
+            }
             Err(source) => Err(ReplayError::Backend {
                 backend: self.backend.name(),
                 source,
@@ -347,10 +370,26 @@ impl<B: StorageBackend> Replayer<B> {
 /// on the run clock, plus the post-remap request itself.
 pub(crate) type LaneEntry = (u64, IoRequest);
 
-/// The handles every issue path records into. A run records into a
-/// fresh, unregistered set ([`Default`]) and is [`fold`]ed into the
-/// registry's cumulative sets once, when it ends — so a report built
-/// from the run's own set never includes an earlier run.
+/// What one issue loop counted over one run, in plain `u64`s it owns —
+/// nothing reads a run's numbers until the run ends, so nothing in it
+/// is shared while it is written. Folded into [`IssueMetrics`] handles
+/// once, by whoever ran the loop, on **every** way out of it: a tally
+/// dropped on the error path is requests the report loses.
+#[derive(Debug, Default)]
+pub(crate) struct IssueTally {
+    pub(crate) requests: u64,
+    pub(crate) bytes: u64,
+    pub(crate) reads: u64,
+    pub(crate) writes: u64,
+    pub(crate) slept: u64,
+    pub(crate) issue_lag: LocalHistogram,
+    pub(crate) backend: LocalHistogram,
+}
+
+/// The handles a run's [`IssueTally`] is [`fold`]ed into when it ends:
+/// the registry's cumulative sets, and a fresh, unregistered set
+/// ([`Default`]) from which that run's report is snapshotted — so a
+/// report never includes an earlier run.
 ///
 /// [`fold`]: IssueMetrics::fold
 #[derive(Debug, Default)]
@@ -392,15 +431,15 @@ impl IssueMetrics {
         }
     }
 
-    /// Folds `other` in: counters add, histogram buckets add.
-    pub(crate) fn fold(&self, other: &IssueMetrics) {
-        self.requests.merge(&other.requests);
-        self.bytes.merge(&other.bytes);
-        self.reads.merge(&other.reads);
-        self.writes.merge(&other.writes);
-        self.slept.merge(&other.slept);
-        self.issue_lag.merge(&other.issue_lag);
-        self.backend_nanos.merge(&other.backend_nanos);
+    /// Folds one run's tally in: counters add, histogram buckets add.
+    pub(crate) fn fold(&self, tally: &IssueTally) {
+        self.requests.add(tally.requests);
+        self.bytes.add(tally.bytes);
+        self.reads.add(tally.reads);
+        self.writes.add(tally.writes);
+        self.slept.add(tally.slept);
+        self.issue_lag.absorb(&tally.issue_lag);
+        self.backend_nanos.absorb(&tally.backend);
     }
 
     /// Snapshots these handles as a run's report.
@@ -419,63 +458,81 @@ impl IssueMetrics {
     }
 }
 
-/// The issue loop: pace each entry to its target on the run clock,
-/// record the lag, issue it, count it; flush the backend at the end.
-/// Stops at, and returns, the first I/O error — dropping `entries`,
-/// which is how a lane's feeder learns the lane stopped.
-pub(crate) fn run_lane<B: StorageBackend>(
-    entries: impl IntoIterator<Item = LaneEntry>,
+/// The issue loop, over one materialised run of entries: pace each to
+/// its target on the run clock, record the lag, issue it, record the
+/// service time, count it. `now` is the caller's reading of `clock`,
+/// taken after whatever it did to obtain the run; the reading the last
+/// call completed at is handed back. Stops at, and returns, the first
+/// I/O error; `tally` then holds everything up to and including the
+/// failed call's lag and service samples, and the caller folds it all
+/// the same.
+///
+/// **When a clock reading may be carried.** A reading is carried only
+/// across this loop's own straight-line bookkeeping; a channel receive,
+/// a sleep or yield, the source's `next`, the remapper and the
+/// `observe` hook are each followed by a fresh read. So the reading
+/// taken when backend call *i* returns is *i*'s completion and *i +
+/// 1*'s issue instant, a caller reads the clock afresh before each run
+/// (it just received, decoded or remapped), and `wait_until` hands back
+/// the reading that satisfied it. One reading per *completion* is the
+/// floor: behind a slow backend, request *k* of a past-due run is late
+/// by the service time of the *k* − 1 before it, and one reading per
+/// run would hide exactly that.
+pub(crate) fn issue_run<B: StorageBackend>(
+    run: &[LaneEntry],
+    mut now: u64,
     backend: &mut B,
     clock: &Stopwatch,
-    metrics: &IssueMetrics,
-) -> io::Result<()> {
-    for (target_nanos, req) in entries {
-        wait_until(clock, target_nanos, &metrics.slept);
-        let lag = clock.elapsed_nanos().saturating_sub(target_nanos);
-        metrics.issue_lag.record(lag);
-        let service = Stopwatch::start();
+    tally: &mut IssueTally,
+) -> io::Result<u64> {
+    for &(target_nanos, req) in run {
+        now = wait_until(clock, target_nanos, now, &mut tally.slept);
+        tally.issue_lag.record(now - target_nanos);
         let io = if req.is_write() {
             backend.write(req.volume(), req.offset(), req.len())
         } else {
             backend.read(req.volume(), req.offset(), req.len())
         };
-        metrics.backend_nanos.record(service.elapsed_nanos());
+        let done = clock.elapsed_nanos();
+        tally.backend.record(done.saturating_sub(now));
+        now = done;
         io?;
-        metrics.requests.inc();
-        metrics.bytes.add(req.len() as u64);
+        tally.requests += 1;
+        tally.bytes += u64::from(req.len());
         if req.is_write() {
-            metrics.writes.inc();
+            tally.writes += 1;
         } else {
-            metrics.reads.inc();
+            tally.reads += 1;
         }
     }
-    backend.flush()
+    Ok(now)
 }
 
-/// Sleeps (coarsely) then spins (precisely) until `clock` reaches
-/// `target_nanos`. Returns immediately when already past due — the
-/// saturated fast path when the backend can't keep up or the
-/// multiplier outruns the engine. The spin *yields*: lanes spin
-/// concurrently, and on small hosts an unyielding spinner would starve
-/// the lane (or the feeder) whose deadline is actually due.
-fn wait_until(clock: &Stopwatch, target_nanos: u64, slept: &Counter) {
-    loop {
-        let now = clock.elapsed_nanos();
-        if now >= target_nanos {
-            return;
-        }
+/// Sleeps (coarsely) then spins (precisely) from the reading `now`
+/// until `clock` reaches `target_nanos`, and returns the reading that
+/// did — `now` itself when already past due (the saturated fast path:
+/// no clock read), a fresh one after every sleep and yield. The spin
+/// *yields*: lanes spin concurrently, and on small hosts an unyielding
+/// spinner would starve the lane (or the feeder) whose deadline is
+/// actually due.
+#[inline]
+fn wait_until(clock: &Stopwatch, target_nanos: u64, mut now: u64, slept: &mut u64) -> u64 {
+    while now < target_nanos {
         let remaining = target_nanos - now;
         if remaining > SPIN_WINDOW_NANOS {
-            let nap = Stopwatch::start();
             std::thread::sleep(std::time::Duration::from_nanos(
                 remaining - SPIN_WINDOW_NANOS,
             ));
-            slept.add(nap.elapsed_nanos());
+            let woke = clock.elapsed_nanos();
+            *slept += woke.saturating_sub(now);
+            now = woke;
         } else {
             std::hint::spin_loop();
             std::thread::yield_now();
+            now = clock.elapsed_nanos();
         }
     }
+    now
 }
 
 #[cfg(test)]

@@ -17,9 +17,9 @@
 //!
 //! This module adds the one adapter that needs real code:
 //! [`CbtSliceRequests`], which drives the zero-copy
-//! [`CbtSliceReader`] batch-by-batch and flattens the lent batches
-//! into owned requests (the 32-byte records are `Copy`, so "owning"
-//! them costs a memcpy per batch, not an allocation per request).
+//! [`CbtSliceReader`] block by block and reassembles each request
+//! straight out of the reader's decoded columns as it is asked for —
+//! no second, row-major copy of the block in between.
 
 use cbs_trace::{CbtError, CbtSliceReader, IoRequest};
 
@@ -58,7 +58,8 @@ use cbs_trace::{CbtError, CbtSliceReader, IoRequest};
 #[derive(Debug)]
 pub struct CbtSliceRequests<'a> {
     reader: CbtSliceReader<'a>,
-    buffer: Vec<IoRequest>,
+    /// Records in the reader's current block, and the next to yield.
+    len: usize,
     next: usize,
     done: bool,
 }
@@ -69,7 +70,7 @@ impl<'a> CbtSliceRequests<'a> {
     pub fn new(reader: CbtSliceReader<'a>) -> Self {
         CbtSliceRequests {
             reader,
-            buffer: Vec::new(),
+            len: 0,
             next: 0,
             done: false,
         }
@@ -81,8 +82,8 @@ impl Iterator for CbtSliceRequests<'_> {
 
     fn next(&mut self) -> Option<Self::Item> {
         loop {
-            if self.next < self.buffer.len() {
-                let req = self.buffer[self.next];
+            if self.next < self.len {
+                let req = self.reader.current_batch_ref().get(self.next);
                 self.next += 1;
                 return Some(Ok(req));
             }
@@ -91,8 +92,7 @@ impl Iterator for CbtSliceRequests<'_> {
             }
             match self.reader.read_batch_ref() {
                 Ok(Some(batch)) => {
-                    self.buffer.clear();
-                    self.buffer.extend(batch.iter());
+                    self.len = batch.len();
                     self.next = 0;
                 }
                 Ok(None) => {
@@ -101,6 +101,7 @@ impl Iterator for CbtSliceRequests<'_> {
                 }
                 Err(e) => {
                     // The reader is poisoned now; fuse after yielding.
+                    self.len = 0;
                     self.done = true;
                     return Some(Err(e));
                 }

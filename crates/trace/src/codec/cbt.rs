@@ -100,8 +100,13 @@ const MAX_BLOCK_PAYLOAD: u32 = 256 * 1024 * 1024;
 
 // --- CRC-32 (IEEE 802.3, reflected, poly 0xEDB88320) ---------------------
 
-const fn crc_table() -> [u32; 256] {
-    let mut table = [0u32; 256];
+/// Slicing-by-8 tables: `CRC_TABLES[0]` is the classic byte-at-a-time
+/// table, and `CRC_TABLES[k][b]` is the CRC state byte `b` leaves
+/// behind after `k` further zero bytes — which is what lets eight
+/// input bytes be folded with eight independent lookups instead of
+/// eight dependent ones. 8 KiB, built at compile time.
+const fn crc_tables() -> [[u32; 256]; 8] {
+    let mut tables = [[0u32; 256]; 8];
     let mut i = 0;
     while i < 256 {
         let mut c = i as u32;
@@ -114,20 +119,52 @@ const fn crc_table() -> [u32; 256] {
             };
             k += 1;
         }
-        table[i] = c;
+        tables[0][i] = c;
         i += 1;
     }
-    table
+    let mut t = 1;
+    while t < 8 {
+        let mut i = 0;
+        while i < 256 {
+            let prev = tables[t - 1][i];
+            tables[t][i] = tables[0][(prev & 0xff) as usize] ^ (prev >> 8);
+            i += 1;
+        }
+        t += 1;
+    }
+    tables
 }
 
-const CRC_TABLE: [u32; 256] = crc_table();
+const CRC_TABLES: [[u32; 256]; 8] = crc_tables();
+
+/// One byte into the (inverted) CRC state: the classic table step,
+/// which slicing-by-8 keeps for the tail that does not fill a word.
+#[inline]
+fn crc_step(c: u32, b: u8) -> u32 {
+    CRC_TABLES[0][((c ^ u32::from(b)) & 0xff) as usize] ^ (c >> 8)
+}
 
 /// Computes the CRC-32 (IEEE) of `bytes`, as stored in CBT block
-/// headers.
+/// headers — slicing-by-8: eight bytes per step through eight tables,
+/// the bytewise step for the last `len % 8`.
 pub fn crc32(bytes: &[u8]) -> u32 {
+    let t = &CRC_TABLES;
     let mut c = u32::MAX;
-    for &b in bytes {
-        c = CRC_TABLE[((c ^ u32::from(b)) & 0xff) as usize] ^ (c >> 8);
+    let mut words = bytes.chunks_exact(8);
+    for w in &mut words {
+        let lo = u32::from_le_bytes([w[0], w[1], w[2], w[3]]) ^ c;
+        let hi = u32::from_le_bytes([w[4], w[5], w[6], w[7]]);
+        c = t[7][(lo & 0xff) as usize]
+            ^ t[6][((lo >> 8) & 0xff) as usize]
+            ^ t[5][((lo >> 16) & 0xff) as usize]
+            ^ t[4][(lo >> 24) as usize]
+            ^ t[3][(hi & 0xff) as usize]
+            ^ t[2][((hi >> 8) & 0xff) as usize]
+            ^ t[1][((hi >> 16) & 0xff) as usize]
+            ^ t[0][(hi >> 24) as usize];
+    }
+    for &b in words.remainder() {
+        c = crc_step(c, b);
     }
     !c
 }
@@ -813,9 +850,21 @@ impl<'a> CbtSliceReader<'a> {
                     }
                 }
                 self.failed = true;
+                // A decode that stopped half-way left ragged columns.
+                self.current.clear();
                 Err(e)
             }
         }
+    }
+
+    /// The block the last successful
+    /// [`read_batch_ref`](Self::read_batch_ref) decoded, lent again —
+    /// for a consumer that walks a block record by record between two
+    /// reads instead of copying it out first. Reads and changes
+    /// nothing; empty before the first block and after a failure.
+    #[inline]
+    pub fn current_batch_ref(&self) -> RequestBatchRef<'_> {
+        self.current.as_ref()
     }
 
     /// Decodes the next block into `self.current`, returning the number
@@ -889,6 +938,7 @@ impl<'a> CbtSliceReader<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn sample(n: u64) -> Vec<IoRequest> {
         (0..n)
@@ -1200,6 +1250,31 @@ mod tests {
     }
 
     #[test]
+    fn slice_reader_lends_the_current_block_again() {
+        let reqs = sample(250);
+        let mut bytes = encode(&reqs, 100);
+        let mut r = CbtSliceReader::new(&bytes);
+        assert!(r.current_batch_ref().is_empty(), "nothing decoded yet");
+        for block in 0..3 {
+            let read = r.read_batch_ref().expect("read").expect("block").to_batch();
+            assert_eq!(r.current_batch_ref().to_batch(), read);
+            assert_eq!(r.current_batch_ref().get(0), reqs[block * 100]);
+        }
+        assert!(r.read_batch_ref().expect("clean end").is_none());
+        // A failed decode must not lend its half-filled columns.
+        let block0_payload =
+            u32::from_le_bytes([bytes[16], bytes[17], bytes[18], bytes[19]]) as usize;
+        bytes[HEADER_LEN + 2 * BLOCK_HEADER_LEN + block0_payload + 5] ^= 0x01;
+        let mut r = CbtSliceReader::new(&bytes);
+        assert_eq!(
+            r.read_batch_ref().expect("block 0").expect("some").len(),
+            100
+        );
+        assert!(r.read_batch_ref().is_err());
+        assert!(r.current_batch_ref().is_empty());
+    }
+
+    #[test]
     fn slice_reader_rejects_header_damage() {
         let mut bytes = encode(&sample(10), 64);
         bytes[0] = b'X';
@@ -1284,6 +1359,65 @@ mod tests {
         // Standard IEEE CRC-32 check values.
         assert_eq!(crc32(b""), 0);
         assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
+    }
+
+    /// CRC-32 by its definition, one byte then eight shift-and-xor
+    /// steps at a time, sharing no table with `crc32`: the reference
+    /// the sliced kernel must equal on every input.
+    fn crc32_bytewise(bytes: &[u8]) -> u32 {
+        !bytes.iter().fold(u32::MAX, |c, &b| {
+            (0..8).fold(c ^ u32::from(b), |c, _| {
+                if c & 1 != 0 {
+                    0xEDB8_8320 ^ (c >> 1)
+                } else {
+                    c >> 1
+                }
+            })
+        })
+    }
+
+    /// Pseudo-random bytes from the proptest shim's generator.
+    fn noise(len: usize) -> Vec<u8> {
+        let mut rng = proptest::test_runner::TestRng::for_test("crc32 noise");
+        (0..len).map(|_| rng.next_u64() as u8).collect()
+    }
+
+    #[test]
+    fn crc32_equals_bytewise_at_every_length_and_alignment() {
+        // Every tail length around the 8-byte word, from every start
+        // offset of one shared buffer (so the words straddle whatever
+        // alignment the allocator happened to give).
+        let buf = noise(8 + 64);
+        for start in 0..8 {
+            for len in 0..=64 {
+                let bytes = &buf[start..start + len];
+                assert_eq!(
+                    crc32(bytes),
+                    crc32_bytewise(bytes),
+                    "start {start} len {len}"
+                );
+            }
+        }
+        let big = noise(1 << 20);
+        assert_eq!(crc32(&big), crc32_bytewise(&big));
+    }
+
+    proptest! {
+        /// Same value as the bytewise reference on arbitrary bytes at
+        /// arbitrary offsets, including all-zero and all-one runs (a
+        /// zero table index on every lane).
+        #[test]
+        fn crc32_equals_bytewise_reference(
+            mut buf in proptest::collection::vec(0u8..=u8::MAX, 0..4096),
+            start in 0usize..8,
+            fill in prop_oneof![Just(None), Just(Some(0u8)), Just(Some(0xffu8))],
+        ) {
+            if let Some(byte) = fill {
+                buf.fill(byte);
+            }
+            let bytes = &buf[start.min(buf.len())..];
+            prop_assert_eq!(crc32(bytes), crc32_bytewise(bytes));
+        }
     }
 
     #[test]
