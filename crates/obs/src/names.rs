@@ -69,6 +69,10 @@ pub const METRIC_NAMES: &[(&str, &str)] = &[
         "raw text bytes consumed by the parallel decoder",
     ),
     ("decode.chunks", "chunks fed to parallel decode workers"),
+    (
+        "decode.general_path_lines",
+        "rows the row scanner refused and the general parser decided",
+    ),
     ("decode.lines", "text lines seen by the parallel decoder"),
     (
         "decode.malformed_line",

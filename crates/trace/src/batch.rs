@@ -105,6 +105,21 @@ impl RequestBatch {
         self.timestamps.push(ts);
     }
 
+    /// Appends records `range` of `other`, column by column.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `range` reaches past `other.len()`, like slice indexing.
+    pub fn extend_from_range(&mut self, other: &RequestBatch, range: std::ops::Range<usize>) {
+        self.volumes
+            .extend_from_slice(&other.volumes[range.clone()]);
+        self.ops.extend_from_slice(&other.ops[range.clone()]);
+        self.offsets
+            .extend_from_slice(&other.offsets[range.clone()]);
+        self.lens.extend_from_slice(&other.lens[range.clone()]);
+        self.timestamps.extend_from_slice(&other.timestamps[range]);
+    }
+
     /// Reassembles record `index` as an [`IoRequest`].
     ///
     /// # Panics

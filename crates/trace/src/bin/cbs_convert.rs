@@ -19,16 +19,25 @@
 //! JSON export to stderr after the summary line — the quickest way to
 //! see decode/CBT stage counters (bytes, records, CRC failures,
 //! malformed-line position) for a real trace file.
+//!
+//! The summary line says where a conversion's time went and whether the
+//! file was read at full speed: how long the calling thread waited for
+//! decoded batches against how long it spent encoding them
+//! (`convert.decode_wait` / `convert.encode` spans under `--metrics`),
+//! and how many rows the decoder's row scanner refused and its general
+//! parser had to decide (`decode.general_path_lines`) — a space-padded
+//! or lower-case-opcode corpus converts at about half speed and now
+//! says so.
 
 use std::fs::File;
 use std::io::{self, BufReader, BufWriter, Read, Write};
 use std::process::ExitCode;
 use std::time::Instant;
 
-use cbs_obs::Registry;
+use cbs_obs::{Registry, SpanTimer, Stopwatch};
 use cbs_trace::codec::msrc::VolumeRegistry;
 use cbs_trace::codec::parallel::ParallelDecoder;
-use cbs_trace::{CbtReader, CbtWriter};
+use cbs_trace::{CbtReader, CbtWriter, RequestBatch};
 
 const USAGE: &str = "usage: cbs-convert alicloud <input.csv> <output.cbt>
        cbs-convert msrc     <input.csv> <output.cbt> [--volumes <names.csv>]
@@ -59,12 +68,11 @@ fn run(args: &[String]) -> Result<(), String> {
     };
     let mode = args.first().map(String::as_str);
     let result = match mode {
-        Some("alicloud") if args.len() == 3 => {
-            convert_alicloud(&args[1], &args[2], metrics.as_ref())
+        Some(format @ ("alicloud" | "msrc")) if args.len() == 3 => {
+            convert(format, &args[1], &args[2], None, metrics.as_ref())
         }
-        Some("msrc") if args.len() == 3 => convert_msrc(&args[1], &args[2], None, metrics.as_ref()),
         Some("msrc") if args.len() == 5 && args[3] == "--volumes" => {
-            convert_msrc(&args[1], &args[2], Some(&args[4]), metrics.as_ref())
+            convert("msrc", &args[1], &args[2], Some(&args[4]), metrics.as_ref())
         }
         Some("info") if args.len() == 2 => info(&args[1], metrics.as_ref()),
         Some("-h" | "--help") => {
@@ -94,61 +102,61 @@ fn create_output(path: &str) -> Result<BufWriter<File>, String> {
     Ok(BufWriter::new(file))
 }
 
-fn with_metrics(decoder: ParallelDecoder, metrics: Option<&Registry>) -> ParallelDecoder {
-    match metrics {
-        Some(registry) => decoder.with_registry(registry),
-        None => decoder,
-    }
-}
-
-fn convert_alicloud(input: &str, output: &str, metrics: Option<&Registry>) -> Result<(), String> {
-    let reader = open_input(input)?;
-    let out = create_output(output)?;
-    let start = Instant::now();
-    let mut writer = CbtWriter::new(out);
-    let mut write_error: Option<String> = None;
-    let stats = with_metrics(ParallelDecoder::new(), metrics)
-        .decode_alicloud_batches(reader, |batch| {
-            if write_error.is_none() {
-                if let Err(e) = writer.write_batch(&batch) {
-                    write_error = Some(format!("write {output}: {e}"));
-                }
-            }
-        })
-        .map_err(|e| format!("decode {input}: {e}"))?;
-    if let Some(msg) = write_error {
-        return Err(msg);
-    }
-    let out_bytes = finish_writer(writer, output)?;
-    report("alicloud", stats.records, stats.bytes, out_bytes, start);
-    Ok(())
-}
-
-fn convert_msrc(
+/// Converts `input` (`format` is `alicloud` or `msrc`) and prints the
+/// summary line; `volumes` is the MSRC sidecar path.
+fn convert(
+    format: &str,
     input: &str,
     output: &str,
     volumes: Option<&str>,
     metrics: Option<&Registry>,
 ) -> Result<(), String> {
     let reader = open_input(input)?;
-    let out = create_output(output)?;
-    let start = Instant::now();
-    let mut writer = CbtWriter::new(out);
-    let mut registry = VolumeRegistry::new();
+    let fail = |e: &dyn std::fmt::Display| format!("write {output}: {e}");
+    // Without `--metrics` the two timers only feed the summary line.
+    let (decode_wait, encode) = match metrics {
+        Some(registry) => (
+            registry.span("convert.decode_wait"),
+            registry.span("convert.encode"),
+        ),
+        None => (SpanTimer::new(), SpanTimer::new()),
+    };
+    let mut writer = CbtWriter::new(create_output(output)?);
     let mut write_error: Option<String> = None;
-    let stats = with_metrics(ParallelDecoder::new(), metrics)
-        .decode_msrc_batches(reader, &mut registry, |batch| {
-            if write_error.is_none() {
-                if let Err(e) = writer.write_batch(&batch) {
-                    write_error = Some(format!("write {output}: {e}"));
-                }
-            }
-        })
-        .map_err(|e| format!("decode {input}: {e}"))?;
+    let start = Instant::now();
+    let decoder = match metrics {
+        Some(registry) => ParallelDecoder::new().with_registry(registry),
+        None => ParallelDecoder::new(),
+    };
+    let mut registry = VolumeRegistry::new();
+    // The calling thread either waits for the next decoded batch (`idle`
+    // runs from the end of one encode to the next arrival) or encodes it.
+    let mut idle = Stopwatch::start();
+    let sink = |batch: RequestBatch| {
+        decode_wait.record_nanos(idle.elapsed_nanos());
+        let busy = Stopwatch::start();
+        if write_error.is_none() {
+            write_error = writer.write_batch(&batch).err().map(|e| fail(&e));
+        }
+        encode.record_nanos(busy.elapsed_nanos());
+        idle = Stopwatch::start();
+    };
+    let stats = if format == "msrc" {
+        decoder.decode_msrc_batches(reader, &mut registry, sink)
+    } else {
+        decoder.decode_alicloud_batches(reader, sink)
+    }
+    .map_err(|e| format!("decode {input}: {e}"))?;
     if let Some(msg) = write_error {
         return Err(msg);
     }
-    let out_bytes = finish_writer(writer, output)?;
+    decode_wait.record_nanos(idle.elapsed_nanos());
+    let busy = Stopwatch::start();
+    let mut out = writer.finish().map_err(|e| fail(&e))?;
+    out.flush().map_err(|e| fail(&e))?;
+    let file = out.into_inner().map_err(|e| fail(&e))?;
+    let out_bytes = file.metadata().map_err(|e| fail(&e))?.len();
+    encode.record_nanos(busy.elapsed_nanos());
     if let Some(path) = volumes {
         let mut sidecar = create_output(path)?;
         for (id, name) in registry.iter() {
@@ -157,36 +165,20 @@ fn convert_msrc(
         sidecar.flush().map_err(|e| format!("write {path}: {e}"))?;
         eprintln!("volumes  {} names -> {path}", registry.len());
     }
-    report("msrc", stats.records, stats.bytes, out_bytes, start);
-    Ok(())
-}
-
-fn finish_writer(writer: CbtWriter<BufWriter<File>>, output: &str) -> Result<u64, String> {
-    let mut out = writer
-        .finish()
-        .map_err(|e| format!("write {output}: {e}"))?;
-    out.flush().map_err(|e| format!("write {output}: {e}"))?;
-    let file = out
-        .into_inner()
-        .map_err(|e| format!("write {output}: {e}"))?;
-    let len = file
-        .metadata()
-        .map_err(|e| format!("stat {output}: {e}"))?
-        .len();
-    Ok(len)
-}
-
-fn report(format: &str, records: u64, in_bytes: u64, out_bytes: u64, start: Instant) {
     let secs = start.elapsed().as_secs_f64().max(1e-9);
     eprintln!(
-        "{format}  {records} records  {:.1} MiB csv -> {:.1} MiB cbt ({:.2}x)  \
-         {:.2}s  {:.0} records/s",
-        in_bytes as f64 / (1 << 20) as f64,
+        "{format}  {} records  {:.1} MiB csv -> {:.1} MiB cbt ({:.2}x)  {secs:.2}s  \
+         {:.0} records/s  (decode wait {:.2}s, encode {:.2}s, {} general-path lines)",
+        stats.records,
+        stats.bytes as f64 / (1 << 20) as f64,
         out_bytes as f64 / (1 << 20) as f64,
-        in_bytes as f64 / out_bytes.max(1) as f64,
-        secs,
-        records as f64 / secs,
+        stats.bytes as f64 / out_bytes.max(1) as f64,
+        stats.records as f64 / secs,
+        decode_wait.total_nanos() as f64 / 1e9,
+        encode.total_nanos() as f64 / 1e9,
+        stats.general_path_lines,
     );
+    Ok(())
 }
 
 fn info(path: &str, metrics: Option<&Registry>) -> Result<(), String> {

@@ -19,6 +19,7 @@ use crate::error::{ParseRecordError, TraceError};
 use crate::{IoRequest, OpKind, Timestamp, VolumeId};
 
 use super::{field, field_bytes, parse_len, parse_len_bytes, parse_u64, parse_u64_bytes};
+use super::{scan_field, scan_line_end, scan_u64};
 
 /// Parses one AliCloud CSV row into an [`IoRequest`].
 ///
@@ -104,6 +105,35 @@ pub fn parse_record_bytes(line: &[u8]) -> Result<IoRequest, ParseRecordError> {
     let ts = parse_u64_bytes(timestamp, "timestamp")?;
 
     Ok(IoRequest::new(
+        VolumeId::new(device),
+        op,
+        offset,
+        len,
+        Timestamp::from_micros(ts),
+    ))
+}
+
+/// The row scanner: reads the canonical row `u64,[RW],u64,u64,u64` and
+/// its line end at `*pos` in one pass, leaving `*pos` on the next line.
+///
+/// `None` refuses the row — padding, another opcode spelling, a `+`, 20
+/// or more digits, a device or length past `u32`, an empty or extra
+/// field — and is not an error: [`parse_record_bytes`] decides such a
+/// line (see the soundness rule in the [module docs](super)).
+#[inline]
+pub(crate) fn row_at(chunk: &[u8], pos: &mut usize) -> Option<IoRequest> {
+    let device = u32::try_from(scan_field(chunk, pos)?).ok()?;
+    let op = match chunk.get(*pos..*pos + 2)? {
+        b"R," => OpKind::Read,
+        b"W," => OpKind::Write,
+        _ => return None,
+    };
+    *pos += 2;
+    let offset = scan_field(chunk, pos)?;
+    let len = u32::try_from(scan_field(chunk, pos)?).ok()?;
+    let ts = scan_u64(chunk, pos)?;
+    scan_line_end(chunk, pos)?;
+    Some(IoRequest::new(
         VolumeId::new(device),
         op,
         offset,
@@ -258,6 +288,10 @@ mod tests {
             "99999999999,R,0,1,1",
             "",
             ",,,,",
+            "1,R,0000000000000000000000002,3,4",
+            "1,R,184467440737095516150,3,4",
+            "\x0B1,R\x0B,2,\x0B3\x0B,4\x0B",
+            "1,R,2,3,4,5",
         ];
         for line in lines {
             assert_eq!(
@@ -265,6 +299,60 @@ mod tests {
                 parse_record(line),
                 "{line:?}"
             );
+        }
+    }
+
+    #[test]
+    fn row_scanner_takes_canonical_rows_only() {
+        let scan = |text: &str| {
+            let mut pos = 0;
+            row_at(text.as_bytes(), &mut pos).map(|req| (req, pos))
+        };
+        // Accepted rows mean what the general parser says they mean.
+        for (text, row_len) in [
+            ("419,W,366131200,4096,1577808000000046", 37),
+            ("419,W,366131200,4096,1577808000000046\n7,R,0,0,0\n", 38),
+            ("419,W,366131200,4096,1577808000000046\r\n", 39),
+            ("007,R,00,0512,0000000000000000001\n", 34),
+            ("4294967295,R,9999999999999999999,4294967295,0", 45),
+        ] {
+            let line = text.lines().next().unwrap();
+            assert_eq!(
+                scan(text),
+                Some((parse_record_bytes(line.as_bytes()).unwrap(), row_len)),
+                "{text:?}"
+            );
+        }
+        // Refused rows: some are valid (the general parser decides).
+        for text in [
+            "",
+            "\n",
+            " 419,W,0,4096,10",
+            "419 ,W,0,4096,10",
+            "419,W,0,4096,10 \n",
+            "419,W,0,4096,10\t",
+            "+419,W,0,4096,10",
+            "419,W,+0,4096,10",
+            "419,r,0,4096,10",
+            "419,w,0,4096,10",
+            "419,Read,0,4096,10",
+            "419,READ,0,4096,10",
+            "419,X,0,4096,10",
+            "419,,0,4096,10",
+            "419,W,,4096,10",
+            ",W,0,4096,10",
+            "419,W,0,4096,",
+            "419,W,0,4096",
+            "419,W,0,4096,10,5",
+            "419,W,0,4096,10,",
+            "419,W,0,4096,10\r",
+            "419,W,0,4096,10\r7,R,0,0,0\n",
+            "4294967296,W,0,4096,10",
+            "419,W,0,4294967296,10",
+            "419,W,12345678901234567890,4096,10",
+            "419,W,0,4096,00000000000000000010",
+        ] {
+            assert_eq!(scan(text), None, "{text:?}");
         }
     }
 

@@ -171,13 +171,63 @@ pub fn crc32(bytes: &[u8]) -> u32 {
 
 // --- varint / zigzag ------------------------------------------------------
 
+/// Values staged by [`put_varints`] between two appends to its output.
+const VARINT_STAGE_VALUES: usize = 64;
+/// The longest LEB128 encoding of a `u64`.
+const MAX_VARINT_LEN: usize = 10;
+
+/// Appends each of `values` to `out` as a LEB128 varint. Bytes are
+/// staged on the stack and reach `out` one `extend_from_slice` per
+/// [`VARINT_STAGE_VALUES`] values at least, so the output's capacity is
+/// checked per run of values, not per byte.
 #[inline]
-fn put_varint(buf: &mut Vec<u8>, mut v: u64) {
-    while v >= 0x80 {
-        buf.push((v as u8) | 0x80);
-        v >>= 7;
+fn put_varints(out: &mut Vec<u8>, values: impl Iterator<Item = u64>) {
+    let mut stage = [0u8; VARINT_STAGE_VALUES * MAX_VARINT_LEN];
+    let mut staged = 0;
+    for mut v in values {
+        if staged > stage.len() - MAX_VARINT_LEN {
+            out.extend_from_slice(&stage[..staged]);
+            staged = 0;
+        }
+        if v < 1 << 56 {
+            // Up to eight bytes, without a branch on the length (which
+            // a column of offset deltas makes unpredictable): spread the
+            // 56 bits into eight 7-bit groups, one per byte — halves,
+            // quarters, eighths — set the continuation bit of all but
+            // the last byte, store all eight, keep `len` of them.
+            let x = (v & 0x0000_0000_0fff_ffff) | ((v & 0x00ff_ffff_f000_0000) << 4);
+            let x = (x & 0x0000_3fff_0000_3fff) | ((x & 0x0fff_c000_0fff_c000) << 2);
+            let x = (x & 0x007f_007f_007f_007f) | ((x & 0x3f80_3f80_3f80_3f80) << 1);
+            let len = ((70 - (v | 1).leading_zeros()) / 7) as usize;
+            let continued = VARINT_CONT_BITS & ((1u64 << (8 * (len - 1))) - 1);
+            stage[staged..staged + 8].copy_from_slice(&(x | continued).to_le_bytes());
+            staged += len;
+        } else {
+            while v >= 0x80 {
+                stage[staged] = (v as u8) | 0x80;
+                staged += 1;
+                v >>= 7;
+            }
+            stage[staged] = v as u8;
+            staged += 1;
+        }
     }
-    buf.push(v as u8);
+    out.extend_from_slice(&stage[..staged]);
+}
+
+/// [`put_varints`] over the zigzagged wrapping deltas of `values`, the
+/// first one taken from 0.
+#[inline]
+fn put_deltas(out: &mut Vec<u8>, values: impl Iterator<Item = u64>) {
+    let mut prev = 0u64;
+    put_varints(
+        out,
+        values.map(|value| {
+            let delta = zigzag(value.wrapping_sub(prev) as i64);
+            prev = value;
+            delta
+        }),
+    );
 }
 
 /// Decodes one LEB128 varint at `*pos`, advancing it. `None` on overrun
@@ -208,12 +258,6 @@ fn zigzag(v: i64) -> u64 {
 #[inline]
 fn unzigzag(v: u64) -> i64 {
     ((v >> 1) as i64) ^ -((v & 1) as i64)
-}
-
-/// Encodes `value` as a zigzag varint of its wrapping delta from `prev`.
-#[inline]
-fn put_delta(buf: &mut Vec<u8>, prev: u64, value: u64) {
-    put_varint(buf, zigzag(value.wrapping_sub(prev) as i64));
 }
 
 /// All continuation bits of 8 packed varint bytes, for the SWAR fast
@@ -399,10 +443,16 @@ impl<W: Write> CbtWriter<W> {
         Ok(())
     }
 
-    /// Appends every record of `batch` to the stream.
+    /// Appends every record of `batch` to the stream: column by column
+    /// up to each block boundary, so blocks — and the file's bytes — are
+    /// the ones [`write_request`](Self::write_request) would cut.
     pub fn write_batch(&mut self, batch: &RequestBatch) -> Result<(), CbtError> {
-        for i in 0..batch.len() {
-            self.pending.push(&batch.get(i));
+        let mut start = 0;
+        while start < batch.len() {
+            let room = self.block_capacity - self.pending.len();
+            let end = batch.len().min(start + room);
+            self.pending.extend_from_range(batch, start..end);
+            start = end;
             if self.pending.len() >= self.block_capacity {
                 self.flush_block()?;
             }
@@ -451,30 +501,16 @@ impl<W: Write> CbtWriter<W> {
 }
 
 fn encode_payload(batch: &RequestBatch, out: &mut Vec<u8>) {
-    let mut prev_ts = 0u64;
-    for ts in batch.timestamps() {
-        put_delta(out, prev_ts, ts.as_micros());
-        prev_ts = ts.as_micros();
-    }
-    for vol in batch.volumes() {
-        put_varint(out, u64::from(vol.get()));
-    }
-    let ops = batch.ops();
-    for chunk in ops.chunks(8) {
-        let mut byte = 0u8;
-        for (bit, op) in chunk.iter().enumerate() {
-            byte |= u8::from(op.is_write()) << bit;
-        }
-        out.push(byte);
-    }
-    let mut prev_off = 0u64;
-    for &off in batch.offsets() {
-        put_delta(out, prev_off, off);
-        prev_off = off;
-    }
-    for &len in batch.lens() {
-        put_varint(out, u64::from(len));
-    }
+    put_deltas(out, batch.timestamps().iter().map(|ts| ts.as_micros()));
+    put_varints(out, batch.volumes().iter().map(|vol| u64::from(vol.get())));
+    out.extend(batch.ops().chunks(8).map(|chunk| {
+        chunk
+            .iter()
+            .enumerate()
+            .fold(0u8, |byte, (bit, op)| byte | u8::from(op.is_write()) << bit)
+    }));
+    put_deltas(out, batch.offsets().iter().copied());
+    put_varints(out, batch.lens().iter().map(|&len| u64::from(len)));
 }
 
 // --- reader ---------------------------------------------------------------
@@ -1005,12 +1041,25 @@ mod tests {
 
     #[test]
     fn write_batch_equals_write_request() {
-        let reqs = sample(300);
-        let batch = RequestBatch::from(reqs.as_slice());
-        let mut w = CbtWriter::with_block_capacity(Vec::new(), 128);
-        w.write_batch(&batch).expect("write");
-        let via_batch = w.finish().expect("finish");
-        assert_eq!(via_batch, encode(&reqs, 128));
+        // Every batch length relative to the block boundary, into an
+        // empty writer and into one already holding `lead` records.
+        for cap in [1usize, 7, 65_536] {
+            for len in [cap - 1, cap, cap + 1, 2 * cap + 3] {
+                for lead in [0, 3] {
+                    let reqs = sample((lead + len) as u64);
+                    let mut w = CbtWriter::with_block_capacity(Vec::new(), cap);
+                    w.write_batch(&RequestBatch::from(&reqs[..lead]))
+                        .expect("write");
+                    w.write_batch(&RequestBatch::from(&reqs[lead..]))
+                        .expect("write");
+                    let via_batch = w.finish().expect("finish");
+                    assert!(
+                        via_batch == encode(&reqs, cap),
+                        "cap {cap} len {len} lead {lead}"
+                    );
+                }
+            }
+        }
     }
 
     #[test]
@@ -1427,13 +1476,46 @@ mod tests {
         }
     }
 
+    /// The one-value encoder `put_varints` replaced, kept as its
+    /// reference.
+    fn put_varint(buf: &mut Vec<u8>, mut v: u64) {
+        while v >= 0x80 {
+            buf.push((v as u8) | 0x80);
+            v >>= 7;
+        }
+        buf.push(v as u8);
+    }
+
+    #[test]
+    fn put_varints_equals_one_value_put_varint() {
+        // Both ends of every encoded length from one to ten bytes, at
+        // every phase against the staging buffer's flush points and
+        // across several of them.
+        let mut values = vec![0u64, 127, 128, 1 << 32, 1 << 63, u64::MAX];
+        values.extend((1..=9).flat_map(|k| [(1u64 << (7 * k)) - 1, 1 << (7 * k)]));
+        for count in (0..=2 * VARINT_STAGE_VALUES + 2).chain([1000]) {
+            for phase in 0..values.len() {
+                let column = || values.iter().cycle().skip(phase).take(count).copied();
+                let mut staged = vec![0xAA];
+                put_varints(&mut staged, column());
+                let mut reference = vec![0xAA];
+                for v in column() {
+                    put_varint(&mut reference, v);
+                }
+                assert!(staged == reference, "count {count} phase {phase}");
+            }
+        }
+        // The worst case for the staging buffer: nothing but ten-byte values.
+        let mut staged = Vec::new();
+        put_varints(&mut staged, std::iter::repeat(u64::MAX).take(1000));
+        assert_eq!(staged.len(), 1000 * MAX_VARINT_LEN);
+    }
+
     #[test]
     fn varint_roundtrip() {
         let mut buf = Vec::new();
         let values = [0u64, 1, 127, 128, 300, 16_383, 16_384, u64::MAX];
-        for &v in &values {
-            put_varint(&mut buf, v);
-        }
+        put_varints(&mut buf, values.iter().copied());
         let mut pos = 0;
         for &v in &values {
             assert_eq!(get_varint(&buf, &mut pos), Some(v));

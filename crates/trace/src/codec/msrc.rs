@@ -18,14 +18,25 @@
 //! Timestamps are normalized to microseconds (ticks / 10). The response
 //! time is preserved on the side ([`MsrcRecord::response_time`]) because
 //! the paper's analyses exclude latency but downstream users may want it.
+//!
+//! Every parser here — [`parse_record`], [`parse_record_bytes`] and the
+//! row scanner the parallel decoder's chunk loop tries first — numbers
+//! volumes through the one [`VolumeRegistry`] it is handed, whose hit
+//! path compares the row's raw host bytes and parsed disk number against
+//! names it already holds: the `hostname_disk` string is built once per
+//! volume, not once per row.
 
 use std::collections::HashMap;
+use std::fmt::Write as _;
+use std::hash::Hasher;
 use std::io::{BufRead, Write};
 
 use crate::error::{ParseRecordError, TraceError};
+use crate::hash::FxHasher;
 use crate::{IoRequest, OpKind, TimeDelta, Timestamp, VolumeId};
 
 use super::{field, field_bytes, parse_len, parse_len_bytes, parse_u64, parse_u64_bytes};
+use super::{scan_field, scan_line_end, scan_u64};
 
 /// Number of Windows 100 ns ticks per microsecond.
 const TICKS_PER_MICRO: u64 = 10;
@@ -39,6 +50,22 @@ pub struct MsrcRecord {
 }
 
 impl MsrcRecord {
+    /// A row's fields, its two times still in Windows ticks.
+    fn from_ticks(
+        volume: VolumeId,
+        op: OpKind,
+        offset: u64,
+        len: u32,
+        ticks: u64,
+        response_ticks: u64,
+    ) -> Self {
+        let ts = Timestamp::from_micros(ticks / TICKS_PER_MICRO);
+        MsrcRecord {
+            request: IoRequest::new(volume, op, offset, len, ts),
+            response_time: TimeDelta::from_micros(response_ticks / TICKS_PER_MICRO),
+        }
+    }
+
     /// The normalized request.
     pub fn request(&self) -> &IoRequest {
         &self.request
@@ -86,9 +113,29 @@ impl MsrcRecord {
 /// ```
 #[derive(Debug, Default, Clone)]
 pub struct VolumeRegistry {
+    /// The one source of ids.
     by_name: HashMap<String, VolumeId>,
     names: Vec<String>,
+    /// Direct-mapped `(host bytes, disk) → id` cache in front of
+    /// `by_name`, empty until the first [`resolve`](Self::resolve). A
+    /// slot only ever remembers an answer `by_name` gave, and two volumes
+    /// sharing a slot cost each other a probe, never a wrong id.
+    recent: Vec<Option<Recent>>,
+    /// The name being probed, rebuilt in place on a cache miss.
+    scratch: String,
 }
+
+/// One cache slot: `names[id]` is `host_len` host bytes, `_`, `disk`.
+#[derive(Debug, Clone, Copy)]
+struct Recent {
+    id: VolumeId,
+    host_len: usize,
+    disk: u32,
+}
+
+/// Slots in [`VolumeRegistry::recent`] (a power of two): a few times the
+/// 36 volumes of the whole MSRC release.
+const RECENT_SLOTS: usize = 256;
 
 impl VolumeRegistry {
     /// Creates an empty registry.
@@ -99,7 +146,56 @@ impl VolumeRegistry {
     /// Returns the id for `(hostname, disk)`, assigning the next dense id
     /// on first sight.
     pub fn resolve(&mut self, hostname: &str, disk: u32) -> VolumeId {
-        self.resolve_name(&format!("{hostname}_{disk}"))
+        self.resolve_bytes(hostname.as_bytes(), disk)
+    }
+
+    /// [`resolve`](Self::resolve) on a hostname still in the input
+    /// buffer (decoded lossily if it is not UTF-8). Allocates only for a
+    /// volume's first row.
+    ///
+    /// The key is the host's bytes and the *parsed* disk number — `00`
+    /// and `0` are one disk, and `("a_1", 0)` and `("a", 10)` are two
+    /// volumes only because the number is compared as a number.
+    #[inline]
+    pub(crate) fn resolve_bytes(&mut self, host: &[u8], disk: u32) -> VolumeId {
+        let mut hasher = FxHasher::default();
+        hasher.write(host);
+        hasher.write_u32(disk);
+        let slot = hasher.finish() as usize % RECENT_SLOTS;
+        if let Some(Some(hit)) = self.recent.get(slot) {
+            let name = self.names.get(hit.id.as_usize()).map(String::as_bytes);
+            if hit.disk == disk
+                && hit.host_len == host.len()
+                && name.and_then(|n| n.get(..host.len())) == Some(host)
+            {
+                return hit.id;
+            }
+        }
+        self.resolve_missed(host, disk, slot)
+    }
+
+    /// The cache-miss half of [`resolve_bytes`](Self::resolve_bytes):
+    /// builds the name in `scratch`, asks `by_name`, remembers the answer.
+    #[cold]
+    fn resolve_missed(&mut self, host: &[u8], disk: u32, slot: usize) -> VolumeId {
+        let text = String::from_utf8_lossy(host);
+        let mut name = std::mem::take(&mut self.scratch);
+        name.clear();
+        // Writing to a `String` cannot fail.
+        let _ = write!(name, "{text}_{disk}");
+        let id = self.resolve_name(&name);
+        self.scratch = name;
+        // A host that is not UTF-8 is not a prefix of its own name, so a
+        // slot holding it could never hit — and must not claim to.
+        if matches!(text, std::borrow::Cow::Borrowed(_)) {
+            self.recent.resize(RECENT_SLOTS, None);
+            self.recent[slot] = Some(Recent {
+                id,
+                host_len: host.len(),
+                disk,
+            });
+        }
+        id
     }
 
     /// Returns the id for a pre-joined `hostname_disk` name, assigning
@@ -177,21 +273,20 @@ pub fn parse_record(
     let response_ticks = parse_u64(response, "response_time")?;
 
     let volume = registry.resolve(hostname, disk);
-    Ok(MsrcRecord {
-        request: IoRequest::new(
-            volume,
-            op,
-            offset,
-            len,
-            Timestamp::from_micros(ticks / TICKS_PER_MICRO),
-        ),
-        response_time: TimeDelta::from_micros(response_ticks / TICKS_PER_MICRO),
-    })
+    Ok(MsrcRecord::from_ticks(
+        volume,
+        op,
+        offset,
+        len,
+        ticks,
+        response_ticks,
+    ))
 }
 
-/// Parses one MSRC CSV row directly from bytes — the allocation-light
-/// fast path used by [`crate::codec::parallel::ParallelDecoder`]
-/// (hostname interning aside, nothing is allocated per row).
+/// Parses one MSRC CSV row directly from bytes: the general parser
+/// behind [`crate::codec::parallel::ParallelDecoder`], which decides
+/// every row its row scanner refuses. Nothing is allocated for a row of
+/// a volume the registry has seen.
 ///
 /// Semantics match [`parse_record`] for ASCII input.
 ///
@@ -230,17 +325,62 @@ pub fn parse_record_bytes(
     let len = parse_len_bytes(size, "size")?;
     let response_ticks = parse_u64_bytes(response, "response_time")?;
 
-    let volume = registry.resolve(&String::from_utf8_lossy(hostname), disk);
-    Ok(MsrcRecord {
-        request: IoRequest::new(
-            volume,
-            op,
-            offset,
-            len,
-            Timestamp::from_micros(ticks / TICKS_PER_MICRO),
-        ),
-        response_time: TimeDelta::from_micros(response_ticks / TICKS_PER_MICRO),
-    })
+    let volume = registry.resolve_bytes(hostname, disk);
+    Ok(MsrcRecord::from_ticks(
+        volume,
+        op,
+        offset,
+        len,
+        ticks,
+        response_ticks,
+    ))
+}
+
+/// The row scanner: reads the canonical row
+/// `u64,host,u64,Read|Write,u64,u64,u64` and its line end at `*pos` in
+/// one pass, leaving `*pos` on the next line. `host` is one or more
+/// ASCII-graphic bytes, so it needs no trimming and no lossy decoding.
+///
+/// `None` refuses the row and is not an error: [`parse_record_bytes`]
+/// decides such a line (soundness rule: [module docs](super)). The
+/// registry is only touched once the whole row has been accepted.
+#[inline]
+pub(crate) fn row_at(
+    chunk: &[u8],
+    pos: &mut usize,
+    registry: &mut VolumeRegistry,
+) -> Option<MsrcRecord> {
+    let ticks = scan_field(chunk, pos)?;
+    let rest = chunk.get(*pos..)?;
+    let host = rest.get(
+        ..rest
+            .iter()
+            .position(|b| *b == b',' || !b.is_ascii_graphic())?,
+    )?;
+    if host.is_empty() || rest.get(host.len()) != Some(&b',') {
+        return None;
+    }
+    *pos += host.len() + 1;
+    let disk = u32::try_from(scan_field(chunk, pos)?).ok()?;
+    let (op, op_len) = match chunk.get(*pos..)? {
+        [b'R', b'e', b'a', b'd', b',', ..] => (OpKind::Read, 5),
+        [b'W', b'r', b'i', b't', b'e', b',', ..] => (OpKind::Write, 6),
+        _ => return None,
+    };
+    *pos += op_len;
+    let offset = scan_field(chunk, pos)?;
+    let len = u32::try_from(scan_field(chunk, pos)?).ok()?;
+    let response_ticks = scan_u64(chunk, pos)?;
+    scan_line_end(chunk, pos)?;
+    let volume = registry.resolve_bytes(host, disk);
+    Some(MsrcRecord::from_ticks(
+        volume,
+        op,
+        offset,
+        len,
+        ticks,
+        response_ticks,
+    ))
 }
 
 /// Formats a request (plus metadata) as one MSRC CSV row (no newline).
@@ -443,6 +583,12 @@ mod tests {
             "1,hm,1,Read,0,512",
             "x,hm,1,Read,0,512,0",
             "1,hm,99999999999,Read,0,512,0",
+            "0000000000000000000000010,hm,1,Read,0,512,0",
+            "1,hm,1,Read,184467440737095516150,512,0",
+            "1,\x0Bhm\x0B,1,Read\x0B,0,\x0B512,0",
+            "1,hm,1,Read,0,512,0,extra",
+            "1,,1,Read,0,512,0",
+            "1,h\u{e9},1,Read,0,512,0",
         ];
         for line in lines {
             let mut reg_a = VolumeRegistry::new();
@@ -453,7 +599,148 @@ mod tests {
                 "{line:?}"
             );
             assert_eq!(reg_a.len(), reg_b.len());
+            assert_eq!(
+                reg_a.name_of(VolumeId::new(0)),
+                reg_b.name_of(VolumeId::new(0))
+            );
         }
+    }
+
+    #[test]
+    fn row_scanner_takes_canonical_rows_only() {
+        let scan = |text: &str, reg: &mut VolumeRegistry| {
+            let mut pos = 0;
+            row_at(text.as_bytes(), &mut pos, reg).map(|rec| (rec, pos))
+        };
+        for (text, row_len) in [
+            (ROW, ROW.len()),
+            ("128166372016382155,src1,0,Write,8192,4096,23855\nx", 48),
+            ("128166372016382155,src1,0,Write,8192,4096,23855\r\n", 49),
+            ("00010,a_1,00,Read,0,0512,0009\n", 30),
+            (
+                "1,x-y.z#!,4294967295,Write,9999999999999999999,4294967295,19\n",
+                61,
+            ),
+        ] {
+            let line = text.lines().next().unwrap();
+            let (mut reg_a, mut reg_b) = (VolumeRegistry::new(), VolumeRegistry::new());
+            let want = parse_record_bytes(line.as_bytes(), &mut reg_b).unwrap();
+            assert_eq!(scan(text, &mut reg_a), Some((want, row_len)), "{text:?}");
+            assert_eq!(
+                reg_a.name_of(VolumeId::new(0)),
+                reg_b.name_of(VolumeId::new(0))
+            );
+        }
+        for text in [
+            "",
+            "Timestamp,Hostname,DiskNumber,Type,Offset,Size,ResponseTime",
+            " 1,hm,1,Read,0,512,0",
+            "1, hm,1,Read,0,512,0",
+            "1,hm ,1,Read,0,512,0",
+            "1,h m,1,Read,0,512,0",
+            "1,,1,Read,0,512,0",
+            "1,h\u{e9},1,Read,0,512,0",
+            "1,hm,+1,Read,0,512,0",
+            "1,hm,1,R,0,512,0",
+            "1,hm,1,W,0,512,0",
+            "1,hm,1,read,0,512,0",
+            "1,hm,1,READ,0,512,0",
+            "1,hm,1,Erase,0,512,0",
+            "1,hm,1,Readx,0,512,0",
+            "1,hm,1,Read,0,512",
+            "1,hm,1,Read,0,512,",
+            "1,hm,1,Read,0,512,0,extra",
+            "1,hm,1,Read,0,512,0 ",
+            "1,hm,1,Read,0,512,0\r",
+            "1,hm,4294967296,Read,0,512,0",
+            "1,hm,1,Read,0,4294967296,0",
+            "12345678901234567890,hm,1,Read,0,512,0",
+        ] {
+            let mut reg = VolumeRegistry::new();
+            assert_eq!(scan(text, &mut reg), None, "{text:?}");
+            assert!(reg.is_empty(), "a refused row interned a volume: {text:?}");
+        }
+    }
+
+    /// The `format!`-and-probe interner `resolve` used to be.
+    #[derive(Default)]
+    struct NaiveRegistry {
+        by_name: HashMap<String, u32>,
+        names: Vec<String>,
+    }
+
+    impl NaiveRegistry {
+        fn resolve(&mut self, host: &[u8], disk: u32) -> u32 {
+            let name = format!("{}_{disk}", String::from_utf8_lossy(host));
+            let next = self.names.len() as u32;
+            *self.by_name.entry(name.clone()).or_insert_with(|| {
+                self.names.push(name);
+                next
+            })
+        }
+    }
+
+    #[test]
+    fn interning_matches_format_and_probe() {
+        // Hosts and disks whose names collide or nearly do, hosts that
+        // are not UTF-8 (distinct bytes, one lossy name), and more
+        // volumes than the cache has slots, visited in interleaved order
+        // three times over.
+        let mut keys: Vec<(Vec<u8>, u32)> = vec![
+            (b"a_1".to_vec(), 0),
+            (b"a".to_vec(), 10),
+            (b"a".to_vec(), 1),
+            (b"a_1".to_vec(), 10),
+            (b"".to_vec(), 0),
+            (b"_".to_vec(), 0),
+            (vec![0x80], 0),
+            (vec![0x81], 0),
+            (vec![0xEF, 0xBF, 0xBD], 0),
+            (vec![0x80, 0x80], 0),
+            (vec![0xEF, 0xBF], 0),
+            (vec![0xF0, 0x90, 0x80], 0),
+            ("h\u{e9}".as_bytes().to_vec(), 7),
+        ];
+        for i in 0..3 * RECENT_SLOTS as u32 {
+            keys.push((format!("host{}", i % 97).into_bytes(), i / 97));
+        }
+        let mut registry = VolumeRegistry::new();
+        let mut naive = NaiveRegistry::default();
+        // A name merged in from another registry keeps its id when the
+        // same volume later arrives as (host, disk).
+        assert_eq!(
+            registry.resolve_name("host5_2").get(),
+            naive.resolve(b"host5", 2)
+        );
+        for round in 0..3 {
+            for step in 0..keys.len() {
+                let (host, disk) = &keys[(step * 7 + round) % keys.len()];
+                assert_eq!(
+                    registry.resolve_bytes(host, *disk).get(),
+                    naive.resolve(host, *disk),
+                    "{host:?} {disk}"
+                );
+            }
+        }
+        let names: Vec<&str> = registry.iter().map(|(_, name)| name).collect();
+        assert_eq!(names, naive.names);
+        // What makes a cache hit sound: a slot's name is its host bytes,
+        // `_`, its disk (so no slot holds a lossily decoded host).
+        for hit in registry.recent.iter().flatten() {
+            let name = names[hit.id.as_usize()].as_bytes();
+            let mut rebuilt = name[..hit.host_len].to_vec();
+            rebuilt.extend(format!("_{}", hit.disk).bytes());
+            assert_eq!(name, rebuilt);
+        }
+        assert_eq!(registry.len(), naive.names.len());
+        for (id, name) in naive.names.iter().enumerate() {
+            assert_eq!(registry.lookup(name), Some(VolumeId::new(id as u32)));
+        }
+        // `resolve` and `parse_record` go through the same interner.
+        assert_eq!(registry.resolve("a_1", 0).get(), naive.resolve(b"a_1", 0));
+        assert_eq!(registry.resolve("a", 10).get(), naive.resolve(b"a", 10));
+        assert_ne!(registry.resolve("a_1", 0), registry.resolve("a", 10));
+        assert_eq!(registry.len(), naive.names.len());
     }
 
     #[test]

@@ -1,10 +1,21 @@
 //! Chunked parallel trace decoding.
 //!
 //! [`ParallelDecoder`] splits an input stream on newline boundaries into
-//! large chunks, parses the chunks on worker threads with the byte-slice
-//! fast-path parsers ([`alicloud::parse_record_bytes`],
-//! [`msrc::parse_record_bytes`]), and re-emits decoded batches **in
-//! input order** through a caller-supplied sink. The pipeline is
+//! large chunks, parses the chunks on worker threads, and re-emits
+//! decoded batches **in input order** through a caller-supplied sink.
+//!
+//! A worker walks its chunk once (`parse_chunk`, the one chunk loop
+//! behind all four `decode_*` entry points). At each line it first tries
+//! the dialect's row scanner (`alicloud::row_at`, `msrc::row_at`), which
+//! reads a canonical row and the newline that ends it in place off the
+//! chunk and appends it straight to the record container. A line the
+//! scanner refuses — padded, spelled another way, blank, the MSRC
+//! header, malformed — is cut at its newline, trimmed and decided by the
+//! general parser ([`alicloud::parse_record_bytes`],
+//! [`msrc::parse_record_bytes`]), the only producer of errors (see the
+//! soundness rule in the [codec docs](super)).
+//! [`DecodeStats::general_path_lines`] counts those rows, so a corpus
+//! that runs at the general parser's speed says so. The pipeline is
 //!
 //! ```text
 //! feeder thread          N worker threads            calling thread
@@ -26,11 +37,15 @@
 //! surface after all complete chunks read before the failure have been
 //! decoded and delivered.
 //!
-//! MSRC volume identity is kept deterministic: workers intern
-//! `hostname_disk` names into chunk-local registries, and the in-order
-//! consumer remaps them into the shared global [`VolumeRegistry`], so
-//! ids are assigned in first-appearance input order — byte-identical to
-//! a sequential read.
+//! The feeder is a thread of its own on purpose: its 1 MiB read,
+//! zero-fill and carry copy would otherwise land on the parser, the
+//! stage that binds (DESIGN.md §9 has the variants without it).
+//!
+//! MSRC volume identity is kept deterministic: a worker interns scanned
+//! and general-path rows alike, in row order, into one chunk-local
+//! [`VolumeRegistry`], and the in-order consumer remaps its names into
+//! the shared global registry, so ids are assigned in first-appearance
+//! input order — byte-identical to a sequential read.
 
 use std::collections::BTreeMap;
 use std::io::Read;
@@ -60,6 +75,10 @@ pub struct DecodeStats {
     pub bytes: u64,
     /// Chunks dispatched to workers.
     pub chunks: u64,
+    /// Rows the row scanner refused and the general parser decided
+    /// (blank lines and the MSRC header are not rows): 0 on a canonical
+    /// file, near `records` on a padded one decoding at half speed.
+    pub general_path_lines: u64,
 }
 
 /// Chunked, multi-threaded decoder for the supported CSV dialects.
@@ -93,6 +112,7 @@ struct DecodeMetrics {
     lines: Counter,
     bytes: Counter,
     chunks: Counter,
+    general_path_lines: Counter,
     malformed_line: Gauge,
 }
 
@@ -103,6 +123,7 @@ impl DecodeMetrics {
             lines: registry.counter("decode.lines"),
             bytes: registry.counter("decode.bytes"),
             chunks: registry.counter("decode.chunks"),
+            general_path_lines: registry.counter("decode.general_path_lines"),
             malformed_line: registry.gauge("decode.malformed_line"),
         }
     }
@@ -126,9 +147,10 @@ impl ParallelDecoder {
     }
 
     /// Publishes decode metrics into `registry`: live `decode.records`,
-    /// `decode.lines`, `decode.bytes`, and `decode.chunks` counters
-    /// (mirroring the final [`DecodeStats`], but readable from another
-    /// thread mid-run), plus a `decode.malformed_line` gauge holding the
+    /// `decode.lines`, `decode.bytes`, `decode.chunks` and
+    /// `decode.general_path_lines` counters (mirroring the final
+    /// [`DecodeStats`], but readable from another thread mid-run), plus
+    /// a `decode.malformed_line` gauge holding the
     /// one-based line number that stopped a decode (`0` = none).
     /// Updates happen once per in-order chunk (~1 MiB of input), so the
     /// cost is unmeasurable.
@@ -176,7 +198,7 @@ impl ParallelDecoder {
             self.threads,
             ReaderChunks::new(input, self.chunk_size),
             |chunk, _seq| {
-                parse_alicloud_chunk(chunk, |records: &mut Vec<IoRequest>, req| records.push(req))
+                parse_alicloud_chunk(chunk, Vec::with_capacity(line_count(chunk)), Vec::push)
             },
             |out| ledger.book(out, &mut sink),
         )?;
@@ -217,7 +239,8 @@ impl ParallelDecoder {
             self.threads,
             ReaderChunks::new(input, self.chunk_size),
             |chunk, _seq| {
-                parse_alicloud_chunk(chunk, |records: &mut RequestBatch, req| records.push(&req))
+                let records = RequestBatch::with_capacity(line_count(chunk));
+                parse_alicloud_chunk(chunk, records, |records, req| records.push(&req))
             },
             |out| ledger.book(out, &mut sink),
         )?;
@@ -248,9 +271,8 @@ impl ParallelDecoder {
             self.threads,
             ReaderChunks::new(input, self.chunk_size),
             |chunk, seq| {
-                parse_msrc_chunk(chunk, seq == 0, |records: &mut Vec<MsrcRecord>, rec| {
-                    records.push(rec)
-                })
+                let records = Vec::with_capacity(line_count(chunk));
+                parse_msrc_chunk(chunk, seq == 0, records, Vec::push)
             },
             |mut out| {
                 let global = resolve_names(registry, &out.names);
@@ -287,7 +309,8 @@ impl ParallelDecoder {
             self.threads,
             ReaderChunks::new(input, self.chunk_size),
             |chunk, seq| {
-                parse_msrc_chunk(chunk, seq == 0, |records: &mut RequestBatch, rec| {
+                let records = RequestBatch::with_capacity(line_count(chunk));
+                parse_msrc_chunk(chunk, seq == 0, records, |records, rec| {
                     records.push(rec.request())
                 })
             },
@@ -331,34 +354,76 @@ struct ChunkOut<R> {
     names: Vec<String>,
     lines: u64,
     bytes: u64,
+    /// Of `count` (plus the malformed line), the rows the scanner refused.
+    general_path_lines: u64,
     /// The first malformed line (one-based within the chunk).
     error: Option<(u64, ParseRecordError)>,
 }
 
-/// The chunk loop both dialects share: count every line, skip blank
-/// ones, hand the rest to `parse_line` (which appends to the container
-/// and says whether the line held a record), stop at the first error.
-fn parse_chunk<R: Default>(
+/// Lines in `chunk` as the chunk loop (and `BufRead::lines`) counts
+/// them: a record container reserved to it never grows, and is too large
+/// only by the chunk's blank lines.
+fn line_count(chunk: &[u8]) -> usize {
+    // Summed in `u8` lanes, 255 bytes at a time: that compiles to
+    // byte-wide vector compares; `filter().count()` ran 13 times slower,
+    // a quarter of the parse.
+    let newlines = chunk.chunks(255).map(|run| {
+        let hits: u8 = run.iter().map(|&b| u8::from(b == b'\n')).sum();
+        usize::from(hits)
+    });
+    let unterminated = chunk.last().is_some_and(|&b| b != b'\n');
+    newlines.sum::<usize>() + usize::from(unterminated)
+}
+
+/// The chunk loop every dialect and container share. One iteration is
+/// one line, counted whatever it holds: `row_at` reads a canonical row
+/// and its line end in place; a line it refuses is cut at its `\n`,
+/// trimmed, skipped if blank and otherwise decided by `parse_line`
+/// (`Ok(None)`: the header), whose first error ends the chunk. Both
+/// intern into `state` (the MSRC chunk-local registry).
+fn parse_chunk<R, T, S>(
     chunk: &[u8],
-    mut parse_line: impl FnMut(u64, &[u8], &mut R) -> Result<bool, ParseRecordError>,
+    state: &mut S,
+    records: R,
+    row_at: impl Fn(&[u8], &mut usize, &mut S) -> Option<T>,
+    parse_line: impl Fn(u64, &[u8], &mut S) -> Result<Option<T>, ParseRecordError>,
+    push: impl Fn(&mut R, T),
 ) -> ChunkOut<R> {
     let mut out = ChunkOut {
-        records: R::default(),
+        records,
         count: 0,
         names: Vec::new(),
         lines: 0,
         bytes: chunk.len() as u64,
+        general_path_lines: 0,
         error: None,
     };
-    for line in lines_of(chunk) {
+    let mut pos = 0;
+    while pos < chunk.len() {
         out.lines += 1;
-        let line = trim_ascii(line);
+        let mut next = pos;
+        if let Some(row) = row_at(chunk, &mut next, state) {
+            push(&mut out.records, row);
+            out.count += 1;
+            pos = next;
+            continue;
+        }
+        let rest = &chunk[pos..];
+        let end = rest.iter().position(|&b| b == b'\n');
+        let line = trim_ascii(&rest[..end.unwrap_or(rest.len())]);
+        pos += end.map_or(rest.len(), |end| end + 1);
         if line.is_empty() {
             continue;
         }
-        match parse_line(out.lines, line, &mut out.records) {
-            Ok(is_record) => out.count += u64::from(is_record),
+        match parse_line(out.lines, line, state) {
+            Ok(None) => {}
+            Ok(Some(row)) => {
+                push(&mut out.records, row);
+                out.count += 1;
+                out.general_path_lines += 1;
+            }
             Err(e) => {
+                out.general_path_lines += 1;
                 out.error = Some((out.lines, e));
                 break;
             }
@@ -367,26 +432,41 @@ fn parse_chunk<R: Default>(
     out
 }
 
-fn parse_alicloud_chunk<R: Default>(chunk: &[u8], push: impl Fn(&mut R, IoRequest)) -> ChunkOut<R> {
-    parse_chunk(chunk, |_, line, records| {
-        push(records, alicloud::parse_record_bytes(line)?);
-        Ok(true)
-    })
+fn parse_alicloud_chunk<R>(
+    chunk: &[u8],
+    records: R,
+    push: impl Fn(&mut R, IoRequest),
+) -> ChunkOut<R> {
+    parse_chunk(
+        chunk,
+        &mut (),
+        records,
+        |chunk, pos, ()| alicloud::row_at(chunk, pos),
+        |_, line, ()| alicloud::parse_record_bytes(line).map(Some),
+        push,
+    )
 }
 
-fn parse_msrc_chunk<R: Default>(
+fn parse_msrc_chunk<R>(
     chunk: &[u8],
     is_first_chunk: bool,
+    records: R,
     push: impl Fn(&mut R, MsrcRecord),
 ) -> ChunkOut<R> {
     let mut local = VolumeRegistry::new();
-    let mut out = parse_chunk(chunk, |line_no, line, records| {
-        if is_first_chunk && line_no == 1 && line.starts_with(b"Timestamp,") {
-            return Ok(false); // header
-        }
-        push(records, msrc::parse_record_bytes(line, &mut local)?);
-        Ok(true)
-    });
+    let mut out = parse_chunk(
+        chunk,
+        &mut local,
+        records,
+        msrc::row_at,
+        |line_no, line, local| {
+            if is_first_chunk && line_no == 1 && line.starts_with(b"Timestamp,") {
+                return Ok(None); // header
+            }
+            msrc::parse_record_bytes(line, local).map(Some)
+        },
+        push,
+    );
     out.names = local.iter().map(|(_, name)| name.to_owned()).collect();
     out
 }
@@ -424,6 +504,7 @@ impl<'a> Ledger<'a> {
         self.stats.chunks += 1;
         self.stats.bytes += out.bytes;
         self.stats.records += out.count;
+        self.stats.general_path_lines += out.general_path_lines;
         if out.count > 0 {
             sink(out.records);
         }
@@ -436,6 +517,7 @@ impl<'a> Ledger<'a> {
             m.bytes.add(out.bytes);
             m.records.add(out.count);
             m.lines.add(consumed_lines);
+            m.general_path_lines.add(out.general_path_lines);
         }
         match out.error {
             None => Ok(()),
@@ -447,21 +529,6 @@ impl<'a> Ledger<'a> {
             }
         }
     }
-}
-
-/// Iterates the lines of a chunk: pieces between `\n` separators, with
-/// a trailing empty piece after a final newline not counted as a line
-/// (mirroring `BufRead::lines`).
-fn lines_of(chunk: &[u8]) -> impl Iterator<Item = &[u8]> {
-    let body = match chunk.last() {
-        Some(b'\n') => &chunk[..chunk.len() - 1],
-        _ => chunk,
-    };
-    // An empty chunk has no lines; `split` would still yield one empty
-    // piece, so gate the iterator on chunk emptiness (`b"\n"` is one
-    // empty line, `b""` is none).
-    let mut iter = (!chunk.is_empty()).then(|| body.split(|&b| b == b'\n'));
-    std::iter::from_fn(move || iter.as_mut()?.next())
 }
 
 // --- pipeline engine ------------------------------------------------------
@@ -922,21 +989,34 @@ mod tests {
 
     #[test]
     fn lines_of_counts_like_bufread_lines() {
-        let cases: [(&[u8], usize); 6] = [
-            (b"", 0),
-            (b"\n", 1),
-            (b"a", 1),
-            (b"a\n", 1),
-            (b"a\n\nb\n", 3),
-            (b"a\nb", 2),
+        // `a`/`b` stand for a row; the chunk loop counts a line whatever
+        // path decides it, so each case runs once with rows the scanner
+        // takes and once with rows it refuses.
+        let cases: [(&str, usize); 7] = [
+            ("", 0),
+            ("\n", 1),
+            ("a", 1),
+            ("a\n", 1),
+            ("a\n\nb\n", 3),
+            ("a\nb", 2),
+            ("a\r\n\r\nb", 3),
         ];
-        for (input, want) in cases {
-            assert_eq!(lines_of(input).count(), want, "{input:?}");
-            assert_eq!(
-                std::io::BufRead::lines(input).count(),
-                want,
-                "BufRead {input:?}"
-            );
+        for (shape, want) in cases {
+            for (a, b) in [("1,R,2,3,4", "5,W,6,7,8"), (" 1,R,2,3,4", "5,w,6,7,8")] {
+                let input = shape.replace('a', a).replace('b', b);
+                let out = parse_alicloud_chunk(input.as_bytes(), Vec::new(), Vec::push);
+                assert!(out.error.is_none(), "{input:?}");
+                assert_eq!(out.lines, want as u64, "{input:?}");
+                assert_eq!(out.count, shape.matches(['a', 'b']).count() as u64);
+                let refused = if a.starts_with(' ') { out.count } else { 0 };
+                assert_eq!(out.general_path_lines, refused, "{input:?}");
+                assert_eq!(line_count(input.as_bytes()), want, "{input:?}");
+                assert_eq!(
+                    std::io::BufRead::lines(input.as_bytes()).count(),
+                    want,
+                    "BufRead {input:?}"
+                );
+            }
         }
     }
 }

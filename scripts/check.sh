@@ -52,7 +52,8 @@ fi
 echo "==> one fan-out, one router, one pacer (no second copy under crates/*/src)"
 # The death protocol and sticky routing live in crates/trace/src/workers.rs
 # and the replay pacer in crates/replay/src/schedule.rs; codec/parallel.rs
-# keeps its own, differently shaped, pipeline. Anything else is a copy
+# keeps its own, differently shaped, pipeline, whose one chunk loop
+# (parse_chunk) serves every dialect and container. Anything else is a copy
 # growing back. Library files only: binaries and cbs-lint's rule fixtures
 # are not product fan-outs.
 lib_sources="$(find crates/*/src -name '*.rs' -not -path '*/bin/*' -not -path 'crates/lint/*' | sort)"
@@ -62,7 +63,7 @@ if [ "${channel_files}" != "crates/trace/src/codec/parallel.rs crates/trace/src/
     echo "sync_channel may only be called in workers.rs and codec/parallel.rs; found: ${channel_files}" >&2
     exit 1
 fi
-for name in wait_until route_volume; do
+for name in wait_until route_volume parse_chunk; do
     # shellcheck disable=SC2086
     defs="$(cat ${lib_sources} | grep -c "fn ${name}\b" || true)"
     if [ "${defs}" -gt 1 ]; then
@@ -115,6 +116,48 @@ grep -q '"decode.records":{"type":"counter","value":2}' "${tmpdir}/convert.err" 
 grep -q '"cbt.records":{"type":"counter","value":2}' "${tmpdir}/info.err" || {
     echo "cbs-convert info --metrics did not export cbt counters:" >&2
     cat "${tmpdir}/info.err" >&2
+    exit 1
+}
+
+echo "==> cbs-convert hostile-but-valid smoke (rows the row scanner refuses convert all the same; a malformed row names its line)"
+# CRLF endings, a blank line, a `+`, a 25-digit zero-padded field and an
+# extra trailing field are all valid rows: three of the four records take
+# the general parser, none may be lost or stop the run.
+printf '0,R,0,4096,1000\r\n\r\n+1,W,4096,8192,2000\r\n2,R,0000000000000000000008192,512,3000\r\n3,W,0,512,4000,extra\r\n' \
+    > "${tmpdir}/hostile.csv"
+./target/release/cbs-convert alicloud "${tmpdir}/hostile.csv" "${tmpdir}/hostile.cbt" \
+    2> "${tmpdir}/hostile.err"
+grep -q ' 4 records .* 3 general-path lines' "${tmpdir}/hostile.err" || {
+    echo "cbs-convert lost or miscounted hostile-but-valid rows:" >&2
+    cat "${tmpdir}/hostile.err" >&2
+    exit 1
+}
+./target/release/cbs-convert info "${tmpdir}/hostile.cbt" | grep -qx 'records  4' || {
+    echo "cbs-convert info: hostile.cbt does not hold 4 records" >&2
+    exit 1
+}
+# MSRC: a header, two interleaved hosts, one disk spelled `0` and `00`.
+printf 'Timestamp,Hostname,DiskNumber,Type,Offset,Size,ResponseTime\n1000,hm,1,Read,0,512,10\n2000,src1,0,Write,8192,4096,10\n3000,hm,1,Write,512,512,10\n4000,src1,00,Read,8192,4096,10\n' \
+    > "${tmpdir}/hosts.csv"
+./target/release/cbs-convert msrc "${tmpdir}/hosts.csv" "${tmpdir}/hosts.cbt" \
+    --volumes "${tmpdir}/hosts.names" 2> /dev/null
+./target/release/cbs-convert info "${tmpdir}/hosts.cbt" | grep -qx 'records  4' || {
+    echo "cbs-convert info: hosts.cbt does not hold 4 records" >&2
+    exit 1
+}
+printf '0,hm_1\n1,src1_0\n' | diff -u - "${tmpdir}/hosts.names" || {
+    echo "cbs-convert msrc --volumes: sidecar differs" >&2
+    exit 1
+}
+printf '0,R,0,4096,1000\n\n1,W,4096\n2,R,0,512,3000\n' > "${tmpdir}/malformed.csv"
+if ./target/release/cbs-convert alicloud "${tmpdir}/malformed.csv" "${tmpdir}/malformed.cbt" \
+    2> "${tmpdir}/malformed.err"; then
+    echo "cbs-convert accepted a row with a missing field" >&2
+    exit 1
+fi
+grep -q 'at line 3:' "${tmpdir}/malformed.err" || {
+    echo "cbs-convert did not name the malformed row's one-based line (3):" >&2
+    cat "${tmpdir}/malformed.err" >&2
     exit 1
 }
 
