@@ -1,17 +1,20 @@
 //! The single-pass per-volume analyzer: [`VolumeAnalyzer`] and
 //! [`analyze_trace`].
 
-use std::mem;
 use std::ops::Range;
 
 use cbs_cache::ReuseStack;
 use cbs_stats::LogHistogram;
 use cbs_trace::hash::FxHashMap;
-use cbs_trace::{IoRequest, OpKind, RequestBatch, Timestamp, Trace, VolumeId, VolumeView};
+use cbs_trace::{OpKind, RequestBatch, Timestamp, Trace, VolumeId, VolumeView};
 
 use crate::config::{AnalysisConfig, InvalidConfig};
-use crate::metrics::{merge_sorted_unique, VolumeMetrics};
-use crate::simd;
+use crate::metrics::VolumeMetrics;
+
+/// Requests [`VolumeAnalyzer::analyze_volume`] copies into its batch
+/// per [`observe_batch`](VolumeAnalyzer::observe_batch) call — the
+/// streaming path's default batch size.
+const VIEW_RUN: usize = 8192;
 
 /// Per-block running state shared by the spatial and temporal metrics.
 ///
@@ -89,26 +92,15 @@ impl<K: PartialEq> Tally<K> {
 
 /// Streaming analyzer for one volume.
 ///
-/// Feed time-sorted requests via [`observe`](VolumeAnalyzer::observe)
-/// (or run a whole [`VolumeView`] with
-/// [`analyze_volume`](VolumeAnalyzer::analyze_volume)), then call
-/// [`finish`](VolumeAnalyzer::finish).
-///
-/// MERGEABLE: analyzers over the same volume/epoch/config form a
-/// commutative monoid under [`merge`](VolumeAnalyzer::merge) with
-/// **partition-scoped** semantics — counters, histograms and per-block
-/// state fold exactly; state the per-partition streams never observed
-/// together (cross-partition reuse distances, boundary inter-arrivals,
-/// a peak straddling the cut, the randomness window) stays local to
-/// each partition. A fresh analyzer is the identity. Merge is the
-/// terminal fold: call it after all observes, then
-/// [`finish`](VolumeAnalyzer::finish).
+/// Feed time-sorted requests as column runs via
+/// [`observe_batch`](VolumeAnalyzer::observe_batch) (or run a whole
+/// [`VolumeView`] with [`analyze_volume`](VolumeAnalyzer::analyze_volume)),
+/// then call [`finish`](VolumeAnalyzer::finish).
 ///
 /// # Panics
 ///
-/// `observe` panics in debug builds if requests arrive out of timestamp
-/// order, target a different volume, or follow a
-/// [`merge`](VolumeAnalyzer::merge).
+/// `observe_batch` panics in debug builds if requests arrive out of
+/// timestamp order or target a different volume.
 #[derive(Debug)]
 pub struct VolumeAnalyzer {
     config: AnalysisConfig,
@@ -170,16 +162,6 @@ pub struct VolumeAnalyzer {
     write_distance_hist: Vec<u64>,
     read_cold: u64,
     write_cold: u64,
-
-    /// Scratch buffers reused across batched calls (write-mask words
-    /// and inter-arrival deltas).
-    scratch_mask: Vec<u64>,
-    scratch_deltas: Vec<u64>,
-
-    /// Set once another partition has been folded in: reuse-stack
-    /// positions of merged-in blocks are partition-local, so further
-    /// observes would compute garbage distances. `merge` is terminal.
-    merged: bool,
 }
 
 impl VolumeAnalyzer {
@@ -241,13 +223,14 @@ impl VolumeAnalyzer {
             write_distance_hist: Vec::new(),
             read_cold: 0,
             write_cold: 0,
-            scratch_mask: Vec::new(),
-            scratch_deltas: Vec::new(),
-            merged: false,
         })
     }
 
-    /// Runs a whole volume view through a fresh analyzer.
+    /// Runs a whole volume view through a fresh analyzer: the view is
+    /// copied into one reused [`RequestBatch`], 8 192 requests at a
+    /// time, and each run goes through
+    /// [`observe_batch`](VolumeAnalyzer::observe_batch) — the code the
+    /// streaming path runs. Metrics do not depend on where runs split.
     ///
     /// # Errors
     ///
@@ -258,50 +241,36 @@ impl VolumeAnalyzer {
         config: &AnalysisConfig,
     ) -> Result<VolumeMetrics, InvalidConfig> {
         let mut analyzer = VolumeAnalyzer::new(view.id(), epoch, config.clone())?;
-        for req in view.requests() {
-            analyzer.observe(req);
+        let mut batch = RequestBatch::with_capacity(view.len().min(VIEW_RUN));
+        for run in view.requests().chunks(VIEW_RUN) {
+            batch.clear();
+            for req in run {
+                batch.push(req);
+            }
+            analyzer.observe_batch(&batch, 0..batch.len());
         }
         Ok(analyzer.finish())
     }
 
-    /// Processes one request.
-    pub fn observe(&mut self, req: &IoRequest) {
-        debug_assert!(!self.merged, "observe after merge is unsupported");
-        debug_assert_eq!(req.volume(), self.id, "request targets another volume");
-        debug_assert!(
-            self.last_ts.map_or(true, |t| req.ts() >= t),
-            "requests must arrive in timestamp order"
-        );
-        let (op, offset, len, ts) = (req.op(), req.offset(), req.len(), req.ts());
-        let rel = ts.saturating_duration_since(self.epoch).as_micros();
-        self.note_count(op, len);
-        self.note_time(ts);
-        self.note_peak(rel);
-        self.note_active(rel, op);
-        self.note_random(offset);
-        self.touch_blocks(op, offset, len, ts);
-    }
-
-    /// Processes the records of `batch` in `range` — the batched fast
-    /// path, exactly equivalent to calling
-    /// [`observe`](VolumeAnalyzer::observe) on each record in order.
+    /// Processes the records of `batch` in `range`, in order.
     ///
     /// Per-metric work runs as fused loops over the batch's columns
     /// instead of one dispatch per request, so the per-request
     /// bookkeeping (volume check, field extraction, branch misses
     /// across unrelated metrics) is paid once per batch run. All
     /// records in `range` must target this analyzer's volume in
-    /// non-decreasing timestamp order, like `observe`.
+    /// non-decreasing timestamp order, also across calls.
     ///
     /// # Panics
     ///
-    /// Panics if `range` is out of bounds for `batch`.
+    /// Panics if `range` is out of bounds for `batch`; in debug builds,
+    /// also if a record targets another volume or arrives out of
+    /// timestamp order.
     pub fn observe_batch(&mut self, batch: &RequestBatch, range: Range<usize>) {
         let ops = &batch.ops()[range.clone()];
         let lens = &batch.lens()[range.clone()];
         let offsets = &batch.offsets()[range.clone()];
         let timestamps = &batch.timestamps()[range.clone()];
-        debug_assert!(!self.merged, "observe after merge is unsupported");
         #[cfg(debug_assertions)]
         {
             for &v in &batch.volumes()[range.clone()] {
@@ -318,10 +287,10 @@ impl VolumeAnalyzer {
         }
 
         // Loop fission: every metric's state is touched by exactly one
-        // loop/kernel, and each visits records in order — so the result
-        // is bit-identical to interleaving them per request.
-        self.note_counts_batch(ops, lens);
-        self.note_times_batch(timestamps);
+        // loop, and each visits records in order — so the result is
+        // bit-identical to interleaving them per request.
+        self.note_counts(ops, lens);
+        self.note_times(timestamps);
         for &ts in timestamps {
             let rel = ts.saturating_duration_since(self.epoch).as_micros();
             self.note_peak(rel);
@@ -339,76 +308,48 @@ impl VolumeAnalyzer {
     }
 
     /// Counts, traffic and size histograms.
-    #[inline]
-    fn note_count(&mut self, op: OpKind, len: u32) {
-        match op {
-            OpKind::Read => {
-                self.reads += 1;
-                self.read_bytes += u64::from(len);
-                self.read_size_hist.record(u64::from(len));
+    ///
+    /// The counters and byte sums come from one branch-free pass (the
+    /// write bit widened to an all-ones mask selects write lengths;
+    /// reads are what is left); the two size histograms from a second
+    /// pass that picks the histogram by op.
+    fn note_counts(&mut self, ops: &[OpKind], lens: &[u32]) {
+        let (mut writes, mut write_bytes, mut total_bytes) = (0u64, 0u64, 0u64);
+        for (&op, &len) in ops.iter().zip(lens) {
+            let (w, len) = (u64::from(op.is_write()), u64::from(len));
+            writes += w;
+            write_bytes += len & w.wrapping_neg();
+            total_bytes += len;
+        }
+        self.reads += ops.len() as u64 - writes;
+        self.writes += writes;
+        self.read_bytes += total_bytes - write_bytes;
+        self.write_bytes += write_bytes;
+        for (&op, &len) in ops.iter().zip(lens) {
+            match op {
+                OpKind::Read => self.read_size_hist.record(u64::from(len)),
+                OpKind::Write => self.write_size_hist.record(u64::from(len)),
             }
-            OpKind::Write => {
-                self.writes += 1;
-                self.write_bytes += u64::from(len);
-                self.write_size_hist.record(u64::from(len));
-            }
         }
     }
 
-    /// Batched [`note_count`](Self::note_count): one SIMD pass for the
-    /// counters and byte sums, then a mask-driven loop for the two size
-    /// histograms (histogram adds commute, so recording all records in
-    /// order against precomputed masks is bit-identical).
-    fn note_counts_batch(&mut self, ops: &[OpKind], lens: &[u32]) {
-        let sums = simd::op_len_sums(ops, lens);
-        self.reads += sums.reads;
-        self.writes += sums.writes;
-        self.read_bytes += sums.read_bytes;
-        self.write_bytes += sums.write_bytes;
-        let mut mask = mem::take(&mut self.scratch_mask);
-        simd::write_mask(ops, &mut mask);
-        for (i, &len) in lens.iter().enumerate() {
-            let hist = if mask[i / 64] >> (i % 64) & 1 == 1 {
-                &mut self.write_size_hist
-            } else {
-                &mut self.read_size_hist
-            };
-            hist.record(u64::from(len));
-        }
-        self.scratch_mask = mask;
-    }
-
-    /// Inter-arrival histogram and observed span.
-    #[inline]
-    fn note_time(&mut self, ts: Timestamp) {
-        if let Some(prev) = self.last_ts {
-            self.interarrival_hist.record((ts - prev).as_micros());
-        }
-        self.first_ts.get_or_insert(ts);
-        self.last_ts = Some(ts);
-    }
-
-    /// Batched [`note_time`](Self::note_time): the gaps come from one
-    /// SIMD first-difference pass over the microsecond column. The
-    /// leading gap is seeded with the previous record's timestamp (or
-    /// skipped when this is the first record ever, like the scalar
-    /// path); timestamps are non-decreasing so the wrapping subtraction
-    /// equals the checked one.
-    fn note_times_batch(&mut self, timestamps: &[Timestamp]) {
-        let Some(&last) = timestamps.last() else {
+    /// Inter-arrival histogram and observed span. The gap chain is
+    /// seeded from the previous run's last timestamp, so only the first
+    /// request ever has no gap.
+    fn note_times(&mut self, timestamps: &[Timestamp]) {
+        let Some((&first, rest)) = timestamps.split_first() else {
             return;
         };
-        let micros = simd::timestamps_as_micros(timestamps);
-        let mut deltas = mem::take(&mut self.scratch_deltas);
-        let prev = self.last_ts.unwrap_or(timestamps[0]).as_micros();
-        simd::deltas_u64(micros, prev, &mut deltas);
-        let skip_first = usize::from(self.last_ts.is_none());
-        for &gap in &deltas[skip_first..] {
-            self.interarrival_hist.record(gap);
+        let (mut prev, gaps) = match self.last_ts {
+            Some(last) => (last, timestamps),
+            None => (first, rest),
+        };
+        for &ts in gaps {
+            self.interarrival_hist.record((ts - prev).as_micros());
+            prev = ts;
         }
-        self.first_ts.get_or_insert(timestamps[0]);
-        self.last_ts = Some(last);
-        self.scratch_deltas = deltas;
+        self.first_ts.get_or_insert(first);
+        self.last_ts = Some(prev);
     }
 
     /// Peak intensity (streaming max over peak intervals).
@@ -468,9 +409,11 @@ impl VolumeAnalyzer {
     ///
     /// `min(abs_diff) > threshold` is evaluated as range *non*-membership
     /// in `[offset - t, offset + t]` (saturating — saturation is exact at
-    /// both edges), which the SIMD kernel scans without computing any
-    /// distance. The empty-window case keeps the scalar comparison so
-    /// the `threshold == u64::MAX` edge stays bit-identical.
+    /// both edges, and keeps `lo <= hi`), so `v` is inside iff
+    /// `v - lo <= hi - lo` in wrapping arithmetic: one compare per
+    /// window slot, folded without an early exit so the loop vectorizes.
+    /// An empty window has no minimum distance: it counts as `u64::MAX`
+    /// away, so `threshold == u64::MAX` makes no request random.
     #[inline]
     fn note_random(&mut self, offset: u64) {
         let threshold = self.config.randomness_threshold;
@@ -478,8 +421,11 @@ impl VolumeAnalyzer {
             u64::MAX > threshold
         } else {
             let lo = offset.saturating_sub(threshold);
-            let hi = offset.saturating_add(threshold);
-            !simd::any_within(&self.offset_window, lo, hi)
+            let width = offset.saturating_add(threshold) - lo;
+            !self
+                .offset_window
+                .iter()
+                .fold(false, |hit, &v| hit | (v.wrapping_sub(lo) <= width))
         };
         if is_random {
             self.random_requests += 1;
@@ -654,114 +600,6 @@ impl VolumeAnalyzer {
         hist.record_n((ts - last.1).as_micros(), n as u64);
     }
 
-    /// Folds another partition's analyzer state into `self` — the
-    /// terminal reduce of the corpus-parallel fan-out (see the type
-    /// docs for which laws are exact vs partition-scoped). Call
-    /// [`finish`](VolumeAnalyzer::finish) afterwards; observing more
-    /// requests after a merge is unsupported (merged-in blocks carry
-    /// partition-local reuse positions).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the analyzers disagree on volume, epoch, or config.
-    pub fn merge(&mut self, other: VolumeAnalyzer) {
-        assert_eq!(self.id, other.id, "merge requires the same volume");
-        assert_eq!(self.epoch, other.epoch, "merge requires the same epoch");
-        assert_eq!(self.config, other.config, "merge requires the same config");
-        self.merged = true;
-
-        self.reads += other.reads;
-        self.writes += other.writes;
-        self.read_bytes += other.read_bytes;
-        self.write_bytes += other.write_bytes;
-        self.updated_bytes += other.updated_bytes;
-        self.first_ts = match (self.first_ts, other.first_ts) {
-            (Some(a), Some(b)) => Some(a.min(b)),
-            (a, b) => a.or(b),
-        };
-        self.last_ts = match (self.last_ts, other.last_ts) {
-            (Some(a), Some(b)) => Some(a.max(b)),
-            (a, b) => a.or(b),
-        };
-
-        self.read_size_hist.merge(&other.read_size_hist);
-        self.write_size_hist.merge(&other.write_size_hist);
-        self.interarrival_hist.merge(&other.interarrival_hist);
-        self.raw_hist.merge(&other.raw_hist);
-        self.waw_hist.merge(&other.waw_hist);
-        self.rar_hist.merge(&other.rar_hist);
-        self.war_hist.merge(&other.war_hist);
-        self.update_interval_hist.merge(&other.update_interval_hist);
-
-        // Peaks are partition-scoped: finalize both running bins and
-        // keep the max (a peak straddling the cut is undercounted).
-        self.peak_max = self
-            .peak_max
-            .max(self.peak_bin_count)
-            .max(other.peak_max.max(other.peak_bin_count));
-        self.peak_bin = 0;
-        self.peak_bin_count = 0;
-        self.peak_bin_end = 0;
-
-        merge_sorted_unique(&mut self.active_intervals, &other.active_intervals);
-        merge_sorted_unique(
-            &mut self.read_active_intervals,
-            &other.read_active_intervals,
-        );
-        merge_sorted_unique(
-            &mut self.write_active_intervals,
-            &other.write_active_intervals,
-        );
-        merge_sorted_unique(&mut self.active_days, &other.active_days);
-
-        // Randomness windows are partition-local; the verdicts add.
-        self.random_requests += other.random_requests;
-
-        // Reuse distances were computed against each partition's own
-        // stack; the distance histograms and cold counts add.
-        if self.read_distance_hist.len() < other.read_distance_hist.len() {
-            self.read_distance_hist
-                .resize(other.read_distance_hist.len(), 0);
-        }
-        for (i, &v) in other.read_distance_hist.iter().enumerate() {
-            self.read_distance_hist[i] += v;
-        }
-        if self.write_distance_hist.len() < other.write_distance_hist.len() {
-            self.write_distance_hist
-                .resize(other.write_distance_hist.len(), 0);
-        }
-        for (i, &v) in other.write_distance_hist.iter().enumerate() {
-            self.write_distance_hist[i] += v;
-        }
-        self.read_cold += other.read_cold;
-        self.write_cold += other.write_cold;
-
-        // Per-block state folds order-free: bytes and write counts
-        // add, last-access bookkeeping takes the later access.
-        for (chunk_id, other_idx) in other.chunk_index {
-            let other_chunk = &other.chunks[other_idx as usize];
-            let next = self.chunks.len() as u32;
-            let idx = *self.chunk_index.entry(chunk_id).or_insert(next);
-            if idx == next {
-                self.chunks.push(BlockChunk::EMPTY);
-            }
-            let chunk = &mut self.chunks[idx as usize];
-            let mut occ = other_chunk.occupied;
-            while occ != 0 {
-                let slot = occ.trailing_zeros() as usize;
-                occ &= occ - 1;
-                let theirs = &other_chunk.states[slot];
-                if chunk.occupied & (1 << slot) == 0 {
-                    chunk.occupied |= 1 << slot;
-                    chunk.states[slot] = *theirs;
-                    self.distinct_blocks += 1;
-                } else {
-                    merge_block_state(&mut chunk.states[slot], theirs);
-                }
-            }
-        }
-    }
-
     /// Completes the analysis.
     ///
     /// An analyzer that observed no requests yields all-zero metrics
@@ -857,37 +695,6 @@ impl VolumeAnalyzer {
     }
 }
 
-/// Folds one block's per-partition state into another (see
-/// [`VolumeAnalyzer::merge`]): traffic and write counts add, the
-/// last-access fields take the later access with a deterministic
-/// tie-break (writes outrank reads on equal timestamps) so the fold is
-/// order-free. The reuse position stays partition-local — merge is
-/// terminal, nothing reads it again.
-fn merge_block_state(mine: &mut BlockState, theirs: &BlockState) {
-    mine.read_bytes += theirs.read_bytes;
-    mine.write_bytes += theirs.write_bytes;
-    if theirs.write_count > 0 {
-        mine.last_write_ts = if mine.write_count > 0 {
-            mine.last_write_ts.max(theirs.last_write_ts)
-        } else {
-            theirs.last_write_ts
-        };
-    }
-    mine.write_count += theirs.write_count;
-    if (theirs.last_ts, op_rank(theirs.last_op)) > (mine.last_ts, op_rank(mine.last_op)) {
-        mine.last_op = theirs.last_op;
-    }
-    mine.last_ts = mine.last_ts.max(theirs.last_ts);
-}
-
-/// Total order on op kinds for the last-access tie-break.
-fn op_rank(op: OpKind) -> u8 {
-    match op {
-        OpKind::Read => 0,
-        OpKind::Write => 1,
-    }
-}
-
 /// Appends `value` to a sorted-unique vector fed with non-decreasing
 /// values.
 fn push_unique(sorted: &mut Vec<u32>, value: u32) {
@@ -935,7 +742,7 @@ pub fn analyze_trace(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cbs_trace::TimeDelta;
+    use cbs_trace::{IoRequest, TimeDelta};
 
     fn req(op: OpKind, offset: u64, len: u32, secs: u64) -> IoRequest {
         IoRequest::new(
@@ -1182,44 +989,94 @@ mod tests {
     }
 
     #[test]
-    fn observe_batch_equals_per_request_observe() {
+    fn randomness_threshold_is_inclusive() {
+        // The first request (empty window) is random; the second is
+        // random iff it lies more than `t` bytes from the first, on
+        // either side.
+        let t = AnalysisConfig::default().randomness_threshold;
+        let base = 1u64 << 30;
+        let randoms = |second: u64| {
+            analyze(vec![
+                req(OpKind::Read, base, 512, 0),
+                req(OpKind::Read, second, 512, 1),
+            ])
+            .random_requests
+        };
+        assert_eq!(randoms(base + t), 1);
+        assert_eq!(randoms(base - t), 1);
+        assert_eq!(randoms(base + t + 1), 2);
+        assert_eq!(randoms(base - t - 1), 2);
+
+        // Nothing is farther than `u64::MAX` away — not even the first
+        // request, whose window is empty.
+        let config = AnalysisConfig {
+            randomness_threshold: u64::MAX,
+            ..AnalysisConfig::default()
+        };
+        let trace = Trace::from_requests(vec![
+            req(OpKind::Read, 0, 512, 0),
+            req(OpKind::Write, u64::MAX - 512, 512, 1),
+            req(OpKind::Read, base, 512, 2),
+        ]);
+        let m = &analyze_trace(&trace, &config).expect("valid config")[0];
+        assert_eq!(m.random_requests, 0);
+    }
+
+    #[test]
+    fn analyze_volume_is_independent_of_run_boundaries() {
         // An irregular single-volume stream exercising every metric:
         // repeats, multi-block requests, far jumps, dense + sparse time.
-        let reqs: Vec<IoRequest> = (0..2_000u64)
-            .map(|i| {
-                let op = if i % 3 == 0 {
-                    OpKind::Read
-                } else {
-                    OpKind::Write
-                };
-                let offset = (i * i * 7 + i * 13) % 300 * 4096 + (i % 5) * 100;
-                let len = 512 * ((i % 17) as u32 + 1);
-                req_at(op, offset, len, i * 1100 + i * 37 % 1000)
-            })
-            .collect();
-
-        let config = AnalysisConfig::default();
-        let epoch = reqs[0].ts();
-        let mut one_by_one =
-            VolumeAnalyzer::new(VolumeId::new(0), epoch, config.clone()).expect("valid");
-        for r in &reqs {
-            one_by_one.observe(r);
+        let irregular = |i: u64| {
+            let op = if i % 3 == 0 {
+                OpKind::Read
+            } else {
+                OpKind::Write
+            };
+            let offset = (i * i * 7 + i * 13) % 300 * 4096 + (i % 5) * 100;
+            let len = 512 * ((i % 17) as u32 + 1);
+            req_at(op, offset, len, i * 1100 + i * 37 % 1000)
+        };
+        // One short of a run, one run, one over, two runs and one over.
+        for n in [VIEW_RUN - 1, VIEW_RUN, VIEW_RUN + 1, 2 * VIEW_RUN + 1] {
+            let reqs: Vec<IoRequest> = (0..n as u64).map(irregular).collect();
+            let trace = Trace::from_requests(reqs.clone());
+            let view = trace.volume(VolumeId::new(0)).expect("one volume");
+            let (epoch, config) = (reqs[0].ts(), AnalysisConfig::default());
+            let by_runs = VolumeAnalyzer::analyze_volume(view, epoch, &config).expect("valid");
+            let mut whole = VolumeAnalyzer::new(VolumeId::new(0), epoch, config).expect("valid");
+            whole.observe_batch(&RequestBatch::from(reqs.as_slice()), 0..n);
+            assert_eq!(by_runs, whole.finish(), "n={n}");
         }
+    }
 
-        // Feed the same stream as batches of varying sizes and ranges.
-        let batch = RequestBatch::from(reqs.as_slice());
-        let mut batched = VolumeAnalyzer::new(VolumeId::new(0), epoch, config).expect("valid");
-        let mut start = 0usize;
-        for chunk in [1usize, 7, 64, 500, 2000] {
-            let end = (start + chunk).min(batch.len());
-            batched.observe_batch(&batch, start..end);
-            start = end;
-            if start == batch.len() {
-                break;
-            }
-        }
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "timestamp order")]
+    fn run_older_than_the_last_panics_in_debug_builds() {
+        let mut a =
+            VolumeAnalyzer::new(VolumeId::new(0), Timestamp::ZERO, AnalysisConfig::default())
+                .expect("valid config");
+        a.observe_batch(
+            &RequestBatch::from(&[req(OpKind::Read, 0, 512, 5)][..]),
+            0..1,
+        );
+        a.observe_batch(
+            &RequestBatch::from(&[req(OpKind::Read, 0, 512, 4)][..]),
+            0..1,
+        );
+    }
 
-        assert_eq!(one_by_one.finish(), batched.finish());
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "another volume")]
+    fn request_of_another_volume_panics_in_debug_builds() {
+        let mut a =
+            VolumeAnalyzer::new(VolumeId::new(1), Timestamp::ZERO, AnalysisConfig::default())
+                .expect("valid config");
+        a.observe_batch(
+            &RequestBatch::from(&[req(OpKind::Read, 0, 512, 5)][..]),
+            0..1,
+        );
     }
 
     /// Like [`req`] but with monotone microsecond timestamps.

@@ -37,10 +37,7 @@
 //! assert_eq!(v.wss_update_blocks, 1); // block 0 written twice
 //! ```
 
-// deny (not forbid): the simd module needs a local allow(unsafe_code)
-// for its core::arch intrinsics and column slice casts, each carrying a
-// SAFETY comment and a scalar reference twin.
-#![deny(unsafe_code)]
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
@@ -49,7 +46,6 @@ pub mod config;
 pub mod findings;
 pub mod metrics;
 pub mod recommend;
-pub mod simd;
 pub mod windowed;
 
 pub use analyzer::{analyze_trace, VolumeAnalyzer};

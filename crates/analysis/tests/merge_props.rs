@@ -1,21 +1,19 @@
 //! Property tests for the MERGEABLE analysis algebra.
 //!
-//! The corpus-parallel driver folds per-partition analysis state with
-//! `merge`; these tests pin the monoid laws — associativity,
-//! commutativity, identity — for [`VolumeAnalyzer`], [`VolumeMetrics`]
-//! and [`WindowedAnalysis`], plus the block-range partition
-//! homomorphism: for partitions covering disjoint block ranges of one
-//! volume, the per-block metrics of `merge(analyze(a), analyze(b))`
-//! equal the sequential `analyze(a ++ b)` exactly. They are the
-//! associativity evidence `cbs-lint`'s `mergeable-audit` rule
-//! (CBS-L13) requires.
+//! The agent/controller fan-out folds per-partition analysis results
+//! with `merge`; these tests pin the monoid laws — associativity,
+//! commutativity, identity — for [`VolumeMetrics`] and
+//! [`WindowedAnalysis`], plus the block-range partition homomorphism of
+//! windowed analysis and the by-volume exactness of `analyze_trace`.
+//! They are the associativity evidence `cbs-lint`'s `mergeable-audit`
+//! rule (CBS-L13) requires.
 
 use proptest::prelude::*;
 
 use cbs_analysis::{
     analyze_trace, AnalysisConfig, VolumeAnalyzer, VolumeMetrics, WindowedAnalysis,
 };
-use cbs_trace::{IoRequest, OpKind, TimeDelta, Timestamp, Trace, VolumeId};
+use cbs_trace::{IoRequest, OpKind, RequestBatch, TimeDelta, Timestamp, Trace, VolumeId};
 
 prop_compose! {
     /// One single-volume request over a small block space; single-block
@@ -42,13 +40,11 @@ fn sorted(mut reqs: Vec<IoRequest>) -> Vec<IoRequest> {
 }
 
 /// Runs a fresh analyzer over one already-sorted partition stream.
-fn analyzer(reqs: &[IoRequest]) -> VolumeAnalyzer {
+fn metrics(reqs: &[IoRequest]) -> VolumeMetrics {
     let mut a = VolumeAnalyzer::new(VolumeId::new(0), Timestamp::ZERO, AnalysisConfig::default())
         .expect("valid config");
-    for r in reqs {
-        a.observe(r);
-    }
-    a
+    a.observe_batch(&RequestBatch::from(reqs), 0..reqs.len());
+    a.finish()
 }
 
 /// Compares metrics records exactly except for the floating-point
@@ -91,91 +87,6 @@ fn windowed(reqs: &[IoRequest]) -> WindowedAnalysis {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// `VolumeAnalyzer::merge` is associative and commutative on the
-    /// finished metrics, with a fresh analyzer as identity.
-    #[test]
-    fn volume_analyzer_merge_is_associative(
-        ra in proptest::collection::vec(arb_request(), 1..120),
-        rb in proptest::collection::vec(arb_request(), 1..120),
-        rc in proptest::collection::vec(arb_request(), 1..120),
-    ) {
-        let (ra, rb, rc) = (sorted(ra), sorted(rb), sorted(rc));
-
-        let mut left = analyzer(&ra);
-        left.merge(analyzer(&rb));
-        left.merge(analyzer(&rc));
-
-        let mut right_tail = analyzer(&rb);
-        right_tail.merge(analyzer(&rc));
-        let mut right = analyzer(&ra);
-        right.merge(right_tail);
-        prop_assert_eq!(left.finish(), right.finish());
-
-        let mut ab = analyzer(&ra);
-        ab.merge(analyzer(&rb));
-        let mut ba = analyzer(&rb);
-        ba.merge(analyzer(&ra));
-        prop_assert_eq!(ab.finish(), ba.finish());
-
-        let mut with_identity = analyzer(&ra);
-        with_identity.merge(analyzer(&[]));
-        prop_assert_eq!(with_identity.finish(), analyzer(&ra).finish());
-    }
-
-    /// For disjoint block-range partitions, every per-block metric of
-    /// the merged analyzers equals the sequential whole-stream
-    /// analysis (stream-order state — peaks, inter-arrivals,
-    /// randomness, reuse distances — is partition-scoped by design and
-    /// excluded).
-    #[test]
-    fn volume_analyzer_merge_matches_block_partition(
-        reqs in proptest::collection::vec(arb_request(), 1..200),
-    ) {
-        let reqs = sorted(reqs);
-        let whole = analyzer(&reqs).finish();
-
-        let even: Vec<IoRequest> = reqs
-            .iter()
-            .filter(|r| (r.offset() / 4096) % 2 == 0)
-            .copied()
-            .collect();
-        let odd: Vec<IoRequest> = reqs
-            .iter()
-            .filter(|r| (r.offset() / 4096) % 2 == 1)
-            .copied()
-            .collect();
-        let mut merged = analyzer(&even);
-        merged.merge(analyzer(&odd));
-        let merged = merged.finish();
-
-        prop_assert_eq!(merged.reads, whole.reads);
-        prop_assert_eq!(merged.writes, whole.writes);
-        prop_assert_eq!(merged.read_bytes, whole.read_bytes);
-        prop_assert_eq!(merged.write_bytes, whole.write_bytes);
-        prop_assert_eq!(merged.updated_bytes, whole.updated_bytes);
-        prop_assert_eq!(merged.first_ts, whole.first_ts);
-        prop_assert_eq!(merged.last_ts, whole.last_ts);
-        prop_assert_eq!(&merged.read_size_hist, &whole.read_size_hist);
-        prop_assert_eq!(&merged.write_size_hist, &whole.write_size_hist);
-        prop_assert_eq!(merged.wss_blocks, whole.wss_blocks);
-        prop_assert_eq!(merged.wss_read_blocks, whole.wss_read_blocks);
-        prop_assert_eq!(merged.wss_write_blocks, whole.wss_write_blocks);
-        prop_assert_eq!(merged.wss_update_blocks, whole.wss_update_blocks);
-        prop_assert_eq!(&merged.raw_hist, &whole.raw_hist);
-        prop_assert_eq!(&merged.waw_hist, &whole.waw_hist);
-        prop_assert_eq!(&merged.rar_hist, &whole.rar_hist);
-        prop_assert_eq!(&merged.war_hist, &whole.war_hist);
-        prop_assert_eq!(&merged.update_interval_hist, &whole.update_interval_hist);
-        prop_assert_eq!(merged.read_bytes_to_read_mostly, whole.read_bytes_to_read_mostly);
-        prop_assert_eq!(merged.write_bytes_to_write_mostly, whole.write_bytes_to_write_mostly);
-        // Block-traffic multisets agree, so the finish-time share
-        // computation is bit-identical.
-        prop_assert_eq!(merged.top_read_shares, whole.top_read_shares);
-        prop_assert_eq!(merged.top_write_shares, whole.top_write_shares);
-        prop_assert_eq!(merged.active_intervals.clone(), whole.active_intervals.clone());
-        prop_assert_eq!(merged.active_days.clone(), whole.active_days.clone());
-    }
-
     /// `VolumeMetrics::merge` is associative (floats up to rounding)
     /// and commutative, with an empty same-volume record as identity.
     #[test]
@@ -184,7 +95,7 @@ proptest! {
         rb in proptest::collection::vec(arb_request(), 1..120),
         rc in proptest::collection::vec(arb_request(), 1..120),
     ) {
-        let m = |reqs: Vec<IoRequest>| analyzer(&sorted(reqs)).finish();
+        let m = |reqs: Vec<IoRequest>| metrics(&sorted(reqs));
         let (a, b, c) = (m(ra), m(rb), m(rc));
 
         let mut left = a.clone();
@@ -202,7 +113,7 @@ proptest! {
         ba.merge(&a);
         prop_assert!(metrics_close(&ab, &ba));
 
-        let identity = analyzer(&[]).finish();
+        let identity = metrics(&[]);
         let mut with_identity = a.clone();
         with_identity.merge(&identity);
         prop_assert_eq!(with_identity, a);

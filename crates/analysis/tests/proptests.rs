@@ -5,7 +5,7 @@ use std::collections::{HashMap, HashSet};
 
 use proptest::prelude::*;
 
-use cbs_analysis::{analyze_trace, simd, AnalysisConfig, VolumeAnalyzer};
+use cbs_analysis::{analyze_trace, AnalysisConfig, VolumeAnalyzer};
 use cbs_trace::{BlockSize, IoRequest, OpKind, RequestBatch, Timestamp, Trace, VolumeId};
 
 fn arb_op() -> impl Strategy<Value = OpKind> {
@@ -165,98 +165,39 @@ proptest! {
         }
     }
 
-    /// The batched SoA kernel is bit-identical to per-request `observe`
-    /// for every metric, at every batch split.
+    /// Metrics do not depend on how a volume's stream is cut into
+    /// `observe_batch` runs: arbitrary splits equal one whole-stream
+    /// `analyze_volume`.
     #[test]
-    fn observe_batch_equals_observe(
+    fn observe_batch_is_split_invariant(
         reqs in proptest::collection::vec(arb_request(), 1..300),
         split_seed in 0u64..10_000,
     ) {
         // One volume, time-sorted: the analyzer's input contract.
         let volume = VolumeId::new(0);
-        let mut reqs: Vec<IoRequest> = reqs
+        let reqs: Vec<IoRequest> = reqs
             .iter()
             .map(|r| IoRequest::new(volume, r.op(), r.offset(), r.len(), r.ts()))
             .collect();
-        cbs_trace::iter::sort_by_time(&mut reqs);
-        let epoch = reqs[0].ts();
+        let trace = Trace::from_requests(reqs);
+        let view = trace.volume(volume).expect("one volume");
+        let epoch = view.requests()[0].ts();
         let config = AnalysisConfig::default();
+        let whole = VolumeAnalyzer::analyze_volume(view, epoch, &config).expect("valid config");
 
-        let mut scalar = VolumeAnalyzer::new(volume, epoch, config.clone()).expect("valid config");
-        for req in &reqs {
-            scalar.observe(req);
-        }
-
-        let mut batched = VolumeAnalyzer::new(volume, epoch, config).expect("valid config");
-        let batch = RequestBatch::from(reqs.as_slice());
-        // Split the batch at a few arbitrary points; each sub-range goes
-        // through the fused column loops.
+        let mut split = VolumeAnalyzer::new(volume, epoch, config).expect("valid config");
+        let batch = RequestBatch::from(view.requests());
         let mut cuts = vec![
-            split_seed as usize % (reqs.len() + 1),
-            (split_seed / 100) as usize % (reqs.len() + 1),
+            split_seed as usize % (batch.len() + 1),
+            (split_seed / 100) as usize % (batch.len() + 1),
         ];
-        cuts.extend([0, reqs.len()]);
+        cuts.extend([0, batch.len()]);
         cuts.sort_unstable();
         for pair in cuts.windows(2) {
-            batched.observe_batch(&batch, pair[0]..pair[1]);
+            split.observe_batch(&batch, pair[0]..pair[1]);
         }
 
-        prop_assert_eq!(scalar.finish(), batched.finish());
-    }
-
-    /// The AVX2 op/length kernels are bit-identical to their scalar
-    /// twins at every length and slice alignment (empty, length-1 and
-    /// non-lane-multiple tails are all exercised by the start offsets).
-    #[test]
-    fn simd_op_kernels_equal_scalar(
-        seeds in proptest::collection::vec(0u64..u64::MAX, 0..300),
-    ) {
-        // One seed vector yields matched op and length columns (the
-        // compat proptest has no tuple strategies).
-        let ops: Vec<OpKind> = seeds
-            .iter()
-            .map(|&s| if s & 1 == 1 { OpKind::Write } else { OpKind::Read })
-            .collect();
-        let lens: Vec<u32> = seeds.iter().map(|&s| (s >> 1) as u32).collect();
-        for start in 0..=seeds.len().min(5) {
-            let (ops, lens) = (&ops[start..], &lens[start..]);
-            prop_assert_eq!(
-                simd::op_len_sums(ops, lens),
-                simd::op_len_sums_scalar(ops, lens)
-            );
-            let mut fast = Vec::new();
-            let mut slow = Vec::new();
-            simd::write_mask(ops, &mut fast);
-            simd::write_mask_scalar(ops, &mut slow);
-            prop_assert_eq!(fast, slow);
-        }
-    }
-
-    /// The AVX2 first-difference and range-membership kernels are
-    /// bit-identical to their scalar twins on arbitrary values
-    /// (including wraparound deltas) at every slice alignment.
-    #[test]
-    fn simd_value_kernels_equal_scalar(
-        values in proptest::collection::vec(0u64..u64::MAX, 0..200),
-        prev in 0u64..u64::MAX,
-        lo in 0u64..u64::MAX,
-        span in 0u64..(1 << 48),
-    ) {
-        let hi = lo.saturating_add(span);
-        for start in 0..=values.len().min(5) {
-            let values = &values[start..];
-            let mut fast = Vec::new();
-            let mut slow = Vec::new();
-            simd::deltas_u64(values, prev, &mut fast);
-            simd::deltas_u64_scalar(values, prev, &mut slow);
-            prop_assert_eq!(fast, slow);
-            prop_assert_eq!(
-                simd::any_within(values, lo, hi),
-                simd::any_within_scalar(values, lo, hi)
-            );
-            // Inverted (empty) range: nothing is ever within.
-            prop_assert!(!simd::any_within(values, hi.max(1), hi.max(1) - 1));
-        }
+        prop_assert_eq!(split.finish(), whole);
     }
 
     /// Analysis is invariant under input order (the trace sorts by

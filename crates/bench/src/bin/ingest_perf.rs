@@ -31,7 +31,7 @@
 //! `observe_request_batch_ref`, no per-batch row materialization.
 //!
 //! `--workers 1,2,4,8` sets the worker counts the `analyze-partitioned`
-//! phase sweeps the corpus-partitioned driver through (one subprocess,
+//! phase sweeps the by-volume driver through (one subprocess,
 //! one curve row per count, every run asserted bit-identical to the
 //! sequential baseline before its timing is reported).
 //!
@@ -45,7 +45,7 @@
 use std::io::Write as _;
 use std::time::Instant;
 
-use cbs_core::{PartitionedWorkbench, StreamingWorkbench, Workbench};
+use cbs_core::{StreamingWorkbench, Workbench};
 use cbs_obs::{Registry, Stopwatch};
 use cbs_synth::presets::{self, CorpusConfig};
 use cbs_trace::codec::alicloud::{AliCloudReader, AliCloudWriter};
@@ -359,20 +359,19 @@ fn phase_stream_shards(millions: u64, shards: usize) {
 }
 
 /// Materialize `millions`M requests into a `Trace`, then sweep the
-/// corpus-partitioned driver across a worker-count curve: sequential
-/// baseline first, then [`cbs_core::PartitionedWorkbench`] at each
-/// worker count, asserting every run's per-volume records are
-/// bit-identical to the baseline before timing is reported. Also
-/// reports the partition/merge overhead: the workers=1 partitioned run
-/// against the plain sequential pass (same parallelism, so the delta
-/// is the driver's channel + merge-fold cost).
+/// by-volume driver across a worker-count curve: one-thread baseline
+/// first, then [`Workbench::analyze_with_threads`] at each worker
+/// count, asserting every run's per-volume records are bit-identical
+/// to the baseline before timing is reported. Also reports the
+/// workers=1 run against the baseline (the same call, so the delta is
+/// run-to-run noise).
 fn phase_analyze_partitioned(millions: u64, workers_list: &[usize]) {
     let n = (millions * 1_000_000) as usize;
     let requests: Vec<_> = big_corpus().stream().take(n).collect();
     let trace = Trace::from_requests(requests);
     let volumes = trace.volume_count();
 
-    // Sequential baseline: one thread, no partition driver. Clone the
+    // Sequential baseline: one worker thread. Clone the
     // corpus *outside* the timed region — analyze() consumes its input
     // and a multi-hundred-MiB memcpy would otherwise dominate warm-up.
     let input = trace.clone();
@@ -384,9 +383,7 @@ fn phase_analyze_partitioned(millions: u64, workers_list: &[usize]) {
     let secs_for = |workers: usize| -> f64 {
         let input = trace.clone();
         let start = Instant::now();
-        let run = PartitionedWorkbench::new()
-            .with_workers(workers)
-            .analyze(input);
+        let run = Workbench::new(input).analyze_with_threads(workers);
         let secs = start.elapsed().as_secs_f64();
         assert_eq!(
             run.metrics(),
@@ -631,12 +628,11 @@ fn phase_smoke() {
     let streaming = StreamingWorkbench::new().analyze(requests.iter().copied());
     let secs = start.elapsed().as_secs_f64();
     assert_eq!(streaming, batch.metrics(), "streaming metrics diverge");
-    // Corpus-partitioned driver: inline fallback and any worker count
-    // must reproduce the batch metrics bit-for-bit.
+    // By-volume driver: inline and any worker count must reproduce the
+    // batch metrics bit-for-bit.
     for workers in [0usize, 2, 8] {
-        let partitioned = PartitionedWorkbench::new()
-            .with_workers(workers)
-            .analyze(Trace::from_requests(requests.clone()));
+        let partitioned =
+            Workbench::new(Trace::from_requests(requests.clone())).analyze_with_threads(workers);
         assert_eq!(
             partitioned.metrics(),
             batch.metrics(),

@@ -33,7 +33,6 @@
 #![warn(missing_debug_implementations)]
 
 pub mod parallel;
-pub mod partitioned;
 pub mod streaming;
 pub mod wire;
 pub mod workbench;
@@ -41,7 +40,6 @@ pub mod workbench;
 pub use cbs_cache::{
     policy_by_name, CacheSweep, LaneReport, SweepError, SweepGrid, SweepReport, POLICY_NAMES,
 };
-pub use partitioned::PartitionedWorkbench;
 pub use streaming::{StreamingSession, StreamingWorkbench};
 pub use workbench::{Analysis, Workbench};
 
@@ -61,7 +59,6 @@ pub mod prelude {
         ReplayLaneReport, ReplayReport, Replayer, StorageBackend, Timing,
     };
 
-    pub use crate::partitioned::PartitionedWorkbench;
     pub use crate::streaming::{StreamingSession, StreamingWorkbench};
     pub use crate::workbench::{Analysis, Workbench};
 }

@@ -2,9 +2,8 @@
 //!
 //! Every volume of a materialized [`Trace`] is analyzed whole by
 //! exactly one worker, so the result is bit-identical at any thread
-//! count, inline included. [`crate::Workbench`] and
-//! [`crate::PartitionedWorkbench`] are both facades over this one
-//! cursor loop.
+//! count, inline included. [`crate::Workbench`] is the facade over this
+//! one cursor loop.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 
@@ -152,7 +151,7 @@ mod tests {
     }
 
     #[test]
-    fn zero_threads_clamped_to_one() {
+    fn zero_threads_runs_inline() {
         let trace = sample_trace(2, 5);
         let out = analyze_trace_parallel(&trace, &AnalysisConfig::default(), 0).unwrap();
         assert_eq!(out.len(), 2);

@@ -38,7 +38,7 @@
 //! arbitrarily — routing assigns every volume to exactly one shard and
 //! each shard consumes its bounded channel in send order, so per-volume
 //! order is preserved end to end (violations panic in debug builds, in
-//! the analyzer's `observe`). Both supported producers satisfy the
+//! the analyzer's `observe_batch`). Both supported producers satisfy the
 //! contract by construction: decoded AliCloud/MSRC traces are globally
 //! time-sorted on disk, and [`cbs_synth`]'s corpus streams are emitted
 //! in global time order.
@@ -46,9 +46,9 @@
 //! # Equivalence with the batch path
 //!
 //! With the same epoch, the per-volume metrics are **identical** to
-//! [`crate::Workbench::analyze`] — the same `VolumeAnalyzer` runs over
-//! the same per-volume sequences; only the driving loop differs
-//! (`observe_batch` is bit-equivalent to per-request `observe`). The
+//! [`crate::Workbench::analyze`] — the same `VolumeAnalyzer::observe_batch`
+//! runs over the same per-volume sequences, and its metrics do not
+//! depend on where the sequences are cut into batches. The
 //! batch path anchors interval/day indices at `trace.start()`, so the
 //! session uses the first observed timestamp as the epoch by default
 //! (correct for any globally time-ordered stream) and offers

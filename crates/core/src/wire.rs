@@ -1,8 +1,8 @@
 //! Hand-rolled, dependency-free wire codec for the `cbs-ctl` /
 //! `cbs-agent` process fan-out.
 //!
-//! The corpus-parallel driver ([`crate::PartitionedWorkbench`]) scales
-//! across threads; these frames scale the same merge algebra across
+//! [`crate::Workbench::analyze_with_threads`] scales the by-volume
+//! analysis across threads; these frames scale the same merge algebra across
 //! *processes*: the controller partitions a corpus by volume, each
 //! agent analyzes its share whole and streams the partial records
 //! back, and the controller folds them with the MERGEABLE `merge`

@@ -79,7 +79,14 @@ impl Workbench {
     }
 
     /// Characterizes every volume with an explicit worker count (`0`
-    /// runs inline on the calling thread).
+    /// runs inline on the calling thread). Each volume is analyzed
+    /// whole by one worker, so every count gives bit-identical metrics
+    /// and verdicts.
+    ///
+    /// # Panics
+    ///
+    /// Propagates worker panics: no partial [`Analysis`] is ever
+    /// returned.
     pub fn analyze_with_threads(self, threads: usize) -> Analysis {
         Analysis::by_volume(self.trace, self.config, threads)
     }
@@ -96,9 +103,8 @@ impl Workbench {
 /// an empty analysis is the identity. For by-volume corpus partitions
 /// every volume is analyzed whole, so the merged analysis — and every
 /// finding verdict derived from it — is bit-identical to the
-/// sequential whole-corpus run. This is the reduction the
-/// [`crate::PartitionedWorkbench`] driver and the `cbs-ctl` process
-/// fan-out fold with.
+/// sequential whole-corpus run. This is the reduction the `cbs-ctl`
+/// process fan-out folds with.
 #[derive(Debug, Clone)]
 pub struct Analysis {
     trace: Trace,
@@ -107,9 +113,8 @@ pub struct Analysis {
 }
 
 impl Analysis {
-    /// Runs the by-volume batch driver over `trace` — the one call
-    /// behind [`Workbench`] and [`crate::PartitionedWorkbench`], whose
-    /// constructors validated `config`.
+    /// Runs the by-volume batch driver over `trace` — the call behind
+    /// [`Workbench`], whose constructors validated `config`.
     pub(crate) fn by_volume(trace: Trace, config: AnalysisConfig, threads: usize) -> Self {
         let metrics = match analyze_trace_parallel(&trace, &config, threads) {
             Ok(metrics) => metrics,
@@ -124,9 +129,9 @@ impl Analysis {
     }
 
     /// Assembles an analysis from already-computed parts — the
-    /// constructor the partitioned driver and the agent/controller
-    /// fan-out use once partial metrics have been merged. `metrics`
-    /// is re-sorted into ascending volume-id order.
+    /// constructor the agent/controller fan-out uses once partial
+    /// metrics have been merged. `metrics` is re-sorted into ascending
+    /// volume-id order.
     ///
     /// # Errors
     ///
@@ -404,6 +409,23 @@ mod tests {
         // Unknown volumes report None rather than an empty sweep.
         let grid = SweepGrid::new().with_workers(0);
         assert!(analysis.sweep_volume(VolumeId::new(99), grid).is_none());
+    }
+
+    #[test]
+    fn analyze_with_threads_matches_one_thread_exactly() {
+        let sequential = workbench().analyze_with_threads(1);
+        for threads in [0, 2, 5, 16] {
+            let run = workbench().analyze_with_threads(threads);
+            assert_eq!(run.metrics(), sequential.metrics(), "threads={threads}");
+        }
+    }
+
+    #[test]
+    fn empty_trace_yields_empty_analysis() {
+        for threads in [0, 2] {
+            let analysis = Workbench::new(Trace::new()).analyze_with_threads(threads);
+            assert!(analysis.metrics().is_empty());
+        }
     }
 
     #[test]

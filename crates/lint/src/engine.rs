@@ -36,7 +36,7 @@ impl LintRun {
 /// All rule layers run first — per-file, workspace, and index — and
 /// suppressions are applied afterwards to every diagnostic grouped by
 /// file, so a `// cbs-lint: allow(…)` can cover cross-file findings
-/// (e.g. `simd-twin-parity`) exactly like per-file ones.
+/// (e.g. `mergeable-audit`) exactly like per-file ones.
 pub fn lint_files(files: Vec<SourceFile>) -> LintRun {
     let rules = all_rules();
     let mut diagnostics = Vec::new(); // suppression-machinery findings

@@ -2,31 +2,15 @@
 //!
 //! The index aggregates every scanned [`SourceFile`]'s items by
 //! workspace crate so cross-file rules can answer symbol questions —
-//! "does crate X define a function named `op_len_sums_scalar`?",
-//! "is there a test that mentions both the kernel and its scalar
-//! twin?", "which impl blocks cover type `Counter`?" — without
-//! re-walking token streams.
+//! "which types does crate X define?", "which impl blocks cover type
+//! `Counter`?", "which identifiers does its test code mention?" —
+//! without re-walking token streams.
 
 use std::collections::{BTreeMap, BTreeSet};
 
 use crate::lexer::TokenKind;
 use crate::parser::{Item, ItemKind};
 use crate::source::SourceFile;
-
-/// One function definition site.
-#[derive(Debug, Clone)]
-pub struct FnSite<'a> {
-    /// The file declaring it.
-    pub file: &'a SourceFile,
-    /// The parsed `fn` item.
-    pub item: &'a Item,
-    /// Self type of the enclosing `impl`, when the fn is a method.
-    pub self_type: Option<&'a str>,
-    /// Names of enclosing modules, outermost first (e.g. `["avx2"]`).
-    pub modules: Vec<&'a str>,
-    /// Whether the definition sits in test code.
-    pub in_test: bool,
-}
 
 /// One type (struct/enum) definition site.
 #[derive(Debug, Clone, Copy)]
@@ -60,9 +44,6 @@ pub struct TestIdents {
 /// Symbols of one workspace crate, aggregated across its files.
 #[derive(Debug, Default)]
 pub struct CrateIndex<'a> {
-    /// Function name → definition sites (lib and test code both;
-    /// check [`FnSite::in_test`] to filter).
-    pub fns: BTreeMap<String, Vec<FnSite<'a>>>,
     /// Type name → definition sites.
     pub types: BTreeMap<String, Vec<TypeSite<'a>>>,
     /// All `impl` blocks.
@@ -72,24 +53,6 @@ pub struct CrateIndex<'a> {
 }
 
 impl<'a> CrateIndex<'a> {
-    /// Non-test definition sites of `name`.
-    pub fn lib_fns(&self, name: &str) -> Vec<&FnSite<'a>> {
-        self.fns
-            .get(name)
-            .map(|sites| sites.iter().filter(|s| !s.in_test).collect())
-            .unwrap_or_default()
-    }
-
-    /// Does any single file's test code mention *all* of `names`?
-    /// This is the co-occurrence question parity rules ask: a test
-    /// that exercises both a kernel and its scalar twin must name
-    /// both in one place.
-    pub fn any_test_mentions_all(&self, names: &[&str]) -> bool {
-        self.test_idents
-            .iter()
-            .any(|t| names.iter().all(|n| t.idents.contains(*n)))
-    }
-
     /// Methods (fn children of impl blocks) of `type_name` with the
     /// given method name, outside test code.
     pub fn methods_named(&self, type_name: &str, method: &str) -> Vec<&Item> {
@@ -126,8 +89,7 @@ impl<'a> WorkspaceIndex<'a> {
         let mut ws = WorkspaceIndex::default();
         for file in files {
             let cx = ws.crates.entry(file.crate_name.clone()).or_default();
-            let mut mods: Vec<&'a str> = Vec::new();
-            index_items(file, &file.items, None, &mut mods, cx);
+            index_items(file, &file.items, cx);
 
             let mut idents = BTreeSet::new();
             for t in &file.tokens {
@@ -151,39 +113,17 @@ impl<'a> WorkspaceIndex<'a> {
     }
 }
 
-fn index_items<'a>(
-    file: &'a SourceFile,
-    items: &'a [Item],
-    self_type: Option<&'a str>,
-    mods: &mut Vec<&'a str>,
-    cx: &mut CrateIndex<'a>,
-) {
+fn index_items<'a>(file: &'a SourceFile, items: &'a [Item], cx: &mut CrateIndex<'a>) {
     for item in items {
         match item.kind {
-            ItemKind::Fn => {
-                cx.fns.entry(item.name.clone()).or_default().push(FnSite {
-                    file,
-                    item,
-                    self_type,
-                    modules: mods.clone(),
-                    in_test: file.in_test_code(item.line),
-                });
-            }
             ItemKind::Struct | ItemKind::Enum => {
                 cx.types
                     .entry(item.name.clone())
                     .or_default()
                     .push(TypeSite { file, item });
             }
-            ItemKind::Impl => {
-                cx.impls.push(ImplSite { file, item });
-                index_items(file, &item.children, Some(&item.name), mods, cx);
-            }
-            ItemKind::Mod => {
-                mods.push(&item.name);
-                index_items(file, &item.children, self_type, mods, cx);
-                mods.pop();
-            }
+            ItemKind::Impl => cx.impls.push(ImplSite { file, item }),
+            ItemKind::Mod => index_items(file, &item.children, cx),
             _ => {}
         }
     }
@@ -193,15 +133,22 @@ fn index_items<'a>(
 mod tests {
     use super::*;
 
+    /// Does any single file's test code in `cx` mention all of `names`?
+    fn any_test_mentions_all(cx: &CrateIndex<'_>, names: &[&str]) -> bool {
+        cx.test_idents
+            .iter()
+            .any(|t| names.iter().all(|n| t.idents.contains(*n)))
+    }
+
     #[test]
     fn indexes_fns_types_impls_across_files() {
         let lib = SourceFile::from_text(
             "crates/demo/src/lib.rs",
-            "pub struct Counter;\nimpl Counter {\n    pub fn merge(&mut self) {}\n}\npub fn kernel_scalar() {}\nmod avx2 {\n    pub fn kernel() {}\n}\n",
+            "pub struct Counter;\nimpl Counter {\n    pub fn merge(&mut self) {}\n}\nmod inner {\n    pub struct Gauge;\n    impl Gauge { pub fn merge(&mut self) {} }\n}\n",
         );
         let test = SourceFile::from_text(
-            "crates/demo/tests/parity.rs",
-            "#[test]\nfn parity() { kernel(); kernel_scalar(); }\n",
+            "crates/demo/tests/laws.rs",
+            "#[test]\nfn law() { merge(); associative(); }\n",
         );
         let files = vec![lib, test];
         let ws = WorkspaceIndex::build(&files);
@@ -210,14 +157,12 @@ mod tests {
         assert!(cx.types.contains_key("Counter"));
         assert_eq!(cx.methods_named("Counter", "merge").len(), 1);
         assert!(cx.methods_named("Counter", "missing").is_empty());
+        // Items inside modules are indexed too.
+        assert!(cx.types.contains_key("Gauge"));
+        assert_eq!(cx.methods_named("Gauge", "merge").len(), 1);
 
-        let kernel = &cx.fns["kernel"][0];
-        assert_eq!(kernel.modules, vec!["avx2"]);
-        assert!(!kernel.in_test);
-        assert_eq!(cx.lib_fns("kernel_scalar").len(), 1);
-
-        assert!(cx.any_test_mentions_all(&["kernel", "kernel_scalar"]));
-        assert!(!cx.any_test_mentions_all(&["kernel", "absent_twin"]));
+        assert!(any_test_mentions_all(cx, &["merge", "associative"]));
+        assert!(!any_test_mentions_all(cx, &["merge", "absent"]));
     }
 
     #[test]
@@ -229,6 +174,6 @@ mod tests {
         let files = vec![lib];
         let ws = WorkspaceIndex::build(&files);
         let cx = ws.of("demo").expect("indexed");
-        assert!(cx.any_test_mentions_all(&["twin_a", "twin_b"]));
+        assert!(any_test_mentions_all(cx, &["twin_a", "twin_b"]));
     }
 }

@@ -8,8 +8,7 @@
 //! rejects still yields a best-effort item tree.
 //!
 //! The parser feeds [`crate::index::WorkspaceIndex`], which aggregates
-//! items per crate for rules like `simd-twin-parity` and
-//! `mergeable-audit`.
+//! items per crate for rules like `mergeable-audit`.
 
 use crate::lexer::{Token, TokenKind};
 

@@ -260,8 +260,8 @@ mod tests {
 
     #[test]
     fn justified_simd_style_block_passes() {
-        // The exact shape used by the SIMD dispatchers: SAFETY comment,
-        // then an allow attribute, then the unsafe expression.
+        // A SAFETY comment, then an allow attribute, then the unsafe
+        // expression.
         let src = "\
 pub fn f() -> u64 {
     // SAFETY: AVX2 support was verified at runtime on the line above.
@@ -269,13 +269,13 @@ pub fn f() -> u64 {
     unsafe { g() }
 }
 ";
-        assert!(run("crates/analysis/src/simd.rs", src).is_empty());
+        assert!(run("crates/trace/src/mmap.rs", src).is_empty());
     }
 
     #[test]
     fn bare_unsafe_block_fires() {
         let d = run(
-            "crates/analysis/src/simd.rs",
+            "crates/trace/src/mmap.rs",
             "pub fn f() -> u64 {\n    unsafe { g() }\n}\n",
         );
         assert_eq!(d.len(), 1);
@@ -313,7 +313,7 @@ pub unsafe fn kernel(x: u64) -> u64 {
     x
 }
 ";
-        assert!(run("crates/analysis/src/simd.rs", src).is_empty());
+        assert!(run("crates/trace/src/mmap.rs", src).is_empty());
     }
 
     #[test]
@@ -327,7 +327,7 @@ pub unsafe fn kernel(x: u64) -> u64 {
     #[test]
     fn unused_safety_comment_fires() {
         let d = run(
-            "crates/analysis/src/simd.rs",
+            "crates/trace/src/mmap.rs",
             "// SAFETY: this justifies nothing.\npub fn f() {}\n",
         );
         assert_eq!(d.len(), 1);
@@ -355,7 +355,7 @@ mod tests {
     }
 }
 ";
-        assert!(run("crates/analysis/src/simd.rs", src).is_empty());
+        assert!(run("crates/trace/src/mmap.rs", src).is_empty());
         assert!(run("crates/analysis/tests/x.rs", "fn f() { unsafe { g() } }\n").is_empty());
     }
 }

@@ -4,7 +4,7 @@
 //! [`SourceFile`]s and reports [`Diagnostic`]s. Per-file checks go in
 //! [`Rule::check_file`]; cross-file invariants (e.g. "all 15 paper
 //! findings are covered somewhere") go in [`Rule::check_workspace`];
-//! symbol-level invariants ("every kernel has a scalar twin") go in
+//! symbol-level invariants ("every MERGEABLE type has a `merge`") go in
 //! [`Rule::check_index`], which receives the parsed
 //! [`WorkspaceIndex`].
 //!
@@ -20,7 +20,6 @@
 //! | CBS-L08 | `no-adhoc-timing` | library code, non-test, outside `cbs-obs` | `std::time::Instant` |
 //! | CBS-L09 | `atomic-ordering-audit` | library code, non-test | `Ordering::*` sites without a covering `// ORDERING:` justification; stale `ORDERING:` comments |
 //! | CBS-L10 | `channel-discipline` | library code, non-test | dropped/ignored `send`/`try_send` results; channels constructed but never fed |
-//! | CBS-L11 | `simd-twin-parity` | per crate | `#[target_feature]` kernels without a scalar twin, or twins no single test exercises together |
 //! | CBS-L12 | `obs-metric-registry` | library code, non-test | metric names absent from the `METRIC_NAMES` registry; registry entries no code emits; duplicate registry entries |
 //! | CBS-L13 | `mergeable-audit` | per crate | `MERGEABLE`-tagged types without a `merge` method or an associativity test |
 //!
@@ -45,7 +44,6 @@ mod no_float_eq;
 mod no_panic;
 mod no_unwrap;
 mod pub_docs;
-mod simd_twin;
 
 pub use atomic_ordering::AtomicOrderingAudit;
 pub use bounded_channel::BoundedChannel;
@@ -59,7 +57,6 @@ pub use no_float_eq::NoFloatEq;
 pub use no_panic::NoPanicInLib;
 pub use no_unwrap::NoUnwrapInLib;
 pub use pub_docs::PubItemDocs;
-pub use simd_twin::SimdTwinParity;
 
 /// A static-analysis rule.
 pub trait Rule {
@@ -81,7 +78,8 @@ pub trait Rule {
 
 /// Stable rule IDs, keyed by rule name. `CBS-L*` are lint rules in
 /// registration order; `CBS-S*` are the engine's suppression
-/// pseudo-rules. IDs are append-only: renaming a rule keeps its ID.
+/// pseudo-rules. IDs are append-only: renaming a rule keeps its ID, and
+/// a retired rule's ID stays unused.
 pub const RULE_IDS: &[(&str, &str)] = &[
     ("no-unwrap-in-lib", "CBS-L01"),
     ("no-panic-in-lib", "CBS-L02"),
@@ -93,7 +91,7 @@ pub const RULE_IDS: &[(&str, &str)] = &[
     ("no-adhoc-timing", "CBS-L08"),
     ("atomic-ordering-audit", "CBS-L09"),
     ("channel-discipline", "CBS-L10"),
-    ("simd-twin-parity", "CBS-L11"),
+    // CBS-L11 (`simd-twin-parity`) is retired; IDs are never reused.
     ("obs-metric-registry", "CBS-L12"),
     ("mergeable-audit", "CBS-L13"),
     ("malformed-suppression", "CBS-S01"),
@@ -123,7 +121,6 @@ pub fn all_rules() -> Vec<Box<dyn Rule>> {
         Box::new(NoAdhocTiming),
         Box::new(AtomicOrderingAudit),
         Box::new(ChannelDiscipline),
-        Box::new(SimdTwinParity),
         Box::new(ObsMetricRegistry),
         Box::new(MergeableAudit),
     ]

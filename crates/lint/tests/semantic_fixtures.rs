@@ -1,4 +1,4 @@
-//! Fixture tests for the v2 semantic rules (CBS-L09…L13): each rule
+//! Fixture tests for the v2 semantic rules (CBS-L09, L10, L12, L13): each rule
 //! fires on a planted violation AND honors one justified suppression,
 //! proving the engine's suppression pass covers index- and
 //! workspace-level diagnostics, not just per-file ones.
@@ -71,34 +71,6 @@ fn channel_discipline_fixture_fires_once_and_honors_suppression() {
         run.snippet(d).expect("snippet").contains("tx.send(1)"),
         "fires on the dropped send; the .ok() misuse stays suppressed"
     );
-}
-
-#[test]
-fn simd_twin_fixture_fires_once_and_honors_suppression() {
-    let kernels = SourceFile::from_text(
-        "crates/analysis/src/simd_dirty.rs",
-        "\
-#[target_feature(enable = \"avx2\")]
-pub unsafe fn lonely_avx2(p: *const u8) -> u64 {
-    0
-}
-
-#[target_feature(enable = \"avx2\")]
-// cbs-lint: allow(simd-twin-parity) -- fixture: the twin lives in a sibling crate this scan cannot see
-pub unsafe fn waved_avx2(p: *const u8) -> u64 {
-    0
-}
-",
-    );
-    let run = lint_files(vec![kernels]);
-    assert_eq!(
-        rules_of(&run),
-        vec!["simd-twin-parity"],
-        "{:?}",
-        run.diagnostics
-    );
-    let d = the(&run, "simd-twin-parity");
-    assert!(d.message.contains("lonely_scalar"), "{d:?}");
 }
 
 #[test]

@@ -22,7 +22,6 @@ use crate::Quantiles;
 /// assert!(b.whisker_high() <= 8.0);
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct BoxplotSummary {
     min: f64,
     q1: f64,

@@ -29,7 +29,6 @@ use crate::Quantiles;
 /// assert_eq!(pts.last(), Some(&(10.0, 1.0)));
 /// ```
 #[derive(Debug, Clone, Default, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Cdf {
     quantiles: Quantiles,
 }

@@ -35,7 +35,6 @@
 /// assert!((median as f64 - 500.0).abs() / 500.0 < 1.0 / 64.0 + 1e-9);
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct LogHistogram {
     precision_bits: u32,
     counts: Vec<u64>,

@@ -31,7 +31,6 @@
 /// assert_eq!(q.percentile(25.0), Some(1.75));
 /// ```
 #[derive(Debug, Clone, Default, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Quantiles {
     sorted: Vec<f64>,
 }

@@ -29,7 +29,6 @@
 /// assert_eq!(bins.non_empty_bins(), 2);
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct TimeBins {
     width: u64,
     counts: Vec<u64>,

@@ -27,7 +27,6 @@
 /// assert_eq!(s.max(), Some(9.0));
 /// ```
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Summary {
     count: u64,
     mean: f64,

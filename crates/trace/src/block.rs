@@ -27,7 +27,6 @@ pub const DEFAULT_BLOCK_BYTES: u32 = 4096;
 /// assert!(BlockSize::new(3000).is_none()); // not a power of two
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct BlockSize(u32);
 
 impl BlockSize {
@@ -150,7 +149,6 @@ impl fmt::Display for BlockSize {
 /// Block ids are dense: block *k* covers bytes
 /// `[k * block_size, (k + 1) * block_size)`.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, PartialOrd, Ord, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct BlockId(u64);
 
 impl BlockId {

@@ -18,7 +18,6 @@ use core::fmt;
 /// assert_eq!("R".parse::<OpKind>().unwrap(), OpKind::Read);
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 // One byte with Read = 0, Write = 1: column kernels rely on this to
 // view `&[OpKind]` as bytes.
 #[repr(u8)]

@@ -29,7 +29,6 @@ use crate::{OpKind, Timestamp, VolumeId};
 /// assert!(r.op().is_write());
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct IoRequest {
     volume: VolumeId,
     op: OpKind,

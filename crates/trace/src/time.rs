@@ -41,7 +41,6 @@ pub const MICROS_PER_DAY: u64 = 24 * MICROS_PER_HOUR;
 /// assert_eq!(t1 - t0, TimeDelta::from_micros(1_500_000));
 /// ```
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, PartialOrd, Ord, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 // Layout-compatible with its microsecond count, so column kernels can
 // view `&[Timestamp]` as `&[u64]`.
 #[repr(transparent)]
@@ -248,7 +247,6 @@ impl From<Timestamp> for u64 {
 /// assert!(d < TimeDelta::from_hours(1));
 /// ```
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, PartialOrd, Ord, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct TimeDelta(u64);
 
 impl TimeDelta {

@@ -18,7 +18,6 @@ use core::fmt;
 /// assert_eq!(v.to_string(), "vol-42");
 /// ```
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, PartialOrd, Ord, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct VolumeId(u32);
 
 impl VolumeId {

@@ -4,9 +4,8 @@
 # Usage: scripts/check.sh
 #
 # Opt-in dynamic-verification lanes (CHECK_SANITIZERS=1):
-#   - Miri over the mmap/CBT slice-reader and SIMD scalar-parity tests
-#     (undefined-behavior interpreter; mmap falls back to its buffered
-#     read under cfg(miri));
+#   - Miri over the mmap/CBT slice-reader tests (undefined-behavior
+#     interpreter; mmap falls back to its buffered read under cfg(miri));
 #   - ThreadSanitizer over the streaming/sweep channel tests (data-race
 #     detection across the producer/worker fan-out).
 # Each lane probes its toolchain first and SKIPs with a note when the
@@ -49,7 +48,7 @@ if [ "${lint_out}" != "[]" ]; then
     exit 1
 fi
 
-echo "==> one fan-out, one router, one pacer (no second copy under crates/*/src)"
+echo "==> one fan-out, one router, one pacer, one analyzer path (no second copy under crates/*/src)"
 # The death protocol and sticky routing live in crates/trace/src/workers.rs
 # and the replay pacer in crates/replay/src/schedule.rs; codec/parallel.rs
 # keeps its own, differently shaped, pipeline, whose one chunk loop
@@ -71,6 +70,23 @@ for name in wait_until route_volume parse_chunk; do
         exit 1
     fi
 done
+# The analyzer has one entry, observe_batch, and one implementation of
+# each metric: no per-request twin beside it and no runtime-dispatched
+# kernel (with its scalar twin) anywhere in library code.
+analysis_sources="$(find crates/analysis/src -name '*.rs' | sort)"
+# shellcheck disable=SC2086
+entries="$(cat ${analysis_sources} | grep -c 'fn observe_batch\b' || true)"
+# shellcheck disable=SC2086
+if [ "${entries}" -ne 1 ] || grep -q 'fn observe\b' ${analysis_sources}; then
+    echo "crates/analysis/src must define fn observe_batch once and no fn observe; one analyzer, one code path" >&2
+    exit 1
+fi
+# shellcheck disable=SC2086
+dispatch_files="$(grep -lE 'target_feature|is_x86_feature_detected' ${lib_sources} | tr '\n' ' ' || true)"
+if [ -n "${dispatch_files}" ]; then
+    echo "runtime-dispatched kernels are not allowed (one safe implementation); found in: ${dispatch_files}" >&2
+    exit 1
+fi
 
 echo "==> cbs-lint --check-bench BENCH_*.json"
 # Pinned-schema validation of the committed benchmark artifacts: drift
@@ -225,13 +241,11 @@ if [ "${CHECK_SANITIZERS:-0}" = "1" ]; then
     echo "==> sanitizer lanes (CHECK_SANITIZERS=1)"
 
     if cargo +nightly miri --version > /dev/null 2>&1; then
-        echo "==> miri: mmap + CBT slice-reader + SIMD scalar parity"
+        echo "==> miri: mmap + CBT slice-reader"
         # The unsafe surface Miri can interpret: the CBT slice reader's
-        # in-place decode over (under Miri: buffered) mappings, and the
-        # AVX2/scalar twin pairs, which run their scalar sides.
+        # in-place decode over (under Miri: buffered) mappings.
         cargo +nightly miri test -p cbs-trace mmap
         cargo +nightly miri test -p cbs-trace cbt::slice
-        cargo +nightly miri test -p cbs-analysis parity
     else
         echo "SKIP miri lane: cargo +nightly miri unavailable" \
              "(rustup component add --toolchain nightly miri)"

@@ -1,5 +1,6 @@
-//! Partitioned ≡ sequential: [`PartitionedWorkbench`] at any worker
-//! count must reproduce the inline (`workers = 0`) run bit-for-bit —
+//! Partitioned ≡ sequential: [`Workbench::analyze_with_threads`], which
+//! partitions the corpus by volume across its workers, must reproduce
+//! the inline (`threads = 0`) run bit-for-bit at any worker count —
 //! every per-volume record *and* every finding verdict — and a worker
 //! panic must poison the whole run instead of yielding a partial
 //! corpus (parity with `StreamingSession`). Also pins the
@@ -70,25 +71,23 @@ proptest! {
         reqs in proptest::collection::vec(arb_request(), 1..400),
     ) {
         let trace = trace_from(reqs);
-        let inline = PartitionedWorkbench::new().with_workers(0).analyze(trace.clone());
+        let inline = Workbench::new(trace.clone()).analyze_with_threads(0);
         for workers in [1usize, 2, 4, 8] {
-            let parallel = PartitionedWorkbench::new()
-                .with_workers(workers)
-                .analyze(trace.clone());
+            let parallel = Workbench::new(trace.clone()).analyze_with_threads(workers);
             prop_assert_eq!(parallel.metrics(), inline.metrics(), "workers={}", workers);
             prop_assert_eq!(verdicts(&parallel), verdicts(&inline), "workers={}", workers);
         }
     }
 
-    /// The inline fallback itself equals the sequential `Workbench`
-    /// path, closing the chain: sequential == inline == partitioned.
+    /// The inline run itself equals the one-worker run, closing the
+    /// chain: one worker == inline == any worker count.
     #[test]
     fn inline_fallback_matches_sequential_workbench(
         reqs in proptest::collection::vec(arb_request(), 1..400),
     ) {
         let trace = trace_from(reqs);
         let sequential = Workbench::new(trace.clone()).analyze_with_threads(1);
-        let inline = PartitionedWorkbench::new().with_workers(0).analyze(trace);
+        let inline = Workbench::new(trace).analyze_with_threads(0);
         prop_assert_eq!(inline.metrics(), sequential.metrics());
         prop_assert_eq!(verdicts(&inline), verdicts(&sequential));
     }
@@ -165,18 +164,14 @@ proptest! {
 #[test]
 fn scaling_curve_is_identical_on_synthetic_corpus() {
     // The bench-grade corpus: every workers value of the
-    // `analyze_partitioned` scaling curve must report identical
+    // `analyze-partitioned` scaling curve must report identical
     // verdicts (this is the property the BENCH_ingest.json phase
     // asserts at the full corpus scale).
     let config = CorpusConfig::new(16, 2, 23).with_intensity_scale(0.002);
     let trace = cbs_synth::presets::alicloud_like(&config).generate();
-    let baseline = PartitionedWorkbench::new()
-        .with_workers(1)
-        .analyze(trace.clone());
+    let baseline = Workbench::new(trace.clone()).analyze_with_threads(1);
     for workers in [2usize, 4, 8] {
-        let run = PartitionedWorkbench::new()
-            .with_workers(workers)
-            .analyze(trace.clone());
+        let run = Workbench::new(trace.clone()).analyze_with_threads(workers);
         assert_eq!(run.metrics(), baseline.metrics(), "workers={workers}");
         assert_eq!(verdicts(&run), verdicts(&baseline), "workers={workers}");
     }
@@ -211,11 +206,9 @@ fn worker_panic_poisons_the_partitioned_run() {
         let trace = trace.clone();
         let config = config.clone();
         let result = std::panic::catch_unwind(move || {
-            PartitionedWorkbench::new()
-                .with_config(config)
+            Workbench::with_config(trace, config)
                 .expect("the window only has to be non-zero")
-                .with_workers(workers)
-                .analyze(trace)
+                .analyze_with_threads(workers)
         });
         assert!(
             result.is_err(),
