@@ -16,6 +16,7 @@
 //! publication-grade confidence intervals.
 
 #![forbid(unsafe_code)]
+#![allow(clippy::disallowed_methods, reason = "a wall-clock benchmark harness")]
 
 use std::time::{Duration, Instant};
 

@@ -15,6 +15,8 @@
 //! chosen to break run coalescing, the regroup, the run boundaries and
 //! the randomness window's edges.
 
+#![allow(clippy::expect_used, reason = "test helpers fail the test")]
+
 use std::collections::{BTreeMap, BTreeSet, HashMap, VecDeque};
 
 use cbs_analysis::{AnalysisConfig, VolumeAnalyzer, VolumeMetrics};

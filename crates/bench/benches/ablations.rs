@@ -6,6 +6,8 @@
 //! analysis with one knob changed, so the report shows both the cost
 //! and (via eprintln at setup) the metric shift.
 
+#![allow(clippy::expect_used, reason = "a benchmark aborts on a broken fixture")]
+
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
 

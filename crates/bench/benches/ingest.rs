@@ -11,6 +11,8 @@
 //! Run `cargo run --release -p cbs-bench --bin ingest_perf` for the
 //! larger-corpus numbers recorded in `EXPERIMENTS.md`.
 
+#![allow(clippy::unwrap_used, reason = "a benchmark aborts on a broken fixture")]
+
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use std::hint::black_box;
 

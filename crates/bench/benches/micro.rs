@@ -1,6 +1,12 @@
 //! Substrate micro-benchmarks: codec parsing, cache policies, reuse
 //! distances, histograms, and generation throughput.
 
+#![allow(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    reason = "a benchmark aborts on a broken fixture"
+)]
+
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
 

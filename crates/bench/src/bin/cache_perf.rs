@@ -24,6 +24,13 @@
 //! count to `N - 1` (one core stays with the decode/expand producer);
 //! the default matches the machine.
 
+#![allow(
+    clippy::expect_used,
+    clippy::disallowed_methods,
+    clippy::let_underscore_must_use,
+    reason = "a measurement binary: it times its phases, aborts on a broken setup and removes scratch files best-effort"
+)]
+
 use std::io::Write as _;
 use std::time::Instant;
 

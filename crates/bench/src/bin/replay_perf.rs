@@ -43,6 +43,13 @@
 //! plus re-analysis equivalence, remap conservation, and single-lane
 //! parity of the `REPLAY_SMOKE_LANES`-lane (default 2) engine.
 
+#![allow(
+    clippy::expect_used,
+    clippy::panic,
+    clippy::let_underscore_must_use,
+    reason = "a measurement binary: it aborts on a broken setup and removes scratch files best-effort"
+)]
+
 use std::io::Write as _;
 
 use cbs_core::Workbench;

@@ -8,7 +8,6 @@
 //! ablations from `DESIGN.md` §4).
 
 #![forbid(unsafe_code)]
-#![warn(missing_docs)]
 
 use cbs_core::{Analysis, Workbench};
 use cbs_synth::presets::{self, CorpusConfig};

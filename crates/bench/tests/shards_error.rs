@@ -8,6 +8,8 @@
 //! `cache_perf shards` and is recorded in `EXPERIMENTS.md`; this test
 //! keeps the bound honest in CI at bench-fixture scale.
 
+#![allow(clippy::expect_used, reason = "test helpers fail the test")]
+
 use cbs_cache::SweepGrid;
 use cbs_synth::presets::{self, CorpusConfig};
 use cbs_trace::IoRequest;

@@ -37,8 +37,6 @@
 //! ```
 
 #![forbid(unsafe_code)]
-#![warn(missing_docs)]
-#![warn(missing_debug_implementations)]
 
 pub mod arc;
 pub mod clock;

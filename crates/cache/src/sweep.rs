@@ -340,6 +340,10 @@ impl SweepGrid {
     }
 
     /// Spawns the workers (if any) and returns the running sweep.
+    #[expect(
+        clippy::unreachable,
+        reason = "policy names are validated against POLICY_NAMES at insertion"
+    )]
     pub fn start(self) -> CacheSweep {
         // The sampled-MRC lane and every sampled policy lane consume
         // the engine's one spatial filter pass over each column.
@@ -361,7 +365,6 @@ impl SweepGrid {
                 spec.capacity
             };
             let Some(policy) = policy_by_name(&spec.name, capacity) else {
-                // cbs-lint: allow(no-panic-in-lib) -- names are validated against POLICY_NAMES at insertion
                 unreachable!("validated policy name {:?} rejected", spec.name)
             };
             let label = if spec.sampled {
@@ -1118,7 +1121,6 @@ impl SweepReport {
             "cannot merge sweep reports of different grids"
         );
         assert!(
-            // cbs-lint: allow(no-float-eq) -- sample rates are configuration constants copied verbatim, not computed
             self.rate == other.rate || self.rate == 0.0 || other.rate == 0.0,
             "cannot merge sweep reports of different sampling rates"
         );
@@ -1144,7 +1146,6 @@ impl SweepReport {
         self.accesses += other.accesses;
         self.sampled_accesses += other.sampled_accesses;
         self.expand_nanos = self.expand_nanos.max(other.expand_nanos);
-        // cbs-lint: allow(no-float-eq) -- 0.0 is the exact "no sampling" sentinel, never computed
         if self.rate == 0.0 {
             self.rate = other.rate;
         }

@@ -8,6 +8,8 @@
 //! are the associativity evidence `cbs-lint`'s `mergeable-audit` rule
 //! (CBS-L13) requires.
 
+#![allow(clippy::expect_used, reason = "test helpers fail the test")]
+
 use proptest::prelude::*;
 
 use cbs_cache::{CacheStats, MissRatioCurve, SweepGrid, SweepReport};

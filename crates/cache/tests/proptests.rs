@@ -1,5 +1,7 @@
 //! Property-based tests for the cache substrate.
 
+#![allow(clippy::expect_used, reason = "test helpers fail the test")]
+
 use proptest::prelude::*;
 
 use cbs_cache::{

@@ -29,7 +29,7 @@ use cbs_trace::{Timestamp, VolumeView};
 
 // The shared module also carries the controller's report printer.
 #[path = "fanout/mod.rs"]
-#[allow(dead_code)]
+#[expect(dead_code, reason = "the agent never prints a report")]
 mod fanout;
 
 fn main() -> ExitCode {
@@ -66,6 +66,10 @@ fn main() -> ExitCode {
         Ok(addr) => println!("cbs-agent listening on {addr}"),
         Err(_) => println!("cbs-agent listening on {listen}"),
     }
+    #[expect(
+        clippy::let_underscore_must_use,
+        reason = "a lost readiness line only makes the harness wait"
+    )]
     let _ = std::io::stdout().flush();
 
     let stream = match listener.accept() {

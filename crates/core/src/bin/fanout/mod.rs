@@ -11,9 +11,11 @@ use cbs_core::{Analysis, SweepGrid, SweepReport};
 /// The fixed cache grid every fan-out participant simulates: an LRU
 /// ladder plus one FIFO/CLOCK lane each, per-volume caches merged into
 /// the corpus verdict (the paper's Fig. 18 setting).
+#[expect(
+    clippy::expect_used,
+    reason = "the builder only rejects duplicates and zero capacities; this grid is static"
+)]
 pub fn sweep_grid() -> SweepGrid {
-    // The builder only rejects duplicates/zero capacities; this grid is
-    // static, so failures are programmer error.
     SweepGrid::new()
         .lru_capacity(64)
         .and_then(|g| g.lru_capacity(512))

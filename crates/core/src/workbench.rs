@@ -118,7 +118,10 @@ impl Analysis {
     pub(crate) fn by_volume(trace: Trace, config: AnalysisConfig, threads: usize) -> Self {
         let metrics = match analyze_trace_parallel(&trace, &config, threads) {
             Ok(metrics) => metrics,
-            // cbs-lint: allow(no-panic-in-lib) -- every caller's constructor validated the config, so rejection is unreachable
+            #[expect(
+                clippy::unreachable,
+                reason = "every caller's constructor validated the config, so rejection is unreachable"
+            )]
             Err(e) => unreachable!("validated config rejected: {e}"),
         };
         Analysis {

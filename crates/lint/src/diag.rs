@@ -1,27 +1,5 @@
 //! Structured diagnostics and their human/JSON renderings.
 
-use core::fmt;
-
-/// How serious a diagnostic is. All shipped rules emit
-/// [`Severity::Error`]; `Warning` exists so downstream rules can report
-/// advisory findings without failing the gate.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Severity {
-    /// Fails the lint run (non-zero exit).
-    Error,
-    /// Reported but does not fail the run.
-    Warning,
-}
-
-impl fmt::Display for Severity {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            Severity::Error => write!(f, "error"),
-            Severity::Warning => write!(f, "warning"),
-        }
-    }
-}
-
 /// One finding: a rule fired at a source location.
 #[derive(Debug, Clone)]
 pub struct Diagnostic {
@@ -35,12 +13,11 @@ pub struct Diagnostic {
     pub rule: &'static str,
     /// Human-readable explanation.
     pub message: String,
-    /// Whether this finding fails the run.
-    pub severity: Severity,
 }
 
 impl Diagnostic {
-    /// Creates an error-severity diagnostic.
+    /// Creates a diagnostic. Every diagnostic is an error: it fails the
+    /// run.
     pub fn error(
         file: impl Into<String>,
         line: u32,
@@ -54,23 +31,21 @@ impl Diagnostic {
             col,
             rule,
             message: message.into(),
-            severity: Severity::Error,
         }
     }
 
     /// Renders as one JSON object (stable field order). The `id`
-    /// field is the rule's stable identifier (`CBS-L01`, …) so CI
+    /// field is the rule's stable identifier (`CBS-L06`, …) so CI
     /// annotations can deep-link the rule catalog (DESIGN.md §15)
     /// even if a rule is ever renamed.
     pub fn to_json(&self) -> String {
         format!(
-            "{{\"file\":{},\"line\":{},\"col\":{},\"rule\":{},\"id\":{},\"severity\":{},\"message\":{}}}",
+            "{{\"file\":{},\"line\":{},\"col\":{},\"rule\":{},\"id\":{},\"severity\":\"error\",\"message\":{}}}",
             json_str(&self.file),
             self.line,
             self.col,
             json_str(self.rule),
             json_str(crate::rules::rule_id(self.rule)),
-            json_str(&self.severity.to_string()),
             json_str(&self.message),
         )
     }
@@ -119,8 +94,8 @@ fn json_str(s: &str) -> String {
 /// line and a caret when `source_line` is available.
 pub fn render_human(d: &Diagnostic, source_line: Option<&str>) -> String {
     let mut out = format!(
-        "{}[{}]: {}\n  --> {}:{}:{}\n",
-        d.severity, d.rule, d.message, d.file, d.line, d.col
+        "error[{}]: {}\n  --> {}:{}:{}\n",
+        d.rule, d.message, d.file, d.line, d.col
     );
     if let Some(src) = source_line {
         let gutter = d.line.to_string();
@@ -146,15 +121,10 @@ mod tests {
 
     #[test]
     fn json_carries_stable_rule_id() {
-        let d = Diagnostic::error("a.rs", 1, 2, "no-unwrap-in-lib", "m");
+        let d = Diagnostic::error("a.rs", 1, 2, "mergeable-audit", "m");
         assert!(
-            d.to_json().contains("\"id\":\"CBS-L01\""),
-            "{}",
             d.to_json()
-        );
-        let d = Diagnostic::error("a.rs", 1, 2, "unused-suppression", "m");
-        assert!(
-            d.to_json().contains("\"id\":\"CBS-S02\""),
+                .contains("\"id\":\"CBS-L13\",\"severity\":\"error\""),
             "{}",
             d.to_json()
         );
@@ -167,8 +137,8 @@ mod tests {
 
     #[test]
     fn human_render_has_caret_under_column() {
-        let d = Diagnostic::error("a.rs", 3, 5, "no-unwrap-in-lib", "msg");
-        let r = render_human(&d, Some("let x = y.unwrap();"));
+        let d = Diagnostic::error("a.rs", 3, 5, "atomic-ordering-audit", "msg");
+        let r = render_human(&d, Some("a.load(Ordering::Relaxed);"));
         assert!(r.contains("a.rs:3:5"), "{r}");
         assert!(r.contains("    ^"), "{r}");
     }

@@ -13,8 +13,7 @@
 //! * char literals (including escapes) vs. lifetimes (`'a`, `'_`);
 //! * raw identifiers (`r#fn`);
 //! * numeric literals with underscores, base prefixes, exponents and
-//!   type suffixes, classifying floats (`1.5`, `1e9`, `2f64`) so the
-//!   float-comparison rule can see operand types;
+//!   type suffixes, each one token (`1.5e-3`, `0x1e5`, `2f64`);
 //! * compound operators the rules care about (`==`, `!=`, `::`, ...).
 //!
 //! It is deliberately *not* a parser: rules pattern-match short token
@@ -35,7 +34,7 @@ pub enum TokenKind {
     Str,
     /// Char or byte-char literal.
     Char,
-    /// Numeric literal; `is_float` on the token distinguishes floats.
+    /// Numeric literal.
     Num,
     /// Outer doc comment (`///` or `/** */`).
     DocOuter,
@@ -52,11 +51,11 @@ pub const COMPOUND_OPERATORS: &[&str] =
 
 /// One lexed token with its 1-based source position.
 ///
-/// Diagnostics always point at the *start* position; the end position
+/// Diagnostics always point at the *start* position; the end line
 /// exists so multi-line tokens (raw strings, block comments) can be
-/// reasoned about precisely — e.g. "is there code earlier on this
-/// line" must see a raw string that *ends* here even though it
-/// *started* three lines up.
+/// reasoned about precisely — e.g. a block comment that *ends* on the
+/// line above an item is contiguous with it even though it *started*
+/// three lines up.
 #[derive(Debug, Clone)]
 pub struct Token {
     /// Token class.
@@ -72,10 +71,6 @@ pub struct Token {
     ///
     /// [`line`]: Token::line
     pub end_line: u32,
-    /// 1-based column (in characters) of the token's last character.
-    pub end_col: u32,
-    /// For [`TokenKind::Num`]: whether the literal is a float.
-    pub is_float: bool,
 }
 
 impl Token {
@@ -99,10 +94,9 @@ struct Cursor {
     pos: usize,
     line: u32,
     col: u32,
-    /// Position of the most recently bumped character — the end
-    /// position of whatever token just finished lexing.
+    /// Line of the most recently bumped character — the end line of
+    /// whatever token just finished lexing.
     last_line: u32,
-    last_col: u32,
 }
 
 impl Cursor {
@@ -113,7 +107,6 @@ impl Cursor {
             line: 1,
             col: 1,
             last_line: 1,
-            last_col: 1,
         }
     }
 
@@ -125,7 +118,6 @@ impl Cursor {
         let c = self.chars.get(self.pos).copied()?;
         self.pos += 1;
         self.last_line = self.line;
-        self.last_col = self.col;
         if c == '\n' {
             self.line += 1;
             self.col = 1;
@@ -180,14 +172,12 @@ pub fn lex(src: &str) -> Vec<Token> {
             line,
             col,
             end_line: cur.last_line,
-            end_col: cur.last_col,
-            is_float: tok.2,
         });
     }
     tokens
 }
 
-type Lexed = (TokenKind, String, bool);
+type Lexed = (TokenKind, String);
 
 fn lex_line_comment(cur: &mut Cursor) -> Lexed {
     let mut text = String::new();
@@ -207,7 +197,7 @@ fn lex_line_comment(cur: &mut Cursor) -> Lexed {
     } else {
         TokenKind::Comment
     };
-    (kind, text, false)
+    (kind, text)
 }
 
 fn lex_block_comment(cur: &mut Cursor) -> Lexed {
@@ -245,7 +235,7 @@ fn lex_block_comment(cur: &mut Cursor) -> Lexed {
     } else {
         TokenKind::Comment
     };
-    (kind, text, false)
+    (kind, text)
 }
 
 fn lex_string(cur: &mut Cursor) -> Lexed {
@@ -263,7 +253,7 @@ fn lex_string(cur: &mut Cursor) -> Lexed {
             break;
         }
     }
-    (TokenKind::Str, text, false)
+    (TokenKind::Str, text)
 }
 
 /// Lexes a token starting with `'`: a char literal or a lifetime.
@@ -288,7 +278,7 @@ fn lex_quote(cur: &mut Cursor) -> Lexed {
                 break;
             }
         }
-        return (TokenKind::Lifetime, text, false);
+        return (TokenKind::Lifetime, text);
     }
     while let Some(c) = cur.bump() {
         text.push(c);
@@ -300,7 +290,7 @@ fn lex_quote(cur: &mut Cursor) -> Lexed {
             break;
         }
     }
-    (TokenKind::Char, text, false)
+    (TokenKind::Char, text)
 }
 
 /// Does the cursor sit on `r"`, `r#`, `b"`, `b'`, `br"` or `br#`?
@@ -331,14 +321,14 @@ fn lex_special_literal(cur: &mut Cursor) -> Lexed {
         }
         match cur.peek(0) {
             Some('\'') => {
-                let (_, rest, _) = lex_quote(cur);
+                let (_, rest) = lex_quote(cur);
                 text.push_str(&rest);
-                return (TokenKind::Char, text, false);
+                return (TokenKind::Char, text);
             }
             Some('"') => {
-                let (_, rest, _) = lex_string(cur);
+                let (_, rest) = lex_string(cur);
                 text.push_str(&rest);
-                return (TokenKind::Str, text, false);
+                return (TokenKind::Str, text);
             }
             _ => {} // `br…` raw byte string: fall through to raw handling
         }
@@ -363,7 +353,7 @@ fn lex_special_literal(cur: &mut Cursor) -> Lexed {
                 break;
             }
         }
-        return (TokenKind::Ident, text, false);
+        return (TokenKind::Ident, text);
     }
     text.push('"');
     cur.bump();
@@ -383,7 +373,7 @@ fn lex_special_literal(cur: &mut Cursor) -> Lexed {
             break;
         }
     }
-    (TokenKind::Str, text, false)
+    (TokenKind::Str, text)
 }
 
 fn lex_ident(cur: &mut Cursor) -> Lexed {
@@ -396,12 +386,11 @@ fn lex_ident(cur: &mut Cursor) -> Lexed {
             break;
         }
     }
-    (TokenKind::Ident, text, false)
+    (TokenKind::Ident, text)
 }
 
 fn lex_number(cur: &mut Cursor) -> Lexed {
     let mut text = String::new();
-    let mut is_float = false;
     let base_prefixed =
         cur.peek(0) == Some('0') && matches!(cur.peek(1), Some('x' | 'X' | 'o' | 'O' | 'b' | 'B'));
     if base_prefixed {
@@ -418,7 +407,7 @@ fn lex_number(cur: &mut Cursor) -> Lexed {
                 break;
             }
         }
-        return (TokenKind::Num, text, false);
+        return (TokenKind::Num, text);
     }
     while let Some(c) = cur.peek(0) {
         if c == '_' || c.is_ascii_digit() {
@@ -431,7 +420,6 @@ fn lex_number(cur: &mut Cursor) -> Lexed {
     // Fractional part: `.` followed by a digit (so `1..5` and `1.max()`
     // stay integers).
     if cur.peek(0) == Some('.') && cur.peek(1).is_some_and(|c| c.is_ascii_digit()) {
-        is_float = true;
         text.push('.');
         cur.bump();
         while let Some(c) = cur.peek(0) {
@@ -450,7 +438,6 @@ fn lex_number(cur: &mut Cursor) -> Lexed {
             other => (false, other),
         };
         if digit.is_some_and(|c| c.is_ascii_digit()) {
-            is_float = true;
             text.push('e');
             cur.bump();
             if sign {
@@ -468,12 +455,8 @@ fn lex_number(cur: &mut Cursor) -> Lexed {
             }
         }
     }
-    // Type suffix (`u64`, `f32`, `usize`, ...). An `f…` suffix makes
-    // the literal a float even without `.`/exponent (`2f64`).
+    // Type suffix (`u64`, `f32`, `usize`, ...).
     if cur.peek(0).is_some_and(|c| c == '_' || c.is_alphabetic()) {
-        if cur.peek(0) == Some('f') {
-            is_float = true;
-        }
         while let Some(c) = cur.peek(0) {
             if c == '_' || c.is_alphanumeric() {
                 text.push(c);
@@ -483,7 +466,7 @@ fn lex_number(cur: &mut Cursor) -> Lexed {
             }
         }
     }
-    (TokenKind::Num, text, is_float)
+    (TokenKind::Num, text)
 }
 
 fn lex_punct(cur: &mut Cursor) -> Lexed {
@@ -492,11 +475,11 @@ fn lex_punct(cur: &mut Cursor) -> Lexed {
         if COMPOUND_OPERATORS.contains(&pair.as_str()) {
             cur.bump();
             cur.bump();
-            return (TokenKind::Punct, pair, false);
+            return (TokenKind::Punct, pair);
         }
     }
     let c = cur.bump().unwrap_or(' ');
-    (TokenKind::Punct, c.to_string(), false)
+    (TokenKind::Punct, c.to_string())
 }
 
 #[cfg(test)]
@@ -555,32 +538,19 @@ mod tests {
 
     #[test]
     fn float_classification() {
-        let cases = [
-            ("1.5", true),
-            ("1e9", true),
-            ("2f64", true),
-            ("3", false),
-            ("0x1e5", false),
-            ("1_000", false),
-            ("1.5e-3", true),
-        ];
-        for (src, want) in cases {
-            let toks = lex(src);
-            assert_eq!(toks.len(), 1, "{src}");
-            assert_eq!(toks[0].kind, TokenKind::Num, "{src}");
-            assert_eq!(toks[0].is_float, want, "{src}");
+        for src in ["1.5", "1e9", "2f64", "3", "0x1e5", "1_000", "1.5e-3"] {
+            assert_eq!(kinds(src), vec![(TokenKind::Num, src.to_owned())]);
         }
     }
 
     #[test]
     fn range_and_method_on_int_are_not_floats() {
-        let toks = lex("for i in 1..5 { i.max(2); } x.0");
-        for t in &toks {
-            if t.kind == TokenKind::Num {
-                assert!(!t.is_float, "{}", t.text);
-            }
-        }
-        assert!(toks.iter().any(|t| t.text == ".."));
+        let nums: Vec<String> = lex("for i in 1..5 { i.max(2); } x.0")
+            .into_iter()
+            .filter(|t| t.kind == TokenKind::Num)
+            .map(|t| t.text)
+            .collect();
+        assert_eq!(nums, ["1", "5", "2", "0"]);
     }
 
     #[test]
@@ -641,8 +611,7 @@ mod tests {
         let src = "let s = r#\"one\ntwo\nthree\"#; x.unwrap();";
         let toks = lex(src);
         let s = toks.iter().find(|t| t.kind == TokenKind::Str).expect("str");
-        assert_eq!((s.line, s.col), (1, 9));
-        assert_eq!((s.end_line, s.end_col), (3, 7), "{:?}", s.text);
+        assert_eq!((s.line, s.col, s.end_line), (1, 9, 3), "{:?}", s.text);
         let x = toks.iter().find(|t| t.text == "x").expect("x");
         assert_eq!((x.line, x.col), (3, 10));
         let unwrap = toks.iter().find(|t| t.text == "unwrap").expect("unwrap");
@@ -650,16 +619,14 @@ mod tests {
 
         // Nested block comment spanning lines: same contract.
         let toks = lex("/* a\n /* b */\n*/ y");
-        assert_eq!((toks[0].line, toks[0].col), (1, 1));
-        assert_eq!((toks[0].end_line, toks[0].end_col), (3, 2));
+        assert_eq!((toks[0].line, toks[0].col, toks[0].end_line), (1, 1, 3));
         assert_eq!((toks[1].line, toks[1].col), (3, 4));
     }
 
     #[test]
     fn single_line_tokens_end_where_they_start() {
-        let toks = lex("alpha == 1.5");
-        assert_eq!((toks[0].end_line, toks[0].end_col), (1, 5));
-        assert_eq!((toks[1].end_line, toks[1].end_col), (1, 8));
-        assert_eq!((toks[2].end_line, toks[2].end_col), (1, 12));
+        let toks = lex("alpha == 1.5\nbeta");
+        let ends: Vec<(u32, u32)> = toks.iter().map(|t| (t.line, t.end_line)).collect();
+        assert_eq!(ends, [(1, 1), (1, 1), (1, 1), (2, 2)]);
     }
 }

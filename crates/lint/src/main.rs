@@ -13,7 +13,7 @@ use std::path::PathBuf;
 use std::process::ExitCode;
 
 use cbs_lint::bench_schema;
-use cbs_lint::diag::{render_human, to_json_array, Severity};
+use cbs_lint::diag::{render_human, to_json_array};
 use cbs_lint::engine::lint_paths;
 use cbs_lint::rules::atomic_ordering::ordering_sites;
 use cbs_lint::rules::{all_rules, rule_id};
@@ -90,11 +90,7 @@ fn main() -> ExitCode {
             run.diagnostics.len()
         );
     }
-    let failing = run
-        .diagnostics
-        .iter()
-        .any(|d| d.severity == Severity::Error);
-    if failing {
+    if !run.diagnostics.is_empty() {
         ExitCode::from(EXIT_VIOLATIONS)
     } else {
         ExitCode::SUCCESS

@@ -1,14 +1,15 @@
 //! Item-level recursive-descent parser over the token stream.
 //!
 //! This is deliberately *not* a Rust grammar: it recognises just enough
-//! item structure — functions with signatures, `impl` blocks, modules,
-//! type definitions, `use` declarations, attributes and doc comments —
-//! for cross-file rules to reason about symbols. It never fails: token
+//! item structure — functions, `impl` blocks, modules, type
+//! definitions, `use` declarations and doc comments — for cross-file
+//! rules to reason about symbols and enclosing items. It never fails: token
 //! sequences it does not understand are skipped, so a file that rustc
 //! rejects still yields a best-effort item tree.
 //!
 //! The parser feeds [`crate::index::WorkspaceIndex`], which aggregates
-//! items per crate for rules like `mergeable-audit`.
+//! items per crate for `mergeable-audit`, and the enclosing-item chains
+//! `atomic-ordering-audit` reads.
 
 use crate::lexer::{Token, TokenKind};
 
@@ -50,16 +51,6 @@ pub struct Item {
     /// path segment; for `use` it is the full dotted path text; empty
     /// when no name applies (e.g. an extern block).
     pub name: String,
-    /// For trait impls (`impl Trait for Type`), the trait's last path
-    /// segment; `None` for inherent impls and all other items.
-    pub trait_name: Option<String>,
-    /// Declared `pub` (any form: `pub`, `pub(crate)`, …).
-    pub vis_pub: bool,
-    /// Whether the item carries the `unsafe` qualifier.
-    pub is_unsafe: bool,
-    /// Outer attributes, flattened to text without the `#[…]` shell,
-    /// e.g. `target_feature(enable = "avx2")` or `cfg(test)`.
-    pub attrs: Vec<String>,
     /// Concatenated outer doc-comment text directly above the item.
     pub doc: String,
     /// Line of the declaring keyword (`fn`, `struct`, …).
@@ -68,9 +59,6 @@ pub struct Item {
     pub start_line: u32,
     /// Last line (closing brace or terminating `;`).
     pub end_line: u32,
-    /// Signature tokens for functions: everything between the `fn`
-    /// keyword and the body's `{` (or `;`), as raw token text.
-    pub sig: Vec<String>,
     /// Nested items (mod and impl bodies; fn bodies are opaque).
     pub children: Vec<Item>,
 }
@@ -79,11 +67,6 @@ impl Item {
     /// Does `line` fall inside this item (attributes included)?
     pub fn contains_line(&self, line: u32) -> bool {
         line >= self.start_line && line <= self.end_line
-    }
-
-    /// Does any attribute's flattened text contain `needle`?
-    pub fn has_attr(&self, needle: &str) -> bool {
-        self.attrs.iter().any(|a| a.contains(needle))
     }
 }
 
@@ -160,9 +143,7 @@ impl<'a> Parser<'a> {
         let doc = self.docs_above(start);
         let start_line = self.toks[start].line.min(self.doc_start_line(start));
 
-        // Outer attributes (inner `#![…]` attrs are consumed and
-        // dropped — they configure, they don't declare).
-        let mut attrs = Vec::new();
+        // Attributes (outer and inner) are skipped: no rule reads them.
         let mut i = start;
         loop {
             let code = self.next_code(i)?;
@@ -180,17 +161,10 @@ impl<'a> Parser<'a> {
             if self.text(open) != "[" {
                 return None;
             }
-            let close = self.match_delim(open, "[", "]")?;
-            if !inner {
-                attrs.push(self.flatten(open + 1, close));
-            }
-            i = close + 1;
+            i = self.match_delim(open, "[", "]")? + 1;
         }
 
         // Modifiers.
-        let mut vis_pub = false;
-        let mut is_unsafe = false;
-        let mut saw_const = false;
         let mut saw_extern = false;
         loop {
             let t = self.text(i);
@@ -199,7 +173,6 @@ impl<'a> Parser<'a> {
             }
             match t {
                 "pub" => {
-                    vis_pub = true;
                     // Optional restriction: pub(crate), pub(in path).
                     let next = self.next_code(i + 1)?;
                     if self.text(next) == "(" {
@@ -208,7 +181,6 @@ impl<'a> Parser<'a> {
                         continue;
                     }
                 }
-                "unsafe" => is_unsafe = true,
                 "const" => {
                     // `const fn` (possibly with more modifiers) is a
                     // function; anything else is a `const` item and
@@ -218,7 +190,6 @@ impl<'a> Parser<'a> {
                     if nt != "fn" && !MODIFIERS.contains(&nt) {
                         break;
                     }
-                    saw_const = true;
                 }
                 "extern" => {
                     saw_extern = true;
@@ -235,19 +206,14 @@ impl<'a> Parser<'a> {
 
         let kw = self.text(i).to_owned();
         let kw_line = self.toks[i].line;
-        let finish = |p: &Self, kind, name, trait_name, sig, children, end: usize| {
+        let finish = |p: &Self, kind, name, children, end: usize| {
             Some(Item {
                 kind,
                 name,
-                trait_name,
-                vis_pub,
-                is_unsafe,
-                attrs,
                 doc,
                 line: kw_line,
                 start_line,
                 end_line: p.toks.get(end).map_or(kw_line, |t| t.end_line),
-                sig,
                 children,
             })
         };
@@ -256,14 +222,14 @@ impl<'a> Parser<'a> {
             "fn" => {
                 let name_i = self.next_code(i + 1)?;
                 let name = self.text(name_i).to_owned();
-                let (sig, body_open) = self.fn_signature(name_i + 1)?;
+                let body_open = self.fn_body_open(name_i + 1)?;
                 if self.text(body_open) == ";" {
                     self.pos = body_open + 1;
-                    return finish(self, ItemKind::Fn, name, None, sig, Vec::new(), body_open);
+                    return finish(self, ItemKind::Fn, name, Vec::new(), body_open);
                 }
                 let close = self.match_delim(body_open, "{", "}")?;
                 self.pos = close + 1;
-                finish(self, ItemKind::Fn, name, None, sig, Vec::new(), close)
+                finish(self, ItemKind::Fn, name, Vec::new(), close)
             }
             "struct" | "union" | "enum" | "trait" => {
                 let name_i = self.next_code(i + 1)?;
@@ -275,18 +241,16 @@ impl<'a> Parser<'a> {
                 };
                 let end = self.skip_type_body(name_i + 1)?;
                 self.pos = end + 1;
-                finish(self, kind, name, None, Vec::new(), Vec::new(), end)
+                finish(self, kind, name, Vec::new(), end)
             }
             "impl" => {
                 let mut j = self.next_code(i + 1)?;
                 if self.text(j) == "<" {
                     j = self.next_code(self.match_angle(j)? + 1)?;
                 }
-                // Collect the header path(s) up to the body brace,
-                // splitting on a depth-0 `for`.
-                let mut before_for: Vec<usize> = Vec::new();
-                let mut after_for: Vec<usize> = Vec::new();
-                let mut seen_for = false;
+                // The self type is the header's last identifier before
+                // the body brace (after a depth-0 `for` in trait impls).
+                let mut self_ty: Option<usize> = None;
                 let open;
                 let mut k = j;
                 loop {
@@ -296,7 +260,7 @@ impl<'a> Parser<'a> {
                             break;
                         }
                         ";" => return None, // `impl Trait for Type;` — not real Rust
-                        "for" => seen_for = true,
+                        "for" => self_ty = None,
                         "<" => k = self.match_angle(k)?,
                         "(" => k = self.match_delim(k, "(", ")")?,
                         "[" => k = self.match_delim(k, "[", "]")?,
@@ -311,43 +275,17 @@ impl<'a> Parser<'a> {
                             }
                             continue;
                         }
-                        _ => {
-                            if seen_for {
-                                after_for.push(k);
-                            } else {
-                                before_for.push(k);
-                            }
-                        }
+                        _ if self.toks[k].kind == TokenKind::Ident => self_ty = Some(k),
+                        _ => {}
                     }
                     k = self.next_code(k + 1)?;
                 }
-                let last_ident = |p: &Self, idxs: &[usize]| {
-                    idxs.iter()
-                        .rev()
-                        .find(|&&x| p.toks[x].kind == TokenKind::Ident)
-                        .map(|&x| p.text(x).to_owned())
-                };
-                let (name, trait_name) = if seen_for {
-                    (
-                        last_ident(self, &after_for).unwrap_or_default(),
-                        last_ident(self, &before_for),
-                    )
-                } else {
-                    (last_ident(self, &before_for).unwrap_or_default(), None)
-                };
+                let name = self_ty.map(|x| self.text(x).to_owned()).unwrap_or_default();
                 self.pos = open + 1;
                 let children = self.parse_block(kw_line);
                 let close = self.next_code(self.pos)?;
                 self.pos = close + 1;
-                finish(
-                    self,
-                    ItemKind::Impl,
-                    name,
-                    trait_name,
-                    Vec::new(),
-                    children,
-                    close,
-                )
+                finish(self, ItemKind::Impl, name, children, close)
             }
             "mod" => {
                 let name_i = self.next_code(i + 1)?;
@@ -355,15 +293,7 @@ impl<'a> Parser<'a> {
                 let next = self.next_code(name_i + 1)?;
                 if self.text(next) == ";" {
                     self.pos = next + 1;
-                    return finish(
-                        self,
-                        ItemKind::Mod,
-                        name,
-                        None,
-                        Vec::new(),
-                        Vec::new(),
-                        next,
-                    );
+                    return finish(self, ItemKind::Mod, name, Vec::new(), next);
                 }
                 if self.text(next) != "{" {
                     return None;
@@ -372,7 +302,7 @@ impl<'a> Parser<'a> {
                 let children = self.parse_block(kw_line);
                 let close = self.next_code(self.pos)?;
                 self.pos = close + 1;
-                finish(self, ItemKind::Mod, name, None, Vec::new(), children, close)
+                finish(self, ItemKind::Mod, name, children, close)
             }
             "use" => {
                 let mut k = self.next_code(i + 1)?;
@@ -388,7 +318,7 @@ impl<'a> Parser<'a> {
                     k = self.next_code(k + 1)?;
                 }
                 self.pos = k + 1;
-                finish(self, ItemKind::Use, path, None, Vec::new(), Vec::new(), k)
+                finish(self, ItemKind::Use, path, Vec::new(), k)
             }
             "const" | "static" => {
                 // (`const fn` was already folded into modifiers above,
@@ -408,22 +338,14 @@ impl<'a> Parser<'a> {
                 } else {
                     ItemKind::Static
                 };
-                finish(self, kind, name, None, Vec::new(), Vec::new(), end)
+                finish(self, kind, name, Vec::new(), end)
             }
             "type" => {
                 let name_i = self.next_code(i + 1)?;
                 let name = self.text(name_i).to_owned();
                 let end = self.skip_to_semi(name_i + 1)?;
                 self.pos = end + 1;
-                finish(
-                    self,
-                    ItemKind::TypeAlias,
-                    name,
-                    None,
-                    Vec::new(),
-                    Vec::new(),
-                    end,
-                )
+                finish(self, ItemKind::TypeAlias, name, Vec::new(), end)
             }
             "macro_rules" => {
                 let bang = self.next_code(i + 1)?;
@@ -436,15 +358,7 @@ impl<'a> Parser<'a> {
                     _ => return None,
                 };
                 self.pos = close + 1;
-                finish(
-                    self,
-                    ItemKind::Macro,
-                    name,
-                    None,
-                    Vec::new(),
-                    Vec::new(),
-                    close,
-                )
+                finish(self, ItemKind::Macro, name, Vec::new(), close)
             }
             "{" if saw_extern => {
                 let close = self.match_delim(i, "{", "}")?;
@@ -453,58 +367,28 @@ impl<'a> Parser<'a> {
                     self,
                     ItemKind::ExternBlock,
                     String::new(),
-                    None,
-                    Vec::new(),
                     Vec::new(),
                     close,
                 )
             }
-            _ => {
-                let _ = (saw_const, saw_extern);
-                None
-            }
+            _ => None,
         }
     }
 
-    /// Function signature: tokens from after the name up to the body
-    /// `{` or terminating `;`, with nested delimiters matched so a
-    /// `where` clause or default-arg expression can't derail it.
-    /// Returns (signature texts, index of `{` or `;`).
-    fn fn_signature(&self, mut k: usize) -> Option<(Vec<String>, usize)> {
-        let mut sig = Vec::new();
+    /// Index of a function's body `{` or terminating `;`, scanning from
+    /// after its name with nested delimiters matched so a `where`
+    /// clause or default-arg expression can't derail it.
+    fn fn_body_open(&self, mut k: usize) -> Option<usize> {
         loop {
             k = self.next_code(k)?;
-            match self.text(k) {
-                "{" | ";" => return Some((sig, k)),
-                "<" => {
-                    let close = self.match_angle(k)?;
-                    for x in k..=close {
-                        if !self.toks[x].is_comment() {
-                            sig.push(self.text(x).to_owned());
-                        }
-                    }
-                    k = self.next_code(close + 1)?;
-                }
-                "(" | "[" => {
-                    let (o, c) = if self.text(k) == "(" {
-                        ("(", ")")
-                    } else {
-                        ("[", "]")
-                    };
-                    let close = self.match_delim(k, o, c)?;
-                    for x in k..=close {
-                        if !self.toks[x].is_comment() {
-                            sig.push(self.text(x).to_owned());
-                        }
-                    }
-                    k = self.next_code(close + 1)?;
-                }
+            k = match self.text(k) {
+                "{" | ";" => return Some(k),
+                "<" => self.match_angle(k)? + 1,
+                "(" => self.match_delim(k, "(", ")")? + 1,
+                "[" => self.match_delim(k, "[", "]")? + 1,
                 "" => return None,
-                t => {
-                    sig.push(t.to_owned());
-                    k = self.next_code(k + 1)?;
-                }
-            }
+                _ => k + 1,
+            };
         }
     }
 
@@ -665,10 +549,8 @@ mod tests {
         let f = &items[0];
         assert_eq!(f.kind, ItemKind::Fn);
         assert_eq!(f.name, "add");
-        assert!(f.vis_pub);
         assert_eq!(f.line, 1);
         assert_eq!(f.end_line, 3);
-        assert!(f.sig.contains(&"u64".to_owned()));
     }
 
     #[test]
@@ -699,7 +581,6 @@ struct Pair(u32, u32);
         assert_eq!(items[0].kind, ItemKind::Struct);
         assert_eq!(items[0].name, "Counter");
         assert!(items[0].doc.contains("MERGEABLE"));
-        assert!(items[0].has_attr("derive"));
         assert_eq!(items[0].start_line, 1);
         assert_eq!(items[0].line, 3);
         assert_eq!(items[0].end_line, 5);
@@ -727,13 +608,10 @@ impl<T: Copy> From<Vec<T>> for Holder<T> {
         assert_eq!(items.len(), 3);
         assert_eq!(items[0].kind, ItemKind::Impl);
         assert_eq!(items[0].name, "Counter");
-        assert_eq!(items[0].trait_name, None);
         assert_eq!(items[0].children.len(), 1);
         assert_eq!(items[0].children[0].name, "merge");
-        assert!(items[0].children[0].vis_pub);
-        assert_eq!(items[1].trait_name.as_deref(), Some("Default"));
         assert_eq!(items[1].name, "Counter");
-        assert_eq!(items[2].trait_name.as_deref(), Some("From"));
+        assert_eq!(items[1].children[0].name, "default");
         assert_eq!(items[2].name, "Holder");
     }
 
@@ -773,12 +651,13 @@ pub unsafe fn kernel(p: *const u8) -> u64 { 0 }
 unsafe extern \"C\" { fn mmap() -> i32; }
 ";
         let items = parse(src);
-        assert_eq!(items[0].kind, ItemKind::Fn);
-        assert!(items[0].is_unsafe);
-        assert!(items[0].has_attr("target_feature"));
-        assert!(items[0].has_attr("avx2"));
+        assert_eq!(items.len(), 2);
+        assert_eq!(
+            (items[0].kind, items[0].name.as_str()),
+            (ItemKind::Fn, "kernel")
+        );
+        assert_eq!(items[0].start_line, 1);
         assert_eq!(items[1].kind, ItemKind::ExternBlock);
-        assert!(items[1].is_unsafe);
     }
 
     #[test]

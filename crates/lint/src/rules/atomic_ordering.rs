@@ -3,10 +3,10 @@
 //!
 //! Memory orderings are the easiest concurrency decision to cargo-cult:
 //! `Relaxed` copied from a counter into a flag, `SeqCst` sprinkled "to
-//! be safe". The audit mirrors the `SAFETY:` machinery of
-//! `forbid-unsafe-header` with one extra coverage position, because
-//! orderings usually come in coherent per-type families: a comment is
-//! covering when it sits
+//! be safe". Like a safety comment over an unsafe block, a
+//! justification must sit next to the site, with one extra coverage
+//! position, because orderings usually come in coherent per-type
+//! families: a comment is covering when it sits
 //!
 //! 1. on the site's own line,
 //! 2. in the contiguous comment/attribute block directly above the
@@ -16,8 +16,8 @@
 //!    on an `impl Counter` justifies the whole counter protocol
 //!    instead of demanding twenty copies.
 //!
-//! Stale `ORDERING:` comments (covering no site) are errors, exactly
-//! like stale `SAFETY:` comments. Test code is exempt.
+//! Stale `ORDERING:` comments (covering no site) are errors. Test code
+//! is exempt.
 //!
 //! Only the five atomic variants (`Relaxed`, `Acquire`, `Release`,
 //! `AcqRel`, `SeqCst`) count; `cmp::Ordering` paths never match, and
@@ -94,8 +94,8 @@ impl Rule for AtomicOrderingAudit {
         if !file.is_library_code() {
             return;
         }
-        // Per-line facts, as in forbid-unsafe-header: doc comments are
-        // prose and neither carry nor satisfy an obligation.
+        // Per-line facts: doc comments are prose and neither carry nor
+        // satisfy an obligation.
         let mut comment_lines: BTreeSet<u32> = BTreeSet::new();
         let mut ordering_lines: BTreeMap<u32, u32> = BTreeMap::new(); // line -> col
         let mut first_code: BTreeMap<u32, &str> = BTreeMap::new();

@@ -10,57 +10,32 @@
 //!
 //! | id | rule | scope | forbids |
 //! |----|------|-------|---------|
-//! | CBS-L01 | `no-unwrap-in-lib` | library code, non-test | `.unwrap()` / `.expect(…)` |
-//! | CBS-L02 | `no-panic-in-lib` | library code, non-test | `panic!` / `unimplemented!` / `todo!` / `unreachable!` |
-//! | CBS-L03 | `forbid-unsafe-header` | crate roots + library code | missing `#![forbid(unsafe_code)]`; unsafe sites and `allow(unsafe_code)` without a justifying `SAFETY` comment; stale `SAFETY` comments |
-//! | CBS-L04 | `pub-item-docs` | `cbs-trace`/`core`/`stats`/`obs`/`cache` src | undocumented public items |
-//! | CBS-L05 | `bounded-channel` | `crates/core`/`cache` + codec paths | unbounded `mpsc::channel()` |
 //! | CBS-L06 | `finding-traceability` | `crates/analysis/src/findings` | modules citing no `F1`–`F15` ID; uncovered IDs |
-//! | CBS-L07 | `no-float-eq` | library code, non-test | `==`/`!=` against float literals |
-//! | CBS-L08 | `no-adhoc-timing` | library code, non-test, outside `cbs-obs` | `std::time::Instant` |
 //! | CBS-L09 | `atomic-ordering-audit` | library code, non-test | `Ordering::*` sites without a covering `// ORDERING:` justification; stale `ORDERING:` comments |
-//! | CBS-L10 | `channel-discipline` | library code, non-test | dropped/ignored `send`/`try_send` results; channels constructed but never fed |
 //! | CBS-L12 | `obs-metric-registry` | library code, non-test | metric names absent from the `METRIC_NAMES` registry; registry entries no code emits; duplicate registry entries |
 //! | CBS-L13 | `mergeable-audit` | per crate | `MERGEABLE`-tagged types without a `merge` method or an associativity test |
 //!
-//! Suppression (`// cbs-lint: allow(rule) -- why`) is handled by the
-//! engine, not by individual rules; its pseudo-rules carry IDs too
-//! (CBS-S01 `malformed-suppression`, CBS-S02 `unused-suppression`,
-//! CBS-S03 `suppression-justification`).
+//! Everything rustc or clippy can check lives in the root `Cargo.toml`'s
+//! `[workspace.lints]` table instead; the IDs of the rules that moved
+//! there stay unused.
 
 use crate::diag::Diagnostic;
 use crate::index::WorkspaceIndex;
 use crate::source::SourceFile;
 
 pub mod atomic_ordering;
-mod bounded_channel;
-mod channel_discipline;
 mod finding_trace;
-mod forbid_unsafe;
 mod mergeable_audit;
 mod metric_registry;
-mod no_adhoc_timing;
-mod no_float_eq;
-mod no_panic;
-mod no_unwrap;
-mod pub_docs;
 
 pub use atomic_ordering::AtomicOrderingAudit;
-pub use bounded_channel::BoundedChannel;
-pub use channel_discipline::ChannelDiscipline;
 pub use finding_trace::FindingTraceability;
-pub use forbid_unsafe::ForbidUnsafeHeader;
 pub use mergeable_audit::MergeableAudit;
 pub use metric_registry::ObsMetricRegistry;
-pub use no_adhoc_timing::NoAdhocTiming;
-pub use no_float_eq::NoFloatEq;
-pub use no_panic::NoPanicInLib;
-pub use no_unwrap::NoUnwrapInLib;
-pub use pub_docs::PubItemDocs;
 
 /// A static-analysis rule.
 pub trait Rule {
-    /// Kebab-case rule name, used in output and suppressions.
+    /// Kebab-case rule name, used in output.
     fn name(&self) -> &'static str;
 
     /// One-line description for `--list-rules`.
@@ -76,27 +51,16 @@ pub trait Rule {
     fn check_index(&self, _index: &WorkspaceIndex<'_>, _diags: &mut Vec<Diagnostic>) {}
 }
 
-/// Stable rule IDs, keyed by rule name. `CBS-L*` are lint rules in
-/// registration order; `CBS-S*` are the engine's suppression
-/// pseudo-rules. IDs are append-only: renaming a rule keeps its ID, and
-/// a retired rule's ID stays unused.
+/// Stable rule IDs, keyed by rule name. IDs are append-only: renaming
+/// a rule keeps its ID, and a retired rule's ID stays unused — CBS-L01
+/// to L05, L07, L08 and L10 moved to the `[workspace.lints]` table,
+/// L11 (`simd-twin-parity`) went with its twins, and the suppression
+/// pseudo-rules CBS-S01 to S03 went with `#[expect(lint, reason)]`.
 pub const RULE_IDS: &[(&str, &str)] = &[
-    ("no-unwrap-in-lib", "CBS-L01"),
-    ("no-panic-in-lib", "CBS-L02"),
-    ("forbid-unsafe-header", "CBS-L03"),
-    ("pub-item-docs", "CBS-L04"),
-    ("bounded-channel", "CBS-L05"),
     ("finding-traceability", "CBS-L06"),
-    ("no-float-eq", "CBS-L07"),
-    ("no-adhoc-timing", "CBS-L08"),
     ("atomic-ordering-audit", "CBS-L09"),
-    ("channel-discipline", "CBS-L10"),
-    // CBS-L11 (`simd-twin-parity`) is retired; IDs are never reused.
     ("obs-metric-registry", "CBS-L12"),
     ("mergeable-audit", "CBS-L13"),
-    ("malformed-suppression", "CBS-S01"),
-    ("unused-suppression", "CBS-S02"),
-    ("suppression-justification", "CBS-S03"),
 ];
 
 /// The stable ID for a rule name (`CBS-???` for names outside the
@@ -111,16 +75,8 @@ pub fn rule_id(name: &str) -> &'static str {
 /// The shipped rule set, in reporting order.
 pub fn all_rules() -> Vec<Box<dyn Rule>> {
     vec![
-        Box::new(NoUnwrapInLib),
-        Box::new(NoPanicInLib),
-        Box::new(ForbidUnsafeHeader),
-        Box::new(PubItemDocs),
-        Box::new(BoundedChannel),
         Box::new(FindingTraceability),
-        Box::new(NoFloatEq),
-        Box::new(NoAdhocTiming),
         Box::new(AtomicOrderingAudit),
-        Box::new(ChannelDiscipline),
         Box::new(ObsMetricRegistry),
         Box::new(MergeableAudit),
     ]

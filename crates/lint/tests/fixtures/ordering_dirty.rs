@@ -1,5 +1,5 @@
 //! Fixture: `atomic-ordering-audit` — one bare `Ordering::*` site
-//! (must fire) and one waved through by a justified suppression.
+//! (must fire) and one covered by an `// ORDERING:` justification.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -7,7 +7,7 @@ fn bare(cell: &AtomicU64) -> u64 {
     cell.load(Ordering::Relaxed)
 }
 
-fn waved(cell: &AtomicU64) {
-    // cbs-lint: allow(atomic-ordering-audit) -- fixture: justification lives in the caller's protocol doc
-    cell.store(0, Ordering::SeqCst);
+fn justified(cell: &AtomicU64) {
+    // ORDERING: a reset nothing else synchronizes through.
+    cell.store(0, Ordering::Relaxed);
 }

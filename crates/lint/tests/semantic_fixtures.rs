@@ -1,11 +1,12 @@
-//! Fixture tests for the v2 semantic rules (CBS-L09, L10, L12, L13): each rule
-//! fires on a planted violation AND honors one justified suppression,
-//! proving the engine's suppression pass covers index- and
-//! workspace-level diagnostics, not just per-file ones.
+//! Fixture tests for the four domain rules (CBS-L06, L09, L12, L13):
+//! each fires on a planted violation and stays silent on the compliant
+//! code beside it, run through the full engine the way `cbs-lint` runs.
 //!
-//! Single-file rules lint fixture files from `tests/fixtures/`;
-//! cross-file rules build their multi-file sets inline (the registry
-//! and the emitting crate genuinely live in different files).
+//! Single-file rules lint fixture files from `tests/fixtures/` (a
+//! directory the walker skips, so the workspace self-check never trips
+//! over their intentional violations); cross-file rules build their
+//! multi-file sets inline (the registry and the emitting crate
+//! genuinely live in different files).
 
 use cbs_lint::{lint_files, Diagnostic, LintRun, SourceFile};
 
@@ -34,7 +35,7 @@ fn the<'a>(run: &'a LintRun, rule: &str) -> &'a Diagnostic {
 }
 
 #[test]
-fn atomic_ordering_fixture_fires_once_and_honors_suppression() {
+fn atomic_ordering_fixture_fires_once() {
     let run = lint_fixture(
         "crates/obs/src/ordering_dirty.rs",
         include_str!("fixtures/ordering_dirty.rs"),
@@ -49,32 +50,12 @@ fn atomic_ordering_fixture_fires_once_and_honors_suppression() {
     assert!(d.message.contains("Relaxed"), "{d:?}");
     assert!(
         run.snippet(d).expect("snippet").contains("cell.load"),
-        "fires on the bare site, not the suppressed SeqCst store"
+        "fires on the bare site, not the justified store"
     );
 }
 
 #[test]
-fn channel_discipline_fixture_fires_once_and_honors_suppression() {
-    let run = lint_fixture(
-        "crates/core/src/channel_dirty.rs",
-        include_str!("fixtures/channel_dirty.rs"),
-    );
-    assert_eq!(
-        rules_of(&run),
-        vec!["channel-discipline"],
-        "{:?}",
-        run.diagnostics
-    );
-    let d = the(&run, "channel-discipline");
-    assert!(d.message.contains("dropped"), "{d:?}");
-    assert!(
-        run.snippet(d).expect("snippet").contains("tx.send(1)"),
-        "fires on the dropped send; the .ok() misuse stays suppressed"
-    );
-}
-
-#[test]
-fn metric_registry_fixture_fires_once_and_honors_suppression() {
+fn metric_registry_fixture_fires_once() {
     let names = SourceFile::from_text(
         "crates/obs/src/names.rs",
         "\
@@ -90,8 +71,6 @@ pub const METRIC_NAMES: &[(&str, &str)] = &[
 fn record(r: &Registry) {
     r.counter(\"fix.ok\");
     r.counter(\"fix.rogue\");
-    // cbs-lint: allow(obs-metric-registry) -- fixture: registry migration lands in the next commit
-    r.counter(\"fix.waved\");
 }
 ",
     );
@@ -107,7 +86,7 @@ fn record(r: &Registry) {
 }
 
 #[test]
-fn mergeable_fixture_fires_once_and_honors_suppression() {
+fn mergeable_fixture_fires_once() {
     let lib = SourceFile::from_text(
         "crates/stats/src/merge_dirty.rs",
         "\
@@ -116,9 +95,8 @@ struct Partial {
     total: u64,
 }
 
-/// Another partial. MERGEABLE: totals add.
-// cbs-lint: allow(mergeable-audit) -- fixture: merge arrives with the ROADMAP item 1 fan-out
-struct Waved {
+/// Not tagged and without a `merge`: unconstrained.
+struct Plain {
     total: u64,
 }
 ",
@@ -133,6 +111,33 @@ struct Waved {
     let d = the(&run, "mergeable-audit");
     assert!(d.message.contains("Partial"), "{d:?}");
     assert!(d.message.contains("defines `merge`"), "{d:?}");
+}
+
+#[test]
+fn findings_modules_must_cite_and_cover() {
+    // A findings module with no citation fires per-file; partial
+    // coverage across the set fires once at workspace level.
+    let run = lint_files(vec![
+        SourceFile::from_text(
+            "crates/analysis/src/findings/mod.rs",
+            "//! Builders for F1, F2, F3, F4, F5, F6, F7, F8, F9, F10, F11, F12, F13, F14.\n",
+        ),
+        SourceFile::from_text(
+            "crates/analysis/src/findings/orphan.rs",
+            "//! No citation here.\n",
+        ),
+    ]);
+    assert_eq!(
+        rules_of(&run),
+        vec!["finding-traceability", "finding-traceability"]
+    );
+    let coverage = run
+        .diagnostics
+        .iter()
+        .find(|d| d.message.contains("cited by no findings module"))
+        .expect("coverage diagnostic");
+    assert!(coverage.message.contains("F15"), "{coverage:?}");
+    assert!(!coverage.message.contains("F14"), "{coverage:?}");
 }
 
 #[test]

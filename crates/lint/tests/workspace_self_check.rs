@@ -1,6 +1,7 @@
 //! Workspace self-checks: the shipped source tree must stay lint
-//! clean, every inline suppression must be justified, and the 15 paper
-//! findings (F1-F15) must all be traceable to a findings module.
+//! clean, the 15 paper findings (F1-F15) must all be traceable to a
+//! findings module, and the lint canary must plant exactly the lints
+//! the workspace lint table enables.
 //!
 //! These tests walk the real `crates/` tree plus the repository-root
 //! `tests/` directory (resolved relative to this crate's manifest), so
@@ -8,12 +9,14 @@
 //! root-level integration tests carry the cross-crate associativity
 //! evidence `mergeable-audit` consults.
 
+#![allow(clippy::expect_used, reason = "test helpers fail the test")]
+
 use std::collections::BTreeSet;
+use std::fs;
 use std::path::PathBuf;
 use std::process::Command;
 
 use cbs_lint::engine::lint_paths;
-use cbs_lint::suppress;
 
 /// The workspace `crates/` directory, from this crate's manifest dir.
 /// Canonicalized so crate attribution never sees the `../..` hop.
@@ -70,32 +73,6 @@ fn cli_self_check_exits_zero_with_empty_json() {
     assert_eq!(stdout.trim(), "[]", "expected an empty diagnostics array");
 }
 
-#[test]
-fn every_suppression_carries_a_justification() {
-    let run = lint_paths(&[crates_dir()]).expect("workspace sources readable");
-    let mut total = 0usize;
-    for file in &run.files {
-        let mut malformed = Vec::new();
-        for s in suppress::collect(file, &mut malformed) {
-            assert!(
-                !s.justification.is_empty(),
-                "{}:{} allows {} without a `-- <why>` justification",
-                file.path,
-                s.comment_line,
-                s.rules.join(", ")
-            );
-            total += 1;
-        }
-        assert!(malformed.is_empty(), "{}: {malformed:?}", file.path);
-    }
-    // The workspace legitimately carries a handful of justified allows
-    // (documented in DESIGN.md); zero would mean collection is broken.
-    assert!(
-        total >= 1,
-        "no suppressions found anywhere — parser broken?"
-    );
-}
-
 /// Word-bounded `F<n>` citations in a doc-comment chunk, mirroring the
 /// `finding-traceability` rule's notion of a citation.
 fn cited_ids(doc_text: &str) -> BTreeSet<u32> {
@@ -128,4 +105,51 @@ fn all_fifteen_findings_are_cited_in_findings_modules() {
         "paper findings {} are cited by no module under crates/analysis/src/findings",
         missing.join(", ")
     );
+}
+
+#[test]
+fn lint_table_and_canary_agree() {
+    let root = crates_dir().join("..");
+    let manifest = fs::read_to_string(root.join("Cargo.toml")).expect("root manifest");
+    let mut table = BTreeSet::new();
+    let mut tool = None;
+    for line in manifest.lines().filter(|l| !l.starts_with('#')) {
+        if line.starts_with('[') {
+            tool = line
+                .strip_prefix("[workspace.lints.")
+                .and_then(|t| t.strip_suffix(']'));
+        } else if let (Some(tool), Some((name, _))) = (tool, line.split_once(" = ")) {
+            table.insert(match tool {
+                "rust" => name.to_owned(),
+                _ => format!("{tool}::{name}"),
+            });
+        }
+    }
+    let canary = fs::read_to_string(crates_dir().join("lint/src/canary.rs")).expect("canary");
+    let planted: BTreeSet<String> = canary
+        .split("#[expect(")
+        .skip(1)
+        .filter_map(|attr| attr.split("reason =").next())
+        .flat_map(|lints| lints.split(','))
+        .map(str::trim)
+        .filter(|lint| !lint.is_empty())
+        .map(str::to_owned)
+        .collect();
+    assert!(table.len() > 10, "lint table not found: {table:?}");
+    assert_eq!(
+        table, planted,
+        "[workspace.lints] vs the canary's #[expect]s"
+    );
+
+    let config = fs::read_to_string(root.join("clippy.toml")).expect("clippy.toml");
+    for path in config
+        .split("path = \"")
+        .skip(1)
+        .filter_map(|p| p.split('"').next())
+    {
+        assert!(
+            canary.contains(&format!("{path}()")),
+            "clippy.toml disallows {path}, but the canary never calls it"
+        );
+    }
 }

@@ -17,8 +17,8 @@
 //!   ([`Histogram::absorb`]);
 //! * [`SpanTimer`] / [`Stopwatch`] — wall-clock timing that records
 //!   into a histogram of nanoseconds, so *all* timing flows through one
-//!   audited place (the `no-adhoc-timing` lint forbids raw
-//!   `std::time::Instant` in library crates outside this one);
+//!   audited place (clippy's `disallowed_methods` rejects
+//!   `Instant::now` everywhere but [`Stopwatch::start`]);
 //! * [`Registry`] — named metrics with deterministic human and JSON
 //!   export, mirroring `cbs-lint`'s output discipline.
 //!
@@ -50,8 +50,6 @@
 //! ```
 
 #![forbid(unsafe_code)]
-#![warn(missing_docs)]
-#![warn(missing_debug_implementations)]
 
 pub mod metrics;
 pub mod names;

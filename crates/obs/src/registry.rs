@@ -217,6 +217,10 @@ impl Registry {
     /// ```json
     /// {"decode.records":{"type":"counter","value":8192}}
     /// ```
+    #[expect(
+        clippy::let_underscore_must_use,
+        reason = "writing to a String cannot fail"
+    )]
     pub fn to_json(&self) -> String {
         let mut out = String::from("{");
         for (i, sample) in self.snapshot().iter().enumerate() {
@@ -278,6 +282,10 @@ impl Registry {
 
     /// Human-readable export: one aligned line per metric, sorted by
     /// name.
+    #[expect(
+        clippy::let_underscore_must_use,
+        reason = "writing to a String cannot fail"
+    )]
     pub fn render(&self) -> String {
         let samples = self.snapshot();
         let width = samples.iter().map(|s| s.name.len()).max().unwrap_or(0);
@@ -306,6 +314,10 @@ impl Registry {
     }
 }
 
+#[expect(
+    clippy::let_underscore_must_use,
+    reason = "writing to a String cannot fail"
+)]
 fn render_summary_json(out: &mut String, kind: &str, h: &HistogramSnapshot) {
     let _ = write!(
         out,
@@ -317,6 +329,10 @@ fn render_summary_json(out: &mut String, kind: &str, h: &HistogramSnapshot) {
 
 /// Escapes `s` as JSON string content (quotes, backslashes, control
 /// characters).
+#[expect(
+    clippy::let_underscore_must_use,
+    reason = "writing to a String cannot fail"
+)]
 fn escape_json_into(s: &str, out: &mut String) {
     for c in s.chars() {
         match c {

@@ -1,11 +1,11 @@
 //! Wall-clock timing that records into metrics: [`SpanTimer`] and
 //! [`Stopwatch`].
 //!
-//! This module is the single place library code is allowed to touch
-//! `std::time::Instant` — the `no-adhoc-timing` lint in `cbs-lint`
-//! forbids it in every other library crate, so all timing is named,
-//! registered, and exported instead of scattered across ad-hoc
-//! `Instant::now()` pairs.
+//! [`Stopwatch::start`] is the one place library code reads the clock:
+//! clippy's `disallowed_methods` (configured in the workspace
+//! `clippy.toml`) rejects `Instant::now` and `SystemTime::now`
+//! everywhere else, so all timing is named, registered, and exported
+//! instead of scattered across ad-hoc `Instant::now()` pairs.
 
 use std::time::Instant;
 
@@ -22,6 +22,7 @@ pub struct Stopwatch {
 
 impl Stopwatch {
     /// Starts the clock.
+    #[expect(clippy::disallowed_methods, reason = "the sanctioned clock")]
     pub fn start() -> Self {
         Stopwatch {
             start: Instant::now(),

@@ -424,6 +424,10 @@ impl DirectFileBackend {
     /// file: both the open and the first transfer can be the step a
     /// filesystem refuses, so both must succeed before the backend
     /// commits to direct I/O.
+    #[expect(
+        clippy::let_underscore_must_use,
+        reason = "removing the probe file is best-effort; the probe's own result is what counts"
+    )]
     fn probe(dir: &std::path::Path) -> io::Result<()> {
         let path = dir.join(".o_direct.probe");
         let result = (|| {

@@ -75,8 +75,6 @@
 //! ```
 
 #![forbid(unsafe_code)]
-#![warn(missing_docs)]
-#![warn(missing_debug_implementations)]
 
 pub mod backend;
 pub mod error;

@@ -20,6 +20,8 @@
 //!
 //! `FaultyBackend` lives here, not in the crate: no product API.
 
+#![allow(clippy::expect_used, reason = "test helpers fail the test")]
+
 use std::io;
 use std::time::Duration;
 

@@ -14,6 +14,8 @@
 //! `repro --list`); `--out DIR` additionally writes every figure's
 //! full data series as TSV files.
 
+#![allow(clippy::disallowed_methods, reason = "reports its own wall time")]
+
 use std::process::ExitCode;
 
 use cbs_report::experiments::{self, ReproConfig};

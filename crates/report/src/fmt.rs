@@ -64,7 +64,6 @@ pub fn percent_opt(fraction: Option<f64>) -> String {
 
 /// Formats a float with three significant-ish decimals.
 pub fn num(x: f64) -> String {
-    // cbs-lint: allow(no-float-eq) -- exactly zero prints as "0"; near-zero values legitimately keep their decimals
     if x == 0.0 {
         "0".to_owned()
     } else if x.abs() >= 100.0 {

@@ -26,8 +26,6 @@
 //! ```
 
 #![forbid(unsafe_code)]
-#![warn(missing_docs)]
-#![warn(missing_debug_implementations)]
 
 pub mod experiments;
 pub mod fmt;

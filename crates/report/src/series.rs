@@ -309,6 +309,10 @@ mod tests {
     use cbs_core::Workbench;
     use cbs_synth::presets::{self, CorpusConfig};
 
+    #[expect(
+        clippy::let_underscore_must_use,
+        reason = "the directory may not exist yet"
+    )]
     fn tmpdir(name: &str) -> PathBuf {
         let dir = std::env::temp_dir().join(format!("cbs_series_test_{name}"));
         let _ = std::fs::remove_dir_all(&dir);

@@ -55,6 +55,10 @@ impl TextTable {
     }
 
     /// Renders the table with aligned columns.
+    #[expect(
+        clippy::let_underscore_must_use,
+        reason = "writing to a String cannot fail"
+    )]
     pub fn render(&self) -> String {
         let cols = self.header.len();
         let mut widths: Vec<usize> = self.header.iter().map(String::len).collect();

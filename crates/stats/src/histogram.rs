@@ -169,6 +169,10 @@ impl LogHistogram {
     /// # Panics
     ///
     /// Panics if `q` is outside `[0, 1]` or NaN.
+    #[expect(
+        clippy::unreachable,
+        reason = "rank <= total == sum(counts), so the scan always returns"
+    )]
     pub fn quantile(&self, q: f64) -> Option<u64> {
         assert!((0.0..=1.0).contains(&q), "quantile {q} outside [0, 1]");
         if self.total == 0 {
@@ -183,7 +187,6 @@ impl LogHistogram {
                 return Some(self.bucket_mid(idx));
             }
         }
-        // cbs-lint: allow(no-panic-in-lib) -- rank <= total == sum(counts), so the scan above always returns
         unreachable!("total is the sum of counts");
     }
 

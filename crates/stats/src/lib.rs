@@ -39,8 +39,6 @@
 //! ```
 
 #![forbid(unsafe_code)]
-#![warn(missing_docs)]
-#![warn(missing_debug_implementations)]
 
 pub mod boxplot;
 pub mod cdf;

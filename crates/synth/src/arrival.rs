@@ -216,7 +216,6 @@ impl<R: Rng> ArrivalGen<R> {
 
     /// Diurnal thinning acceptance probability at time `t`.
     fn diurnal_accept(&mut self, t: Timestamp) -> bool {
-        // cbs-lint: allow(no-float-eq) -- an amplitude of exactly zero disables modulation; any nonzero value must modulate
         if self.diurnal_amplitude == 0.0 {
             return true;
         }

@@ -18,7 +18,10 @@ use crate::spatial::AddressGen;
 pub(crate) fn validated<T>(result: Result<T, InvalidProfile>) -> T {
     match result {
         Ok(value) => value,
-        // cbs-lint: allow(no-panic-in-lib) -- the generator constructors validate every profile up front, so sub-model construction cannot fail
+        #[expect(
+            clippy::unreachable,
+            reason = "the generator constructors validate every profile up front, so sub-model construction cannot fail"
+        )]
         Err(e) => unreachable!("validated profile rejected: {e}"),
     }
 }

@@ -39,7 +39,10 @@ impl SizeModel {
     fn preset(table: Vec<(u32, f64)>) -> Self {
         match SizeModel::new(table) {
             Some(model) => model,
-            // cbs-lint: allow(no-panic-in-lib) -- preset tables are compile-time constants with nonzero sizes and positive weights
+            #[expect(
+                clippy::unreachable,
+                reason = "preset tables are compile-time constants with nonzero sizes and positive weights"
+            )]
             None => unreachable!("static size table rejected"),
         }
     }

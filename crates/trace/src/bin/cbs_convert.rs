@@ -29,6 +29,8 @@
 //! or lower-case-opcode corpus converts at about half speed and now
 //! says so.
 
+#![allow(clippy::disallowed_methods, reason = "reports its own wall time")]
+
 use std::fs::File;
 use std::io::{self, BufReader, BufWriter, Read, Write};
 use std::process::ExitCode;

@@ -93,6 +93,10 @@ mod tests {
     use crate::{IoRequest, OpKind, TimeDelta, Timestamp, VolumeId};
     use std::io::Write as _;
 
+    #[expect(
+        clippy::let_underscore_must_use,
+        reason = "the directory may not exist yet"
+    )]
     fn tmp(name: &str) -> std::path::PathBuf {
         let dir = std::env::temp_dir().join(format!("cbs_files_test_{name}"));
         let _ = std::fs::remove_dir_all(&dir);

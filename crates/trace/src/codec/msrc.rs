@@ -177,6 +177,10 @@ impl VolumeRegistry {
     /// The cache-miss half of [`resolve_bytes`](Self::resolve_bytes):
     /// builds the name in `scratch`, asks `by_name`, remembers the answer.
     #[cold]
+    #[expect(
+        clippy::let_underscore_must_use,
+        reason = "writing to a String cannot fail"
+    )]
     fn resolve_missed(&mut self, host: &[u8], disk: u32, slot: usize) -> VolumeId {
         let text = String::from_utf8_lossy(host);
         let mut name = std::mem::take(&mut self.scratch);

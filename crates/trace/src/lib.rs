@@ -53,12 +53,6 @@
 //! # }
 //! ```
 
-// deny (not forbid): the mmap module needs a local allow(unsafe_code)
-// for the two mmap(2)/munmap(2) calls backing the zero-copy reader.
-#![deny(unsafe_code)]
-#![warn(missing_docs)]
-#![warn(missing_debug_implementations)]
-
 pub mod batch;
 pub mod block;
 pub mod codec;

@@ -9,9 +9,10 @@
 //!
 //! No external crate is pulled in: the two syscalls are declared
 //! directly against the C library that `std` already links. The unsafe
-//! surface is confined to this module (the crate root carries
-//! `#![deny(unsafe_code)]` with a local allow here), and every unsafe
-//! block carries a `SAFETY:` justification checked by `cbs-lint`.
+//! surface is confined to this module (the workspace denies
+//! `unsafe_code`; one `#[expect]` lifts it here), and every unsafe
+//! block carries a `SAFETY:` justification checked by clippy's
+//! `undocumented_unsafe_blocks`.
 //!
 //! # Example
 //!
@@ -91,14 +92,14 @@ impl AsRef<[u8]> for Mmap {
     }
 }
 
-// allow (not forbid) for this module only: mapping a file and handing
+// Unsafe code for this module only: mapping a file and handing
 // out `&[u8]` is irreducibly unsafe, so the unsafe surface lives here
 // behind a safe `Map` wrapper, with a SAFETY comment per call site.
 // Miri has no mmap(2): under interpretation the buffered fallback
 // below runs instead, keeping the Miri lane (`CHECK_SANITIZERS=1` in
 // scripts/check.sh) able to drive the slice-reader end to end.
 #[cfg(all(unix, not(miri)))]
-#[allow(unsafe_code)]
+#[expect(unsafe_code, reason = "mmap(2) and the slice over its pages")]
 mod imp {
     use std::ffi::c_void;
     use std::fs::File;
@@ -114,9 +115,9 @@ mod imp {
     const MAP_PRIVATE: i32 = 2;
     const MAP_FAILED: *mut c_void = usize::MAX as *mut c_void;
 
-    // SAFETY: signatures transcribed from mmap(2)/munmap(2); the
-    // 64-bit `off_t` matches every Tier-1 Unix target (Linux with
-    // 64-bit off_t, macOS, the BSDs).
+    // Signatures transcribed from mmap(2)/munmap(2); the 64-bit
+    // `off_t` matches every Tier-1 Unix target (Linux with 64-bit
+    // off_t, macOS, the BSDs).
     unsafe extern "C" {
         fn mmap(
             addr: *mut c_void,

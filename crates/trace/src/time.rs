@@ -188,7 +188,10 @@ impl Add<TimeDelta> for Timestamp {
     fn add(self, rhs: TimeDelta) -> Timestamp {
         match self.0.checked_add(rhs.0) {
             Some(t) => Timestamp(t),
-            // cbs-lint: allow(no-panic-in-lib) -- overflow here is arithmetic corruption (584k years of trace time); wrapping silently was the bug this guard fixes
+            #[expect(
+                clippy::panic,
+                reason = "overflow here is arithmetic corruption (584k years of trace time); wrapping silently was the bug this guard fixes"
+            )]
             None => panic!("Timestamp + TimeDelta overflowed: {} + {}", self.0, rhs.0),
         }
     }
@@ -468,7 +471,10 @@ impl Add for TimeDelta {
     fn add(self, rhs: TimeDelta) -> TimeDelta {
         match self.0.checked_add(rhs.0) {
             Some(d) => TimeDelta(d),
-            // cbs-lint: allow(no-panic-in-lib) -- overflow here is arithmetic corruption (584k years of trace time); wrapping silently was the bug this guard fixes
+            #[expect(
+                clippy::panic,
+                reason = "overflow here is arithmetic corruption (584k years of trace time); wrapping silently was the bug this guard fixes"
+            )]
             None => panic!("TimeDelta + TimeDelta overflowed: {} + {}", self.0, rhs.0),
         }
     }

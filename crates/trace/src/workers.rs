@@ -138,7 +138,10 @@ impl<T: Send + 'static, R: Send + 'static> WorkerSet<T, R> {
         self.senders.clear();
         match self.handles.swap_remove(worker).join() {
             Err(payload) => std::panic::resume_unwind(payload),
-            // cbs-lint: allow(no-panic-in-lib) -- a worker returning while its channel is open contradicts the caller's contract for calling poison
+            #[expect(
+                clippy::panic,
+                reason = "a worker returning while its channel is open contradicts the caller's contract for calling poison"
+            )]
             Ok(_) => panic!("worker {worker} exited before its channel closed"),
         }
     }
@@ -313,6 +316,11 @@ mod tests {
     }
 
     #[test]
+    #[expect(
+        clippy::disallowed_methods,
+        clippy::let_underscore_must_use,
+        reason = "the test's own channels are unbounded by design, and the gate's recv errs once it drops"
+    )]
     fn send_reports_blocked_time_only_after_a_real_block() {
         // The worker holds each item until the test opens the gate, so
         // the channel's fill level is under the test's control.

@@ -11,6 +11,8 @@
 //! canonical, so the scanner refusing a row it should take (slow, not
 //! wrong) shows up as a wrong `general_path_lines`.
 
+#![allow(clippy::panic, reason = "test helpers fail the test")]
+
 use proptest::prelude::*;
 
 use cbs_trace::codec::alicloud::AliCloudReader;

@@ -1,5 +1,7 @@
 //! Property-based tests for the trace data model and codecs.
 
+#![allow(clippy::expect_used, reason = "test helpers fail the test")]
+
 use proptest::prelude::*;
 
 use cbs_trace::codec::alicloud::{self, AliCloudReader, AliCloudWriter};

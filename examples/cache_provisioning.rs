@@ -14,6 +14,8 @@
 //! cargo run --release --example cache_provisioning
 //! ```
 
+#![allow(clippy::expect_used, reason = "an example stops at the first failure")]
+
 use cbs_cache::{Arc, CachePolicy, CacheSim, Clock, Fifo, Lru};
 use cbs_core::prelude::*;
 

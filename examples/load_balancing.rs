@@ -16,6 +16,8 @@
 //! cargo run --release --example load_balancing
 //! ```
 
+#![allow(clippy::expect_used, reason = "an example stops at the first failure")]
+
 use cbs_analysis::VolumeMetrics;
 use cbs_core::prelude::*;
 

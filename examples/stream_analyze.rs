@@ -12,6 +12,8 @@
 //! cargo run --release --example stream_analyze
 //! ```
 
+#![allow(clippy::disallowed_methods, reason = "reports its own wall time")]
+
 use std::time::Instant;
 
 use cbs_analysis::findings::basic::TraceTotals;

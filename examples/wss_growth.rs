@@ -10,6 +10,8 @@
 //! cargo run --release --example wss_growth
 //! ```
 
+#![allow(clippy::expect_used, reason = "an example stops at the first failure")]
+
 use cbs_analysis::windowed::WindowedAnalysis;
 use cbs_core::prelude::*;
 

@@ -21,7 +21,21 @@ cargo build --release
 echo "==> cargo test -q"
 cargo test -q
 
-echo "==> cargo clippy --all-targets -- -D warnings"
+echo "==> every crate inherits the workspace lint table"
+# A crate without `[lints] workspace = true` gets none of the table's
+# lints, and nothing else would say so (the lint canary lives in one
+# crate only).
+missing_lints=""
+for manifest in crates/*/Cargo.toml; do
+    grep -A1 -x '\[lints\]' "${manifest}" | grep -qx 'workspace = true' \
+        || missing_lints="${missing_lints} ${manifest}"
+done
+if [ -n "${missing_lints}" ]; then
+    echo "missing [lints] workspace = true in:${missing_lints}" >&2
+    exit 1
+fi
+
+echo "==> cargo clippy --all-targets -- -D warnings (lint table + canary)"
 cargo clippy --all-targets -- -D warnings
 
 echo "==> cbs-lint --json crates tests"
@@ -53,8 +67,8 @@ echo "==> one fan-out, one router, one pacer, one analyzer path (no second copy 
 # and the replay pacer in crates/replay/src/schedule.rs; codec/parallel.rs
 # keeps its own, differently shaped, pipeline, whose one chunk loop
 # (parse_chunk) serves every dialect and container. Anything else is a copy
-# growing back. Library files only: binaries and cbs-lint's rule fixtures
-# are not product fan-outs.
+# growing back. Library files only: binaries and cbs-lint (whose canary
+# plants an unbounded channel) are not product fan-outs.
 lib_sources="$(find crates/*/src -name '*.rs' -not -path '*/bin/*' -not -path 'crates/lint/*' | sort)"
 # shellcheck disable=SC2086
 channel_files="$(grep -lE '\bsync_channel(\(|::<)' ${lib_sources} | tr '\n' ' ' || true)"
