@@ -1,20 +1,20 @@
-//! Cache-sweep performance measurement harness.
+//! Cache-sweep recorder behind `BENCH_cache.json`.
 //!
-//! Produces the numbers recorded in `EXPERIMENTS.md` and
-//! `BENCH_cache.json`: the naive per-(policy, capacity) `CacheSim`
-//! loop (one CBT decode + block expansion + simulation per pair)
-//! A/B'd against the single-pass sweep engine, exact and
-//! SHARDS-sampled, over the same policy × capacity grid and the same
-//! trace — plus the measured SHARDS approximation error per sampling
-//! rate.
+//! Records what the gating benchmark (`benchmark/`, which sweeps small
+//! corpora with one lane thread on every change) cannot: the 7 × 5
+//! policy × capacity grid over 10 M requests with peak RSS, as the
+//! naive per-(policy, capacity) `CacheSim` loop (one CBT decode +
+//! block expansion + simulation per pair) against the single-pass sweep
+//! engine, exact and SHARDS-sampled, at a chosen lane-thread count —
+//! plus the measured SHARDS approximation error per sampling rate. The
+//! naive grid is the 10 M bit-identity reference for the exact sweep.
 //!
-//! Like `ingest_perf`, the orchestrator re-execs itself so each phase
-//! runs in a fresh subprocess (isolated `VmHWM` peak RSS):
+//! Like `ingest_perf`, the orchestrator re-executes itself so each
+//! phase runs in a fresh subprocess (isolated `VmHWM` peak RSS):
 //!
 //! ```sh
 //! cargo run --release -p cbs-bench --bin cache_perf             # all phases
 //! cargo run --release -p cbs-bench --bin cache_perf naive 10    # one phase
-//! cargo run --release -p cbs-bench --bin cache_perf smoke       # CI gate
 //! ```
 //!
 //! Each phase prints a single-line JSON object; the orchestrator
@@ -34,30 +34,14 @@
 use std::io::Write as _;
 use std::time::Instant;
 
+use cbs_bench::{big_corpus, peak_rss_kb, run_phase, write_bench_file};
 use cbs_cache::{policy_by_name, CacheSim, CacheStats, SweepGrid, POLICY_NAMES};
 use cbs_obs::Registry;
-use cbs_synth::presets::{self, CorpusConfig};
 use cbs_trace::{BlockAccessColumn, BlockSize, CbtReader, CbtWriter, IoRequest};
 
 /// The benchmark grid: every policy at five capacities (16 MiB to
 /// 4 GiB of 4 KiB blocks) — a Fig. 18-style ablation surface.
 const CAPACITIES: [usize; 5] = [4_096, 16_384, 65_536, 262_144, 1_048_576];
-
-/// The same corpus family the ingest benchmarks use.
-fn big_corpus() -> cbs_synth::CorpusGenerator {
-    let config = CorpusConfig::new(128, 4, 4242).with_intensity_scale(0.05);
-    presets::alicloud_like(&config)
-}
-
-fn peak_rss_kb() -> u64 {
-    let status = std::fs::read_to_string("/proc/self/status").unwrap_or_default();
-    status
-        .lines()
-        .find_map(|l| l.strip_prefix("VmHWM:"))
-        .and_then(|rest| rest.split_whitespace().next())
-        .and_then(|kb| kb.parse().ok())
-        .unwrap_or(0)
-}
 
 /// Writes `millions`M corpus requests to a temp CBT file (untimed
 /// setup shared by the naive and sweep phases) and returns its path.
@@ -276,112 +260,6 @@ fn phase_shards(millions: u64) {
     );
 }
 
-/// Fast CI gate over a small in-process corpus: asserts every exact
-/// sweep lane is bit-identical to a fresh per-pair `CacheSim`, asserts
-/// the sweep's single pass keeps pace with the naive re-expansion loop
-/// on wall clock, and sanity-checks the sampled path.
-fn phase_smoke() {
-    const N: usize = 300_000;
-    let config = CorpusConfig::new(16, 2, 777).with_intensity_scale(0.05);
-    let requests: Vec<IoRequest> = presets::alicloud_like(&config).stream().take(N).collect();
-    assert_eq!(requests.len(), N, "smoke corpus too small");
-    let capacities = [512usize, 4_096];
-    let block_size = BlockSize::DEFAULT;
-
-    // Naive loop: re-expand the request stream once per pair.
-    let naive_start = Instant::now();
-    let mut naive = Vec::new();
-    for &name in POLICY_NAMES {
-        for &capacity in &capacities {
-            let policy = policy_by_name(name, capacity).expect("known policy");
-            let mut sim = CacheSim::new(policy, block_size);
-            sim.run(&requests);
-            naive.push((name.to_owned(), capacity, sim.stats()));
-        }
-    }
-    let naive_secs = naive_start.elapsed().as_secs_f64();
-
-    // Sweep: one traversal, one expansion, every lane.
-    let registry = Registry::new();
-    let sweep_start = Instant::now();
-    let report = SweepGrid::new()
-        .with_registry(&registry)
-        .grid(POLICY_NAMES, &capacities)
-        .expect("known policies")
-        .sweep(requests.iter().copied());
-    let sweep_secs = sweep_start.elapsed().as_secs_f64();
-
-    // Bit-identical reconciliation across every pair.
-    assert_eq!(report.lanes().len(), naive.len(), "lane count mismatch");
-    for (name, capacity, stats) in &naive {
-        let got = report
-            .stats(name, *capacity)
-            .expect("sweep lane for naive pair");
-        assert_eq!(
-            &got, stats,
-            "sweep diverges from CacheSim at {name}@{capacity}"
-        );
-    }
-    let sweep_entries: Vec<(String, usize, CacheStats)> = report
-        .lanes()
-        .iter()
-        .map(|l| (l.policy.clone(), l.capacity, l.stats))
-        .collect();
-    assert_eq!(
-        grid_json(&sweep_entries),
-        grid_json(&naive),
-        "grid JSON diverges between sweep and naive"
-    );
-    // The registry's accounting must reconcile with the report.
-    assert_eq!(registry.counter("sweep.accesses").get(), report.accesses());
-    // Physical lanes: the stack lane collapses every LRU pair into one.
-    assert_eq!(
-        registry.gauge("sweep.lanes").get(),
-        (report.lanes().len() - capacities.len() + 1) as u64
-    );
-
-    // The sweep expands once instead of once per pair, but its stack
-    // lane costs more per access than the two `Lru` runs it stands in
-    // for here, and a policy update now costs about what an expansion
-    // does: on this 7 × 2 grid the two loops are at par (the 7 × 5
-    // benchmark grid is where the sweep wins). The gate is that the
-    // engine's own overhead never puts it well behind the naive loop;
-    // the margin covers a neighbour slowing one of the two timings.
-    assert!(
-        sweep_secs <= naive_secs * 1.5,
-        "sweep ({sweep_secs:.3}s) over 1.5x the naive loop ({naive_secs:.3}s)"
-    );
-
-    // Sampled mode: bounded error against the exact curve.
-    let sampled = SweepGrid::new()
-        .with_sample_rate(0.05)
-        .expect("valid rate")
-        .lru_capacity(capacities[1])
-        .expect("non-zero")
-        .sampled_policy("fifo", capacities[1])
-        .expect("known policy")
-        .with_sampled_mrc()
-        .sweep(requests.iter().copied());
-    let frac = sampled.sampled_fraction();
-    assert!(
-        frac > 0.01 && frac < 0.25,
-        "sampled fraction {frac} far from the 0.05 rate"
-    );
-    let exact_mrc = sampled.lru_mrc().expect("stack lane ran");
-    let approx_mrc = sampled.sampled_mrc().expect("sampled mrc requested");
-    let err =
-        (exact_mrc.miss_ratio_at(capacities[1]) - approx_mrc.miss_ratio_at(capacities[1])).abs();
-    assert!(err < 0.05, "sampled MRC error {err} exceeds 0.05");
-
-    println!(
-        "smoke ok: {N} requests, {} pairs bit-identical to CacheSim, \
-         sweep {sweep_secs:.3}s vs naive {naive_secs:.3}s ({:.2}x), \
-         sampled MRC error {err:.4} at rate 0.05",
-        naive.len(),
-        naive_secs / sweep_secs
-    );
-}
-
 /// Extracts the `"grid":[...]` slice of a phase's JSON line.
 fn grid_slice(line: &str) -> &str {
     let start = line.find("\"grid\":[").expect("phase line has a grid");
@@ -419,35 +297,14 @@ fn recorded_naive_grid(requests: u64) -> Option<String> {
 /// exact-sweep grids agree bit-for-bit, and write `BENCH_cache.json`
 /// with the speedup summary.
 fn orchestrate(millions: u64, shards_millions: u64, threads: usize) {
-    let exe = std::env::current_exe().expect("current_exe");
-    let run = |args: &[String]| -> String {
-        eprintln!("→ cache_perf {}", args.join(" "));
-        let out = std::process::Command::new(&exe)
-            .args(args)
-            .arg("--threads")
-            .arg(threads.to_string())
-            .output()
-            .expect("spawn phase subprocess");
-        assert!(
-            out.status.success(),
-            "phase {:?} failed:\n{}",
-            args,
-            String::from_utf8_lossy(&out.stderr)
-        );
-        let stdout = String::from_utf8(out.stdout).expect("phase stdout utf-8");
-        let line = stdout
-            .lines()
-            .last()
-            .expect("phase printed no JSON")
-            .to_owned();
-        eprintln!("  {line}");
-        line
+    let threads = threads.to_string();
+    let run = |phase: &str, millions: u64| {
+        run_phase(&[phase, &millions.to_string(), "--threads", &threads])
     };
-
-    let naive = run(&["naive".into(), millions.to_string()]);
-    let exact = run(&["sweep-exact".into(), millions.to_string()]);
-    let sampled = run(&["sweep-sampled".into(), millions.to_string()]);
-    let shards = run(&["shards".into(), shards_millions.to_string()]);
+    let naive = run("naive", millions);
+    let exact = run("sweep-exact", millions);
+    let sampled = run("sweep-sampled", millions);
+    let shards = run("shards", shards_millions);
 
     assert_eq!(
         grid_slice(&naive),
@@ -474,16 +331,7 @@ fn orchestrate(millions: u64, shards_millions: u64, threads: usize) {
     );
     eprintln!("  {summary}");
 
-    let cores = std::thread::available_parallelism().map_or(1, |c| c.get());
-    let results = [naive, exact, sampled, shards, summary];
-    let mut f = std::fs::File::create("BENCH_cache.json").expect("create BENCH_cache.json");
-    writeln!(
-        f,
-        "{{\n  \"bench\": \"cache\",\n  \"cores\": {cores},\n  \"results\": [\n    {}\n  ]\n}}",
-        results.join(",\n    ")
-    )
-    .expect("write BENCH_cache.json");
-    eprintln!("wrote BENCH_cache.json");
+    write_bench_file("cache", &[naive, exact, sampled, shards, summary]);
 }
 
 fn main() {
@@ -513,12 +361,8 @@ fn main() {
         Some("sweep-exact") => phase_sweep(millions(1, 10), workers, false),
         Some("sweep-sampled") => phase_sweep(millions(1, 10), workers, true),
         Some("shards") => phase_shards(millions(1, 2)),
-        Some("smoke" | "--smoke") => phase_smoke(),
         Some(other) => {
-            eprintln!(
-                "unknown phase {other:?}; expected \
-                 naive|sweep-exact|sweep-sampled|shards|smoke"
-            );
+            eprintln!("unknown phase {other:?}; expected naive|sweep-exact|sweep-sampled|shards");
             std::process::exit(2);
         }
         None => orchestrate(10, 2, threads),

@@ -1,11 +1,13 @@
-//! Replay performance measurement harness.
+//! Replay recorder behind `BENCH_replay.json`.
 //!
-//! Produces the numbers recorded in `EXPERIMENTS.md` and
-//! `BENCH_replay.json`: achieved-vs-offered throughput of the
-//! open-loop replay engine at a rate multiplier over a synthetic
-//! corpus, per-request issue-lag percentiles, and re-analysis
-//! equivalence (the replayed stream fed back through `Workbench` must
-//! be metric-identical to analyzing the source directly).
+//! Records what the gating benchmark (`benchmark/`, one saturated
+//! null-backend lane on every change) cannot: achieved-vs-offered
+//! throughput of the open-loop replay engine at a rate multiplier the
+//! engine can keep up with, per-request issue-lag percentiles, the
+//! lane-count curve, the mem, file and O_DIRECT backends, and
+//! re-analysis equivalence at that scale (the replayed stream fed back
+//! through `Workbench` must be metric-identical to analyzing the source
+//! directly).
 //!
 //! Peak RSS (`VmHWM`) is a process-lifetime high-water mark, so the
 //! orchestrator re-execs itself with phase arguments and each phase
@@ -16,7 +18,6 @@
 //! cargo run --release -p cbs-bench --bin replay_perf --lanes 1,2,4,8       # custom lane curve
 //! cargo run --release -p cbs-bench --bin replay_perf replay 1000 1000 null identity
 //! cargo run --release -p cbs-bench --bin replay_perf lanes 1000 1000 null 4
-//! cargo run --release -p cbs-bench --bin replay_perf smoke                 # CI gate
 //! ```
 //!
 //! `replay <thousands> <multiplier> <backend> <remap>` replays the
@@ -32,16 +33,12 @@
 //! between issue runs (`idle_nanos`, summed over lanes): whichever is
 //! large names the side that binds — and the per-lane lag breakdown.
 //!
-//! Budgets (env-overridable): the orchestrated null-backend ×1000 row
-//! and every lane-curve row assert `achieved_offered_ratio >=
-//! REPLAY_PERF_MIN_RATIO` (default 0.95 — the acceptance criterion);
-//! on multi-core hosts the best lane count must additionally bring
-//! merged p99 issue lag under `REPLAY_PERF_MAX_BEST_P99_NANOS`
-//! (default 1 ms — single-core hosts record the curve but can't beat
-//! the decode ceiling, see EXPERIMENTS.md); the `smoke` phase
-//! asserts `REPLAY_SMOKE_MIN_RATIO` (default 0.90) on a small corpus
-//! plus re-analysis equivalence, remap conservation, and single-lane
-//! parity of the `REPLAY_SMOKE_LANES`-lane (default 2) engine.
+//! The orchestrated null-backend ×1000 row and every lane-curve row
+//! must keep `achieved_offered_ratio` at or above `MIN_RATIO`; on
+//! multi-core hosts the best lane count must also bring merged p99
+//! issue lag under `MAX_BEST_P99_NANOS` (single-core hosts record the
+//! curve but cannot beat the decode ceiling, see EXPERIMENTS.md). A
+//! recording that misses either is not written.
 
 #![allow(
     clippy::expect_used,
@@ -50,8 +47,7 @@
     reason = "a measurement binary: it aborts on a broken setup and removes scratch files best-effort"
 )]
 
-use std::io::Write as _;
-
+use cbs_bench::{peak_rss_kb, run_phase, write_bench_file};
 use cbs_core::Workbench;
 use cbs_replay::{
     DirectFileBackend, FileBackend, LaneSet, MemBackend, MultiLaneReport, NullBackend, Remap,
@@ -67,29 +63,19 @@ use cbs_trace::{IoRequest, Trace};
 /// what a single replay thread can physically issue (~3.6M rps) —
 /// the bench measures scheduler fidelity, not an unpayable debt.
 fn corpus() -> cbs_synth::CorpusGenerator {
-    let intensity = env_f64("REPLAY_CORPUS_INTENSITY", 0.03);
     let config = CorpusConfig::new(128, 0, 90210)
         .with_extra_hours(1)
-        .with_intensity_scale(intensity);
+        .with_intensity_scale(0.03);
     presets::alicloud_like(&config)
 }
 
-fn peak_rss_kb() -> u64 {
-    let status = std::fs::read_to_string("/proc/self/status").unwrap_or_default();
-    status
-        .lines()
-        .find_map(|l| l.strip_prefix("VmHWM:"))
-        .and_then(|rest| rest.split_whitespace().next())
-        .and_then(|kb| kb.parse().ok())
-        .unwrap_or(0)
-}
+/// The floor on `achieved_offered_ratio` for the ×1000 acceptance row
+/// and every lane-curve row.
+const MIN_RATIO: f64 = 0.95;
 
-fn env_f64(name: &str, default: f64) -> f64 {
-    std::env::var(name)
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
-}
+/// On ≥ 2 cores, the best lane count's merged p99 issue lag must stay
+/// under this (1 ms).
+const MAX_BEST_P99_NANOS: f64 = 1_000_000.0;
 
 /// A process-unique scratch directory for the file-backed backends.
 fn scratch_dir(tag: &str) -> std::path::PathBuf {
@@ -228,18 +214,8 @@ fn run_lane_replay<B: StorageBackend + Send + 'static>(
     multiplier: f64,
     requests: &[IoRequest],
 ) -> (MultiLaneReport, Vec<IoRequest>) {
-    // Lookahead = lanes × depth × LANE_BATCH_REQUESTS pre-decoded
-    // requests. Deeper channels keep the feeder runnable longer; on
-    // few-core hosts that steals CPU from the issue lanes during
-    // compressed bursts, so the engine default (8) measures best —
-    // REPLAY_LANE_DEPTH overrides for lookahead experiments.
-    let depth = env_f64(
-        "REPLAY_LANE_DEPTH",
-        cbs_replay::DEFAULT_LANE_CHANNEL_DEPTH as f64,
-    ) as usize;
     let mut set = LaneSet::new(lanes, make_backend)
-        .with_timing(Timing::multiplier(multiplier).expect("multiplier in range"))
-        .with_channel_depth(depth);
+        .with_timing(Timing::multiplier(multiplier).expect("multiplier in range"));
     let mut replayed = Vec::with_capacity(requests.len());
     let report = set
         .run_observed(requests.iter().copied(), |req| replayed.push(req))
@@ -340,209 +316,59 @@ fn phase_lanes(thousands: u64, multiplier: f64, backend: &str, lanes: usize) {
     );
 }
 
-/// CI gate: small corpus, strict invariants, env-overridable ratio
-/// budget. Prints a human line, not JSON.
-fn phase_smoke() {
-    const N: usize = 100_000;
-    // The corpus's first 100K requests sit in its densest burst
-    // region: at ×1000 they'd offer ~4.4M rps, above the ~3.6M rps a
-    // single issue thread can physically sustain — the gate would then
-    // measure host speed, not scheduler fidelity. ×250 offers ~1.1M
-    // rps, 3× headroom, while still exercising the compressed path
-    // (the 1M-request ×1000 acceptance row lives in the orchestrated
-    // run, whose span makes its offered rate sustainable).
-    const SMOKE_RATE: f64 = 250.0;
-    let requests = materialize(N);
-    let min_ratio = env_f64("REPLAY_SMOKE_MIN_RATIO", 0.90);
-
-    // 1. Null-backend identity replay: keeps up with the offered
-    //    schedule and re-analyzes metric-identical.
-    let (report, replayed) = run_replay(NullBackend::new(), SMOKE_RATE, Remap::Identity, &requests);
-    assert_eq!(report.requests, N as u64);
-    assert_eq!(
-        report.issue_lag.count, N as u64,
-        "one lag sample per request"
-    );
-    let ratio = report.achieved_offered_ratio();
-    assert!(
-        ratio >= min_ratio,
-        "replay fell behind: achieved/offered {ratio:.3} < floor {min_ratio} \
-         (override with REPLAY_SMOKE_MIN_RATIO)"
-    );
-    let direct = Workbench::new(Trace::from_requests(requests.clone())).analyze();
-    let re = Workbench::new(Trace::from_requests(replayed)).analyze();
-    assert_eq!(
-        direct.metrics(),
-        re.metrics(),
-        "null replay re-analyzed differently from the source"
-    );
-
-    // 2. Remap conservation through the full engine: fanout:4 then
-    //    merge:4 is the identity on metrics; counts conserved at every
-    //    step.
-    let (fan_report, fanned) =
-        run_replay(NullBackend::new(), SMOKE_RATE, Remap::FanOut(4), &requests);
-    assert_eq!(fan_report.requests, N as u64);
-    assert_eq!(
-        fan_report.bytes, report.bytes,
-        "fan-out must conserve bytes"
-    );
-    let (_, folded) = run_replay(NullBackend::new(), SMOKE_RATE, Remap::Merge(4), &fanned);
-    let re_folded = Workbench::new(Trace::from_requests(folded)).analyze();
-    assert_eq!(
-        direct.metrics(),
-        re_folded.metrics(),
-        "fanout:4 ∘ merge:4 is not the identity"
-    );
-
-    // 3. Mem backend: writes materialize pages, deterministically.
-    let run_mem = || {
-        let mut replayer = Replayer::new(MemBackend::new())
-            .with_timing(Timing::multiplier(1000.0).expect("valid rate"));
-        replayer
-            .run(requests.iter().copied().take(2000))
-            .expect("mem replay");
-        replayer.backend().page_count()
-    };
-    let pages = run_mem();
-    assert!(pages > 0, "writes never materialized a page");
-    assert_eq!(pages, run_mem(), "mem backend is non-deterministic");
-
-    // 4. Multi-lane parity: the merged lane report equals the
-    //    single-lane report on every conserved quantity, keeps up with
-    //    the same offered schedule, and re-analyzes identical.
-    let lanes: usize = std::env::var("REPLAY_SMOKE_LANES")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(2);
-    let (multi, lane_replayed) =
-        run_lane_replay(lanes, |_| NullBackend::new(), SMOKE_RATE, &requests);
-    assert_eq!(multi.lanes(), lanes);
-    assert_eq!(
-        multi.merged.requests, report.requests,
-        "lane fold lost requests"
-    );
-    assert_eq!(multi.merged.bytes, report.bytes, "lane fold lost bytes");
-    assert_eq!(multi.merged.reads, report.reads, "lane fold lost reads");
-    assert_eq!(multi.merged.writes, report.writes, "lane fold lost writes");
-    assert_eq!(
-        multi.merged.offered_nanos, report.offered_nanos,
-        "feeder must offer exactly the single-lane schedule"
-    );
-    assert_eq!(
-        multi.merged.issue_lag.count, report.issue_lag.count,
-        "one merged lag sample per request"
-    );
-    let lane_ratio = multi.merged.achieved_offered_ratio();
-    assert!(
-        lane_ratio >= min_ratio,
-        "{lanes}-lane replay fell behind: achieved/offered {lane_ratio:.3} < floor {min_ratio} \
-         (override with REPLAY_SMOKE_MIN_RATIO / REPLAY_SMOKE_LANES)"
-    );
-    let re_lanes = Workbench::new(Trace::from_requests(lane_replayed)).analyze();
-    assert_eq!(
-        direct.metrics(),
-        re_lanes.metrics(),
-        "{lanes}-lane replay re-analyzed differently from the source"
-    );
-
-    // 5. Config validation: out-of-range multipliers and zero remap
-    //    factors cannot reach the scheduler.
-    assert!(Timing::multiplier(1000.1).is_err());
-    assert!(Timing::multiplier(0.05).is_err());
-    assert!(Remap::parse("fanout:0").is_err());
-    assert!(Remap::parse("bogus").is_err());
-
-    println!(
-        "smoke ok: {N} requests, ×{SMOKE_RATE} null replay achieved/offered {ratio:.3} \
-         (floor {min_ratio}), p99 issue lag {} ns, re-analysis identical, \
-         fanout∘merge identity verified, mem backend {pages} pages deterministic, \
-         {lanes}-lane report single-lane-identical (achieved/offered {lane_ratio:.3})",
-        report.issue_lag.p99
-    );
-}
-
 /// Run each phase as a fresh subprocess (isolated `VmHWM`) and write
 /// the collected JSON lines to `BENCH_replay.json`. `lane_counts` is
 /// the `--lanes` curve (default 1,2,4,8).
 fn orchestrate(lane_counts: &[usize]) {
-    let exe = std::env::current_exe().expect("current_exe");
-    let run = |args: &[&str]| -> String {
-        eprintln!("→ replay_perf {}", args.join(" "));
-        let out = std::process::Command::new(&exe)
-            .args(args)
-            .output()
-            .expect("spawn phase subprocess");
-        assert!(
-            out.status.success(),
-            "phase {:?} failed:\n{}",
-            args,
-            String::from_utf8_lossy(&out.stderr)
-        );
-        let stdout = String::from_utf8(out.stdout).expect("phase stdout utf-8");
-        let line = stdout
-            .lines()
-            .last()
-            .expect("phase printed no JSON")
-            .to_owned();
-        eprintln!("  {line}");
-        line
-    };
-
     let cores = std::thread::available_parallelism().map_or(1, |c| c.get());
     let mut results = Vec::new();
     // The acceptance row: 1M requests, null backend, ×1000.
-    let main_row = run(&["replay", "1000", "1000", "null", "identity"]);
-    let min_ratio = env_f64("REPLAY_PERF_MIN_RATIO", 0.95);
+    let main_row = run_phase(&["replay", "1000", "1000", "null", "identity"]);
     let ratio = row_f64(&main_row, "achieved_offered_ratio");
     assert!(
-        ratio >= min_ratio,
-        "acceptance: null ×1000 achieved/offered {ratio:.3} < {min_ratio} \
-         (override with REPLAY_PERF_MIN_RATIO)"
+        ratio >= MIN_RATIO,
+        "acceptance: null ×1000 achieved/offered {ratio:.3} < {MIN_RATIO}"
     );
     results.push(main_row);
     // Remap variants at the same scale.
-    results.push(run(&["replay", "1000", "1000", "null", "fanout:4"]));
-    results.push(run(&["replay", "1000", "1000", "null", "merge:4"]));
+    results.push(run_phase(&["replay", "1000", "1000", "null", "fanout:4"]));
+    results.push(run_phase(&["replay", "1000", "1000", "null", "merge:4"]));
     // Real work per request: in-memory page store (smaller corpus so
     // the materialized pages stay modest, gentler multiplier so the
     // offered rate stays inside the page-copy bandwidth).
-    results.push(run(&["replay", "250", "50", "mem", "identity"]));
+    results.push(run_phase(&["replay", "250", "50", "mem", "identity"]));
     // A slower multiplier point for the rate sweep (smaller corpus so
     // the offered schedule still compresses to seconds).
-    results.push(run(&["replay", "100", "100", "null", "identity"]));
+    results.push(run_phase(&["replay", "100", "100", "null", "identity"]));
 
     // The lane-scaling curve at the acceptance scale: every row must
     // keep up with the offered schedule, and the best lane count must
-    // bring merged p99 issue lag under the budget (default 1 ms).
+    // bring merged p99 issue lag under the budget.
     // The p99 budget presumes lanes can actually run in parallel: the
     // corpus's compressed bursts offer ~4.6M rps sustained, above the
     // ~4M rps decode-alone ceiling of one core, so on a single-core
     // host every engine saturates and the budget is reported, not
     // asserted (the ratio floor still is).
-    let max_best_p99 = env_f64("REPLAY_PERF_MAX_BEST_P99_NANOS", 1_000_000.0);
     let mut best_p99 = f64::INFINITY;
     for &count in lane_counts {
-        let row = run(&["lanes", "1000", "1000", "null", &count.to_string()]);
+        let row = run_phase(&["lanes", "1000", "1000", "null", &count.to_string()]);
         let lane_ratio = row_f64(&row, "achieved_offered_ratio");
         assert!(
-            lane_ratio >= min_ratio,
-            "acceptance: {count}-lane ×1000 achieved/offered {lane_ratio:.3} < {min_ratio} \
-             (override with REPLAY_PERF_MIN_RATIO)"
+            lane_ratio >= MIN_RATIO,
+            "acceptance: {count}-lane ×1000 achieved/offered {lane_ratio:.3} < {MIN_RATIO}"
         );
         best_p99 = best_p99.min(row_f64(&row, "p99"));
         results.push(row);
     }
     if cores >= 2 {
         assert!(
-            best_p99 <= max_best_p99,
-            "acceptance: best lane-curve p99 issue lag {best_p99} ns > {max_best_p99} ns \
-             (override with REPLAY_PERF_MAX_BEST_P99_NANOS)"
+            best_p99 <= MAX_BEST_P99_NANOS,
+            "acceptance: best lane-curve p99 issue lag {best_p99} ns > {MAX_BEST_P99_NANOS} ns"
         );
     } else {
         eprintln!(
             "note: single-core host — lane-curve best p99 {best_p99} ns recorded, \
-             {max_best_p99} ns budget not asserted (bursts exceed one core's decode ceiling)"
+             {MAX_BEST_P99_NANOS} ns budget not asserted (bursts exceed one core's decode ceiling)"
         );
     }
 
@@ -550,17 +376,10 @@ fn orchestrate(lane_counts: &[usize]) {
     // pacing (×0.25) over a short prefix so the offered rate (~1.2K
     // rps) sits inside O_DIRECT's per-op service rate and the
     // comparison isolates backend service time, not scheduler debt.
-    results.push(run(&["replay", "3", "0.25", "file", "identity"]));
-    results.push(run(&["replay", "3", "0.25", "direct", "identity"]));
+    results.push(run_phase(&["replay", "3", "0.25", "file", "identity"]));
+    results.push(run_phase(&["replay", "3", "0.25", "direct", "identity"]));
 
-    let mut f = std::fs::File::create("BENCH_replay.json").expect("create BENCH_replay.json");
-    writeln!(
-        f,
-        "{{\n  \"bench\": \"replay\",\n  \"cores\": {cores},\n  \"results\": [\n    {}\n  ]\n}}",
-        results.join(",\n    ")
-    )
-    .expect("write BENCH_replay.json");
-    eprintln!("wrote BENCH_replay.json");
+    write_bench_file("replay", &results);
 }
 
 fn main() {
@@ -580,7 +399,6 @@ fn main() {
             let lanes: usize = args.get(4).and_then(|s| s.parse().ok()).unwrap_or(2);
             phase_lanes(thousands, multiplier, backend, lanes);
         }
-        Some("smoke") => phase_smoke(),
         Some("--lanes") => {
             let counts: Vec<usize> = args
                 .get(1)
@@ -593,7 +411,7 @@ fn main() {
             orchestrate(&counts);
         }
         Some(other) => {
-            eprintln!("unknown phase {other:?}; expected replay|lanes|smoke|--lanes");
+            eprintln!("unknown phase {other:?}; expected replay|lanes|--lanes");
             std::process::exit(2);
         }
         None => orchestrate(&[1, 2, 4, 8]),

@@ -194,29 +194,18 @@ impl<P: CachePolicy> CacheSim<P> {
         }
     }
 
-    /// Simulates every access of an already-expanded block column.
-    ///
-    /// Together with [`RequestBatch::expand_blocks_into`] this is the
-    /// shared-expansion fast path: expand a batch once, then replay the
-    /// column into any number of simulations — bit-identical to
-    /// [`run`](Self::run) over the originating requests, without paying
-    /// the `span_of` walk per policy.
-    pub fn run_column(&mut self, column: &BlockAccessColumn) {
-        for (block, op) in column.iter() {
+    /// Simulates a columnar batch, expanding it into `scratch` first
+    /// (replacing the scratch contents) — bit-identical to
+    /// [`run`](Self::run) over the same requests. Callers that simulate
+    /// several policies over one stream use the sweep engine
+    /// ([`SweepGrid`](crate::SweepGrid)), which expands each batch once
+    /// for all of them.
+    pub fn run_batch(&mut self, batch: &RequestBatch, scratch: &mut BlockAccessColumn) {
+        batch.expand_blocks_into(self.block_size, scratch);
+        for (block, op) in scratch.iter() {
             let out = self.policy.access(block);
             self.stats.record(op, out.hit);
         }
-    }
-
-    /// Simulates a columnar batch, expanding it into `scratch` first
-    /// (replacing the scratch contents).
-    ///
-    /// Callers that simulate several policies over the same batch
-    /// should expand once themselves and call
-    /// [`run_column`](Self::run_column) per policy instead.
-    pub fn run_batch(&mut self, batch: &RequestBatch, scratch: &mut BlockAccessColumn) {
-        batch.expand_blocks_into(self.block_size, scratch);
-        self.run_column(scratch);
     }
 
     /// The tallies so far.
@@ -358,11 +347,6 @@ mod tests {
         let mut by_batch = CacheSim::new(Lru::new(16), BlockSize::DEFAULT);
         by_batch.run_batch(&batch, &mut scratch);
         assert_eq!(by_batch.stats(), by_request.stats());
-        // Shared expansion: replaying the same scratch column into a
-        // fresh sim reproduces the stats again.
-        let mut by_column = CacheSim::new(Lru::new(16), BlockSize::DEFAULT);
-        by_column.run_column(&scratch);
-        assert_eq!(by_column.stats(), by_request.stats());
     }
 
     #[test]

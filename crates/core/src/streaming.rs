@@ -66,20 +66,19 @@ use cbs_trace::{IoRequest, RequestBatch, Timestamp, VolumeId};
 /// Default number of requests buffered per shard before a batch is
 /// sent to the worker.
 ///
-/// Chosen from the `streaming_tuning` bench in `cbs-bench`: on the
-/// synthetic AliCloud-like corpus, throughput is flat from 4 Ki to
-/// 32 Ki and degrades below 1 Ki (per-batch handoff overhead) — 8 Ki
-/// keeps the pipeline's buffered footprint small without measurable
-/// cost.
+/// On the synthetic AliCloud-like corpus, throughput is flat from 4 Ki
+/// to 32 Ki and degrades below 1 Ki (per-batch handoff overhead) —
+/// 8 Ki keeps the pipeline's buffered footprint small without
+/// measurable cost.
 pub const DEFAULT_BATCH_SIZE: usize = 8192;
 
 /// Default in-flight batches allowed per shard channel; combined with
 /// `batch_size` this bounds the pipeline's buffered requests at
 /// `shards × (channel_depth + 1) × batch_size`.
 ///
-/// Also picked from the `streaming_tuning` bench: depth 2–8 measures
-/// identically (the pipeline is compute-bound, not handoff-bound);
-/// 4 leaves slack for scheduling hiccups without hoarding memory.
+/// Depth 2–8 measures identically (the pipeline is compute-bound, not
+/// handoff-bound); 4 leaves slack for scheduling hiccups without
+/// hoarding memory.
 pub const DEFAULT_CHANNEL_DEPTH: usize = 4;
 
 /// Builder for a sharded streaming analysis.

@@ -12,8 +12,7 @@
 //! the atomic-ordering audit. A hand-rolled [`lexer`] (so rules never
 //! fire inside strings or comments) and item [`parser`] feed a
 //! [`rules::Rule`] engine producing structured [`diag::Diagnostic`]s
-//! with machine-readable `--json` output. `--check-bench` validates the
-//! committed `BENCH_*.json` files ([`bench_schema`]).
+//! with machine-readable `--json` output.
 //!
 //! ```text
 //! cargo run -p cbs-lint -- crates            # human output
@@ -24,7 +23,6 @@
 // No `#![forbid(unsafe_code)]` here: the canary must be able to lift
 // the workspace's `unsafe_code = "deny"` to prove that it fires.
 
-pub mod bench_schema;
 pub mod diag;
 pub mod engine;
 pub mod index;

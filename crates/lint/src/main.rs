@@ -1,6 +1,5 @@
 //! CLI for `cbs-lint`:
-//! `cbs-lint [--json] [--list-rules] [--ordering-inventory] [paths…]`
-//! or `cbs-lint --check-bench FILE…`.
+//! `cbs-lint [--json] [--list-rules] [--ordering-inventory] [paths…]`.
 //!
 //! Exit codes: 0 = clean, 1 = violations found, 2 = usage, I/O, or
 //! internal error. With no paths, lints `crates` under the current
@@ -12,7 +11,6 @@ use std::collections::BTreeMap;
 use std::path::PathBuf;
 use std::process::ExitCode;
 
-use cbs_lint::bench_schema;
 use cbs_lint::diag::{render_human, to_json_array};
 use cbs_lint::engine::lint_paths;
 use cbs_lint::rules::atomic_ordering::ordering_sites;
@@ -27,14 +25,12 @@ fn main() -> ExitCode {
     let mut json = false;
     let mut list_rules = false;
     let mut inventory = false;
-    let mut check_bench = false;
     let mut roots: Vec<PathBuf> = Vec::new();
     for arg in std::env::args().skip(1) {
         match arg.as_str() {
             "--json" => json = true,
             "--list-rules" => list_rules = true,
             "--ordering-inventory" => inventory = true,
-            "--check-bench" => check_bench = true,
             "--help" | "-h" => {
                 print_usage();
                 return ExitCode::SUCCESS;
@@ -57,9 +53,6 @@ fn main() -> ExitCode {
             );
         }
         return ExitCode::SUCCESS;
-    }
-    if check_bench {
-        return run_check_bench(&roots);
     }
     if roots.is_empty() {
         roots.push(PathBuf::from("crates"));
@@ -97,44 +90,6 @@ fn main() -> ExitCode {
     }
 }
 
-/// `--check-bench FILE…`: validate BENCH_*.json artifacts against the
-/// pinned schema. Unparseable JSON is an internal error (2); schema
-/// violations exit 1.
-fn run_check_bench(files: &[PathBuf]) -> ExitCode {
-    if files.is_empty() {
-        eprintln!("cbs-lint: --check-bench needs at least one file");
-        return ExitCode::from(EXIT_INTERNAL);
-    }
-    let mut violations = 0usize;
-    for path in files {
-        let text = match std::fs::read_to_string(path) {
-            Ok(t) => t,
-            Err(e) => {
-                eprintln!("cbs-lint: cannot read {}: {e}", path.display());
-                return ExitCode::from(EXIT_INTERNAL);
-            }
-        };
-        match bench_schema::validate(&text) {
-            Err(e) => {
-                eprintln!("cbs-lint: {}: invalid JSON: {e}", path.display());
-                return ExitCode::from(EXIT_INTERNAL);
-            }
-            Ok(errs) => {
-                for e in &errs {
-                    println!("{}: {e}", path.display());
-                }
-                violations += errs.len();
-            }
-        }
-    }
-    if violations > 0 {
-        eprintln!("cbs-lint: {violations} bench schema violation(s)");
-        ExitCode::from(EXIT_VIOLATIONS)
-    } else {
-        ExitCode::SUCCESS
-    }
-}
-
 /// `--ordering-inventory`: per-crate report of every atomic
 /// `Ordering::*` site (test code included), for audit review.
 fn print_ordering_inventory(files: &[cbs_lint::SourceFile]) {
@@ -160,13 +115,11 @@ fn print_ordering_inventory(files: &[cbs_lint::SourceFile]) {
 fn print_usage() {
     eprintln!(
         "usage: cbs-lint [--json] [--list-rules] [--ordering-inventory] [paths…]\n\
-         \x20      cbs-lint --check-bench BENCH_*.json…\n\
          \n\
          Lints .rs files under the given paths (default: crates).\n\
          --json                machine-readable diagnostics array (with stable rule IDs)\n\
          --list-rules          print the rule set (with IDs) and exit\n\
          --ordering-inventory  report every atomic Ordering::* site per crate\n\
-         --check-bench         validate BENCH_*.json files against the pinned schema\n\
          \n\
          exit codes: 0 clean, 1 violations, 2 internal/usage error"
     );

@@ -5,8 +5,8 @@
 //! stage that takes "an optional registry" receives a clone and
 //! registers its metrics by name. Names are dotted paths
 //! (`stream.shard0.requests`), exported in lexicographic order so two
-//! exports of the same state are byte-identical — the property the
-//! `ingest_perf` smoke gate checks.
+//! exports of the same state are byte-identical — the property
+//! `tests::json_export_is_deterministic_and_tagged` checks.
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;

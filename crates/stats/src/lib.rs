@@ -11,14 +11,10 @@
 //!   of elapsed-time observations in fixed memory;
 //! * [`Cdf`] — empirical cumulative distribution with figure-friendly
 //!   downsampling;
-//! * [`P2Quantile`] — O(1)-memory single-quantile streaming estimation
-//!   (Jain & Chlamtac's P² algorithm);
 //! * [`BoxplotSummary`] — Tukey five-number summaries with outlier counts
 //!   (the paper's boxplot figures);
 //! * [`TimeBins`] — fixed-width time-binned counters (per-minute peak
-//!   intensities, 10-minute activeness intervals);
-//! * [`Reservoir`] — deterministic uniform reservoir sampling for
-//!   bounded-memory exact-quantile fallbacks.
+//!   intensities, 10-minute activeness intervals).
 //!
 //! # Example
 //!
@@ -43,17 +39,13 @@
 pub mod boxplot;
 pub mod cdf;
 pub mod histogram;
-pub mod p2;
 pub mod quantile;
-pub mod reservoir;
 pub mod series;
 pub mod summary;
 
 pub use boxplot::BoxplotSummary;
 pub use cdf::Cdf;
 pub use histogram::LogHistogram;
-pub use p2::P2Quantile;
 pub use quantile::Quantiles;
-pub use reservoir::Reservoir;
 pub use series::TimeBins;
 pub use summary::Summary;

@@ -16,8 +16,7 @@
 /// `x[⌊h⌋]` and `x[⌈h⌉]`.
 ///
 /// For distributions too large to hold in memory, use
-/// [`crate::LogHistogram`] (bounded relative error) or sample with
-/// [`crate::Reservoir`] first.
+/// [`crate::LogHistogram`] (bounded relative error).
 ///
 /// # Example
 ///

@@ -2,9 +2,7 @@
 
 use proptest::prelude::*;
 
-use cbs_stats::{
-    BoxplotSummary, Cdf, LogHistogram, P2Quantile, Quantiles, Reservoir, Summary, TimeBins,
-};
+use cbs_stats::{BoxplotSummary, Cdf, LogHistogram, Quantiles, Summary, TimeBins};
 
 fn arb_samples() -> impl Strategy<Value = Vec<f64>> {
     proptest::collection::vec(-1e9f64..1e9, 1..300)
@@ -154,46 +152,5 @@ proptest! {
         prop_assert!(bins.non_empty_bins() <= events.len());
         let iter_total: u64 = bins.iter().map(|(_, c)| c).sum();
         prop_assert_eq!(iter_total, bins.total());
-    }
-
-    /// Reservoir: size and seen-count bookkeeping; samples are a subset
-    /// of the stream.
-    #[test]
-    fn reservoir_bookkeeping(
-        capacity in 1usize..64,
-        stream in proptest::collection::vec(-1e6f64..1e6, 0..500),
-        seed in 0u64..1000,
-    ) {
-        let mut r = Reservoir::new(capacity, seed);
-        for &x in &stream {
-            r.offer(x);
-        }
-        prop_assert_eq!(r.seen(), stream.len() as u64);
-        prop_assert_eq!(r.len(), stream.len().min(capacity));
-        for s in r.samples() {
-            prop_assert!(stream.contains(s));
-        }
-    }
-
-    /// P² estimates stay near the exact sample quantile on large
-    /// streams (loose bound — P² is an approximation, not an error-
-    /// bounded sketch).
-    #[test]
-    fn p2_tracks_exact_quantile(
-        samples in proptest::collection::vec(0.0f64..1e6, 200..2000),
-        q in 0.1f64..0.9,
-    ) {
-        let mut est = P2Quantile::new(q).unwrap();
-        for &x in &samples {
-            est.observe(x);
-        }
-        let exact = Quantiles::from_unsorted(samples.clone()).quantile(q).unwrap();
-        let got = est.estimate().unwrap();
-        let spread = Quantiles::from_unsorted(samples).max().unwrap().max(1.0);
-        prop_assert!(
-            (got - exact).abs() <= 0.15 * spread,
-            "q={q} exact={exact} got={got}"
-        );
-        prop_assert_eq!(est.count(), 2000.min(est.count()));
     }
 }

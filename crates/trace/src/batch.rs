@@ -198,12 +198,11 @@ impl RequestBatch {
     /// The result is exactly the concatenation of
     /// [`BlockSize::span_of`] over the records in batch order, paired
     /// with each record's op (zero-length records touch no blocks), but
-    /// computed straight off the offset/len/op columns. Consumers that
-    /// replay one batch against several cache configurations
-    /// (`CacheSim::run_batch`/`run_column`, the naive loop of
-    /// `cache_perf`, the policy benches) expand once and share the
-    /// column instead of re-walking `span_of` per configuration. The
-    /// sweep engine does not build it: it keeps each record as a span
+    /// computed straight off the offset/len/op columns. Its consumer is
+    /// the per-configuration cache simulation (`CacheSim::run_batch`,
+    /// the naive loop of `cache_perf`), which reuses one scratch column
+    /// across batches. The sweep engine does not build it: it keeps
+    /// each record as a span
     /// ([`BlockSpan::first`](crate::BlockSpan::first) and
     /// [`remaining`](crate::BlockSpan::remaining) of the same
     /// [`BlockSize::span`]) and lets its lanes walk the spans.
@@ -410,10 +409,9 @@ impl<'a> RequestBatchRef<'a> {
 ///
 /// Each entry is one `(block, op)` access, in the order
 /// [`BlockSize::span_of`] would have produced while walking the batch.
-/// Per-configuration cache simulations over the same batch
-/// (`CacheSim::run_column`) pay the request → block decomposition once
-/// and replay this column per configuration; the single-pass sweep
-/// engine works from spans and never materialises it.
+/// Per-configuration cache simulation (`CacheSim::run_batch`) walks
+/// this column; the single-pass sweep engine works from spans and
+/// never materialises it.
 ///
 /// # Example
 ///

@@ -1,11 +1,11 @@
 //! Streaming ≡ batch: the sharded one-pass pipeline must produce
 //! per-volume metrics identical to `Workbench::analyze`, whether the
-//! records arrive from a lazy synthetic corpus stream or from the
-//! parallel CSV decoder.
+//! records arrive from a lazy synthetic corpus stream, from CBT blocks
+//! (buffered or memory-mapped) or from the parallel CSV decoder.
 
 use cbs_core::prelude::*;
 use cbs_trace::codec::alicloud::AliCloudWriter;
-use cbs_trace::ParallelDecoder;
+use cbs_trace::{CbtReader, CbtSliceReader, CbtWriter, Mmap, ParallelDecoder};
 
 fn corpus() -> cbs_synth::CorpusGenerator {
     let config = CorpusConfig::new(24, 3, 11).with_intensity_scale(0.002);
@@ -27,6 +27,39 @@ fn streaming_matches_batch_on_synthetic_corpus() {
             "streaming metrics diverge from batch at {shards} shards"
         );
     }
+
+    // The same corpus re-ingested from CBT: owned blocks from the
+    // buffered reader, then borrowed blocks over a memory-mapped file.
+    let mut writer = CbtWriter::new(Vec::new());
+    for req in generator.stream() {
+        writer.write_request(&req).unwrap();
+    }
+    let cbt = writer.finish().unwrap();
+    let mut session = StreamingWorkbench::new().start();
+    let mut reader = CbtReader::new(&cbt[..]);
+    while let Some(block) = reader.read_batch().unwrap() {
+        session.observe_request_batch(&block);
+    }
+    assert_eq!(session.finish(), batch.metrics(), "CBT-fed metrics diverge");
+
+    let path = std::env::temp_dir().join(format!(
+        "cbs_streaming_equivalence_{}.cbt",
+        std::process::id()
+    ));
+    std::fs::write(&path, &cbt).unwrap();
+    let map = Mmap::open(&path).unwrap();
+    let mut session = StreamingWorkbench::new().start();
+    let mut reader = CbtSliceReader::new(&map);
+    while let Some(block) = reader.read_batch_ref().unwrap() {
+        session.observe_request_batch_ref(block);
+    }
+    drop(map);
+    std::fs::remove_file(&path).unwrap();
+    assert_eq!(
+        session.finish(),
+        batch.metrics(),
+        "mmap-fed metrics diverge"
+    );
 }
 
 #[test]
