@@ -1,7 +1,9 @@
-//! The single-pass per-volume analyzer: [`VolumeAnalyzer`] and
+//! The single-pass per-volume analyzer, [`VolumeAnalyzer`], and the
+//! by-volume driver that runs it over every volume of a trace,
 //! [`analyze_trace`].
 
 use std::ops::Range;
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 use cbs_cache::ReuseStack;
 use cbs_stats::LogHistogram;
@@ -720,23 +722,81 @@ fn top_shares(traffic: &mut [u64], f1: f64, f10: f64) -> Option<(f64, f64)> {
     Some((share(f1), share(f10)))
 }
 
-/// Analyzes every volume of a trace sequentially, returning metrics in
-/// volume-id order. Interval/day indices are anchored at the trace
-/// start.
+/// Analyzes every volume of `trace` using up to `threads` worker
+/// threads (volumes are independent, so the fan-out is embarrassingly
+/// parallel; results are returned in volume-id order regardless of
+/// scheduling). `threads = 0` runs the same loop inline on the calling
+/// thread — no thread is spawned. Interval/day indices are anchored at
+/// the trace start.
+///
+/// Workers steal volume indices from a shared atomic cursor and keep
+/// their finished `(index, metrics)` pairs thread-local; results are
+/// scattered into ordered slots only after the workers join, so no lock
+/// is taken per volume and no channel is needed.
 ///
 /// # Errors
 ///
 /// Returns [`InvalidConfig`] if `config` fails validation.
+///
+/// # Panics
+///
+/// Propagates panics from worker threads (e.g. the analyzer's
+/// debug-build ordering assertions): a panic-interrupted run never
+/// yields a partial corpus.
 pub fn analyze_trace(
     trace: &Trace,
     config: &AnalysisConfig,
+    threads: usize,
 ) -> Result<Vec<VolumeMetrics>, InvalidConfig> {
     config.validate()?;
     let epoch = trace.start().unwrap_or(Timestamp::ZERO);
-    trace
-        .volumes()
-        .map(|view| VolumeAnalyzer::analyze_volume(view, epoch, config))
-        .collect()
+    let views: Vec<_> = trace.volumes().collect();
+
+    let next = AtomicUsize::new(0);
+    let steal = || {
+        let mut local = Vec::new();
+        loop {
+            // ORDERING: the ticket counter only partitions indices —
+            // fetch_add is exact under Relaxed, and the volume data it
+            // indexes was published before the threads spawned.
+            let idx = next.fetch_add(1, Ordering::Relaxed);
+            if idx >= views.len() {
+                break;
+            }
+            // The config was validated at entry, so the per-volume run
+            // cannot be rejected.
+            if let Ok(metrics) = VolumeAnalyzer::analyze_volume(views[idx], epoch, config) {
+                local.push((idx, metrics));
+            }
+        }
+        local
+    };
+    let per_worker: Vec<Vec<(usize, VolumeMetrics)>> = if threads == 0 {
+        vec![steal()]
+    } else {
+        std::thread::scope(|scope| {
+            let handles: Vec<_> = (0..threads.min(views.len()))
+                .map(|_| scope.spawn(steal))
+                .collect();
+            handles
+                .into_iter()
+                .map(|h| match h.join() {
+                    Ok(local) => local,
+                    Err(payload) => std::panic::resume_unwind(payload),
+                })
+                .collect()
+        })
+    };
+
+    let mut slots: Vec<Option<VolumeMetrics>> = (0..views.len()).map(|_| None).collect();
+    for (idx, metrics) in per_worker.into_iter().flatten() {
+        slots[idx] = Some(metrics);
+    }
+    debug_assert!(
+        slots.iter().all(Option::is_some),
+        "a cursor slot was skipped"
+    );
+    Ok(slots.into_iter().flatten().collect())
 }
 
 #[cfg(test)]
@@ -756,7 +816,7 @@ mod tests {
 
     fn analyze(requests: Vec<IoRequest>) -> VolumeMetrics {
         let trace = Trace::from_requests(requests);
-        analyze_trace(&trace, &AnalysisConfig::default())
+        analyze_trace(&trace, &AnalysisConfig::default(), 0)
             .expect("valid config")
             .into_iter()
             .next()
@@ -906,7 +966,7 @@ mod tests {
                 Timestamp::from_days(3),
             ),
         ]);
-        let metrics = analyze_trace(&trace, &AnalysisConfig::default()).expect("valid config");
+        let metrics = analyze_trace(&trace, &AnalysisConfig::default(), 0).expect("valid config");
         assert_eq!(metrics[0].active_days, vec![0]);
         assert_eq!(metrics[1].active_days, vec![3]);
     }
@@ -975,7 +1035,7 @@ mod tests {
             IoRequest::new(VolumeId::new(5), OpKind::Read, 0, 512, Timestamp::ZERO),
             IoRequest::new(VolumeId::new(1), OpKind::Read, 0, 512, Timestamp::ZERO),
         ]);
-        let metrics = analyze_trace(&trace, &AnalysisConfig::default()).expect("valid config");
+        let metrics = analyze_trace(&trace, &AnalysisConfig::default(), 0).expect("valid config");
         assert_eq!(metrics.len(), 2);
         assert_eq!(metrics[0].id, VolumeId::new(1));
         assert_eq!(metrics[1].id, VolumeId::new(5));
@@ -984,8 +1044,72 @@ mod tests {
     #[test]
     fn empty_trace_yields_no_metrics() {
         let metrics =
-            analyze_trace(&Trace::new(), &AnalysisConfig::default()).expect("valid config");
+            analyze_trace(&Trace::new(), &AnalysisConfig::default(), 0).expect("valid config");
         assert!(metrics.is_empty());
+    }
+
+    #[test]
+    fn empty_trace() {
+        let out = analyze_trace(&Trace::new(), &AnalysisConfig::default(), 4).unwrap();
+        assert!(out.is_empty());
+    }
+
+    /// `volumes` volumes of `per_volume` requests each, at per-volume
+    /// rates so the volumes differ.
+    fn sample_trace(volumes: u32, per_volume: u64) -> Trace {
+        let mut reqs = Vec::new();
+        for v in 0..volumes {
+            for i in 0..per_volume {
+                reqs.push(IoRequest::new(
+                    VolumeId::new(v),
+                    if (i + u64::from(v)) % 3 == 0 {
+                        OpKind::Read
+                    } else {
+                        OpKind::Write
+                    },
+                    (i % 50) * 4096,
+                    4096,
+                    Timestamp::from_secs(i * (u64::from(v) + 1)),
+                ));
+            }
+        }
+        Trace::from_requests(reqs)
+    }
+
+    #[test]
+    fn parallel_matches_sequential() {
+        let trace = sample_trace(8, 200);
+        let config = AnalysisConfig::default();
+        let inline = analyze_trace(&trace, &config, 0).expect("valid config");
+        let threaded = analyze_trace(&trace, &config, 4).expect("valid config");
+        assert_eq!(inline.len(), 8);
+        assert_eq!(threaded, inline);
+    }
+
+    #[test]
+    fn more_threads_than_volumes() {
+        let trace = sample_trace(2, 10);
+        let out = analyze_trace(&trace, &AnalysisConfig::default(), 16).unwrap();
+        assert_eq!(out.len(), 2);
+    }
+
+    #[test]
+    fn zero_threads_runs_inline() {
+        let trace = sample_trace(2, 5);
+        let out = analyze_trace(&trace, &AnalysisConfig::default(), 0).unwrap();
+        assert_eq!(out.len(), 2);
+    }
+
+    #[test]
+    fn invalid_config_is_a_typed_error() {
+        let config = AnalysisConfig {
+            randomness_window: 0,
+            ..AnalysisConfig::default()
+        };
+        for threads in [0, 4] {
+            let err = analyze_trace(&Trace::new(), &config, threads).unwrap_err();
+            assert!(err.message().contains("randomness_window"));
+        }
     }
 
     #[test]
@@ -1018,7 +1142,7 @@ mod tests {
             req(OpKind::Write, u64::MAX - 512, 512, 1),
             req(OpKind::Read, base, 512, 2),
         ]);
-        let m = &analyze_trace(&trace, &config).expect("valid config")[0];
+        let m = &analyze_trace(&trace, &config, 0).expect("valid config")[0];
         assert_eq!(m.random_requests, 0);
     }
 

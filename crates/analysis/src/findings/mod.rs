@@ -109,7 +109,7 @@ pub(crate) mod testutil {
             ));
         }
         let trace = Trace::from_requests(reqs);
-        let metrics = analyze_trace(&trace, &AnalysisConfig::default()).expect("valid config");
+        let metrics = analyze_trace(&trace, &AnalysisConfig::default(), 0).expect("valid config");
         (trace, metrics)
     }
 }

@@ -15,7 +15,7 @@
 //! The result is a passive [`VolumeMetrics`] record.
 //!
 //! [`analyze_trace`] runs the analyzer over every volume of a
-//! [`cbs_trace::Trace`] (see `cbs-core` for the parallel driver) and the
+//! [`cbs_trace::Trace`], inline or on worker threads, and the
 //! [`findings`] modules turn `&[VolumeMetrics]` into the exact data
 //! series of each paper table and figure.
 //!
@@ -30,7 +30,7 @@
 //!     IoRequest::new(VolumeId::new(0), OpKind::Write, 0, 4096, Timestamp::from_secs(60)),
 //!     IoRequest::new(VolumeId::new(0), OpKind::Read, 4096, 4096, Timestamp::from_secs(90)),
 //! ]);
-//! let metrics = analyze_trace(&trace, &AnalysisConfig::default()).unwrap();
+//! let metrics = analyze_trace(&trace, &AnalysisConfig::default(), 0).unwrap();
 //! let v = &metrics[0];
 //! assert_eq!(v.writes, 2);
 //! assert_eq!(v.wss_blocks, 2);
@@ -44,9 +44,7 @@ pub mod config;
 pub mod findings;
 pub mod metrics;
 pub mod recommend;
-pub mod windowed;
 
 pub use analyzer::{analyze_trace, VolumeAnalyzer};
 pub use config::{AnalysisConfig, InvalidConfig};
 pub use metrics::VolumeMetrics;
-pub use windowed::{WindowStats, WindowedAnalysis};

@@ -12,22 +12,6 @@ use crate::config::AnalysisConfig;
 /// Fields are public (this is a result record, not an invariant-bearing
 /// type); the derived paper metrics (intensities, ratios, coverage) are
 /// provided as methods.
-///
-/// MERGEABLE: same-volume partials form a commutative monoid under
-/// [`merge`](VolumeMetrics::merge) with **partition-scoped** semantics:
-/// counters, traffic and histograms add exactly; time bounds take
-/// min/max; active interval/day sets union; peak intensity takes the
-/// max of per-partition peaks (a peak straddling a partition boundary
-/// is undercounted); WSS block counts add (exact only when partitions
-/// cover disjoint block ranges); top-share percentages combine as
-/// traffic-weighted means (exact in real arithmetic, approximately
-/// associative in floating point); miss-ratio curves merge per
-/// [`MissRatioCurve`].
-/// Cross-partition effects the per-partition analyzers never saw
-/// (boundary inter-arrivals, cross-partition reuse) are not
-/// reconstructed — the corpus drivers partition by volume precisely so
-/// that no product path needs this merge for two partials of one
-/// volume.
 #[derive(Debug, Clone, PartialEq)]
 pub struct VolumeMetrics {
     /// The volume.
@@ -234,135 +218,6 @@ impl VolumeMetrics {
             self.write_mrc
                 .miss_ratio_at(self.cache_blocks_for_fraction(fraction))
         })
-    }
-
-    /// Folds another partition's metrics **for the same volume** into
-    /// `self` (see the type docs for the per-field laws and which are
-    /// exact vs partition-scoped).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the volume ids differ or the histograms disagree on
-    /// precision (partials must come from the same
-    /// [`AnalysisConfig`]).
-    pub fn merge(&mut self, other: &VolumeMetrics) {
-        assert_eq!(self.id, other.id, "merge requires the same volume");
-
-        // Top shares combine as traffic-weighted means; weigh by each
-        // side's pre-merge traffic before the byte counters add.
-        self.top_read_shares = merge_weighted_shares(
-            self.top_read_shares,
-            self.read_bytes,
-            other.top_read_shares,
-            other.read_bytes,
-        );
-        self.top_write_shares = merge_weighted_shares(
-            self.top_write_shares,
-            self.write_bytes,
-            other.top_write_shares,
-            other.write_bytes,
-        );
-
-        // Time bounds: an empty partial (the identity) spans
-        // `[epoch, epoch]` and must not drag the bounds around.
-        if other.requests() > 0 {
-            if self.requests() == 0 {
-                self.first_ts = other.first_ts;
-                self.last_ts = other.last_ts;
-            } else {
-                self.first_ts = self.first_ts.min(other.first_ts);
-                self.last_ts = self.last_ts.max(other.last_ts);
-            }
-        }
-
-        self.reads += other.reads;
-        self.writes += other.writes;
-        self.read_bytes += other.read_bytes;
-        self.write_bytes += other.write_bytes;
-        self.updated_bytes += other.updated_bytes;
-        self.peak_interval_requests = self
-            .peak_interval_requests
-            .max(other.peak_interval_requests);
-
-        self.read_size_hist.merge(&other.read_size_hist);
-        self.write_size_hist.merge(&other.write_size_hist);
-        self.interarrival_hist.merge(&other.interarrival_hist);
-        self.raw_hist.merge(&other.raw_hist);
-        self.waw_hist.merge(&other.waw_hist);
-        self.rar_hist.merge(&other.rar_hist);
-        self.war_hist.merge(&other.war_hist);
-        self.update_interval_hist.merge(&other.update_interval_hist);
-
-        merge_sorted_unique(&mut self.active_intervals, &other.active_intervals);
-        merge_sorted_unique(
-            &mut self.read_active_intervals,
-            &other.read_active_intervals,
-        );
-        merge_sorted_unique(
-            &mut self.write_active_intervals,
-            &other.write_active_intervals,
-        );
-        merge_sorted_unique(&mut self.active_days, &other.active_days);
-
-        self.random_requests += other.random_requests;
-        self.wss_blocks += other.wss_blocks;
-        self.wss_read_blocks += other.wss_read_blocks;
-        self.wss_write_blocks += other.wss_write_blocks;
-        self.wss_update_blocks += other.wss_update_blocks;
-        self.read_bytes_to_read_mostly += other.read_bytes_to_read_mostly;
-        self.write_bytes_to_write_mostly += other.write_bytes_to_write_mostly;
-
-        self.read_mrc.merge(&other.read_mrc);
-        self.write_mrc.merge(&other.write_mrc);
-    }
-}
-
-/// Merges two sorted-unique index vectors into one (set union).
-pub(crate) fn merge_sorted_unique(mine: &mut Vec<u32>, theirs: &[u32]) {
-    if theirs.is_empty() {
-        return;
-    }
-    let mut out = Vec::with_capacity(mine.len() + theirs.len());
-    let (mut i, mut j) = (0, 0);
-    while i < mine.len() && j < theirs.len() {
-        match mine[i].cmp(&theirs[j]) {
-            std::cmp::Ordering::Less => {
-                out.push(mine[i]);
-                i += 1;
-            }
-            std::cmp::Ordering::Greater => {
-                out.push(theirs[j]);
-                j += 1;
-            }
-            std::cmp::Ordering::Equal => {
-                out.push(mine[i]);
-                i += 1;
-                j += 1;
-            }
-        }
-    }
-    out.extend_from_slice(&mine[i..]);
-    out.extend_from_slice(&theirs[j..]);
-    *mine = out;
-}
-
-/// Traffic-weighted mean of two optional top-share pairs. A `None`
-/// side carries zero traffic of that kind (shares are `None` iff the
-/// partition moved no such bytes), so it acts as the identity.
-fn merge_weighted_shares(
-    a: Option<(f64, f64)>,
-    wa: u64,
-    b: Option<(f64, f64)>,
-    wb: u64,
-) -> Option<(f64, f64)> {
-    match (a, b) {
-        (None, other) => other,
-        (some, None) => some,
-        (Some((a1, a10)), Some((b1, b10))) => {
-            let (wa, wb) = (wa as f64, wb as f64);
-            let total = wa + wb;
-            Some(((a1 * wa + b1 * wb) / total, (a10 * wa + b10 * wb) / total))
-        }
     }
 }
 

@@ -243,7 +243,7 @@ mod tests {
     fn assess_trace(reqs: Vec<IoRequest>) -> VolumeAssessment {
         let trace = Trace::from_requests(reqs);
         let config = AnalysisConfig::default();
-        let metrics = analyze_trace(&trace, &config).expect("valid config");
+        let metrics = analyze_trace(&trace, &config, 0).expect("valid config");
         assess(&metrics[0], &config, &Thresholds::default())
     }
 
@@ -374,7 +374,7 @@ mod tests {
             ),
         ]);
         let config = AnalysisConfig::default();
-        let metrics = analyze_trace(&trace, &config).expect("valid config");
+        let metrics = analyze_trace(&trace, &config, 0).expect("valid config");
         let all = assess_all(&metrics, &config);
         assert_eq!(all.len(), 2);
         assert_eq!(all[0].id, VolumeId::new(0));

@@ -103,7 +103,7 @@ proptest! {
     fn analyzer_matches_brute_force(reqs in proptest::collection::vec(arb_request(), 1..300)) {
         let trace = Trace::from_requests(reqs);
         let config = AnalysisConfig::default();
-        let metrics = analyze_trace(&trace, &config).expect("valid config");
+        let metrics = analyze_trace(&trace, &config, 0).expect("valid config");
         for m in &metrics {
             let volume_reqs = trace.volume(m.id).unwrap().requests();
             let r = reference(volume_reqs);
@@ -126,7 +126,7 @@ proptest! {
     fn analyzer_invariants(reqs in proptest::collection::vec(arb_request(), 1..300)) {
         let trace = Trace::from_requests(reqs);
         let config = AnalysisConfig::default();
-        for m in analyze_trace(&trace, &config).expect("valid config") {
+        for m in analyze_trace(&trace, &config, 0).expect("valid config") {
             prop_assert!(m.wss_update_blocks <= m.wss_write_blocks);
             prop_assert!(m.wss_read_blocks.max(m.wss_write_blocks) <= m.wss_blocks);
             prop_assert!(m.wss_read_blocks + m.wss_write_blocks >= m.wss_blocks);
@@ -206,9 +206,9 @@ proptest! {
     #[test]
     fn order_invariance(mut reqs in proptest::collection::vec(arb_request(), 1..150)) {
         let config = AnalysisConfig::default();
-        let a = analyze_trace(&Trace::from_requests(reqs.clone()), &config).expect("valid config");
+        let a = analyze_trace(&Trace::from_requests(reqs.clone()), &config, 0).expect("valid config");
         reqs.reverse();
-        let b = analyze_trace(&Trace::from_requests(reqs), &config).expect("valid config");
+        let b = analyze_trace(&Trace::from_requests(reqs), &config, 0).expect("valid config");
         prop_assert_eq!(a.len(), b.len());
         for (x, y) in a.iter().zip(&b) {
             prop_assert_eq!(x.reads, y.reads);

@@ -30,7 +30,6 @@
 
 #![forbid(unsafe_code)]
 
-pub mod parallel;
 pub mod streaming;
 pub mod wire;
 pub mod workbench;

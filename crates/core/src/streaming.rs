@@ -124,7 +124,7 @@ impl StreamingWorkbench {
     pub fn new() -> Self {
         StreamingWorkbench {
             config: AnalysisConfig::default(),
-            shards: crate::parallel::default_threads(),
+            shards: crate::workbench::default_threads(),
             batch_size: DEFAULT_BATCH_SIZE,
             channel_depth: DEFAULT_CHANNEL_DEPTH,
             epoch: None,
@@ -359,17 +359,10 @@ impl StreamingSession {
         }
     }
 
-    /// Observes every request of a decoded chunk (e.g. a
-    /// [`cbs_trace::ParallelDecoder`] sink batch).
-    pub fn observe_batch(&mut self, batch: Vec<IoRequest>) {
-        for req in batch {
-            self.observe(req);
-        }
-    }
-
     /// Observes every record of a columnar batch (e.g. straight from a
-    /// [`cbs_trace::CbtReader`] block), routing by the volume column
-    /// without materializing per-request structs.
+    /// [`cbs_trace::CbtReader`] block or a [`cbs_trace::ParallelDecoder`]
+    /// sink), routing by the volume column without materializing
+    /// per-request structs.
     pub fn observe_request_batch(&mut self, batch: &RequestBatch) {
         self.observe_request_batch_ref(batch.as_ref());
     }
@@ -702,7 +695,7 @@ mod tests {
     fn observe_batch_counts() {
         let reqs = time_ordered_requests(3, 10);
         let mut session = StreamingWorkbench::new().with_shards(2).start();
-        session.observe_batch(reqs.clone());
+        session.observe_request_batch(&RequestBatch::from(reqs.as_slice()));
         assert_eq!(session.observed(), 30);
         let metrics = session.finish();
         assert_eq!(metrics.iter().map(|m| m.requests()).sum::<u64>(), 30);

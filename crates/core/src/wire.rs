@@ -2,12 +2,13 @@
 //! `cbs-agent` process fan-out.
 //!
 //! [`crate::Workbench::analyze_with_threads`] scales the by-volume
-//! analysis across threads; these frames scale the same merge algebra across
-//! *processes*: the controller partitions a corpus by volume, each
-//! agent analyzes its share whole and streams the partial records
-//! back, and the controller folds them with the MERGEABLE `merge`
-//! laws — byte-identical to a single-process run because every volume
-//! is analyzed whole under the corpus epoch.
+//! analysis across threads; these frames scale it across *processes*:
+//! the controller partitions a corpus by volume, each agent analyzes
+//! its share whole and streams the per-volume records back, and the
+//! controller concatenates them into [`crate::Analysis::from_parts`]
+//! (sweep reports fold with [`SweepReport::merge`]) — byte-identical to
+//! a single-process run because every volume is analyzed whole under
+//! the corpus epoch.
 //!
 //! # Frame format
 //!
@@ -555,7 +556,10 @@ pub fn enc_volume_stream(e: &mut Enc, id: VolumeId, requests: &[IoRequest]) {
     }
 }
 
-/// Decodes a VOLUME payload back into `(volume, requests)`.
+/// Decodes a VOLUME payload back into `(volume, requests)`. The
+/// requests must be in non-decreasing timestamp order, the analyzer's
+/// input contract: a controller that breaks it gets an error, not a
+/// panicking agent.
 pub fn dec_volume_stream(d: &mut Dec<'_>) -> Result<(VolumeId, Vec<IoRequest>), WireError> {
     let id = VolumeId::new(d.u32()?);
     let n = d.u64()?;
@@ -564,7 +568,7 @@ pub fn dec_volume_stream(d: &mut Dec<'_>) -> Result<(VolumeId, Vec<IoRequest>), 
     if n > (d.buf.len() as u64) / 21 + 1 {
         return Err(WireError::Invalid("request count exceeds payload"));
     }
-    let mut reqs = Vec::with_capacity(n as usize);
+    let mut reqs: Vec<IoRequest> = Vec::with_capacity(n as usize);
     for _ in 0..n {
         let op = match d.u8()? {
             0 => OpKind::Read,
@@ -574,6 +578,9 @@ pub fn dec_volume_stream(d: &mut Dec<'_>) -> Result<(VolumeId, Vec<IoRequest>), 
         let offset = d.u64()?;
         let len = d.u32()?;
         let ts = Timestamp::from_micros(d.u64()?);
+        if reqs.last().is_some_and(|prev| ts < prev.ts()) {
+            return Err(WireError::Invalid("request timestamps out of order"));
+        }
         reqs.push(IoRequest::new(id, op, offset, len, ts));
     }
     Ok((id, reqs))
@@ -601,7 +608,7 @@ mod tests {
                 )
             })
             .collect();
-        analyze_trace(&Trace::from_requests(reqs), &AnalysisConfig::default())
+        analyze_trace(&Trace::from_requests(reqs), &AnalysisConfig::default(), 0)
             .expect("valid config")
     }
 
@@ -687,5 +694,26 @@ mod tests {
         let bytes = e.into_bytes();
         let mut d = Dec::new(&bytes);
         assert!(d.u64_vec().is_err());
+
+        // A VOLUME frame whose timestamps go backwards: an error, since
+        // the agent hands the requests to `VolumeView::new`, which
+        // asserts time order.
+        let req = |us| {
+            IoRequest::new(
+                VolumeId::new(3),
+                OpKind::Read,
+                0,
+                512,
+                Timestamp::from_micros(us),
+            )
+        };
+        let mut e = Enc::new();
+        enc_volume_stream(&mut e, VolumeId::new(3), &[req(20), req(20), req(10)]);
+        let bytes = e.into_bytes();
+        let mut d = Dec::new(&bytes);
+        assert!(matches!(
+            dec_volume_stream(&mut d),
+            Err(WireError::Invalid("request timestamps out of order"))
+        ));
     }
 }

@@ -15,11 +15,16 @@ use cbs_analysis::findings::{
     update_coverage::UpdateCoverage,
     update_interval::{IntervalGroupProportions, OverallUpdateIntervals, UpdateIntervalBoxplots},
 };
-use cbs_analysis::{AnalysisConfig, InvalidConfig, VolumeMetrics};
+use cbs_analysis::{analyze_trace, AnalysisConfig, InvalidConfig, VolumeMetrics};
 use cbs_cache::{SweepGrid, SweepReport};
 use cbs_trace::{Trace, VolumeId};
 
-use crate::parallel::{analyze_trace_parallel, default_threads};
+/// The default worker count of [`Workbench::analyze`] and
+/// [`crate::StreamingWorkbench::new`]: the machine's available
+/// parallelism.
+pub(crate) fn default_threads() -> usize {
+    std::thread::available_parallelism().map_or(1, |n| n.get())
+}
 
 /// A trace plus an analysis configuration — the session object of the
 /// workbench.
@@ -95,16 +100,11 @@ impl Workbench {
 /// A completed analysis: the per-volume metrics plus accessors building
 /// every table/figure data set of the paper.
 ///
-/// MERGEABLE: analyses with equal configs form a commutative monoid
-/// under [`merge`](Analysis::merge) — traces union via
-/// [`Trace::merge`], per-volume records of disjoint volumes
-/// concatenate, and same-volume records fold via
-/// [`VolumeMetrics::merge`] (partition-scoped; see that type's docs);
-/// an empty analysis is the identity. For by-volume corpus partitions
-/// every volume is analyzed whole, so the merged analysis — and every
-/// finding verdict derived from it — is bit-identical to the
-/// sequential whole-corpus run. This is the reduction the `cbs-ctl`
-/// process fan-out folds with.
+/// Every volume is analyzed whole, so records computed in separate
+/// processes under the corpus epoch combine by concatenation: the
+/// `cbs-ctl` fan-out passes its agents' records to
+/// [`from_parts`](Analysis::from_parts), and the result — every finding
+/// verdict included — equals the whole-corpus run.
 #[derive(Debug, Clone)]
 pub struct Analysis {
     trace: Trace,
@@ -116,7 +116,7 @@ impl Analysis {
     /// Runs the by-volume batch driver over `trace` — the call behind
     /// [`Workbench`], whose constructors validated `config`.
     pub(crate) fn by_volume(trace: Trace, config: AnalysisConfig, threads: usize) -> Self {
-        let metrics = match analyze_trace_parallel(&trace, &config, threads) {
+        let metrics = match analyze_trace(&trace, &config, threads) {
             Ok(metrics) => metrics,
             #[expect(
                 clippy::unreachable,
@@ -132,8 +132,8 @@ impl Analysis {
     }
 
     /// Assembles an analysis from already-computed parts — the
-    /// constructor the agent/controller fan-out uses once partial
-    /// metrics have been merged. `metrics` is re-sorted into ascending
+    /// constructor the agent/controller fan-out uses once every agent's
+    /// per-volume records are in. `metrics` is re-sorted into ascending
     /// volume-id order.
     ///
     /// # Errors
@@ -151,23 +151,6 @@ impl Analysis {
             config,
             metrics,
         })
-    }
-
-    /// Folds another partition's analysis into `self` (see the type
-    /// docs for the merge laws).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the configs differ — partials merged across
-    /// configurations would silently mix incompatible histograms.
-    pub fn merge(&mut self, other: Analysis) {
-        assert_eq!(
-            self.config, other.config,
-            "merge requires identical analysis configs"
-        );
-        let mine = std::mem::replace(&mut self.trace, Trace::new());
-        self.trace = mine.merge(other.trace);
-        merge_metrics_by_id(&mut self.metrics, other.metrics);
     }
 
     /// The per-volume metric records, ascending by volume id.
@@ -313,18 +296,6 @@ impl Analysis {
     }
 }
 
-/// Folds a list of per-volume records into a sorted-by-id list:
-/// unseen volumes insert, already-present volumes merge via
-/// [`VolumeMetrics::merge`] — the fold behind [`Analysis::merge`].
-fn merge_metrics_by_id(mine: &mut Vec<VolumeMetrics>, theirs: Vec<VolumeMetrics>) {
-    for m in theirs {
-        match mine.binary_search_by_key(&m.id, |x| x.id) {
-            Ok(i) => mine[i].merge(&m),
-            Err(i) => mine.insert(i, m),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -429,6 +400,11 @@ mod tests {
             let analysis = Workbench::new(Trace::new()).analyze_with_threads(threads);
             assert!(analysis.metrics().is_empty());
         }
+    }
+
+    #[test]
+    fn default_threads_positive() {
+        assert!(default_threads() >= 1);
     }
 
     #[test]

@@ -6,8 +6,8 @@
 //! independent of *every* channel-level degree of freedom: shard
 //! count, batch size, channel depth (and with it how often the
 //! producer blocks on backpressure), and how observations are chopped
-//! into `observe`/`observe_batch` calls. This test fixes one seeded
-//! request stream and sweeps those knobs across their nastiest
+//! into `observe`/`observe_request_batch` calls. This test fixes one
+//! seeded request stream and sweeps those knobs across their nastiest
 //! settings — depth 1 with batch size 1 maximizes producer/worker
 //! interleaving and exercises the backpressure path on nearly every
 //! send — asserting bit-identical results every time.
@@ -19,7 +19,7 @@
 
 use cbs_analysis::VolumeMetrics;
 use cbs_core::StreamingWorkbench;
-use cbs_trace::{IoRequest, OpKind, Timestamp, VolumeId};
+use cbs_trace::{IoRequest, OpKind, RequestBatch, Timestamp, VolumeId};
 
 /// A deterministic skewed request stream: timestamps globally
 /// ascending, volume choice LCG-driven with volume 0 hot (roughly a
@@ -95,8 +95,8 @@ fn call_granularity_does_not_leak_into_metrics() {
     let reqs = seeded_stream(3_000);
     let baseline = run(&reqs, 4, 32, 2);
 
-    // Same stream, chopped into uneven observe_batch calls (1, 2, 3, …
-    // requests per call) — flush points shift against batch boundaries.
+    // Same stream, chopped into uneven observe_request_batch calls (1, 2,
+    // 3, … requests per call) — flush points shift against batch boundaries.
     let mut session = StreamingWorkbench::new()
         .with_shards(4)
         .with_batch_size(32)
@@ -106,7 +106,7 @@ fn call_granularity_does_not_leak_into_metrics() {
     let mut step = 1usize;
     while !rest.is_empty() {
         let take = step.min(rest.len());
-        session.observe_batch(rest[..take].to_vec());
+        session.observe_request_batch(&RequestBatch::from(&rest[..take]));
         rest = &rest[take..];
         step = step % 97 + 1;
     }

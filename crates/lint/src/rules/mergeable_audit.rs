@@ -45,9 +45,9 @@ impl Rule for MergeableAudit {
     fn check_index(&self, index: &WorkspaceIndex<'_>, diags: &mut Vec<Diagnostic>) {
         // Repository-root `tests/` files index under the unnamed crate
         // (empty key); their identifiers form a workspace-wide pool of
-        // associativity evidence, because cross-crate merge laws (e.g.
-        // `Analysis::merge` ≡ the sequential whole) can only be pinned
-        // from outside any single crate.
+        // associativity evidence, because a merge law over types of
+        // several crates can only be pinned from outside any single
+        // crate.
         let shared: &[crate::index::TestIdents] = index
             .crates
             .get("")

@@ -11,8 +11,9 @@
 //! * **Synthetic corpora** — `CorpusGenerator::stream()` yields
 //!   time-ordered `IoRequest`s; hand it to `run` as-is.
 //! * **In-memory traces** — `Trace::iter_time_ordered()` likewise.
-//! * **CSV** — decode with `ParallelDecoder::decode_alicloud_slice`
-//!   (or `decode_msrc_slice`), sort into a `Trace`, then replay its
+//! * **CSV** — convert once to CBT with `cbs-convert` and replay the
+//!   file, or collect a sequential reader's requests into a `Trace`
+//!   (`Trace::from_records(AliCloudReader::new(..))`) and replay its
 //!   time-ordered iterator.
 //!
 //! This module adds the one adapter that needs real code:

@@ -819,30 +819,27 @@ mod tests {
         }
     }
 
+    /// `repro --seed 7 --tiny` prints `run_all` plus one newline; the
+    /// golden is that stdout, so any change to the generator, the
+    /// analyzer or the report shows up here.
+    const GOLDEN_TINY_SEED7: &str = include_str!("../golden/repro_tiny_seed7.txt");
+
     #[test]
     fn run_all_contains_every_section() {
-        let ctx = ctx();
-        let report = run_all(&ctx);
-        for needle in [
-            "Table I",
-            "Fig. 2",
-            "Fig. 3",
-            "Fig. 4",
-            "Fig. 5",
-            "Fig. 6",
-            "Fig. 7",
-            "Figs. 8-9",
-            "Fig. 10",
-            "Fig. 11",
-            "Fig. 12",
-            "Fig. 13",
-            "Fig. 14",
-            "Fig. 15",
-            "Figs. 16-17",
-            "Fig. 18",
-        ] {
-            assert!(report.contains(needle), "missing {needle}");
-        }
+        let report = format!("{}\n", run_all(&ctx()));
+        let first_diff = report
+            .lines()
+            .zip(GOLDEN_TINY_SEED7.lines())
+            .position(|(got, want)| got != want)
+            .map(|i| i + 1);
+        assert!(
+            report == GOLDEN_TINY_SEED7,
+            "run_all(tiny, seed 7) differs from crates/report/golden/repro_tiny_seed7.txt \
+             (first differing line: {first_diff:?}); if the change is intended, regenerate \
+             it with `cargo run --release -p cbs-report --bin repro -- --seed 7 --tiny \
+             > crates/report/golden/repro_tiny_seed7.txt` (--seed before --tiny: --tiny \
+             reads the seed)"
+        );
     }
 
     #[test]

@@ -5,13 +5,6 @@ use crate::Quantiles;
 /// An empirical CDF over `f64` samples, with figure-friendly plotting
 /// helpers.
 ///
-/// MERGEABLE: CDFs form a commutative monoid under [`merge`] (the
-/// underlying sorted sample sets merge; an empty CDF is the identity),
-/// so per-partition CDFs combine into the exact corpus-wide CDF in any
-/// grouping order.
-///
-/// [`merge`]: Cdf::merge
-///
 /// Backed by the exact sorted sample set ([`Quantiles`]); use
 /// [`crate::LogHistogram::cdf_points`] for distributions too large to
 /// materialize.
@@ -78,14 +71,6 @@ impl Cdf {
     /// Panics if `fraction` is outside `[0, 1]`.
     pub fn value_at(&self, fraction: f64) -> Option<f64> {
         self.quantiles.quantile(fraction)
-    }
-
-    /// Merges another CDF's samples into this one.
-    ///
-    /// The result is exactly `from_unsorted` of the concatenated
-    /// sample sets.
-    pub fn merge(&mut self, other: &Cdf) {
-        self.quantiles.merge(&other.quantiles);
     }
 
     /// The full step-function points `(value, cumulative_fraction)`:

@@ -4,7 +4,6 @@
 //! figure and table of the IISWC'20 cloud block storage study is built
 //! from:
 //!
-//! * [`Summary`] — streaming count/mean/min/max/variance (Welford);
 //! * [`Quantiles`] — exact quantiles over an owned sample set;
 //! * [`LogHistogram`] — HDR-style log-linear histogram over `u64` values
 //!   with bounded relative error, for quantiles over hundreds of millions
@@ -19,13 +18,7 @@
 //! # Example
 //!
 //! ```
-//! use cbs_stats::{Cdf, Quantiles, Summary};
-//!
-//! let mut s = Summary::new();
-//! for x in [1.0, 2.0, 3.0, 4.0] {
-//!     s.record(x);
-//! }
-//! assert_eq!(s.mean(), Some(2.5));
+//! use cbs_stats::{Cdf, Quantiles};
 //!
 //! let q = Quantiles::from_unsorted(vec![1.0, 2.0, 3.0, 4.0]);
 //! assert_eq!(q.median(), Some(2.5));
@@ -41,11 +34,9 @@ pub mod cdf;
 pub mod histogram;
 pub mod quantile;
 pub mod series;
-pub mod summary;
 
 pub use boxplot::BoxplotSummary;
 pub use cdf::Cdf;
 pub use histogram::LogHistogram;
 pub use quantile::Quantiles;
 pub use series::TimeBins;
-pub use summary::Summary;

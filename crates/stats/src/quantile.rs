@@ -2,13 +2,6 @@
 
 /// Exact empirical quantiles over an owned, sorted sample set.
 ///
-/// MERGEABLE: quantile sets form a commutative monoid under [`merge`]
-/// (a linear-time two-way merge of the sorted sample multisets; an
-/// empty set is the identity), so per-partition sample sets combine
-/// into the exact corpus-wide distribution in any grouping order.
-///
-/// [`merge`]: Quantiles::merge
-///
 /// Uses the common linear-interpolation definition (type 7 in the
 /// Hyndman–Fan taxonomy, the default of R and NumPy): for quantile
 /// `q ∈ [0, 1]` over `n` sorted samples, the rank is
@@ -130,32 +123,6 @@ impl Quantiles {
         }
         let count = self.sorted.partition_point(|&v| v <= x);
         count as f64 / self.sorted.len() as f64
-    }
-
-    /// Merges another sample set into this one, preserving sortedness.
-    ///
-    /// Runs one linear two-way merge of the sorted vectors, so merging
-    /// `k` partitions costs `O(n · k)` total comparisons, never a
-    /// re-sort. The result is exactly `from_unsorted` of the
-    /// concatenated samples.
-    pub fn merge(&mut self, other: &Quantiles) {
-        if other.sorted.is_empty() {
-            return;
-        }
-        let mut merged = Vec::with_capacity(self.sorted.len() + other.sorted.len());
-        let (mut i, mut j) = (0, 0);
-        while i < self.sorted.len() && j < other.sorted.len() {
-            if self.sorted[i] <= other.sorted[j] {
-                merged.push(self.sorted[i]);
-                i += 1;
-            } else {
-                merged.push(other.sorted[j]);
-                j += 1;
-            }
-        }
-        merged.extend_from_slice(&self.sorted[i..]);
-        merged.extend_from_slice(&other.sorted[j..]);
-        self.sorted = merged;
     }
 
     /// Evaluates the classic five groups of percentiles used throughout

@@ -2,14 +2,6 @@
 
 /// A sequence of fixed-width time bins accumulating `u64` counts.
 ///
-/// MERGEABLE: bin sets of the same width form a commutative monoid
-/// under [`merge`] (bins add element-wise, the shorter side is
-/// zero-extended; a fresh bin set is the identity), so per-partition
-/// series combine into the exact corpus-wide series in any grouping
-/// order.
-///
-/// [`merge`]: TimeBins::merge
-///
 /// This is the primitive behind the paper's intensity and activeness
 /// metrics: *peak intensity* is the maximum count over one-minute bins
 /// (Finding 1); *activeness* asks which ten-minute bins are non-zero
@@ -107,24 +99,6 @@ impl TimeBins {
             .filter(|(_, &c)| c > 0)
             .map(|(i, _)| i)
     }
-
-    /// Merges another bin set of the same width, summing counts.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the widths differ.
-    pub fn merge(&mut self, other: &TimeBins) {
-        assert_eq!(
-            self.width, other.width,
-            "cannot merge bins of different widths"
-        );
-        if other.counts.len() > self.counts.len() {
-            self.counts.resize(other.counts.len(), 0);
-        }
-        for (a, &b) in self.counts.iter_mut().zip(&other.counts) {
-            *a += b;
-        }
-    }
 }
 
 #[cfg(test)]
@@ -172,26 +146,6 @@ mod tests {
         assert_eq!(b.non_empty_bins(), 2);
         let idx: Vec<_> = b.non_empty_indices().collect();
         assert_eq!(idx, vec![0, 2]);
-    }
-
-    #[test]
-    fn merge_sums_counts() {
-        let mut a = TimeBins::new(10);
-        a.add(5, 1);
-        let mut b = TimeBins::new(10);
-        b.add(5, 2);
-        b.add(35, 4);
-        a.merge(&b);
-        assert_eq!(a.count(0), 3);
-        assert_eq!(a.count(3), 4);
-        assert_eq!(a.len(), 4);
-    }
-
-    #[test]
-    #[should_panic(expected = "different widths")]
-    fn merge_rejects_width_mismatch() {
-        let mut a = TimeBins::new(10);
-        a.merge(&TimeBins::new(20));
     }
 
     #[test]

@@ -1,34 +1,18 @@
 //! Property tests for the MERGEABLE statistics algebra.
 //!
-//! The corpus-parallel driver (ROADMAP item 1) folds per-partition
-//! statistics with `merge`, so every mergeable stats type must satisfy
-//! the monoid laws — associativity, commutativity, identity — and the
-//! homomorphism `analyze(a ++ b) == merge(analyze(a), analyze(b))`.
-//! These tests pin those laws for [`LogHistogram`], [`TimeBins`],
-//! [`Summary`], [`Quantiles`], and [`Cdf`], and are the associativity
-//! evidence `cbs-lint`'s `mergeable-audit` rule (CBS-L13) requires.
+//! The findings fold every volume's `LogHistogram`s into one corpus-wide
+//! histogram with `merge` (request sizes, adjacency times, update
+//! intervals), so that merge must satisfy the monoid laws —
+//! associativity, commutativity, identity — and equal recording the
+//! concatenated samples. This is the associativity evidence `cbs-lint`'s
+//! `mergeable-audit` rule (CBS-L13) requires.
 
 use proptest::prelude::*;
 
-use cbs_stats::{Cdf, LogHistogram, Quantiles, Summary, TimeBins};
+use cbs_stats::LogHistogram;
 
 fn arb_u64_samples() -> impl Strategy<Value = Vec<u64>> {
     proptest::collection::vec(0u64..=u64::MAX, 0..40)
-}
-
-fn arb_f64_samples() -> impl Strategy<Value = Vec<f64>> {
-    proptest::collection::vec(-1.0e12f64..1.0e12, 0..40)
-}
-
-prop_compose! {
-    /// One binned event: a timestamp and a count.
-    fn arb_bin_event()(t in 0u64..10_000, n in 0u64..1_000) -> (u64, u64) {
-        (t, n)
-    }
-}
-
-fn arb_bin_events() -> impl Strategy<Value = Vec<(u64, u64)>> {
-    proptest::collection::vec(arb_bin_event(), 0..40)
 }
 
 fn histogram(samples: &[u64]) -> LogHistogram {
@@ -37,33 +21,6 @@ fn histogram(samples: &[u64]) -> LogHistogram {
         h.record(s);
     }
     h
-}
-
-fn bins(events: &[(u64, u64)]) -> TimeBins {
-    let mut b = TimeBins::new(60);
-    for &(t, n) in events {
-        b.add(t, n);
-    }
-    b
-}
-
-fn summary(samples: &[f64]) -> Summary {
-    samples.iter().copied().collect()
-}
-
-/// Observable state of a summary for approximate equality: the moment
-/// combination is exact only up to floating-point rounding.
-fn summaries_close(a: &Summary, b: &Summary) -> bool {
-    let scale = 1.0 + a.sum().abs() + b.sum().abs();
-    a.count() == b.count()
-        && a.min() == b.min()
-        && a.max() == b.max()
-        && (a.sum() - b.sum()).abs() / scale < 1e-9
-        && match (a.mean(), b.mean()) {
-            (None, None) => true,
-            (Some(x), Some(y)) => (x - y).abs() / scale < 1e-9,
-            _ => false,
-        }
 }
 
 proptest! {
@@ -97,132 +54,5 @@ proptest! {
 
         let concat: Vec<u64> = a.iter().chain(&b).copied().collect();
         prop_assert_eq!(&ab, &histogram(&concat));
-    }
-
-    /// `TimeBins::merge` is associative, commutes, has fresh bins as
-    /// identity, and equals adding the concatenated events.
-    #[test]
-    fn time_bins_merge_is_associative(
-        a in arb_bin_events(),
-        b in arb_bin_events(),
-        c in arb_bin_events(),
-    ) {
-        let mut left = bins(&a);
-        left.merge(&bins(&b));
-        left.merge(&bins(&c));
-
-        let mut right_tail = bins(&b);
-        right_tail.merge(&bins(&c));
-        let mut right = bins(&a);
-        right.merge(&right_tail);
-        prop_assert_eq!(&left, &right);
-
-        let mut ab = bins(&a);
-        ab.merge(&bins(&b));
-        let mut ba = bins(&b);
-        ba.merge(&bins(&a));
-        prop_assert_eq!(&ab, &ba);
-
-        let mut with_identity = bins(&a);
-        with_identity.merge(&TimeBins::new(60));
-        prop_assert_eq!(&with_identity, &bins(&a));
-
-        let concat: Vec<(u64, u64)> = a.iter().chain(&b).copied().collect();
-        prop_assert_eq!(&ab, &bins(&concat));
-    }
-
-    /// `Summary::merge` is associative (up to floating-point rounding),
-    /// commutes, and has the empty summary as exact identity.
-    #[test]
-    fn summary_merge_is_associative(
-        a in arb_f64_samples(),
-        b in arb_f64_samples(),
-        c in arb_f64_samples(),
-    ) {
-        let mut left = summary(&a);
-        left.merge(&summary(&b));
-        left.merge(&summary(&c));
-
-        let mut right_tail = summary(&b);
-        right_tail.merge(&summary(&c));
-        let mut right = summary(&a);
-        right.merge(&right_tail);
-        prop_assert!(summaries_close(&left, &right));
-
-        let mut ab = summary(&a);
-        ab.merge(&summary(&b));
-        let mut ba = summary(&b);
-        ba.merge(&summary(&a));
-        prop_assert!(summaries_close(&ab, &ba));
-
-        let concat: Vec<f64> = a.iter().chain(&b).copied().collect();
-        prop_assert!(summaries_close(&ab, &summary(&concat)));
-
-        let mut with_identity = summary(&a);
-        with_identity.merge(&Summary::new());
-        prop_assert_eq!(with_identity, summary(&a));
-    }
-
-    /// `Quantiles::merge` is associative, commutes, has the empty set
-    /// as identity, and equals sorting the concatenated samples — the
-    /// strongest form: the full sorted sample vector matches.
-    #[test]
-    fn quantiles_merge_is_associative(
-        a in arb_f64_samples(),
-        b in arb_f64_samples(),
-        c in arb_f64_samples(),
-    ) {
-        let q = Quantiles::from_unsorted;
-
-        let mut left = q(a.clone());
-        left.merge(&q(b.clone()));
-        left.merge(&q(c.clone()));
-
-        let mut right_tail = q(b.clone());
-        right_tail.merge(&q(c.clone()));
-        let mut right = q(a.clone());
-        right.merge(&right_tail);
-        prop_assert_eq!(left.as_sorted(), right.as_sorted());
-
-        let mut ab = q(a.clone());
-        ab.merge(&q(b.clone()));
-        let mut ba = q(b.clone());
-        ba.merge(&q(a.clone()));
-        prop_assert_eq!(ab.as_sorted(), ba.as_sorted());
-
-        let mut with_identity = q(a.clone());
-        with_identity.merge(&Quantiles::default());
-        prop_assert_eq!(with_identity.as_sorted(), q(a.clone()).as_sorted());
-
-        let concat: Vec<f64> = a.iter().chain(&b).copied().collect();
-        prop_assert_eq!(ab.as_sorted(), q(concat).as_sorted());
-    }
-
-    /// `Cdf::merge` is associative and equals building the CDF from
-    /// the concatenated samples.
-    #[test]
-    fn cdf_merge_is_associative(
-        a in arb_f64_samples(),
-        b in arb_f64_samples(),
-        c in arb_f64_samples(),
-    ) {
-        let mut left = Cdf::from_unsorted(a.clone());
-        left.merge(&Cdf::from_unsorted(b.clone()));
-        left.merge(&Cdf::from_unsorted(c.clone()));
-
-        let mut right_tail = Cdf::from_unsorted(b.clone());
-        right_tail.merge(&Cdf::from_unsorted(c.clone()));
-        let mut right = Cdf::from_unsorted(a.clone());
-        right.merge(&right_tail);
-        prop_assert_eq!(&left, &right);
-
-        let mut ab = Cdf::from_unsorted(a.clone());
-        ab.merge(&Cdf::from_unsorted(b.clone()));
-        let concat: Vec<f64> = a.iter().chain(&b).copied().collect();
-        prop_assert_eq!(&ab, &Cdf::from_unsorted(concat));
-
-        let mut with_identity = Cdf::from_unsorted(a.clone());
-        with_identity.merge(&Cdf::default());
-        prop_assert_eq!(&with_identity, &Cdf::from_unsorted(a.clone()));
     }
 }

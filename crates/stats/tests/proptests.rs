@@ -2,7 +2,7 @@
 
 use proptest::prelude::*;
 
-use cbs_stats::{BoxplotSummary, Cdf, LogHistogram, Quantiles, Summary, TimeBins};
+use cbs_stats::{BoxplotSummary, Cdf, LogHistogram, Quantiles, TimeBins};
 
 fn arb_samples() -> impl Strategy<Value = Vec<f64>> {
     proptest::collection::vec(-1e9f64..1e9, 1..300)
@@ -72,20 +72,6 @@ proptest! {
         for &v in &b { hb.record(v); hall.record(v); }
         ha.merge(&hb);
         prop_assert_eq!(ha, hall);
-    }
-
-    /// Summary::merge equals sequential recording.
-    #[test]
-    fn summary_merge_is_concat(a in arb_samples(), b in arb_samples()) {
-        let mut sa: Summary = a.iter().copied().collect();
-        let sb: Summary = b.iter().copied().collect();
-        let whole: Summary = a.iter().chain(b.iter()).copied().collect();
-        sa.merge(&sb);
-        prop_assert_eq!(sa.count(), whole.count());
-        let scale = whole.mean().unwrap().abs().max(1.0);
-        prop_assert!((sa.mean().unwrap() - whole.mean().unwrap()).abs() / scale < 1e-9);
-        prop_assert_eq!(sa.min(), whole.min());
-        prop_assert_eq!(sa.max(), whole.max());
     }
 
     /// Exact quantiles are monotone in q and bounded by min/max.

@@ -31,9 +31,7 @@
 //! * [`generator`] — turns profiles into a time-sorted
 //!   [`cbs_trace::Trace`];
 //! * [`builder`] — [`CorpusBuilder`]: compose custom corpora from named
-//!   volume archetypes;
-//! * [`mutate`] — what-if trace transformations (time scaling, op
-//!   flipping, write amplification, sampling).
+//!   volume archetypes.
 //!
 //! # Example
 //!
@@ -54,7 +52,6 @@ pub mod builder;
 pub mod dist;
 pub mod error;
 pub mod generator;
-pub mod mutate;
 pub mod presets;
 pub mod profile;
 pub mod size;

@@ -35,7 +35,6 @@
 
 pub mod alicloud;
 pub mod cbt;
-pub mod files;
 pub mod msrc;
 pub mod parallel;
 

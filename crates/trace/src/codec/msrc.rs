@@ -80,18 +80,6 @@ impl MsrcRecord {
     pub fn response_time(&self) -> TimeDelta {
         self.response_time
     }
-
-    /// Rewrites the record's volume id — used by the parallel decoder to
-    /// translate chunk-local registry ids into global ones.
-    pub(crate) fn remap_volume(&mut self, id: VolumeId) {
-        self.request = IoRequest::new(
-            id,
-            self.request.op(),
-            self.request.offset(),
-            self.request.len(),
-            self.request.ts(),
-        );
-    }
 }
 
 /// Maps MSRC `(hostname, disk-number)` pairs to dense [`VolumeId`]s.

@@ -5,7 +5,7 @@
 //! decoded batches **in input order** through a caller-supplied sink.
 //!
 //! A worker walks its chunk once (`parse_chunk`, the one chunk loop
-//! behind all four `decode_*` entry points). At each line it first tries
+//! behind both `decode_*_batches` entry points). At each line it first tries
 //! the dialect's row scanner (`alicloud::row_at`, `msrc::row_at`), which
 //! reads a canonical row and the newline that ends it in place off the
 //! chunk and appends it straight to the record container. A line the
@@ -93,8 +93,11 @@ pub struct DecodeStats {
 ///
 /// let text = "419,W,0,4096,10\n725,R,4096,512,20\n";
 /// let decoder = ParallelDecoder::new().with_threads(2);
-/// let reqs = decoder.decode_alicloud_slice(text.as_bytes()).unwrap();
-/// assert_eq!(reqs.len(), 2);
+/// let mut reqs = Vec::new();
+/// let stats = decoder
+///     .decode_alicloud_batches(text.as_bytes(), |batch| reqs.extend(batch.iter()))
+///     .unwrap();
+/// assert_eq!(stats.records, 2);
 /// assert_eq!(reqs[0].volume().get(), 419); // input order is preserved
 /// ```
 #[derive(Debug, Clone)]
@@ -181,50 +184,16 @@ impl ParallelDecoder {
         self.threads
     }
 
-    /// Decodes AliCloud CSV from `input`, delivering batches of parsed
-    /// requests to `sink` in input order.
+    /// Decodes AliCloud CSV from `input`, delivering columnar
+    /// [`RequestBatch`]es to `sink` in input order: workers parse
+    /// straight into struct-of-arrays columns, so the batches can be
+    /// handed to the batched analysis kernels or a CBT writer without
+    /// transposing.
     ///
     /// # Errors
     ///
     /// The first parse error in input order (records on earlier lines
     /// are still delivered first), or the reader's I/O error.
-    pub fn decode_alicloud<R, F>(&self, input: R, mut sink: F) -> Result<DecodeStats, TraceError>
-    where
-        R: Read + Send,
-        F: FnMut(Vec<IoRequest>),
-    {
-        let mut ledger = Ledger::new(&self.metrics);
-        run_pipeline(
-            self.threads,
-            ReaderChunks::new(input, self.chunk_size),
-            |chunk, _seq| {
-                parse_alicloud_chunk(chunk, Vec::with_capacity(line_count(chunk)), Vec::push)
-            },
-            |out| ledger.book(out, &mut sink),
-        )?;
-        Ok(ledger.stats)
-    }
-
-    /// Convenience wrapper: decodes an in-memory AliCloud CSV buffer
-    /// into a flat `Vec` (still chunked and parsed in parallel).
-    ///
-    /// # Errors
-    ///
-    /// See [`ParallelDecoder::decode_alicloud`].
-    pub fn decode_alicloud_slice(&self, bytes: &[u8]) -> Result<Vec<IoRequest>, TraceError> {
-        let mut out = Vec::new();
-        self.decode_alicloud(bytes, |batch| out.extend(batch))?;
-        Ok(out)
-    }
-
-    /// Like [`decode_alicloud`](Self::decode_alicloud) but delivers
-    /// columnar [`RequestBatch`]es: workers parse straight into
-    /// struct-of-arrays columns, so the batches can be handed to the
-    /// batched analysis kernels or a CBT writer without transposing.
-    ///
-    /// # Errors
-    ///
-    /// See [`ParallelDecoder::decode_alicloud`].
     pub fn decode_alicloud_batches<R, F>(
         &self,
         input: R,
@@ -247,53 +216,17 @@ impl ParallelDecoder {
         Ok(ledger.stats)
     }
 
-    /// Decodes MSRC CSV from `input`, delivering batches of parsed
-    /// records to `sink` in input order. Volume ids are resolved through
-    /// `registry` in first-appearance input order, exactly as a
-    /// sequential [`super::msrc::MsrcReader`] would assign them.
+    /// Decodes MSRC CSV from `input`, delivering columnar
+    /// [`RequestBatch`]es to `sink` in input order (request fields only
+    /// — the MSRC response-time column is dropped, exactly as the CBT
+    /// trace format does). Volume ids are resolved through `registry` in
+    /// first-appearance input order, exactly as a sequential
+    /// [`super::msrc::MsrcReader`] would assign them.
     ///
     /// # Errors
     ///
     /// The first parse error in input order (records on earlier lines
     /// are still delivered first), or the reader's I/O error.
-    pub fn decode_msrc<R, F>(
-        &self,
-        input: R,
-        registry: &mut VolumeRegistry,
-        mut sink: F,
-    ) -> Result<DecodeStats, TraceError>
-    where
-        R: Read + Send,
-        F: FnMut(Vec<MsrcRecord>),
-    {
-        let mut ledger = Ledger::new(&self.metrics);
-        run_pipeline(
-            self.threads,
-            ReaderChunks::new(input, self.chunk_size),
-            |chunk, seq| {
-                let records = Vec::with_capacity(line_count(chunk));
-                parse_msrc_chunk(chunk, seq == 0, records, Vec::push)
-            },
-            |mut out| {
-                let global = resolve_names(registry, &out.names);
-                for rec in &mut out.records {
-                    rec.remap_volume(global[rec.request().volume().as_usize()]);
-                }
-                ledger.book(out, &mut sink)
-            },
-        )?;
-        Ok(ledger.stats)
-    }
-
-    /// Like [`decode_msrc`](Self::decode_msrc) but delivers columnar
-    /// [`RequestBatch`]es (request fields only — the MSRC response-time
-    /// column is dropped, exactly as the CBT trace format does).
-    /// Volume ids are resolved through `registry` in first-appearance
-    /// input order, identical to the record-level decoder.
-    ///
-    /// # Errors
-    ///
-    /// See [`ParallelDecoder::decode_msrc`].
     pub fn decode_msrc_batches<R, F>(
         &self,
         input: R,
@@ -321,22 +254,6 @@ impl ParallelDecoder {
             },
         )?;
         Ok(ledger.stats)
-    }
-
-    /// Convenience wrapper: decodes an in-memory MSRC CSV buffer into a
-    /// flat `Vec` plus the volume registry.
-    ///
-    /// # Errors
-    ///
-    /// See [`ParallelDecoder::decode_msrc`].
-    pub fn decode_msrc_slice(
-        &self,
-        bytes: &[u8],
-    ) -> Result<(Vec<MsrcRecord>, VolumeRegistry), TraceError> {
-        let mut registry = VolumeRegistry::new();
-        let mut out = Vec::new();
-        self.decode_msrc(bytes, &mut registry, |batch| out.extend(batch))?;
-        Ok((out, registry))
     }
 }
 
@@ -749,6 +666,13 @@ mod tests {
         buf
     }
 
+    /// Every request `decode_alicloud_batches` delivers, in order.
+    fn decode_ali(decoder: &ParallelDecoder, bytes: &[u8]) -> Result<Vec<IoRequest>, TraceError> {
+        let mut out = Vec::new();
+        decoder.decode_alicloud_batches(bytes, |batch| out.extend(batch.iter()))?;
+        Ok(out)
+    }
+
     #[test]
     fn matches_sequential_reader() {
         let csv = sample_csv(10_000);
@@ -759,7 +683,7 @@ mod tests {
             let decoder = ParallelDecoder::new()
                 .with_threads(threads)
                 .with_chunk_size(4096);
-            let parallel = decoder.decode_alicloud_slice(&csv).unwrap();
+            let parallel = decode_ali(&decoder, &csv).unwrap();
             assert_eq!(parallel, sequential, "threads={threads}");
         }
     }
@@ -770,7 +694,7 @@ mod tests {
         let decoder = ParallelDecoder::new().with_threads(4).with_chunk_size(4096);
         let mut collected = Vec::new();
         let stats = decoder
-            .decode_alicloud(&csv[..], |batch| collected.extend(batch))
+            .decode_alicloud_batches(&csv[..], |batch| collected.extend(batch.iter()))
             .unwrap();
         assert_eq!(stats.records, 5_000);
         assert_eq!(stats.lines, 5_000);
@@ -796,7 +720,7 @@ mod tests {
         let decoder = ParallelDecoder::new().with_threads(4).with_chunk_size(4096);
         let mut delivered = 0usize;
         let par_err = decoder
-            .decode_alicloud(&csv[..], |batch| delivered += batch.len())
+            .decode_alicloud_batches(&csv[..], |batch| delivered += batch.len())
             .unwrap_err();
         assert_eq!(par_err.line(), seq_err.line());
         assert_eq!(par_err.line(), Some(500));
@@ -808,7 +732,7 @@ mod tests {
     fn blank_lines_and_missing_trailing_newline() {
         let text = "419,W,0,4096,10\n\n  \n725,R,4096,512,20";
         let decoder = ParallelDecoder::new().with_threads(2);
-        let reqs = decoder.decode_alicloud_slice(text.as_bytes()).unwrap();
+        let reqs = decode_ali(&decoder, text.as_bytes()).unwrap();
         assert_eq!(reqs.len(), 2);
         assert_eq!(reqs[1].volume(), VolumeId::new(725));
     }
@@ -816,7 +740,7 @@ mod tests {
     #[test]
     fn empty_input() {
         let decoder = ParallelDecoder::new();
-        let stats = decoder.decode_alicloud(&b""[..], |_| {}).unwrap();
+        let stats = decoder.decode_alicloud_batches(&b""[..], |_| {}).unwrap();
         assert_eq!(stats, DecodeStats::default());
     }
 
@@ -831,7 +755,7 @@ mod tests {
         let mut big = vec![b' '; 8192];
         big.extend_from_slice(b"419,W,0,4096,10\n");
         big.extend_from_slice(&csv);
-        let reqs = decoder.decode_alicloud_slice(&big).unwrap();
+        let reqs = decode_ali(&decoder, &big).unwrap();
         assert_eq!(reqs.len(), 101);
     }
 
@@ -854,17 +778,22 @@ mod tests {
                 1000 + i
             ));
         }
-        let seq_reader = MsrcReader::new(buf.as_bytes());
-        let mut seq_records = Vec::new();
-        let mut seq_reader = seq_reader;
+        let mut seq_reader = MsrcReader::new(buf.as_bytes());
+        let mut seq_requests = Vec::new();
         for item in &mut seq_reader {
-            seq_records.push(item.unwrap());
+            seq_requests.push(item.unwrap().into_request());
         }
         let seq_registry = seq_reader.into_registry();
 
         let decoder = ParallelDecoder::new().with_threads(4).with_chunk_size(4096);
-        let (par_records, par_registry) = decoder.decode_msrc_slice(buf.as_bytes()).unwrap();
-        assert_eq!(par_records, seq_records);
+        let mut par_registry = VolumeRegistry::new();
+        let mut par_requests = Vec::new();
+        decoder
+            .decode_msrc_batches(buf.as_bytes(), &mut par_registry, |batch| {
+                par_requests.extend(batch.iter())
+            })
+            .unwrap();
+        assert_eq!(par_requests, seq_requests);
         assert_eq!(par_registry.len(), seq_registry.len());
         for (id, name) in seq_registry.iter() {
             assert_eq!(par_registry.name_of(id), Some(name));
@@ -903,10 +832,11 @@ mod tests {
                 1000 + i
             ));
         }
-        let decoder = ParallelDecoder::new().with_threads(4).with_chunk_size(4096);
-        let (records, rec_registry) = decoder.decode_msrc_slice(buf.as_bytes()).unwrap();
-        let expected: Vec<IoRequest> = records.iter().map(|r| *r.request()).collect();
+        let mut reader = MsrcReader::new(buf.as_bytes());
+        let expected: Vec<IoRequest> = (&mut reader).map(|r| r.unwrap().into_request()).collect();
+        let rec_registry = reader.into_registry();
 
+        let decoder = ParallelDecoder::new().with_threads(4).with_chunk_size(4096);
         let mut batch_registry = VolumeRegistry::new();
         let mut columnar = Vec::new();
         decoder
@@ -943,7 +873,7 @@ mod tests {
         let decoder = ParallelDecoder::new().with_threads(2).with_chunk_size(4096);
         let mut delivered = 0usize;
         let err = decoder
-            .decode_alicloud(FailAfter { data: csv, pos: 0 }, |batch| {
+            .decode_alicloud_batches(FailAfter { data: csv, pos: 0 }, |batch| {
                 delivered += batch.len()
             })
             .unwrap_err();
@@ -961,7 +891,7 @@ mod tests {
             .with_threads(4)
             .with_chunk_size(4096)
             .with_registry(&registry);
-        let stats = decoder.decode_alicloud(&csv[..], |_| {}).unwrap();
+        let stats = decoder.decode_alicloud_batches(&csv[..], |_| {}).unwrap();
         assert_eq!(registry.counter("decode.records").get(), stats.records);
         assert_eq!(registry.counter("decode.lines").get(), stats.lines);
         assert_eq!(registry.counter("decode.bytes").get(), stats.bytes);
@@ -980,7 +910,9 @@ mod tests {
             .with_threads(4)
             .with_chunk_size(4096)
             .with_registry(&registry);
-        let err = decoder.decode_alicloud(&csv[..], |_| {}).unwrap_err();
+        let err = decoder
+            .decode_alicloud_batches(&csv[..], |_| {})
+            .unwrap_err();
         assert_eq!(err.line(), Some(500));
         assert_eq!(registry.gauge("decode.malformed_line").get(), 500);
         // Only clean lines before the failure are counted.

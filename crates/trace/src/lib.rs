@@ -62,7 +62,6 @@ pub mod iter;
 pub mod mmap;
 pub mod op;
 pub mod request;
-pub mod slice;
 pub mod time;
 pub mod trace;
 pub mod volume;

@@ -1,6 +1,5 @@
 //! In-memory trace container: [`Trace`] and [`VolumeView`].
 
-use std::collections::HashMap;
 use std::ops::Range;
 
 use crate::iter::{is_sorted_by_time, MergeByTime};
@@ -8,13 +7,6 @@ use crate::{IoRequest, TimeDelta, Timestamp, VolumeId};
 
 /// An in-memory trace: requests grouped by volume, each volume's
 /// requests sorted by timestamp.
-///
-/// MERGEABLE: traces form a commutative monoid under [`merge`]
-/// (request multisets union and re-canonicalize into volume-major
-/// time order; the empty trace is the identity), so per-partition
-/// sub-traces reassemble into the corpus in any grouping order.
-///
-/// [`merge`]: Trace::merge
 ///
 /// Every analysis in the workbench is defined per volume first and
 /// aggregated per corpus second (exactly the paper's methodology), so the
@@ -156,29 +148,6 @@ impl Trace {
     /// The elapsed time between the first and last request, if non-empty.
     pub fn span(&self) -> Option<TimeDelta> {
         Some(self.end()? - self.start()?)
-    }
-
-    /// Splits the trace into per-volume request vectors.
-    pub fn into_per_volume(self) -> HashMap<VolumeId, Vec<IoRequest>> {
-        let mut out: HashMap<VolumeId, Vec<IoRequest>> = HashMap::new();
-        let requests = self.requests;
-        for (vol, range) in self.index {
-            out.insert(vol, requests[range].to_vec());
-        }
-        out
-    }
-
-    /// Merges another trace into this one.
-    ///
-    /// The result is `from_requests` of the concatenated request
-    /// multisets: canonical volume-major time order, independent of
-    /// which side a request came from (the stable sort breaks
-    /// `(volume, timestamp)` ties by concatenation order, so partition
-    /// schemes that keep each volume whole merge bit-identically).
-    pub fn merge(self, other: Trace) -> Trace {
-        let mut requests = self.requests;
-        requests.extend(other.requests);
-        Trace::from_requests(requests)
     }
 }
 
@@ -362,24 +331,6 @@ mod tests {
         assert_eq!(t.volume_count(), 3);
         let v0 = t.volume(VolumeId::new(0)).unwrap();
         assert_eq!(v0.requests()[0].ts().as_micros(), 1);
-    }
-
-    #[test]
-    fn merge_traces() {
-        let a = Trace::from_requests(vec![mk(0, 1)]);
-        let b = Trace::from_requests(vec![mk(1, 2), mk(0, 3)]);
-        let m = a.merge(b);
-        assert_eq!(m.request_count(), 3);
-        assert_eq!(m.volume_count(), 2);
-    }
-
-    #[test]
-    fn into_per_volume() {
-        let t = Trace::from_requests(vec![mk(0, 1), mk(1, 2), mk(0, 3)]);
-        let map = t.into_per_volume();
-        assert_eq!(map.len(), 2);
-        assert_eq!(map[&VolumeId::new(0)].len(), 2);
-        assert_eq!(map[&VolumeId::new(1)].len(), 1);
     }
 
     #[test]

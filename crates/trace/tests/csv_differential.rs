@@ -320,15 +320,6 @@ proptest! {
             .with_chunk_size(chunk_kib << 10);
 
         let mut records = Vec::new();
-        let run = decoder.decode_alicloud(&corpus.bytes[..], |batch| records.extend(batch));
-        if let Ok(stats) = &run {
-            check_stats(stats, &corpus, records.len());
-        }
-        let got = Decoded { records, names: Vec::new(), error: outcome(run.err()) };
-        prop_assert_eq!(&got, &want);
-
-        // The columnar entry point rides the same loop.
-        let mut records = Vec::new();
         let run = decoder
             .decode_alicloud_batches(&corpus.bytes[..], |batch| records.extend(batch.iter()));
         if let Ok(stats) = &run {
@@ -351,16 +342,6 @@ proptest! {
         let decoder = ParallelDecoder::new()
             .with_threads(threads)
             .with_chunk_size(chunk_kib << 10);
-
-        let mut registry = VolumeRegistry::new();
-        let mut records = Vec::new();
-        let run = decoder
-            .decode_msrc(&corpus.bytes[..], &mut registry, |batch| records.extend(batch));
-        if let Ok(stats) = &run {
-            check_stats(stats, &corpus, records.len());
-        }
-        let got = Decoded { records, names: names(&registry), error: outcome(run.err()) };
-        prop_assert_eq!(&got, &want);
 
         let mut registry = VolumeRegistry::new();
         let mut requests = Vec::new();

@@ -53,8 +53,8 @@ cargo clippy --all-targets -- -D warnings
 echo "==> cbs-lint --json crates tests"
 # Hard gate, exit-code aware: 1 = violations (print the human render),
 # 2 = the linter itself failed (distinct failure, never masked as
-# "violations found"). Root-level `tests/` rides along so
-# `mergeable-audit` sees the cross-crate associativity proptests.
+# "violations found"). Root-level `tests/` rides along so a cross-crate
+# associativity proptest placed there counts for `mergeable-audit`.
 lint_status=0
 lint_out="$(cargo run -q --release -p cbs-lint -- --json crates tests)" || lint_status=$?
 case "${lint_status}" in
@@ -74,12 +74,12 @@ if [ "${lint_out}" != "[]" ]; then
     exit 1
 fi
 
-echo "==> one fan-out, one router, one pacer, one analyzer path (no second copy under crates/*/src)"
+echo "==> one fan-out, one router, one pacer, one analyzer path, one by-volume driver (no second copy under crates/*/src)"
 # The death protocol and sticky routing live in crates/trace/src/workers.rs
 # and the replay pacer in crates/replay/src/schedule.rs; codec/parallel.rs
 # keeps its own, differently shaped, pipeline, whose one chunk loop
-# (parse_chunk) serves every dialect and container. Anything else is a copy
-# growing back. Library files only: binaries and cbs-lint (whose canary
+# (parse_chunk) serves both dialects' columnar batches. Anything else is a
+# copy growing back. Library files only: binaries and cbs-lint (whose canary
 # plants an unbounded channel) are not product fan-outs.
 lib_sources="$(find crates/*/src -name '*.rs' -not -path '*/bin/*' -not -path 'crates/lint/*' | sort)"
 # shellcheck disable=SC2086
@@ -96,6 +96,18 @@ for name in wait_until route_volume parse_chunk; do
         exit 1
     fi
 done
+# One by-volume driver: analyze_trace, defined once, beside the
+# per-volume entry it loops over. No other library file walks a
+# trace's volumes through analyze_volume (the agent binary runs it
+# per shipped volume).
+# shellcheck disable=SC2086
+drivers="$(cat ${lib_sources} | grep -c 'fn analyze_trace\b' || true)"
+# shellcheck disable=SC2086
+volume_callers="$(grep -l 'analyze_volume(' ${lib_sources} | tr '\n' ' ' || true)"
+if [ "${drivers}" -ne 1 ] || [ "${volume_callers}" != "crates/analysis/src/analyzer.rs " ]; then
+    echo "fn analyze_trace must be defined once and analyze_volume( appear only in crates/analysis/src/analyzer.rs; found ${drivers} definition(s), analyze_volume( in: ${volume_callers}" >&2
+    exit 1
+fi
 # The analyzer has one entry, observe_batch, and one implementation of
 # each metric: no per-request twin beside it and no runtime-dispatched
 # kernel (with its scalar twin) anywhere in library code.

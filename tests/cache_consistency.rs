@@ -15,7 +15,7 @@ fn corpus() -> Trace {
 fn mrc_predictions_match_explicit_lru_simulation() {
     let trace = corpus();
     let config = AnalysisConfig::default();
-    let metrics = analyze_trace(&trace, &config).expect("valid config");
+    let metrics = analyze_trace(&trace, &config, 0).expect("valid config");
 
     let mut volumes_checked = 0;
     for m in &metrics {
@@ -56,7 +56,7 @@ fn alternative_policies_bound_lru_sensibly() {
     // fixed and seeded.)
     let trace = corpus();
     let config = AnalysisConfig::default();
-    let metrics = analyze_trace(&trace, &config).expect("valid config");
+    let metrics = analyze_trace(&trace, &config, 0).expect("valid config");
     let m = metrics
         .iter()
         .max_by_key(|m| m.requests())

@@ -34,8 +34,8 @@ fn alicloud_codec_roundtrip_preserves_analysis() {
 
     // The analyses must be identical, not just the counts.
     let config = AnalysisConfig::default();
-    let before = analyze_trace(&trace, &config).expect("valid config");
-    let after = analyze_trace(&restored, &config).expect("valid config");
+    let before = analyze_trace(&trace, &config, 0).expect("valid config");
+    let after = analyze_trace(&restored, &config, 0).expect("valid config");
     assert_eq!(before.len(), after.len());
     for (b, a) in before.iter().zip(&after) {
         assert_eq!(b.id, a.id);

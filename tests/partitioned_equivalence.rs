@@ -3,9 +3,9 @@
 //! the inline (`threads = 0`) run bit-for-bit at any worker count —
 //! every per-volume record *and* every finding verdict — and a worker
 //! panic must poison the whole run instead of yielding a partial
-//! corpus (parity with `StreamingSession`). Also pins the
-//! [`Analysis::merge`] monoid laws the `cbs-ctl` fold relies on
-//! (associativity evidence for `cbs-lint`'s CBS-L13 `mergeable-audit`).
+//! corpus (parity with `StreamingSession`). Also pins the `cbs-ctl`
+//! fold as it runs: agents' whole-volume records, concatenated, build
+//! the same analysis as the whole-corpus run.
 
 use proptest::prelude::*;
 
@@ -92,72 +92,32 @@ proptest! {
         prop_assert_eq!(verdicts(&inline), verdicts(&sequential));
     }
 
-    /// `Analysis::merge` is associative and commutative on disjoint
-    /// volume partitions, with an empty analysis as identity — the law
-    /// the `cbs-ctl` cross-process fold depends on.
+    /// What `cbs-ctl` does: deal the volumes round-robin over `k`
+    /// agents, analyze each volume whole under the corpus epoch (the
+    /// JOB frame ships it, so interval indices align), concatenate the
+    /// records in agent order and build with `Analysis::from_parts`.
+    /// Metrics and every verdict equal the whole-corpus run.
     #[test]
-    fn analysis_merge_is_associative(
-        reqs in proptest::collection::vec(arb_request(), 3..300),
+    fn ctl_fold_matches_whole_corpus(
+        reqs in proptest::collection::vec(arb_request(), 1..300),
     ) {
         let trace = trace_from(reqs);
-        // Partition the corpus by volume id residue into three
-        // disjoint sub-corpora.
-        let part = |r: u32| {
-            trace_from(
-                trace
-                    .requests()
-                    .iter()
-                    .filter(|q| q.volume().get() % 3 == r)
-                    .copied()
-                    .collect(),
-            )
-        };
-        let analyze = |t: &Trace| Workbench::new(t.clone()).analyze_with_threads(1);
-        let (a, b, c) = (analyze(&part(0)), analyze(&part(1)), analyze(&part(2)));
-
-        let mut left = a.clone();
-        left.merge(b.clone());
-        left.merge(c.clone());
-        let mut right_tail = b.clone();
-        right_tail.merge(c.clone());
-        let mut right = a.clone();
-        right.merge(right_tail);
-        prop_assert_eq!(left.metrics(), right.metrics());
-        prop_assert_eq!(verdicts(&left), verdicts(&right));
-
-        let mut ab = a.clone();
-        ab.merge(b.clone());
-        let mut ba = b.clone();
-        ba.merge(a.clone());
-        prop_assert_eq!(ab.metrics(), ba.metrics());
-
-        let mut with_identity = a.clone();
-        with_identity.merge(analyze(&Trace::new()));
-        prop_assert_eq!(with_identity.metrics(), a.metrics());
-
-        // The three-way fold equals the whole-corpus analysis when the
-        // partials share the corpus epoch — the `cbs-ctl` contract
-        // (the JOB frame ships the epoch so per-agent interval indices
-        // align). Build each partition the way an agent does.
-        let whole = analyze(&trace);
+        let whole = Workbench::new(trace.clone()).analyze_with_threads(0);
         let epoch = trace.start().unwrap_or(Timestamp::ZERO);
         let config = AnalysisConfig::default();
-        let partial = |r: u32| {
-            let sub = part(r);
-            let metrics: Vec<VolumeMetrics> = sub
-                .volumes()
-                .map(|view| {
-                    cbs_analysis::VolumeAnalyzer::analyze_volume(view, epoch, &config)
-                        .expect("valid config")
-                })
-                .collect();
-            cbs_core::Analysis::from_parts(sub, config.clone(), metrics).expect("valid config")
-        };
-        let mut folded = partial(0);
-        folded.merge(partial(1));
-        folded.merge(partial(2));
-        prop_assert_eq!(folded.metrics(), whole.metrics());
-        prop_assert_eq!(verdicts(&folded), verdicts(&whole));
+        for agents in 1..=3usize {
+            let mut shares: Vec<Vec<VolumeMetrics>> = vec![Vec::new(); agents];
+            for (i, view) in trace.volumes().enumerate() {
+                let metrics = cbs_analysis::VolumeAnalyzer::analyze_volume(view, epoch, &config)
+                    .expect("valid config");
+                shares[i % agents].push(metrics);
+            }
+            let records: Vec<VolumeMetrics> = shares.into_iter().flatten().collect();
+            let folded = cbs_core::Analysis::from_parts(trace.clone(), config.clone(), records)
+                .expect("valid config");
+            prop_assert_eq!(folded.metrics(), whole.metrics(), "agents={}", agents);
+            prop_assert_eq!(verdicts(&folded), verdicts(&whole), "agents={}", agents);
+        }
     }
 }
 

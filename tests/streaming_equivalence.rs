@@ -88,7 +88,7 @@ fn streaming_matches_batch_through_parallel_decoder() {
         .with_threads(4)
         .with_chunk_size(64 * 1024);
     let stats = decoder
-        .decode_alicloud(&csv[..], |records| session.observe_batch(records))
+        .decode_alicloud_batches(&csv[..], |batch| session.observe_request_batch(&batch))
         .unwrap();
     let streaming = session.finish();
 
