@@ -64,5 +64,5 @@ pub use policy::{policy_by_name, AccessResult, CachePolicy, POLICY_NAMES};
 pub use reuse::{BlockStack, ReuseDistances, ReuseStack, ShardsSampler};
 pub use sim::{CacheSim, CacheStats};
 pub use slru::Slru;
-pub use sweep::{CacheSweep, LaneReport, SweepError, SweepGrid, SweepReport, SweepReportParts};
+pub use sweep::{CacheSweep, LaneReport, SweepError, SweepGrid, SweepReport};
 pub use twoq::TwoQ;

@@ -8,16 +8,6 @@
 /// `miss(c) = (cold + #{d ≥ c}) / total` — monotonically non-increasing
 /// in `c`.
 ///
-/// MERGEABLE: curves form a commutative monoid under [`merge`]
-/// (cumulative hit counts add element-wise with the shorter curve
-/// extended flat, totals add; an empty curve is the identity). Merging
-/// the curves of two reuse-distance histograms equals building one
-/// curve from the summed histograms, so per-partition MRCs combine
-/// exactly — per volume, since reuse distances are only meaningful
-/// within one request stream.
-///
-/// [`merge`]: MissRatioCurve::merge
-///
 /// # Example
 ///
 /// ```
@@ -60,65 +50,9 @@ impl MissRatioCurve {
         }
     }
 
-    /// Rebuilds a curve from [`Self::cumulative_hits`] and
-    /// [`Self::total_accesses`] — the wire-codec inverse.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the parts violate the curve invariants: the vector
-    /// must start at 0, be non-decreasing, and never exceed `total`.
-    pub fn from_parts(hits_below: Vec<u64>, total: u64) -> Self {
-        assert!(
-            hits_below.first().map_or(true, |&h| h == 0),
-            "hits_below[0] must be 0"
-        );
-        assert!(
-            hits_below.windows(2).all(|w| w[0] <= w[1]),
-            "hits_below must be non-decreasing"
-        );
-        assert!(
-            hits_below.last().map_or(true, |&h| h <= total),
-            "hits cannot exceed total accesses"
-        );
-        let hits_below = if hits_below.is_empty() {
-            vec![0]
-        } else {
-            hits_below
-        };
-        MissRatioCurve { hits_below, total }
-    }
-
-    /// The cumulative hit counts: entry `c` is the number of accesses
-    /// hitting an LRU cache of capacity `c`. Flat past the end.
-    pub fn cumulative_hits(&self) -> &[u64] {
-        &self.hits_below
-    }
-
     /// Total accesses behind the curve.
     pub fn total_accesses(&self) -> u64 {
         self.total
-    }
-
-    /// Folds another curve into this one: cumulative hit counts add
-    /// element-wise (each curve is flat past its last entry, so the
-    /// shorter side extends by its final value) and totals add.
-    ///
-    /// Equals building one curve from the summed reuse-distance
-    /// histograms, which is exact when both curves describe the same
-    /// block population — the partition-by-volume case.
-    pub fn merge(&mut self, other: &MissRatioCurve) {
-        let self_last = self.hits_below.last().copied().unwrap_or(0);
-        let other_last = other.hits_below.last().copied().unwrap_or(0);
-        if other.hits_below.len() > self.hits_below.len() {
-            self.hits_below.resize(other.hits_below.len(), self_last);
-        }
-        for (a, &b) in self.hits_below.iter_mut().zip(&other.hits_below) {
-            *a += b;
-        }
-        for a in self.hits_below.iter_mut().skip(other.hits_below.len()) {
-            *a += other_last;
-        }
-        self.total += other.total;
     }
 
     /// The miss ratio of an LRU cache with capacity `capacity` blocks.

@@ -7,16 +7,9 @@ use crate::policy::CachePolicy;
 
 /// Hit/miss tallies of a simulation, split by operation kind.
 ///
-/// MERGEABLE: tallies form a commutative monoid under [`merge`] (all
-/// four counts add; zeroed stats are the identity), so per-partition
-/// simulations of disjoint request streams combine into corpus-wide
-/// tallies in any grouping order.
-///
 /// The paper's Fig. 18 reports *miss ratios* for reads and writes
 /// separately while simulating one unified cache — this struct carries
 /// exactly those numbers.
-///
-/// [`merge`]: CacheStats::merge
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CacheStats {
     read_accesses: u64,
@@ -105,14 +98,6 @@ impl CacheStats {
     pub fn overall_miss_ratio(&self) -> Option<f64> {
         let total = self.total_accesses();
         (total > 0).then(|| 1.0 - (self.read_hits + self.write_hits) as f64 / total as f64)
-    }
-
-    /// Merges another tally into this one.
-    pub fn merge(&mut self, other: &CacheStats) {
-        self.read_accesses += other.read_accesses;
-        self.read_hits += other.read_hits;
-        self.write_accesses += other.write_accesses;
-        self.write_hits += other.write_hits;
     }
 
     /// Publishes this tally into `registry` as gauges named
@@ -254,19 +239,6 @@ mod tests {
         assert_eq!(s.write_miss_ratio(), None);
         assert_eq!(s.overall_miss_ratio(), None);
         assert_eq!(s.total_accesses(), 0);
-    }
-
-    #[test]
-    fn merge_adds_tallies() {
-        let mut a = CacheStats::new();
-        a.record(OpKind::Read, true);
-        let mut b = CacheStats::new();
-        b.record(OpKind::Write, false);
-        b.record(OpKind::Read, false);
-        a.merge(&b);
-        assert_eq!(a.total_accesses(), 3);
-        assert_eq!(a.read_hits(), 1);
-        assert_eq!(a.write_hits(), 0);
     }
 
     #[test]

@@ -990,16 +990,6 @@ impl CacheSweep {
     }
 }
 
-/// Folds an optional miss-ratio curve into another: present curves
-/// merge, an absent side contributes nothing.
-fn merge_opt_mrc(mine: &mut Option<MissRatioCurve>, theirs: &Option<MissRatioCurve>) {
-    match (mine.as_mut(), theirs) {
-        (Some(a), Some(b)) => a.merge(b),
-        (None, Some(b)) => *mine = Some(b.clone()),
-        _ => {}
-    }
-}
-
 /// One `(policy, capacity)` result of a sweep.
 #[derive(Debug, Clone, PartialEq)]
 pub struct LaneReport {
@@ -1024,17 +1014,6 @@ pub struct LaneReport {
 }
 
 /// Everything a finished sweep produced — see [`CacheSweep::finish`].
-///
-/// MERGEABLE: reports over the same grid form a commutative monoid
-/// under [`merge`] — lanes pair up by `(policy, capacity, sampled)`
-/// and their tallies/timings add, miss-ratio curves merge, stream
-/// totals add; a report of the same grid over an empty stream is the
-/// identity. Exact when the partials cover disjoint block populations
-/// (partition-by-volume: the corpus-wide verdict is defined as the
-/// union of per-volume cache simulations, matching the paper's
-/// per-volume caches).
-///
-/// [`merge`]: SweepReport::merge
 #[derive(Debug, Clone)]
 pub struct SweepReport {
     lanes: Vec<LaneReport>,
@@ -1047,109 +1026,7 @@ pub struct SweepReport {
     rate: f64,
 }
 
-/// The pieces of a [`SweepReport`], for rebuilding one from a wire
-/// transfer — see [`SweepReport::from_parts`] /
-/// [`SweepReport::into_parts`].
-#[derive(Debug, Clone)]
-pub struct SweepReportParts {
-    /// Per-lane results, in grid insertion order.
-    pub lanes: Vec<LaneReport>,
-    /// Exact LRU miss-ratio curve, if the grid had LRU capacities.
-    pub lru_mrc: Option<MissRatioCurve>,
-    /// SHARDS-sampled miss-ratio curve, if requested.
-    pub sampled_mrc: Option<MissRatioCurve>,
-    /// Requests fed through the sweep.
-    pub requests: u64,
-    /// Block accesses after expansion.
-    pub accesses: u64,
-    /// Accesses passing the SHARDS spatial filter.
-    pub sampled_accesses: u64,
-    /// Nanoseconds in the shared expansion pass.
-    pub expand_nanos: u64,
-    /// The sampling rate the sweep ran with.
-    pub sample_rate: f64,
-}
-
 impl SweepReport {
-    /// Rebuilds a report from its parts (the wire-codec inverse of
-    /// [`into_parts`](Self::into_parts)).
-    pub fn from_parts(parts: SweepReportParts) -> Self {
-        SweepReport {
-            lanes: parts.lanes,
-            lru_mrc: parts.lru_mrc,
-            sampled_mrc: parts.sampled_mrc,
-            requests: parts.requests,
-            accesses: parts.accesses,
-            sampled_accesses: parts.sampled_accesses,
-            expand_nanos: parts.expand_nanos,
-            rate: parts.sample_rate,
-        }
-    }
-
-    /// Decomposes the report into its parts for serialization.
-    pub fn into_parts(self) -> SweepReportParts {
-        SweepReportParts {
-            lanes: self.lanes,
-            lru_mrc: self.lru_mrc,
-            sampled_mrc: self.sampled_mrc,
-            requests: self.requests,
-            accesses: self.accesses,
-            sampled_accesses: self.sampled_accesses,
-            expand_nanos: self.expand_nanos,
-            sample_rate: self.rate,
-        }
-    }
-
-    /// Folds another report over the **same grid** into this one.
-    ///
-    /// Lanes pair up by `(policy, capacity, sampled)` in order; each
-    /// pair's [`CacheStats`] merge and its timings/accesses add.
-    /// Miss-ratio curves merge curve-wise, request/access totals add,
-    /// and the maximum expansion time is kept (partitions expand
-    /// concurrently, so the corpus-wide expansion wall-clock is the
-    /// slowest partition, not the sum).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the two reports come from different grids (different
-    /// lane sets, MRC presence, or sampling rates) — merging those
-    /// would silently conflate incomparable simulations.
-    pub fn merge(&mut self, other: &SweepReport) {
-        assert_eq!(
-            self.lanes.len(),
-            other.lanes.len(),
-            "cannot merge sweep reports of different grids"
-        );
-        assert!(
-            self.rate == other.rate || self.rate == 0.0 || other.rate == 0.0,
-            "cannot merge sweep reports of different sampling rates"
-        );
-        for (mine, theirs) in self.lanes.iter_mut().zip(&other.lanes) {
-            assert!(
-                mine.policy == theirs.policy
-                    && mine.capacity == theirs.capacity
-                    && mine.sampled == theirs.sampled,
-                "cannot merge sweep reports of different grids: lane \
-                 {}@{} vs {}@{}",
-                mine.policy,
-                mine.capacity,
-                theirs.policy,
-                theirs.capacity
-            );
-            mine.stats.merge(&theirs.stats);
-            mine.nanos += theirs.nanos;
-            mine.accesses += theirs.accesses;
-        }
-        merge_opt_mrc(&mut self.lru_mrc, &other.lru_mrc);
-        merge_opt_mrc(&mut self.sampled_mrc, &other.sampled_mrc);
-        self.requests += other.requests;
-        self.accesses += other.accesses;
-        self.sampled_accesses += other.sampled_accesses;
-        self.expand_nanos = self.expand_nanos.max(other.expand_nanos);
-        if self.rate == 0.0 {
-            self.rate = other.rate;
-        }
-    }
     /// Every lane's result, in grid insertion order (LRU capacities
     /// first, then boxed lanes).
     pub fn lanes(&self) -> &[LaneReport] {

@@ -31,7 +31,6 @@
 #![forbid(unsafe_code)]
 
 pub mod streaming;
-pub mod wire;
 pub mod workbench;
 
 pub use cbs_cache::{

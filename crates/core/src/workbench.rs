@@ -100,11 +100,10 @@ impl Workbench {
 /// A completed analysis: the per-volume metrics plus accessors building
 /// every table/figure data set of the paper.
 ///
-/// Every volume is analyzed whole, so records computed in separate
-/// processes under the corpus epoch combine by concatenation: the
-/// `cbs-ctl` fan-out passes its agents' records to
-/// [`from_parts`](Analysis::from_parts), and the result — every finding
-/// verdict included — equals the whole-corpus run.
+/// Every volume is analyzed whole, so records computed separately
+/// under the corpus epoch combine by concatenation: passing them to
+/// [`from_parts`](Analysis::from_parts) gives the whole-corpus run,
+/// every finding verdict included.
 #[derive(Debug, Clone)]
 pub struct Analysis {
     trace: Trace,
@@ -131,10 +130,9 @@ impl Analysis {
         }
     }
 
-    /// Assembles an analysis from already-computed parts — the
-    /// constructor the agent/controller fan-out uses once every agent's
-    /// per-volume records are in. `metrics` is re-sorted into ascending
-    /// volume-id order.
+    /// Assembles an analysis from already-computed per-volume records,
+    /// each analyzed whole under the corpus epoch. `metrics` is
+    /// re-sorted into ascending volume-id order.
     ///
     /// # Errors
     ///

@@ -1,10 +1,10 @@
 //! `mergeable-audit`: types tagged `MERGEABLE` must expose `merge`
 //! plus an associativity test.
 //!
-//! ROADMAP item 1 (agent/controller fan-out) rests on one algebraic
-//! fact: partial analysis states merge lawfully, so
-//! `analyze(a ++ b) == merge(analyze(a), analyze(b))`. This rule
-//! enforces the contract from day one. Tagging is by doc comment —
+//! The findings fold combines per-volume partial states with `merge`,
+//! and is exact only if merging is lawful:
+//! `summarize(a ++ b) == merge(summarize(a), summarize(b))`. This rule
+//! keeps that contract checked. Tagging is by doc comment —
 //! write `MERGEABLE` in a struct's or enum's docs (upper-case, so
 //! prose mentions don't trigger) and the index-level audit requires:
 //!
@@ -18,8 +18,8 @@
 //!
 //! The audit also runs in reverse: a library type that defines a
 //! `merge` method without carrying the tag is flagged — every merge
-//! in the workspace must declare (and prove) its laws, so the
-//! controller fold can trust any `merge` it composes. Types with
+//! in the workspace must declare (and prove) its laws, so a fold can
+//! trust any `merge` it composes. Types with
 //! neither the tag nor a `merge` method are unconstrained.
 
 use crate::diag::Diagnostic;

@@ -14,19 +14,12 @@ use std::sync::Arc;
 
 /// A monotonically increasing event count.
 ///
-/// MERGEABLE: counters form a commutative monoid under [`merge`]
-/// (totals add; a fresh counter is the identity), so per-worker
-/// counters can be combined into one fleet-wide total in any grouping
-/// order — the algebra ROADMAP item 1's fan-out rests on.
-///
 /// ```
 /// let c = cbs_obs::Counter::new();
 /// c.inc();
 /// c.add(41);
 /// assert_eq!(c.get(), 42);
 /// ```
-///
-/// [`merge`]: Counter::merge
 #[derive(Debug, Clone, Default)]
 pub struct Counter {
     value: Arc<AtomicU64>,
@@ -58,16 +51,6 @@ impl Counter {
     pub fn get(&self) -> u64 {
         self.value.load(Ordering::Relaxed)
     }
-
-    /// Folds `other`'s total into this counter (wrapping, like `add`).
-    ///
-    /// Merging is associative and commutative, and a fresh counter is
-    /// the identity: `merge(merge(a, b), c)` equals
-    /// `merge(a, merge(b, c))` for any grouping of partial counts.
-    /// `other` is read, not drained — merge each partial exactly once.
-    pub fn merge(&self, other: &Counter) {
-        self.add(other.get());
-    }
 }
 
 /// A settable level: current value plus helpers for tracking extremes.
@@ -75,20 +58,6 @@ impl Counter {
 /// Unlike a [`Counter`], a gauge can go down (`dec`, `set`). The
 /// in-flight-batches depth of a shard channel and its high-water mark
 /// are the motivating uses.
-///
-/// MERGEABLE: gauges form a commutative monoid under [`merge`], which
-/// takes the **maximum** of the two levels (a zero gauge is the
-/// identity). Last-write-wins would be wrong across partitions — when
-/// per-worker registries are folded, the merge order is arbitrary, so
-/// the only lawful combination for a level is an order-independent
-/// one. Max is exact for high-water marks (`stream.shard*.inflight_hwm`
-/// and friends: the corpus-wide HWM is the max of per-partition HWMs)
-/// and is the documented convention for every gauge in
-/// [`METRIC_NAMES`](crate::METRIC_NAMES); instantaneous levels
-/// (`stream.shards`, `sweep.lanes`) report the largest partition,
-/// which for homogeneous workers equals every partition.
-///
-/// [`merge`]: Gauge::merge
 #[derive(Debug, Clone, Default)]
 pub struct Gauge {
     value: Arc<AtomicU64>,
@@ -134,17 +103,6 @@ impl Gauge {
     pub fn get(&self) -> u64 {
         self.value.load(Ordering::Relaxed)
     }
-
-    /// Folds `other` into this gauge by taking the maximum level.
-    ///
-    /// Max — not last-write-wins — is the lawful cross-partition
-    /// combination: it is associative and commutative with the zero
-    /// gauge as identity, and for high-water-mark gauges it is exact
-    /// (the fleet-wide HWM is the max of per-partition HWMs). `other`
-    /// is read, not drained — merge each partial exactly once.
-    pub fn merge(&self, other: &Gauge) {
-        self.record_max(other.get());
-    }
 }
 
 /// Log-linear sub-bucket resolution: each power-of-two octave splits
@@ -189,11 +147,6 @@ impl Default for HistogramInner {
 /// A fixed-bucket histogram of `u64` samples (latencies in nanoseconds,
 /// request sizes in bytes, batch lengths, …).
 ///
-/// MERGEABLE: histograms with the same (fixed) bucket layout form a
-/// commutative monoid under [`merge`] — buckets, counts and sums add,
-/// extremes take min/max — so per-shard histograms combine into one
-/// distribution in any grouping order.
-///
 /// Buckets are **log-linear**: each power-of-two octave splits into 8
 /// equal-width sub-buckets (values below 16 get one exact bucket
 /// each), so recording is still branch-free (`leading_zeros` plus a
@@ -201,9 +154,7 @@ impl Default for HistogramInner {
 /// Quantiles are approximate: the reported value is the upper bound of
 /// the sub-bucket containing the quantile, clamped to the observed
 /// maximum — within 12.5% (one eighth) of the true sample, vs. the 2×
-/// band of a pure power-of-two layout. Because bucket boundaries never
-/// move, merging loses no precision beyond what recording already
-/// lost.
+/// band of a pure power-of-two layout.
 ///
 /// ```
 /// let h = cbs_obs::Histogram::new();
@@ -216,8 +167,6 @@ impl Default for HistogramInner {
 /// assert_eq!(snap.min, 1);
 /// assert_eq!(snap.max, 100);
 /// ```
-///
-/// [`merge`]: Histogram::merge
 #[derive(Debug, Clone, Default)]
 pub struct Histogram {
     inner: Arc<HistogramInner>,
@@ -307,29 +256,6 @@ impl Histogram {
             }
         }
         Some(self.inner.max.load(Ordering::Relaxed))
-    }
-
-    /// Folds `other`'s samples into this histogram: buckets, count and
-    /// sum add (wrapping), min/max take the extremes.
-    ///
-    /// Merging is associative and commutative with the empty histogram
-    /// as identity, so per-shard histograms reduce in any grouping
-    /// order. `other` is read, not drained — merge each partial exactly
-    /// once. Like `snapshot`, merging concurrent with writers may fold
-    /// in a partially recorded sample.
-    pub fn merge(&self, other: &Histogram) {
-        let (a, b) = (&self.inner, &other.inner);
-        for (mine, theirs) in a.buckets.iter().zip(&b.buckets) {
-            mine.fetch_add(theirs.load(Ordering::Relaxed), Ordering::Relaxed);
-        }
-        a.count
-            .fetch_add(b.count.load(Ordering::Relaxed), Ordering::Relaxed);
-        a.sum
-            .fetch_add(b.sum.load(Ordering::Relaxed), Ordering::Relaxed);
-        a.min
-            .fetch_min(b.min.load(Ordering::Relaxed), Ordering::Relaxed);
-        a.max
-            .fetch_max(b.max.load(Ordering::Relaxed), Ordering::Relaxed);
     }
 
     /// Folds a single writer's [`LocalHistogram`] in: one add per

@@ -15,24 +15,6 @@
 //! `format!("stream.shard{s}.requests")` matches
 //! `stream.shard*.requests`.
 //!
-//! # Cross-partition merge semantics
-//!
-//! When per-worker registries are folded ([`Registry::merge`]), each
-//! kind combines with its merge law: counter totals and
-//! histogram/span buckets **add**; gauges take the **max** (see
-//! [`Gauge::merge`]). Max is the registered convention for every
-//! gauge in this table: it is exact for high-water marks —
-//! `stream.shard*.inflight_hwm` fleet-wide is the max of the
-//! per-partition HWMs — and for configuration levels
-//! (`stream.shards`, `sweep.lanes`, `sweep.sampled_ppm`,
-//! `decode.malformed_line`) it reports the largest partition, which
-//! is the whole answer when workers are configured identically.
-//! Last-write-wins would depend on merge order and is therefore
-//! never used.
-//!
-//! [`Registry::merge`]: crate::Registry::merge
-//! [`Gauge::merge`]: crate::Gauge::merge
-//!
 //! The table is meaningful only for whole-workspace scans: a scoped
 //! `cbs-lint crates/obs` run sees the registry but not the emission
 //! sites in other crates, and will report entries as stale. Run the

@@ -106,15 +106,6 @@ impl MetricSample {
 
 /// A named-metric registry with deterministic export. See the
 /// [module docs](self).
-///
-/// MERGEABLE: registries merge name-wise under [`merge`] — each metric
-/// folds into the same-named metric of the same kind using its own
-/// merge law (counters add, gauges take the max, histograms and spans
-/// add buckets; an empty registry is the identity) — so per-worker
-/// registries combine into one fleet-wide registry in any grouping
-/// order.
-///
-/// [`merge`]: Registry::merge
 #[derive(Debug, Clone, Default)]
 pub struct Registry {
     metrics: Arc<Mutex<BTreeMap<String, Metric>>>,
@@ -243,41 +234,6 @@ impl Registry {
         }
         out.push('}');
         out
-    }
-
-    /// Folds every metric of `other` into this registry by name.
-    ///
-    /// Metrics absent here are created; present ones combine with
-    /// their kind's merge law (counter totals add, gauge levels take
-    /// the max, histogram/span buckets add). A name registered here
-    /// with a *different* kind keeps its kind and ignores the other
-    /// side — the same never-panic collision rule as
-    /// [`counter`](Registry::counter). `other` is read, not drained —
-    /// merge each partial exactly once; merging a registry with itself
-    /// (or a clone sharing the same store) is a no-op rather than a
-    /// double-count.
-    pub fn merge(&self, other: &Registry) {
-        if Arc::ptr_eq(&self.metrics, &other.metrics) {
-            return;
-        }
-        // Clone the handles out first so the two locks are never held
-        // at once (a merge in each direction on two threads would
-        // otherwise deadlock).
-        let theirs: Vec<(String, Metric)> = other
-            .metrics
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .iter()
-            .map(|(name, metric)| (name.clone(), metric.clone()))
-            .collect();
-        for (name, metric) in theirs {
-            match metric {
-                Metric::Counter(c) => self.counter(&name).merge(&c),
-                Metric::Gauge(g) => self.gauge(&name).merge(&g),
-                Metric::Histogram(h) => self.histogram(&name).merge(&h),
-                Metric::Span(s) => self.span(&name).merge(&s),
-            }
-        }
     }
 
     /// Human-readable export: one aligned line per metric, sorted by

@@ -39,13 +39,6 @@ impl Stopwatch {
 /// A named duration metric: each completed span records its elapsed
 /// nanoseconds into a shared [`Histogram`].
 ///
-/// MERGEABLE: span timers merge exactly like the histograms backing
-/// them ([`merge`] folds the other timer's duration samples in;
-/// a fresh timer is the identity), so per-worker timing distributions
-/// combine into one fleet-wide distribution in any grouping order.
-///
-/// [`merge`]: SpanTimer::merge
-///
 /// ```
 /// let timer = cbs_obs::SpanTimer::new();
 /// {
@@ -92,13 +85,6 @@ impl SpanTimer {
     /// Distribution summary of the recorded spans (nanoseconds).
     pub fn snapshot(&self) -> HistogramSnapshot {
         self.hist.snapshot()
-    }
-
-    /// Folds `other`'s recorded spans into this timer (see
-    /// [`Histogram::merge`] for the exact semantics). `other` is read,
-    /// not drained — merge each partial exactly once.
-    pub fn merge(&self, other: &SpanTimer) {
-        self.hist.merge(&other.hist);
     }
 }
 

@@ -98,8 +98,7 @@ for name in wait_until route_volume parse_chunk; do
 done
 # One by-volume driver: analyze_trace, defined once, beside the
 # per-volume entry it loops over. No other library file walks a
-# trace's volumes through analyze_volume (the agent binary runs it
-# per shipped volume).
+# trace's volumes through analyze_volume.
 # shellcheck disable=SC2086
 drivers="$(cat ${lib_sources} | grep -c 'fn analyze_trace\b' || true)"
 # shellcheck disable=SC2086
@@ -196,54 +195,6 @@ grep -q 'at line 3:' "${tmpdir}/malformed.err" || {
     cat "${tmpdir}/malformed.err" >&2
     exit 1
 }
-
-echo "==> agent-smoke (cbs-ctl + 2 cbs-agents on loopback == --local, byte-for-byte)"
-# Process fan-out parity (DESIGN.md §16): the controller's merged
-# verdict report over two loopback agents must equal the
-# single-process run exactly. Agents bind port 0 and announce the
-# real address on stdout, so parallel CI runs never collide.
-agent_pids=""
-cleanup_agents() {
-    for pid in ${agent_pids}; do kill "${pid}" 2> /dev/null || true; done
-}
-trap 'cleanup_agents; rm -rf "${tmpdir}"' EXIT
-./target/release/cbs-agent --listen 127.0.0.1:0 > "${tmpdir}/agent1.log" 2>&1 &
-agent_pids="${agent_pids} $!"
-./target/release/cbs-agent --listen 127.0.0.1:0 > "${tmpdir}/agent2.log" 2>&1 &
-agent_pids="${agent_pids} $!"
-agent_addr() {
-    # Wait (bounded) for the readiness line, then print the address.
-    for _ in $(seq 1 100); do
-        addr="$(sed -n 's/^cbs-agent listening on //p' "$1" 2> /dev/null | head -n 1)"
-        if [ -n "${addr}" ]; then
-            printf '%s' "${addr}"
-            return 0
-        fi
-        sleep 0.1
-    done
-    echo "agent-smoke: agent never announced readiness ($1)" >&2
-    return 1
-}
-addr1="$(agent_addr "${tmpdir}/agent1.log")"
-addr2="$(agent_addr "${tmpdir}/agent2.log")"
-./target/release/cbs-ctl --local --volumes 6 --days 2 --seed 7 --sweep \
-    > "${tmpdir}/local.txt"
-./target/release/cbs-ctl --agents "${addr1},${addr2}" --volumes 6 --days 2 --seed 7 --sweep \
-    > "${tmpdir}/distributed.txt"
-# Wait on every agent individually: `wait p1 p2` reports only the
-# LAST pid's status, so a crashed first agent would slip through.
-for pid in ${agent_pids}; do
-    wait "${pid}" || {
-        echo "agent-smoke: agent pid ${pid} exited non-zero" >&2
-        cat "${tmpdir}/agent1.log" "${tmpdir}/agent2.log" >&2
-        exit 1
-    }
-done
-agent_pids=""
-if ! diff -u "${tmpdir}/local.txt" "${tmpdir}/distributed.txt"; then
-    echo "agent-smoke: distributed verdict report differs from single-process" >&2
-    exit 1
-fi
 
 echo "==> gating benchmark harness (its own tests + benchmark/run.sh --quick)"
 # benchmark/ is a package of its own with path dependencies on

@@ -3,9 +3,9 @@
 //! the inline (`threads = 0`) run bit-for-bit at any worker count —
 //! every per-volume record *and* every finding verdict — and a worker
 //! panic must poison the whole run instead of yielding a partial
-//! corpus (parity with `StreamingSession`). Also pins the `cbs-ctl`
-//! fold as it runs: agents' whole-volume records, concatenated, build
-//! the same analysis as the whole-corpus run.
+//! corpus (parity with `StreamingSession`). Also pins the by-volume
+//! fold: whole-volume records computed separately and concatenated
+//! build the same analysis as the whole-corpus run.
 
 use proptest::prelude::*;
 
@@ -92,31 +92,31 @@ proptest! {
         prop_assert_eq!(verdicts(&inline), verdicts(&sequential));
     }
 
-    /// What `cbs-ctl` does: deal the volumes round-robin over `k`
-    /// agents, analyze each volume whole under the corpus epoch (the
-    /// JOB frame ships it, so interval indices align), concatenate the
-    /// records in agent order and build with `Analysis::from_parts`.
-    /// Metrics and every verdict equal the whole-corpus run.
+    /// The by-volume fold: deal the volumes round-robin over `k`
+    /// partitions, analyze each volume whole under the corpus epoch (so
+    /// interval indices align), concatenate the records in partition
+    /// order and build with `Analysis::from_parts`. Metrics and every
+    /// verdict equal the whole-corpus run.
     #[test]
-    fn ctl_fold_matches_whole_corpus(
+    fn by_volume_fold_matches_whole_corpus(
         reqs in proptest::collection::vec(arb_request(), 1..300),
     ) {
         let trace = trace_from(reqs);
         let whole = Workbench::new(trace.clone()).analyze_with_threads(0);
         let epoch = trace.start().unwrap_or(Timestamp::ZERO);
         let config = AnalysisConfig::default();
-        for agents in 1..=3usize {
-            let mut shares: Vec<Vec<VolumeMetrics>> = vec![Vec::new(); agents];
+        for parts in 1..=3usize {
+            let mut shares: Vec<Vec<VolumeMetrics>> = vec![Vec::new(); parts];
             for (i, view) in trace.volumes().enumerate() {
                 let metrics = cbs_analysis::VolumeAnalyzer::analyze_volume(view, epoch, &config)
                     .expect("valid config");
-                shares[i % agents].push(metrics);
+                shares[i % parts].push(metrics);
             }
             let records: Vec<VolumeMetrics> = shares.into_iter().flatten().collect();
             let folded = cbs_core::Analysis::from_parts(trace.clone(), config.clone(), records)
                 .expect("valid config");
-            prop_assert_eq!(folded.metrics(), whole.metrics(), "agents={}", agents);
-            prop_assert_eq!(verdicts(&folded), verdicts(&whole), "agents={}", agents);
+            prop_assert_eq!(folded.metrics(), whole.metrics(), "parts={}", parts);
+            prop_assert_eq!(verdicts(&folded), verdicts(&whole), "parts={}", parts);
         }
     }
 }
