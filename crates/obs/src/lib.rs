@@ -20,7 +20,7 @@
 //!   audited place (clippy's `disallowed_methods` rejects
 //!   `Instant::now` everywhere but [`Stopwatch::start`]);
 //! * [`Registry`] — named metrics with deterministic human and JSON
-//!   export, mirroring `cbs-lint`'s output discipline.
+//!   export.
 //!
 //! # Overhead budget
 //!

@@ -3,26 +3,21 @@
 //! Metric names are stringly-typed at emission sites
 //! (`registry.counter("cbt.records")`), so nothing in the type system
 //! stops a typo from silently splitting one logical metric into two.
-//! This table is the single source of truth: `cbs-lint`'s
-//! `obs-metric-registry` rule (CBS-L12) checks that every metric-name
-//! literal in non-test library code matches an entry exactly, that no
-//! entry is stale (emitted by no scanned code), and that no name is
-//! registered twice.
+//! This table is the single source of truth: the CBS-L12 domain rule
+//! (`tests/domain_rules.rs`) checks that every metric-name literal in
+//! non-test library code matches an entry exactly and that no entry is
+//! stale (emitted by no library code); `sorted_and_unique` below keeps
+//! the names sorted and registered once.
 //!
 //! Naming scheme: `<subsystem>.<metric>` with `_nanos`/`_bytes`
 //! suffixes for units. Families emitted through `format!` register a
 //! wildcard name with `*` standing for the interpolation — e.g.
 //! `format!("stream.shard{s}.requests")` matches
 //! `stream.shard*.requests`.
-//!
-//! The table is meaningful only for whole-workspace scans: a scoped
-//! `cbs-lint crates/obs` run sees the registry but not the emission
-//! sites in other crates, and will report entries as stale. Run the
-//! lint from the workspace root (as `scripts/check.sh` does).
 
 /// Every metric name the workspace emits, with a one-line doc.
 ///
-/// Keep sorted by name; `cbs-lint` flags duplicates and stale entries.
+/// Keep sorted by name; the tests flag duplicates and stale entries.
 pub const METRIC_NAMES: &[(&str, &str)] = &[
     (
         "*.read_accesses",

@@ -4,8 +4,8 @@
 //! histogram with `merge` (request sizes, adjacency times, update
 //! intervals), so that merge must satisfy the monoid laws —
 //! associativity, commutativity, identity — and equal recording the
-//! concatenated samples. This is the associativity evidence `cbs-lint`'s
-//! `mergeable-audit` rule (CBS-L13) requires.
+//! concatenated samples. This is the associativity evidence the CBS-L13
+//! domain rule (`tests/domain_rules.rs`) requires.
 
 use proptest::prelude::*;
 

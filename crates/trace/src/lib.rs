@@ -55,6 +55,12 @@
 
 pub mod batch;
 pub mod block;
+/// One planted violation per workspace lint, each under `#[expect]`, so
+/// `cargo clippy -- -D warnings` fails when a lint stops firing. It
+/// lives here because `cbs-trace` is the one library that does not
+/// forbid `unsafe_code`, which the `unsafe_code` canary needs.
+#[cfg(all(clippy, not(test)))]
+pub mod canary;
 pub mod codec;
 pub mod error;
 pub mod hash;

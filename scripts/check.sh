@@ -50,38 +50,13 @@ fi
 echo "==> cargo clippy --all-targets -- -D warnings (lint table + canary)"
 cargo clippy --all-targets -- -D warnings
 
-echo "==> cbs-lint --json crates tests"
-# Hard gate, exit-code aware: 1 = violations (print the human render),
-# 2 = the linter itself failed (distinct failure, never masked as
-# "violations found"). Root-level `tests/` rides along so a cross-crate
-# associativity proptest placed there counts for `mergeable-audit`.
-lint_status=0
-lint_out="$(cargo run -q --release -p cbs-lint -- --json crates tests)" || lint_status=$?
-case "${lint_status}" in
-0) ;;
-1)
-    echo "cbs-lint reported diagnostics:" >&2
-    cargo run -q --release -p cbs-lint -- crates tests >&2 || true
-    exit 1
-    ;;
-*)
-    echo "cbs-lint internal error (exit ${lint_status}): ${lint_out}" >&2
-    exit "${lint_status}"
-    ;;
-esac
-if [ "${lint_out}" != "[]" ]; then
-    echo "cbs-lint exited 0 but emitted diagnostics: ${lint_out}" >&2
-    exit 1
-fi
-
 echo "==> one fan-out, one router, one pacer, one analyzer path, one by-volume driver (no second copy under crates/*/src)"
 # The death protocol and sticky routing live in crates/trace/src/workers.rs
 # and the replay pacer in crates/replay/src/schedule.rs; codec/parallel.rs
 # keeps its own, differently shaped, pipeline, whose one chunk loop
 # (parse_chunk) serves both dialects' columnar batches. Anything else is a
-# copy growing back. Library files only: binaries and cbs-lint (whose canary
-# plants an unbounded channel) are not product fan-outs.
-lib_sources="$(find crates/*/src -name '*.rs' -not -path '*/bin/*' -not -path 'crates/lint/*' | sort)"
+# copy growing back. Library files only: binaries are not product fan-outs.
+lib_sources="$(find crates/*/src -name '*.rs' -not -path '*/bin/*' | sort)"
 # shellcheck disable=SC2086
 channel_files="$(grep -lE '\bsync_channel(\(|::<)' ${lib_sources} | tr '\n' ' ' || true)"
 if [ "${channel_files}" != "crates/trace/src/codec/parallel.rs crates/trace/src/workers.rs " ]; then
