@@ -729,11 +729,6 @@ fn top_shares(traffic: &mut [u64], f1: f64, f10: f64) -> Option<(f64, f64)> {
 /// thread — no thread is spawned. Interval/day indices are anchored at
 /// the trace start.
 ///
-/// Workers steal volume indices from a shared atomic cursor and keep
-/// their finished `(index, metrics)` pairs thread-local; results are
-/// scattered into ordered slots only after the workers join, so no lock
-/// is taken per volume and no channel is needed.
-///
 /// # Errors
 ///
 /// Returns [`InvalidConfig`] if `config` fails validation.
@@ -751,7 +746,26 @@ pub fn analyze_trace(
     config.validate()?;
     let epoch = trace.start().unwrap_or(Timestamp::ZERO);
     let views: Vec<_> = trace.volumes().collect();
+    per_volume(&views, threads, |view| {
+        VolumeAnalyzer::analyze_volume(view, epoch, config)
+    })
+    .into_iter()
+    .collect()
+}
 
+/// Runs `analyze` once per view on up to `threads` workers (`0` runs
+/// inline) and returns the results in view order.
+///
+/// Workers steal view indices from a shared atomic cursor and keep
+/// their finished `(index, result)` pairs thread-local; results are
+/// scattered into ordered slots only after the workers join, so no lock
+/// is taken per volume and no channel is needed. A worker's panic is
+/// re-raised on the caller once every worker has stopped.
+fn per_volume<T: Send>(
+    views: &[VolumeView<'_>],
+    threads: usize,
+    analyze: impl Fn(VolumeView<'_>) -> T + Sync,
+) -> Vec<T> {
     let next = AtomicUsize::new(0);
     let steal = || {
         let mut local = Vec::new();
@@ -760,18 +774,14 @@ pub fn analyze_trace(
             // fetch_add is exact under Relaxed, and the volume data it
             // indexes was published before the threads spawned.
             let idx = next.fetch_add(1, Ordering::Relaxed);
-            if idx >= views.len() {
+            let Some(&view) = views.get(idx) else {
                 break;
-            }
-            // The config was validated at entry, so the per-volume run
-            // cannot be rejected.
-            if let Ok(metrics) = VolumeAnalyzer::analyze_volume(views[idx], epoch, config) {
-                local.push((idx, metrics));
-            }
+            };
+            local.push((idx, analyze(view)));
         }
         local
     };
-    let per_worker: Vec<Vec<(usize, VolumeMetrics)>> = if threads == 0 {
+    let per_worker: Vec<Vec<(usize, T)>> = if threads == 0 {
         vec![steal()]
     } else {
         std::thread::scope(|scope| {
@@ -788,15 +798,15 @@ pub fn analyze_trace(
         })
     };
 
-    let mut slots: Vec<Option<VolumeMetrics>> = (0..views.len()).map(|_| None).collect();
-    for (idx, metrics) in per_worker.into_iter().flatten() {
-        slots[idx] = Some(metrics);
+    let mut slots: Vec<Option<T>> = (0..views.len()).map(|_| None).collect();
+    for (idx, result) in per_worker.into_iter().flatten() {
+        slots[idx] = Some(result);
     }
     debug_assert!(
         slots.iter().all(Option::is_some),
         "a cursor slot was skipped"
     );
-    Ok(slots.into_iter().flatten().collect())
+    slots.into_iter().flatten().collect()
 }
 
 #[cfg(test)]
@@ -1102,13 +1112,39 @@ mod tests {
 
     #[test]
     fn invalid_config_is_a_typed_error() {
-        let config = AnalysisConfig {
-            randomness_window: 0,
-            ..AnalysisConfig::default()
-        };
-        for threads in [0, 4] {
-            let err = analyze_trace(&Trace::new(), &config, threads).unwrap_err();
+        // `usize::MAX` would overflow the window reservation in
+        // `VolumeAnalyzer::new` if validation let it through.
+        for window in [0, usize::MAX] {
+            let config = AnalysisConfig {
+                randomness_window: window,
+                ..AnalysisConfig::default()
+            };
+            for threads in [0, 4] {
+                let err = analyze_trace(&sample_trace(2, 5), &config, threads).unwrap_err();
+                assert!(err.message().contains("randomness_window"));
+            }
+            let err = VolumeAnalyzer::new(VolumeId::new(0), Timestamp::ZERO, config).unwrap_err();
             assert!(err.message().contains("randomness_window"));
+        }
+    }
+
+    /// A worker panic must resurface on the caller — never a partial
+    /// corpus — at any worker count, including the inline run.
+    #[test]
+    fn worker_panic_poisons_the_partitioned_run() {
+        let trace = sample_trace(4, 50);
+        let views: Vec<_> = trace.volumes().collect();
+        for threads in [0usize, 1, 3] {
+            let result = std::panic::catch_unwind(|| {
+                per_volume(&views, threads, |view| {
+                    assert_ne!(view.id(), VolumeId::new(2), "injected worker fault");
+                    view.len()
+                })
+            });
+            assert!(
+                result.is_err(),
+                "threads={threads} returned a partial analysis"
+            );
         }
     }
 

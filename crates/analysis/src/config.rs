@@ -8,7 +8,8 @@ pub struct AnalysisConfig {
     /// Block unit for all block-granular metrics (4 KiB).
     pub block_size: BlockSize,
     /// Number of preceding requests inspected by the randomness metric
-    /// (32, following DiskAccel / VMware's characterization).
+    /// (32, following DiskAccel / VMware's characterization; at most
+    /// [`MAX_RANDOMNESS_WINDOW`]).
     pub randomness_window: usize,
     /// Minimum-distance threshold in bytes beyond which a request is
     /// *random* (128 KiB).
@@ -47,6 +48,12 @@ impl Default for AnalysisConfig {
     }
 }
 
+/// The largest accepted [`AnalysisConfig::randomness_window`]. Every
+/// request is compared against the whole window, and each analyzer
+/// reserves it up front, so the bound keeps both finite: 65 536 offsets
+/// is 512 KiB per live volume and 2 048× the paper's window.
+pub const MAX_RANDOMNESS_WINDOW: usize = 1 << 16;
+
 /// A rejected [`AnalysisConfig`]: the typed error every constructor
 /// taking a config propagates instead of panicking.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -74,10 +81,11 @@ impl AnalysisConfig {
     ///
     /// Returns an [`InvalidConfig`] naming the first invalid field.
     pub fn validate(&self) -> Result<(), InvalidConfig> {
-        if self.randomness_window == 0 {
-            return Err(InvalidConfig(
-                "randomness_window must be non-zero".to_owned(),
-            ));
+        if !(1..=MAX_RANDOMNESS_WINDOW).contains(&self.randomness_window) {
+            return Err(InvalidConfig(format!(
+                "randomness_window must be in 1..={MAX_RANDOMNESS_WINDOW}, got {}",
+                self.randomness_window
+            )));
         }
         if self.active_interval.is_zero() || self.peak_interval.is_zero() {
             return Err(InvalidConfig("intervals must be non-zero".to_owned()));
@@ -134,6 +142,9 @@ mod tests {
             c.validate().unwrap_err().message().to_owned()
         };
         assert!(broken(&|c| c.randomness_window = 0).contains("randomness_window"));
+        assert!(broken(&|c| c.randomness_window = usize::MAX).contains("randomness_window"));
+        assert!(broken(&|c| c.randomness_window = MAX_RANDOMNESS_WINDOW + 1)
+            .contains("randomness_window"));
         assert!(broken(&|c| c.active_interval = TimeDelta::ZERO).contains("intervals"));
         assert!(broken(&|c| c.rw_mostly_threshold = 1.5).contains("rw_mostly_threshold"));
         assert!(broken(&|c| c.top_fractions = (0.0, 0.1)).contains("top_fractions.0"));

@@ -84,7 +84,7 @@ use crate::schedule::{
 /// requests.
 pub const LANE_BATCH_REQUESTS: usize = 256;
 
-/// Default in-flight batches allowed per lane channel. Together with
+/// In-flight batches allowed per lane channel. Together with
 /// [`LANE_BATCH_REQUESTS`] this bounds the feeder's lookahead at
 /// `lanes × depth × batch` pre-decoded requests — the reservoir the
 /// lanes drain during microbursts that outrun live generation.
@@ -148,16 +148,6 @@ impl MultiLaneReport {
     pub fn lanes(&self) -> usize {
         self.per_lane.len()
     }
-
-    /// The worst per-lane p99 issue lag, nanoseconds — the number the
-    /// lane-scaling curve reports per row.
-    pub fn worst_lane_p99_lag(&self) -> u64 {
-        self.per_lane
-            .iter()
-            .map(|l| l.issue_lag.p99)
-            .max()
-            .unwrap_or(0)
-    }
 }
 
 /// What a lane worker hands back when its channel closes (or it stops
@@ -202,7 +192,6 @@ pub struct LaneSet<B: StorageBackend> {
     backends: Vec<B>,
     timing: Timing,
     remap: Remap,
-    channel_depth: usize,
     registry: Registry,
 }
 
@@ -216,7 +205,6 @@ impl<B: StorageBackend + Send + 'static> LaneSet<B> {
             backends: (0..lanes).map(&mut make_backend).collect(),
             timing: Timing::recorded(),
             remap: Remap::Identity,
-            channel_depth: DEFAULT_LANE_CHANNEL_DEPTH,
             registry: Registry::new(),
         }
     }
@@ -245,14 +233,6 @@ impl<B: StorageBackend + Send + 'static> LaneSet<B> {
         self
     }
 
-    /// Sets how many batches may be in flight per lane channel (min 1)
-    /// before the feeder blocks on backpressure.
-    #[must_use]
-    pub fn with_channel_depth(mut self, depth: usize) -> Self {
-        self.channel_depth = depth.max(1);
-        self
-    }
-
     /// Number of issue lanes (`0` once [poisoned](LaneSet::is_poisoned)).
     pub fn lanes(&self) -> usize {
         self.backends.len()
@@ -277,11 +257,6 @@ impl<B: StorageBackend + Send + 'static> LaneSet<B> {
     /// [`MemBackend`](crate::MemBackend) page counts after a run).
     pub fn backends(&self) -> &[B] {
         &self.backends
-    }
-
-    /// Consumes the set, returning the per-lane backends.
-    pub fn into_backends(self) -> Vec<B> {
-        self.backends
     }
 
     /// Replays an infallible, time-ordered request stream across the
@@ -327,7 +302,7 @@ impl<B: StorageBackend + Send + 'static> LaneSet<B> {
         let clock = Stopwatch::start();
 
         let mut feeder = Feeder::new(WorkerSet::spawn(
-            self.channel_depth,
+            DEFAULT_LANE_CHANNEL_DEPTH,
             std::mem::take(&mut self.backends)
                 .into_iter()
                 .map(|backend| move |rx| lane_worker(rx, backend, clock)),

@@ -99,8 +99,8 @@ fn main() -> ExitCode {
     let ctx = experiments::build_context(&config);
     eprintln!(
         "generated + analyzed {} + {} requests in {:.1?}",
-        ctx.alicloud.trace().request_count(),
-        ctx.msrc.trace().request_count(),
+        ctx.alicloud.analysis.trace().request_count(),
+        ctx.msrc.analysis.trace().request_count(),
         t0.elapsed()
     );
 

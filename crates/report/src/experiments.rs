@@ -3,13 +3,17 @@
 //! [`build_context`] synthesizes both corpora and characterizes them;
 //! each `table_*` / `fig_*` function renders one paper artifact as a
 //! paper-vs-measured text block; [`run_all`] concatenates all of them
-//! into the report recorded in `EXPERIMENTS.md`.
+//! into the report recorded in `EXPERIMENTS.md`. The one costly stage,
+//! the Fig. 18-extension sweep ([`Corpus::policy_sweep`]), runs at most
+//! once per corpus and only when asked for.
+
+use std::sync::OnceLock;
 
 use cbs_analysis::findings::adjacency::PairKind;
 use cbs_analysis::findings::aggregation::AggregationBoxplots;
 use cbs_analysis::findings::cache::LruMissRatios;
 use cbs_analysis::findings::update_interval::IntervalGroup;
-use cbs_core::{Analysis, SweepGrid, Workbench, POLICY_NAMES};
+use cbs_core::{Analysis, SweepGrid, SweepReport, Workbench, POLICY_NAMES};
 use cbs_synth::presets::{self, CorpusConfig};
 use cbs_trace::TimeDelta;
 
@@ -61,17 +65,72 @@ impl ReproConfig {
     }
 }
 
+/// The Fig. 18 extension on one corpus: every replacement policy at the
+/// Finding 15 operating points (1 % and 10 % of the working set) on the
+/// corpus's busiest volume.
+#[derive(Debug)]
+pub struct PolicySweep {
+    /// The 1 % capacity, in blocks (at least 8).
+    pub small: usize,
+    /// The 10 % capacity, in blocks (at least 8).
+    pub large: usize,
+    /// One traversal of the volume through the whole policy × capacity
+    /// grid.
+    pub report: SweepReport,
+}
+
+/// One analyzed corpus and its Fig. 18-extension sweep, which runs on
+/// first use: the report and the TSV export read the same result, and a
+/// run that asks for neither never sweeps.
+#[derive(Debug)]
+pub struct Corpus {
+    /// The characterization.
+    pub analysis: Analysis,
+    sweep: OnceLock<Option<PolicySweep>>,
+}
+
+impl Corpus {
+    /// Wraps an analysis; nothing is swept yet.
+    pub fn new(analysis: Analysis) -> Self {
+        Corpus {
+            analysis,
+            sweep: OnceLock::new(),
+        }
+    }
+
+    /// The Fig. 18 extension on the volume with the most requests, run
+    /// on the first call; `None` when the corpus has no volume.
+    pub fn policy_sweep(&self) -> Option<&PolicySweep> {
+        self.sweep
+            .get_or_init(|| {
+                let analysis = &self.analysis;
+                let busiest = analysis.metrics().iter().max_by_key(|m| m.requests())?;
+                let small = busiest.cache_blocks_for_fraction(0.01).max(8);
+                let large = busiest.cache_blocks_for_fraction(0.10).max(8);
+                // Built-in names and non-zero capacities cannot be rejected.
+                let grid = SweepGrid::new().grid(POLICY_NAMES, &[small, large]).ok()?;
+                let report = analysis.sweep_volume(busiest.id, grid)?;
+                Some(PolicySweep {
+                    small,
+                    large,
+                    report,
+                })
+            })
+            .as_ref()
+    }
+}
+
 /// Both corpora, analyzed.
 #[derive(Debug)]
 pub struct ReproContext {
-    /// The AliCloud-like analysis.
-    pub alicloud: Analysis,
-    /// The MSRC-like analysis.
-    pub msrc: Analysis,
-    /// The full-intensity short-window AliCloud-like analysis.
-    pub alicloud_burst: Analysis,
-    /// The full-intensity short-window MSRC-like analysis.
-    pub msrc_burst: Analysis,
+    /// The AliCloud-like corpus.
+    pub alicloud: Corpus,
+    /// The MSRC-like corpus.
+    pub msrc: Corpus,
+    /// The full-intensity short-window AliCloud-like corpus.
+    pub alicloud_burst: Corpus,
+    /// The full-intensity short-window MSRC-like corpus.
+    pub msrc_burst: Corpus,
     /// The run shape.
     pub config: ReproConfig,
 }
@@ -81,8 +140,8 @@ impl ReproContext {
     /// presentation order.
     pub fn corpora(&self) -> [(&Analysis, &'static PaperCorpus); 2] {
         [
-            (&self.alicloud, &paper::ALICLOUD),
-            (&self.msrc, &paper::MSRC),
+            (&self.alicloud.analysis, &paper::ALICLOUD),
+            (&self.msrc.analysis, &paper::MSRC),
         ]
     }
 
@@ -90,8 +149,8 @@ impl ReproContext {
     /// paper references.
     pub fn burst_corpora(&self) -> [(&Analysis, &'static PaperCorpus); 2] {
         [
-            (&self.alicloud_burst, &paper::ALICLOUD),
-            (&self.msrc_burst, &paper::MSRC),
+            (&self.alicloud_burst.analysis, &paper::ALICLOUD),
+            (&self.msrc_burst.analysis, &paper::MSRC),
         ]
     }
 }
@@ -102,11 +161,12 @@ pub fn build_context(config: &ReproConfig) -> ReproContext {
     let msrc_trace = presets::msrc_like(&config.msrc).generate();
     let ali_burst_trace = presets::alicloud_like(&config.alicloud_burst).generate();
     let msrc_burst_trace = presets::msrc_like(&config.msrc_burst).generate();
+    let corpus = |trace| Corpus::new(Workbench::new(trace).analyze());
     ReproContext {
-        alicloud: Workbench::new(ali_trace).analyze(),
-        msrc: Workbench::new(msrc_trace).analyze(),
-        alicloud_burst: Workbench::new(ali_burst_trace).analyze(),
-        msrc_burst: Workbench::new(msrc_burst_trace).analyze(),
+        alicloud: corpus(ali_trace),
+        msrc: corpus(msrc_trace),
+        alicloud_burst: corpus(ali_burst_trace),
+        msrc_burst: corpus(msrc_burst_trace),
         config: *config,
     }
 }
@@ -124,8 +184,8 @@ pub fn table1_basic(ctx: &ReproContext) -> String {
         "MSRC paper",
         "MSRC measured",
     ]);
-    let ali = ctx.alicloud.totals();
-    let msrc = ctx.msrc.totals();
+    let ali = ctx.alicloud.analysis.totals();
+    let msrc = ctx.msrc.analysis.totals();
     let pa = &paper::ALICLOUD.totals;
     let pm = &paper::MSRC.totals;
     t.row(vec![
@@ -268,8 +328,8 @@ pub fn fig3_active_days(ctx: &ReproContext) -> String {
 /// Fig. 4 — write-to-read ratios.
 pub fn fig4_wr_ratio(ctx: &ReproContext) -> String {
     let mut t = TextTable::new(vec!["metric", "paper", "measured"]);
-    let ali = ctx.alicloud.write_read_ratios();
-    let msrc = ctx.msrc.write_read_ratios();
+    let ali = ctx.alicloud.analysis.write_read_ratios();
+    let msrc = ctx.msrc.analysis.write_read_ratios();
     t.row(vec![
         "AliCloud write-dominant volumes".into(),
         fmt::percent(paper::wr_ratio::ALICLOUD_WRITE_DOMINANT),
@@ -673,30 +733,22 @@ pub fn fig18_lru(ctx: &ReproContext) -> String {
 /// traversal answers the whole policy × capacity grid.
 pub fn fig18_sweep(ctx: &ReproContext) -> String {
     let mut t = TextTable::new(vec!["corpus", "policy", "miss @1% WSS", "miss @10% WSS"]);
-    for (analysis, p) in ctx.corpora() {
-        let Some(busiest) = analysis.metrics().iter().max_by_key(|m| m.requests()) else {
-            continue;
-        };
-        let small = busiest.cache_blocks_for_fraction(0.01).max(8);
-        let large = busiest.cache_blocks_for_fraction(0.10).max(8);
-        // Built-in names and non-zero capacities cannot be rejected.
-        let Ok(grid) = SweepGrid::new().grid(POLICY_NAMES, &[small, large]) else {
-            continue;
-        };
-        let Some(report) = analysis.sweep_volume(busiest.id, grid) else {
+    for (corpus, p) in [(&ctx.alicloud, &paper::ALICLOUD), (&ctx.msrc, &paper::MSRC)] {
+        let Some(sweep) = corpus.policy_sweep() else {
             continue;
         };
         for &name in POLICY_NAMES {
             let miss_at = |capacity: usize| {
-                report
+                sweep
+                    .report
                     .stats(name, capacity)
                     .and_then(|s| s.overall_miss_ratio())
             };
             t.row(vec![
                 p.name.to_string(),
                 name.to_owned(),
-                fmt::percent_opt(miss_at(small)),
-                fmt::percent_opt(miss_at(large)),
+                fmt::percent_opt(miss_at(sweep.small)),
+                fmt::percent_opt(miss_at(sweep.large)),
             ]);
         }
     }
@@ -709,18 +761,18 @@ pub fn fig18_sweep(ctx: &ReproContext) -> String {
 /// Machine-checked verdicts for all 15 findings (Section IV).
 pub fn findings_verdicts(ctx: &ReproContext) -> String {
     let mut verdicts = cbs_analysis::findings::verdicts::evaluate_pair(
-        ctx.alicloud.metrics(),
-        ctx.msrc.metrics(),
-        ctx.alicloud.config(),
+        ctx.alicloud.analysis.metrics(),
+        ctx.msrc.analysis.metrics(),
+        ctx.alicloud.analysis.config(),
     );
     // Findings 1, 4, and 13 are absolute-rate / short-term claims that
     // do not survive intensity scaling (inter-access gaps stretch by
     // the inverse scale); judge them on the full-intensity one-hour
     // corpora instead.
     let burst = cbs_analysis::findings::verdicts::evaluate_pair(
-        ctx.alicloud_burst.metrics(),
-        ctx.msrc_burst.metrics(),
-        ctx.alicloud_burst.config(),
+        ctx.alicloud_burst.analysis.metrics(),
+        ctx.msrc_burst.analysis.metrics(),
+        ctx.alicloud_burst.analysis.config(),
     );
     verdicts[0] = burst[0].clone();
     verdicts[3] = burst[3].clone();
@@ -786,8 +838,8 @@ pub fn run_all(ctx: &ReproContext) -> String {
     ));
     out.push_str(&format!(
         "Generated requests: AliCloud-like {}, MSRC-like {}\n",
-        fmt::count(ctx.alicloud.trace().request_count() as u64),
-        fmt::count(ctx.msrc.trace().request_count() as u64),
+        fmt::count(ctx.alicloud.analysis.trace().request_count() as u64),
+        fmt::count(ctx.msrc.analysis.trace().request_count() as u64),
     ));
     for (_, run) in registry() {
         out.push_str(&run(ctx));
@@ -840,6 +892,21 @@ mod tests {
              > crates/report/golden/repro_tiny_seed7.txt` (--seed before --tiny: --tiny \
              reads the seed)"
         );
+    }
+
+    #[test]
+    fn policy_sweep_runs_once_and_only_on_demand() {
+        let ctx = ctx();
+        table1_basic(&ctx);
+        assert!(ctx.alicloud.sweep.get().is_none(), "table1 swept");
+        fig18_sweep(&ctx);
+        let first = ctx.alicloud.sweep.get().and_then(Option::as_ref);
+        assert!(first.is_some(), "fig18-sweep did not sweep");
+        assert!(std::ptr::eq(
+            first.unwrap(),
+            ctx.alicloud.policy_sweep().unwrap()
+        ));
+        assert!(ctx.alicloud_burst.sweep.get().is_none());
     }
 
     #[test]

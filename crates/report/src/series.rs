@@ -10,10 +10,9 @@ use std::io::{self, Write};
 use std::path::{Path, PathBuf};
 
 use cbs_analysis::findings::adjacency::PairKind;
-use cbs_core::{Analysis, SweepGrid, POLICY_NAMES};
 use cbs_stats::{BoxplotSummary, Cdf, LogHistogram};
 
-use crate::experiments::ReproContext;
+use crate::experiments::{Corpus, ReproContext};
 
 /// Maximum points per exported CDF — plenty for a plot, small on disk.
 const MAX_POINTS: usize = 512;
@@ -79,7 +78,8 @@ pub fn write_boxplots(path: &Path, rows: &[(String, Option<BoxplotSummary>)]) ->
 
 /// Exports every figure's data for one analyzed corpus under
 /// `dir/<prefix>_*.tsv`; returns the files written.
-pub fn export_corpus(analysis: &Analysis, dir: &Path, prefix: &str) -> io::Result<Vec<PathBuf>> {
+pub fn export_corpus(corpus: &Corpus, dir: &Path, prefix: &str) -> io::Result<Vec<PathBuf>> {
+    let analysis = &corpus.analysis;
     std::fs::create_dir_all(dir)?;
     let mut written = Vec::new();
     let mut path = |name: &str| -> PathBuf {
@@ -262,33 +262,25 @@ pub fn export_corpus(analysis: &Analysis, dir: &Path, prefix: &str) -> io::Resul
     )?;
 
     // Fig. 18 extension: the full policy grid at the Finding 15 points
-    // on the busiest volume, from one sweep traversal.
-    if let Some(busiest) = analysis.metrics().iter().max_by_key(|m| m.requests()) {
-        let small = busiest.cache_blocks_for_fraction(0.01).max(8);
-        let large = busiest.cache_blocks_for_fraction(0.10).max(8);
-        // Built-in names and non-zero capacities cannot be rejected.
-        let report = SweepGrid::new()
-            .grid(POLICY_NAMES, &[small, large])
-            .ok()
-            .and_then(|grid| analysis.sweep_volume(busiest.id, grid));
-        if let Some(report) = report {
-            let rows: Vec<String> = report
-                .lanes()
-                .iter()
-                .map(|lane| {
-                    let miss = lane
-                        .stats
-                        .overall_miss_ratio()
-                        .map_or_else(|| "NA".to_owned(), |m| format!("{m:.6}"));
-                    format!("{}\t{}\t{miss}", lane.policy, lane.capacity)
-                })
-                .collect();
-            write_file(
-                &path("fig18_policy_sweep"),
-                "policy\tcapacity_blocks\tmiss_ratio",
-                &rows,
-            )?;
-        }
+    // on the busiest volume, the sweep the report's table reads.
+    if let Some(sweep) = corpus.policy_sweep() {
+        let rows: Vec<String> = sweep
+            .report
+            .lanes()
+            .iter()
+            .map(|lane| {
+                let miss = lane
+                    .stats
+                    .overall_miss_ratio()
+                    .map_or_else(|| "NA".to_owned(), |m| format!("{m:.6}"));
+                format!("{}\t{}\t{miss}", lane.policy, lane.capacity)
+            })
+            .collect();
+        write_file(
+            &path("fig18_policy_sweep"),
+            "policy\tcapacity_blocks\tmiss_ratio",
+            &rows,
+        )?;
     }
 
     Ok(written)
@@ -306,8 +298,10 @@ pub fn export_all(ctx: &ReproContext, dir: &Path) -> io::Result<Vec<PathBuf>> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::experiments::{build_context, ReproConfig};
     use cbs_core::Workbench;
     use cbs_synth::presets::{self, CorpusConfig};
+    use cbs_trace::codec::cbt::crc32;
 
     #[expect(
         clippy::let_underscore_must_use,
@@ -319,16 +313,15 @@ mod tests {
         dir
     }
 
-    fn tiny_analysis() -> Analysis {
+    fn tiny_corpus() -> Corpus {
         let config = CorpusConfig::new(6, 1, 3).with_intensity_scale(0.002);
-        Workbench::new(presets::alicloud_like(&config).generate()).analyze()
+        Corpus::new(Workbench::new(presets::alicloud_like(&config).generate()).analyze())
     }
 
     #[test]
     fn exports_every_figure_file() {
         let dir = tmpdir("corpus");
-        let analysis = tiny_analysis();
-        let files = export_corpus(&analysis, &dir, "test").unwrap();
+        let files = export_corpus(&tiny_corpus(), &dir, "test").unwrap();
         assert!(
             files.len() >= 20,
             "expected many series files, got {}",
@@ -350,8 +343,7 @@ mod tests {
     #[test]
     fn cdf_files_are_monotone() {
         let dir = tmpdir("monotone");
-        let analysis = tiny_analysis();
-        export_corpus(&analysis, &dir, "m").unwrap();
+        export_corpus(&tiny_corpus(), &dir, "m").unwrap();
         let content = std::fs::read_to_string(dir.join("m_fig6_burstiness.tsv")).unwrap();
         let points: Vec<(f64, f64)> = content
             .lines()
@@ -370,6 +362,42 @@ mod tests {
             .all(|w| w[0].0 <= w[1].0 && w[0].1 <= w[1].1));
         assert!((points.last().unwrap().1 - 1.0).abs() < 1e-9);
         std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// `export_all(tiny, seed 7)` as `file \t bytes \t crc32` rows in
+    /// write order, so any change to a TSV byte shows up here.
+    const MANIFEST_TINY_SEED7: &str = include_str!("../golden/series_tiny_seed7.tsv");
+
+    #[test]
+    fn export_all_matches_manifest() {
+        let dir = tmpdir("manifest");
+        let ctx = build_context(&ReproConfig::tiny(7));
+        let files = export_all(&ctx, &dir).unwrap();
+        let mut manifest = String::from("file\tbytes\tcrc32\n");
+        for f in &files {
+            let bytes = std::fs::read(f).unwrap();
+            let name = f.file_name().unwrap().to_string_lossy();
+            manifest.push_str(&format!("{name}\t{}\t{:08x}\n", bytes.len(), crc32(&bytes)));
+        }
+        std::fs::remove_dir_all(&dir).unwrap();
+        if manifest != MANIFEST_TINY_SEED7 {
+            let got = std::env::temp_dir().join("cbs_series_tiny_seed7.tsv");
+            std::fs::write(&got, &manifest).unwrap();
+            let first_diff = manifest
+                .lines()
+                .zip(MANIFEST_TINY_SEED7.lines())
+                .find(|(got, want)| got != want)
+                .map(|(got, _)| got.split('\t').next().unwrap_or_default().to_owned());
+            panic!(
+                "export_all(tiny, seed 7) differs from crates/report/golden/series_tiny_seed7.tsv \
+                 (first differing file: {first_diff:?}; {} rows written, {} expected); if the \
+                 change is intended, regenerate it with `cp {} \
+                 crates/report/golden/series_tiny_seed7.tsv`",
+                manifest.lines().count() - 1,
+                MANIFEST_TINY_SEED7.lines().count().saturating_sub(1),
+                got.display()
+            );
+        }
     }
 
     #[test]

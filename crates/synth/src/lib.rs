@@ -29,9 +29,7 @@
 //!   [`presets::msrc_like`] corpus mixtures calibrated to the paper's
 //!   reported marginals;
 //! * [`generator`] — turns profiles into a time-sorted
-//!   [`cbs_trace::Trace`];
-//! * [`builder`] — [`CorpusBuilder`]: compose custom corpora from named
-//!   volume archetypes.
+//!   [`cbs_trace::Trace`].
 //!
 //! # Example
 //!
@@ -48,7 +46,6 @@
 #![forbid(unsafe_code)]
 
 pub mod arrival;
-pub mod builder;
 pub mod dist;
 pub mod error;
 pub mod generator;
@@ -57,7 +54,6 @@ pub mod profile;
 pub mod size;
 pub mod spatial;
 
-pub use builder::CorpusBuilder;
 pub use error::InvalidProfile;
 pub use generator::CorpusGenerator;
 pub use presets::CorpusConfig;

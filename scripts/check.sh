@@ -50,7 +50,7 @@ fi
 echo "==> cargo clippy --all-targets -- -D warnings (lint table + canary)"
 cargo clippy --all-targets -- -D warnings
 
-echo "==> one fan-out, one router, one pacer, one analyzer path, one by-volume driver (no second copy under crates/*/src)"
+echo "==> one fan-out, one router, one pacer, one analyzer path, one by-volume driver, one Fig. 18 sweep (no second copy under crates/*/src)"
 # The death protocol and sticky routing live in crates/trace/src/workers.rs
 # and the replay pacer in crates/replay/src/schedule.rs; codec/parallel.rs
 # keeps its own, differently shaped, pipeline, whose one chunk loop
@@ -80,6 +80,16 @@ drivers="$(cat ${lib_sources} | grep -c 'fn analyze_trace\b' || true)"
 volume_callers="$(grep -l 'analyze_volume(' ${lib_sources} | tr '\n' ' ' || true)"
 if [ "${drivers}" -ne 1 ] || [ "${volume_callers}" != "crates/analysis/src/analyzer.rs " ]; then
     echo "fn analyze_trace must be defined once and analyze_volume( appear only in crates/analysis/src/analyzer.rs; found ${drivers} definition(s), analyze_volume( in: ${volume_callers}" >&2
+    exit 1
+fi
+# One Fig. 18-extension decision: the paper run builds its policy
+# grid in one place (Corpus::policy_sweep), and the report and the
+# TSV export both read that one result.
+report_sources="$(find crates/report/src -name '*.rs' | sort)"
+# shellcheck disable=SC2086
+grids="$(cat ${report_sources} | grep -c 'SweepGrid::new()' || true)"
+if [ "${grids}" -ne 1 ]; then
+    echo "SweepGrid::new() must appear once under crates/report/src (one Fig. 18-extension decision); found ${grids}" >&2
     exit 1
 fi
 # The analyzer has one entry, observe_batch, and one implementation of

@@ -1,11 +1,11 @@
 //! Partitioned ≡ sequential: [`Workbench::analyze_with_threads`], which
 //! partitions the corpus by volume across its workers, must reproduce
 //! the inline (`threads = 0`) run bit-for-bit at any worker count —
-//! every per-volume record *and* every finding verdict — and a worker
-//! panic must poison the whole run instead of yielding a partial
-//! corpus (parity with `StreamingSession`). Also pins the by-volume
-//! fold: whole-volume records computed separately and concatenated
-//! build the same analysis as the whole-corpus run.
+//! every per-volume record *and* every finding verdict. (That a worker
+//! panic poisons the whole run is checked where the fan-out lives,
+//! `cbs_analysis::analyzer`'s tests, with an injected fault.) Also pins
+//! the by-volume fold: whole-volume records computed separately and
+//! concatenated build the same analysis as the whole-corpus run.
 
 use proptest::prelude::*;
 
@@ -134,45 +134,5 @@ fn scaling_curve_is_identical_on_synthetic_corpus() {
         let run = Workbench::new(trace.clone()).analyze_with_threads(workers);
         assert_eq!(run.metrics(), baseline.metrics(), "workers={workers}");
         assert_eq!(verdicts(&run), verdicts(&baseline), "workers={workers}");
-    }
-}
-
-/// A worker panic must resurface on the caller — never a partial
-/// `Analysis`. The trigger is a randomness window too large to
-/// allocate, which panics with a capacity overflow where each worker
-/// builds its first `VolumeAnalyzer`. (The trigger used to be an
-/// `offset + len` overflow in the analyzer's block walk; such requests
-/// are now clamped at the end of the address space, and no request of
-/// a time-sorted `Trace` panics the analyzer.)
-#[test]
-fn worker_panic_poisons_the_partitioned_run() {
-    let reqs: Vec<IoRequest> = (0..200u64)
-        .map(|i| {
-            IoRequest::new(
-                VolumeId::new((i % 4) as u32),
-                OpKind::Write,
-                (i % 16) * 4096,
-                4096,
-                Timestamp::from_secs(i),
-            )
-        })
-        .collect();
-    let trace = Trace::from_requests(reqs);
-    let config = AnalysisConfig {
-        randomness_window: usize::MAX,
-        ..AnalysisConfig::default()
-    };
-    for workers in [0usize, 1, 3] {
-        let trace = trace.clone();
-        let config = config.clone();
-        let result = std::panic::catch_unwind(move || {
-            Workbench::with_config(trace, config)
-                .expect("the window only has to be non-zero")
-                .analyze_with_threads(workers)
-        });
-        assert!(
-            result.is_err(),
-            "workers={workers} returned a partial analysis"
-        );
     }
 }
