@@ -1,6 +1,6 @@
 //! Adaptive Replacement Cache: [`Arc`].
 
-use cbs_trace::BlockId;
+use crate::numbering::BlockNo;
 
 use crate::list::ListSlab;
 use crate::policy::{AccessResult, CachePolicy};
@@ -18,15 +18,17 @@ use crate::policy::{AccessResult, CachePolicy};
 /// # Example
 ///
 /// ```
-/// use cbs_cache::{Arc, CachePolicy};
+/// use cbs_cache::{Arc, BlockNumbering, CachePolicy};
 /// use cbs_trace::BlockId;
 ///
+/// let mut numbers = BlockNumbering::new();
+/// let [b1, b2, b3] = [1, 2, 3].map(|id| numbers.number(BlockId::new(id)));
 /// let mut arc = Arc::new(2);
-/// arc.access(BlockId::new(1));
-/// arc.access(BlockId::new(1)); // promoted to the frequency list
-/// arc.access(BlockId::new(2));
-/// arc.access(BlockId::new(3)); // scan: evicts from the recency side
-/// assert!(arc.contains(BlockId::new(1)));
+/// arc.access(b1);
+/// arc.access(b1); // promoted to the frequency list
+/// arc.access(b2);
+/// arc.access(b3); // scan: evicts from the recency side
+/// assert!(arc.contains(b1));
 /// ```
 #[derive(Debug, Clone)]
 pub struct Arc {
@@ -71,7 +73,7 @@ impl Arc {
     /// The REPLACE subroutine: evicts one resident block from T1 or T2
     /// into the corresponding ghost list and returns it. `None` only if
     /// both lists are empty, which REPLACE's callers never allow.
-    fn replace(&mut self, in_b2: bool) -> Option<BlockId> {
+    fn replace(&mut self, in_b2: bool) -> Option<BlockNo> {
         let t1 = self.lists.len(T1);
         if t1 > 0 && (t1 > self.p || (in_b2 && t1 == self.p)) {
             self.lists.move_head_to_tail(T1, B1)
@@ -91,11 +93,11 @@ impl CachePolicy for Arc {
         self.lists.len(T1) + self.lists.len(T2)
     }
 
-    fn contains(&self, block: BlockId) -> bool {
+    fn contains(&self, block: BlockNo) -> bool {
         matches!(self.lists.find(block), Some((_, T1 | T2)))
     }
 
-    fn access(&mut self, block: BlockId) -> AccessResult {
+    fn access(&mut self, block: BlockNo) -> AccessResult {
         let evicted = match self.lists.find(block) {
             // Case I: hit in T1 or T2 → promote to T2 MRU.
             Some((slot, T1 | T2)) => {
@@ -162,8 +164,8 @@ mod tests {
     use super::*;
     use crate::policy::conformance;
 
-    fn b(i: u64) -> BlockId {
-        BlockId::new(i)
+    fn b(i: u32) -> BlockNo {
+        BlockNo::from_raw(i)
     }
 
     #[test]
@@ -230,7 +232,7 @@ mod tests {
     #[test]
     fn directory_bounded_by_2c() {
         let mut arc = Arc::new(8);
-        for i in 0..1000u64 {
+        for i in 0..1000u32 {
             arc.access(b(i * 3 % 64));
         }
         let (t1, t2, b1, b2) = arc.list_sizes();
@@ -242,7 +244,7 @@ mod tests {
     #[test]
     fn p_stays_in_range() {
         let mut arc = Arc::new(6);
-        for i in 0..2000u64 {
+        for i in 0..2000u32 {
             arc.access(b((i * 7) % 23));
         }
         assert!(arc.target_t1() <= 6);

@@ -1,8 +1,6 @@
 //! Second-chance (CLOCK) replacement: [`Clock`].
 
-use cbs_trace::hash::FxHashMap;
-use cbs_trace::BlockId;
-
+use crate::numbering::{BlockNo, DirectIndex};
 use crate::policy::{AccessResult, CachePolicy};
 
 /// The CLOCK (second-chance) policy: an LRU approximation with O(1)
@@ -16,15 +14,15 @@ pub struct Clock {
     /// Circular buffer of frames (block + reference bit). Grows to
     /// capacity and then stays fixed.
     frames: Vec<Frame>,
-    /// Block → frame index.
-    index: FxHashMap<BlockId, usize>,
+    /// Block number → frame.
+    index: DirectIndex,
     hand: usize,
     capacity: usize,
 }
 
 #[derive(Debug, Clone, Copy)]
 struct Frame {
-    block: BlockId,
+    block: BlockNo,
     referenced: bool,
 }
 
@@ -38,7 +36,7 @@ impl Clock {
         assert!(capacity > 0, "cache capacity must be non-zero");
         Clock {
             frames: Vec::with_capacity(capacity),
-            index: FxHashMap::with_capacity_and_hasher(capacity, Default::default()),
+            index: DirectIndex::default(),
             hand: 0,
             capacity,
         }
@@ -54,17 +52,19 @@ impl CachePolicy for Clock {
         self.frames.len()
     }
 
-    fn contains(&self, block: BlockId) -> bool {
-        self.index.contains_key(&block)
+    fn contains(&self, block: BlockNo) -> bool {
+        self.index.get(block).is_some()
     }
 
-    fn access(&mut self, block: BlockId) -> AccessResult {
-        if let Some(&slot) = self.index.get(&block) {
-            self.frames[slot].referenced = true;
+    fn access(&mut self, block: BlockNo) -> AccessResult {
+        if let Some(slot) = self.index.get(block) {
+            self.frames[slot as usize].referenced = true;
             return AccessResult::HIT;
         }
         if self.frames.len() < self.capacity {
-            self.index.insert(block, self.frames.len());
+            // Frames hold distinct numbers, all below u32::MAX: frame
+            // numbers fit.
+            self.index.insert(block, self.frames.len() as u32);
             self.frames.push(Frame {
                 block,
                 referenced: false,
@@ -79,10 +79,10 @@ impl CachePolicy for Clock {
                 self.hand = (self.hand + 1) % self.capacity;
             } else {
                 let victim = frame.block;
-                self.index.remove(&victim);
                 frame.block = block;
                 frame.referenced = false;
-                self.index.insert(block, self.hand);
+                self.index.remove(victim);
+                self.index.insert(block, self.hand as u32);
                 self.hand = (self.hand + 1) % self.capacity;
                 return AccessResult::miss_evicting(victim);
             }
@@ -99,8 +99,8 @@ mod tests {
     use super::*;
     use crate::policy::conformance;
 
-    fn b(i: u64) -> BlockId {
-        BlockId::new(i)
+    fn b(i: u32) -> BlockNo {
+        BlockNo::from_raw(i)
     }
 
     #[test]

@@ -1,22 +1,27 @@
 //! First-in-first-out replacement: [`Fifo`].
 
-use std::collections::VecDeque;
-
-use cbs_trace::hash::FxHashSet;
-use cbs_trace::BlockId;
-
+use crate::numbering::{BlockNo, DirectIndex};
 use crate::policy::{AccessResult, CachePolicy};
 
 /// FIFO replacement: blocks are evicted in admission order, and hits do
 /// not change a block's position.
+///
+/// Resident blocks sit on a circular buffer in admission order; the
+/// hand points at the oldest, and a miss in a full cache replaces it
+/// and moves on (CLOCK without reference bits). A direct index by block
+/// number says whether a block is resident.
 ///
 /// Included as an ablation baseline against [`crate::Lru`] — the delta
 /// between the two isolates how much of a workload's cacheability comes
 /// from *recency* rather than mere residence.
 #[derive(Debug, Clone)]
 pub struct Fifo {
-    queue: VecDeque<BlockId>,
-    resident: FxHashSet<BlockId>,
+    /// Resident blocks; grows to capacity and then stays fixed.
+    frames: Vec<BlockNo>,
+    /// Block number → frame.
+    index: DirectIndex,
+    /// The oldest admission, next to go once the buffer is full.
+    hand: usize,
     capacity: usize,
 }
 
@@ -29,15 +34,16 @@ impl Fifo {
     pub fn new(capacity: usize) -> Self {
         assert!(capacity > 0, "cache capacity must be non-zero");
         Fifo {
-            queue: VecDeque::with_capacity(capacity),
-            resident: FxHashSet::with_capacity_and_hasher(capacity, Default::default()),
+            frames: Vec::with_capacity(capacity),
+            index: DirectIndex::default(),
+            hand: 0,
             capacity,
         }
     }
 
     /// The next eviction victim, if any.
-    pub fn peek_front(&self) -> Option<BlockId> {
-        self.queue.front().copied()
+    pub fn peek_front(&self) -> Option<BlockNo> {
+        self.frames.get(self.hand).copied()
     }
 }
 
@@ -47,33 +53,29 @@ impl CachePolicy for Fifo {
     }
 
     fn len(&self) -> usize {
-        self.resident.len()
+        self.frames.len()
     }
 
-    fn contains(&self, block: BlockId) -> bool {
-        self.resident.contains(&block)
+    fn contains(&self, block: BlockNo) -> bool {
+        self.index.get(block).is_some()
     }
 
-    fn access(&mut self, block: BlockId) -> AccessResult {
-        if self.resident.contains(&block) {
+    fn access(&mut self, block: BlockNo) -> AccessResult {
+        if self.index.get(block).is_some() {
             return AccessResult::HIT;
         }
-        let evicted = if self.resident.len() == self.capacity {
-            // A full cache always has a front to pop.
-            let victim = self.queue.pop_front();
-            if let Some(v) = victim {
-                self.resident.remove(&v);
-            }
-            victim
-        } else {
-            None
-        };
-        self.queue.push_back(block);
-        self.resident.insert(block);
-        AccessResult {
-            hit: false,
-            evicted,
+        if self.frames.len() < self.capacity {
+            // Frames are below capacity, and the index below u32::MAX
+            // blocks: frame numbers fit.
+            self.index.insert(block, self.frames.len() as u32);
+            self.frames.push(block);
+            return AccessResult::MISS;
         }
+        let victim = std::mem::replace(&mut self.frames[self.hand], block);
+        self.index.remove(victim);
+        self.index.insert(block, self.hand as u32);
+        self.hand = (self.hand + 1) % self.capacity;
+        AccessResult::miss_evicting(victim)
     }
 
     fn name(&self) -> &'static str {
@@ -86,8 +88,8 @@ mod tests {
     use super::*;
     use crate::policy::conformance;
 
-    fn b(i: u64) -> BlockId {
-        BlockId::new(i)
+    fn b(i: u32) -> BlockNo {
+        BlockNo::from_raw(i)
     }
 
     #[test]

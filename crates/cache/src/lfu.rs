@@ -1,6 +1,6 @@
 //! Least-frequently-used replacement: [`Lfu`].
 
-use cbs_trace::BlockId;
+use crate::numbering::BlockNo;
 
 use crate::list::{Ends, Slab, NIL};
 use crate::policy::{AccessResult, CachePolicy};
@@ -58,7 +58,7 @@ impl Lfu {
     }
 
     /// The reference count recorded for a resident block.
-    pub fn frequency(&self, block: BlockId) -> Option<u64> {
+    pub fn frequency(&self, block: BlockNo) -> Option<u64> {
         let slot = self.blocks.find(block)?;
         Some(self.buckets[self.blocks.list(slot) as usize].freq)
     }
@@ -117,11 +117,11 @@ impl CachePolicy for Lfu {
         self.blocks.len()
     }
 
-    fn contains(&self, block: BlockId) -> bool {
+    fn contains(&self, block: BlockNo) -> bool {
         self.blocks.find(block).is_some()
     }
 
-    fn access(&mut self, block: BlockId) -> AccessResult {
+    fn access(&mut self, block: BlockNo) -> AccessResult {
         if let Some(slot) = self.blocks.find(block) {
             let from = self.blocks.list(slot);
             let Bucket {
@@ -184,8 +184,8 @@ mod tests {
     use super::*;
     use crate::policy::conformance;
 
-    fn b(i: u64) -> BlockId {
-        BlockId::new(i)
+    fn b(i: u32) -> BlockNo {
+        BlockNo::from_raw(i)
     }
 
     #[test]
@@ -228,7 +228,7 @@ mod tests {
     }
 
     /// The bucket chain as `(frequency, blocks oldest → newest)`.
-    fn chain(lfu: &Lfu) -> Vec<(u64, Vec<u64>)> {
+    fn chain(lfu: &Lfu) -> Vec<(u64, Vec<usize>)> {
         let mut out = Vec::new();
         let mut bucket = lfu.lowest;
         while bucket != NIL {
@@ -239,7 +239,7 @@ mod tests {
             let mut slot = blocks.head;
             while slot != NIL {
                 assert_eq!(lfu.blocks.list(slot), bucket);
-                members.push(lfu.blocks.block(slot).get());
+                members.push(lfu.blocks.block(slot).index());
                 slot = lfu.blocks.next(slot);
             }
             assert_eq!(members.len(), blocks.len as usize);

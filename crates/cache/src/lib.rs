@@ -6,6 +6,8 @@
 //! machinery a storage-caching study needs:
 //!
 //! * [`policy`] — the object-safe [`CachePolicy`] trait;
+//! * [`numbering`] — [`BlockNumbering`], which gives each distinct block
+//!   a dense [`BlockNo`] once, the key every policy indexes by;
 //! * [`lru`], [`fifo`], [`lfu`], [`clock`], [`arc`], [`slru`], [`twoq`] —
 //!   replacement policies (LRU is the paper's; the rest are ablation
 //!   baselines);
@@ -25,15 +27,17 @@
 //! # Example
 //!
 //! ```
-//! use cbs_cache::{CachePolicy, Lru};
+//! use cbs_cache::{BlockNumbering, CachePolicy, Lru};
 //! use cbs_trace::BlockId;
 //!
+//! let mut numbers = BlockNumbering::new();
+//! let [b1, b2, b3] = [1, 2, 3].map(|id| numbers.number(BlockId::new(id)));
 //! let mut lru = Lru::new(2);
-//! assert!(!lru.access(BlockId::new(1)).hit);
-//! assert!(!lru.access(BlockId::new(2)).hit);
-//! assert!(lru.access(BlockId::new(1)).hit);     // 1 is MRU now
-//! let out = lru.access(BlockId::new(3));        // evicts 2 (LRU)
-//! assert_eq!(out.evicted, Some(BlockId::new(2)));
+//! assert!(!lru.access(b1).hit);
+//! assert!(!lru.access(b2).hit);
+//! assert!(lru.access(b1).hit);     // 1 is MRU now
+//! let out = lru.access(b3);        // evicts 2 (LRU)
+//! assert_eq!(out.evicted, Some(b2));
 //! ```
 
 #![forbid(unsafe_code)]
@@ -45,6 +49,7 @@ pub mod lfu;
 pub mod list;
 pub mod lru;
 pub mod mrc;
+pub mod numbering;
 pub mod opt;
 pub mod policy;
 pub mod reuse;
@@ -59,6 +64,7 @@ pub use fifo::Fifo;
 pub use lfu::Lfu;
 pub use lru::Lru;
 pub use mrc::MissRatioCurve;
+pub use numbering::{BlockNo, BlockNumbering};
 pub use opt::{simulate_opt, OptResult};
 pub use policy::{policy_by_name, AccessResult, CachePolicy, POLICY_NAMES};
 pub use reuse::{BlockStack, ReuseDistances, ReuseStack, ShardsSampler};

@@ -2,19 +2,21 @@
 //!
 //! This is the shared backbone of the list-based policies. Every block
 //! a policy tracks — resident or ghost — owns one node in a `Vec`, and
-//! a single `FxHashMap<BlockId, u32>` maps the block to its node. The
-//! node records which of the policy's lists it is on, so one lookup
-//! answers "is it tracked, and where", and every move between lists
-//! (ARC's T1→T2 or T1→B1, SLRU's probation↔protected, 2Q's
-//! A1in→A1out) is link surgery on `u32` slots with no hashing at all.
-//! The index is written only when a block is admitted and when it is
-//! finally dropped. Links are slots, not pointers, so there is no
-//! unsafe code; freed slots are recycled through a free list, so a
-//! policy bounded by `n` tracked blocks never holds more than `n`
-//! nodes.
+//! a direct array indexed by the block's [`BlockNo`] holds its node's
+//! slot: finding a block is one array load, no hashing (the
+//! [`BlockNumbering`](crate::BlockNumbering) that minted the number
+//! hashed the block once, for every policy). The node records which of
+//! the policy's lists it is on, so one lookup answers "is it tracked,
+//! and where", and every move between lists (ARC's T1→T2 or T1→B1,
+//! SLRU's probation↔protected, 2Q's A1in→A1out) is link surgery on
+//! `u32` slots. The index is written only when a block is admitted and
+//! when it is finally dropped. Links are slots, not pointers, so there
+//! is no unsafe code; freed slots are recycled through a free list, so
+//! a policy bounded by `n` tracked blocks never holds more than `n`
+//! nodes. The index grows to the highest block number admitted: 4 bytes
+//! per distinct block of the stream, whatever the capacity.
 
-use cbs_trace::hash::FxHashMap;
-use cbs_trace::BlockId;
+use crate::numbering::{BlockNo, DirectIndex};
 
 /// The nil link. Slots are `u32`, so a slab holds fewer than
 /// `u32::MAX` nodes (checked on growth).
@@ -22,7 +24,7 @@ pub(crate) const NIL: u32 = u32::MAX;
 
 #[derive(Debug, Clone, Copy)]
 struct Node {
-    block: BlockId,
+    block: BlockNo,
     prev: u32,
     next: u32,
     /// The owner's id for the list this node is on.
@@ -51,41 +53,45 @@ impl Ends {
 /// [`crate::Lfu`] one per frequency bucket.
 #[derive(Debug, Clone)]
 pub(crate) struct Slab {
-    index: FxHashMap<BlockId, u32>,
+    /// Block number → slot.
+    index: DirectIndex,
     nodes: Vec<Node>,
     /// Head of the free list, threaded through `next`.
     free: u32,
+    /// Tracked blocks, over all lists.
+    len: u32,
 }
 
 impl Slab {
     pub(crate) fn new() -> Self {
         Slab {
-            index: FxHashMap::default(),
+            index: DirectIndex::default(),
             nodes: Vec::new(),
             free: NIL,
+            len: 0,
         }
     }
 
-    /// Pre-sizes index and node store for `blocks` tracked blocks.
-    /// Reserved, not filled: untouched capacity costs no memory.
+    /// Reserves the node store for `blocks` tracked blocks: address
+    /// space only, as pages are touched when nodes are pushed. The
+    /// index is not pre-sized; it grows with the block numbers admitted.
     pub(crate) fn with_capacity(blocks: usize) -> Self {
         Slab {
-            index: FxHashMap::with_capacity_and_hasher(blocks, Default::default()),
             nodes: Vec::with_capacity(blocks),
-            free: NIL,
+            ..Slab::new()
         }
     }
 
     /// Number of tracked blocks, over all lists.
     pub(crate) fn len(&self) -> usize {
-        self.index.len()
+        self.len as usize
     }
 
-    pub(crate) fn find(&self, block: BlockId) -> Option<u32> {
-        self.index.get(&block).copied()
+    pub(crate) fn find(&self, block: BlockNo) -> Option<u32> {
+        self.index.get(block)
     }
 
-    pub(crate) fn block(&self, slot: u32) -> BlockId {
+    pub(crate) fn block(&self, slot: u32) -> BlockNo {
         self.nodes[slot as usize].block
     }
 
@@ -99,7 +105,7 @@ impl Slab {
 
     /// Starts tracking `block` (which must not be tracked) at the tail
     /// of the list `ends`, known to the owner as `list`.
-    pub(crate) fn admit(&mut self, block: BlockId, ends: &mut Ends, list: u32) -> u32 {
+    pub(crate) fn admit(&mut self, block: BlockNo, ends: &mut Ends, list: u32) -> u32 {
         let node = Node {
             block,
             prev: NIL,
@@ -119,22 +125,28 @@ impl Slab {
             self.nodes[slot as usize] = node;
             slot
         };
-        let previous = self.index.insert(block, slot);
-        debug_assert!(previous.is_none(), "admitted a tracked block");
+        debug_assert!(self.index.get(block).is_none(), "admitted a tracked block");
+        self.index.insert(block, slot);
+        self.len += 1;
         self.link_tail(ends, slot, list);
         slot
     }
 
     /// Stops tracking the block in `slot`, which is on `ends`; the slot
     /// is free for reuse afterwards.
-    pub(crate) fn evict(&mut self, ends: &mut Ends, slot: u32) -> BlockId {
+    pub(crate) fn evict(&mut self, ends: &mut Ends, slot: u32) -> BlockNo {
         self.unlink(ends, slot);
         let node = &mut self.nodes[slot as usize];
         node.next = self.free;
         self.free = slot;
         let block = node.block;
-        let removed = self.index.remove(&block);
-        debug_assert_eq!(removed, Some(slot), "evicted an untracked slot");
+        debug_assert_eq!(
+            self.index.get(block),
+            Some(slot),
+            "evicted an untracked slot"
+        );
+        self.index.remove(block);
+        self.len -= 1;
         block
     }
 
@@ -187,19 +199,22 @@ pub struct Slot(u32);
 ///
 /// ```
 /// use cbs_cache::list::ListSlab;
+/// use cbs_cache::BlockNumbering;
 /// use cbs_trace::BlockId;
 ///
 /// const RESIDENT: usize = 0;
 /// const GHOST: usize = 1;
+/// let mut numbers = BlockNumbering::new();
+/// let (one, two) = (numbers.number(BlockId::new(1)), numbers.number(BlockId::new(2)));
 /// let mut lists: ListSlab<2> = ListSlab::new();
-/// lists.insert_tail(RESIDENT, BlockId::new(1));
-/// lists.insert_tail(RESIDENT, BlockId::new(2));
-/// // Demote the oldest resident block to the ghost list: no hashing.
-/// assert_eq!(lists.move_head_to_tail(RESIDENT, GHOST), Some(BlockId::new(1)));
-/// let (slot, list) = lists.find(BlockId::new(1)).expect("still tracked");
+/// lists.insert_tail(RESIDENT, one);
+/// lists.insert_tail(RESIDENT, two);
+/// // Demote the oldest resident block to the ghost list.
+/// assert_eq!(lists.move_head_to_tail(RESIDENT, GHOST), Some(one));
+/// let (slot, list) = lists.find(one).expect("still tracked");
 /// assert_eq!(list, GHOST);
 /// lists.move_to_tail(slot, RESIDENT); // ghost hit: back in, as newest
-/// assert_eq!(lists.pop_head(RESIDENT), Some(BlockId::new(2)));
+/// assert_eq!(lists.pop_head(RESIDENT), Some(two));
 /// assert_eq!(lists.total_len(), 1);
 /// ```
 #[derive(Debug, Clone)]
@@ -223,8 +238,9 @@ impl<const K: usize> ListSlab<K> {
         }
     }
 
-    /// Creates `K` empty lists with room reserved for `blocks` blocks
-    /// in total (reserved, not touched).
+    /// Creates `K` empty lists with node room reserved for `blocks`
+    /// blocks in total (reserved, not touched; the block index is not
+    /// pre-sized, it grows with the block numbers admitted).
     pub fn with_capacity(blocks: usize) -> Self {
         ListSlab {
             slab: Slab::with_capacity(blocks),
@@ -248,26 +264,26 @@ impl<const K: usize> ListSlab<K> {
     }
 
     /// Looks `block` up: its slot and the list it is on.
-    pub fn find(&self, block: BlockId) -> Option<(Slot, usize)> {
+    pub fn find(&self, block: BlockNo) -> Option<(Slot, usize)> {
         let slot = self.slab.find(block)?;
         Some((Slot(slot), self.slab.list(slot) as usize))
     }
 
     /// The oldest block of `list`, if any.
-    pub fn head(&self, list: usize) -> Option<BlockId> {
+    pub fn head(&self, list: usize) -> Option<BlockNo> {
         let head = self.lists[list].head;
         (head != NIL).then(|| self.slab.block(head))
     }
 
     /// The newest block of `list`, if any.
-    pub fn tail(&self, list: usize) -> Option<BlockId> {
+    pub fn tail(&self, list: usize) -> Option<BlockNo> {
         let tail = self.lists[list].tail;
         (tail != NIL).then(|| self.slab.block(tail))
     }
 
     /// Starts tracking `block` as the newest of `list`. The block must
     /// not be tracked already ([`find`](ListSlab::find) first).
-    pub fn insert_tail(&mut self, list: usize, block: BlockId) -> Slot {
+    pub fn insert_tail(&mut self, list: usize, block: BlockNo) -> Slot {
         Slot(self.slab.admit(block, &mut self.lists[list], list as u32))
     }
 
@@ -284,7 +300,7 @@ impl<const K: usize> ListSlab<K> {
 
     /// Moves the oldest block of `from` to the newest end of `to` and
     /// returns it; `None` if `from` is empty.
-    pub fn move_head_to_tail(&mut self, from: usize, to: usize) -> Option<BlockId> {
+    pub fn move_head_to_tail(&mut self, from: usize, to: usize) -> Option<BlockNo> {
         let head = self.lists[from].head;
         if head == NIL {
             return None;
@@ -294,20 +310,20 @@ impl<const K: usize> ListSlab<K> {
     }
 
     /// Drops the oldest block of `list` from the slab and returns it.
-    pub fn pop_head(&mut self, list: usize) -> Option<BlockId> {
+    pub fn pop_head(&mut self, list: usize) -> Option<BlockNo> {
         let head = self.lists[list].head;
         (head != NIL).then(|| self.slab.evict(&mut self.lists[list], head))
     }
 
     /// Drops the block in `slot` from the slab and returns it.
-    pub fn remove(&mut self, slot: Slot) -> BlockId {
+    pub fn remove(&mut self, slot: Slot) -> BlockNo {
         let list = self.slab.list(slot.0) as usize;
         self.slab.evict(&mut self.lists[list], slot.0)
     }
 
     /// Iterates `list` from oldest to newest. O(n); intended for tests
     /// and debugging.
-    pub fn iter(&self, list: usize) -> impl Iterator<Item = BlockId> + '_ {
+    pub fn iter(&self, list: usize) -> impl Iterator<Item = BlockNo> + '_ {
         let mut cursor = self.lists[list].head;
         std::iter::from_fn(move || {
             if cursor == NIL {
@@ -324,14 +340,14 @@ impl<const K: usize> ListSlab<K> {
 mod tests {
     use super::*;
 
-    fn b(i: u64) -> BlockId {
-        BlockId::new(i)
+    fn b(i: u32) -> BlockNo {
+        BlockNo::from_raw(i)
     }
 
     /// A one-list slab used the way `Lru` uses it.
     type Set = ListSlab<1>;
 
-    fn push_mru(s: &mut Set, block: BlockId) {
+    fn push_mru(s: &mut Set, block: BlockNo) {
         match s.find(block) {
             Some((slot, _)) => s.move_to_tail(slot, 0),
             None => {
@@ -340,7 +356,7 @@ mod tests {
         }
     }
 
-    fn remove(s: &mut Set, block: BlockId) -> bool {
+    fn remove(s: &mut Set, block: BlockNo) -> bool {
         match s.find(block) {
             Some((slot, _)) => {
                 assert_eq!(s.remove(slot), block);
@@ -350,7 +366,7 @@ mod tests {
         }
     }
 
-    fn order(s: &Set) -> Vec<BlockId> {
+    fn order(s: &Set) -> Vec<BlockNo> {
         s.iter(0).collect()
     }
 
@@ -433,8 +449,8 @@ mod tests {
     fn interleaved_stress_against_vec_model() {
         // model: Vec kept in LRU..MRU order
         let mut s = Set::new();
-        let mut model: Vec<BlockId> = Vec::new();
-        let ops: Vec<u64> = (0..500).map(|i| (i * 31 + 7) % 40).collect();
+        let mut model: Vec<BlockNo> = Vec::new();
+        let ops: Vec<u32> = (0..500).map(|i| (i * 31 + 7) % 40).collect();
         for (step, &x) in ops.iter().enumerate() {
             let block = b(x);
             if step % 7 == 3 {
@@ -461,8 +477,8 @@ mod tests {
         // order and length and the index's membership must equal the
         // model's (three Vecs kept oldest → newest).
         let mut s: ListSlab<3> = ListSlab::new();
-        let mut model: [Vec<BlockId>; 3] = Default::default();
-        let locate = |model: &[Vec<BlockId>; 3], block: BlockId| {
+        let mut model: [Vec<BlockNo>; 3] = Default::default();
+        let locate = |model: &[Vec<BlockNo>; 3], block: BlockNo| {
             (0..3).find_map(|l| {
                 model[l]
                     .iter()
@@ -481,7 +497,7 @@ mod tests {
         };
         let mut high_water = 0usize;
         for step in 0..4000 {
-            let block = b(next(24));
+            let block = b(next(24) as u32);
             let list = next(3) as usize;
             match next(8) {
                 // admit, or move across (or within) lists when tracked

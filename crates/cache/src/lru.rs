@@ -1,6 +1,6 @@
 //! Least-recently-used replacement: [`Lru`].
 
-use cbs_trace::BlockId;
+use crate::numbering::BlockNo;
 
 use crate::list::ListSlab;
 use crate::policy::{AccessResult, CachePolicy};
@@ -14,16 +14,18 @@ use crate::policy::{AccessResult, CachePolicy};
 /// # Example
 ///
 /// ```
-/// use cbs_cache::{CachePolicy, Lru};
+/// use cbs_cache::{BlockNumbering, CachePolicy, Lru};
 /// use cbs_trace::BlockId;
 ///
+/// let mut numbers = BlockNumbering::new();
+/// let [b10, b20, b30] = [10, 20, 30].map(|id| numbers.number(BlockId::new(id)));
 /// let mut lru = Lru::new(2);
-/// lru.access(BlockId::new(10));
-/// lru.access(BlockId::new(20));
-/// lru.access(BlockId::new(10)); // promote 10
-/// let out = lru.access(BlockId::new(30));
-/// assert_eq!(out.evicted, Some(BlockId::new(20)));
-/// assert!(lru.contains(BlockId::new(10)));
+/// lru.access(b10);
+/// lru.access(b20);
+/// lru.access(b10); // promote 10
+/// let out = lru.access(b30);
+/// assert_eq!(out.evicted, Some(b20));
+/// assert!(lru.contains(b10));
 /// ```
 #[derive(Debug, Clone)]
 pub struct Lru {
@@ -47,17 +49,17 @@ impl Lru {
     }
 
     /// The current LRU (next victim), if any.
-    pub fn peek_lru(&self) -> Option<BlockId> {
+    pub fn peek_lru(&self) -> Option<BlockNo> {
         self.set.head(0)
     }
 
     /// The current MRU (most recently touched), if any.
-    pub fn peek_mru(&self) -> Option<BlockId> {
+    pub fn peek_mru(&self) -> Option<BlockNo> {
         self.set.tail(0)
     }
 
     /// Iterates resident blocks from LRU to MRU (O(n), for inspection).
-    pub fn iter(&self) -> impl Iterator<Item = BlockId> + '_ {
+    pub fn iter(&self) -> impl Iterator<Item = BlockNo> + '_ {
         self.set.iter(0)
     }
 }
@@ -71,11 +73,11 @@ impl CachePolicy for Lru {
         self.set.total_len()
     }
 
-    fn contains(&self, block: BlockId) -> bool {
+    fn contains(&self, block: BlockNo) -> bool {
         self.set.find(block).is_some()
     }
 
-    fn access(&mut self, block: BlockId) -> AccessResult {
+    fn access(&mut self, block: BlockNo) -> AccessResult {
         if let Some((slot, _)) = self.set.find(block) {
             self.set.move_to_tail(slot, 0);
             return AccessResult::HIT;
@@ -102,8 +104,8 @@ mod tests {
     use super::*;
     use crate::policy::conformance;
 
-    fn b(i: u64) -> BlockId {
-        BlockId::new(i)
+    fn b(i: u32) -> BlockNo {
+        BlockNo::from_raw(i)
     }
 
     #[test]
@@ -147,7 +149,7 @@ mod tests {
     fn stack_property_inclusion() {
         // LRU has the inclusion (stack) property: the content of a
         // size-k cache is a subset of a size-(k+1) cache at every step.
-        let pattern: Vec<u64> = (0..300).map(|i| (i * 13 + 5) % 37).collect();
+        let pattern: Vec<u32> = (0..300).map(|i| (i * 13 + 5) % 37).collect();
         let mut small = Lru::new(4);
         let mut large = Lru::new(8);
         for &x in &pattern {

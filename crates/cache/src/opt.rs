@@ -107,6 +107,12 @@ mod tests {
         seq.iter().copied().map(BlockId::new).collect()
     }
 
+    /// `accesses` by first-touch number, the key online policies take.
+    fn numbered(accesses: &[BlockId]) -> impl Iterator<Item = crate::BlockNo> + '_ {
+        let mut numbers = crate::BlockNumbering::new();
+        accesses.iter().map(move |&b| numbers.number(b))
+    }
+
     #[test]
     fn empty_sequence() {
         let r = simulate_opt(&[], 4);
@@ -139,7 +145,9 @@ mod tests {
         let accesses = ids(&seq);
         let opt = simulate_opt(&accesses, 4);
         let mut lru = Lru::new(4);
-        let lru_hits: u64 = accesses.iter().map(|&b| u64::from(lru.access(b).hit)).sum();
+        let lru_hits: u64 = numbered(&accesses)
+            .map(|b| u64::from(lru.access(b).hit))
+            .sum();
         assert_eq!(lru_hits, 0, "LRU thrashes on the cycle");
         assert!(opt.hits > 25, "OPT exploits the future: {} hits", opt.hits);
     }
@@ -161,9 +169,8 @@ mod tests {
                 Box::new(crate::TwoQ::new(cap)),
             ];
             for mut policy in policies {
-                let hits: u64 = accesses
-                    .iter()
-                    .map(|&b| u64::from(policy.access(b).hit))
+                let hits: u64 = numbered(&accesses)
+                    .map(|b| u64::from(policy.access(b).hit))
                     .sum();
                 assert!(
                     opt.hits >= hits,

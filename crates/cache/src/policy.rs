@@ -1,7 +1,7 @@
 //! The replacement-policy abstraction: [`CachePolicy`] and
 //! [`AccessResult`].
 
-use cbs_trace::BlockId;
+use crate::numbering::BlockNo;
 
 /// Outcome of one cache access.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -9,7 +9,7 @@ pub struct AccessResult {
     /// `true` if the block was resident before the access.
     pub hit: bool,
     /// The block evicted to make room, if any.
-    pub evicted: Option<BlockId>,
+    pub evicted: Option<BlockNo>,
 }
 
 impl AccessResult {
@@ -26,7 +26,7 @@ impl AccessResult {
     };
 
     /// A miss that evicted `victim`.
-    pub fn miss_evicting(victim: BlockId) -> AccessResult {
+    pub fn miss_evicting(victim: BlockNo) -> AccessResult {
         AccessResult {
             hit: false,
             evicted: Some(victim),
@@ -46,7 +46,11 @@ impl AccessResult {
 ///   updated;
 /// * reads and writes are treated identically (the paper's Finding 15
 ///   simulates a unified read/write cache; the split accounting lives in
-///   [`crate::CacheSim`]).
+///   [`crate::CacheSim`]);
+/// * blocks are keyed by their [`BlockNo`], the dense number a
+///   [`crate::BlockNumbering`] gave them, so a policy finds a block with
+///   one array load: its index is as large as the highest number it has
+///   seen ([`crate::CacheSim`] and the sweep engine number the stream).
 ///
 /// The trait is object-safe so simulations can switch policies at
 /// runtime (`Box<dyn CachePolicy>`).
@@ -63,10 +67,10 @@ pub trait CachePolicy {
     }
 
     /// Returns `true` if `block` is resident.
-    fn contains(&self, block: BlockId) -> bool;
+    fn contains(&self, block: BlockNo) -> bool;
 
     /// References `block`, updating policy state.
-    fn access(&mut self, block: BlockId) -> AccessResult;
+    fn access(&mut self, block: BlockNo) -> AccessResult;
 
     /// A short human-readable policy name (`"lru"`, `"arc"`, ...).
     fn name(&self) -> &'static str;
@@ -85,11 +89,11 @@ impl<P: CachePolicy + ?Sized> CachePolicy for Box<P> {
         (**self).is_empty()
     }
 
-    fn contains(&self, block: BlockId) -> bool {
+    fn contains(&self, block: BlockNo) -> bool {
         (**self).contains(block)
     }
 
-    fn access(&mut self, block: BlockId) -> AccessResult {
+    fn access(&mut self, block: BlockNo) -> AccessResult {
         (**self).access(block)
     }
 
@@ -118,12 +122,13 @@ pub const POLICY_NAMES: &[&str] = &["lru", "fifo", "clock", "lfu", "arc", "slru"
 /// # Example
 ///
 /// ```
-/// use cbs_cache::{policy_by_name, CachePolicy};
+/// use cbs_cache::{policy_by_name, BlockNumbering, CachePolicy};
 /// use cbs_trace::BlockId;
 ///
+/// let mut numbers = BlockNumbering::new();
 /// let mut policy = policy_by_name("arc", 64).expect("known policy");
 /// assert_eq!(policy.name(), "arc");
-/// assert!(!policy.access(BlockId::new(1)).hit);
+/// assert!(!policy.access(numbers.number(BlockId::new(1))).hit);
 /// assert!(policy_by_name("belady", 64).is_none());
 /// ```
 pub fn policy_by_name(name: &str, capacity: usize) -> Option<Box<dyn CachePolicy + Send>> {
@@ -150,19 +155,19 @@ pub(crate) mod conformance {
         assert_eq!(cache.capacity(), capacity);
         assert!(cache.is_empty());
         assert_eq!(cache.len(), 0);
-        assert!(!cache.contains(BlockId::new(0)));
+        assert!(!cache.contains(BlockNo::from_raw(0)));
 
         // deterministic access pattern with reuse
-        let pattern: Vec<u64> = (0..200u64).map(|i| (i * 7) % 50).collect();
-        let mut resident: std::collections::HashSet<BlockId> = Default::default();
+        let pattern: Vec<u32> = (0..200u32).map(|i| (i * 7) % 50).collect();
+        let mut resident: std::collections::HashSet<BlockNo> = Default::default();
         for &b in &pattern {
-            let block = BlockId::new(b);
+            let block = BlockNo::from_raw(b);
             let was_resident = resident.contains(&block);
             let out = cache.access(block);
             // hit report must agree with residency
             assert_eq!(out.hit, was_resident, "block {b}");
             if let Some(victim) = out.evicted {
-                assert!(resident.remove(&victim), "evicted non-resident {victim}");
+                assert!(resident.remove(&victim), "evicted non-resident {victim:?}");
                 assert!(!cache.contains(victim), "victim still resident");
             }
             resident.insert(block);
@@ -175,15 +180,15 @@ pub(crate) mod conformance {
 
     /// A hit never evicts; a miss at full capacity always evicts.
     pub(crate) fn check_eviction_discipline<P: CachePolicy>(mut cache: P, capacity: usize) {
-        for i in 0..capacity as u64 {
-            let out = cache.access(BlockId::new(i));
+        for i in 0..capacity as u32 {
+            let out = cache.access(BlockNo::from_raw(i));
             assert!(!out.hit);
             assert_eq!(out.evicted, None, "no eviction before full");
         }
-        let out = cache.access(BlockId::new(0));
+        let out = cache.access(BlockNo::from_raw(0));
         assert!(out.hit);
         assert_eq!(out.evicted, None, "hits never evict");
-        let out = cache.access(BlockId::new(capacity as u64 + 10));
+        let out = cache.access(BlockNo::from_raw(capacity as u32 + 10));
         assert!(!out.hit);
         assert!(out.evicted.is_some(), "miss at capacity must evict");
         assert_eq!(cache.len(), capacity);
@@ -200,9 +205,9 @@ mod tests {
         assert!(hit.hit);
         assert_eq!(hit.evicted, None);
         assert!(!miss.hit);
-        let e = AccessResult::miss_evicting(BlockId::new(3));
+        let e = AccessResult::miss_evicting(BlockNo::from_raw(3));
         assert!(!e.hit);
-        assert_eq!(e.evicted, Some(BlockId::new(3)));
+        assert_eq!(e.evicted, Some(BlockNo::from_raw(3)));
     }
 
     #[test]
@@ -223,13 +228,14 @@ mod tests {
         // lanes) can hold factory-built policies.
         let boxed: Box<dyn CachePolicy + Send> = policy_by_name("lru", 2).expect("lru exists");
         let mut boxed: Box<dyn CachePolicy> = boxed;
+        let b = BlockNo::from_raw;
         assert!(boxed.is_empty());
-        assert!(!boxed.access(BlockId::new(1)).hit);
-        assert!(!boxed.access(BlockId::new(2)).hit);
-        assert!(boxed.access(BlockId::new(1)).hit);
-        let out = boxed.access(BlockId::new(3));
-        assert_eq!(out.evicted, Some(BlockId::new(2)));
-        assert!(boxed.contains(BlockId::new(3)));
+        assert!(!boxed.access(b(1)).hit);
+        assert!(!boxed.access(b(2)).hit);
+        assert!(boxed.access(b(1)).hit);
+        let out = boxed.access(b(3));
+        assert_eq!(out.evicted, Some(b(2)));
+        assert!(boxed.contains(b(3)));
         assert_eq!(boxed.len(), 2);
         assert_eq!(boxed.capacity(), 2);
         assert_eq!(boxed.name(), "lru");

@@ -3,6 +3,7 @@
 
 use cbs_trace::{BlockAccessColumn, BlockSize, IoRequest, OpKind, RequestBatch};
 
+use crate::numbering::{run_numbers, BlockNumbering};
 use crate::policy::CachePolicy;
 
 /// Hit/miss tallies of a simulation, split by operation kind.
@@ -126,7 +127,9 @@ impl CacheStats {
 /// Requests are decomposed into fixed-size block accesses
 /// (via [`BlockSize::span_of`]); each block touched counts as one access
 /// of the request's kind — reads and writes share the cache, as in the
-/// paper's unified-cache simulation.
+/// paper's unified-cache simulation. The simulation owns the
+/// [`BlockNumbering`] its policy is keyed by: every block is numbered
+/// before the policy sees it.
 ///
 /// # Example
 ///
@@ -148,6 +151,7 @@ impl CacheStats {
 pub struct CacheSim<P> {
     policy: P,
     block_size: BlockSize,
+    numbers: BlockNumbering,
     stats: CacheStats,
 }
 
@@ -157,16 +161,23 @@ impl<P: CachePolicy> CacheSim<P> {
         CacheSim {
             policy,
             block_size,
+            numbers: BlockNumbering::new(),
             stats: CacheStats::new(),
         }
     }
 
     /// Simulates one request (every block it touches).
     pub fn access_request(&mut self, req: &IoRequest) {
-        for block in self.block_size.span_of(req) {
-            let out = self.policy.access(block);
-            self.stats.record(req.op(), out.hit);
-        }
+        let span = self.block_size.span_of(req);
+        let Some(first) = span.first() else {
+            return; // zero-length: touches no block
+        };
+        let (policy, stats) = (&mut self.policy, &mut self.stats);
+        self.numbers.number_span(first, span.remaining(), |run, n| {
+            for block in run_numbers(run, n) {
+                stats.record(req.op(), policy.access(block).hit);
+            }
+        });
     }
 
     /// Simulates a whole request stream.
@@ -188,7 +199,7 @@ impl<P: CachePolicy> CacheSim<P> {
     pub fn run_batch(&mut self, batch: &RequestBatch, scratch: &mut BlockAccessColumn) {
         batch.expand_blocks_into(self.block_size, scratch);
         for (block, op) in scratch.iter() {
-            let out = self.policy.access(block);
+            let out = self.policy.access(self.numbers.number(block));
             self.stats.record(op, out.hit);
         }
     }

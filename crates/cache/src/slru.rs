@@ -1,6 +1,6 @@
 //! Segmented LRU replacement: [`Slru`].
 
-use cbs_trace::BlockId;
+use crate::numbering::BlockNo;
 
 use crate::list::ListSlab;
 use crate::policy::{AccessResult, CachePolicy};
@@ -18,16 +18,18 @@ use crate::policy::{AccessResult, CachePolicy};
 /// # Example
 ///
 /// ```
-/// use cbs_cache::{CachePolicy, Slru};
+/// use cbs_cache::{BlockNumbering, CachePolicy, Slru};
 /// use cbs_trace::BlockId;
 ///
+/// let mut numbers = BlockNumbering::new();
+/// let hot = numbers.number(BlockId::new(1));
 /// let mut cache = Slru::new(4);
-/// cache.access(BlockId::new(1));
-/// cache.access(BlockId::new(1)); // promoted to the protected segment
+/// cache.access(hot);
+/// cache.access(hot); // promoted to the protected segment
 /// for i in 10..14 {
-///     cache.access(BlockId::new(i)); // scan churns probation only
+///     cache.access(numbers.number(BlockId::new(i))); // scan churns probation only
 /// }
-/// assert!(cache.contains(BlockId::new(1)));
+/// assert!(cache.contains(hot));
 /// ```
 #[derive(Debug, Clone)]
 pub struct Slru {
@@ -96,11 +98,11 @@ impl CachePolicy for Slru {
         self.segments.total_len()
     }
 
-    fn contains(&self, block: BlockId) -> bool {
+    fn contains(&self, block: BlockNo) -> bool {
         self.segments.find(block).is_some()
     }
 
-    fn access(&mut self, block: BlockId) -> AccessResult {
+    fn access(&mut self, block: BlockNo) -> AccessResult {
         if let Some((slot, segment)) = self.segments.find(block) {
             self.segments.move_to_tail(slot, PROTECTED);
             // promotion; overflow of the protected segment demotes its
@@ -137,8 +139,8 @@ mod tests {
     use super::*;
     use crate::policy::conformance;
 
-    fn b(i: u64) -> BlockId {
-        BlockId::new(i)
+    fn b(i: u32) -> BlockNo {
+        BlockNo::from_raw(i)
     }
 
     #[test]

@@ -14,24 +14,35 @@
 //! │    request: (first block,│ ───► │  stack touch per RUN        │
 //! │    count, op), no per-   │ Arc< │  → exact stats at EVERY     │
 //! │    block column          │ Sweep│    lru capacity (Mattson)   │
-//! │  └ SHARDS sample filter  │ Col> ├─────────────────────────────┤
-//! │    (hashed ONCE) →       │      │ boxed policy lanes          │
-//! │    sampled (block, op)   │      │  fifo/clock/lfu/arc/slru/2q │
-//! └──────────────────────────┘      │  exact: walk the spans      │
-//!       │ bounded channels          │  sampled: walk the pairs    │
-//!       ▼ (when workers > 0)        ├─────────────────────────────┤
-//!   worker threads, each            │ sampled MRC lane            │
-//!   processing a lane subset        │  (approximate LRU curve)    │
-//!                                   └─────────────────────────────┘
+//! │  └ numbered ONCE: runs of│ Col> ├─────────────────────────────┤
+//! │    consecutive BlockNos  │      │ boxed policy lanes          │
+//! │  └ SHARDS sample filter  │      │  fifo/clock/lfu/arc/slru/2q │
+//! │    (hashed ONCE) →       │      │  exact: walk the numbered   │
+//! │    sampled (block, op)   │      │    runs                     │
+//! │    + its own numbering   │      │  sampled: walk the pairs    │
+//! └──────────────────────────┘      ├─────────────────────────────┤
+//!       │ bounded channels          │ sampled MRC lane            │
+//!       ▼ (when workers > 0)        │  (approximate LRU curve,    │
+//!   worker threads, each            │   raw block ids)            │
+//!   processing a lane subset        └─────────────────────────────┘
 //! ```
 //!
-//! Three mechanisms carry the speedup (measured in `BENCH_cache.json`):
+//! Four mechanisms carry the speedup (measured in `BENCH_cache.json`):
 //!
 //! * the trace is generated/decoded **once**, not once per pair;
 //! * each batch is reduced **once** to one block span per request
 //!   (13 bytes, against ~9 per *block* for an expanded column) and the
 //!   SHARDS filter is hashed once; every lane shares that column, and
 //!   exact lanes enumerate a span's blocks as they go;
+//! * each block is **numbered once**, on the producer: a
+//!   [`BlockNumbering`] gives it a dense first-touch [`BlockNo`] (one
+//!   hash probe per 16-block chunk of a span), so every policy lane
+//!   finds its node with one array load instead of its own hash probe
+//!   per block. Exact spans enter the column as runs of consecutive
+//!   numbers — a span first touched together stays one run — and only
+//!   when the grid has an exact policy lane besides LRU's stack lane,
+//!   which keys by raw ids; sampled blocks get a numbering of their
+//!   own, so sampled lanes' indexes stay ~`rate` of the distinct blocks;
 //! * all exact-LRU lanes collapse into a **single**
 //!   [`crate::BlockStack`] pass — by the Mattson stack property, an
 //!   access hits an LRU cache of capacity `c` iff its reuse distance is
@@ -64,6 +75,7 @@ use cbs_obs::{Registry, Stopwatch};
 use cbs_trace::workers::{Gone, WorkerSet};
 use cbs_trace::{BlockId, BlockSize, IoRequest, OpKind, RequestBatch};
 
+use crate::numbering::{run_numbers, BlockNo, BlockNumbering};
 use crate::policy::{policy_by_name, CachePolicy, POLICY_NAMES};
 use crate::reuse::{count_distance, shards_hash, BlockStack, ShardsSampler};
 use crate::sim::CacheStats;
@@ -346,8 +358,11 @@ impl SweepGrid {
     )]
     pub fn start(self) -> CacheSweep {
         // The sampled-MRC lane and every sampled policy lane consume
-        // the engine's one spatial filter pass over each column.
-        let need_sampled = self.sampled_mrc || self.boxed.iter().any(|spec| spec.sampled);
+        // the engine's one spatial filter pass over each column; policy
+        // lanes, exact or sampled, consume the blocks' numbers.
+        let exact_policies = self.boxed.iter().any(|spec| !spec.sampled);
+        let sampled_policies = self.boxed.iter().any(|spec| spec.sampled);
+        let need_sampled = self.sampled_mrc || sampled_policies;
         let mut lanes: Vec<TimedLane> = Vec::with_capacity(self.lane_count());
         let mut index = 0usize;
         if !self.lru_capacities.is_empty() {
@@ -380,7 +395,8 @@ impl SweepGrid {
                     name: spec.name.clone(),
                     capacity: spec.capacity,
                     sampled: spec.sampled,
-                    stats: CacheStats::new(),
+                    accesses: [0, 0],
+                    hits: [0, 0],
                 }),
             ));
             index += 1;
@@ -416,9 +432,13 @@ impl SweepGrid {
 
         let metrics = self.registry.as_ref().map(SweepMetrics::new);
         CacheSweep {
-            block_size: self.block_size,
+            source: ColumnSource {
+                block_size: self.block_size,
+                threshold: need_sampled.then(|| ShardsSampler::threshold_for(self.rate)),
+                numbers: exact_policies.then(BlockNumbering::new),
+                sampled_numbers: sampled_policies.then(BlockNumbering::new),
+            },
             rate: self.rate,
-            threshold: need_sampled.then(|| ShardsSampler::threshold_for(self.rate)),
             buffer: RequestBatch::with_capacity(self.batch_size),
             batch_size: self.batch_size,
             pool,
@@ -447,11 +467,26 @@ fn mini_capacity(capacity: usize, rate: f64) -> usize {
     (((capacity as f64) * rate).round() as usize).max(1)
 }
 
+/// What the producer carries from batch to batch to build columns,
+/// each part derived from the grid at [`SweepGrid::start`].
+#[derive(Debug)]
+struct ColumnSource {
+    block_size: BlockSize,
+    /// The SHARDS spatial-filter threshold, if any lane is sampled.
+    threshold: Option<u64>,
+    /// Numbers the spans' blocks, if an exact policy lane runs.
+    numbers: Option<BlockNumbering>,
+    /// Numbers the sampled blocks, if a sampled policy lane runs.
+    sampled_numbers: Option<BlockNumbering>,
+}
+
 /// One shared unit of work: a batch as block *spans* — one
 /// `(first block, block count, op)` per request that touches any block,
-/// in batch order — plus the accesses passing the SHARDS spatial filter
-/// (hashed once, used by every sampled lane). No per-block column is
-/// built: exact lanes walk the spans, sampled lanes the pairs.
+/// in batch order — the same blocks as runs of consecutive numbers for
+/// the exact policy lanes, and the accesses passing the SHARDS spatial
+/// filter (hashed once, used by every sampled lane) with their numbers.
+/// No per-block column is built: exact lanes walk the spans or runs,
+/// sampled lanes the pairs.
 #[derive(Debug, Default)]
 struct SweepColumn {
     firsts: Vec<BlockId>,
@@ -459,24 +494,35 @@ struct SweepColumn {
     ops: Vec<OpKind>,
     /// Block accesses the spans cover: the sum of `counts`.
     accesses: u64,
+    /// The spans' blocks by number: `(first number, count, op)` per
+    /// run, in access order. Empty unless an exact policy lane runs.
+    runs: Vec<(BlockNo, u32, OpKind)>,
     sampled: Vec<(BlockId, OpKind)>,
+    /// `sampled`'s blocks by number, pair by pair. Empty unless a
+    /// sampled policy lane runs.
+    sampled_numbers: Vec<BlockNo>,
 }
 
 impl SweepColumn {
     /// Reduces `batch` to its block spans — [`BlockSize::span`] per
     /// request, so a range reaching past the end of the address space
-    /// arrives clamped — and, given a SHARDS `threshold`, collects the
-    /// accesses whose block hashes at or below it.
-    fn build(batch: &RequestBatch, block_size: BlockSize, threshold: Option<u64>) -> Self {
+    /// arrives clamped — numbers their blocks if `source` keeps a
+    /// numbering, and, given a SHARDS threshold, collects the accesses
+    /// whose block hashes at or below it (numbered too, if `source`
+    /// keeps a numbering for them).
+    fn build(batch: &RequestBatch, source: &mut ColumnSource) -> Self {
         let mut column = SweepColumn {
             firsts: Vec::with_capacity(batch.len()),
             counts: Vec::with_capacity(batch.len()),
             ops: Vec::with_capacity(batch.len()),
             ..SweepColumn::default()
         };
+        if source.numbers.is_some() {
+            column.runs.reserve(batch.len());
+        }
         let requests = batch.offsets().iter().zip(batch.lens());
         for ((&offset, &len), &op) in requests.zip(batch.ops()) {
-            let span = block_size.span(offset, len);
+            let span = source.block_size.span(offset, len);
             let Some(first) = span.first() else {
                 continue; // zero-length: touches no block
             };
@@ -488,9 +534,17 @@ impl SweepColumn {
             column.counts.push(blocks);
             column.ops.push(op);
             column.accesses += u64::from(blocks);
-            if let Some(threshold) = threshold {
-                let passing = span.filter(|&block| shards_hash(block) <= threshold);
-                column.sampled.extend(passing.map(|block| (block, op)));
+            if let Some(numbers) = &mut source.numbers {
+                let runs = &mut column.runs;
+                numbers.number_span(first, u64::from(blocks), |no, n| runs.push((no, n, op)));
+            }
+            if let Some(threshold) = source.threshold {
+                for block in span.filter(|&block| shards_hash(block) <= threshold) {
+                    column.sampled.push((block, op));
+                    if let Some(numbers) = &mut source.sampled_numbers {
+                        column.sampled_numbers.push(numbers.number(block));
+                    }
+                }
             }
         }
         column
@@ -707,42 +761,50 @@ impl Lane for StackLane {
 }
 
 /// A boxed-policy lane over the shared column — exact (every block of
-/// every span) or SHARDS-sampled (the filtered accesses against a
-/// miniature cache).
+/// every numbered run) or SHARDS-sampled (the filtered accesses, by
+/// their own numbering, against a miniature cache).
 struct BoxedLane {
     policy: Box<dyn CachePolicy + Send>,
     name: String,
     capacity: usize,
     sampled: bool,
-    stats: CacheStats,
+    /// Accesses and hits per op kind (`[read, write]`), tallied per
+    /// run rather than per access.
+    accesses: [u64; 2],
+    hits: [u64; 2],
 }
 
 impl Lane for BoxedLane {
     fn process(&mut self, job: &SweepColumn) -> u64 {
         if self.sampled {
-            for &(block, op) in &job.sampled {
-                let out = self.policy.access(block);
-                self.stats.record(op, out.hit);
+            for (&block, &(_, op)) in job.sampled_numbers.iter().zip(&job.sampled) {
+                let op = op_index(op);
+                self.accesses[op] += 1;
+                self.hits[op] += u64::from(self.policy.access(block).hit);
             }
             job.sampled.len() as u64
         } else {
-            for (first, n, op) in job.spans() {
-                for block in first.get()..first.get() + n {
-                    let out = self.policy.access(BlockId::new(block));
-                    self.stats.record(op, out.hit);
-                }
+            for &(first, n, op) in &job.runs {
+                let policy = &mut self.policy;
+                let hits: u32 = run_numbers(first, n)
+                    .map(|block| u32::from(policy.access(block).hit))
+                    .sum();
+                let op = op_index(op);
+                self.accesses[op] += u64::from(n);
+                self.hits[op] += u64::from(hits);
             }
             job.accesses
         }
     }
 
     fn finish(self: Box<Self>) -> LaneOutput {
+        let ([reads, writes], [read_hits, write_hits]) = (self.accesses, self.hits);
         LaneOutput {
             reports: vec![LaneReport {
                 policy: self.name,
                 capacity: self.capacity,
                 sampled: self.sampled,
-                stats: self.stats,
+                stats: CacheStats::from_counts(reads, read_hits, writes, write_hits),
                 nanos: 0,
                 accesses: 0,
             }],
@@ -807,10 +869,8 @@ impl SweepMetrics {
 /// close, workers drain and exit).
 #[derive(Debug)]
 pub struct CacheSweep {
-    block_size: BlockSize,
+    source: ColumnSource,
     rate: f64,
-    /// The SHARDS spatial-filter threshold, if any lane is sampled.
-    threshold: Option<u64>,
     buffer: RequestBatch,
     batch_size: usize,
     /// The lane threads; empty when every lane runs inline in `local`.
@@ -894,15 +954,16 @@ impl CacheSweep {
         self.buffer.clear();
     }
 
-    /// Reduces `batch` to block spans once, hashes the sample filter
-    /// once, and hands the shared column to every lane.
+    /// Reduces `batch` to block spans once, numbers its blocks and
+    /// hashes the sample filter once, and hands the shared column to
+    /// every lane.
     fn dispatch(&mut self, batch: &RequestBatch) {
         if batch.is_empty() {
             return;
         }
         self.requests += batch.len() as u64;
         let clock = Stopwatch::start();
-        let column = SweepColumn::build(batch, self.block_size, self.threshold);
+        let column = SweepColumn::build(batch, &mut self.source);
         let expand_nanos = clock.elapsed_nanos();
         let sampled = column.sampled.len() as u64;
         self.expand_nanos += expand_nanos;
@@ -1303,8 +1364,14 @@ mod tests {
             block_req(Read, top.get() - 2, 3),
         ];
         let batch = RequestBatch::from(reqs.as_slice());
-        // Threshold u64::MAX samples every access.
-        let column = SweepColumn::build(&batch, bs, Some(u64::MAX));
+        // Threshold u64::MAX samples every access; both numberings on.
+        let mut source = ColumnSource {
+            block_size: bs,
+            threshold: Some(u64::MAX),
+            numbers: Some(BlockNumbering::new()),
+            sampled_numbers: Some(BlockNumbering::new()),
+        };
+        let column = SweepColumn::build(&batch, &mut source);
         let spans: Vec<_> = column.spans().collect();
         assert_eq!(spans.len(), 4, "the zero-length record touches nothing");
         assert_eq!(spans[2], (top, 1, Write));
@@ -1319,7 +1386,62 @@ mod tests {
         assert_eq!(walked, expanded.iter().collect::<Vec<_>>());
         assert_eq!(column.sampled, walked);
         assert_eq!(column.accesses, expanded.len() as u64);
-        assert!(SweepColumn::build(&batch, bs, None).sampled.is_empty());
+
+        // The numbered runs map back, through the numbering, to the
+        // blocks expansion yields: first-touch numbers, consecutive ones
+        // kept as one run (3..8 is one, the straddler's 0..2 another),
+        // split where they stop being consecutive (the last span's `top`
+        // was numbered before the two blocks below it).
+        let numbers = source.numbers.as_ref().expect("numbering on");
+        let runs: Vec<(usize, u32, OpKind)> = column
+            .runs
+            .iter()
+            .map(|&(no, n, op)| (no.index(), n, op))
+            .collect();
+        assert_eq!(
+            runs,
+            [
+                (0, 5, Write),
+                (5, 2, Read),
+                (7, 1, Write),
+                (8, 2, Read),
+                (7, 1, Read)
+            ]
+        );
+        let block_of: std::collections::HashMap<BlockNo, BlockId> = expanded
+            .blocks()
+            .iter()
+            .map(|&b| (numbers.get(b).expect("every expanded block numbered"), b))
+            .collect();
+        assert_eq!(block_of.len(), numbers.len(), "one block per number");
+        let unnumbered: Vec<(BlockId, OpKind)> = column
+            .runs
+            .iter()
+            .flat_map(|&(first, n, op)| run_numbers(first, n).map(move |no| (no, op)))
+            .map(|(no, op)| (block_of[&no], op))
+            .collect();
+        assert_eq!(unnumbered, walked);
+        let sampled_numbers = source.sampled_numbers.as_ref().expect("numbering on");
+        let renumbered: Vec<Option<BlockNo>> = column
+            .sampled
+            .iter()
+            .map(|&(b, _)| sampled_numbers.get(b))
+            .collect();
+        let carried: Vec<Option<BlockNo>> =
+            column.sampled_numbers.iter().copied().map(Some).collect();
+        assert_eq!(carried, renumbered);
+
+        // Without a threshold or numberings, only the spans are built.
+        let mut bare = ColumnSource {
+            block_size: bs,
+            threshold: None,
+            numbers: None,
+            sampled_numbers: None,
+        };
+        let column = SweepColumn::build(&batch, &mut bare);
+        assert_eq!(column.spans().collect::<Vec<_>>(), spans);
+        assert!(column.sampled.is_empty() && column.runs.is_empty());
+        assert!(column.sampled_numbers.is_empty());
 
         // And through the lanes: the clamped block is hit on its retouch.
         let report = SweepGrid::new()
@@ -1335,6 +1457,27 @@ mod tests {
             }
         }
         assert_eq!(report.stats("lru", 4).expect("lane").read_hits(), 1);
+    }
+
+    #[test]
+    fn the_grid_decides_what_is_numbered() {
+        // (exact numbering, sampled numbering, SHARDS filter) per grid:
+        // the stack lane keys by raw ids, the sampled MRC lane too.
+        let parts = |grid: SweepGrid| {
+            let source = grid.with_workers(0).start().source;
+            (
+                source.numbers.is_some(),
+                source.sampled_numbers.is_some(),
+                source.threshold.is_some(),
+            )
+        };
+        let lru = || SweepGrid::new().lru_capacity(8).expect("non-zero");
+        assert_eq!(parts(lru()), (false, false, false));
+        assert_eq!(parts(lru().with_sampled_mrc()), (false, false, true));
+        let sampled = lru().sampled_policy("arc", 8).expect("valid");
+        assert_eq!(parts(sampled), (false, true, true));
+        let exact = lru().policy("fifo", 8).expect("valid");
+        assert_eq!(parts(exact), (true, false, false));
     }
 
     #[test]

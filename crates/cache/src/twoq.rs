@@ -1,6 +1,6 @@
 //! 2Q replacement: [`TwoQ`].
 
-use cbs_trace::BlockId;
+use crate::numbering::BlockNo;
 
 use crate::list::ListSlab;
 use crate::policy::{AccessResult, CachePolicy};
@@ -55,7 +55,7 @@ impl TwoQ {
 
     /// Makes room for one admission, returning the victim if the cache
     /// is full.
-    fn reclaim(&mut self) -> Option<BlockId> {
+    fn reclaim(&mut self) -> Option<BlockNo> {
         if self.len() < self.capacity {
             return None;
         }
@@ -85,11 +85,11 @@ impl CachePolicy for TwoQ {
         self.queues.len(A1IN) + self.queues.len(AM)
     }
 
-    fn contains(&self, block: BlockId) -> bool {
+    fn contains(&self, block: BlockNo) -> bool {
         matches!(self.queues.find(block), Some((_, A1IN | AM)))
     }
 
-    fn access(&mut self, block: BlockId) -> AccessResult {
+    fn access(&mut self, block: BlockNo) -> AccessResult {
         match self.queues.find(block) {
             Some((slot, AM)) => {
                 self.queues.move_to_tail(slot, AM);
@@ -139,8 +139,8 @@ mod tests {
     use super::*;
     use crate::policy::conformance;
 
-    fn b(i: u64) -> BlockId {
-        BlockId::new(i)
+    fn b(i: u32) -> BlockNo {
+        BlockNo::from_raw(i)
     }
 
     #[test]
@@ -198,7 +198,7 @@ mod tests {
         for i in 1..=12 {
             cache.access(b(i));
         }
-        let warm = (1u64..=12).find(|&i| !cache.contains(b(i))).unwrap();
+        let warm = (1u32..=12).find(|&i| !cache.contains(b(i))).unwrap();
         cache.access(b(warm)); // → Am
         assert!(cache.contains(b(warm)));
         for i in 100..160 {
@@ -221,7 +221,7 @@ mod tests {
     #[test]
     fn ghost_list_is_bounded() {
         let mut cache = TwoQ::new(8);
-        for i in 0..1000u64 {
+        for i in 0..1000u32 {
             cache.access(b(i));
         }
         let (_, ghosts, _) = cache.queue_sizes();

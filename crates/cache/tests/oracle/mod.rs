@@ -3,23 +3,23 @@
 //! `proptests.rs`).
 //!
 //! Everything here is a `Vec` searched linearly and kept in eviction
-//! order — no hash maps, no links, nothing shared with `cbs_cache`'s
-//! kernels but the [`CachePolicy`] trait and the constants their docs
-//! state. ARC, 2Q and SLRU are transcribed from the papers' pseudocode,
-//! not from the production code.
+//! order — no hash maps, no direct index, no links, nothing shared
+//! with `cbs_cache`'s kernels but the [`CachePolicy`] trait, its
+//! [`BlockNo`] key and the constants their docs state. ARC, 2Q and SLRU
+//! are transcribed from the papers' pseudocode, not from the production
+//! code.
 
-use cbs_cache::{AccessResult, CachePolicy};
-use cbs_trace::BlockId;
+use cbs_cache::{AccessResult, BlockNo, CachePolicy};
 
 /// A list kept front = next victim, back = most recent.
-type Queue = Vec<BlockId>;
+type Queue = Vec<BlockNo>;
 
-fn position(queue: &Queue, block: BlockId) -> Option<usize> {
+fn position(queue: &Queue, block: BlockNo) -> Option<usize> {
     queue.iter().position(|&b| b == block)
 }
 
 /// Removes `block` from `queue` if present; `true` if it was.
-fn take(queue: &mut Queue, block: BlockId) -> bool {
+fn take(queue: &mut Queue, block: BlockNo) -> bool {
     match position(queue, block) {
         Some(i) => {
             queue.remove(i);
@@ -29,7 +29,7 @@ fn take(queue: &mut Queue, block: BlockId) -> bool {
     }
 }
 
-fn pop_front(queue: &mut Queue) -> Option<BlockId> {
+fn pop_front(queue: &mut Queue) -> Option<BlockNo> {
     if queue.is_empty() {
         None
     } else {
@@ -37,7 +37,7 @@ fn pop_front(queue: &mut Queue) -> Option<BlockId> {
     }
 }
 
-fn miss(evicted: Option<BlockId>) -> AccessResult {
+fn miss(evicted: Option<BlockNo>) -> AccessResult {
     AccessResult {
         hit: false,
         evicted,
@@ -107,10 +107,10 @@ impl CachePolicy for NaiveLru {
     fn len(&self) -> usize {
         self.queue.len()
     }
-    fn contains(&self, block: BlockId) -> bool {
+    fn contains(&self, block: BlockNo) -> bool {
         position(&self.queue, block).is_some()
     }
-    fn access(&mut self, block: BlockId) -> AccessResult {
+    fn access(&mut self, block: BlockNo) -> AccessResult {
         if take(&mut self.queue, block) {
             self.queue.push(block);
             return AccessResult::HIT;
@@ -140,10 +140,10 @@ impl CachePolicy for NaiveFifo {
     fn len(&self) -> usize {
         self.queue.len()
     }
-    fn contains(&self, block: BlockId) -> bool {
+    fn contains(&self, block: BlockNo) -> bool {
         position(&self.queue, block).is_some()
     }
-    fn access(&mut self, block: BlockId) -> AccessResult {
+    fn access(&mut self, block: BlockNo) -> AccessResult {
         if self.contains(block) {
             return AccessResult::HIT;
         }
@@ -164,7 +164,7 @@ impl CachePolicy for NaiveFifo {
 /// reference bits until it meets a clear one, replaces that frame in
 /// place and steps past it.
 struct NaiveClock {
-    frames: Vec<(BlockId, bool)>,
+    frames: Vec<(BlockNo, bool)>,
     hand: usize,
     capacity: usize,
 }
@@ -176,10 +176,10 @@ impl CachePolicy for NaiveClock {
     fn len(&self) -> usize {
         self.frames.len()
     }
-    fn contains(&self, block: BlockId) -> bool {
+    fn contains(&self, block: BlockNo) -> bool {
         self.frames.iter().any(|&(b, _)| b == block)
     }
-    fn access(&mut self, block: BlockId) -> AccessResult {
+    fn access(&mut self, block: BlockNo) -> AccessResult {
         if let Some(frame) = self.frames.iter_mut().find(|(b, _)| *b == block) {
             frame.1 = true;
             return AccessResult::HIT;
@@ -205,7 +205,7 @@ impl CachePolicy for NaiveClock {
 /// LFU: the victim is the minimum `(frequency, last touch)`.
 struct NaiveLfu {
     /// `(block, frequency, time of the last touch)`.
-    entries: Vec<(BlockId, u64, u64)>,
+    entries: Vec<(BlockNo, u64, u64)>,
     clock: u64,
     capacity: usize,
 }
@@ -217,10 +217,10 @@ impl CachePolicy for NaiveLfu {
     fn len(&self) -> usize {
         self.entries.len()
     }
-    fn contains(&self, block: BlockId) -> bool {
+    fn contains(&self, block: BlockNo) -> bool {
         self.entries.iter().any(|&(b, _, _)| b == block)
     }
-    fn access(&mut self, block: BlockId) -> AccessResult {
+    fn access(&mut self, block: BlockNo) -> AccessResult {
         self.clock += 1;
         if let Some(entry) = self.entries.iter_mut().find(|(b, _, _)| *b == block) {
             entry.1 += 1;
@@ -258,7 +258,7 @@ struct NaiveArc {
 
 impl NaiveArc {
     /// Subroutine REPLACE(x, p).
-    fn replace(&mut self, x_in_b2: bool) -> Option<BlockId> {
+    fn replace(&mut self, x_in_b2: bool) -> Option<BlockNo> {
         let t1 = self.t1.len();
         if t1 > 0 && (t1 > self.p || (x_in_b2 && t1 == self.p)) {
             let victim = pop_front(&mut self.t1)?;
@@ -279,10 +279,10 @@ impl CachePolicy for NaiveArc {
     fn len(&self) -> usize {
         self.t1.len() + self.t2.len()
     }
-    fn contains(&self, block: BlockId) -> bool {
+    fn contains(&self, block: BlockNo) -> bool {
         position(&self.t1, block).is_some() || position(&self.t2, block).is_some()
     }
-    fn access(&mut self, x: BlockId) -> AccessResult {
+    fn access(&mut self, x: BlockNo) -> AccessResult {
         // Case I: x in T1 or T2 — move to MRU of T2.
         if take(&mut self.t1, x) || take(&mut self.t2, x) {
             self.t2.push(x);
@@ -359,10 +359,10 @@ impl CachePolicy for NaiveSlru {
     fn len(&self) -> usize {
         self.probation.len() + self.protected.len()
     }
-    fn contains(&self, block: BlockId) -> bool {
+    fn contains(&self, block: BlockNo) -> bool {
         position(&self.probation, block).is_some() || position(&self.protected, block).is_some()
     }
-    fn access(&mut self, block: BlockId) -> AccessResult {
+    fn access(&mut self, block: BlockNo) -> AccessResult {
         if take(&mut self.protected, block) {
             self.protected.push(block);
             return AccessResult::HIT;
@@ -404,7 +404,7 @@ impl NaiveTwoQ {
     /// out (leaving a ghost on A1out, trimmed to Kout) while A1in is
     /// over Kin — or while Am has nothing to give, the one departure
     /// from the figure, needed below four blocks — else Am's tail goes.
-    fn reclaim(&mut self) -> Option<BlockId> {
+    fn reclaim(&mut self) -> Option<BlockNo> {
         if self.len() < self.capacity {
             return None;
         }
@@ -428,10 +428,10 @@ impl CachePolicy for NaiveTwoQ {
     fn len(&self) -> usize {
         self.a1in.len() + self.am.len()
     }
-    fn contains(&self, block: BlockId) -> bool {
+    fn contains(&self, block: BlockNo) -> bool {
         position(&self.a1in, block).is_some() || position(&self.am, block).is_some()
     }
-    fn access(&mut self, block: BlockId) -> AccessResult {
+    fn access(&mut self, block: BlockNo) -> AccessResult {
         if take(&mut self.am, block) {
             self.am.push(block);
             return AccessResult::HIT;

@@ -5,8 +5,8 @@
 use proptest::prelude::*;
 
 use cbs_cache::{
-    policy_by_name, Arc, BlockStack, CachePolicy, CacheSim, Clock, Fifo, Lfu, Lru, MissRatioCurve,
-    ReuseDistances, ShardsSampler, Slru, SweepGrid, TwoQ, POLICY_NAMES,
+    policy_by_name, Arc, BlockNo, BlockNumbering, BlockStack, CachePolicy, CacheSim, Clock, Fifo,
+    Lfu, Lru, MissRatioCurve, ReuseDistances, ShardsSampler, Slru, SweepGrid, TwoQ, POLICY_NAMES,
 };
 use cbs_trace::{BlockId, BlockSize, IoRequest, OpKind, Timestamp, VolumeId};
 
@@ -173,13 +173,22 @@ impl TrackedStack {
     }
 }
 
+/// `stream`'s blocks by their first-touch numbers, the keys policies
+/// take.
+fn numbered(stream: &[u64]) -> Vec<BlockNo> {
+    let mut numbers = BlockNumbering::new();
+    stream
+        .iter()
+        .map(|&x| numbers.number(BlockId::new(x)))
+        .collect()
+}
+
 /// Replays `stream` through `cache`, asserting the universal policy
 /// invariants at every step, and returns the number of hits.
 fn replay<P: CachePolicy>(mut cache: P, stream: &[u64]) -> u64 {
     let mut resident = std::collections::HashSet::new();
     let mut hits = 0u64;
-    for &x in stream {
-        let block = BlockId::new(x);
+    for block in numbered(stream) {
         let was_resident = resident.contains(&block);
         let out = cache.access(block);
         assert_eq!(out.hit, was_resident);
@@ -220,8 +229,7 @@ proptest! {
         for &name in POLICY_NAMES {
             let mut kernel = policy_by_name(name, cap).expect("known policy");
             let mut naive = oracle::naive_by_name(name, cap).expect("oracle covers every policy");
-            for (i, &x) in stream.iter().enumerate() {
-                let block = BlockId::new(x);
+            for (i, (&x, block)) in stream.iter().zip(numbered(&stream)).enumerate() {
                 prop_assert_eq!(
                     kernel.access(block), naive.access(block),
                     "{}@{} diverges at access {} (block {})", name, cap, i, x

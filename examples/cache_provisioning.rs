@@ -64,7 +64,7 @@ fn main() {
             .requests()
             .to_vec();
         let simulate = |policy: Box<dyn CachePolicy>| -> f64 {
-            let mut sim = CacheSim::new(PolicyBox(policy), BlockSize::DEFAULT);
+            let mut sim = CacheSim::new(policy, BlockSize::DEFAULT);
             sim.run(&volume_requests);
             sim.stats().overall_miss_ratio().unwrap_or(1.0)
         };
@@ -90,27 +90,4 @@ fn main() {
          ratio meets the target;\nthe policy columns are independent \
          simulations at that size (ARC usually matches or beats LRU)."
     );
-}
-
-/// Adapter: `CacheSim` is generic over `P: CachePolicy`, and a
-/// `Box<dyn CachePolicy>` does not itself implement the trait — this
-/// newtype forwards it.
-struct PolicyBox(Box<dyn CachePolicy>);
-
-impl CachePolicy for PolicyBox {
-    fn capacity(&self) -> usize {
-        self.0.capacity()
-    }
-    fn len(&self) -> usize {
-        self.0.len()
-    }
-    fn contains(&self, block: BlockId) -> bool {
-        self.0.contains(block)
-    }
-    fn access(&mut self, block: BlockId) -> cbs_cache::AccessResult {
-        self.0.access(block)
-    }
-    fn name(&self) -> &'static str {
-        "boxed"
-    }
 }

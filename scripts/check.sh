@@ -50,7 +50,7 @@ fi
 echo "==> cargo clippy --all-targets -- -D warnings (lint table + canary)"
 cargo clippy --all-targets -- -D warnings
 
-echo "==> one fan-out, one router, one pacer, one analyzer path, one by-volume driver, one Fig. 18 sweep (no second copy under crates/*/src)"
+echo "==> one fan-out, one router, one pacer, one analyzer path, one by-volume driver, one Fig. 18 sweep (no second copy under crates/*/src), no hashed policy index"
 # The death protocol and sticky routing live in crates/trace/src/workers.rs
 # and the replay pacer in crates/replay/src/schedule.rs; codec/parallel.rs
 # keeps its own, differently shaped, pipeline, whose one chunk loop
@@ -92,6 +92,16 @@ if [ "${grids}" -ne 1 ]; then
     echo "SweepGrid::new() must appear once under crates/report/src (one Fig. 18-extension decision); found ${grids}" >&2
     exit 1
 fi
+# Policies find blocks with one array load, by the dense number the
+# caller's BlockNumbering gave them (crates/cache/src/numbering.rs): no
+# hash table in a policy kernel, not even in its tests.
+for kernel in list lru fifo clock lfu arc slru twoq; do
+    file="crates/cache/src/${kernel}.rs"
+    if [ ! -f "${file}" ] || grep -qE '\b(Fx)?Hash(Map|Set)\b' "${file}"; then
+        echo "${file} is missing or names HashMap/HashSet/FxHashMap/FxHashSet; policy kernels index by BlockNo" >&2
+        exit 1
+    fi
+done
 # The analyzer has one entry, observe_batch, and one implementation of
 # each metric: no per-request twin beside it and no runtime-dispatched
 # kernel (with its scalar twin) anywhere in library code.
