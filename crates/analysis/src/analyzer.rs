@@ -5,9 +5,8 @@
 use std::ops::Range;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
-use cbs_cache::ReuseStack;
+use cbs_cache::{BlockNo, BlockNumbering, ReuseStack};
 use cbs_stats::LogHistogram;
-use cbs_trace::hash::FxHashMap;
 use cbs_trace::{OpKind, RequestBatch, Timestamp, Trace, VolumeId, VolumeView};
 
 use crate::config::{AnalysisConfig, InvalidConfig};
@@ -22,8 +21,8 @@ const VIEW_RUN: usize = 8192;
 ///
 /// The block's reuse-stack position lives here too, so one probe per
 /// block touch serves both the block-state update and the reuse
-/// distance (they used to be two separate maps). Kept at 48 bytes so a
-/// 16-block [`BlockChunk`] stays compact.
+/// distance (they used to be two separate maps). 48 bytes; the states
+/// sit in one `Vec` indexed by the block's number.
 #[derive(Debug, Clone, Copy)]
 struct BlockState {
     read_bytes: u64,
@@ -47,29 +46,6 @@ impl BlockState {
         write_count: 0,
         reuse_pos: 0,
         last_op: OpKind::Read,
-    };
-}
-
-/// Number of consecutive blocks per [`BlockChunk`].
-const CHUNK_BLOCKS: u64 = 16;
-
-/// Block states for 16 consecutive block ids.
-///
-/// Requests touch *runs* of consecutive blocks, so storing states in
-/// aligned 16-block chunks turns ~6 random hash probes per request
-/// (one per block) into ~1 chunk lookup plus direct slot indexing —
-/// the dominant cache-miss saving in the touch loop.
-#[derive(Debug, Clone)]
-struct BlockChunk {
-    /// Bit `i` set iff slot `i` holds a live block state.
-    occupied: u16,
-    states: [BlockState; CHUNK_BLOCKS as usize],
-}
-
-impl BlockChunk {
-    const EMPTY: BlockChunk = BlockChunk {
-        occupied: 0,
-        states: [BlockState::EMPTY; CHUNK_BLOCKS as usize],
     };
 }
 
@@ -146,10 +122,15 @@ pub struct VolumeAnalyzer {
     offset_cursor: usize,
     random_requests: u64,
 
-    /// Chunk id (block id / 16) → index into `chunks`.
-    chunk_index: FxHashMap<u64, u32>,
-    chunks: Vec<BlockChunk>,
-    distinct_blocks: u64,
+    /// Gives each block its dense first-touch number: the one hash
+    /// lookup per 16-block chunk of a span.
+    numbers: BlockNumbering,
+    /// Per-block state, indexed by block number. A block is new exactly
+    /// when its number is `states.len()`: numbers are minted in the
+    /// order blocks are first touched.
+    states: Vec<BlockState>,
+    /// Scratch: the runs of numbers the current span was numbered to.
+    runs: Vec<(BlockNo, u32)>,
 
     raw_hist: LogHistogram,
     waw_hist: LogHistogram,
@@ -212,9 +193,9 @@ impl VolumeAnalyzer {
             day_bin_end: 0,
             offset_cursor: 0,
             random_requests: 0,
-            chunk_index: FxHashMap::default(),
-            chunks: Vec::new(),
-            distinct_blocks: 0,
+            numbers: BlockNumbering::new(),
+            states: Vec::new(),
+            runs: Vec::new(),
             raw_hist: hist(),
             waw_hist: hist(),
             rar_hist: hist(),
@@ -442,21 +423,31 @@ impl VolumeAnalyzer {
 
     /// Block-granular state: adjacency, updates, WSS, reuse.
     ///
-    /// One pass over the span stores every block's new [`BlockState`]
-    /// (a sequential walk through at most a few chunks) and tallies
-    /// what the metrics need **per run, not per block**. A multi-block
-    /// request's blocks were almost always last touched together, so
-    /// they share a previous op and timestamp and sit on consecutive
-    /// reuse-stack positions: the stack retires each such run with one
-    /// [`ReuseStack::touch_run`] (one rank, one distance for the whole
-    /// run) and each histogram takes one `record_n` per distinct key.
-    /// Counters and histograms are sums, so recording a run at its end
-    /// is bit-identical to recording its blocks one by one; the stack
-    /// runs are applied in span order, exactly as sequential touches
-    /// would be. A single-block request is a run of one.
+    /// The span is numbered first (one hash probe per 16-block chunk
+    /// it crosses), then one pass over its blocks stores every block's
+    /// new [`BlockState`] and tallies what the metrics need **per run,
+    /// not per block**. A multi-block request's blocks were almost
+    /// always last touched together, so they share a previous op and
+    /// timestamp and sit on consecutive reuse-stack positions: the stack
+    /// retires each such run with one [`ReuseStack::touch_run`] (one
+    /// rank, one distance for the whole run) and each histogram takes
+    /// one `record_n` per distinct key. Counters and histograms are
+    /// sums, so recording a run at its end is bit-identical to recording
+    /// its blocks one by one; the stack runs are applied in span order,
+    /// exactly as sequential touches would be. A single-block request
+    /// is a run of one.
     #[inline]
     fn touch_blocks(&mut self, op: OpKind, offset: u64, len: u32, ts: Timestamp) {
         let bs = self.config.block_size;
+        let span = bs.span(offset, len);
+        let Some(first) = span.first() else {
+            return; // zero-length: touches no block
+        };
+        let blocks = span.len();
+        let mut runs = std::mem::take(&mut self.runs);
+        runs.clear();
+        self.numbers
+            .number_span(first, span.remaining(), |no, n| runs.push((no, n)));
         // Every touch appends one stack position, so block `i` of the
         // span lands on `base + i` whatever runs the span splits into.
         let base = self.reuse_stack.positions();
@@ -465,36 +456,23 @@ impl VolumeAnalyzer {
         let mut stack_run: Tally<Option<usize>> = Tally(None);
         let mut adjacency: Tally<(OpKind, Timestamp)> = Tally(None);
         let mut updates: Tally<Timestamp> = Tally(None);
-        let span = bs.span(offset, len);
-        let blocks = span.len();
-        // Spans cover consecutive blocks, so the chunk lookup amortizes
-        // over up to 16 touches; `cur` caches the active chunk index.
-        let mut cur_chunk = u64::MAX;
-        let mut cur = 0usize;
-        for (i, block) in span.enumerate() {
-            let b = block.get();
+        let numbered = runs
+            .iter()
+            .flat_map(|&(no, n)| no.index()..no.index() + n as usize);
+        for ((i, block), no) in span.enumerate().zip(numbered) {
             let overlap = u64::from(bs.overlap(block, offset, len));
-            if b / CHUNK_BLOCKS != cur_chunk {
-                cur_chunk = b / CHUNK_BLOCKS;
-                let next = self.chunks.len() as u32;
-                let idx = *self.chunk_index.entry(cur_chunk).or_insert(next);
-                if idx == next {
-                    self.chunks.push(BlockChunk::EMPTY);
-                }
-                cur = idx as usize;
-            }
-            let chunk = &mut self.chunks[cur];
-            let slot = (b % CHUNK_BLOCKS) as usize;
-            let warm = chunk.occupied & (1 << slot) != 0;
-            chunk.occupied |= 1 << slot;
-            let state = &mut chunk.states[slot];
-            let old = *state;
+            // Runs come in block order and new blocks are numbered in
+            // that order, so a new block's number is the next slot.
+            let warm = no < self.states.len();
             if !warm {
-                *state = BlockState {
+                debug_assert_eq!(no, self.states.len(), "numbers are dense");
+                self.states.push(BlockState {
                     last_write_ts: ts,
                     ..BlockState::EMPTY
-                };
+                });
             }
+            let state = &mut self.states[no];
+            let old = *state;
             match op {
                 OpKind::Read => state.read_bytes += overlap,
                 OpKind::Write => {
@@ -506,10 +484,10 @@ impl VolumeAnalyzer {
             state.last_op = op;
             state.last_ts = ts;
             // The block's stack position rides in its state, so the
-            // chunk lookup is the only hash op per touched chunk. The
-            // cast cannot lose a position that is ever read: the run
-            // holding this block is retired before the span ends, and
-            // the stack panics there once positions pass
+            // numbering is the only hash op per touched chunk. The cast
+            // cannot lose a position that is ever read: the run holding
+            // this block is retired before the span ends, and the stack
+            // panics there once positions pass
             // `ReuseStack::MAX_POSITIONS`.
             state.reuse_pos = (base + i) as u32;
 
@@ -532,6 +510,7 @@ impl VolumeAnalyzer {
                 }
             }
         }
+        self.runs = runs;
         if let Some((key, n)) = stack_run.0 {
             self.retire_stack_run(op, key, blocks, n);
         }
@@ -548,14 +527,8 @@ impl VolumeAnalyzer {
         // invariant under compaction (live order is preserved).
         if self.reuse_stack.should_compact() {
             let table = self.reuse_stack.compaction_table();
-            for chunk in &mut self.chunks {
-                let mut occ = chunk.occupied;
-                while occ != 0 {
-                    let slot = occ.trailing_zeros() as usize;
-                    occ &= occ - 1;
-                    let state = &mut chunk.states[slot];
-                    state.reuse_pos = table[state.reuse_pos as usize];
-                }
+            for state in &mut self.states {
+                state.reuse_pos = table[state.reuse_pos as usize];
             }
             self.reuse_stack.rebuild_compacted();
         }
@@ -570,7 +543,6 @@ impl VolumeAnalyzer {
     fn retire_stack_run(&mut self, op: OpKind, key: Option<usize>, end: usize, n: usize) {
         let Some(key) = key else {
             self.reuse_stack.touch_cold_run(n);
-            self.distinct_blocks += n as u64;
             match op {
                 OpKind::Read => self.read_cold += n as u64,
                 OpKind::Write => self.write_cold += n as u64,
@@ -621,32 +593,26 @@ impl VolumeAnalyzer {
         let mut read_traffic: Vec<u64> = Vec::new();
         let mut write_traffic: Vec<u64> = Vec::new();
         let threshold = self.config.rw_mostly_threshold;
-        for chunk in &self.chunks {
-            let mut occ = chunk.occupied;
-            while occ != 0 {
-                let slot = occ.trailing_zeros() as usize;
-                occ &= occ - 1;
-                let state = &chunk.states[slot];
-                if state.read_bytes > 0 {
-                    wss_read_blocks += 1;
-                    read_traffic.push(state.read_bytes);
+        for state in &self.states {
+            if state.read_bytes > 0 {
+                wss_read_blocks += 1;
+                read_traffic.push(state.read_bytes);
+            }
+            if state.write_bytes > 0 {
+                wss_write_blocks += 1;
+                write_traffic.push(state.write_bytes);
+            }
+            if state.write_count >= 2 {
+                wss_update_blocks += 1;
+            }
+            let total = state.read_bytes + state.write_bytes;
+            if total > 0 {
+                let read_share = state.read_bytes as f64 / total as f64;
+                if read_share > threshold {
+                    read_bytes_to_read_mostly += state.read_bytes;
                 }
-                if state.write_bytes > 0 {
-                    wss_write_blocks += 1;
-                    write_traffic.push(state.write_bytes);
-                }
-                if state.write_count >= 2 {
-                    wss_update_blocks += 1;
-                }
-                let total = state.read_bytes + state.write_bytes;
-                if total > 0 {
-                    let read_share = state.read_bytes as f64 / total as f64;
-                    if read_share > threshold {
-                        read_bytes_to_read_mostly += state.read_bytes;
-                    }
-                    if 1.0 - read_share > threshold {
-                        write_bytes_to_write_mostly += state.write_bytes;
-                    }
+                if 1.0 - read_share > threshold {
+                    write_bytes_to_write_mostly += state.write_bytes;
                 }
             }
         }
@@ -672,7 +638,7 @@ impl VolumeAnalyzer {
             write_active_intervals: self.write_active_intervals,
             active_days: self.active_days,
             random_requests: self.random_requests,
-            wss_blocks: self.distinct_blocks,
+            wss_blocks: self.states.len() as u64,
             wss_read_blocks,
             wss_write_blocks,
             wss_update_blocks,
@@ -1207,6 +1173,55 @@ mod tests {
             whole.observe_batch(&RequestBatch::from(reqs.as_slice()), 0..n);
             assert_eq!(by_runs, whole.finish(), "n={n}");
         }
+    }
+
+    #[test]
+    fn sparse_and_hostile_ids_keep_one_state_per_block() {
+        // One single-block request per 16-block chunk, spread over 2^40
+        // blocks, plus the last blocks of the address space (the very
+        // last one reached by a request clamped at 2^64), each touched
+        // twice and once more out of order.
+        let stride = (1u64 << 40) / 500;
+        let mut offsets: Vec<u64> = (0..500u64).map(|k| (k * stride + k % 16) * 4096).collect();
+        offsets.extend([
+            u64::MAX - 10,
+            u64::MAX - 4096 - 100,
+            u64::MAX - 40 * 4096 - 100,
+        ]);
+        let n = offsets.len();
+        let mut reqs: Vec<IoRequest> = Vec::new();
+        for round in 0..3u64 {
+            for (i, &offset) in offsets.iter().enumerate() {
+                let op = if (i as u64 + round) % 3 == 0 {
+                    OpKind::Read
+                } else {
+                    OpKind::Write
+                };
+                let at = round * n as u64 + if round == 2 { n - 1 - i } else { i } as u64;
+                reqs.push(req_at(op, offset, 50, at));
+            }
+        }
+        reqs.sort_by_key(|r| r.ts());
+        let config = AnalysisConfig::default();
+        let batch = RequestBatch::from(reqs.as_slice());
+        let mut whole =
+            VolumeAnalyzer::new(VolumeId::new(0), Timestamp::ZERO, config.clone()).expect("valid");
+        whole.observe_batch(&batch, 0..batch.len());
+        assert_eq!(whole.states.len(), n, "one state per touched block");
+        assert_eq!(whole.numbers.len(), n);
+        let mut one_by_one =
+            VolumeAnalyzer::new(VolumeId::new(0), Timestamp::ZERO, config).expect("valid");
+        for i in 0..batch.len() {
+            one_by_one.observe_batch(&batch, i..i + 1);
+        }
+        assert_eq!(one_by_one.states.len(), n);
+        let m = whole.finish();
+        assert_eq!(m.wss_blocks, n as u64);
+        assert_eq!(
+            m.read_mrc.total_accesses() + m.write_mrc.total_accesses(),
+            3 * n as u64
+        );
+        assert_eq!(m, one_by_one.finish());
     }
 
     #[test]

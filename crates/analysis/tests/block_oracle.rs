@@ -4,10 +4,12 @@
 //! The oracle walks every request once, straight from each metric's
 //! definition: `HashMap`s and sorted sets for the per-interval and
 //! per-block state, a `VecDeque` for the randomness window, one
-//! `HashMap` entry per block and [`cbs_cache::ReuseDistances`] for the
-//! stack — no chunks, no runs, no column loops, no batching, and its
-//! own (`u128`) span arithmetic. The analyzer has one code path; it must
-//! agree with the oracle however its input is cut: whole-view
+//! `HashMap` entry per block and a move-to-front `Vec` for the LRU
+//! stack — no chunks, no runs, no block numbering, no column loops, no
+//! batching, and its own (`u128`) span arithmetic. Its reuse distances
+//! owe nothing to `cbs-cache`, whose numbering the analyzer shares.
+//! The analyzer has one code path; it must agree with the oracle
+//! however its input is cut: whole-view
 //! [`VolumeAnalyzer::analyze_volume`] (8 192-request runs),
 //! [`VolumeAnalyzer::observe_batch`] at arbitrary splits, and
 //! [`StreamingWorkbench`] (whose shard workers regroup each batch by
@@ -20,10 +22,10 @@
 use std::collections::{BTreeMap, BTreeSet, HashMap, VecDeque};
 
 use cbs_analysis::{AnalysisConfig, VolumeAnalyzer, VolumeMetrics};
-use cbs_cache::{MissRatioCurve, ReuseDistances};
+use cbs_cache::MissRatioCurve;
 use cbs_core::StreamingWorkbench;
 use cbs_stats::LogHistogram;
-use cbs_trace::{BlockId, IoRequest, OpKind, RequestBatch, Timestamp, VolumeId, VolumeView};
+use cbs_trace::{IoRequest, OpKind, RequestBatch, Timestamp, VolumeId, VolumeView};
 
 const BLOCK: u128 = 4096;
 const MICROS_PER_DAY: u64 = 86_400 * 1_000_000;
@@ -68,7 +70,9 @@ fn oracle(volume: VolumeId, epoch: Timestamp, requests: &[IoRequest]) -> VolumeM
     let mut window: VecDeque<u64> = VecDeque::new();
     let mut random_requests = 0u64;
     let mut blocks: HashMap<u64, OracleBlock> = HashMap::new();
-    let mut stack = ReuseDistances::new();
+    // Block ids, most recently touched last: a block's reuse distance
+    // is the number of blocks above it.
+    let mut stack: Vec<u64> = Vec::new();
     let mut distances: [Vec<u64>; 2] = [Vec::new(), Vec::new()];
     let mut cold = [0u64; 2];
     let mut updated_bytes = 0u64;
@@ -123,9 +127,18 @@ fn oracle(volume: VolumeId, epoch: Timestamp, requests: &[IoRequest]) -> VolumeM
             let overlap = (end.min((b + 1) * BLOCK) - start.max(b * BLOCK)) as u64;
             let id = b as u64;
 
-            match stack.access(BlockId::new(id)) {
+            // A block not in `blocks` is not in the stack either: only
+            // a warm block is searched for.
+            let depth = blocks
+                .contains_key(&id)
+                .then(|| stack.iter().rev().position(|&s| s == id))
+                .flatten();
+            if let Some(depth) = depth {
+                stack.remove(stack.len() - 1 - depth);
+            }
+            stack.push(id);
+            match depth {
                 Some(d) => {
-                    let d = d as usize;
                     if distances[which].len() <= d {
                         distances[which].resize(d + 1, 0);
                     }

@@ -7,7 +7,8 @@
 //!
 //! * [`policy`] — the object-safe [`CachePolicy`] trait;
 //! * [`numbering`] — [`BlockNumbering`], which gives each distinct block
-//!   a dense [`BlockNo`] once, the key every policy indexes by;
+//!   a dense [`BlockNo`] once, the key every policy and the LRU stack
+//!   index by;
 //! * [`lru`], [`fifo`], [`lfu`], [`clock`], [`arc`], [`slru`], [`twoq`] —
 //!   replacement policies (LRU is the paper's; the rest are ablation
 //!   baselines);
@@ -22,7 +23,7 @@
 //! * [`sweep`] — the single-pass policy × capacity sweep engine: one
 //!   trace traversal drives a whole grid of lanes (collapsed exact-LRU
 //!   stack lane, boxed policy lanes, SHARDS-sampled lanes) over a
-//!   shared column of block spans.
+//!   shared column of numbered block runs.
 //!
 //! # Example
 //!

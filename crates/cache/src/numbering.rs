@@ -13,6 +13,12 @@
 //! [`BlockNo`] has no public constructor: only a numbering mints one,
 //! so a raw block id never reaches a direct index (one near 2⁶⁴ would
 //! ask it for an array that large).
+//!
+//! A numbering is the workspace's one map keyed by block id. Everything
+//! else that keeps per-block state indexes a plain `Vec` by number: the
+//! policies ([`DirectIndex`]), the LRU stack ([`crate::BlockStack`]'s
+//! positions) and the volume analyzer in `cbs-analysis` (its per-block
+//! states).
 
 use cbs_trace::hash::FxHashMap;
 use cbs_trace::BlockId;
@@ -44,10 +50,11 @@ impl BlockNo {
 
 /// Gives every distinct block a dense `u32` number on its first touch.
 ///
-/// Numbers live in 16-block chunks behind one hash lookup per chunk
-/// (the shape of [`crate::BlockStack`]'s position map), so a span of
-/// consecutive block ids costs one probe per chunk it crosses, not one
-/// per block.
+/// Numbers live in 16-block chunks behind one hash lookup per chunk,
+/// so a span of consecutive block ids costs one probe per chunk it
+/// crosses, not one per block. Only chunks that hold a numbered block
+/// exist, and a number exists only for a touched block, so a store
+/// indexed by number keeps no empty slots however sparse the ids.
 ///
 /// # Example
 ///

@@ -30,18 +30,21 @@
 //!   [`ReuseStack::touch_run`] retires a whole such run with one rank,
 //!   one masked clear and one masked append per 64-position word.
 //!
-//! [`BlockStack`] adds the block → last-position map (16-block chunks,
-//! one hash lookup per chunk), finds those runs in spans of consecutive
-//! block ids, and owns compaction; it is the only such map in the
-//! crate. [`ReuseDistances`] is a distance histogram over it, one block
-//! at a time; the sweep engine's LRU lane feeds it whole request spans.
-//! Callers that already keep per-block state (the volume analyzer) fold
-//! the position into their own store and drive [`ReuseStack`] directly.
-//! [`ShardsSampler`] implements fixed-rate SHARDS spatial sampling for
-//! approximate curves at a small fraction of the cost.
+//! [`BlockStack`] adds the latest position of every block, indexed by
+//! the dense [`BlockNo`] a [`BlockNumbering`] gave it (the numbering is
+//! the workspace's one block-id map), finds those runs in runs of
+//! consecutive numbers, and owns compaction. [`ReuseDistances`] numbers
+//! one block at a time and keeps a distance histogram over a
+//! `BlockStack`; the sweep engine's LRU lane feeds it the numbered runs
+//! its producer already built. Callers that already keep per-block
+//! state (the volume analyzer) fold the position into their own store
+//! and drive [`ReuseStack`] directly. [`ShardsSampler`] implements
+//! fixed-rate SHARDS spatial sampling for approximate curves at a
+//! small fraction of the cost.
 
-use cbs_trace::hash::FxHashMap;
 use cbs_trace::BlockId;
+
+use crate::numbering::{BlockNo, BlockNumbering};
 
 /// Occupancy bitset + hierarchical popcount index for exact reuse
 /// distances.
@@ -447,57 +450,48 @@ fn word_span(p: usize, end: usize) -> (usize, u32, u64) {
     (p / 64, n as u32, (u64::MAX >> (64 - n)) << lo)
 }
 
-/// Number of consecutive blocks whose positions share one chunk.
-const CHUNK_BLOCKS: u64 = 16;
-
-/// "No previous position": the key of a cold run. Never an assigned
-/// position, nor one past one ([`ReuseStack::MAX_POSITIONS`]).
+/// "No previous position": the key of a cold run, and the position of
+/// a block never touched. Never an assigned position, nor one past one
+/// ([`ReuseStack::MAX_POSITIONS`]).
 const COLD: u32 = u32::MAX;
 
-/// Latest stack positions of 16 consecutive block ids.
-#[derive(Debug, Clone)]
-struct PosChunk {
-    /// Bit `i` set iff block `i` of the chunk has been touched.
-    occupied: u16,
-    pos: [u32; CHUNK_BLOCKS as usize],
-}
-
-/// Consecutive block ids touched back to back whose stack touches are
-/// deferred so that one [`ReuseStack::touch_run`] (or
+/// Consecutive block numbers touched back to back whose stack touches
+/// are deferred so that one [`ReuseStack::touch_run`] (or
 /// [`touch_cold_run`](ReuseStack::touch_cold_run)) retires them all.
 #[derive(Debug, Clone, Copy, Default)]
 struct PendingRun {
     /// Blocks in the run; 0 = nothing pending.
     len: usize,
-    /// The only block id that can extend the run.
-    next_block: u64,
+    /// The only block number that can extend the run.
+    next_no: usize,
     /// The previous position that block must have: one past the run's
     /// last previous position, or [`COLD`] for a run of first touches.
     next_prev: u32,
 }
 
-/// A [`ReuseStack`] together with the block → latest-position map it
-/// needs: the one owner of "where was this block last" in the crate.
+/// A [`ReuseStack`] together with every block's latest position: the
+/// one owner of "where was this block last" in the crate.
 ///
-/// Accesses arrive as *spans* of consecutive block ids
-/// ([`touch_span`](Self::touch_span); a single block is a span of one).
-/// Positions live in 16-block chunks behind one hash lookup per chunk,
-/// and the stack is touched **per run**, not per block: consecutive
-/// block ids whose previous positions are consecutive too — blocks last
-/// touched together, the common rewrite — are retired by one
-/// [`ReuseStack::touch_run`] and reported to the caller once, as
-/// `(distance, blocks)`. A run stays pending across spans until a block
-/// breaks it or [`flush`](Self::flush) is called.
+/// Blocks arrive by their [`BlockNo`], as *runs* of consecutive numbers
+/// ([`touch_run`](Self::touch_run)) — what
+/// [`BlockNumbering::number_span`] reports for a span. Positions live
+/// in a `Vec` indexed by number, and the stack is touched **per run of
+/// positions**, not per block: consecutive numbers whose previous
+/// positions are consecutive too — blocks last touched together, the
+/// common rewrite — are retired by one [`ReuseStack::touch_run`] and
+/// reported to the caller once, as `(distance, blocks)`. A run stays
+/// pending across calls until a block breaks it or
+/// [`flush`](Self::flush) is called.
 ///
 /// The run rule, and why it is safe: a block joins the pending run only
-/// if its **id** is the run's last id + 1 and its previous position is
-/// the run's last previous position + 1 (or both are cold). Consecutive
-/// ids make the run's blocks distinct, so every previous position in
-/// the run was assigned before the run started and is still live —
-/// exactly `touch_run`'s precondition. The position test alone is not
-/// enough: in `A B A B A B` the third `A`'s previous position is the
-/// one the pending run `A B` is about to be given, and a run that
-/// swallowed it would clear a position not yet pushed.
+/// if its **number** is the run's last number + 1 and its previous
+/// position is the run's last previous position + 1 (or both are cold).
+/// Consecutive numbers make the run's blocks distinct, so every
+/// previous position in the run was assigned before the run started and
+/// is still live — exactly `touch_run`'s precondition. The position
+/// test alone is not enough: in `A B A B A B` the third `A`'s previous
+/// position is the one the pending run `A B` is about to be given, and
+/// a run that swallowed it would clear a position not yet pushed.
 ///
 /// Dead positions are compacted away in [`flush`](Self::flush), once
 /// no run is pending: a pending run's key is in pre-compaction
@@ -506,14 +500,16 @@ struct PendingRun {
 /// # Example
 ///
 /// ```
-/// use cbs_cache::BlockStack;
+/// use cbs_cache::{BlockNumbering, BlockStack};
 /// use cbs_trace::BlockId;
 ///
-/// let mut stack = BlockStack::new();
+/// let (mut numbers, mut stack) = (BlockNumbering::new(), BlockStack::new());
 /// let mut seen = Vec::new();
 /// // blocks 8..12 twice: four cold touches, then four at distance 3
 /// for _ in 0..2 {
-///     stack.touch_span(BlockId::new(8), 4, |distance, blocks| seen.push((distance, blocks)));
+///     numbers.number_span(BlockId::new(8), 4, |first, n| {
+///         stack.touch_run(first, n, |distance, blocks| seen.push((distance, blocks)));
+///     });
 /// }
 /// stack.flush(|distance, blocks| seen.push((distance, blocks)));
 /// assert_eq!(seen, [(None, 4), (Some(3), 4)]);
@@ -521,9 +517,9 @@ struct PendingRun {
 #[derive(Debug, Clone, Default)]
 pub struct BlockStack {
     stack: ReuseStack,
-    /// Chunk id (block id / 16) → index into `chunks`.
-    chunk_index: FxHashMap<u64, u32>,
-    chunks: Vec<PosChunk>,
+    /// Latest position per block number, [`COLD`] where never touched.
+    /// Grows to the highest number touched, never ahead of it.
+    pos: Vec<u32>,
     run: PendingRun,
 }
 
@@ -549,96 +545,65 @@ impl BlockStack {
         self.stack.positions() + self.run.len
     }
 
-    /// Touches the `blocks` consecutive block ids starting at `first`,
-    /// in ascending order. `sink(distance, n)` is called for each run
-    /// this retires: `n` blocks sharing one reuse `distance` (`None` =
-    /// first touches). The span's own last run stays pending — it is
-    /// reported by a later `touch_span` or by [`flush`](Self::flush) —
+    /// Touches the `blocks` consecutive block numbers starting at
+    /// `first`, in ascending order. `sink(distance, n)` is called for
+    /// each run this retires: `n` blocks sharing one reuse `distance`
+    /// (`None` = first touches). The last run stays pending — it is
+    /// reported by a later `touch_run` or by [`flush`](Self::flush) —
     /// so every touch is reported exactly once, in access order.
-    ///
-    /// `first + blocks` must not overflow (a [`cbs_trace::BlockSpan`]
-    /// never does).
     #[inline]
-    pub fn touch_span(
+    pub fn touch_run(
         &mut self,
-        first: BlockId,
-        blocks: u64,
+        first: BlockNo,
+        blocks: u32,
         mut sink: impl FnMut(Option<u64>, usize),
     ) {
-        let mut block = first.get();
-        let end = block + blocks;
-        while block < end {
-            // The part of the span inside `block`'s chunk: slots
-            // `slot..slot + m`, one hash lookup.
-            let slot = (block % CHUNK_BLOCKS) as usize;
-            let m = (CHUNK_BLOCKS - slot as u64).min(end - block) as usize;
-            let index = self.chunk_of(block / CHUNK_BLOCKS);
-            let warm = u32::from(self.chunks[index].occupied) >> slot & ((1 << m) - 1);
-            // Split it into maximal cold runs (off the mask alone) and
-            // warm runs of consecutive previous positions (one compare
-            // loop); an all-cold or all-warm-in-order segment is one.
-            let mut j = 0;
-            while j < m {
-                let rest = warm >> j;
-                let (prev, k) = if rest & 1 == 0 {
-                    (COLD, (rest.trailing_zeros() as usize).min(m - j))
-                } else {
-                    let pos = &self.chunks[index].pos[slot + j..][..rest.trailing_ones() as usize];
-                    let mut k = 1;
-                    while k < pos.len() && pos[k] == pos[0].wrapping_add(k as u32) {
-                        k += 1;
-                    }
-                    (pos[0], k)
-                };
-                let new_pos = self.extend_run(block + j as u64, k, prev, &mut sink);
-                for (i, pos) in self.chunks[index].pos[slot + j..][..k]
-                    .iter_mut()
-                    .enumerate()
-                {
-                    // Truncation past `MAX_POSITIONS` is never read: the
-                    // run's retirement, which precedes every use of a
-                    // position it was given, panics on the bound.
-                    *pos = (new_pos + i) as u32;
-                }
-                j += k;
+        let (mut j, end) = (first.index(), first.index() + blocks as usize);
+        if end > self.pos.len() {
+            self.pos.resize(end, COLD);
+        }
+        while j < end {
+            // Split into maximal cold runs and warm runs of consecutive
+            // previous positions; an all-cold or all-warm-in-order run
+            // is one. No warm position reaches `COLD` by `+ k`: every
+            // assigned position is below `MAX_POSITIONS`.
+            let prev = self.pos[j];
+            let step = u32::from(prev != COLD);
+            let rest = &self.pos[j..end];
+            let mut k = 1;
+            while k < rest.len() && rest[k] == prev.wrapping_add(step * k as u32) {
+                k += 1;
             }
-            self.chunks[index].occupied |= (((1u32 << m) - 1) << slot) as u16;
-            block += m as u64;
+            let new_pos = self.extend_run(j, k, prev, &mut sink);
+            for (i, pos) in self.pos[j..j + k].iter_mut().enumerate() {
+                // Truncation past `MAX_POSITIONS` is never read: the
+                // run's retirement, which precedes every use of a
+                // position it was given, panics on the bound.
+                *pos = (new_pos + i) as u32;
+            }
+            j += k;
         }
     }
 
-    /// Index into `chunks` of chunk `id`, created empty if new.
-    #[inline]
-    fn chunk_of(&mut self, id: u64) -> usize {
-        let next = self.chunks.len() as u32;
-        let index = *self.chunk_index.entry(id).or_insert(next);
-        if index == next {
-            self.chunks.push(PosChunk {
-                occupied: 0,
-                pos: [0; CHUNK_BLOCKS as usize],
-            });
-        }
-        index as usize
-    }
-
-    /// Adds `k` blocks from `block` on, with consecutive previous
-    /// positions from `prev` on (all cold if [`COLD`]), to the pending
-    /// run if they continue it — else retires that run and starts a new
-    /// one. Returns the position the first of them will be given.
+    /// Adds the `k` blocks numbered from `no` on, with consecutive
+    /// previous positions from `prev` on (all cold if [`COLD`]), to the
+    /// pending run if they continue it — else retires that run and
+    /// starts a new one. Returns the position the first of them will be
+    /// given.
     #[inline]
     fn extend_run(
         &mut self,
-        block: u64,
+        no: usize,
         k: usize,
         prev: u32,
         sink: &mut impl FnMut(Option<u64>, usize),
     ) -> usize {
         let run = &self.run;
-        if run.len == 0 || block != run.next_block || prev != run.next_prev {
+        if run.len == 0 || no != run.next_no || prev != run.next_prev {
             self.retire_run(sink);
             self.run = PendingRun {
                 len: 0,
-                next_block: block,
+                next_no: no,
                 next_prev: prev,
             };
         }
@@ -648,7 +613,7 @@ impl BlockStack {
         let run = &mut self.run;
         let new_pos = self.stack.positions() + run.len;
         run.len += k;
-        run.next_block += k as u64;
+        run.next_no += k;
         if prev != COLD {
             run.next_prev += k as u32;
         }
@@ -697,13 +662,8 @@ impl BlockStack {
     pub fn compact(&mut self) {
         assert!(self.run.len == 0, "compaction with a run pending");
         let table = self.stack.compaction_table();
-        for chunk in &mut self.chunks {
-            let mut occupied = chunk.occupied;
-            while occupied != 0 {
-                let slot = occupied.trailing_zeros() as usize;
-                occupied &= occupied - 1;
-                chunk.pos[slot] = table[chunk.pos[slot] as usize];
-            }
+        for pos in self.pos.iter_mut().filter(|pos| **pos != COLD) {
+            *pos = table[*pos as usize];
         }
         self.stack.rebuild_compacted();
     }
@@ -739,6 +699,7 @@ pub(crate) fn count_distance(histogram: &mut Vec<u64>, distance: u64, n: u64) {
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct ReuseDistances {
+    numbers: BlockNumbering,
     blocks: BlockStack,
     /// histogram\[d\] = number of accesses with finite reuse distance d.
     histogram: Vec<u64>,
@@ -782,10 +743,11 @@ impl ReuseDistances {
     /// (`None` = cold / infinite).
     pub fn access(&mut self, block: BlockId) -> Option<u64> {
         self.accesses += 1;
-        // A span of one, flushed at once: the distance is known on
+        // A run of one, flushed at once: the distance is known on
         // return, and compaction keeps memory at O(distinct blocks).
         let mut distance = None;
-        self.blocks.touch_span(block, 1, |d, _| distance = d);
+        let no = self.numbers.number(block);
+        self.blocks.touch_run(no, 1, |d, _| distance = d);
         let compacted = self.blocks.flush(|d, _| distance = d);
         match distance {
             Some(d) => count_distance(&mut self.histogram, d, 1),
@@ -1061,7 +1023,7 @@ mod tests {
     /// Drives one span of `prevs` (`None` = cold) through the run API,
     /// splitting it into maximal cold runs and warm runs of consecutive
     /// previous positions; returns per-touch `(distance, new position)`.
-    fn touch_span_by_runs(s: &mut ReuseStack, prevs: &[Option<usize>]) -> Vec<(u64, usize)> {
+    fn touch_prevs_by_runs(s: &mut ReuseStack, prevs: &[Option<usize>]) -> Vec<(u64, usize)> {
         let mut out = Vec::new();
         let mut i = 0;
         while i < prevs.len() {
@@ -1136,7 +1098,7 @@ mod tests {
 
             let prevs: Vec<Option<usize>> =
                 blocks.iter().map(|blk| run_pos.get(blk).copied()).collect();
-            let got = touch_span_by_runs(&mut run, &prevs);
+            let got = touch_prevs_by_runs(&mut run, &prevs);
             for (&blk, &(_, pos)) in blocks.iter().zip(&got) {
                 run_pos.insert(blk, pos);
             }
@@ -1318,32 +1280,55 @@ mod tests {
         out
     }
 
+    /// A `BlockStack` behind the numbering that feeds it, as the
+    /// sweep's stack lane sits behind its producer.
+    #[derive(Default)]
+    struct Numbered {
+        numbers: BlockNumbering,
+        stack: BlockStack,
+    }
+
+    impl Numbered {
+        /// Numbers the span of `n` blocks from `first` on and touches
+        /// the runs it numbers to.
+        fn number_and_touch(
+            &mut self,
+            first: u64,
+            n: u64,
+            sink: &mut impl FnMut(Option<u64>, usize),
+        ) {
+            let stack = &mut self.stack;
+            self.numbers
+                .number_span(b(first), n, |no, k| stack.touch_run(no, k, &mut *sink));
+        }
+    }
+
     /// Feeds `spans` to `stack` as one column (one flush at the end)
     /// and returns the reported runs expanded to one distance a block.
-    fn span_distances(stack: &mut BlockStack, spans: &[(u64, u64)]) -> Vec<Option<u64>> {
+    fn span_distances(stack: &mut Numbered, spans: &[(u64, u64)]) -> Vec<Option<u64>> {
         let mut out = Vec::new();
         let mut sink = |d: Option<u64>, n: usize| out.extend(std::iter::repeat(d).take(n));
         for &(first, n) in spans {
-            stack.touch_span(b(first), n, &mut sink);
+            stack.number_and_touch(first, n, &mut sink);
         }
-        stack.flush(&mut sink);
+        stack.stack.flush(&mut sink);
         out
     }
 
-    /// Runs `columns` through one `BlockStack` and checks every
+    /// Runs `columns` through one numbered `BlockStack` and checks every
     /// distance against the naive stack; returns the stack.
     fn check_columns(columns: &[&[(u64, u64)]]) -> BlockStack {
         let all: Vec<(u64, u64)> = columns.iter().flat_map(|c| c.iter().copied()).collect();
         let want = naive_span_distances(&all);
-        let mut stack = BlockStack::new();
+        let mut stack = Numbered::default();
         let got: Vec<Option<u64>> = columns
             .iter()
             .flat_map(|column| span_distances(&mut stack, column))
             .collect();
         assert_eq!(got, want);
         let distinct = want.iter().filter(|d| d.is_none()).count();
-        assert_eq!(stack.live(), distinct);
-        stack
+        assert_eq!(stack.stack.live(), distinct);
+        stack.stack
     }
 
     #[test]
@@ -1379,25 +1364,18 @@ mod tests {
     #[test]
     fn runs_cross_chunk_and_word_edges() {
         // 60 cold blocks first, so blocks 10..22 (crossing the chunk
-        // edge at 16) land on positions 60..72 (crossing the word edge
-        // at 64); their retouch is one warm run over both edges.
+        // edge at 16) get numbers 60..72 and positions 60..72 (crossing
+        // the word edge at 64); their retouch is one warm run over both
+        // edges. The three cold spans have consecutive numbers, so they
+        // are one cold run, gaps between their ids notwithstanding.
         let spans = [(1000, 60), (10, 12), (500, 3), (10, 12), (10, 12)];
-        let mut stack = BlockStack::new();
+        let mut stack = Numbered::default();
         let mut runs = Vec::new();
         for &(first, n) in &spans {
-            stack.touch_span(b(first), n, |d, n| runs.push((d, n)));
+            stack.number_and_touch(first, n, &mut |d, n| runs.push((d, n)));
         }
-        stack.flush(|d, n| runs.push((d, n)));
-        assert_eq!(
-            runs,
-            [
-                (None, 60),
-                (None, 12),
-                (None, 3),
-                (Some(14), 12),
-                (Some(11), 12)
-            ]
-        );
+        stack.stack.flush(|d, n| runs.push((d, n)));
+        assert_eq!(runs, [(None, 75), (Some(14), 12), (Some(11), 12)]);
         check_columns(&[&spans]);
         // Consecutive requests over consecutive blocks are one run too.
         check_columns(&[&[(0, 40), (40, 40), (0, 40), (40, 40), (20, 40)]]);
@@ -1410,9 +1388,9 @@ mod tests {
         // column's last run still pending when it is called. The second
         // column then reads positions in the new numbering.
         let column: Vec<(u64, u64)> = (0..70).flat_map(|_| [(90, 3), (0, 20)]).collect();
-        let mut flushed = BlockStack::new();
+        let mut flushed = Numbered::default();
         span_distances(&mut flushed, &column);
-        assert_eq!(flushed.positions(), 23, "the flush compacted");
+        assert_eq!(flushed.stack.positions(), 23, "the flush compacted");
         let stack = check_columns(&[&column[..], &[(5, 30), (0, 10), (90, 3)], &column[..]]);
         assert!(stack.positions() < 1024 + 8 * stack.live());
     }
@@ -1421,7 +1399,7 @@ mod tests {
     #[should_panic(expected = "run pending")]
     fn forced_compaction_refuses_a_pending_run() {
         let mut stack = BlockStack::new();
-        stack.touch_span(b(0), 4, |_, _| {});
+        stack.touch_run(BlockNo::from_raw(0), 4, |_, _| {});
         stack.compact();
     }
 
@@ -1444,7 +1422,7 @@ mod tests {
         for &(first, n) in &spans {
             rd.run((first..first + n).map(b));
         }
-        let mut stack = BlockStack::new();
+        let mut stack = Numbered::default();
         let mut hist: Vec<u64> = Vec::new();
         let mut cold = 0u64;
         for d in span_distances(&mut stack, &spans) {
@@ -1461,7 +1439,7 @@ mod tests {
         }
         assert_eq!(hist, rd.histogram());
         assert_eq!(cold, rd.cold_misses());
-        assert_eq!(stack.live(), rd.blocks.live());
+        assert_eq!(stack.stack.live(), rd.blocks.live());
     }
 
     #[test]

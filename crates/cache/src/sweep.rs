@@ -10,39 +10,40 @@
 //! producer (caller thread)               lanes
 //! ┌──────────────────────────┐      ┌─────────────────────────────┐
 //! │ RequestBatch             │      │ lru stack lane              │
-//! │  └ BlockSize::span per   │      │  one BlockStack pass, a     │
-//! │    request: (first block,│ ───► │  stack touch per RUN        │
-//! │    count, op), no per-   │ Arc< │  → exact stats at EVERY     │
-//! │    block column          │ Sweep│    lru capacity (Mattson)   │
-//! │  └ numbered ONCE: runs of│ Col> ├─────────────────────────────┤
-//! │    consecutive BlockNos  │      │ boxed policy lanes          │
-//! │  └ SHARDS sample filter  │      │  fifo/clock/lfu/arc/slru/2q │
-//! │    (hashed ONCE) →       │      │  exact: walk the numbered   │
-//! │    sampled (block, op)   │      │    runs                     │
-//! │    + its own numbering   │      │  sampled: walk the pairs    │
-//! └──────────────────────────┘      ├─────────────────────────────┤
-//!       │ bounded channels          │ sampled MRC lane            │
-//!       ▼ (when workers > 0)        │  (approximate LRU curve,    │
-//!   worker threads, each            │   raw block ids)            │
-//!   processing a lane subset        └─────────────────────────────┘
+//! │  └ BlockSize::span per   │      │  one BlockStack pass over   │
+//! │    request, numbered     │ ───► │  the numbered runs, a stack │
+//! │    ONCE: runs of         │ Arc< │  touch per RUN → exact      │
+//! │    consecutive BlockNos  │ Sweep│  stats at EVERY lru         │
+//! │    (first no, count, op),│ Col> │  capacity (Mattson)         │
+//! │    no per-block column   │      ├─────────────────────────────┤
+//! │  └ SHARDS sample filter  │      │ boxed policy lanes          │
+//! │    (hashed ONCE) →       │      │  fifo/clock/lfu/arc/slru/2q │
+//! │    sampled (block, op)   │      │  exact: walk the numbered   │
+//! │    + its own numbering   │      │    runs                     │
+//! └──────────────────────────┘      │  sampled: walk the pairs    │
+//!       │ bounded channels          ├─────────────────────────────┤
+//!       ▼ (when workers > 0)        │ sampled MRC lane            │
+//!   worker threads, each            │  (approximate LRU curve,    │
+//!   processing a lane subset        │   numbering its own blocks) │
+//!                                   └─────────────────────────────┘
 //! ```
 //!
 //! Four mechanisms carry the speedup (measured in `BENCH_cache.json`):
 //!
 //! * the trace is generated/decoded **once**, not once per pair;
-//! * each batch is reduced **once** to one block span per request
-//!   (13 bytes, against ~9 per *block* for an expanded column) and the
-//!   SHARDS filter is hashed once; every lane shares that column, and
-//!   exact lanes enumerate a span's blocks as they go;
+//! * each batch is reduced **once** — one block span per request,
+//!   numbered into runs — and the SHARDS filter is hashed once; every
+//!   lane shares that column, and exact lanes enumerate a run's
+//!   numbers as they go;
 //! * each block is **numbered once**, on the producer: a
 //!   [`BlockNumbering`] gives it a dense first-touch [`BlockNo`] (one
-//!   hash probe per 16-block chunk of a span), so every policy lane
-//!   finds its node with one array load instead of its own hash probe
-//!   per block. Exact spans enter the column as runs of consecutive
-//!   numbers — a span first touched together stays one run — and only
-//!   when the grid has an exact policy lane besides LRU's stack lane,
-//!   which keys by raw ids; sampled blocks get a numbering of their
-//!   own, so sampled lanes' indexes stay ~`rate` of the distinct blocks;
+//!   hash probe per 16-block chunk of a span), so every exact lane —
+//!   the LRU stack lane and every policy lane — finds its block's state
+//!   with one array load instead of its own hash probe per block.
+//!   Spans enter the column as runs of consecutive numbers (12 bytes a
+//!   run; a span first touched together stays one run), whenever any
+//!   exact lane runs; sampled blocks get a numbering of their own, so
+//!   sampled lanes' indexes stay ~`rate` of the distinct blocks;
 //! * all exact-LRU lanes collapse into a **single**
 //!   [`crate::BlockStack`] pass — by the Mattson stack property, an
 //!   access hits an LRU cache of capacity `c` iff its reuse distance is
@@ -358,9 +359,11 @@ impl SweepGrid {
     )]
     pub fn start(self) -> CacheSweep {
         // The sampled-MRC lane and every sampled policy lane consume
-        // the engine's one spatial filter pass over each column; policy
-        // lanes, exact or sampled, consume the blocks' numbers.
-        let exact_policies = self.boxed.iter().any(|spec| !spec.sampled);
+        // the engine's one spatial filter pass over each column; exact
+        // lanes (the stack lane too) and sampled policy lanes consume
+        // the blocks' numbers.
+        let exact_lanes =
+            !self.lru_capacities.is_empty() || self.boxed.iter().any(|spec| !spec.sampled);
         let sampled_policies = self.boxed.iter().any(|spec| spec.sampled);
         let need_sampled = self.sampled_mrc || sampled_policies;
         let mut lanes: Vec<TimedLane> = Vec::with_capacity(self.lane_count());
@@ -435,7 +438,7 @@ impl SweepGrid {
             source: ColumnSource {
                 block_size: self.block_size,
                 threshold: need_sampled.then(|| ShardsSampler::threshold_for(self.rate)),
-                numbers: exact_policies.then(BlockNumbering::new),
+                numbers: exact_lanes.then(BlockNumbering::new),
                 sampled_numbers: sampled_policies.then(BlockNumbering::new),
             },
             rate: self.rate,
@@ -474,28 +477,23 @@ struct ColumnSource {
     block_size: BlockSize,
     /// The SHARDS spatial-filter threshold, if any lane is sampled.
     threshold: Option<u64>,
-    /// Numbers the spans' blocks, if an exact policy lane runs.
+    /// Numbers the spans' blocks, if an exact lane runs.
     numbers: Option<BlockNumbering>,
     /// Numbers the sampled blocks, if a sampled policy lane runs.
     sampled_numbers: Option<BlockNumbering>,
 }
 
-/// One shared unit of work: a batch as block *spans* — one
-/// `(first block, block count, op)` per request that touches any block,
-/// in batch order — the same blocks as runs of consecutive numbers for
-/// the exact policy lanes, and the accesses passing the SHARDS spatial
-/// filter (hashed once, used by every sampled lane) with their numbers.
-/// No per-block column is built: exact lanes walk the spans or runs,
+/// One shared unit of work: a batch's block accesses as runs of
+/// consecutive block numbers — `(first number, count, op)`, in access
+/// order — for the exact lanes, and the accesses passing the SHARDS
+/// spatial filter (hashed once, used by every sampled lane) with their
+/// numbers. No per-block column is built: exact lanes walk the runs,
 /// sampled lanes the pairs.
 #[derive(Debug, Default)]
 struct SweepColumn {
-    firsts: Vec<BlockId>,
-    counts: Vec<u32>,
-    ops: Vec<OpKind>,
-    /// Block accesses the spans cover: the sum of `counts`.
+    /// Block accesses of the batch's requests.
     accesses: u64,
-    /// The spans' blocks by number: `(first number, count, op)` per
-    /// run, in access order. Empty unless an exact policy lane runs.
+    /// The accesses by number. Empty unless an exact lane runs.
     runs: Vec<(BlockNo, u32, OpKind)>,
     sampled: Vec<(BlockId, OpKind)>,
     /// `sampled`'s blocks by number, pair by pair. Empty unless a
@@ -511,12 +509,7 @@ impl SweepColumn {
     /// whose block hashes at or below it (numbered too, if `source`
     /// keeps a numbering for them).
     fn build(batch: &RequestBatch, source: &mut ColumnSource) -> Self {
-        let mut column = SweepColumn {
-            firsts: Vec::with_capacity(batch.len()),
-            counts: Vec::with_capacity(batch.len()),
-            ops: Vec::with_capacity(batch.len()),
-            ..SweepColumn::default()
-        };
+        let mut column = SweepColumn::default();
         if source.numbers.is_some() {
             column.runs.reserve(batch.len());
         }
@@ -526,17 +519,10 @@ impl SweepColumn {
             let Some(first) = span.first() else {
                 continue; // zero-length: touches no block
             };
-            // A `u32` byte length covers at most `u32::MAX` blocks, even
-            // of one byte each: the count always fits.
-            debug_assert!(span.remaining() <= u64::from(len));
-            let blocks = span.remaining() as u32;
-            column.firsts.push(first);
-            column.counts.push(blocks);
-            column.ops.push(op);
-            column.accesses += u64::from(blocks);
+            column.accesses += span.remaining();
             if let Some(numbers) = &mut source.numbers {
                 let runs = &mut column.runs;
-                numbers.number_span(first, u64::from(blocks), |no, n| runs.push((no, n, op)));
+                numbers.number_span(first, span.remaining(), |no, n| runs.push((no, n, op)));
             }
             if let Some(threshold) = source.threshold {
                 for block in span.filter(|&block| shards_hash(block) <= threshold) {
@@ -548,13 +534,6 @@ impl SweepColumn {
             }
         }
         column
-    }
-
-    /// The spans as `(first block, block count, op)`, in batch order.
-    fn spans(&self) -> impl Iterator<Item = (BlockId, u64, OpKind)> + '_ {
-        let counts = self.counts.iter().map(|&n| u64::from(n));
-        let spans = self.firsts.iter().copied().zip(counts);
-        spans.zip(&self.ops).map(|((first, n), &op)| (first, n, op))
     }
 }
 
@@ -652,9 +631,10 @@ fn lane_worker(rx: Receiver<Job>, mut lanes: Vec<TimedLane>) -> Vec<FinishedLane
 
 /// The collapsed exact-LRU lane: one Mattson stack pass with op-split
 /// histograms answers every LRU capacity bit-identically to a fresh
-/// [`crate::CacheSim`]`<`[`crate::Lru`]`>` per capacity. The
-/// [`BlockStack`] owns block positions, runs and compaction; the lane
-/// keeps what it reports, per op kind (`[read, write]`).
+/// [`crate::CacheSim`]`<`[`crate::Lru`]`>` per capacity. It walks the
+/// column's numbered runs; the [`BlockStack`] owns block positions,
+/// runs and compaction, and the lane keeps what it reports, per op
+/// kind (`[read, write]`).
 #[derive(Debug)]
 struct StackLane {
     capacities: Vec<usize>,
@@ -696,14 +676,14 @@ impl Lane for StackLane {
         // A run reports once, to one op's tallies, so it must not cross
         // an op change: `op` is the op of whatever is pending.
         let mut op = 0;
-        for (first, n, span_op) in job.spans() {
-            let span_op = op_index(span_op);
-            self.accesses[span_op] += n;
-            if span_op != op {
+        for &(first, n, run_op) in &job.runs {
+            let run_op = op_index(run_op);
+            self.accesses[run_op] += u64::from(n);
+            if run_op != op {
                 self.blocks.flush(|d, n| record(op, d, n));
-                op = span_op;
+                op = run_op;
             }
-            self.blocks.touch_span(first, n, |d, n| record(op, d, n));
+            self.blocks.touch_run(first, n, |d, n| record(op, d, n));
         }
         // Nothing stays pending between columns, and the flush is where
         // the stack compacts: memory stays O(distinct blocks) plus one
@@ -1190,16 +1170,22 @@ mod tests {
         let reqs = stream(5000, 300);
         let names = ["lru", "fifo", "clock", "lfu", "arc", "slru", "2q"];
         let capacities = [1usize, 7, 64, 150, 100_000];
-        let report = SweepGrid::new()
-            .with_workers(0)
-            .grid(&names, &capacities)
-            .expect("valid grid")
-            .sweep(reqs.iter().copied());
-        assert_eq!(report.lanes().len(), names.len() * capacities.len());
-        for &name in &names {
-            for &c in &capacities {
-                let got = report.stats(name, c).expect("lane present");
-                assert_eq!(got, reference(&reqs, name, c), "{name}@{c}");
+        for workers in 0..=3 {
+            let report = SweepGrid::new()
+                .with_workers(workers)
+                .grid(&names, &capacities)
+                .expect("valid grid")
+                .sweep(reqs.iter().copied());
+            assert_eq!(report.lanes().len(), names.len() * capacities.len());
+            for &name in &names {
+                for &c in &capacities {
+                    let got = report.stats(name, c).expect("lane present");
+                    assert_eq!(
+                        got,
+                        reference(&reqs, name, c),
+                        "{name}@{c}, {workers} workers"
+                    );
+                }
             }
         }
     }
@@ -1372,18 +1358,9 @@ mod tests {
             sampled_numbers: Some(BlockNumbering::new()),
         };
         let column = SweepColumn::build(&batch, &mut source);
-        let spans: Vec<_> = column.spans().collect();
-        assert_eq!(spans.len(), 4, "the zero-length record touches nothing");
-        assert_eq!(spans[2], (top, 1, Write));
         let mut expanded = BlockAccessColumn::new();
         batch.expand_blocks_into(bs, &mut expanded);
-        let walked: Vec<(BlockId, OpKind)> = column
-            .spans()
-            .flat_map(|(first, n, op)| {
-                (first.get()..first.get() + n).map(move |b| (BlockId::new(b), op))
-            })
-            .collect();
-        assert_eq!(walked, expanded.iter().collect::<Vec<_>>());
+        let walked: Vec<(BlockId, OpKind)> = expanded.iter().collect();
         assert_eq!(column.sampled, walked);
         assert_eq!(column.accesses, expanded.len() as u64);
 
@@ -1391,7 +1368,9 @@ mod tests {
         // blocks expansion yields: first-touch numbers, consecutive ones
         // kept as one run (3..8 is one, the straddler's 0..2 another),
         // split where they stop being consecutive (the last span's `top`
-        // was numbered before the two blocks below it).
+        // was numbered before the two blocks below it). The
+        // zero-length record touches nothing, and the one reaching past
+        // u64::MAX is the clamped block `top` alone.
         let numbers = source.numbers.as_ref().expect("numbering on");
         let runs: Vec<(usize, u32, OpKind)> = column
             .runs
@@ -1408,6 +1387,7 @@ mod tests {
                 (7, 1, Read)
             ]
         );
+        assert_eq!(numbers.get(top), Some(BlockNo::from_raw(7)));
         let block_of: std::collections::HashMap<BlockNo, BlockId> = expanded
             .blocks()
             .iter()
@@ -1431,7 +1411,8 @@ mod tests {
             column.sampled_numbers.iter().copied().map(Some).collect();
         assert_eq!(carried, renumbered);
 
-        // Without a threshold or numberings, only the spans are built.
+        // Without a threshold or numberings, only the access count is
+        // built.
         let mut bare = ColumnSource {
             block_size: bs,
             threshold: None,
@@ -1439,7 +1420,7 @@ mod tests {
             sampled_numbers: None,
         };
         let column = SweepColumn::build(&batch, &mut bare);
-        assert_eq!(column.spans().collect::<Vec<_>>(), spans);
+        assert_eq!(column.accesses, expanded.len() as u64);
         assert!(column.sampled.is_empty() && column.runs.is_empty());
         assert!(column.sampled_numbers.is_empty());
 
@@ -1462,7 +1443,9 @@ mod tests {
     #[test]
     fn the_grid_decides_what_is_numbered() {
         // (exact numbering, sampled numbering, SHARDS filter) per grid:
-        // the stack lane keys by raw ids, the sampled MRC lane too.
+        // exact numbering runs exactly when an exact lane does, the
+        // LRU stack lane included; the sampled MRC lane numbers its own
+        // sampled blocks, so it asks for the filter alone.
         let parts = |grid: SweepGrid| {
             let source = grid.with_workers(0).start().source;
             (
@@ -1472,12 +1455,22 @@ mod tests {
             )
         };
         let lru = || SweepGrid::new().lru_capacity(8).expect("non-zero");
-        assert_eq!(parts(lru()), (false, false, false));
-        assert_eq!(parts(lru().with_sampled_mrc()), (false, false, true));
+        assert_eq!(parts(lru()), (true, false, false));
+        assert_eq!(parts(lru().with_sampled_mrc()), (true, false, true));
         let sampled = lru().sampled_policy("arc", 8).expect("valid");
-        assert_eq!(parts(sampled), (false, true, true));
+        assert_eq!(parts(sampled), (true, true, true));
         let exact = lru().policy("fifo", 8).expect("valid");
         assert_eq!(parts(exact), (true, false, false));
+        let fifo = SweepGrid::new().policy("fifo", 8).expect("valid");
+        assert_eq!(parts(fifo), (true, false, false));
+        // No exact lane: nothing numbers the spans.
+        assert_eq!(parts(SweepGrid::new()), (false, false, false));
+        assert_eq!(
+            parts(SweepGrid::new().with_sampled_mrc()),
+            (false, false, true)
+        );
+        let sampled = SweepGrid::new().sampled_policy("arc", 8).expect("valid");
+        assert_eq!(parts(sampled), (false, true, true));
     }
 
     #[test]

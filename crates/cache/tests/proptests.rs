@@ -336,15 +336,17 @@ proptest! {
         }
     }
 
-    /// `BlockStack::touch_span` — chunk walk, pending run, run
-    /// retirement — reports for every block the distance per-block
-    /// `ReuseDistances::access` returns (so: identical histogram and
-    /// cold count), and tracks the same `live()`; after a forced
-    /// compaction, one of them mid-sequence, `positions()` agrees too.
-    /// Spans that are not consecutive block ids (reversed, holed) enter
-    /// as their maximal consecutive pieces.
+    /// `BlockStack::touch_run` fed the runs `BlockNumbering::number_span`
+    /// reports — number walk, pending run, run retirement — reports for
+    /// every block the distance per-block `ReuseDistances::access`
+    /// returns (so: identical histogram and cold count), and tracks the
+    /// same `live()`; after a forced compaction, one of them
+    /// mid-sequence, `positions()` agrees too. Spans that are not
+    /// consecutive block ids (reversed, holed) enter as their maximal
+    /// consecutive pieces.
     #[test]
     fn block_stack_spans_equal_per_block_access(spans in arb_spans()) {
+        let mut numbers = BlockNumbering::new();
         let mut by_span = BlockStack::new();
         let mut by_block = ReuseDistances::new();
         let mut tracked = TrackedStack::default();
@@ -357,12 +359,12 @@ proptest! {
                 let n = (1..rest.len())
                     .find(|&k| rest[k] != first + k as u64)
                     .unwrap_or(rest.len());
-                by_span.touch_span(BlockId::new(first), n as u64, |d, n| {
-                    got.extend(std::iter::repeat(d).take(n));
+                numbers.number_span(BlockId::new(first), n as u64, |no, k| {
+                    by_span.touch_run(no, k, |d, n| got.extend(std::iter::repeat(d).take(n)));
                 });
                 rest.drain(..n);
             }
-            // Two per-block references: `ReuseDistances` (the span of
+            // Two per-block references: `ReuseDistances` (the run of
             // one on the same store) and a bare `ReuseStack` under a
             // plain map, which shares nothing with `BlockStack`.
             for (block, (distance, _)) in blocks().zip(tracked.touch_each(&blocks().collect::<Vec<_>>())) {

@@ -102,6 +102,19 @@ for kernel in list lru fifo clock lfu arc slru twoq; do
         exit 1
     fi
 done
+# One block map: a BlockNumbering (crates/cache/src/numbering.rs) is
+# the only chunk-keyed map; the analyzer, the LRU stack and the policies
+# index plain Vecs by the number it gives a block.
+# shellcheck disable=SC2046
+chunk_consts="$(grep -nE '^[[:space:]]*(pub(\([a-z]+\))? )?const CHUNK_BLOCKS\b' $(find crates/*/src -name '*.rs' | sort) || true)"
+# shellcheck disable=SC2046
+chunk_maps="$(grep -lw 'chunk_index' $(find crates/*/src -name '*.rs' | sort) | tr '\n' ' ' || true)"
+if [ "$(printf '%s\n' "${chunk_consts}" | grep -c .)" -ne 1 ] \
+    || [ "${chunk_consts%%:*}" != "crates/cache/src/numbering.rs" ] \
+    || [ "${chunk_maps}" != "crates/cache/src/numbering.rs " ]; then
+    echo "CHUNK_BLOCKS must be defined once, in crates/cache/src/numbering.rs, and chunk_index appear only there (one block map); found: ${chunk_consts:-none}; chunk_index in: ${chunk_maps:-none}" >&2
+    exit 1
+fi
 # The analyzer has one entry, observe_batch, and one implementation of
 # each metric: no per-request twin beside it and no runtime-dispatched
 # kernel (with its scalar twin) anywhere in library code.
