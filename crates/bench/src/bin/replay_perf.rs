@@ -176,7 +176,7 @@ fn phase_replay(thousands: u64, multiplier: f64, backend: &str, remap_spec: &str
     };
     assert!(identical, "replayed stream re-analyzed differently");
 
-    let volumes = direct.trace().volume_count();
+    let volumes = direct.metrics().len();
     println!(
         "{{\"phase\": \"replay\", \"backend\": \"{}\", \"remap\": \"{}\", \
          \"rate_multiplier\": {}, \"requests\": {}, \"bytes\": {}, \
@@ -297,7 +297,7 @@ fn phase_lanes(thousands: u64, multiplier: f64, backend: &str, lanes: usize) {
         lanes,
         report.requests,
         report.bytes,
-        direct.trace().volume_count(),
+        direct.metrics().len(),
         report.wall_nanos,
         report.offered_nanos,
         report.offered_rps(),

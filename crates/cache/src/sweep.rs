@@ -67,7 +67,8 @@
 //!
 //! Like [`crate::CacheSim`], the engine ignores the volume column: all
 //! accesses share one unified cache. Per-volume sweeps feed per-volume
-//! streams (see `Analysis::sweep_volume` in `cbs-core`).
+//! streams (see `Corpus::policy_sweep` in `cbs-report`, which
+//! regenerates its one volume).
 
 use std::sync::mpsc::Receiver;
 use std::sync::Arc;

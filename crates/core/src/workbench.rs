@@ -16,8 +16,7 @@ use cbs_analysis::findings::{
     update_interval::{IntervalGroupProportions, OverallUpdateIntervals, UpdateIntervalBoxplots},
 };
 use cbs_analysis::{analyze_trace, AnalysisConfig, InvalidConfig, VolumeMetrics};
-use cbs_cache::{SweepGrid, SweepReport};
-use cbs_trace::{Trace, VolumeId};
+use cbs_trace::Trace;
 
 /// The default worker count of [`Workbench::analyze`] and
 /// [`crate::StreamingWorkbench::new`]: the machine's available
@@ -67,16 +66,6 @@ impl Workbench {
         Ok(Workbench { trace, config })
     }
 
-    /// The trace under analysis.
-    pub fn trace(&self) -> &Trace {
-        &self.trace
-    }
-
-    /// The analysis parameters.
-    pub fn config(&self) -> &AnalysisConfig {
-        &self.config
-    }
-
     /// Characterizes every volume, fanning out across all available
     /// cores.
     pub fn analyze(self) -> Analysis {
@@ -100,20 +89,23 @@ impl Workbench {
 /// A completed analysis: the per-volume metrics plus accessors building
 /// every table/figure data set of the paper.
 ///
-/// Every volume is analyzed whole, so records computed separately
-/// under the corpus epoch combine by concatenation: passing them to
-/// [`from_parts`](Analysis::from_parts) gives the whole-corpus run,
-/// every finding verdict included.
+/// It holds metrics, not a trace: Table II, the one artifact that is not
+/// a fold over per-volume records, is binned when the analysis is built
+/// and the trace is dropped. Every volume is analyzed whole, so records
+/// computed separately under the corpus epoch combine by concatenation:
+/// passing them to [`from_parts`](Analysis::from_parts) gives the
+/// whole-corpus run, every finding verdict included.
 #[derive(Debug, Clone)]
 pub struct Analysis {
-    trace: Trace,
+    overall: Option<OverallIntensity>,
     config: AnalysisConfig,
     metrics: Vec<VolumeMetrics>,
 }
 
 impl Analysis {
     /// Runs the by-volume batch driver over `trace` — the call behind
-    /// [`Workbench`], whose constructors validated `config`.
+    /// [`Workbench`], whose constructors validated `config` — and bins
+    /// Table II before the trace is dropped.
     pub(crate) fn by_volume(trace: Trace, config: AnalysisConfig, threads: usize) -> Self {
         let metrics = match analyze_trace(&trace, &config, threads) {
             Ok(metrics) => metrics,
@@ -124,7 +116,7 @@ impl Analysis {
             Err(e) => unreachable!("validated config rejected: {e}"),
         };
         Analysis {
-            trace,
+            overall: OverallIntensity::from_trace(&trace, &config),
             config,
             metrics,
         }
@@ -132,7 +124,9 @@ impl Analysis {
 
     /// Assembles an analysis from already-computed per-volume records,
     /// each analyzed whole under the corpus epoch. `metrics` is
-    /// re-sorted into ascending volume-id order.
+    /// re-sorted into ascending volume-id order. `trace` is read once,
+    /// for Table II, and then dropped; an empty trace leaves
+    /// [`overall_intensity`](Analysis::overall_intensity) at `None`.
     ///
     /// # Errors
     ///
@@ -145,7 +139,7 @@ impl Analysis {
         config.validate()?;
         metrics.sort_by_key(|m| m.id);
         Ok(Analysis {
-            trace,
+            overall: OverallIntensity::from_trace(&trace, &config),
             config,
             metrics,
         })
@@ -154,11 +148,6 @@ impl Analysis {
     /// The per-volume metric records, ascending by volume id.
     pub fn metrics(&self) -> &[VolumeMetrics] {
         &self.metrics
-    }
-
-    /// The analyzed trace.
-    pub fn trace(&self) -> &Trace {
-        &self.trace
     }
 
     /// The analysis parameters used.
@@ -196,10 +185,10 @@ impl Analysis {
         IntensitySeries::from_metrics(&self.metrics, &self.config)
     }
 
-    /// Table II — aggregate intensities (one extra pass over the
-    /// trace).
+    /// Table II — aggregate intensities, binned when the analysis was
+    /// built; `None` for an empty trace.
     pub fn overall_intensity(&self) -> Option<OverallIntensity> {
-        OverallIntensity::from_trace(&self.trace, &self.config)
+        self.overall
     }
 
     /// Fig. 6 — burstiness-ratio distribution.
@@ -277,21 +266,6 @@ impl Analysis {
     pub fn assessments(&self) -> Vec<cbs_analysis::recommend::VolumeAssessment> {
         cbs_analysis::recommend::assess_all(&self.metrics, &self.config)
     }
-
-    /// Runs a single-pass policy × capacity sweep over one volume's
-    /// request stream (the Fig. 18 grid, generalized to arbitrary
-    /// policies and capacities — see [`cbs_cache::sweep`]). The grid's
-    /// block size is overridden by this analysis's configured block
-    /// size so sweep results line up with
-    /// [`lru_miss_ratios`](Analysis::lru_miss_ratios). Returns `None`
-    /// for an unknown volume.
-    pub fn sweep_volume(&self, volume: VolumeId, grid: SweepGrid) -> Option<SweepReport> {
-        let view = self.trace.volume(volume)?;
-        let report = grid
-            .with_block_size(self.config.block_size)
-            .sweep(view.requests().iter().copied());
-        Some(report)
-    }
 }
 
 #[cfg(test)]
@@ -355,32 +329,7 @@ mod tests {
             .median(cbs_analysis::findings::update_interval::IntervalGroup::Under5Min)
             .is_some());
         assert_eq!(analysis.config().randomness_window, 32);
-        assert_eq!(analysis.trace().volume_count(), 4);
         assert_eq!(analysis.assessments().len(), 4);
-    }
-
-    #[test]
-    fn sweep_volume_runs_grid_over_one_volume() {
-        let analysis = workbench().analyze();
-        let grid = SweepGrid::new()
-            .with_workers(0)
-            .grid(&["lru", "fifo"], &[4, 32])
-            .expect("valid grid");
-        let report = analysis
-            .sweep_volume(VolumeId::new(1), grid)
-            .expect("volume 1 exists");
-        // Each volume has 100 single-block requests over 20 blocks.
-        assert_eq!(report.requests(), 100);
-        assert_eq!(report.accesses(), 100);
-        assert_eq!(report.lanes().len(), 4);
-        // 20 distinct blocks per volume: capacity 32 holds the whole
-        // working set, so everything past the cold misses hits.
-        let warm = report.stats("lru", 32).expect("lane present");
-        assert_eq!(warm.total_accesses(), 100);
-        assert_eq!(warm.read_hits() + warm.write_hits(), 80);
-        // Unknown volumes report None rather than an empty sweep.
-        let grid = SweepGrid::new().with_workers(0);
-        assert!(analysis.sweep_volume(VolumeId::new(99), grid).is_none());
     }
 
     #[test]

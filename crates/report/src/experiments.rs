@@ -1,11 +1,13 @@
 //! One runner per paper table/figure.
 //!
-//! [`build_context`] synthesizes both corpora and characterizes them;
-//! each `table_*` / `fig_*` function renders one paper artifact as a
-//! paper-vs-measured text block; [`run_all`] concatenates all of them
-//! into the report recorded in `EXPERIMENTS.md`. The one costly stage,
-//! the Fig. 18-extension sweep ([`Corpus::policy_sweep`]), runs at most
-//! once per corpus and only when asked for.
+//! [`build_context`] synthesizes the four corpora and characterizes
+//! them one at a time, keeping each one's metrics and generator but not
+//! its trace; each `table_*` / `fig_*` function renders one paper
+//! artifact as a paper-vs-measured text block; [`run_all`] concatenates
+//! all of them into the report recorded in `EXPERIMENTS.md`. The one
+//! costly stage, the Fig. 18-extension sweep ([`Corpus::policy_sweep`]),
+//! runs at most once per corpus, only when asked for, and regenerates
+//! the one volume it sweeps.
 
 use std::sync::OnceLock;
 
@@ -15,6 +17,7 @@ use cbs_analysis::findings::cache::LruMissRatios;
 use cbs_analysis::findings::update_interval::IntervalGroup;
 use cbs_core::{Analysis, SweepGrid, SweepReport, Workbench, POLICY_NAMES};
 use cbs_synth::presets::{self, CorpusConfig};
+use cbs_synth::CorpusGenerator;
 use cbs_trace::TimeDelta;
 
 use crate::fmt;
@@ -81,25 +84,31 @@ pub struct PolicySweep {
 
 /// One analyzed corpus and its Fig. 18-extension sweep, which runs on
 /// first use: the report and the TSV export read the same result, and a
-/// run that asks for neither never sweeps.
+/// run that asks for neither never sweeps. The corpus keeps its
+/// generator, not its trace: the sweep regenerates the one volume it
+/// needs.
 #[derive(Debug)]
 pub struct Corpus {
     /// The characterization.
     pub analysis: Analysis,
+    generator: CorpusGenerator,
     sweep: OnceLock<Option<PolicySweep>>,
 }
 
 impl Corpus {
-    /// Wraps an analysis; nothing is swept yet.
-    pub fn new(analysis: Analysis) -> Self {
+    /// Generates the corpus, analyzes it and drops its trace; nothing is
+    /// swept yet.
+    pub fn new(generator: CorpusGenerator) -> Self {
         Corpus {
-            analysis,
+            analysis: Workbench::new(generator.generate()).analyze(),
+            generator,
             sweep: OnceLock::new(),
         }
     }
 
     /// The Fig. 18 extension on the volume with the most requests, run
-    /// on the first call; `None` when the corpus has no volume.
+    /// on the first call over that volume regenerated alone; `None` when
+    /// the corpus has no volume.
     pub fn policy_sweep(&self) -> Option<&PolicySweep> {
         self.sweep
             .get_or_init(|| {
@@ -109,7 +118,15 @@ impl Corpus {
                 let large = busiest.cache_blocks_for_fraction(0.10).max(8);
                 // Built-in names and non-zero capacities cannot be rejected.
                 let grid = SweepGrid::new().grid(POLICY_NAMES, &[small, large]).ok()?;
-                let report = analysis.sweep_volume(busiest.id, grid)?;
+                let index = self
+                    .generator
+                    .profiles()
+                    .iter()
+                    .position(|p| p.id == busiest.id)?;
+                let requests = self.generator.generate_volume(index)?;
+                let report = grid
+                    .with_block_size(analysis.config().block_size)
+                    .sweep(requests);
                 Some(PolicySweep {
                     small,
                     large,
@@ -155,18 +172,14 @@ impl ReproContext {
     }
 }
 
-/// Synthesizes and analyzes both corpora.
+/// Synthesizes and analyzes the four corpora, one at a time: each trace
+/// is dropped once its analysis is built.
 pub fn build_context(config: &ReproConfig) -> ReproContext {
-    let ali_trace = presets::alicloud_like(&config.alicloud).generate();
-    let msrc_trace = presets::msrc_like(&config.msrc).generate();
-    let ali_burst_trace = presets::alicloud_like(&config.alicloud_burst).generate();
-    let msrc_burst_trace = presets::msrc_like(&config.msrc_burst).generate();
-    let corpus = |trace| Corpus::new(Workbench::new(trace).analyze());
     ReproContext {
-        alicloud: corpus(ali_trace),
-        msrc: corpus(msrc_trace),
-        alicloud_burst: corpus(ali_burst_trace),
-        msrc_burst: corpus(msrc_burst_trace),
+        alicloud: Corpus::new(presets::alicloud_like(&config.alicloud)),
+        msrc: Corpus::new(presets::msrc_like(&config.msrc)),
+        alicloud_burst: Corpus::new(presets::alicloud_like(&config.alicloud_burst)),
+        msrc_burst: Corpus::new(presets::msrc_like(&config.msrc_burst)),
         config: *config,
     }
 }
@@ -838,8 +851,8 @@ pub fn run_all(ctx: &ReproContext) -> String {
     ));
     out.push_str(&format!(
         "Generated requests: AliCloud-like {}, MSRC-like {}\n",
-        fmt::count(ctx.alicloud.analysis.trace().request_count() as u64),
-        fmt::count(ctx.msrc.analysis.trace().request_count() as u64),
+        fmt::count(ctx.alicloud.analysis.totals().requests()),
+        fmt::count(ctx.msrc.analysis.totals().requests()),
     ));
     for (_, run) in registry() {
         out.push_str(&run(ctx));

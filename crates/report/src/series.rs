@@ -299,7 +299,6 @@ pub fn export_all(ctx: &ReproContext, dir: &Path) -> io::Result<Vec<PathBuf>> {
 mod tests {
     use super::*;
     use crate::experiments::{build_context, ReproConfig};
-    use cbs_core::Workbench;
     use cbs_synth::presets::{self, CorpusConfig};
     use cbs_trace::codec::cbt::crc32;
 
@@ -315,7 +314,7 @@ mod tests {
 
     fn tiny_corpus() -> Corpus {
         let config = CorpusConfig::new(6, 1, 3).with_intensity_scale(0.002);
-        Corpus::new(Workbench::new(presets::alicloud_like(&config).generate()).analyze())
+        Corpus::new(presets::alicloud_like(&config))
     }
 
     #[test]

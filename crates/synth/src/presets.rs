@@ -526,6 +526,37 @@ mod tests {
         CorpusConfig::new(volumes, days, 1234).with_intensity_scale(0.001)
     }
 
+    /// Regenerating one volume is exact: on the four shapes of the
+    /// report's tiny run (`ReproConfig::tiny(7)` in `cbs-report`), every
+    /// `generate_volume(i)` equals profile `i`'s rows in the whole
+    /// corpus, which is what lets the Fig. 18 sweep skip holding it.
+    #[test]
+    fn generate_volume_equals_the_volume_of_the_whole_corpus() {
+        let seed = 7;
+        let shapes = [
+            alicloud_like(&CorpusConfig::new(25, 4, seed).with_intensity_scale(0.001)),
+            msrc_like(&CorpusConfig::new(12, 3, seed).with_intensity_scale(0.004)),
+            alicloud_like(
+                &CorpusConfig::new(6, 0, seed ^ 0xB)
+                    .with_extra_hours(1)
+                    .with_intensity_scale(0.5),
+            ),
+            msrc_like(
+                &CorpusConfig::new(6, 0, seed ^ 0xB)
+                    .with_extra_hours(1)
+                    .with_intensity_scale(0.5),
+            ),
+        ];
+        for corpus in shapes {
+            let trace = corpus.generate();
+            for (i, profile) in corpus.profiles().iter().enumerate() {
+                let whole = trace.volume(profile.id).map_or(&[][..], |v| v.requests());
+                let alone = corpus.generate_volume(i).expect("index in range");
+                assert_eq!(alone, whole, "volume {}", profile.id);
+            }
+        }
+    }
+
     #[test]
     fn alicloud_profiles_validate() {
         let corpus = alicloud_like(&tiny(50, 5));

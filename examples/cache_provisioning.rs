@@ -24,8 +24,10 @@ const TARGET_MISS_RATIO: f64 = 0.4;
 fn main() {
     let config = CorpusConfig::new(12, 2, 7).with_intensity_scale(0.004);
     let corpus = cbs_synth::presets::alicloud_like(&config);
+    // The analysis keeps metrics, not rows: keep the trace for the
+    // simulations below.
     let trace = corpus.generate();
-    let analysis = Workbench::new(trace).analyze();
+    let analysis = Workbench::new(trace.clone()).analyze();
 
     println!(
         "target: overall miss ratio <= {:.0}%\n",
@@ -57,8 +59,7 @@ fn main() {
         let capacity = capacity.max(1);
 
         // cross-check with explicit simulations
-        let volume_requests = analysis
-            .trace()
+        let volume_requests = trace
             .volume(m.id)
             .expect("metrics come from the trace")
             .requests()

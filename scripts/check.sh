@@ -50,7 +50,7 @@ fi
 echo "==> cargo clippy --all-targets -- -D warnings (lint table + canary)"
 cargo clippy --all-targets -- -D warnings
 
-echo "==> one fan-out, one router, one pacer, one analyzer path, one by-volume driver, one Fig. 18 sweep (no second copy under crates/*/src), no hashed policy index"
+echo "==> one fan-out, one router, one pacer, one analyzer path, one by-volume driver, no held trace, one Fig. 18 sweep (no second copy under crates/*/src), no hashed policy index"
 # The death protocol and sticky routing live in crates/trace/src/workers.rs
 # and the replay pacer in crates/replay/src/schedule.rs; codec/parallel.rs
 # keeps its own, differently shaped, pipeline, whose one chunk loop
@@ -90,6 +90,19 @@ report_sources="$(find crates/report/src -name '*.rs' | sort)"
 grids="$(cat ${report_sources} | grep -c 'SweepGrid::new()' || true)"
 if [ "${grids}" -ne 1 ]; then
     echo "SweepGrid::new() must appear once under crates/report/src (one Fig. 18-extension decision); found ${grids}" >&2
+    exit 1
+fi
+# No held trace: an Analysis keeps metrics and the Table II bins, and
+# the paper run keeps each corpus's generator, regenerating the one
+# volume Fig. 18 sweeps. A trace accessor or a Trace-typed field would
+# let a whole corpus outlive its analysis again.
+if grep -n 'fn trace(' crates/core/src/workbench.rs >&2; then
+    echo "crates/core/src/workbench.rs defines fn trace( (above); an Analysis holds metrics, not a trace" >&2
+    exit 1
+fi
+# shellcheck disable=SC2086
+if grep -nE '[.]trace[(][)]|^[[:space:]]*(pub(\([a-z]+\))? )?[a-z_][a-z0-9_]*: .*\bTrace\b' ${report_sources} >&2; then
+    echo "crates/report/src calls .trace() or declares a Trace-typed field (above); a corpus keeps its generator, not its trace" >&2
     exit 1
 fi
 # Policies find blocks with one array load, by the dense number the

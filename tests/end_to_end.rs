@@ -6,10 +6,13 @@
 use cbs_core::prelude::*;
 use cbs_core::Analysis;
 
-fn analyze_alicloud() -> Analysis {
+fn alicloud_trace() -> Trace {
     let config = CorpusConfig::new(40, 4, 31).with_intensity_scale(0.003);
-    let trace = cbs_synth::presets::alicloud_like(&config).generate();
-    Workbench::new(trace).analyze()
+    cbs_synth::presets::alicloud_like(&config).generate()
+}
+
+fn analyze_alicloud() -> Analysis {
+    Workbench::new(alicloud_trace()).analyze()
 }
 
 fn analyze_msrc() -> Analysis {
@@ -184,7 +187,9 @@ fn determinism_across_full_pipeline() {
 
 #[test]
 fn analysis_internal_consistency() {
-    let analysis = analyze_alicloud();
+    let trace = alicloud_trace();
+    let request_count = trace.request_count();
+    let analysis = Workbench::new(trace).analyze();
     let totals = analysis.totals();
     let mut reads = 0;
     let mut writes = 0;
@@ -209,5 +214,5 @@ fn analysis_internal_consistency() {
     }
     assert_eq!(totals.reads, reads);
     assert_eq!(totals.writes, writes);
-    assert_eq!(totals.requests() as usize, analysis.trace().request_count());
+    assert_eq!(totals.requests() as usize, request_count);
 }

@@ -74,7 +74,7 @@ fn x1000_replay_of_synthetic_corpus_matches_direct() {
         .run_observed(generator.stream(), |req| replayed.push(req))
         .expect("null replay cannot fail");
 
-    assert_eq!(report.requests, direct.trace().request_count() as u64);
+    assert_eq!(report.requests, direct.totals().requests());
     let re = analyze_requests(replayed);
     assert_eq!(
         direct.metrics(),
@@ -178,7 +178,7 @@ fn x1000_lane_replay_of_synthetic_corpus_matches_direct() {
             .run_observed(generator.stream(), |req| replayed.push(req))
             .expect("null lane replay cannot fail");
 
-        assert_eq!(multi.merged.requests, direct.trace().request_count() as u64);
+        assert_eq!(multi.merged.requests, direct.totals().requests());
         let re = analyze_requests(replayed);
         assert_eq!(
             direct.metrics(),

@@ -81,6 +81,7 @@ fn streaming_matches_batch_through_parallel_decoder() {
         .unwrap()
         .into_iter()
         .collect();
+    let records = trace.request_count() as u64;
     let batch = Workbench::new(trace).analyze();
 
     let mut session = StreamingWorkbench::new().with_shards(3).start();
@@ -92,7 +93,7 @@ fn streaming_matches_batch_through_parallel_decoder() {
         .unwrap();
     let streaming = session.finish();
 
-    assert_eq!(stats.records, batch.trace().request_count() as u64);
+    assert_eq!(stats.records, records);
     assert_eq!(streaming, batch.metrics());
 }
 
