@@ -1,15 +1,16 @@
 //! The single-pass per-volume analyzer, [`VolumeAnalyzer`], and the
-//! by-volume driver that runs it over every volume of a trace,
-//! [`analyze_trace`].
+//! one by-volume driver that runs it over every volume of a corpus,
+//! [`analyze_volumes`], with its trace source [`analyze_trace`].
 
-use std::ops::Range;
+use std::ops::{Deref, Range};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 use cbs_cache::{BlockNo, BlockNumbering, ReuseStack};
 use cbs_stats::LogHistogram;
-use cbs_trace::{OpKind, RequestBatch, Timestamp, Trace, VolumeId, VolumeView};
+use cbs_trace::{IoRequest, OpKind, RequestBatch, Timestamp, Trace, VolumeId, VolumeView};
 
 use crate::config::{AnalysisConfig, InvalidConfig};
+use crate::findings::intensity::{OverallBins, OverallIntensity};
 use crate::metrics::VolumeMetrics;
 
 /// Requests [`VolumeAnalyzer::analyze_volume`] copies into its batch
@@ -577,8 +578,8 @@ impl VolumeAnalyzer {
     /// Completes the analysis.
     ///
     /// An analyzer that observed no requests yields all-zero metrics
-    /// spanning `[epoch, epoch]` ([`analyze_trace`] never produces
-    /// empty volumes, so this only matters for hand-driven sessions).
+    /// spanning `[epoch, epoch]` ([`analyze_volumes`] never analyzes
+    /// an empty volume, so this only matters for hand-driven sessions).
     pub fn finish(mut self) -> VolumeMetrics {
         let first_ts = self.first_ts.unwrap_or(self.epoch);
         let last_ts = self.last_ts.unwrap_or(self.epoch);
@@ -688,12 +689,32 @@ fn top_shares(traffic: &mut [u64], f1: f64, f10: f64) -> Option<(f64, f64)> {
     Some((share(f1), share(f10)))
 }
 
-/// Analyzes every volume of `trace` using up to `threads` worker
-/// threads (volumes are independent, so the fan-out is embarrassingly
-/// parallel; results are returned in volume-id order regardless of
-/// scheduling). `threads = 0` runs the same loop inline on the calling
-/// thread — no thread is spawned. Interval/day indices are anchored at
-/// the trace start.
+/// [`analyze_volumes`] over the volumes of `trace`, under its start;
+/// the records only.
+///
+/// # Errors
+///
+/// Returns [`InvalidConfig`] if `config` fails validation.
+pub fn analyze_trace(
+    trace: &Trace,
+    config: &AnalysisConfig,
+    threads: usize,
+) -> Result<Vec<VolumeMetrics>, InvalidConfig> {
+    let views: Vec<_> = trace.volumes().collect();
+    let epoch = trace.start().unwrap_or(Timestamp::ZERO);
+    let volume = |i: usize| views[i].requests();
+    Ok(analyze_volumes(views.len(), epoch, config, threads, volume)?.0)
+}
+
+/// The one by-volume driver: analyzes volumes `0..volumes`, volume `i`
+/// being the time-sorted requests `volume(i)` returns, each whole under
+/// `epoch` (the corpus start), on up to `threads` workers (`0` runs
+/// inline). Returns the records in volume-id order and Table II (`None`
+/// without requests); an empty volume adds to neither.
+///
+/// Workers take indices in order off an atomic cursor, so each holds one
+/// volume at a time, and keep their records and [`OverallBins`] local
+/// until the join: no lock, no channel, O(workers × bins) for Table II.
 ///
 /// # Errors
 ///
@@ -701,78 +722,54 @@ fn top_shares(traffic: &mut [u64], f1: f64, f10: f64) -> Option<(f64, f64)> {
 ///
 /// # Panics
 ///
-/// Propagates panics from worker threads (e.g. the analyzer's
-/// debug-build ordering assertions): a panic-interrupted run never
-/// yields a partial corpus.
-pub fn analyze_trace(
-    trace: &Trace,
+/// On a volume out of time order or naming two volumes
+/// ([`VolumeView::new`]). A panic in `volume` or the analysis is
+/// re-raised once every worker stops: never a partial corpus.
+pub fn analyze_volumes<R: Deref<Target = [IoRequest]>>(
+    volumes: usize,
+    epoch: Timestamp,
     config: &AnalysisConfig,
     threads: usize,
-) -> Result<Vec<VolumeMetrics>, InvalidConfig> {
+    volume: impl Fn(usize) -> R + Sync,
+) -> Result<(Vec<VolumeMetrics>, Option<OverallIntensity>), InvalidConfig> {
     config.validate()?;
-    let epoch = trace.start().unwrap_or(Timestamp::ZERO);
-    let views: Vec<_> = trace.volumes().collect();
-    per_volume(&views, threads, |view| {
-        VolumeAnalyzer::analyze_volume(view, epoch, config)
-    })
-    .into_iter()
-    .collect()
-}
-
-/// Runs `analyze` once per view on up to `threads` workers (`0` runs
-/// inline) and returns the results in view order.
-///
-/// Workers steal view indices from a shared atomic cursor and keep
-/// their finished `(index, result)` pairs thread-local; results are
-/// scattered into ordered slots only after the workers join, so no lock
-/// is taken per volume and no channel is needed. A worker's panic is
-/// re-raised on the caller once every worker has stopped.
-fn per_volume<T: Send>(
-    views: &[VolumeView<'_>],
-    threads: usize,
-    analyze: impl Fn(VolumeView<'_>) -> T + Sync,
-) -> Vec<T> {
     let next = AtomicUsize::new(0);
-    let steal = || {
-        let mut local = Vec::new();
-        loop {
-            // ORDERING: the ticket counter only partitions indices —
-            // fetch_add is exact under Relaxed, and the volume data it
-            // indexes was published before the threads spawned.
-            let idx = next.fetch_add(1, Ordering::Relaxed);
-            let Some(&view) = views.get(idx) else {
-                break;
-            };
-            local.push((idx, analyze(view)));
+    let work = || {
+        let (mut records, mut bins) = (Vec::new(), OverallBins::new(epoch, config));
+        // ORDERING: the ticket counter only partitions indices — fetch_add
+        // is exact under Relaxed, and what `volume` reads predates the spawn.
+        let tickets = std::iter::repeat_with(|| next.fetch_add(1, Ordering::Relaxed));
+        for idx in tickets.take_while(|&idx| idx < volumes) {
+            let requests = volume(idx);
+            if let Some(first) = requests.first() {
+                let view = VolumeView::new(first.volume(), &requests);
+                records.push(VolumeAnalyzer::analyze_volume(view, epoch, config));
+                bins.add(&requests);
+            }
         }
-        local
+        (records, bins)
     };
-    let per_worker: Vec<Vec<(usize, T)>> = if threads == 0 {
-        vec![steal()]
+    let per_worker: Vec<_> = if threads == 0 {
+        vec![work()]
     } else {
         std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..threads.min(views.len()))
-                .map(|_| scope.spawn(steal))
+            let handles: Vec<_> = (0..threads.min(volumes))
+                .map(|_| scope.spawn(work))
                 .collect();
-            handles
-                .into_iter()
-                .map(|h| match h.join() {
-                    Ok(local) => local,
-                    Err(payload) => std::panic::resume_unwind(payload),
-                })
+            (handles.into_iter())
+                .map(|h| h.join().unwrap_or_else(|p| std::panic::resume_unwind(p)))
                 .collect()
         })
     };
-
-    let mut slots: Vec<Option<T>> = (0..views.len()).map(|_| None).collect();
-    for (idx, result) in per_worker.into_iter().flatten() {
-        slots[idx] = Some(result);
+    let (mut metrics, mut bins) = (Vec::new(), OverallBins::new(epoch, config));
+    for (records, local) in per_worker {
+        for record in records {
+            metrics.push(record?);
+        }
+        bins.merge(&local);
     }
-    debug_assert!(
-        slots.iter().all(Option::is_some),
-        "a cursor slot was skipped"
-    );
-    slots.into_iter().flatten().collect()
+    metrics.sort_by_key(|m| m.id);
+    Ok((metrics, bins.finish(config)))
 }
 
 #[cfg(test)]
@@ -1095,22 +1092,70 @@ mod tests {
     }
 
     /// A worker panic must resurface on the caller — never a partial
-    /// corpus — at any worker count, including the inline run.
+    /// corpus — at any worker count, including the inline run, whether
+    /// the source panics or the analysis refuses what it yields.
     #[test]
     fn worker_panic_poisons_the_partitioned_run() {
         let trace = sample_trace(4, 50);
         let views: Vec<_> = trace.volumes().collect();
+        let epoch = trace.start().unwrap();
+        let config = AnalysisConfig::default();
+        // Volume 2's requests out of time order.
+        let mut reversed = views[2].requests().to_vec();
+        reversed.reverse();
         for threads in [0usize, 1, 3] {
-            let result = std::panic::catch_unwind(|| {
-                per_volume(&views, threads, |view| {
-                    assert_ne!(view.id(), VolumeId::new(2), "injected worker fault");
-                    view.len()
+            let panicking_source = std::panic::catch_unwind(|| {
+                analyze_volumes(views.len(), epoch, &config, threads, |i| {
+                    assert_ne!(i, 2, "injected source fault");
+                    views[i].requests()
                 })
             });
-            assert!(
-                result.is_err(),
-                "threads={threads} returned a partial analysis"
-            );
+            let panicking_analysis = std::panic::catch_unwind(|| {
+                analyze_volumes(views.len(), epoch, &config, threads, |i| {
+                    if i == 2 {
+                        &reversed[..]
+                    } else {
+                        views[i].requests()
+                    }
+                })
+            });
+            for (fault, result) in [
+                ("source", panicking_source.is_err()),
+                ("analysis", panicking_analysis.is_err()),
+            ] {
+                assert!(
+                    result,
+                    "threads={threads}: a panicking {fault} returned a partial analysis"
+                );
+            }
+        }
+    }
+
+    /// The driver's source may yield empty volumes: they give no record
+    /// and no Table II count, and a source with no request at all gives
+    /// no metrics and no Table II.
+    #[test]
+    fn empty_volumes_in_the_source_contribute_nothing() {
+        let trace = sample_trace(2, 20);
+        let views: Vec<_> = trace.volumes().collect();
+        let epoch = trace.start().unwrap();
+        let config = AnalysisConfig::default();
+        let whole = (
+            analyze_trace(&trace, &config, 0).unwrap(),
+            OverallIntensity::from_trace(&trace, &config),
+        );
+        for threads in [0, 2] {
+            let gappy = analyze_volumes(4, epoch, &config, threads, |i| match i {
+                0 => views[0].requests(),
+                2 => views[1].requests(),
+                _ => &[],
+            })
+            .unwrap();
+            assert_eq!(gappy, whole, "threads={threads}");
+            for volumes in [0, 3] {
+                let none = analyze_volumes(volumes, epoch, &config, threads, |_| Vec::new());
+                assert_eq!(none.unwrap(), (Vec::new(), None), "threads={threads}");
+            }
         }
     }
 

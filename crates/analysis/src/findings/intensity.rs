@@ -2,7 +2,7 @@
 //! (Fig. 5, Table II, Fig. 6).
 
 use cbs_stats::{Cdf, TimeBins};
-use cbs_trace::Trace;
+use cbs_trace::{IoRequest, Timestamp, Trace};
 
 use crate::config::AnalysisConfig;
 use crate::metrics::VolumeMetrics;
@@ -62,26 +62,66 @@ pub struct OverallIntensity {
 }
 
 impl OverallIntensity {
-    /// Computes the aggregate intensities with one linear pass over the
-    /// trace's volume-major rows: binning is a sum, so the aggregate
-    /// stream needs no time-ordered merge.
+    /// The trace's rows, volume-major, through one [`OverallBins`]:
+    /// binning is a sum, so it needs no time-ordered merge.
     pub fn from_trace(trace: &Trace, config: &AnalysisConfig) -> Option<Self> {
-        let start = trace.start()?;
-        let end = trace.end()?;
-        let mut bins = TimeBins::new(config.peak_interval.as_micros());
-        for req in trace.requests() {
-            bins.add((req.ts() - start).as_micros(), 1);
-        }
-        let span_secs = (end - start).as_secs_f64().max(1.0);
-        Some(OverallIntensity {
-            peak_rps: bins.max_count() as f64 / config.peak_interval.as_secs_f64(),
-            avg_rps: trace.request_count() as f64 / span_secs,
-        })
+        let mut bins = OverallBins::new(trace.start()?, config);
+        bins.add(trace.requests());
+        bins.finish(config)
     }
 
     /// The overall burstiness ratio (paper: 2.11 AliCloud, 7.39 MSRC).
     pub fn burstiness_ratio(&self) -> f64 {
         self.peak_rps / self.avg_rps
+    }
+}
+
+/// Table II's partial sums: request counts per peak interval under the
+/// corpus epoch, and the latest timestamp. MERGEABLE: counts add and
+/// the latest timestamp is a maximum, so partials over any split of a
+/// corpus merge into its [`OverallIntensity`].
+#[derive(Debug, Clone, PartialEq)]
+pub struct OverallBins {
+    epoch: Timestamp,
+    bins: TimeBins,
+    last: Option<Timestamp>,
+}
+
+impl OverallBins {
+    /// Empty bins of `config`'s peak interval from `epoch`.
+    pub fn new(epoch: Timestamp, config: &AnalysisConfig) -> Self {
+        OverallBins {
+            epoch,
+            bins: TimeBins::new(config.peak_interval.as_micros()),
+            last: None,
+        }
+    }
+
+    /// Counts `requests`, in any order; like the analyzer, it counts a
+    /// request before the epoch in the first interval.
+    pub fn add(&mut self, requests: &[IoRequest]) {
+        for req in requests {
+            let rel = req.ts().saturating_duration_since(self.epoch);
+            self.bins.add(rel.as_micros(), 1);
+            self.last = self.last.max(Some(req.ts()));
+        }
+    }
+
+    /// Adds `other`'s counts; both share the epoch and the interval.
+    pub fn merge(&mut self, other: &OverallBins) {
+        for (bin, n) in other.bins.iter() {
+            self.bins.add(bin as u64 * other.bins.width(), n);
+        }
+        self.last = self.last.max(other.last);
+    }
+
+    /// The aggregate intensities; `None` when nothing was counted.
+    pub fn finish(&self, config: &AnalysisConfig) -> Option<OverallIntensity> {
+        let span = self.last?.saturating_duration_since(self.epoch);
+        Some(OverallIntensity {
+            peak_rps: self.bins.max_count() as f64 / config.peak_interval.as_secs_f64(),
+            avg_rps: self.bins.total() as f64 / span.as_secs_f64().max(1.0),
+        })
     }
 }
 
@@ -170,9 +210,11 @@ mod tests {
         })
     }
 
-    #[test]
-    fn overall_intensity_peak_exists_only_in_the_sum() {
-        use cbs_trace::{IoRequest, OpKind, Timestamp, VolumeId};
+    /// Per minute, volume 0 issues 3, 2, 0 and volume 1 issues 0, 2, 3:
+    /// each volume peaks at 3, but the aggregate peaks at 4 in minute 1,
+    /// where their requests interleave.
+    fn interleaved_pair() -> Trace {
+        use cbs_trace::{OpKind, VolumeId};
         let req = |v: u32, secs: u64| {
             IoRequest::new(
                 VolumeId::new(v),
@@ -182,10 +224,7 @@ mod tests {
                 Timestamp::from_secs(secs),
             )
         };
-        // Per minute, volume 0 issues 3, 2, 0 and volume 1 issues 0, 2, 3:
-        // each volume peaks at 3, but the aggregate peaks at 4 in minute
-        // 1, where their requests interleave.
-        let trace = Trace::from_requests(vec![
+        Trace::from_requests(vec![
             req(0, 0),
             req(0, 20),
             req(0, 40),
@@ -196,7 +235,12 @@ mod tests {
             req(1, 125),
             req(1, 150),
             req(1, 175),
-        ]);
+        ])
+    }
+
+    #[test]
+    fn overall_intensity_peak_exists_only_in_the_sum() {
+        let trace = interleaved_pair();
         let config = AnalysisConfig::default();
         let o = OverallIntensity::from_trace(&trace, &config).unwrap();
         assert_eq!(o.peak_rps, 4.0 / 60.0);
@@ -206,6 +250,56 @@ mod tests {
         assert_eq!(
             OverallIntensity::from_trace(&fixture, &config),
             time_ordered_reference(&fixture, &config)
+        );
+    }
+
+    /// Through the by-volume driver the two volumes land on different
+    /// workers at 2 threads (each waits for the other inside the
+    /// source), so the peak minute exists only once the per-worker bins
+    /// are merged.
+    #[test]
+    fn driver_merges_the_peak_across_workers() {
+        let trace = interleaved_pair();
+        let views: Vec<_> = trace.volumes().collect();
+        let config = AnalysisConfig::default();
+        let expected = OverallIntensity::from_trace(&trace, &config);
+        for threads in [0, 2] {
+            let both_taken = std::sync::Barrier::new(threads.max(1));
+            let (metrics, overall) =
+                crate::analyze_volumes(2, Timestamp::ZERO, &config, threads, |i| {
+                    both_taken.wait();
+                    views[i].requests()
+                })
+                .unwrap();
+            assert_eq!(metrics.len(), 2);
+            assert_eq!(overall, expected, "threads={threads}");
+        }
+    }
+
+    #[test]
+    fn overall_bins_merge_is_associative_and_splits_freely() {
+        let (trace, _) = fixture();
+        let config = AnalysisConfig::default();
+        let epoch = trace.start().unwrap();
+        let rows = trace.requests();
+        let part = |range: std::ops::Range<usize>| {
+            let mut bins = OverallBins::new(epoch, &config);
+            bins.add(&rows[range]);
+            bins
+        };
+        let (a, b, c) = (part(0..7), part(7..19), part(19..rows.len()));
+        let mut left = a.clone();
+        left.merge(&b);
+        left.merge(&c);
+        let mut bc = b.clone();
+        bc.merge(&c);
+        let mut right = a;
+        right.merge(&bc);
+        assert_eq!(left, right);
+        assert_eq!(left, part(0..rows.len()));
+        assert_eq!(
+            left.finish(&config),
+            OverallIntensity::from_trace(&trace, &config)
         );
     }
 

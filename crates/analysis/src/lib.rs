@@ -14,10 +14,10 @@
 //! simulation of Finding 15 at *any* cache size without a second pass.
 //! The result is a passive [`VolumeMetrics`] record.
 //!
-//! [`analyze_trace`] runs the analyzer over every volume of a
-//! [`cbs_trace::Trace`], inline or on worker threads, and the
-//! [`findings`] modules turn `&[VolumeMetrics]` into the exact data
-//! series of each paper table and figure.
+//! [`analyze_volumes`] runs it over every volume a source yields by
+//! index ([`analyze_trace`]: a [`cbs_trace::Trace`]'s), inline or on
+//! worker threads; the [`findings`] modules turn `&[VolumeMetrics]`
+//! into the exact data series of each paper table and figure.
 //!
 //! # Example
 //!
@@ -45,6 +45,6 @@ pub mod findings;
 pub mod metrics;
 pub mod recommend;
 
-pub use analyzer::{analyze_trace, VolumeAnalyzer};
+pub use analyzer::{analyze_trace, analyze_volumes, VolumeAnalyzer};
 pub use config::{AnalysisConfig, InvalidConfig};
 pub use metrics::VolumeMetrics;

@@ -37,7 +37,7 @@ pub use cbs_cache::{
     policy_by_name, CacheSweep, LaneReport, SweepError, SweepGrid, SweepReport, POLICY_NAMES,
 };
 pub use streaming::{StreamingSession, StreamingWorkbench};
-pub use workbench::{Analysis, Workbench};
+pub use workbench::{default_threads, Analysis, Workbench};
 
 /// Convenient glob-import surface: the types almost every user of the
 /// workbench touches.

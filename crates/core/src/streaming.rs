@@ -57,7 +57,7 @@
 
 use std::sync::mpsc::Receiver;
 
-use cbs_analysis::{AnalysisConfig, InvalidConfig, VolumeAnalyzer, VolumeMetrics};
+use cbs_analysis::{AnalysisConfig, VolumeAnalyzer, VolumeMetrics};
 use cbs_obs::{Counter, Gauge, Registry, Stopwatch};
 use cbs_trace::hash::FxHashMap;
 use cbs_trace::workers::{Gone, StickyRouter, WorkerSet};
@@ -103,7 +103,6 @@ pub const DEFAULT_CHANNEL_DEPTH: usize = 4;
 /// ```
 #[derive(Debug, Clone)]
 pub struct StreamingWorkbench {
-    config: AnalysisConfig,
     shards: usize,
     batch_size: usize,
     channel_depth: usize,
@@ -123,24 +122,12 @@ impl StreamingWorkbench {
     /// channel depth.
     pub fn new() -> Self {
         StreamingWorkbench {
-            config: AnalysisConfig::default(),
             shards: crate::workbench::default_threads(),
             batch_size: DEFAULT_BATCH_SIZE,
             channel_depth: DEFAULT_CHANNEL_DEPTH,
             epoch: None,
             registry: None,
         }
-    }
-
-    /// Uses custom analysis parameters.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`InvalidConfig`] if the config fails validation.
-    pub fn with_config(mut self, config: AnalysisConfig) -> Result<Self, InvalidConfig> {
-        config.validate()?;
-        self.config = config;
-        Ok(self)
     }
 
     /// Sets the number of shard worker threads (min 1). Volumes stick
@@ -222,9 +209,8 @@ impl StreamingWorkbench {
         let shards = WorkerSet::spawn(
             self.channel_depth,
             (0..self.shards).map(|shard| {
-                let config = self.config.clone();
                 let worker_metrics = metrics.as_ref().map(|m| m.worker(shard));
-                move |rx| shard_worker(rx, config, worker_metrics)
+                move |rx| shard_worker(rx, AnalysisConfig::default(), worker_metrics)
             }),
         );
         StreamingSession {
@@ -487,8 +473,8 @@ fn shard_worker(
             start = range.end;
             match analyzers.get_mut(&volume) {
                 Some(analyzer) => analyzer.observe_batch(grouped, range),
-                // `with_config` validated the config, so the
-                // constructor cannot be rejected here.
+                // The default config is valid, so the constructor
+                // cannot be rejected here.
                 None => {
                     if let Ok(mut analyzer) = VolumeAnalyzer::new(volume, epoch, config.clone()) {
                         analyzer.observe_batch(grouped, range);

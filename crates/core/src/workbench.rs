@@ -1,5 +1,7 @@
 //! The high-level API: [`Workbench`] and [`Analysis`].
 
+use std::ops::Deref;
+
 use cbs_analysis::findings::{
     activeness::{ActiveDays, ActivePeriods, ActivenessSeries},
     adjacency::AdjacencyTimes,
@@ -15,18 +17,19 @@ use cbs_analysis::findings::{
     update_coverage::UpdateCoverage,
     update_interval::{IntervalGroupProportions, OverallUpdateIntervals, UpdateIntervalBoxplots},
 };
-use cbs_analysis::{analyze_trace, AnalysisConfig, InvalidConfig, VolumeMetrics};
-use cbs_trace::Trace;
+use cbs_analysis::{analyze_volumes, AnalysisConfig, InvalidConfig, VolumeMetrics};
+use cbs_synth::CorpusGenerator;
+use cbs_trace::{IoRequest, Timestamp, Trace};
 
 /// The default worker count of [`Workbench::analyze`] and
 /// [`crate::StreamingWorkbench::new`]: the machine's available
 /// parallelism.
-pub(crate) fn default_threads() -> usize {
+pub fn default_threads() -> usize {
     std::thread::available_parallelism().map_or(1, |n| n.get())
 }
 
-/// A trace plus an analysis configuration — the session object of the
-/// workbench.
+/// A trace to characterize with the paper's analysis parameters — the
+/// session object of the workbench.
 ///
 /// # Example
 ///
@@ -43,27 +46,13 @@ pub(crate) fn default_threads() -> usize {
 #[derive(Debug)]
 pub struct Workbench {
     trace: Trace,
-    config: AnalysisConfig,
 }
 
 impl Workbench {
     /// Creates a workbench with the paper's default analysis
     /// parameters.
     pub fn new(trace: Trace) -> Self {
-        Workbench {
-            trace,
-            config: AnalysisConfig::default(),
-        }
-    }
-
-    /// Creates a workbench with custom parameters.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`InvalidConfig`] if the config fails validation.
-    pub fn with_config(trace: Trace, config: AnalysisConfig) -> Result<Self, InvalidConfig> {
-        config.validate()?;
-        Ok(Workbench { trace, config })
+        Workbench { trace }
     }
 
     /// Characterizes every volume, fanning out across all available
@@ -73,28 +62,29 @@ impl Workbench {
     }
 
     /// Characterizes every volume with an explicit worker count (`0`
-    /// runs inline on the calling thread). Each volume is analyzed
-    /// whole by one worker, so every count gives bit-identical metrics
-    /// and verdicts.
+    /// runs inline on the calling thread) through [`analyze_volumes`].
+    /// Each volume is analyzed whole by one worker, so every count gives
+    /// bit-identical metrics and verdicts.
     ///
     /// # Panics
     ///
     /// Propagates worker panics: no partial [`Analysis`] is ever
     /// returned.
     pub fn analyze_with_threads(self, threads: usize) -> Analysis {
-        Analysis::by_volume(self.trace, self.config, threads)
+        let views: Vec<_> = self.trace.volumes().collect();
+        let epoch = self.trace.start().unwrap_or(Timestamp::ZERO);
+        Analysis::from_volumes(views.len(), epoch, threads, |i| views[i].requests())
     }
 }
 
 /// A completed analysis: the per-volume metrics plus accessors building
 /// every table/figure data set of the paper.
 ///
-/// It holds metrics, not a trace: Table II, the one artifact that is not
-/// a fold over per-volume records, is binned when the analysis is built
-/// and the trace is dropped. Every volume is analyzed whole, so records
-/// computed separately under the corpus epoch combine by concatenation:
-/// passing them to [`from_parts`](Analysis::from_parts) gives the
-/// whole-corpus run, every finding verdict included.
+/// It holds metrics, not a trace: Table II, a sum of per-minute counts,
+/// is binned while the analysis is built. Every volume is analyzed
+/// whole, so records computed separately under the corpus epoch combine
+/// by concatenation: passing them to [`from_parts`](Analysis::from_parts)
+/// gives the whole-corpus run, every finding verdict included.
 #[derive(Debug, Clone)]
 pub struct Analysis {
     overall: Option<OverallIntensity>,
@@ -103,22 +93,38 @@ pub struct Analysis {
 }
 
 impl Analysis {
-    /// Runs the by-volume batch driver over `trace` — the call behind
-    /// [`Workbench`], whose constructors validated `config` — and bins
-    /// Table II before the trace is dropped.
-    pub(crate) fn by_volume(trace: Trace, config: AnalysisConfig, threads: usize) -> Self {
-        let metrics = match analyze_trace(&trace, &config, threads) {
-            Ok(metrics) => metrics,
+    /// Characterizes a synthetic corpus without holding it: each of
+    /// `threads` workers (`0` runs inline) generates the volumes it
+    /// analyzes ([`CorpusGenerator::generate_volume`]), under the
+    /// generated trace's start. Equals [`Workbench`] over
+    /// `generator.generate()`; worker panics propagate.
+    pub fn from_generator(generator: &CorpusGenerator, threads: usize) -> Self {
+        let first = generator.stream().next();
+        let epoch = first.map_or(Timestamp::ZERO, |r| r.ts());
+        Analysis::from_volumes(generator.profiles().len(), epoch, threads, |i| {
+            generator.generate_volume(i).unwrap_or_default()
+        })
+    }
+
+    /// [`analyze_volumes`] under the default config, which is valid.
+    fn from_volumes<R: Deref<Target = [IoRequest]>>(
+        volumes: usize,
+        epoch: Timestamp,
+        threads: usize,
+        volume: impl Fn(usize) -> R + Sync,
+    ) -> Self {
+        let config = AnalysisConfig::default();
+        match analyze_volumes(volumes, epoch, &config, threads, volume) {
+            Ok((metrics, overall)) => Analysis {
+                overall,
+                config,
+                metrics,
+            },
             #[expect(
                 clippy::unreachable,
-                reason = "every caller's constructor validated the config, so rejection is unreachable"
+                reason = "the default config is valid, so rejection is unreachable"
             )]
-            Err(e) => unreachable!("validated config rejected: {e}"),
-        };
-        Analysis {
-            overall: OverallIntensity::from_trace(&trace, &config),
-            config,
-            metrics,
+            Err(e) => unreachable!("default config rejected: {e}"),
         }
     }
 
@@ -352,18 +358,5 @@ mod tests {
     #[test]
     fn default_threads_positive() {
         assert!(default_threads() >= 1);
-    }
-
-    #[test]
-    fn with_config_validates() {
-        let config = AnalysisConfig {
-            rw_mostly_threshold: 2.0,
-            ..AnalysisConfig::default()
-        };
-        let err = Workbench::with_config(Trace::new(), config).unwrap_err();
-        assert!(err.message().contains("rw_mostly_threshold"));
-
-        let ok = Workbench::with_config(Trace::new(), AnalysisConfig::default());
-        assert!(ok.is_ok());
     }
 }

@@ -9,7 +9,8 @@
 //!
 //! Without flags the default run (100 AliCloud-like volumes × 31 days,
 //! 36 MSRC-like volumes × 7 days, plus two full-intensity one-hour
-//! windows; ~25 M requests total) takes a few minutes on one core.
+//! windows; ~33 M requests total) takes ~40 s on a shared 2-core x86-64
+//! host, analyzing each corpus volume by volume on every core.
 //! `--experiment` limits output to the named experiments (see
 //! `repro --list`); `--out DIR` additionally writes every figure's
 //! full data series as TSV files.

@@ -1,8 +1,8 @@
 //! One runner per paper table/figure.
 //!
-//! [`build_context`] synthesizes the four corpora and characterizes
-//! them one at a time, keeping each one's metrics and generator but not
-//! its trace; each `table_*` / `fig_*` function renders one paper
+//! [`build_context`] characterizes the four synthetic corpora one at a
+//! time, each volume by volume, keeping metrics and generators but
+//! never a trace; each `table_*` / `fig_*` function renders one paper
 //! artifact as a paper-vs-measured text block; [`run_all`] concatenates
 //! all of them into the report recorded in `EXPERIMENTS.md`. The one
 //! costly stage, the Fig. 18-extension sweep ([`Corpus::policy_sweep`]),
@@ -15,7 +15,8 @@ use cbs_analysis::findings::adjacency::PairKind;
 use cbs_analysis::findings::aggregation::AggregationBoxplots;
 use cbs_analysis::findings::cache::LruMissRatios;
 use cbs_analysis::findings::update_interval::IntervalGroup;
-use cbs_core::{Analysis, SweepGrid, SweepReport, Workbench, POLICY_NAMES};
+use cbs_core::{default_threads, Analysis, SweepGrid, SweepReport, POLICY_NAMES};
+use cbs_synth::generator::VolumeGenerator;
 use cbs_synth::presets::{self, CorpusConfig};
 use cbs_synth::CorpusGenerator;
 use cbs_trace::TimeDelta;
@@ -85,8 +86,8 @@ pub struct PolicySweep {
 /// One analyzed corpus and its Fig. 18-extension sweep, which runs on
 /// first use: the report and the TSV export read the same result, and a
 /// run that asks for neither never sweeps. The corpus keeps its
-/// generator, not its trace: the sweep regenerates the one volume it
-/// needs.
+/// generator, never its trace: the sweep streams the one volume it
+/// needs from its profile.
 #[derive(Debug)]
 pub struct Corpus {
     /// The characterization.
@@ -96,19 +97,19 @@ pub struct Corpus {
 }
 
 impl Corpus {
-    /// Generates the corpus, analyzes it and drops its trace; nothing is
-    /// swept yet.
+    /// Analyzes the corpus volume by volume on every core, each volume
+    /// generated where it is analyzed; nothing is swept yet.
     pub fn new(generator: CorpusGenerator) -> Self {
         Corpus {
-            analysis: Workbench::new(generator.generate()).analyze(),
+            analysis: Analysis::from_generator(&generator, default_threads()),
             generator,
             sweep: OnceLock::new(),
         }
     }
 
     /// The Fig. 18 extension on the volume with the most requests, run
-    /// on the first call over that volume regenerated alone; `None` when
-    /// the corpus has no volume.
+    /// on the first call over that volume's stream, regenerated alone;
+    /// `None` when the corpus has no volume.
     pub fn policy_sweep(&self) -> Option<&PolicySweep> {
         self.sweep
             .get_or_init(|| {
@@ -118,12 +119,9 @@ impl Corpus {
                 let large = busiest.cache_blocks_for_fraction(0.10).max(8);
                 // Built-in names and non-zero capacities cannot be rejected.
                 let grid = SweepGrid::new().grid(POLICY_NAMES, &[small, large]).ok()?;
-                let index = self
-                    .generator
-                    .profiles()
-                    .iter()
-                    .position(|p| p.id == busiest.id)?;
-                let requests = self.generator.generate_volume(index)?;
+                let profiles = self.generator.profiles();
+                let profile = profiles.iter().find(|p| p.id == busiest.id)?;
+                let requests = VolumeGenerator::new(profile.clone()).ok()?.iter();
                 let report = grid
                     .with_block_size(analysis.config().block_size)
                     .sweep(requests);
@@ -172,8 +170,8 @@ impl ReproContext {
     }
 }
 
-/// Synthesizes and analyzes the four corpora, one at a time: each trace
-/// is dropped once its analysis is built.
+/// Analyzes the four corpora one at a time, each volume by volume: no
+/// corpus is ever held as a trace.
 pub fn build_context(config: &ReproConfig) -> ReproContext {
     ReproContext {
         alicloud: Corpus::new(presets::alicloud_like(&config.alicloud)),

@@ -12,8 +12,8 @@
 //!   downsampling;
 //! * [`BoxplotSummary`] — Tukey five-number summaries with outlier counts
 //!   (the paper's boxplot figures);
-//! * [`TimeBins`] — fixed-width time-binned counters (per-minute peak
-//!   intensities, 10-minute activeness intervals).
+//! * [`TimeBins`] — fixed-width time-binned counters (Table II's
+//!   per-minute peak intensity).
 //!
 //! # Example
 //!

@@ -2,11 +2,10 @@
 
 /// A sequence of fixed-width time bins accumulating `u64` counts.
 ///
-/// This is the primitive behind the paper's intensity and activeness
-/// metrics: *peak intensity* is the maximum count over one-minute bins
-/// (Finding 1); *activeness* asks which ten-minute bins are non-zero
-/// (Findings 5-7). Bins are indexed from the epoch; the structure grows
-/// lazily to the highest bin touched.
+/// This is the primitive behind Table II: the corpus's *peak
+/// intensity* is the maximum count over one-minute bins. Bins are
+/// indexed from the epoch; the structure grows lazily to the highest
+/// bin touched.
 ///
 /// # Example
 ///
@@ -18,7 +17,7 @@
 /// bins.add(90_000_000, 2);   // minute 1
 /// bins.add(95_000_000, 1);   // minute 1
 /// assert_eq!(bins.max_count(), 3);
-/// assert_eq!(bins.non_empty_bins(), 2);
+/// assert_eq!(bins.total(), 4);
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TimeBins {
@@ -55,21 +54,6 @@ impl TimeBins {
         self.counts[idx] += n;
     }
 
-    /// The count in bin `idx` (0 for bins never touched).
-    pub fn count(&self, idx: usize) -> u64 {
-        self.counts.get(idx).copied().unwrap_or(0)
-    }
-
-    /// Number of bins allocated (index of the highest touched bin + 1).
-    pub fn len(&self) -> usize {
-        self.counts.len()
-    }
-
-    /// Returns `true` if no bin was ever touched.
-    pub fn is_empty(&self) -> bool {
-        self.counts.is_empty()
-    }
-
     /// The maximum bin count (0 when empty).
     pub fn max_count(&self) -> u64 {
         self.counts.iter().copied().max().unwrap_or(0)
@@ -80,24 +64,10 @@ impl TimeBins {
         self.counts.iter().sum()
     }
 
-    /// Number of bins with a non-zero count.
-    pub fn non_empty_bins(&self) -> usize {
-        self.counts.iter().filter(|&&c| c > 0).count()
-    }
-
     /// Iterates over `(bin_index, count)` for all allocated bins,
     /// including zero bins (figures plot gaps explicitly).
     pub fn iter(&self) -> impl Iterator<Item = (usize, u64)> + '_ {
         self.counts.iter().copied().enumerate()
-    }
-
-    /// Iterates over indices of non-empty bins, ascending.
-    pub fn non_empty_indices(&self) -> impl Iterator<Item = usize> + '_ {
-        self.counts
-            .iter()
-            .enumerate()
-            .filter(|(_, &c)| c > 0)
-            .map(|(i, _)| i)
     }
 }
 
@@ -112,22 +82,17 @@ mod tests {
         b.add(9, 1);
         b.add(10, 1);
         b.add(25, 1);
-        assert_eq!(b.count(0), 2);
-        assert_eq!(b.count(1), 1);
-        assert_eq!(b.count(2), 1);
-        assert_eq!(b.count(3), 0);
-        assert_eq!(b.len(), 3);
+        let all: Vec<_> = b.iter().collect();
+        assert_eq!(all, vec![(0, 2), (1, 1), (2, 1)]);
         assert_eq!(b.total(), 4);
     }
 
     #[test]
     fn empty_bins() {
         let b = TimeBins::new(5);
-        assert!(b.is_empty());
+        assert_eq!(b.iter().count(), 0);
         assert_eq!(b.max_count(), 0);
         assert_eq!(b.total(), 0);
-        assert_eq!(b.non_empty_bins(), 0);
-        assert_eq!(b.count(99), 0);
     }
 
     #[test]
@@ -143,8 +108,7 @@ mod tests {
         b.add(250, 3);
         b.add(260, 5);
         assert_eq!(b.max_count(), 8);
-        assert_eq!(b.non_empty_bins(), 2);
-        let idx: Vec<_> = b.non_empty_indices().collect();
+        let idx: Vec<_> = b.iter().filter(|&(_, c)| c > 0).map(|(i, _)| i).collect();
         assert_eq!(idx, vec![0, 2]);
     }
 

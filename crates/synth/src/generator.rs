@@ -445,8 +445,8 @@ impl CorpusGenerator {
         Trace::from_requests(all)
     }
 
-    /// Generates only the volume at `index` (for incremental /
-    /// parallel drivers); `None` if `index` is out of range.
+    /// Generates only the volume at `index`, as in the whole corpus: a
+    /// by-volume analysis's source. `None` if `index` is out of range.
     pub fn generate_volume(&self, index: usize) -> Option<Vec<IoRequest>> {
         let profile = self.profiles.get(index)?;
         Some(validated(VolumeGenerator::new(profile.clone())).generate())

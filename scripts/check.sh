@@ -50,7 +50,7 @@ fi
 echo "==> cargo clippy --all-targets -- -D warnings (lint table + canary)"
 cargo clippy --all-targets -- -D warnings
 
-echo "==> one fan-out, one router, one pacer, one analyzer path, one by-volume driver, no held trace, one Fig. 18 sweep (no second copy under crates/*/src), no hashed policy index"
+echo "==> one fan-out, one router, one pacer, one analyzer path, one by-volume driver, no held trace or whole-corpus generate, one Fig. 18 sweep (no second copy under crates/*/src), no hashed policy index"
 # The death protocol and sticky routing live in crates/trace/src/workers.rs
 # and the replay pacer in crates/replay/src/schedule.rs; codec/parallel.rs
 # keeps its own, differently shaped, pipeline, whose one chunk loop
@@ -71,15 +71,16 @@ for name in wait_until route_volume parse_chunk; do
         exit 1
     fi
 done
-# One by-volume driver: analyze_trace, defined once, beside the
-# per-volume entry it loops over. No other library file walks a
-# trace's volumes through analyze_volume.
+# One by-volume driver: analyze_volumes, defined once, beside the
+# per-volume entry it loops over; a trace or a generator is only a
+# source it takes volumes from by index. No other library file walks
+# volumes through analyze_volume.
 # shellcheck disable=SC2086
-drivers="$(cat ${lib_sources} | grep -c 'fn analyze_trace\b' || true)"
+drivers="$(cat ${lib_sources} | grep -c 'fn analyze_volumes\b' || true)"
 # shellcheck disable=SC2086
 volume_callers="$(grep -l 'analyze_volume(' ${lib_sources} | tr '\n' ' ' || true)"
 if [ "${drivers}" -ne 1 ] || [ "${volume_callers}" != "crates/analysis/src/analyzer.rs " ]; then
-    echo "fn analyze_trace must be defined once and analyze_volume( appear only in crates/analysis/src/analyzer.rs; found ${drivers} definition(s), analyze_volume( in: ${volume_callers}" >&2
+    echo "fn analyze_volumes must be defined once and analyze_volume( appear only in crates/analysis/src/analyzer.rs; found ${drivers} definition(s), analyze_volume( in: ${volume_callers}" >&2
     exit 1
 fi
 # One Fig. 18-extension decision: the paper run builds its policy
@@ -93,9 +94,10 @@ if [ "${grids}" -ne 1 ]; then
     exit 1
 fi
 # No held trace: an Analysis keeps metrics and the Table II bins, and
-# the paper run keeps each corpus's generator, regenerating the one
-# volume Fig. 18 sweeps. A trace accessor or a Trace-typed field would
-# let a whole corpus outlive its analysis again.
+# the paper run keeps each corpus's generator: it analyzes the corpus
+# volume by volume and regenerates the one volume Fig. 18 sweeps. A
+# trace accessor, a Trace-typed field or a whole-corpus .generate()
+# would let a whole corpus be held again.
 if grep -n 'fn trace(' crates/core/src/workbench.rs >&2; then
     echo "crates/core/src/workbench.rs defines fn trace( (above); an Analysis holds metrics, not a trace" >&2
     exit 1
@@ -103,6 +105,11 @@ fi
 # shellcheck disable=SC2086
 if grep -nE '[.]trace[(][)]|^[[:space:]]*(pub(\([a-z]+\))? )?[a-z_][a-z0-9_]*: .*\bTrace\b' ${report_sources} >&2; then
     echo "crates/report/src calls .trace() or declares a Trace-typed field (above); a corpus keeps its generator, not its trace" >&2
+    exit 1
+fi
+# shellcheck disable=SC2086
+if grep -n '[.]generate()' ${report_sources} >&2; then
+    echo "crates/report/src calls .generate() (above); the paper run analyzes each corpus volume by volume (Analysis::from_generator)" >&2
     exit 1
 fi
 # Policies find blocks with one array load, by the dense number the
