@@ -351,7 +351,7 @@ fn check(shape: &str, stream: &[IoRequest]) {
     }
 
     for batch_size in [1, 7, 8192] {
-        for shards in [1, 3] {
+        for shards in [0, 1, 3] {
             let streamed = StreamingWorkbench::new()
                 .with_shards(shards)
                 .with_batch_size(batch_size)

@@ -20,9 +20,10 @@
 //! Each phase prints a single-line JSON object; the orchestrator
 //! assembles them into `BENCH_cache.json`, asserts the naive and
 //! exact-sweep `"grid"` stats are byte-identical, and records the
-//! wall-clock speedups. `--threads N` sets the sweep's lane worker
-//! count to `N - 1` (one core stays with the decode/expand producer);
-//! the default matches the machine.
+//! wall-clock speedups. `--threads N` runs the sweep on `N` threads:
+//! `N - 1` lane workers beside the caller, which decodes, expands and
+//! runs the last share of the lanes itself; the default matches the
+//! machine.
 
 #![allow(
     clippy::expect_used,
@@ -350,8 +351,9 @@ fn main() {
             }
         }
     }
-    // One core stays with the CBT-decode/expand producer; the rest run
-    // sweep lanes. On a single-core host the sweep runs inline.
+    // The caller decodes, expands and runs one share of the lanes; the
+    // other `threads - 1` threads run the rest. On a single-core host
+    // the sweep runs inline.
     let workers = threads.saturating_sub(1);
     let millions = |i: usize, default: u64| -> u64 {
         args.get(i).and_then(|s| s.parse().ok()).unwrap_or(default)

@@ -16,9 +16,11 @@
 //! cargo run --release -p cbs-bench --bin ingest_perf stream 10 # one phase
 //! ```
 //!
-//! `--shards 1,2,4,8` sets the shard counts the orchestrator sweeps
-//! through `stream-shards` phases (one subprocess per count), with the
-//! per-shard load split and imbalance the skew-aware router achieved.
+//! `--shards 1,2,4,8` sets the shard-thread counts the orchestrator
+//! sweeps through `stream-shards` phases (one subprocess per count),
+//! with the per-share load split and imbalance the skew-aware router
+//! achieved. `N` shard threads make `N + 1` shares: the caller analyzes
+//! the last one itself, so a phase keeps `N + 1` threads busy.
 //! The `stream-cbt-mmap` phase measures the zero-copy re-ingest path at
 //! scale: `Mmap` + `CbtSliceReader` lending borrowed batches straight
 //! to `observe_request_batch_ref`.
@@ -90,7 +92,7 @@ fn phase_stream(millions: u64, bounded: bool) {
     };
     let registry = Registry::new();
     let workbench = StreamingWorkbench::new().with_registry(&registry);
-    let shards = workbench.shards();
+    let threads = workbench.shards() + 1;
     let start = Instant::now();
     let mut session = workbench.start();
     let mut stream = generator.stream().take(n);
@@ -116,7 +118,7 @@ fn phase_stream(millions: u64, bounded: bool) {
     assert_eq!(observed, n as u64, "corpus smaller than requested target");
     println!(
         "{{\"phase\":\"{phase}\",\"requests\":{observed},\"volumes\":{volumes},\
-         \"n_threads\":{shards},\"seconds\":{secs:.3},\"requests_per_sec\":{:.0},\
+         \"n_threads\":{threads},\"seconds\":{secs:.3},\"requests_per_sec\":{:.0},\
          \"stages\":{{\"generate_nanos\":{generate_nanos},\"observe_nanos\":{observe_nanos}}},\
          \"metrics\":{},\"peak_rss_kb\":{}}}",
         observed as f64 / secs,
@@ -149,7 +151,7 @@ fn phase_stream_cbt_mmap(millions: u64) {
 
     let registry = Registry::new();
     let workbench = StreamingWorkbench::new().with_registry(&registry);
-    let shards = workbench.shards();
+    let threads = workbench.shards() + 1;
     let start = Instant::now();
     let mut session = workbench.start();
     let map = Mmap::open(&path).expect("map temp cbt");
@@ -172,7 +174,7 @@ fn phase_stream_cbt_mmap(millions: u64) {
     assert_eq!(observed, n as u64, "cbt file shorter than written");
     println!(
         "{{\"phase\":\"stream_cbt_mmap\",\"requests\":{observed},\"volumes\":{volumes},\
-         \"n_threads\":{shards},\"cbt_bytes\":{cbt_bytes},\"seconds\":{secs:.3},\
+         \"n_threads\":{threads},\"cbt_bytes\":{cbt_bytes},\"seconds\":{secs:.3},\
          \"requests_per_sec\":{:.0},\
          \"stages\":{{\"decode_nanos\":{decode_nanos},\"route_nanos\":{route_nanos}}},\
          \"metrics\":{},\"peak_rss_kb\":{}}}",
@@ -182,10 +184,11 @@ fn phase_stream_cbt_mmap(millions: u64) {
     );
 }
 
-/// Stream-analyze `millions`M requests through exactly `shards` worker
-/// shards, fed as columnar batches, and report the per-shard load split
-/// the skew-aware router produced. One subprocess per shard count gives
-/// the scaling curve in `EXPERIMENTS.md`.
+/// Stream-analyze `millions`M requests through exactly `shards` shard
+/// threads plus the caller's own share, fed as columnar batches, and
+/// report the per-share load split the skew-aware router produced. One
+/// subprocess per shard count gives the scaling curve in
+/// `EXPERIMENTS.md`.
 fn phase_stream_shards(millions: u64, shards: usize) {
     const FEED_BATCH: usize = 8192;
     let n = (millions * 1_000_000) as usize;
@@ -194,6 +197,7 @@ fn phase_stream_shards(millions: u64, shards: usize) {
         .with_shards(shards)
         .with_registry(&registry);
     let shards = workbench.shards();
+    let shares = shards + 1;
     let start = Instant::now();
     let mut session = workbench.start();
     let mut feed = RequestBatch::with_capacity(FEED_BATCH);
@@ -209,14 +213,14 @@ fn phase_stream_shards(millions: u64, shards: usize) {
     let volumes = session.finish().len();
     let secs = start.elapsed().as_secs_f64();
     assert_eq!(observed, n as u64, "corpus smaller than requested target");
-    let loads: Vec<u64> = (0..shards)
+    let loads: Vec<u64> = (0..shares)
         .map(|s| registry.counter(&format!("stream.shard{s}.requests")).get())
         .collect();
     assert_eq!(loads.iter().sum::<u64>(), observed, "shard loads diverge");
-    // Imbalance: hottest shard relative to a perfectly even split
-    // (1.0 = perfect; `shards` = everything on one worker).
+    // Imbalance: hottest share relative to a perfectly even split
+    // (1.0 = perfect; `shares` = everything on one share).
     let imbalance =
-        loads.iter().copied().max().unwrap_or(0) as f64 / (observed as f64 / shards as f64);
+        loads.iter().copied().max().unwrap_or(0) as f64 / (observed as f64 / shares as f64);
     let loads_json = loads
         .iter()
         .map(u64::to_string)

@@ -24,8 +24,8 @@
 //!       │ bounded channels          ├─────────────────────────────┤
 //!       ▼ (when workers > 0)        │ sampled MRC lane            │
 //!   worker threads, each            │  (approximate LRU curve,    │
-//!   processing a lane subset        │   numbering its own blocks) │
-//!                                   └─────────────────────────────┘
+//!   processing a lane subset;       │   numbering its own blocks) │
+//!   the caller runs the last one    └─────────────────────────────┘
 //! ```
 //!
 //! Four mechanisms carry the speedup (measured in `BENCH_cache.json`):
@@ -59,11 +59,15 @@
 //! (Waldspurger et al., FAST'15 / ATC'17), trading bounded error for
 //! ~1/rate cost.
 //!
-//! When worker threads are configured ([`SweepGrid::with_workers`]),
-//! lanes are dealt round-robin to a [`WorkerSet`] and every column is
-//! broadcast to each worker; with zero workers the same lane code runs
-//! inline on the caller thread — the sequential fallback is the same
-//! code path.
+//! The caller is one more share: with `n` worker threads
+//! ([`SweepGrid::with_workers`]), lanes are dealt round-robin over
+//! `n + 1` shares, the first `n` to a [`WorkerSet`] (every column is
+//! broadcast to each worker) and the last to the caller, which runs its
+//! lanes on each column right after sending it. Worker and caller run
+//! the same lane code, and with zero workers every lane runs inline.
+//! The LRU stack lane, dealt first, always lands on worker 0 when there
+//! is one: it is the heaviest lane of a sampled grid, and the caller
+//! already pays for the shared expansion and filter.
 //!
 //! Like [`crate::CacheSim`], the engine ignores the volume column: all
 //! accesses share one unified cache. Per-volume sweeps feed per-volume
@@ -74,7 +78,7 @@ use std::sync::mpsc::Receiver;
 use std::sync::Arc;
 
 use cbs_obs::{Registry, Stopwatch};
-use cbs_trace::workers::{Gone, WorkerSet};
+use cbs_trace::workers::{default_workers, Gone, WorkerSet};
 use cbs_trace::{BlockId, BlockSize, IoRequest, OpKind, RequestBatch};
 
 use crate::numbering::{run_numbers, BlockNo, BlockNumbering};
@@ -185,8 +189,9 @@ impl Default for SweepGrid {
 
 impl SweepGrid {
     /// Creates an empty grid: 4 KiB blocks, the default sampling rate,
-    /// one worker thread per spare core (zero on a single-core host —
-    /// the sequential fallback), and the default batch size.
+    /// one worker thread per core beside the caller
+    /// ([`cbs_trace::workers::default_workers`]; zero on a single-core
+    /// host, where every lane runs inline), and the default batch size.
     pub fn new() -> Self {
         SweepGrid {
             block_size: BlockSize::DEFAULT,
@@ -194,7 +199,7 @@ impl SweepGrid {
             boxed: Vec::new(),
             sampled_mrc: false,
             rate: DEFAULT_SAMPLE_RATE,
-            workers: std::thread::available_parallelism().map_or(0, |n| n.get().saturating_sub(1)),
+            workers: default_workers(),
             batch_size: DEFAULT_SWEEP_BATCH,
             registry: None,
         }
@@ -309,8 +314,9 @@ impl SweepGrid {
         Ok(self)
     }
 
-    /// Sets the number of lane worker threads. Zero runs every lane
-    /// inline on the caller thread (the sequential fallback — same lane
+    /// Sets the number of lane worker threads beside the caller. The
+    /// caller runs one more share of the lanes itself, so `n` threads
+    /// make `n + 1` shares, and zero runs every lane inline (same lane
     /// code, no channels).
     #[must_use]
     pub fn with_workers(mut self, workers: usize) -> Self {
@@ -415,18 +421,15 @@ impl SweepGrid {
             ));
         }
 
-        // Never spawn more workers than lanes; with zero workers every
-        // lane runs inline on the caller thread (same code path).
+        // Never spawn more workers than lanes. Lanes are dealt over the
+        // workers and the caller's share, the last one, so the stack
+        // lane (index 0) goes to worker 0 whenever there is a worker.
         let workers = self.workers.min(lanes.len());
-        let mut local = Vec::new();
-        let mut per_worker: Vec<Vec<TimedLane>> = (0..workers).map(|_| Vec::new()).collect();
-        if workers == 0 {
-            local = lanes;
-        } else {
-            for (i, lane) in lanes.into_iter().enumerate() {
-                per_worker[i % workers].push(lane);
-            }
+        let mut per_worker: Vec<Vec<TimedLane>> = (0..=workers).map(|_| Vec::new()).collect();
+        for (i, lane) in lanes.into_iter().enumerate() {
+            per_worker[i % (workers + 1)].push(lane);
         }
+        let local = per_worker.pop().unwrap_or_default();
         let pool = WorkerSet::spawn(
             CHANNEL_DEPTH,
             per_worker
@@ -447,6 +450,7 @@ impl SweepGrid {
             batch_size: self.batch_size,
             pool,
             local,
+            local_running: false,
             requests: 0,
             accesses: 0,
             sampled_accesses: 0,
@@ -856,7 +860,12 @@ pub struct CacheSweep {
     batch_size: usize,
     /// The lane threads; empty when every lane runs inline in `local`.
     pool: WorkerSet<Job, Vec<FinishedLane>>,
+    /// The caller's own share of the lanes, run after each column is
+    /// sent.
     local: Vec<TimedLane>,
+    /// Set around each run of the `local` lanes: still set afterwards
+    /// only if one panicked, which poisons the sweep.
+    local_running: bool,
     requests: u64,
     accesses: u64,
     sampled_accesses: u64,
@@ -871,11 +880,12 @@ impl CacheSweep {
     /// # Panics
     ///
     /// Panics if the sweep is poisoned (a lane worker died — the
-    /// dispatch that discovered it re-raised the worker's panic).
+    /// dispatch that discovered it re-raised the worker's panic — or
+    /// one of the caller's own lanes panicked).
     pub fn observe_request(&mut self, req: &IoRequest) {
         assert!(
             !self.is_poisoned(),
-            "cache sweep is poisoned: a lane worker panicked"
+            "cache sweep is poisoned: a lane panicked"
         );
         self.buffer.push(req);
         if self.buffer.len() >= self.batch_size {
@@ -894,7 +904,7 @@ impl CacheSweep {
     pub fn observe_batch(&mut self, batch: &RequestBatch) {
         assert!(
             !self.is_poisoned(),
-            "cache sweep is poisoned: a lane worker panicked"
+            "cache sweep is poisoned: a lane panicked"
         );
         self.flush_buffer();
         self.dispatch(batch);
@@ -917,11 +927,11 @@ impl CacheSweep {
         self.requests + self.buffer.len() as u64
     }
 
-    /// `true` once a lane worker's death has been detected; every
-    /// further feed or finish call panics rather than reporting a
-    /// partial sweep.
+    /// `true` once a lane worker's death has been detected or one of
+    /// the caller's own lanes panicked; every further feed or finish
+    /// call panics rather than reporting a partial sweep.
     pub fn is_poisoned(&self) -> bool {
-        self.pool.is_poisoned()
+        self.local_running || self.pool.is_poisoned()
     }
 
     fn flush_buffer(&mut self) {
@@ -970,13 +980,15 @@ impl CacheSweep {
                 Err(Gone) => self.pool.poison(worker),
             }
         }
+        self.local_running = true;
         for lane in &mut self.local {
             lane.process(&job);
         }
+        self.local_running = false;
     }
 
-    /// Flushes the request buffer, joins the workers, and assembles
-    /// the report. Publishes the finish-time lane gauges if a registry
+    /// Flushes the request buffer, finishes the caller's own lanes,
+    /// joins the workers, and assembles the report. Publishes the finish-time lane gauges if a registry
     /// was attached.
     ///
     /// # Panics
@@ -986,11 +998,14 @@ impl CacheSweep {
     pub fn finish(mut self) -> SweepReport {
         assert!(
             !self.is_poisoned(),
-            "cache sweep is poisoned: a lane worker panicked; its stats would be partial"
+            "cache sweep is poisoned: a lane panicked; its stats would be partial"
         );
         self.flush_buffer();
+        // The caller's lanes finish while the workers drain their
+        // channels.
+        let local: Vec<FinishedLane> = self.local.into_iter().map(TimedLane::finish).collect();
         let mut finished: Vec<FinishedLane> = self.pool.finish().into_iter().flatten().collect();
-        finished.extend(self.local.into_iter().map(TimedLane::finish));
+        finished.extend(local);
         finished.sort_by_key(|lane| lane.index);
 
         if let Some(registry) = &self.registry {
@@ -1216,6 +1231,84 @@ mod tests {
         let fanned = grid(3);
         assert_eq!(untimed(&sequential), untimed(&fanned));
         assert_eq!(sequential.accesses(), fanned.accesses());
+    }
+
+    #[test]
+    fn caller_share_takes_lanes_but_never_the_stack_lane() {
+        let exact = || {
+            SweepGrid::new()
+                .grid(POLICY_NAMES, &[16, 64])
+                .expect("valid grid")
+        };
+        let sampled = || {
+            let mut grid = SweepGrid::new().lru_capacity(16).expect("non-zero");
+            for &name in &POLICY_NAMES[1..] {
+                grid = grid.sampled_policy(name, 16).expect("valid");
+            }
+            grid.with_sampled_mrc()
+        };
+        for (name, grid) in [("exact", exact as fn() -> SweepGrid), ("sampled", sampled)] {
+            let lanes = grid().lane_count();
+            let inline = grid().with_workers(0).start();
+            assert_eq!(
+                inline.local.len(),
+                lanes,
+                "{name}: 0 workers run every lane"
+            );
+            for workers in 1..=3 {
+                let sweep = grid().with_workers(workers).start();
+                let local: Vec<&str> = sweep.local.iter().map(|l| l.label.as_str()).collect();
+                assert!(!local.is_empty(), "{name}, {workers} workers: caller idle");
+                assert!(
+                    !local.contains(&"lru.stack"),
+                    "{name}, {workers} workers: stack lane on the caller"
+                );
+                // Dealt round-robin over `workers + 1` shares.
+                assert_eq!(
+                    local.len(),
+                    lanes / (workers + 1),
+                    "{name}, {workers} workers"
+                );
+            }
+        }
+    }
+
+    /// A lane that panics on its first column.
+    struct PanickingLane;
+
+    impl Lane for PanickingLane {
+        fn process(&mut self, _job: &SweepColumn) -> u64 {
+            panic!("synthetic lane panic")
+        }
+
+        fn finish(self: Box<Self>) -> LaneOutput {
+            LaneOutput::default()
+        }
+    }
+
+    #[test]
+    fn caller_lane_panic_poisons_the_sweep() {
+        use std::panic::{catch_unwind, AssertUnwindSafe};
+        let reqs = stream(100, 50);
+        let mut sweep = SweepGrid::new()
+            .with_workers(1)
+            .grid(&["lru", "fifo"], &[8])
+            .expect("valid grid")
+            .start();
+        sweep.local.push(TimedLane::new(
+            99,
+            "panicking".to_owned(),
+            Box::new(PanickingLane),
+        ));
+        let fatal = catch_unwind(AssertUnwindSafe(|| {
+            sweep.observe_batch(&RequestBatch::from(reqs.as_slice()));
+        }));
+        assert!(fatal.is_err(), "the caller's lane panic must surface");
+        assert!(sweep.is_poisoned());
+        let feed_after = catch_unwind(AssertUnwindSafe(|| sweep.observe_request(&reqs[0])));
+        assert!(feed_after.is_err(), "a poisoned sweep refuses input");
+        let finish = catch_unwind(AssertUnwindSafe(|| sweep.finish()));
+        assert!(finish.is_err(), "finish on a poisoned sweep must panic");
     }
 
     #[test]

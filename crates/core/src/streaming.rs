@@ -6,23 +6,34 @@
 //! alternative: requests flow from any producer (a
 //! [`cbs_trace::ParallelDecoder`] sink, a lazy synthetic corpus stream,
 //! a CBT reader, a custom source) straight into per-volume
-//! [`VolumeAnalyzer`]s that live on shard worker threads, so peak
-//! memory is bounded by the analyzers' own per-volume state
-//! (O(volumes + working-set blocks)), independent of trace length.
+//! [`VolumeAnalyzer`]s that live on shard worker threads and on the
+//! caller, so peak memory is bounded by the analyzers' own per-volume
+//! state (O(volumes + working-set blocks)), independent of trace length.
 //!
 //! ```text
-//! producer (caller thread)        S shard workers
+//! producer (caller thread)          S shard workers
 //! ┌────────────────────────┐  bounded  ┌──────────────────────────┐
-//! │ observe(req)           │  channels │ FxHashMap<VolumeId,      │
-//! │  route: volume → shard │ ────────► │         VolumeAnalyzer>  │
-//! │  SoA buffer per shard, │ (Request- │ regroup batch by volume, │
-//! │  flush at batch_size   │  Batches) │ one observe_batch() each │
-//! └────────────────────────┘           └──────────────────────────┘
+//! │ observe(req)           │  channels │ Shard:                   │
+//! │  route: volume → share │ ────────► │  FxHashMap<VolumeId,     │
+//! │  SoA buffer per share, │ (Request- │         VolumeAnalyzer>, │
+//! │  flush at batch_size   │  Batches) │  regroup batch by volume,│
+//! │                        │           │  one observe_batch() each│
+//! │ share S: its own Shard,│           └──────────────────────────┘
+//! │  run inline on flush   │
+//! └────────────────────────┘
 //! ```
 //!
-//! The shard threads are a [`WorkerSet`] and volumes are pinned to them
-//! by a [`StickyRouter`] — see [`cbs_trace::workers`] for what happens
-//! when a shard dies and how backpressure is accounted.
+//! The caller is one more share: `S` threads beside it make `S + 1`
+//! shares, and the last one is a `Shard` the session runs itself when
+//! that share's buffer fills, so a producer that would otherwise wait
+//! on full channels analyzes its own share of the volumes instead. A
+//! worker thread and the caller run the same `Shard` code; `S = 0` runs
+//! everything inline.
+//!
+//! The shard threads are a [`WorkerSet`] and volumes are pinned to
+//! shares by a [`StickyRouter`] — see [`cbs_trace::workers`] for what
+//! happens when a shard dies and how backpressure is accounted. A panic
+//! in the caller's own share poisons the session the same way.
 //!
 //! Shard channels carry [`RequestBatch`]es (struct-of-arrays), so a
 //! batch handoff moves five dense columns instead of an array of
@@ -35,8 +46,8 @@
 //!
 //! Each volume's requests must be **observed in non-decreasing
 //! timestamp order**. Requests of different volumes may interleave
-//! arbitrarily — routing assigns every volume to exactly one shard and
-//! each shard consumes its bounded channel in send order, so per-volume
+//! arbitrarily — routing assigns every volume to exactly one share and
+//! each share consumes its batches in send order, so per-volume
 //! order is preserved end to end (violations panic in debug builds, in
 //! the analyzer's `observe_batch`). Both supported producers satisfy the
 //! contract by construction: decoded AliCloud/MSRC traces are globally
@@ -60,7 +71,7 @@ use std::sync::mpsc::Receiver;
 use cbs_analysis::{AnalysisConfig, VolumeAnalyzer, VolumeMetrics};
 use cbs_obs::{Counter, Gauge, Registry, Stopwatch};
 use cbs_trace::hash::FxHashMap;
-use cbs_trace::workers::{Gone, StickyRouter, WorkerSet};
+use cbs_trace::workers::{default_workers, Gone, StickyRouter, WorkerSet};
 use cbs_trace::{IoRequest, RequestBatch, Timestamp, VolumeId};
 
 /// Default number of requests buffered per shard before a batch is
@@ -74,7 +85,8 @@ pub const DEFAULT_BATCH_SIZE: usize = 8192;
 
 /// Default in-flight batches allowed per shard channel; combined with
 /// `batch_size` this bounds the pipeline's buffered requests at
-/// `shards × (channel_depth + 1) × batch_size`.
+/// `shards × (channel_depth + 1) × batch_size` plus the caller's own
+/// share's `batch_size`.
 ///
 /// Depth 2–8 measures identically (the pipeline is compute-bound, not
 /// handoff-bound); 4 leaves slack for scheduling hiccups without
@@ -118,11 +130,12 @@ impl Default for StreamingWorkbench {
 
 impl StreamingWorkbench {
     /// Creates a builder with the paper's default analysis parameters,
-    /// one shard per available core, and the default batch size and
-    /// channel depth.
+    /// one shard thread per core beside the caller
+    /// ([`cbs_trace::workers::default_workers`]), and the default batch
+    /// size and channel depth.
     pub fn new() -> Self {
         StreamingWorkbench {
-            shards: crate::workbench::default_threads(),
+            shards: default_workers(),
             batch_size: DEFAULT_BATCH_SIZE,
             channel_depth: DEFAULT_CHANNEL_DEPTH,
             epoch: None,
@@ -130,12 +143,14 @@ impl StreamingWorkbench {
         }
     }
 
-    /// Sets the number of shard worker threads (min 1). Volumes stick
-    /// to shards on first touch, each new volume joining the shard with
+    /// Sets the number of shard worker threads beside the caller. The
+    /// caller analyzes one more share itself, so `n` threads make
+    /// `n + 1` shares, and `0` runs every volume inline. Volumes stick
+    /// to shares on first touch, each new volume joining the share with
     /// the least routed traffic so far ([`StickyRouter`]).
     #[must_use]
     pub fn with_shards(mut self, shards: usize) -> Self {
-        self.shards = shards.max(1);
+        self.shards = shards;
         self
     }
 
@@ -168,12 +183,13 @@ impl StreamingWorkbench {
     /// Publishes pipeline metrics into `registry`: per session
     /// `stream.observed`, `stream.batches`,
     /// `stream.backpressure_nanos` (time the producer spent blocked on
-    /// full shard channels), and the `stream.shards` gauge (the
-    /// configured shard count, so exported metric sets are
-    /// self-describing), plus per shard `stream.shard<i>.requests`,
-    /// `.batches`, `.analyze_nanos` (worker time spent feeding
-    /// analyzers), `.inflight` (current channel depth), and
-    /// `.inflight_hwm` (its high-water mark).
+    /// full shard channels), and the `stream.shards` gauge (the share
+    /// count, shard threads + 1, so exported metric sets are
+    /// self-describing), plus per share `stream.shard<i>.requests`,
+    /// `.batches`, `.analyze_nanos` (time spent feeding analyzers),
+    /// `.inflight` (batches handed over and not yet taken up), and
+    /// `.inflight_hwm` (its high-water mark). The caller's own share
+    /// has the last index and publishes the same names.
     ///
     /// All recording happens at *batch* granularity (one flushed batch =
     /// a handful of relaxed atomic adds and, only when the channel is
@@ -185,7 +201,7 @@ impl StreamingWorkbench {
         self
     }
 
-    /// Configured shard count.
+    /// Configured shard thread count (the caller's share not counted).
     pub fn shards(&self) -> usize {
         self.shards
     }
@@ -202,21 +218,25 @@ impl StreamingWorkbench {
 
     /// Spawns the shard workers and returns the push-style session.
     pub fn start(self) -> StreamingSession {
+        let shares = self.shards + 1;
         let metrics = self
             .registry
             .as_ref()
-            .map(|r| SessionMetrics::new(r, self.shards));
+            .map(|r| SessionMetrics::new(r, shares));
+        let shard = |index: usize| Shard::new(metrics.as_ref().map(|m| m.worker(index)));
         let shards = WorkerSet::spawn(
             self.channel_depth,
-            (0..self.shards).map(|shard| {
-                let worker_metrics = metrics.as_ref().map(|m| m.worker(shard));
-                move |rx| shard_worker(rx, AnalysisConfig::default(), worker_metrics)
+            (0..self.shards).map(|index| {
+                let shard = shard(index);
+                move |rx| shard_worker(rx, shard)
             }),
         );
         StreamingSession {
             shards,
-            router: StickyRouter::new(self.shards),
-            buffers: (0..self.shards).map(|_| RequestBatch::new()).collect(),
+            local: shard(self.shards),
+            local_running: false,
+            router: StickyRouter::new(shares),
+            buffers: (0..shares).map(|_| RequestBatch::new()).collect(),
             batch_size: self.batch_size,
             epoch: self.epoch,
             observed: 0,
@@ -255,23 +275,23 @@ struct SessionMetrics {
 }
 
 impl SessionMetrics {
-    fn new(registry: &Registry, shards: usize) -> Self {
-        registry.gauge("stream.shards").set(shards as u64);
+    fn new(registry: &Registry, shares: usize) -> Self {
+        registry.gauge("stream.shards").set(shares as u64);
         SessionMetrics {
             observed: registry.counter("stream.observed"),
             batches: registry.counter("stream.batches"),
             backpressure_nanos: registry.counter("stream.backpressure_nanos"),
             registry: registry.clone(),
-            inflight: (0..shards)
+            inflight: (0..shares)
                 .map(|s| registry.gauge(&format!("stream.shard{s}.inflight")))
                 .collect(),
-            inflight_hwm: (0..shards)
+            inflight_hwm: (0..shares)
                 .map(|s| registry.gauge(&format!("stream.shard{s}.inflight_hwm")))
                 .collect(),
         }
     }
 
-    /// Handles for one shard worker thread.
+    /// Handles for one share's `Shard`.
     fn worker(&self, shard: usize) -> WorkerMetrics {
         WorkerMetrics {
             requests: self
@@ -288,7 +308,7 @@ impl SessionMetrics {
     }
 }
 
-/// Worker-side handles; cloned into the shard thread.
+/// Shard-side handles, owned by the share's `Shard`.
 #[derive(Debug)]
 struct WorkerMetrics {
     requests: Counter,
@@ -306,8 +326,13 @@ struct WorkerMetrics {
 #[derive(Debug)]
 pub struct StreamingSession {
     shards: WorkerSet<Batch, Vec<VolumeMetrics>>,
-    /// Sticky, skew-aware volume → shard assignment: each volume's full
-    /// stream reaches exactly one worker in send order, which is what
+    /// The caller's own share, the last index: run inline on flush.
+    local: Shard,
+    /// Set around each inline run of `local`: still set afterwards only
+    /// if that run panicked, which poisons the session.
+    local_running: bool,
+    /// Sticky, skew-aware volume → share assignment: each volume's full
+    /// stream reaches exactly one share in send order, which is what
     /// keeps the metrics bit-identical at any shard count.
     router: StickyRouter<VolumeId>,
     buffers: Vec<RequestBatch>,
@@ -318,19 +343,21 @@ pub struct StreamingSession {
 }
 
 impl StreamingSession {
-    /// Routes one request to its volume's shard. Blocks (backpressure)
-    /// when the shard's channel is full.
+    /// Routes one request to its volume's share. Blocks (backpressure)
+    /// when the share's channel is full, and analyzes the caller's own
+    /// share inline when its buffer fills.
     ///
     /// # Panics
     ///
     /// If a shard worker has died, the flush that discovers it re-raises
-    /// the worker's panic on this thread (see
+    /// the worker's panic on this thread, and a panic in the caller's
+    /// own share unwinds through it directly (see
     /// [`is_poisoned`](StreamingSession::is_poisoned)); observing on an
     /// already-poisoned session panics immediately.
     pub fn observe(&mut self, req: IoRequest) {
         assert!(
             !self.is_poisoned(),
-            "streaming session is poisoned: a shard worker panicked"
+            "streaming session is poisoned: a shard panicked"
         );
         if self.epoch.is_none() {
             // First record of a globally time-ordered stream = the
@@ -360,7 +387,7 @@ impl StreamingSession {
     pub fn observe_request_batch_ref(&mut self, batch: cbs_trace::RequestBatchRef<'_>) {
         assert!(
             !self.is_poisoned(),
-            "streaming session is poisoned: a shard worker panicked"
+            "streaming session is poisoned: a shard panicked"
         );
         if batch.is_empty() {
             return;
@@ -388,12 +415,13 @@ impl StreamingSession {
         self.observed
     }
 
-    /// `true` once a shard worker's death has been detected. A poisoned
-    /// session re-raised the worker's panic already (observable only if
-    /// the caller caught it); every further `observe*`/`finish` call
-    /// panics rather than computing on a partial stream.
+    /// `true` once a shard worker's death has been detected, or the
+    /// caller's own share panicked. A poisoned session re-raised the
+    /// panic already (observable only if the caller caught it); every
+    /// further `observe*`/`finish` call panics rather than computing on
+    /// a partial stream.
     pub fn is_poisoned(&self) -> bool {
-        self.shards.is_poisoned()
+        self.local_running || self.shards.is_poisoned()
     }
 
     fn flush(&mut self, shard: usize) {
@@ -403,13 +431,22 @@ impl StreamingSession {
         // `observe` sets the epoch before buffering anything, so a
         // non-empty buffer implies the epoch is known.
         let Some(epoch) = self.epoch else { return };
-        let batch = std::mem::take(&mut self.buffers[shard]);
         if let Some(m) = &self.metrics {
-            m.observed.add(batch.len() as u64);
+            m.observed.add(self.buffers[shard].len() as u64);
             m.batches.inc();
             let depth = m.inflight[shard].inc();
             m.inflight_hwm[shard].record_max(depth);
         }
+        if shard == self.shards.workers() {
+            // The caller's own share: analyze in place and keep the
+            // buffer's allocation for the next fill.
+            self.local_running = true;
+            self.local.observe(epoch, &self.buffers[shard]);
+            self.local_running = false;
+            self.buffers[shard].clear();
+            return;
+        }
+        let batch = std::mem::take(&mut self.buffers[shard]);
         match self.shards.send(shard, (epoch, batch)) {
             Ok(blocked_nanos) => {
                 if let Some(m) = &self.metrics {
@@ -424,73 +461,101 @@ impl StreamingSession {
         }
     }
 
-    /// Flushes all buffers, waits for the shard workers, and returns
-    /// the per-volume metrics in ascending volume-id order.
+    /// Flushes all buffers, finishes the caller's own share while the
+    /// shard workers drain, waits for them, and returns the per-volume
+    /// metrics in ascending volume-id order.
     ///
     /// # Panics
     ///
-    /// Propagates panics from shard workers (e.g. the analyzer's
-    /// debug-build ordering assertions), and panics on a poisoned
-    /// session — a panic-interrupted stream never yields partial
-    /// metrics.
+    /// Propagates panics from shard workers and from the caller's own
+    /// share (e.g. the analyzer's debug-build ordering assertions), and
+    /// panics on a poisoned session — a panic-interrupted stream never
+    /// yields partial metrics.
     pub fn finish(mut self) -> Vec<VolumeMetrics> {
         assert!(
             !self.is_poisoned(),
-            "streaming session is poisoned: a shard worker panicked; \
+            "streaming session is poisoned: a shard panicked; \
              its metrics would be partial"
         );
         for shard in 0..self.buffers.len() {
             self.flush(shard);
         }
-        let mut metrics: Vec<VolumeMetrics> = self.shards.finish().into_iter().flatten().collect();
+        let mut metrics = self.local.finish();
+        metrics.extend(self.shards.finish().into_iter().flatten());
         metrics.sort_by_key(|m| m.id);
         metrics
     }
 }
 
-/// Shard worker loop: regroup each received batch by volume, lazily
-/// create one analyzer per volume and feed it its whole share of the
-/// batch in one [`VolumeAnalyzer::observe_batch`] call; emit the
-/// finished metrics when the channel closes.
-fn shard_worker(
-    rx: Receiver<Batch>,
-    config: AnalysisConfig,
-    metrics: Option<WorkerMetrics>,
-) -> Vec<VolumeMetrics> {
-    let mut analyzers: FxHashMap<VolumeId, VolumeAnalyzer> = FxHashMap::default();
-    let mut regroup = Regroup::default();
+/// Shard worker thread body: drain the channel into the share's
+/// `Shard`, then finish it.
+fn shard_worker(rx: Receiver<Batch>, mut shard: Shard) -> Vec<VolumeMetrics> {
     for (epoch, batch) in rx {
-        let clock = metrics.as_ref().map(|m| {
+        shard.observe(epoch, &batch);
+    }
+    shard.finish()
+}
+
+/// One share's analysis state: one analyzer per volume routed to the
+/// share, the regroup scratch, and the share's metric handles. A shard
+/// worker thread and the session's own inline share run this same code.
+#[derive(Debug)]
+struct Shard {
+    analyzers: FxHashMap<VolumeId, VolumeAnalyzer>,
+    regroup: Regroup,
+    metrics: Option<WorkerMetrics>,
+}
+
+impl Shard {
+    fn new(metrics: Option<WorkerMetrics>) -> Self {
+        Shard {
+            analyzers: FxHashMap::default(),
+            regroup: Regroup::default(),
+            metrics,
+        }
+    }
+
+    /// Regroups `batch` by volume, lazily creates one analyzer per
+    /// volume anchored at `epoch`, and feeds each its whole share of
+    /// the batch in one [`VolumeAnalyzer::observe_batch`] call.
+    fn observe(&mut self, epoch: Timestamp, batch: &RequestBatch) {
+        let clock = self.metrics.as_ref().map(|m| {
             m.inflight.dec();
             m.batches.inc();
             m.requests.add(batch.len() as u64);
             Stopwatch::start()
         });
         let mut start = 0usize;
-        let (grouped, groups) = regroup.by_volume(&batch);
+        let (grouped, groups) = self.regroup.by_volume(batch);
         for &(volume, count) in groups {
             let range = start..start + count as usize;
             start = range.end;
-            match analyzers.get_mut(&volume) {
+            match self.analyzers.get_mut(&volume) {
                 Some(analyzer) => analyzer.observe_batch(grouped, range),
                 // The default config is valid, so the constructor
                 // cannot be rejected here.
                 None => {
-                    if let Ok(mut analyzer) = VolumeAnalyzer::new(volume, epoch, config.clone()) {
+                    if let Ok(mut analyzer) =
+                        VolumeAnalyzer::new(volume, epoch, AnalysisConfig::default())
+                    {
                         analyzer.observe_batch(grouped, range);
-                        analyzers.insert(volume, analyzer);
+                        self.analyzers.insert(volume, analyzer);
                     }
                 }
             }
         }
-        if let (Some(m), Some(clock)) = (&metrics, clock) {
+        if let (Some(m), Some(clock)) = (&self.metrics, clock) {
             m.analyze_nanos.add(clock.elapsed_nanos());
         }
     }
-    analyzers
-        .into_values()
-        .map(VolumeAnalyzer::finish)
-        .collect()
+
+    /// The finished metrics of every volume the share analyzed.
+    fn finish(self) -> Vec<VolumeMetrics> {
+        self.analyzers
+            .into_values()
+            .map(VolumeAnalyzer::finish)
+            .collect()
+    }
 }
 
 /// Reused scratch for the worker's volume-major regroup.
@@ -604,7 +669,7 @@ mod tests {
     fn matches_batch_workbench() {
         let reqs = time_ordered_requests(9, 300);
         let batch = Workbench::new(Trace::from_requests(reqs.clone())).analyze();
-        for shards in [1, 3, 8] {
+        for shards in [0, 1, 3, 8] {
             let streaming = StreamingWorkbench::new()
                 .with_shards(shards)
                 .with_batch_size(64)
@@ -636,8 +701,11 @@ mod tests {
     #[test]
     fn tuning_knobs_are_applied_and_clamped() {
         let wb = StreamingWorkbench::new()
+            .with_shards(0)
             .with_batch_size(0)
             .with_channel_depth(0);
+        // No shard thread: the caller's own share takes every volume.
+        assert_eq!(wb.shards(), 0);
         assert_eq!(wb.batch_size(), 1);
         assert_eq!(wb.channel_depth(), 1);
         let wb = StreamingWorkbench::new()
@@ -653,6 +721,11 @@ mod tests {
             .with_channel_depth(1)
             .analyze(reqs.iter().copied());
         assert_eq!(baseline, tuned);
+        let inline = StreamingWorkbench::new()
+            .with_shards(0)
+            .with_batch_size(7)
+            .analyze(reqs.iter().copied());
+        assert_eq!(baseline, inline);
     }
 
     #[test]
@@ -738,48 +811,90 @@ mod tests {
         assert!(finish.is_err(), "finish on a poisoned session must panic");
     }
 
+    /// The caller's own share is all-or-error too: a panic in its
+    /// inline run unwinds out of the very `observe` that flushed it,
+    /// and the session stays poisoned.
+    #[test]
+    #[cfg(debug_assertions)]
+    fn inline_share_panic_poisons_the_session() {
+        use std::panic::{catch_unwind, AssertUnwindSafe};
+        let mut session = StreamingWorkbench::new()
+            .with_shards(1)
+            .with_batch_size(1)
+            .start();
+        let req = |volume, secs| {
+            IoRequest::new(
+                VolumeId::new(volume),
+                OpKind::Write,
+                0,
+                4096,
+                Timestamp::from_secs(secs),
+            )
+        };
+        // Volume 0 joins shard thread 0 (the tie goes to the lowest
+        // index); volume 1 joins the least-loaded share, the caller's.
+        session.observe(req(0, 100));
+        session.observe(req(1, 100));
+        assert!(!session.is_poisoned());
+        // Out of order for volume 1: the inline share panics in this
+        // very flush (batch_size = 1).
+        let fatal = catch_unwind(AssertUnwindSafe(|| session.observe(req(1, 1))));
+        assert!(fatal.is_err(), "the inline share's panic must surface");
+        assert!(session.is_poisoned());
+        let observe_after = catch_unwind(AssertUnwindSafe(|| session.observe(req(0, 300))));
+        assert!(observe_after.is_err());
+        let finish = catch_unwind(AssertUnwindSafe(|| session.finish()));
+        assert!(finish.is_err(), "finish on a poisoned session must panic");
+    }
+
     #[test]
     fn registry_reconciles_with_observed() {
         use cbs_obs::Registry;
-        let registry = Registry::new();
         let reqs = time_ordered_requests(5, 200);
-        let mut session = StreamingWorkbench::new()
-            .with_shards(2)
-            .with_batch_size(64)
-            .with_registry(&registry)
-            .start();
-        for req in &reqs {
-            session.observe(*req);
-        }
-        let observed = session.observed();
-        let metrics = session.finish();
-        assert_eq!(observed, 1000);
-        assert_eq!(registry.counter("stream.observed").get(), observed);
-        let per_shard: u64 = (0..2)
-            .map(|s| registry.counter(&format!("stream.shard{s}.requests")).get())
-            .sum();
-        assert_eq!(per_shard, observed, "shard counters reconcile");
-        assert_eq!(
-            registry.counter("stream.batches").get(),
-            (0..2)
-                .map(|s| registry.counter(&format!("stream.shard{s}.batches")).get())
-                .sum::<u64>()
-        );
-        for s in 0..2 {
+        for shards in [0, 1, 2] {
+            let registry = Registry::new();
+            let mut session = StreamingWorkbench::new()
+                .with_shards(shards)
+                .with_batch_size(64)
+                .with_registry(&registry)
+                .start();
+            for req in &reqs {
+                session.observe(*req);
+            }
+            let observed = session.observed();
+            let metrics = session.finish();
+            assert_eq!(observed, 1000);
+            assert_eq!(registry.counter("stream.observed").get(), observed);
+            // The gauge counts shares: the shard threads plus the
+            // caller's own, which publishes under the last index.
+            let shares = registry.gauge("stream.shards").get() as usize;
+            assert_eq!(shares, shards + 1);
+            let per_share = |what: &str| -> u64 {
+                (0..shares)
+                    .map(|s| registry.counter(&format!("stream.shard{s}.{what}")).get())
+                    .sum()
+            };
+            assert_eq!(per_share("requests"), observed, "shard counters reconcile");
             assert_eq!(
-                registry.gauge(&format!("stream.shard{s}.inflight")).get(),
-                0,
-                "all batches drained"
+                registry.counter("stream.batches").get(),
+                per_share("batches")
             );
-            assert!(
-                registry
-                    .gauge(&format!("stream.shard{s}.inflight_hwm"))
-                    .get()
-                    >= 1
-            );
+            for s in 0..shares {
+                assert_eq!(
+                    registry.gauge(&format!("stream.shard{s}.inflight")).get(),
+                    0,
+                    "all batches drained"
+                );
+                assert!(
+                    registry
+                        .gauge(&format!("stream.shard{s}.inflight_hwm"))
+                        .get()
+                        >= 1
+                );
+            }
+            // And the instrumented run still computes the right answer.
+            assert_eq!(metrics.iter().map(|m| m.requests()).sum::<u64>(), observed);
         }
-        // And the instrumented run still computes the right answer.
-        assert_eq!(metrics.iter().map(|m| m.requests()).sum::<u64>(), observed);
     }
 
     #[test]
@@ -812,8 +927,9 @@ mod tests {
                 ));
             }
         }
+        // Three shard threads and the caller's share: four shares.
         let mut session = StreamingWorkbench::new()
-            .with_shards(4)
+            .with_shards(3)
             .with_batch_size(32)
             .with_registry(&registry)
             .start();
@@ -823,8 +939,8 @@ mod tests {
         let metrics = session.finish();
         assert_eq!(metrics.len(), 8);
         assert_eq!(registry.gauge("stream.shards").get(), 4);
-        // The hot volume saturates its shard; the seven cold volumes
-        // must land on the other three shards, so every shard sees
+        // The hot volume saturates its share; the seven cold volumes
+        // must land on the other three shares, so every share sees
         // traffic (modulus routing would leave shards 1-3 at zero).
         for s in 0..4u32 {
             let routed = registry.counter(&format!("stream.shard{s}.requests")).get();

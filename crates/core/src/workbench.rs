@@ -21,9 +21,10 @@ use cbs_analysis::{analyze_volumes, AnalysisConfig, InvalidConfig, VolumeMetrics
 use cbs_synth::CorpusGenerator;
 use cbs_trace::{IoRequest, Timestamp, Trace};
 
-/// The default worker count of [`Workbench::analyze`] and
-/// [`crate::StreamingWorkbench::new`]: the machine's available
-/// parallelism.
+/// The default worker count of [`Workbench::analyze`]: the machine's
+/// available parallelism. The streaming session and the cache sweep run
+/// a share on the caller too, so their default is one thread fewer
+/// ([`cbs_trace::workers::default_workers`]).
 pub fn default_threads() -> usize {
     std::thread::available_parallelism().map_or(1, |n| n.get())
 }

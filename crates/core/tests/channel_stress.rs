@@ -75,7 +75,8 @@ fn metrics_are_invariant_across_channel_interleavings() {
     assert_eq!(baseline.iter().map(|m| m.requests()).sum::<u64>(), 6_000);
 
     for &(shards, batch, depth) in &[
-        (1usize, 1usize, 1usize), // fully serialized, every send blocks
+        (0usize, 1usize, 1usize), // no shard thread: the caller runs all
+        (1, 1, 1),                // fully serialized, every send blocks
         (2, 1, 1),                // tiny batches, constant backpressure
         (3, 7, 1),                // odd batch size, minimal depth
         (4, 64, 2),

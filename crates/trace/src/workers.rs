@@ -18,6 +18,11 @@
 //!   and re-raises the first panic. No partial result escapes either.
 //! * **Which worker owns a key** — [`StickyRouter`].
 //!
+//! The caller is one more share of each fan-out: the streaming session
+//! and the cache sweep run the last share of their work on the caller
+//! thread, with the same code a worker runs, so `n` workers keep
+//! `n + 1` threads busy. [`default_workers`] is the one default count.
+//!
 //! Backpressure is accounted try-first: [`WorkerSet::send`] starts a
 //! stopwatch only when the channel is full and returns the nanoseconds
 //! it blocked, which the caller adds to its own counter.
@@ -34,6 +39,13 @@ use std::thread::JoinHandle;
 use cbs_obs::Stopwatch;
 
 use crate::hash::FxHashMap;
+
+/// The default number of worker threads beside the caller: one per
+/// core the caller does not occupy itself (zero on a single-core host,
+/// where the caller runs everything).
+pub fn default_workers() -> usize {
+    std::thread::available_parallelism().map_or(0, |n| n.get() - 1)
+}
 
 /// The worker's receiver is gone: it panicked, or (where the caller's
 /// workers may stop early by design) returned.

@@ -16,7 +16,7 @@ fn corpus() -> cbs_synth::CorpusGenerator {
 fn streaming_matches_batch_on_synthetic_corpus() {
     let generator = corpus();
     let batch = Workbench::new(generator.generate()).analyze();
-    for shards in [1, 4] {
+    for shards in [0, 1, 4] {
         let streaming = StreamingWorkbench::new()
             .with_shards(shards)
             .with_batch_size(1024)
