@@ -22,21 +22,30 @@ const VIEW_RUN: usize = 8192;
 ///
 /// The block's reuse-stack position lives here too, so one probe per
 /// block touch serves both the block-state update and the reuse
-/// distance (they used to be two separate maps). 48 bytes; the states
-/// sit in one `Vec` indexed by the block's number.
+/// distance (they used to be two separate maps). 32 bytes, aligned to
+/// 32 so two states share each cache line and none straddles one; the
+/// states sit in one `Vec` indexed by the block's number. The byte
+/// counts are the low words of exact counts ([`Carries`]). The two
+/// timestamps stay whole: narrower ones would cap the span a volume may
+/// cover.
 #[derive(Debug, Clone, Copy)]
+#[repr(align(32))]
 struct BlockState {
-    read_bytes: u64,
-    write_bytes: u64,
+    read_bytes: u32,
+    write_bytes: u32,
     last_ts: Timestamp,
     /// Timestamp of the previous write; only meaningful when
     /// `write_count > 0` (update intervals).
     last_write_ts: Timestamp,
-    write_count: u32,
     /// Position of this block's latest access in the reuse stack.
     reuse_pos: u32,
+    /// Writes so far, saturating: only `> 0` and `>= 2` are read.
+    write_count: u8,
     last_op: OpKind,
 }
+
+const _: () =
+    assert!(std::mem::size_of::<BlockState>() == 32 && std::mem::align_of::<BlockState>() == 32);
 
 impl BlockState {
     const EMPTY: BlockState = BlockState {
@@ -44,10 +53,45 @@ impl BlockState {
         write_bytes: 0,
         last_ts: Timestamp::ZERO,
         last_write_ts: Timestamp::ZERO,
-        write_count: 0,
         reuse_pos: 0,
+        write_count: 0,
         last_op: OpKind::Read,
     };
+}
+
+/// Exact `u64` counts kept as `u32` low words, one read and one write
+/// word per slot: an add that wraps a word past 2³² logs the word's
+/// `(slot, op)` here, and [`widen`](Carries::widen) adds 2³² back per
+/// log. Wraps are rare (a block's traffic or a distance's count past
+/// 4 GiB or 4 G accesses), so the log stays short.
+#[derive(Debug, Default)]
+struct Carries(Vec<(usize, OpKind)>);
+
+impl Carries {
+    /// Adds `n` to `word`, the `op` word of `slot`. A `u32` add wraps
+    /// at most once.
+    #[inline]
+    fn add(&mut self, word: &mut u32, n: u32, slot: usize, op: OpKind) {
+        let (sum, wrapped) = word.overflowing_add(n);
+        *word = sum;
+        if wrapped {
+            self.0.push((slot, op));
+        }
+    }
+
+    /// The exact counts: `lows` yields slot `i`'s `[read, write]` low
+    /// words as its `i`-th item, widened with that slot's carries.
+    fn widen(mut self, lows: impl Iterator<Item = [u32; 2]>) -> impl Iterator<Item = [u64; 2]> {
+        self.0.sort_unstable();
+        let mut carries = self.0.into_iter().peekable();
+        lows.enumerate().map(move |(slot, low)| {
+            let mut wide = low.map(u64::from);
+            while let Some((_, op)) = carries.next_if(|&(s, _)| s == slot) {
+                wide[op as usize] += 1 << 32;
+            }
+            wide
+        })
+    }
 }
 
 /// Run-length tally over one request's blocks: counts consecutive equal
@@ -130,6 +174,8 @@ pub struct VolumeAnalyzer {
     /// when its number is `states.len()`: numbers are minted in the
     /// order blocks are first touched.
     states: Vec<BlockState>,
+    /// Wraps of the states' byte counts, by block number.
+    byte_carries: Carries,
     /// Scratch: the runs of numbers the current span was numbered to.
     runs: Vec<(BlockNo, u32)>,
 
@@ -140,10 +186,11 @@ pub struct VolumeAnalyzer {
     update_interval_hist: LogHistogram,
 
     reuse_stack: ReuseStack,
-    /// Finite reuse-distance histograms split by op kind, plus cold
-    /// counts — everything needed for per-op LRU miss-ratio curves.
-    read_distance_hist: Vec<u64>,
-    write_distance_hist: Vec<u64>,
+    /// Finite reuse-distance counts, `[read, write]` per distance, with
+    /// their wraps by distance, plus cold counts — everything needed
+    /// for per-op LRU miss-ratio curves.
+    distance_counts: Vec<[u32; 2]>,
+    distance_carries: Carries,
     read_cold: u64,
     write_cold: u64,
 }
@@ -196,6 +243,7 @@ impl VolumeAnalyzer {
             random_requests: 0,
             numbers: BlockNumbering::new(),
             states: Vec::new(),
+            byte_carries: Carries::default(),
             runs: Vec::new(),
             raw_hist: hist(),
             waw_hist: hist(),
@@ -203,8 +251,8 @@ impl VolumeAnalyzer {
             war_hist: hist(),
             update_interval_hist: hist(),
             reuse_stack: ReuseStack::new(),
-            read_distance_hist: Vec::new(),
-            write_distance_hist: Vec::new(),
+            distance_counts: Vec::new(),
+            distance_carries: Carries::default(),
             read_cold: 0,
             write_cold: 0,
         })
@@ -461,7 +509,7 @@ impl VolumeAnalyzer {
             .iter()
             .flat_map(|&(no, n)| no.index()..no.index() + n as usize);
         for ((i, block), no) in span.enumerate().zip(numbered) {
-            let overlap = u64::from(bs.overlap(block, offset, len));
+            let overlap = bs.overlap(block, offset, len);
             // Runs come in block order and new blocks are numbered in
             // that order, so a new block's number is the next slot.
             let warm = no < self.states.len();
@@ -475,10 +523,13 @@ impl VolumeAnalyzer {
             let state = &mut self.states[no];
             let old = *state;
             match op {
-                OpKind::Read => state.read_bytes += overlap,
+                OpKind::Read => self
+                    .byte_carries
+                    .add(&mut state.read_bytes, overlap, no, op),
                 OpKind::Write => {
-                    state.write_bytes += overlap;
-                    state.write_count += 1;
+                    self.byte_carries
+                        .add(&mut state.write_bytes, overlap, no, op);
+                    state.write_count = state.write_count.saturating_add(1);
                     state.last_write_ts = ts;
                 }
             }
@@ -501,7 +552,7 @@ impl VolumeAnalyzer {
                     self.record_adjacency(op, ts, last, n);
                 }
                 if op == OpKind::Write {
-                    self.updated_bytes += overlap;
+                    self.updated_bytes += u64::from(overlap);
                     if old.write_count > 0 {
                         if let Some((last_write, n)) = updates.push(old.last_write_ts) {
                             self.update_interval_hist
@@ -551,15 +602,14 @@ impl VolumeAnalyzer {
             return;
         };
         let (distance, _) = self.reuse_stack.touch_run(key.wrapping_add(end - n), n);
-        let hist = match op {
-            OpKind::Read => &mut self.read_distance_hist,
-            OpKind::Write => &mut self.write_distance_hist,
-        };
         let d = distance as usize;
-        if d >= hist.len() {
-            hist.resize(d + 1, 0);
+        if d >= self.distance_counts.len() {
+            self.distance_counts.resize(d + 1, [0; 2]);
         }
-        hist[d] += n as u64;
+        // A run lies inside one request's span: at most `u32::MAX`
+        // blocks, so the cast is exact.
+        let word = &mut self.distance_counts[d][op as usize];
+        self.distance_carries.add(word, n as u32, d, op);
     }
 
     /// Records `n` re-touches at `ts` of blocks last touched by
@@ -585,6 +635,10 @@ impl VolumeAnalyzer {
         let last_ts = self.last_ts.unwrap_or(self.epoch);
         self.peak_max = self.peak_max.max(self.peak_bin_count);
 
+        // Each per-block structure is freed once it has been read, so
+        // the next one's allocation does not add to the analyzer's peak.
+        drop((self.numbers, self.reuse_stack));
+
         // --- aggregate block-level results ---
         let mut wss_read_blocks = 0u64;
         let mut wss_write_blocks = 0u64;
@@ -594,32 +648,56 @@ impl VolumeAnalyzer {
         let mut read_traffic: Vec<u64> = Vec::new();
         let mut write_traffic: Vec<u64> = Vec::new();
         let threshold = self.config.rw_mostly_threshold;
-        for state in &self.states {
-            if state.read_bytes > 0 {
+        let states = self.states;
+        let traffic = self
+            .byte_carries
+            .widen(states.iter().map(|s| [s.read_bytes, s.write_bytes]));
+        for (state, [read_bytes, write_bytes]) in states.iter().zip(traffic) {
+            if read_bytes > 0 {
                 wss_read_blocks += 1;
-                read_traffic.push(state.read_bytes);
+                read_traffic.push(read_bytes);
             }
-            if state.write_bytes > 0 {
+            if write_bytes > 0 {
                 wss_write_blocks += 1;
-                write_traffic.push(state.write_bytes);
+                write_traffic.push(write_bytes);
             }
             if state.write_count >= 2 {
                 wss_update_blocks += 1;
             }
-            let total = state.read_bytes + state.write_bytes;
+            let total = read_bytes + write_bytes;
             if total > 0 {
-                let read_share = state.read_bytes as f64 / total as f64;
+                let read_share = read_bytes as f64 / total as f64;
                 if read_share > threshold {
-                    read_bytes_to_read_mostly += state.read_bytes;
+                    read_bytes_to_read_mostly += read_bytes;
                 }
                 if 1.0 - read_share > threshold {
-                    write_bytes_to_write_mostly += state.write_bytes;
+                    write_bytes_to_write_mostly += write_bytes;
                 }
             }
         }
+        let wss_blocks = states.len() as u64;
+        drop(states);
         let (f1, f10) = self.config.top_fractions;
         let top_read_shares = top_shares(&mut read_traffic, f1, f10);
         let top_write_shares = top_shares(&mut write_traffic, f1, f10);
+        drop((read_traffic, write_traffic));
+
+        // Each op's distance column, widened and trimmed to that op's
+        // largest distance + 1: the histogram a per-op `Vec<u64>` kept.
+        let len = self.distance_counts.len();
+        let mut distances = [Vec::with_capacity(len), Vec::with_capacity(len)];
+        let counts = self.distance_counts.into_iter();
+        for wide in self.distance_carries.widen(counts) {
+            for (column, count) in distances.iter_mut().zip(wide) {
+                column.push(count);
+            }
+        }
+        for column in &mut distances {
+            while column.last() == Some(&0) {
+                column.pop();
+            }
+        }
+        let [read_distances, write_distances] = distances;
 
         VolumeMetrics {
             id: self.id,
@@ -639,7 +717,7 @@ impl VolumeAnalyzer {
             write_active_intervals: self.write_active_intervals,
             active_days: self.active_days,
             random_requests: self.random_requests,
-            wss_blocks: self.states.len() as u64,
+            wss_blocks,
             wss_read_blocks,
             wss_write_blocks,
             wss_update_blocks,
@@ -652,14 +730,8 @@ impl VolumeAnalyzer {
             rar_hist: self.rar_hist,
             war_hist: self.war_hist,
             update_interval_hist: self.update_interval_hist,
-            read_mrc: cbs_cache::MissRatioCurve::from_histogram(
-                self.read_distance_hist,
-                self.read_cold,
-            ),
-            write_mrc: cbs_cache::MissRatioCurve::from_histogram(
-                self.write_distance_hist,
-                self.write_cold,
-            ),
+            read_mrc: cbs_cache::MissRatioCurve::from_histogram(read_distances, self.read_cold),
+            write_mrc: cbs_cache::MissRatioCurve::from_histogram(write_distances, self.write_cold),
         }
     }
 }
@@ -675,18 +747,34 @@ fn push_unique(sorted: &mut Vec<u32>, value: u32) {
 
 /// Shares of total traffic carried by the top-`f1` and top-`f10`
 /// fractions of blocks (by per-block traffic). `None` for no traffic.
+///
+/// Two linear-time selections instead of a sort: the wider cut moves
+/// the busiest blocks to the front, then the narrower cut selects within
+/// that prefix. A share is a `u64` sum, so the order inside a cut does
+/// not change it.
 fn top_shares(traffic: &mut [u64], f1: f64, f10: f64) -> Option<(f64, f64)> {
     if traffic.is_empty() {
         return None;
     }
-    traffic.sort_unstable_by(|a, b| b.cmp(a));
     let total: u64 = traffic.iter().sum();
-    let share = |fraction: f64| {
-        let k = ((traffic.len() as f64 * fraction).ceil() as usize).clamp(1, traffic.len());
-        let top: u64 = traffic[..k].iter().sum();
-        top as f64 / total as f64
+    let cut =
+        |fraction: f64| ((traffic.len() as f64 * fraction).ceil() as usize).clamp(1, traffic.len());
+    let (k1, k10) = (cut(f1), cut(f10));
+    let (narrow, wide) = (k1.min(k10), k1.max(k10));
+    // Moves the `k` busiest of `blocks` to its front; their traffic.
+    let busiest = |blocks: &mut [u64], k: usize| -> u64 {
+        blocks.select_nth_unstable_by(k - 1, |a, b| b.cmp(a));
+        blocks[..k].iter().sum()
     };
-    Some((share(f1), share(f10)))
+    let wide_sum = busiest(traffic, wide);
+    let narrow_sum = busiest(&mut traffic[..wide], narrow);
+    let share = |sum: u64| sum as f64 / total as f64;
+    let (top1, top10) = if k1 <= k10 {
+        (narrow_sum, wide_sum)
+    } else {
+        (wide_sum, narrow_sum)
+    };
+    Some((share(top1), share(top10)))
 }
 
 /// [`analyze_volumes`] over the volumes of `trace`, under its start;
@@ -955,6 +1043,53 @@ mod tests {
         ]);
         assert_eq!(m.write_bytes_to_write_mostly, 4096); // block 0 only
         assert_eq!(m.read_bytes_to_read_mostly, 4096); // block 1 only
+    }
+
+    #[test]
+    fn carries_keep_counts_exact_across_the_u32_boundary() {
+        let mut carries = Carries::default();
+        // Slot 0 read: up to 2^32 - 1 without a carry, onto 2^32, then
+        // across it a second time. Slot 2 write: 2^32 - 1 twice, the
+        // largest sum one add can make. Slot 1: untouched.
+        let mut lows = [[0u32; 2]; 3];
+        carries.add(&mut lows[0][0], u32::MAX, 0, OpKind::Read);
+        carries.add(&mut lows[2][1], u32::MAX, 2, OpKind::Write);
+        assert_eq!(lows[0][0], u32::MAX);
+        assert!(carries.0.is_empty());
+        carries.add(&mut lows[0][0], 1, 0, OpKind::Read);
+        assert_eq!(lows[0][0], 0);
+        carries.add(&mut lows[2][1], u32::MAX, 2, OpKind::Write);
+        carries.add(&mut lows[0][0], u32::MAX, 0, OpKind::Read);
+        carries.add(&mut lows[0][0], 2, 0, OpKind::Read);
+        carries.add(&mut lows[0][1], 7, 0, OpKind::Write);
+        let wide: Vec<[u64; 2]> = carries.widen(lows.into_iter()).collect();
+        assert_eq!(
+            wide,
+            [
+                [(1 << 32) + u64::from(u32::MAX) + 2, 7],
+                [0, 0],
+                [0, 2 * u64::from(u32::MAX)],
+            ]
+        );
+    }
+
+    #[test]
+    fn top_shares_select_what_a_sort_would() {
+        let traffic: Vec<u64> = (0..1000u64).map(|i| i * 7919 % 1013 + i % 3).collect();
+        let mut sorted = traffic.clone();
+        sorted.sort_unstable_by(|a, b| b.cmp(a));
+        let total: u64 = sorted.iter().sum();
+        let share = |k: usize| sorted[..k].iter().sum::<u64>() as f64 / total as f64;
+        for (f1, f10, k1, k10) in [
+            (0.01, 0.10, 10, 100),
+            (0.10, 0.01, 100, 10),
+            (0.0001, 1.0, 1, 1000),
+            (0.5, 0.5, 500, 500),
+        ] {
+            let got = top_shares(&mut traffic.clone(), f1, f10);
+            assert_eq!(got, Some((share(k1), share(k10))), "{f1} {f10}");
+        }
+        assert_eq!(top_shares(&mut [], 0.01, 0.1), None);
     }
 
     #[test]

@@ -15,7 +15,10 @@
 //! [`StreamingWorkbench`] (whose shard workers regroup each batch by
 //! volume) across batch sizes and shard counts, over request shapes
 //! chosen to break run coalescing, the regroup, the run boundaries and
-//! the randomness window's edges.
+//! the randomness window's edges. At 2 GiB blocks a few full-block
+//! requests carry a block's byte counts past 2³², the `u32` low words
+//! the analyzer keeps them in; that case runs the whole-view and split
+//! feeds only, since the streaming workbench analyzes at 4 KiB blocks.
 
 #![allow(clippy::expect_used, reason = "test helpers fail the test")]
 
@@ -25,9 +28,8 @@ use cbs_analysis::{AnalysisConfig, VolumeAnalyzer, VolumeMetrics};
 use cbs_cache::MissRatioCurve;
 use cbs_core::StreamingWorkbench;
 use cbs_stats::LogHistogram;
-use cbs_trace::{IoRequest, OpKind, RequestBatch, Timestamp, VolumeId, VolumeView};
+use cbs_trace::{BlockSize, IoRequest, OpKind, RequestBatch, Timestamp, VolumeId, VolumeView};
 
-const BLOCK: u128 = 4096;
 const MICROS_PER_DAY: u64 = 86_400 * 1_000_000;
 
 /// What the oracle remembers about one block.
@@ -56,9 +58,23 @@ fn top_shares(mut traffic: Vec<u64>, (f1, f10): (f64, f64)) -> Option<(f64, f64)
     Some((share(f1), share(f10)))
 }
 
-/// One volume's requests, in order, through the oracle.
-fn oracle(volume: VolumeId, epoch: Timestamp, requests: &[IoRequest]) -> VolumeMetrics {
-    let c = AnalysisConfig::default();
+/// The default analysis at `block` bytes per block.
+fn config(block: BlockSize) -> AnalysisConfig {
+    AnalysisConfig {
+        block_size: block,
+        ..AnalysisConfig::default()
+    }
+}
+
+/// One volume's requests, in order, through the oracle at `block`.
+fn oracle(
+    block: BlockSize,
+    volume: VolumeId,
+    epoch: Timestamp,
+    requests: &[IoRequest],
+) -> VolumeMetrics {
+    let c = config(block);
+    let block = u128::from(block.bytes());
     let hist = || LogHistogram::new(c.hist_precision_bits);
     let (mut read_sizes, mut write_sizes, mut gaps) = (hist(), hist(), hist());
     let (mut raw, mut waw, mut rar, mut war, mut update) = (hist(), hist(), hist(), hist(), hist());
@@ -123,8 +139,8 @@ fn oracle(volume: VolumeId, epoch: Timestamp, requests: &[IoRequest]) -> VolumeM
         if end == start {
             continue;
         }
-        for b in start / BLOCK..=(end - 1) / BLOCK {
-            let overlap = (end.min((b + 1) * BLOCK) - start.max(b * BLOCK)) as u64;
+        for b in start / block..=(end - 1) / block {
+            let overlap = (end.min((b + 1) * block) - start.max(b * block)) as u64;
             let id = b as u64;
 
             // A block not in `blocks` is not in the stack either: only
@@ -302,14 +318,14 @@ fn assert_matches(got: &VolumeMetrics, want: &VolumeMetrics, what: &str) {
     assert_eq!(without_shares(got), without_shares(want), "{what}");
 }
 
-fn analyzer(volume: VolumeId, epoch: Timestamp) -> VolumeAnalyzer {
-    VolumeAnalyzer::new(volume, epoch, AnalysisConfig::default()).expect("default config")
+fn analyzer(block: BlockSize, volume: VolumeId, epoch: Timestamp) -> VolumeAnalyzer {
+    VolumeAnalyzer::new(volume, epoch, config(block)).expect("valid config")
 }
 
-/// Checks every way of driving the analyzer against the oracle on
-/// `stream` (any number of volumes, each volume's requests in
+/// Checks every way of driving the analyzer at `block` against the
+/// oracle on `stream` (any number of volumes, each volume's requests in
 /// non-decreasing time order).
-fn check(shape: &str, stream: &[IoRequest]) {
+fn check(shape: &str, block: BlockSize, stream: &[IoRequest]) {
     let mut per_volume: BTreeMap<VolumeId, Vec<IoRequest>> = BTreeMap::new();
     for req in stream {
         per_volume.entry(req.volume()).or_default().push(*req);
@@ -318,21 +334,18 @@ fn check(shape: &str, stream: &[IoRequest]) {
     let epoch = stream[0].ts();
     let want: Vec<VolumeMetrics> = per_volume
         .iter()
-        .map(|(&volume, reqs)| oracle(volume, epoch, reqs))
+        .map(|(&volume, reqs)| oracle(block, volume, epoch, reqs))
         .collect();
 
     for ((&volume, reqs), want) in per_volume.iter().zip(&want) {
-        let whole = VolumeAnalyzer::analyze_volume(
-            VolumeView::new(volume, reqs),
-            epoch,
-            &AnalysisConfig::default(),
-        )
-        .expect("default config");
+        let whole =
+            VolumeAnalyzer::analyze_volume(VolumeView::new(volume, reqs), epoch, &config(block))
+                .expect("valid config");
         assert_matches(&whole, want, &format!("{shape}: analyze_volume, {volume}"));
 
         let batch = RequestBatch::from(reqs.as_slice());
         for splits in [&[1][..], &[7], &[3, 1, 64, 2, 500]] {
-            let mut batched = analyzer(volume, epoch);
+            let mut batched = analyzer(block, volume, epoch);
             let mut start = 0;
             for &size in splits.iter().cycle() {
                 let end = start + size.min(batch.len() - start);
@@ -350,6 +363,10 @@ fn check(shape: &str, stream: &[IoRequest]) {
         }
     }
 
+    // The streaming workbench analyzes at the default block size only.
+    if block != BlockSize::DEFAULT {
+        return;
+    }
     for batch_size in [1, 7, 8192] {
         for shards in [0, 1, 3] {
             let streamed = StreamingWorkbench::new()
@@ -399,7 +416,7 @@ fn one_hot_block() {
             )
         })
         .collect();
-    check("one hot block", &stream);
+    check("one hot block", BlockSize::DEFAULT, &stream);
 }
 
 #[test]
@@ -413,7 +430,7 @@ fn span_last_touched_block_by_block_in_reverse() {
     stream.push(req(0, OpKind::Read, 0, 64 * 4096, 100));
     stream.push(req(0, OpKind::Write, 0, 64 * 4096, 200));
     stream.push(req(0, OpKind::Write, 0, 64 * 4096, 300));
-    check("reverse single-block writes", &stream);
+    check("reverse single-block writes", BlockSize::DEFAULT, &stream);
 }
 
 #[test]
@@ -429,7 +446,7 @@ fn alternating_read_write_over_one_span() {
             req(0, op, 10 * 4096 + 512, 20 * 4096, i * 1000)
         })
         .collect();
-    check("alternating read/write", &stream);
+    check("alternating read/write", BlockSize::DEFAULT, &stream);
 }
 
 #[test]
@@ -449,7 +466,7 @@ fn spans_with_cold_holes() {
         stream.push(req(0, OpKind::Read, (40 + round) * 4096, 0, t + 2));
         t += 3;
     }
-    check("cold holes", &stream);
+    check("cold holes", BlockSize::DEFAULT, &stream);
 }
 
 #[test]
@@ -465,7 +482,7 @@ fn equal_timestamps_throughout() {
             )
         })
         .collect();
-    check("equal timestamps", &stream);
+    check("equal timestamps", BlockSize::DEFAULT, &stream);
 }
 
 #[test]
@@ -485,7 +502,7 @@ fn three_hundred_volumes_round_robin() {
             ));
         }
     }
-    check("300 volumes round-robin", &stream);
+    check("300 volumes round-robin", BlockSize::DEFAULT, &stream);
 }
 
 #[test]
@@ -501,7 +518,7 @@ fn one_hundred_one_request_volumes() {
             )
         })
         .collect();
-    check("100 one-request volumes", &stream);
+    check("100 one-request volumes", BlockSize::DEFAULT, &stream);
 }
 
 #[test]
@@ -517,9 +534,9 @@ fn requests_at_the_end_of_the_address_space() {
         req(0, OpKind::Read, u64::MAX, 0, 4),
         req(0, OpKind::Write, top, u32::MAX, 5),
     ];
-    check("end of the address space", &stream);
+    check("end of the address space", BlockSize::DEFAULT, &stream);
 
-    let mut a = analyzer(VolumeId::new(0), Timestamp::ZERO);
+    let mut a = analyzer(BlockSize::DEFAULT, VolumeId::new(0), Timestamp::ZERO);
     a.observe_batch(&RequestBatch::from(stream.as_slice()), 0..stream.len());
     let m = a.finish();
     assert_eq!((m.reads, m.writes), (2, 3));
@@ -555,7 +572,11 @@ fn one_volume_longer_than_two_runs() {
             req(0, op_of(i * 7 + i / 11), offset, len, micros)
         })
         .collect();
-    check("one volume longer than two runs", &stream);
+    check(
+        "one volume longer than two runs",
+        BlockSize::DEFAULT,
+        &stream,
+    );
 }
 
 #[test]
@@ -583,5 +604,51 @@ fn randomness_window_edges() {
         .enumerate()
         .map(|(i, &offset)| req(0, op_of(i as u64), offset, 512, i as u64 * 1000))
         .collect();
-    check("randomness window edges", &stream);
+    check("randomness window edges", BlockSize::DEFAULT, &stream);
+}
+
+#[test]
+fn byte_counts_past_two_to_the_32_at_two_gib_blocks() {
+    // Each full-block request moves 2 GiB, so a block's third one
+    // carries its count past 2^32. Block 0 carries both ways, its
+    // writes last, after block 1's reads: the carries are logged out of
+    // block-number order. The 4 GiB - 1 requests leave partial blocks
+    // in the counts.
+    const G: u64 = 1 << 31;
+    let block = BlockSize::new(1 << 31).expect("a power of two");
+    let (read, write) = (OpKind::Read, OpKind::Write);
+    let mut shapes = vec![(write, 3 * G, G as u32); 3];
+    for _ in 0..2 {
+        shapes.extend([
+            (read, 0, G as u32),
+            (read, G, G as u32),
+            (write, 0, u32::MAX),
+        ]);
+    }
+    shapes.extend([
+        (read, 0, G as u32),
+        (read, G + 512, u32::MAX),
+        (write, 0, G as u32),
+    ]);
+    let mut stream: Vec<IoRequest> = shapes
+        .iter()
+        .enumerate()
+        .map(|(i, &(op, offset, len))| req(0, op, offset, len, i as u64 * 1_000_000))
+        .collect();
+    stream.push(req(1, read, 7 * G, 4096, 20_000_000));
+    check("2 GiB blocks", block, &stream);
+
+    // The busiest block carries 6 GiB each way: block 0's reads of the
+    // 7 GiB - 1 read in all, and block 0's (or 3's) writes of 8 GiB - 2.
+    let want = oracle(
+        block,
+        VolumeId::new(0),
+        stream[0].ts(),
+        &stream[..shapes.len()],
+    );
+    let share = |top: u64, total: u64| top as f64 / total as f64;
+    assert_eq!(want.wss_blocks, 4);
+    let (top_read, top_write) = (share(3 * G, 7 * G - 1), share(3 * G, 8 * G - 2));
+    assert_eq!(want.top_read_shares, Some((top_read, top_read)));
+    assert_eq!(want.top_write_shares, Some((top_write, top_write)));
 }

@@ -21,6 +21,13 @@ cargo build --release
 echo "==> cargo test -q"
 cargo test -q
 
+proptest_seed="$(od -An -N8 -tu8 /dev/urandom | tr -d ' ')"
+echo "==> property tests under a fresh seed (PROPTEST_SEED=${proptest_seed})"
+# Without PROPTEST_SEED every run draws the same cases; this lane draws
+# new ones each time. A failure replays with the seed printed above.
+PROPTEST_SEED="${proptest_seed}" cargo test -q -p cbs-analysis
+PROPTEST_SEED="${proptest_seed}" cargo test -q -p cbs-core --test streaming_equivalence
+
 echo "==> every crate inherits the workspace lint table"
 # A crate without `[lints] workspace = true` gets none of the table's
 # lints, and nothing else would say so (the lint canary lives in one
